@@ -44,12 +44,12 @@ alpha = 0.5
 run = evaluate_forecasts(values, 1, forecasts, directions, alpha)
 print(f"{'t':>2} {'prev':>7} {'true':>7} {'base':>7} {'dir':>4} {'ind':>3} "
       f"{'adjusted':>8} {'scenario':>9}")
-for step in run.tats.steps():
-    name = Scenario(step.scenario).name
+tr = run.tats
+for i in range(len(tr)):
     print(
-        f"{step.t:>2} {step.y_prev:>7.2f} {step.y_true:>7.2f} {step.y_hat:>7.2f} "
-        f"{TrendDirection(step.direction).name:>4} {step.indicator:>3} "
-        f"{step.y_adj:>8.2f} {name:>9}"
+        f"{tr.t[i]:>2} {tr.y_prev[i]:>7.2f} {tr.y_true[i]:>7.2f} {tr.y_hat[i]:>7.2f} "
+        f"{TrendDirection(int(tr.direction[i])).name:>4} {tr.indicator[i]:>3} "
+        f"{tr.y_adj[i]:>8.2f} {Scenario(int(tr.scenario[i])).name:>9}"
     )
 print()
 print(f"base MSE     {np.mean(run.base.loss_base):.4f}")

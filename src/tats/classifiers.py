@@ -32,7 +32,6 @@ __all__ = [
     "classification_accuracy",
     "cross_val_accuracy",
     "fit_classifier",
-    "oracle_predict",
     "predict_direction",
 ]
 
@@ -119,13 +118,6 @@ class TrendPredictorSpec:
         return cls(ClassifierKind.EXTERNAL, source=source)
 
 
-def _check_row(row, n_features: int) -> np.ndarray:
-    arr = np.asarray(row, dtype=float)
-    if arr.ndim != 1 or arr.size != n_features:
-        raise ConfigError(f"feature row has shape {arr.shape}, model expects {n_features} features")
-    return arr
-
-
 @dataclass(frozen=True)
 class MajorityClassifier:
     """Always predicts the most frequent training direction (tie: UP)."""
@@ -135,10 +127,6 @@ class MajorityClassifier:
 
     def predict_matrix(self, rows: np.ndarray) -> np.ndarray:
         return np.full(rows.shape[0], int(self.direction), dtype=int)
-
-    def predict_row(self, row) -> TrendDirection:
-        _check_row(row, self.n_features)
-        return self.direction
 
 
 @dataclass(frozen=True)
@@ -168,10 +156,6 @@ class LogisticClassifier:
     def predict_matrix(self, rows: np.ndarray) -> np.ndarray:
         return np.where(self._scores(rows) >= 0.0, 1, -1)
 
-    def predict_row(self, row) -> TrendDirection:
-        arr = _check_row(row, self.n_features)
-        return TrendDirection(int(self.predict_matrix(arr[None, :])[0]))
-
 
 @dataclass(frozen=True)
 class GaussianNBClassifier:
@@ -198,10 +182,6 @@ class GaussianNBClassifier:
         down = int(np.flatnonzero(self.class_values == -1)[0])
         return np.where(scores[:, up] >= scores[:, down], 1, -1)
 
-    def predict_row(self, row) -> TrendDirection:
-        arr = _check_row(row, self.n_features)
-        return TrendDirection(int(self.predict_matrix(arr[None, :])[0]))
-
 
 @dataclass(frozen=True)
 class KNNClassifier:
@@ -224,10 +204,6 @@ class KNNClassifier:
             out[i] = 1 if votes_up >= self.k - votes_up else -1
         return out
 
-    def predict_row(self, row) -> TrendDirection:
-        arr = _check_row(row, self.n_features)
-        return TrendDirection(int(self.predict_matrix(arr[None, :])[0]))
-
 
 @dataclass(frozen=True)
 class OracleTrendPredictor:
@@ -249,10 +225,10 @@ class OracleTrendPredictor:
     def draw_many(self, truths: np.ndarray) -> np.ndarray:
         """Vectorized draws for +1/-1/0 truth signs (0 meaning flat)."""
         u = self.rng.random(truths.size)
-        correct = np.where(truths == 0, u < 0.5, u < self.accuracy)
-        coin = np.where(u < 0.5, 1, -1)
-        flipped = np.where(correct, truths, -truths)
-        return np.where(truths == 0, coin, flipped).astype(int)
+        flat = truths == 0
+        # as in draw(), a flat truth becomes UP below 0.5 and DOWN otherwise
+        signed = truths + flat
+        return np.where(u < np.where(flat, 0.5, self.accuracy), signed, -signed)
 
 
 @dataclass(frozen=True)
@@ -266,19 +242,6 @@ class DirectionTable:
             return self.by_index[time_index]
         except KeyError:
             raise DataError(f"external directions missing time index {time_index}") from None
-
-
-def oracle_predict(truth: TrendDirection, accuracy: float, rng: np.random.Generator) -> TrendDirection:
-    """One oracle draw: the truth with probability ``accuracy``.
-
-    The truth must be a strict direction; handling of flat moves is the
-    caller's policy decision.
-    """
-    if not isinstance(truth, TrendDirection):
-        raise ConfigError(f"oracle truth must be a strict direction, got {truth!r}")
-    if not 0.0 <= accuracy <= 1.0:
-        raise ConfigError(f"oracle accuracy must lie in [0, 1], got {accuracy}")
-    return truth if float(rng.random()) < accuracy else truth.flipped()
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -374,7 +337,11 @@ def predict_direction(predictor, feature_row) -> TrendDirection:
     """Predict the next move's direction from one feature row."""
     if isinstance(predictor, (OracleTrendPredictor, DirectionTable)):
         raise ConfigError(f"{type(predictor).__name__} does not consume feature rows")
-    return predictor.predict_row(feature_row)
+    row = np.asarray(feature_row, dtype=float)
+    n_features = predictor.n_features
+    if row.ndim != 1 or row.size != n_features:
+        raise ConfigError(f"feature row has shape {row.shape}, model expects {n_features} features")
+    return TrendDirection(int(predictor.predict_matrix(row[None, :])[0]))
 
 
 def classification_accuracy(predicted, actual) -> float:

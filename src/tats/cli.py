@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .classifiers import ClassifierKind, TrendPredictorSpec
 from .core import chronological_split
-from .engine import TatsConfig, run_tats, sweep_alpha
+from .engine import TatsConfig, evaluate_forecasts, run_tats, sweep_alpha
 from .errors import ConfigError, DataError, NumericError
 from .forecasters import ValueForecasterSpec
 from .ingest import (
@@ -392,15 +392,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     (out / "report.json").write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
 
     best = min(sweep.entries, key=lambda e: e.report.mse)
-    best_run = run_tats(
-        TatsConfig(
-            alpha=best.alpha, value_forecaster=config.value_forecaster,
-            trend_predictor=config.trend_predictor, n_lags=config.n_lags,
-            include_exogenous=config.include_exogenous, exog_lag=config.exog_lag,
-            refit_each_step=config.refit_each_step,
-        ),
-        train, test, features,
-    )
+    best_run = evaluate_forecasts(*sweep.inputs, best.alpha)
     xs = [float(t) for t in best_run.tats.t]
     forecast_svg = line_chart(
         f"Test forecasts (alpha={best.alpha:g})",
@@ -446,7 +438,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         volatility=args.volatility, p_dt=args.p_dt, p_db=args.p_db,
         error_scale=args.error_scale, alpha=args.alpha, seed=args.seed,
     )
-    report = validate_prop1(config, n_jobs=args.jobs)
+    report = validate_prop1(config)
     out = Path(args.out if args.out is not None else os.environ.get(ENV_OUT_DIR, "."))
     out.mkdir(parents=True, exist_ok=True)
     (out / "simulation.json").write_text(json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n")
@@ -513,7 +505,6 @@ def _add_run_flags(parser: argparse.ArgumentParser, with_theory: bool) -> None:
             help="split used for plug-in theory estimates (default train)",
         )
     parser.add_argument("--out", help=f"output directory (default ${ENV_OUT_DIR} or .)")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel worker bound (default 1)")
 
 
 def _build_parser() -> _Parser:
@@ -538,7 +529,6 @@ def _build_parser() -> _Parser:
     simulate.add_argument("--error-scale", type=float, default=SimConfig.error_scale, help="forecast error scale u in (0, 2)")
     simulate.add_argument("--alpha", type=float, default=SimConfig.alpha, help="adjustment step size")
     simulate.add_argument("--seed", type=int, default=SimConfig.seed, help="root seed")
-    simulate.add_argument("--jobs", type=int, default=1, help="trial processes (default 1)")
     simulate.add_argument("--out", help=f"output directory (default ${ENV_OUT_DIR} or .)")
     simulate.set_defaults(func=cmd_simulate)
 

@@ -12,8 +12,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
-
 import numpy as np
 
 from .errors import ConfigError, DataError
@@ -160,12 +158,3 @@ def concat(first: TimeSeries, second: TimeSeries) -> TimeSeries:
     if first.labels is not None and second.labels is not None:
         labels = first.labels + second.labels
     return TimeSeries(values, labels)
-
-
-def as_direction_array(directions: Sequence[TrendDirection | int]) -> np.ndarray:
-    """Coerce a sequence of directions to a +1/-1 int array."""
-    arr = np.asarray([int(d) for d in directions], dtype=int)
-    if arr.size and not np.all(np.isin(arr, (1, -1))):
-        bad = int(np.flatnonzero(~np.isin(arr, (1, -1)))[0])
-        raise DataError(f"direction at position {bad} is not +1 or -1: {arr[bad]}")
-    return arr

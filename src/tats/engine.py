@@ -25,8 +25,7 @@ are tagged UNDEFINED and excluded from scenario-conditional statistics.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Iterator
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,12 +38,11 @@ from .classifiers import (
 )
 from .core import FLAT, TimeSeries, TrendDirection, concat, direction_of
 from .errors import ConfigError, DataError
-from .forecasters import ValueForecasterSpec, fit_forecaster, forecast_one
+from .forecasters import ValueForecasterSpec, _walk_forward, fit_forecaster
 from .ingest import Dataset, FeatureTable, build_feature_table
 from .metrics import EvalReport, evaluate_trace
 
 __all__ = [
-    "ForecastStep",
     "ForecastTrace",
     "Scenario",
     "ScenarioTally",
@@ -100,22 +98,6 @@ def classify_scenario(
     return Scenario.S4 if direction is actual else Scenario.S3
 
 
-@dataclass(frozen=True)
-class ForecastStep:
-    """One evaluated step of a trace."""
-
-    t: int
-    y_prev: float
-    y_true: float
-    y_hat: float
-    direction: TrendDirection
-    indicator: int
-    y_adj: float
-    loss_base: float
-    loss_adj: float
-    scenario: Scenario
-
-
 @dataclass(frozen=True, eq=False)
 class ForecastTrace:
     """Aligned per-step arrays for one evaluated forecast sequence.
@@ -148,24 +130,6 @@ class ForecastTrace:
 
     def __len__(self) -> int:
         return int(self.t.size)
-
-    def step_at(self, i: int) -> ForecastStep:
-        return ForecastStep(
-            t=int(self.t[i]),
-            y_prev=float(self.y_prev[i]),
-            y_true=float(self.y_true[i]),
-            y_hat=float(self.y_hat[i]),
-            direction=TrendDirection(int(self.direction[i])),
-            indicator=int(self.indicator[i]),
-            y_adj=float(self.y_adj[i]),
-            loss_base=float(self.loss_base[i]),
-            loss_adj=float(self.loss_adj[i]),
-            scenario=Scenario(int(self.scenario[i])),
-        )
-
-    def steps(self) -> Iterator[ForecastStep]:
-        for i in range(len(self)):
-            yield self.step_at(i)
 
 
 @dataclass(frozen=True)
@@ -312,7 +276,6 @@ def _prepare_run(
     clf_spec = config.trend_predictor
     feature_based = clf_spec.kind not in (ClassifierKind.ORACLE, ClassifierKind.EXTERNAL)
     table = None
-    classifier = None
     if feature_based:
         if features is None:
             features = build_feature_table(
@@ -348,12 +311,9 @@ def _prepare_run(
             f"({fitted.required_history})"
         )
 
-    forecasts = np.empty(eval_t.size, dtype=float)
-    current = fitted
-    for i, t in enumerate(eval_t):
-        if config.refit_each_step and t > start:
-            current = fit_forecaster(config.value_forecaster, TimeSeries(values[:t]))
-        forecasts[i] = forecast_one(current, values[:t])
+    forecasts = _walk_forward(
+        config.value_forecaster, fitted, values[:stop], start, config.refit_each_step
+    )
 
     if isinstance(classifier, OracleTrendPredictor):
         truths = np.sign(values[eval_t] - values[eval_t - 1]).astype(int)
@@ -363,7 +323,7 @@ def _prepare_run(
             [int(classifier.direction_at(int(t))) for t in eval_t], dtype=int
         )
     else:
-        rows = np.vstack([table.row_at(int(t) - 1) for t in eval_t])
+        rows = table._rows_at(eval_t - 1)
         directions = classifier.predict_matrix(rows)
     return values, start, forecasts, directions
 
@@ -401,6 +361,8 @@ class SweepEntry:
 class SweepResult:
     base_report: EvalReport
     entries: tuple[SweepEntry, ...]
+    # (values, start, forecasts, directions) that every entry was evaluated from
+    inputs: tuple = field(compare=False, repr=False)
 
 
 def sweep_alpha(
@@ -423,11 +385,11 @@ def sweep_alpha(
     for a in alphas:
         if not a > 0.0:
             raise ConfigError(f"alpha must be positive, got {a}")
-    values, start, forecasts, directions = _prepare_run(config, train, test, features, eval_split)
+    inputs = _prepare_run(config, train, test, features, eval_split)
     base_report = None
     entries = []
     for a in alphas:
-        run = evaluate_forecasts(values, start, forecasts, directions, a)
+        run = evaluate_forecasts(*inputs, a)
         if base_report is None:
             base_report = evaluate_trace(run.base)
         entries.append(
@@ -437,4 +399,4 @@ def sweep_alpha(
                 tally=run.scenario_tally,
             )
         )
-    return SweepResult(base_report=base_report, entries=tuple(entries))
+    return SweepResult(base_report=base_report, entries=tuple(entries), inputs=inputs)

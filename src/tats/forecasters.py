@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .core import TimeSeries, concat
 from .errors import ConfigError, DataError, NumericError
-from .ingest import ExternalForecasts, load_external_forecasts
+from .ingest import ExternalForecasts
 
 __all__ = [
     "ARModel",
@@ -50,14 +49,15 @@ class ValueForecasterSpec:
 
     order: AR lag count (AR only).
     smoothing: exponential smoothing weight in (0, 1] (SES only).
-    source: path to a time_index,forecast CSV or a preloaded
-        ExternalForecasts table (EXTERNAL only).
+    source: a preloaded ExternalForecasts table (EXTERNAL only); read a
+        time_index,forecast CSV with load_external_forecasts, which
+        checks its indices against the series.
     """
 
     kind: ForecasterKind
     order: int | None = None
     smoothing: float | None = None
-    source: str | Path | ExternalForecasts | None = None
+    source: ExternalForecasts | None = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.kind, ForecasterKind):
@@ -65,30 +65,26 @@ class ValueForecasterSpec:
                 object.__setattr__(self, "kind", ForecasterKind(self.kind))
             except ValueError:
                 raise ConfigError(f"unknown forecaster kind: {self.kind!r}") from None
-
-        def forbid(name: str, value) -> None:
-            if value is not None:
-                raise ConfigError(f"{name} is not a parameter of the {self.kind.value} forecaster")
-
         if self.kind is ForecasterKind.AR:
             if self.order is None or self.order < 1:
                 raise ConfigError(f"AR forecaster needs order >= 1, got {self.order}")
-            forbid("smoothing", self.smoothing)
-            forbid("source", self.source)
         elif self.kind is ForecasterKind.SES:
             if self.smoothing is None or not 0.0 < self.smoothing <= 1.0:
                 raise ConfigError(f"SES smoothing must lie in (0, 1], got {self.smoothing}")
-            forbid("order", self.order)
-            forbid("source", self.source)
         elif self.kind is ForecasterKind.EXTERNAL:
-            if self.source is None:
-                raise ConfigError("external forecaster needs a source file or table")
-            forbid("order", self.order)
-            forbid("smoothing", self.smoothing)
-        else:
-            forbid("order", self.order)
-            forbid("smoothing", self.smoothing)
-            forbid("source", self.source)
+            if not isinstance(self.source, ExternalForecasts):
+                raise ConfigError(
+                    "external forecaster needs an ExternalForecasts table, got "
+                    f"{self.source!r}; read a file with load_external_forecasts(path, series)"
+                )
+        own = {
+            ForecasterKind.AR: "order",
+            ForecasterKind.SES: "smoothing",
+            ForecasterKind.EXTERNAL: "source",
+        }.get(self.kind)
+        for name in ("order", "smoothing", "source"):
+            if name != own and getattr(self, name) is not None:
+                raise ConfigError(f"{name} is not a parameter of the {self.kind.value} forecaster")
 
     @classmethod
     def naive(cls) -> "ValueForecasterSpec":
@@ -107,7 +103,7 @@ class ValueForecasterSpec:
         return cls(ForecasterKind.SES, smoothing=smoothing)
 
     @classmethod
-    def external(cls, source: str | Path | ExternalForecasts) -> "ValueForecasterSpec":
+    def external(cls, source: ExternalForecasts) -> "ValueForecasterSpec":
         return cls(ForecasterKind.EXTERNAL, source=source)
 
 
@@ -237,10 +233,7 @@ def fit_forecaster(spec: ValueForecasterSpec, train: TimeSeries):
     if spec.kind is ForecasterKind.SES:
         return SESForecaster(smoothing=spec.smoothing)
     if spec.kind is ForecasterKind.EXTERNAL:
-        source = spec.source
-        if not isinstance(source, ExternalForecasts):
-            source = load_external_forecasts(source, series=None)
-        return ExternalForecaster(forecasts=source)
+        return ExternalForecaster(forecasts=spec.source)
     raise ConfigError(f"unknown forecaster kind: {spec.kind}")
 
 
@@ -275,10 +268,18 @@ def walk_forward_forecasts(
     if n_train < 1:
         raise DataError("train split is empty")
     fitted = fit_forecaster(spec, train)
-    out = np.empty(len(test), dtype=float)
-    for i in range(len(test)):
-        t = n_train + i
-        if refit_each_step and i > 0:
+    return _walk_forward(spec, fitted, values, n_train, refit_each_step)
+
+
+def _walk_forward(spec, fitted, values: np.ndarray, start: int, refit_each_step: bool) -> np.ndarray:
+    """Forecast values[t] from values[:t] for every t from start on.
+
+    ``fitted`` serves every step unless refit_each_step is set, in which
+    case each step after the first refits ``spec`` on its history.
+    """
+    out = np.empty(values.size - start, dtype=float)
+    for i, t in enumerate(range(start, values.size)):
+        if refit_each_step and t > start:
             fitted = fit_forecaster(spec, TimeSeries(values[:t]))
         out[i] = forecast_one(fitted, values[:t])
     return out

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import FLAT, TimeSeries, TrendDirection, direction_of
+from .core import TimeSeries, TrendDirection
 from .errors import ConfigError, DataError
 
 __all__ = [
@@ -185,13 +185,19 @@ class FeatureTable:
 
     def row_at(self, time_index: int) -> np.ndarray:
         """Feature row at an exact time index; errors if not constructible."""
-        hits = np.flatnonzero(self.row_time_index == time_index)
-        if hits.size == 0:
+        return self._rows_at(np.array([time_index]))[0]
+
+    def _rows_at(self, time_indices: np.ndarray) -> np.ndarray:
+        """Feature rows at exact time indices; the first missing one raises."""
+        times = self.row_time_index
+        pos = np.minimum(np.searchsorted(times, time_indices), times.size - 1)
+        missing = np.flatnonzero(times[pos] != time_indices)
+        if missing.size:
             raise DataError(
-                f"no feature row at time index {time_index} "
-                f"(available {int(self.row_time_index[0])}..{int(self.row_time_index[-1])})"
+                f"no feature row at time index {int(time_indices[missing[0]])} "
+                f"(available {int(times[0])}..{int(times[-1])})"
             )
-        return self.rows[int(hits[0])]
+        return self.rows[pos]
 
 
 def build_feature_table(
@@ -250,9 +256,6 @@ class ExternalForecasts:
         except KeyError:
             raise DataError(f"external forecasts missing time index {time_index}") from None
 
-    def covers(self, indices) -> bool:
-        return all(int(t) in self.by_index for t in indices)
-
 
 def _indexed_column(path: str | Path, value_column: str) -> dict[int, float]:
     header, rows = _read_rows(path)
@@ -303,8 +306,3 @@ def load_external_directions(path: str | Path, series: TimeSeries | None = None)
             )
         out[t] = TrendDirection(int(v))
     return out
-
-
-def directions_from_deltas(deltas: np.ndarray) -> list[TrendDirection | object]:
-    """Map deltas to UP/DOWN/FLAT markers (helper for diagnostics)."""
-    return [direction_of(float(d)) for d in deltas]

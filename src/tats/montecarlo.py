@@ -13,18 +13,18 @@ sign track the scenario-probability imbalance sharply.
 
 Walk, forecaster, and classifier randomness come from independent
 sub-streams spawned per trial from one root seed, so results are
-reproducible and independent of scheduling; aggregation uses compensated
-summation in a fixed trial order.
+reproducible and one trial's outcome does not depend on the others;
+aggregation uses compensated summation in a fixed trial order.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .classifiers import OracleTrendPredictor
 from .core import TimeSeries
 from .engine import Scenario, evaluate_forecasts
 from .errors import ConfigError, NumericError
@@ -158,17 +158,7 @@ class SimulationReport:
 
     def to_dict(self) -> dict:
         return {
-            "config": {
-                "n_steps": self.config.n_steps,
-                "n_trials": self.config.n_trials,
-                "drift": self.config.drift,
-                "volatility": self.config.volatility,
-                "p_dt": self.config.p_dt,
-                "p_db": self.config.p_db,
-                "error_scale": self.config.error_scale,
-                "alpha": self.config.alpha,
-                "seed": self.config.seed,
-            },
+            "config": asdict(self.config),
             "mean_reduction": self.mean_reduction,
             "std_error": self.std_error,
             "positive_fraction": self.positive_fraction,
@@ -195,9 +185,8 @@ def _run_trial(config: SimConfig, child: np.random.SeedSequence):
         raise NumericError("could not generate a walk without flat steps")
     forecasts = synthetic_forecaster(series, config.p_dt, config.error_scale, forecaster_ss)
     truths = np.sign(np.diff(series.values)).astype(int)
-    rng = np.random.default_rng(classifier_ss)
-    u = rng.random(truths.size)
-    directions = np.where(u < config.p_db, truths, -truths)
+    oracle = OracleTrendPredictor(accuracy=config.p_db, rng=np.random.default_rng(classifier_ss))
+    directions = oracle.draw_many(truths)
     run = evaluate_forecasts(series.values, 1, forecasts, directions, config.alpha)
     deltas = run.base.y_true - run.base.y_prev
     mse_base = float(np.mean(run.base.loss_base))
@@ -209,22 +198,15 @@ def _run_trial(config: SimConfig, child: np.random.SeedSequence):
     return mse_base, mse_tats, correct_clf, correct_fc, abs_gap_sum, counts
 
 
-def validate_prop1(config: SimConfig, n_jobs: int = 1) -> SimulationReport:
+def validate_prop1(config: SimConfig) -> SimulationReport:
     """Run the trials and compare realized reduction to the plug-in bound.
 
     Each trial's walk, forecaster draws, and classifier draws use
-    independent sub-streams spawned from config.seed, so a trial's
-    outcome does not depend on how trials are scheduled. n_jobs > 1
-    distributes trials across processes; results are identical.
+    independent sub-streams spawned from config.seed. Trials run one at
+    a time, so memory stays at one trial's arrays.
     """
-    if n_jobs < 1:
-        raise ConfigError(f"n_jobs must be at least 1, got {n_jobs}")
     children = np.random.SeedSequence(config.seed).spawn(config.n_trials)
-    if n_jobs == 1 or config.n_trials == 1:
-        raw = [_run_trial(config, child) for child in children]
-    else:
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            raw = list(pool.map(_run_trial, [config] * config.n_trials, children))
+    raw = [_run_trial(config, child) for child in children]
 
     trials = tuple(TrialResult(mse_base=r[0], mse_tats=r[1]) for r in raw)
     reductions = [t.reduction for t in trials]

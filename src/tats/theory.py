@@ -18,7 +18,7 @@ happens exactly when the classifier beats the forecaster directionally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -67,11 +67,7 @@ def expected_loss_change(abs_gap: float, p_db: float, p_dt: float) -> float:
     the algebraically identical form abs_gap * (p_db - p_dt) so that it
     matches :func:`lower_bound` bit for bit.
     """
-    a = _check_probability("p_db", p_db)
-    b = _check_probability("p_dt", p_dt)
-    if not abs_gap >= 0.0:
-        raise ConfigError(f"abs_gap must be non-negative, got {abs_gap}")
-    return abs_gap * (a - b)
+    return lower_bound(abs_gap, p_db, p_dt)
 
 
 def lower_bound(abs_gap: float, p_db: float, p_dt: float) -> float:
@@ -106,15 +102,7 @@ class TheoryEstimate:
     n_steps: int
 
     def to_dict(self) -> dict:
-        return {
-            "p_db": self.p_db,
-            "p_dt": self.p_dt,
-            "abs_gap": self.abs_gap,
-            "expected_loss_change": self.expected_loss_change,
-            "lower_bound": self.lower_bound,
-            "prop1_holds": self.prop1_holds,
-            "n_steps": self.n_steps,
-        }
+        return asdict(self)
 
 
 def estimate_theory(base_trace: "ForecastTrace") -> TheoryEstimate:

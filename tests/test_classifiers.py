@@ -15,7 +15,6 @@ from tats.classifiers import (
     LogisticClassifier,
     OracleTrendPredictor,
     classification_accuracy,
-    oracle_predict,
 )
 from tats.core import FLAT
 from tats.ingest import FeatureMatrix
@@ -141,10 +140,12 @@ def test_knn_k_exceeds_rows():
 
 def test_oracle_endpoints():
     rng = np.random.default_rng(seed)
+    always = OracleTrendPredictor(accuracy=1.0, rng=rng)
+    never = OracleTrendPredictor(accuracy=0.0, rng=rng)
     for _ in range(50):
         truth = TrendDirection.UP if rng.random() < 0.5 else TrendDirection.DOWN
-        assert oracle_predict(truth, 1.0, rng) is truth
-        assert oracle_predict(truth, 0.0, rng) is truth.flipped()
+        assert always.draw(truth) is truth
+        assert never.draw(truth) is truth.flipped()
 
 
 def test_oracle_hit_rate():

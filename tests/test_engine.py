@@ -100,16 +100,18 @@ def test_vectorized_matches_scalar_path():
     for _ in range(20):
         run = _random_run(rng)
         t = run.tats
-        for step in t.steps():
-            d = TrendDirection(int(step.direction))
-            assert step.indicator == indicator(step.y_hat, step.y_prev, d)
-            assert step.y_adj == adjust(step.y_hat, d, step.y_prev, alpha=1.0)
-            assert step.scenario is classify_scenario(step.y_prev, step.y_true, step.y_hat, d)
+        for i in range(len(t)):
+            y_prev, y_true, y_hat = float(t.y_prev[i]), float(t.y_true[i]), float(t.y_hat[i])
+            y_adj = float(t.y_adj[i])
+            d = TrendDirection(int(t.direction[i]))
+            assert t.indicator[i] == indicator(y_hat, y_prev, d)
+            assert y_adj == adjust(y_hat, d, y_prev, alpha=1.0)
+            assert Scenario(int(t.scenario[i])) is classify_scenario(y_prev, y_true, y_hat, d)
             # square via multiplication: scalar pow() can differ by one ulp
-            adj_err = step.y_adj - step.y_true
-            base_err = step.y_hat - step.y_true
-            assert step.loss_adj == adj_err * adj_err
-            assert step.loss_base == base_err * base_err
+            adj_err = y_adj - y_true
+            base_err = y_hat - y_true
+            assert t.loss_adj[i] == adj_err * adj_err
+            assert t.loss_base[i] == base_err * base_err
 
 
 def test_adjusted_value_never_fights_the_classifier():
@@ -177,8 +179,7 @@ def test_trace_step_time_axis():
     rng = np.random.default_rng(seed + 7)
     run = _random_run(rng, n=12)
     assert np.array_equal(run.tats.t, np.arange(1, 12))
-    step = run.tats.step_at(3)
-    assert step.t == run.tats.t[3]
+    assert int(run.tats.t[3]) == 4
 
 
 def _weather_series(rng, n=120):

@@ -200,3 +200,13 @@ def test_walk_forward_external_missing_index():
     spec = ValueForecasterSpec.external(source=ExternalForecasts(by_index={7: 1.0}))
     with pytest.raises(DataError):
         walk_forward_forecasts(spec, train, test)
+
+
+def test_external_spec_rejects_a_path(tmp_path):
+    # a path cannot be checked against the series, so it is refused up front
+    path = tmp_path / "f.csv"
+    path.write_text("time_index,forecast\n7,1.5\n8,2.5\n9,3.5\n")
+    values = np.arange(10.0)
+    train, test = _series(values[:7]), _series(values[7:])
+    with pytest.raises(ConfigError, match="load_external_forecasts"):
+        walk_forward_forecasts(ValueForecasterSpec.external(str(path)), train, test)

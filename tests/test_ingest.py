@@ -155,13 +155,26 @@ def test_feature_table_row_at():
         table.row_at(0)  # before the first complete lag window
 
 
+def test_feature_table_batch_gather():
+    values = np.arange(10, dtype=float)
+    ds = Dataset(target=TimeSeries(values), exogenous={})
+    table = build_feature_table(ds, n_lags=3)
+    rows = table._rows_at(np.array([7, 2, 5]))
+    assert np.array_equal(rows, np.array([[7.0, 6.0, 5.0], [2.0, 1.0, 0.0], [5.0, 4.0, 3.0]]))
+    # the gather starts before the first row (time 2): same error as row_at
+    with pytest.raises(DataError, match=r"no feature row at time index 1 \(available 2\.\.8\)"):
+        table._rows_at(np.arange(1, 6))
+    with pytest.raises(DataError, match="no feature row at time index 9"):
+        table._rows_at(np.array([8, 9]))
+
+
 def test_external_forecasts_round_trip(tmp_path):
     path = _write(tmp_path, "f.csv", "time_index,forecast\n1,10.5\n2,11.0\n")
     series = TimeSeries(np.arange(5, dtype=float))
     ext = load_external_forecasts(path, series)
     assert ext.value_at(1) == 10.5
     assert ext.value_at(2) == 11.0
-    assert ext.covers(range(1, 3))
+    assert sorted(ext.by_index) == [1, 2]
     with pytest.raises(DataError):
         ext.value_at(3)
 

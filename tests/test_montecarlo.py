@@ -88,14 +88,6 @@ def test_validate_prop1_deterministic():
     assert a.realized_p_db == b.realized_p_db
 
 
-def test_validate_prop1_parallel_matches_serial():
-    a = validate_prop1(QUICK, n_jobs=1)
-    b = validate_prop1(QUICK, n_jobs=2)
-    assert a.mean_reduction == b.mean_reduction
-    assert a.theoretical_bound == b.theoretical_bound
-    assert a.scenario_counts == b.scenario_counts
-
-
 def test_trial_streams_are_independent():
     # changing the classifier accuracy must not disturb the walks,
     # so the realized forecaster hit rate stays identical
