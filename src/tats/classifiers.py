@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .core import FLAT, Flat, TrendDirection
 from .errors import ConfigError, DataError
-from .ingest import FeatureMatrix, load_external_directions
+from .ingest import FeatureMatrix
 
 __all__ = [
     "ClassifierKind",
@@ -49,7 +48,12 @@ class ClassifierKind(enum.Enum):
 
 @dataclass(frozen=True)
 class TrendPredictorSpec:
-    """Declarative classifier choice; parameters must match the kind."""
+    """Declarative classifier choice; parameters must match the kind.
+
+    source: a loaded time_index -> direction table (EXTERNAL only); read a
+        time_index,direction CSV with load_external_directions, which checks
+        its indices against the series.
+    """
 
     kind: ClassifierKind
     k: int | None = None
@@ -57,7 +61,7 @@ class TrendPredictorSpec:
     iterations: int | None = None
     accuracy: float | None = None
     seed: int | None = None
-    source: str | Path | dict | None = None
+    source: dict[int, TrendDirection] | None = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.kind, ClassifierKind):
@@ -87,11 +91,14 @@ class TrendPredictorSpec:
         elif self.kind is ClassifierKind.ORACLE:
             if self.accuracy is None or not 0.0 <= self.accuracy <= 1.0:
                 raise ConfigError(f"oracle accuracy must lie in [0, 1], got {self.accuracy}")
-            if self.seed is None:
-                raise ConfigError("oracle classifier needs a seed")
+            if self.seed is None or self.seed < 0:
+                raise ConfigError(f"oracle classifier needs a non-negative seed, got {self.seed}")
         elif self.kind is ClassifierKind.EXTERNAL:
-            if self.source is None:
-                raise ConfigError("external classifier needs a source file or table")
+            if not isinstance(self.source, dict):
+                raise ConfigError(
+                    "external classifier needs a direction table, got "
+                    f"{self.source!r}; read a file with load_external_directions(path, series)"
+                )
 
     @classmethod
     def majority(cls) -> "TrendPredictorSpec":
@@ -114,7 +121,7 @@ class TrendPredictorSpec:
         return cls(ClassifierKind.ORACLE, accuracy=accuracy, seed=seed)
 
     @classmethod
-    def external(cls, source: str | Path | dict) -> "TrendPredictorSpec":
+    def external(cls, source: dict[int, TrendDirection]) -> "TrendPredictorSpec":
         return cls(ClassifierKind.EXTERNAL, source=source)
 
 
@@ -308,10 +315,7 @@ def fit_classifier(spec: TrendPredictorSpec, features: FeatureMatrix | None = No
     if spec.kind is ClassifierKind.ORACLE:
         return OracleTrendPredictor(accuracy=spec.accuracy, rng=np.random.default_rng(spec.seed))
     if spec.kind is ClassifierKind.EXTERNAL:
-        source = spec.source
-        if not isinstance(source, dict):
-            source = load_external_directions(source)
-        return DirectionTable(by_index=dict(source))
+        return DirectionTable(by_index=dict(spec.source))
     if features is None:
         raise ConfigError(f"{spec.kind.value} classifier needs a training feature matrix")
     if len(features) == 0:

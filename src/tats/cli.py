@@ -17,7 +17,6 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .classifiers import ClassifierKind, TrendPredictorSpec
@@ -42,14 +41,6 @@ DEFAULT_ALPHAS = (0.5, 1.0, 2.0, 5.0, 10.0, 20.0)
 
 _FORECASTER_NAMES = ("naive", "drift", "ar", "ses", "external")
 _CLASSIFIER_NAMES = ("majority", "logistic", "gaussian_nb", "knn", "oracle", "external")
-_CONFIG_KEYS = (
-    "data", "target_column", "exogenous_columns", "label_column", "train_fraction",
-    "forecaster", "ar_order", "ses_smoothing", "external_forecasts",
-    "classifier", "knn_k", "logistic_learning_rate", "logistic_iterations",
-    "oracle_accuracy", "external_directions",
-    "alphas", "n_lags", "include_exogenous", "exog_lag", "seed",
-    "theory_split", "refit_each_step", "out_dir",
-)
 
 
 class _UsageError(Exception):
@@ -84,27 +75,32 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
     return out
 
 
+def _as_str(value: str, key: str) -> str:
+    return value
+
+
 def _as_float(value: str, key: str) -> float:
     try:
         return float(value)
     except ValueError:
-        raise ConfigError(f"config key '{key}' must be a number, got {value!r}") from None
+        raise ConfigError(f"{key} must be a number, got {value!r}") from None
 
 
 def _as_int(value: str, key: str) -> int:
     try:
         return int(value)
     except ValueError:
-        raise ConfigError(f"config key '{key}' must be an integer, got {value!r}") from None
+        raise ConfigError(f"{key} must be an integer, got {value!r}") from None
 
 
-def _as_bool(value: str, key: str) -> bool:
-    lowered = value.lower()
+def _as_bool(value: str | bool, key: str) -> bool:
+    # a --flag/--no-flag pair already yields a bool, which str() turns into true/false
+    lowered = str(value).lower()
     if lowered in ("true", "1", "yes", "on"):
         return True
     if lowered in ("false", "0", "no", "off"):
         return False
-    raise ConfigError(f"config key '{key}' must be true or false, got {value!r}")
+    raise ConfigError(f"{key} must be true or false, got {value!r}")
 
 
 def _as_float_list(value: str, key: str) -> list[float]:
@@ -115,147 +111,121 @@ def _as_str_list(value: str, key: str) -> list[str]:
     return [item.strip() for item in value.split(",") if item.strip()]
 
 
-@dataclass
-class RunSettings:
-    data: str
-    target_column: str
-    exogenous_columns: list[str]
-    label_column: str | None
-    train_fraction: float
-    forecaster: str
-    ar_order: int
-    ses_smoothing: float | None
-    external_forecasts: str | None
-    classifier: str
-    knn_k: int
-    logistic_learning_rate: float
-    logistic_iterations: int
-    oracle_accuracy: float | None
-    external_directions: str | None
-    alphas: list[float] | None
-    n_lags: int
-    include_exogenous: bool
-    exog_lag: int
-    seed: int
-    theory_split: str
-    refit_each_step: bool
-    out_dir: Path
+# The run/sweep settings, one row each: (config key, converter, default,
+# allowed values or None, flag help). Config keys, flags and resolution all
+# come from this table; the order is the order of the flags in --help.
+_SETTINGS = (
+    ("data", _as_str, None, None, "input CSV with one row per period"),
+    ("target_column", _as_str, None, None, "name of the forecast target column"),
+    ("exogenous_columns", _as_str_list, (), None, "comma-separated exogenous column names"),
+    ("label_column", _as_str, None, None, "strictly increasing label column (dates, ids)"),
+    ("train_fraction", _as_float, 0.7, None, "chronological train share (default 0.7)"),
+    ("forecaster", _as_str, "ar", _FORECASTER_NAMES, "value forecaster (default ar)"),
+    ("ar_order", _as_int, 2, None, "AR lag count (default 2)"),
+    ("ses_smoothing", _as_float, None, None, "SES smoothing weight in (0, 1]"),
+    ("external_forecasts", _as_str, None, None, "time_index,forecast CSV for the external forecaster"),
+    ("classifier", _as_str, "logistic", _CLASSIFIER_NAMES, "trend classifier (default logistic)"),
+    ("knn_k", _as_int, 5, None, "KNN neighbor count (default 5)"),
+    ("logistic_learning_rate", _as_float, 0.1, None, "gradient step (default 0.1)"),
+    ("logistic_iterations", _as_int, 1000, None, "gradient steps (default 1000)"),
+    ("oracle_accuracy", _as_float, None, None, "oracle hit probability"),
+    ("external_directions", _as_str, None, None, "time_index,direction CSV for the external classifier"),
+    ("alphas", _as_float_list, None, None, "comma-separated adjustment step sizes"),
+    ("n_lags", _as_int, 2, None, "classifier feature lag count (default 2)"),
+    ("include_exogenous", _as_bool, True, None, "use exogenous columns as classifier features (default on)"),
+    ("exog_lag", _as_int, 0, None, "uniform lag applied to exogenous features (default 0)"),
+    ("seed", _as_int, 0, None, "seed for stochastic components (default 0)"),
+    ("refit_each_step", _as_bool, False, None, "refit the forecaster at every walk-forward step (default off)"),
+    ("theory_split", _as_str, "train", ("train", "test"), "split used for plug-in theory estimates (default train)"),
+    ("out_dir", _as_str, None, None, f"output directory (default ${ENV_OUT_DIR} or .)"),
+)
+_CONFIG_KEYS = tuple(row[0] for row in _SETTINGS)
 
 
-def _resolve_settings(args: argparse.Namespace) -> RunSettings:
+def _flag(key: str) -> str:
+    """The command-line flag of a setting; out_dir is the one spelled --out."""
+    return "--out" if key == "out_dir" else "--" + key.replace("_", "-")
+
+
+def _out_dir(value: str | None) -> Path:
+    return Path(value if value is not None else os.environ.get(ENV_OUT_DIR, "."))
+
+
+def _resolve_settings(args: argparse.Namespace) -> None:
+    """Set every run/sweep setting on args: flag, else config value, else default."""
     file_vals = parse_config_file(args.config) if args.config else {}
-
-    def pick(key: str, flag_value, convert, default):
-        if flag_value is not None:
-            return flag_value
-        if key in file_vals:
-            return convert(file_vals[key], key)
-        return default
-
-    flag_exog = None if args.exogenous_columns is None else _as_str_list(args.exogenous_columns, "exogenous_columns")
-    flag_alphas = None if args.alphas is None else _as_float_list(args.alphas, "alphas")
-    data = pick("data", args.data, lambda v, k: v, None)
-    if data is None:
+    for key, convert, default, choices, _ in _SETTINGS:
+        raw = getattr(args, _flag(key)[2:].replace("-", "_"), None)
+        if raw is None:
+            raw = file_vals.get(key)
+        value = default if raw is None else convert(raw, key)
+        if choices is not None and value not in choices:
+            raise ConfigError(f"unknown {key} '{value}' (choose from {', '.join(choices)})")
+        setattr(args, key, value)
+    if args.data is None:
         raise ConfigError("no data file given (use --data or a config file)")
-    target = pick("target_column", args.target_column, lambda v, k: v, None)
-    if target is None:
+    if args.target_column is None:
         raise ConfigError("no target column given (use --target-column or a config file)")
-    forecaster = pick("forecaster", args.forecaster, lambda v, k: v, "ar")
-    if forecaster not in _FORECASTER_NAMES:
-        raise ConfigError(f"unknown forecaster '{forecaster}' (choose from {', '.join(_FORECASTER_NAMES)})")
-    classifier = pick("classifier", args.classifier, lambda v, k: v, "logistic")
-    if classifier not in _CLASSIFIER_NAMES:
-        raise ConfigError(f"unknown classifier '{classifier}' (choose from {', '.join(_CLASSIFIER_NAMES)})")
-    theory_split = pick("theory_split", getattr(args, "theory_split", None), lambda v, k: v, "train")
-    if theory_split not in ("train", "test"):
-        raise ConfigError(f"theory_split must be 'train' or 'test', got '{theory_split}'")
-    out_dir = pick("out_dir", args.out, lambda v, k: v, None)
-    if out_dir is None:
-        out_dir = os.environ.get(ENV_OUT_DIR, ".")
-    return RunSettings(
-        data=data,
-        target_column=target,
-        exogenous_columns=pick("exogenous_columns", flag_exog, _as_str_list, []),
-        label_column=pick("label_column", args.label_column, lambda v, k: v, None),
-        train_fraction=pick("train_fraction", args.train_fraction, _as_float, 0.7),
-        forecaster=forecaster,
-        ar_order=pick("ar_order", args.ar_order, _as_int, 2),
-        ses_smoothing=pick("ses_smoothing", args.ses_smoothing, _as_float, None),
-        external_forecasts=pick("external_forecasts", args.external_forecasts, lambda v, k: v, None),
-        classifier=classifier,
-        knn_k=pick("knn_k", args.knn_k, _as_int, 5),
-        logistic_learning_rate=pick("logistic_learning_rate", args.logistic_learning_rate, _as_float, 0.1),
-        logistic_iterations=pick("logistic_iterations", args.logistic_iterations, _as_int, 1000),
-        oracle_accuracy=pick("oracle_accuracy", args.oracle_accuracy, _as_float, None),
-        external_directions=pick("external_directions", args.external_directions, lambda v, k: v, None),
-        alphas=pick("alphas", flag_alphas, _as_float_list, None),
-        n_lags=pick("n_lags", args.n_lags, _as_int, 2),
-        include_exogenous=pick("include_exogenous", args.include_exogenous, _as_bool, True),
-        exog_lag=pick("exog_lag", args.exog_lag, _as_int, 0),
-        seed=pick("seed", args.seed, _as_int, 0),
-        theory_split=theory_split,
-        refit_each_step=pick("refit_each_step", getattr(args, "refit_each_step", None), _as_bool, False),
-        out_dir=Path(out_dir),
-    )
+    args.out_dir = _out_dir(args.out_dir)
 
 
-def _forecaster_spec(settings: RunSettings, full_series) -> ValueForecasterSpec:
-    name = settings.forecaster
+def _forecaster_spec(args: argparse.Namespace, full_series) -> ValueForecasterSpec:
+    name = args.forecaster
     if name == "naive":
         return ValueForecasterSpec.naive()
     if name == "drift":
         return ValueForecasterSpec.drift()
     if name == "ar":
-        return ValueForecasterSpec.ar(order=settings.ar_order)
+        return ValueForecasterSpec.ar(order=args.ar_order)
     if name == "ses":
-        if settings.ses_smoothing is None:
+        if args.ses_smoothing is None:
             raise ConfigError("SES forecaster needs ses_smoothing")
-        return ValueForecasterSpec.ses(settings.ses_smoothing)
-    if settings.external_forecasts is None:
+        return ValueForecasterSpec.ses(args.ses_smoothing)
+    if args.external_forecasts is None:
         raise ConfigError("external forecaster needs external_forecasts")
     return ValueForecasterSpec.external(
-        load_external_forecasts(settings.external_forecasts, full_series)
+        load_external_forecasts(args.external_forecasts, full_series)
     )
 
 
-def _classifier_spec(settings: RunSettings, full_series) -> TrendPredictorSpec:
-    name = settings.classifier
+def _classifier_spec(args: argparse.Namespace, full_series) -> TrendPredictorSpec:
+    name = args.classifier
     if name == "majority":
         return TrendPredictorSpec.majority()
     if name == "logistic":
         return TrendPredictorSpec.logistic(
-            learning_rate=settings.logistic_learning_rate,
-            iterations=settings.logistic_iterations,
+            learning_rate=args.logistic_learning_rate,
+            iterations=args.logistic_iterations,
         )
     if name == "gaussian_nb":
         return TrendPredictorSpec.gaussian_nb()
     if name == "knn":
-        return TrendPredictorSpec.knn(k=settings.knn_k)
+        return TrendPredictorSpec.knn(k=args.knn_k)
     if name == "oracle":
-        if settings.oracle_accuracy is None:
+        if args.oracle_accuracy is None:
             raise ConfigError("oracle classifier needs oracle_accuracy")
-        return TrendPredictorSpec.oracle(accuracy=settings.oracle_accuracy, seed=settings.seed)
-    if settings.external_directions is None:
+        return TrendPredictorSpec.oracle(accuracy=args.oracle_accuracy, seed=args.seed)
+    if args.external_directions is None:
         raise ConfigError("external classifier needs external_directions")
     return TrendPredictorSpec.external(
-        load_external_directions(settings.external_directions, full_series)
+        load_external_directions(args.external_directions, full_series)
     )
 
 
-def _describe_forecaster(settings: RunSettings) -> str:
-    if settings.forecaster == "ar":
-        return f"ar({settings.ar_order})"
-    if settings.forecaster == "ses":
-        return f"ses({settings.ses_smoothing:g})"
-    return settings.forecaster
+def _describe_forecaster(args: argparse.Namespace) -> str:
+    if args.forecaster == "ar":
+        return f"ar({args.ar_order})"
+    if args.forecaster == "ses":
+        return f"ses({args.ses_smoothing:g})"
+    return args.forecaster
 
 
-def _describe_classifier(settings: RunSettings) -> str:
-    if settings.classifier == "knn":
-        return f"knn(k={settings.knn_k})"
-    if settings.classifier == "oracle":
-        return f"oracle(p={settings.oracle_accuracy:g})"
-    return settings.classifier
+def _describe_classifier(args: argparse.Namespace) -> str:
+    if args.classifier == "knn":
+        return f"knn(k={args.knn_k})"
+    if args.classifier == "oracle":
+        return f"oracle(p={args.oracle_accuracy:g})"
+    return args.classifier
 
 
 def _cell(value) -> str:
@@ -274,9 +244,9 @@ def _write_results_csv(path: Path, rows: list[dict]) -> None:
             writer.writerow([_cell(row[key]) for key in RESULTS_HEADER])
 
 
-def _results_rows(settings: RunSettings, sweep, split: str) -> list[dict]:
-    base_model = _describe_forecaster(settings)
-    tats_model = f"tats({base_model}+{_describe_classifier(settings)})"
+def _results_rows(args: argparse.Namespace, sweep, split: str) -> list[dict]:
+    base_model = _describe_forecaster(args)
+    tats_model = f"tats({base_model}+{_describe_classifier(args)})"
     rows = [{
         "model": base_model, "split": split, "alpha": None,
         "TDA": sweep.base_report.tda, "MSE": sweep.base_report.mse,
@@ -293,37 +263,38 @@ def _results_rows(settings: RunSettings, sweep, split: str) -> list[dict]:
     return rows
 
 
-def _prepare_experiment(settings: RunSettings):
+def _prepare_experiment(args: argparse.Namespace):
     dataset = load_csv(
-        settings.data, settings.target_column,
-        settings.exogenous_columns, settings.label_column,
+        args.data, args.target_column,
+        args.exogenous_columns, args.label_column,
     )
-    train, test = chronological_split(dataset.target, settings.train_fraction)
-    forecaster = _forecaster_spec(settings, dataset.target)
-    classifier = _classifier_spec(settings, dataset.target)
+    train, test = chronological_split(dataset.target, args.train_fraction)
+    forecaster = _forecaster_spec(args, dataset.target)
+    classifier = _classifier_spec(args, dataset.target)
     features = None
     if classifier.kind not in (ClassifierKind.ORACLE, ClassifierKind.EXTERNAL):
         features = build_feature_table(
-            dataset, settings.n_lags, settings.include_exogenous, settings.exog_lag
+            dataset, args.n_lags, args.include_exogenous, args.exog_lag
         )
-    alphas = settings.alphas if settings.alphas is not None else list(DEFAULT_ALPHAS)
+    alphas = args.alphas if args.alphas is not None else list(DEFAULT_ALPHAS)
     config = TatsConfig(
         alpha=alphas[0] if alphas else 1.0,
         value_forecaster=forecaster,
         trend_predictor=classifier,
-        n_lags=settings.n_lags,
-        include_exogenous=settings.include_exogenous,
-        exog_lag=settings.exog_lag,
-        refit_each_step=settings.refit_each_step,
+        n_lags=args.n_lags,
+        include_exogenous=args.include_exogenous,
+        exog_lag=args.exog_lag,
+        refit_each_step=args.refit_each_step,
     )
     return dataset, train, test, features, config, alphas
 
 
-def _print_sweep(settings: RunSettings, sweep) -> None:
+def _print_sweep(args: argparse.Namespace, sweep) -> None:
     base = sweep.base_report
+    base_mape = "n/a" if base.mape is None else f"{base.mape:.6g}"
     print(
-        f"base {_describe_forecaster(settings)}: "
-        f"TDA={base.tda:.6g} MSE={base.mse:.6g} MAE={base.mae:.6g} MAPE={base.mape:.6g}"
+        f"base {_describe_forecaster(args)}: "
+        f"TDA={base.tda:.6g} MSE={base.mse:.6g} MAE={base.mae:.6g} MAPE={base_mape}"
     )
     for entry in sweep.entries:
         r = entry.report
@@ -347,33 +318,33 @@ def _sweep_chart(sweep) -> str:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    settings = _resolve_settings(args)
-    _, train, test, features, config, alphas = _prepare_experiment(settings)
+    _resolve_settings(args)
+    _, train, test, features, config, alphas = _prepare_experiment(args)
     sweep = sweep_alpha(config, alphas, train, test, features)
-    theory_run = run_tats(config, train, test, features, eval_split=settings.theory_split)
+    theory_run = run_tats(config, train, test, features, eval_split=args.theory_split)
     theory = estimate_theory(theory_run.base)
 
-    out = settings.out_dir
+    out = args.out_dir
     out.mkdir(parents=True, exist_ok=True)
-    rows = _results_rows(settings, sweep, split="test")
+    rows = _results_rows(args, sweep, split="test")
     _write_results_csv(out / "results.csv", rows)
 
     report = {
         "config": {
-            "data": settings.data,
-            "target_column": settings.target_column,
-            "exogenous_columns": list(settings.exogenous_columns),
-            "label_column": settings.label_column,
-            "train_fraction": settings.train_fraction,
-            "forecaster": _describe_forecaster(settings),
-            "classifier": _describe_classifier(settings),
+            "data": args.data,
+            "target_column": args.target_column,
+            "exogenous_columns": list(args.exogenous_columns),
+            "label_column": args.label_column,
+            "train_fraction": args.train_fraction,
+            "forecaster": _describe_forecaster(args),
+            "classifier": _describe_classifier(args),
             "alphas": list(alphas),
-            "n_lags": settings.n_lags,
-            "include_exogenous": settings.include_exogenous,
-            "exog_lag": settings.exog_lag,
-            "seed": settings.seed,
-            "theory_split": settings.theory_split,
-            "refit_each_step": settings.refit_each_step,
+            "n_lags": args.n_lags,
+            "include_exogenous": args.include_exogenous,
+            "exog_lag": args.exog_lag,
+            "seed": args.seed,
+            "theory_split": args.theory_split,
+            "refit_each_step": args.refit_each_step,
         },
         "n_train": len(train),
         "n_test": len(test),
@@ -402,14 +373,14 @@ def cmd_run(args: argparse.Namespace) -> int:
             ("adjusted", xs, list(best_run.tats.y_adj)),
         ],
         x_label="t",
-        y_label=settings.target_column,
+        y_label=args.target_column,
     )
     (out / "forecasts.svg").write_text(forecast_svg)
     (out / "mse_vs_alpha.svg").write_text(_sweep_chart(sweep))
 
-    _print_sweep(settings, sweep)
+    _print_sweep(args, sweep)
     print(
-        f"theory[{settings.theory_split}]: p_db={theory.p_db:.6g} p_dt={theory.p_dt:.6g} "
+        f"theory[{args.theory_split}]: p_db={theory.p_db:.6g} p_dt={theory.p_dt:.6g} "
         f"abs_gap={theory.abs_gap:.6g} bound={theory.lower_bound:.6g} "
         f"prop1_holds={theory.prop1_holds}"
     )
@@ -418,16 +389,16 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    settings = _resolve_settings(args)
-    if settings.alphas is None:
+    _resolve_settings(args)
+    if args.alphas is None:
         raise ConfigError("sweep needs --alphas (or alphas in the config file)")
-    _, train, test, features, config, alphas = _prepare_experiment(settings)
+    _, train, test, features, config, alphas = _prepare_experiment(args)
     sweep = sweep_alpha(config, alphas, train, test, features)
-    out = settings.out_dir
+    out = args.out_dir
     out.mkdir(parents=True, exist_ok=True)
-    _write_results_csv(out / "results.csv", _results_rows(settings, sweep, split="test"))
+    _write_results_csv(out / "results.csv", _results_rows(args, sweep, split="test"))
     (out / "mse_vs_alpha.svg").write_text(_sweep_chart(sweep))
-    _print_sweep(settings, sweep)
+    _print_sweep(args, sweep)
     print(f"wrote {out / 'results.csv'} and 1 chart")
     return 0
 
@@ -439,7 +410,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         error_scale=args.error_scale, alpha=args.alpha, seed=args.seed,
     )
     report = validate_prop1(config)
-    out = Path(args.out if args.out is not None else os.environ.get(ENV_OUT_DIR, "."))
+    out = _out_dir(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "simulation.json").write_text(json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n")
     with (out / "trials.csv").open("w", newline="") as fh:
@@ -472,39 +443,13 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 
 def _add_run_flags(parser: argparse.ArgumentParser, with_theory: bool) -> None:
     parser.add_argument("--config", help="flat key = value settings file")
-    parser.add_argument("--data", help="input CSV with one row per period")
-    parser.add_argument("--target-column", help="name of the forecast target column")
-    parser.add_argument("--exogenous-columns", help="comma-separated exogenous column names")
-    parser.add_argument("--label-column", help="strictly increasing label column (dates, ids)")
-    parser.add_argument("--train-fraction", type=float, help="chronological train share (default 0.7)")
-    parser.add_argument("--forecaster", choices=_FORECASTER_NAMES, help="value forecaster (default ar)")
-    parser.add_argument("--ar-order", type=int, help="AR lag count (default 2)")
-    parser.add_argument("--ses-smoothing", type=float, help="SES smoothing weight in (0, 1]")
-    parser.add_argument("--external-forecasts", help="time_index,forecast CSV for the external forecaster")
-    parser.add_argument("--classifier", choices=_CLASSIFIER_NAMES, help="trend classifier (default logistic)")
-    parser.add_argument("--knn-k", type=int, help="KNN neighbor count (default 5)")
-    parser.add_argument("--logistic-learning-rate", type=float, help="gradient step (default 0.1)")
-    parser.add_argument("--logistic-iterations", type=int, help="gradient steps (default 1000)")
-    parser.add_argument("--oracle-accuracy", type=float, help="oracle hit probability")
-    parser.add_argument("--external-directions", help="time_index,direction CSV for the external classifier")
-    parser.add_argument("--alphas", help="comma-separated adjustment step sizes")
-    parser.add_argument("--n-lags", type=int, help="classifier feature lag count (default 2)")
-    parser.add_argument(
-        "--include-exogenous", action=argparse.BooleanOptionalAction, default=None,
-        help="use exogenous columns as classifier features (default on)",
-    )
-    parser.add_argument("--exog-lag", type=int, help="uniform lag applied to exogenous features (default 0)")
-    parser.add_argument("--seed", type=int, help="seed for stochastic components (default 0)")
-    parser.add_argument(
-        "--refit-each-step", action=argparse.BooleanOptionalAction, default=None,
-        help="refit the forecaster at every walk-forward step (default off)",
-    )
-    if with_theory:
-        parser.add_argument(
-            "--theory-split", choices=("train", "test"),
-            help="split used for plug-in theory estimates (default train)",
-        )
-    parser.add_argument("--out", help=f"output directory (default ${ENV_OUT_DIR} or .)")
+    for key, convert, _, choices, help_text in _SETTINGS:
+        if key == "theory_split" and not with_theory:
+            continue
+        if convert is _as_bool:
+            parser.add_argument(_flag(key), action=argparse.BooleanOptionalAction, help=help_text)
+        else:
+            parser.add_argument(_flag(key), choices=choices, help=help_text)
 
 
 def _build_parser() -> _Parser:

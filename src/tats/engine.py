@@ -12,8 +12,8 @@ replaced by a minimal step of size alpha in the predicted direction:
 
     y_adj = indicator * y_hat + (1 - indicator) * (y_prev + c * alpha)
 
-alpha is in absolute value units and must be positive. Each evaluated
-step is also tagged with the direction outcome scenario:
+alpha is in absolute value units and must be finite and positive. Each
+evaluated step is also tagged with the direction outcome scenario:
 
     S1 forecast right, classifier right    S2 forecast right, classifier wrong
     S3 forecast wrong, classifier wrong    S4 forecast wrong, classifier right
@@ -25,6 +25,7 @@ are tagged UNDEFINED and excluded from scenario-conditional statistics.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,6 +68,11 @@ class Scenario(enum.IntEnum):
     S4 = 4
 
 
+def _check_alpha(alpha: float) -> None:
+    if not (math.isfinite(alpha) and alpha > 0.0):
+        raise ConfigError(f"alpha must be finite and positive, got {alpha}")
+
+
 def indicator(y_hat: float, y_prev: float, direction: TrendDirection) -> int:
     """1 when the forecast's implied move agrees with the predicted direction.
 
@@ -78,8 +84,7 @@ def indicator(y_hat: float, y_prev: float, direction: TrendDirection) -> int:
 
 def adjust(y_hat: float, direction: TrendDirection, y_prev: float, alpha: float) -> float:
     """Direction-gated forecast: keep y_hat or step alpha the predicted way."""
-    if not alpha > 0.0:
-        raise ConfigError(f"alpha must be positive, got {alpha}")
+    _check_alpha(alpha)
     if indicator(y_hat, y_prev, direction):
         return y_hat
     return y_prev + int(direction) * alpha
@@ -189,8 +194,7 @@ class TatsConfig:
     refit_each_step: bool = False
 
     def __post_init__(self) -> None:
-        if not self.alpha > 0.0:
-            raise ConfigError(f"alpha must be positive, got {self.alpha}")
+        _check_alpha(self.alpha)
         if self.n_lags < 1:
             raise ConfigError(f"n_lags must be at least 1, got {self.n_lags}")
 
@@ -209,8 +213,7 @@ def evaluate_forecasts(
     :func:`indicator`, :func:`adjust`, and :func:`classify_scenario`
     once per step.
     """
-    if not alpha > 0.0:
-        raise ConfigError(f"alpha must be positive, got {alpha}")
+    _check_alpha(alpha)
     values = np.asarray(values, dtype=float)
     forecasts = np.asarray(forecasts, dtype=float)
     directions = np.asarray(directions, dtype=int)
@@ -383,8 +386,7 @@ def sweep_alpha(
     if not alphas:
         raise ConfigError("alpha sweep needs at least one alpha")
     for a in alphas:
-        if not a > 0.0:
-            raise ConfigError(f"alpha must be positive, got {a}")
+        _check_alpha(a)
     inputs = _prepare_run(config, train, test, features, eval_split)
     base_report = None
     entries = []

@@ -122,7 +122,7 @@ class EvalReport:
     tda: float
     mse: float
     mae: float
-    mape: float
+    mape: float | None
     n_steps: int
     diff: float | None = None
     r_diff: float | None = None
@@ -166,13 +166,14 @@ def diff_rdiff(base: EvalReport, candidate: EvalReport) -> tuple[float, float]:
 def evaluate_trace(trace: "ForecastTrace", base: EvalReport | None = None) -> EvalReport:
     """Build an EvalReport from a trace's final forecasts.
 
-    With ``base`` given, Diff/R-Diff against it are filled in.
+    With ``base`` given, Diff/R-Diff against it are filled in. MAPE is
+    None when any actual is zero, where it is undefined.
     """
     report = EvalReport(
         tda=td_accuracy(trace.y_prev, trace.y_true, trace.y_adj),
         mse=mse(trace.y_true, trace.y_adj),
         mae=mae(trace.y_true, trace.y_adj),
-        mape=mape(trace.y_true, trace.y_adj),
+        mape=None if np.any(trace.y_true == 0.0) else mape(trace.y_true, trace.y_adj),
         n_steps=len(trace),
     )
     if base is not None:

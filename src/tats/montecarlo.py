@@ -26,7 +26,7 @@ import numpy as np
 
 from .classifiers import OracleTrendPredictor
 from .core import TimeSeries
-from .engine import Scenario, evaluate_forecasts
+from .engine import Scenario, _check_alpha, evaluate_forecasts
 from .errors import ConfigError, NumericError
 from .theory import lower_bound
 
@@ -74,8 +74,9 @@ class SimConfig:
             raise ConfigError(
                 f"error_scale must lie in (0, 2) for sharp scenario signs, got {self.error_scale}"
             )
-        if not self.alpha > 0.0:
-            raise ConfigError(f"alpha must be positive, got {self.alpha}")
+        _check_alpha(self.alpha)
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
 
 def gen_random_walk(

@@ -56,6 +56,18 @@ def test_spec_validation():
         TrendPredictorSpec(kind="majority", k=3)  # majority takes no params
     with pytest.raises(ConfigError):
         TrendPredictorSpec(kind="nonsense")
+    with pytest.raises(ConfigError):
+        TrendPredictorSpec.oracle(accuracy=0.7, seed=-1)
+
+
+def test_external_spec_takes_only_a_loaded_table(tmp_path):
+    path = tmp_path / "dirs.csv"
+    path.write_text("time_index,direction\n1,1\n")
+    for source in (str(path), path, None):
+        with pytest.raises(ConfigError, match=r"load_external_directions\(path, series\)"):
+            TrendPredictorSpec.external(source)
+    spec = TrendPredictorSpec.external({1: TrendDirection.UP})
+    assert fit_classifier(spec).direction_at(1) is TrendDirection.UP
 
 
 def test_majority_tie_goes_up():

@@ -1,10 +1,19 @@
 import csv
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tats.cli import DEFAULT_ALPHAS, RESULTS_HEADER, main, parse_config_file
+from tats.cli import (
+    _CONFIG_KEYS,
+    _SETTINGS,
+    DEFAULT_ALPHAS,
+    RESULTS_HEADER,
+    main,
+    parse_config_file,
+)
 
 seed = 909
 
@@ -281,3 +290,105 @@ def test_unknown_config_key_maps_to_exit_one(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(f"data = {data}\nwibble = 1\n")
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+
+
+def test_config_file_and_flags_write_identical_artifacts(tmp_path):
+    data = _write_prices(tmp_path / "prices.csv")
+    (tmp_path / "fc.csv").write_text("time_index,forecast\n1,100.0\n")
+    (tmp_path / "dirs.csv").write_text("time_index,direction\n1,1\n")
+    # every setting off its default, valid for ses + knn (the others go unused)
+    settings = {
+        "data": str(data), "target_column": "gold", "exogenous_columns": "ftse",
+        "label_column": "day", "train_fraction": "0.6", "forecaster": "ses",
+        "ar_order": "3", "ses_smoothing": "0.4", "external_forecasts": str(tmp_path / "fc.csv"),
+        "classifier": "knn", "knn_k": "3", "logistic_learning_rate": "0.05",
+        "logistic_iterations": "200", "oracle_accuracy": "0.6",
+        "external_directions": str(tmp_path / "dirs.csv"), "alphas": "0.5,3", "n_lags": "3",
+        "include_exogenous": "false", "exog_lag": "1", "seed": "7",
+        "refit_each_step": "true", "theory_split": "test",
+    }
+    cfg_out, flag_out = tmp_path / "cfg", tmp_path / "flags"
+    assert set(settings) | {"out_dir"} == set(_CONFIG_KEYS)
+    for key, convert, default, _, _ in _SETTINGS:
+        if key != "out_dir":
+            assert convert(settings[key], key) != default, key
+    cfg = tmp_path / "all.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in settings.items()) + f"out_dir = {cfg_out}\n")
+    flags = []
+    for key, value in settings.items():
+        flag = key.replace("_", "-")
+        if value in ("true", "false"):
+            flags.append(f"--{flag}" if value == "true" else f"--no-{flag}")
+        else:
+            flags += [f"--{flag}", value]
+
+    assert main(["run", "--config", str(cfg)]) == 0
+    assert main(["run", *flags, "--out", str(flag_out)]) == 0
+    for name in ("report.json", "results.csv"):
+        assert (cfg_out / name).read_bytes() == (flag_out / name).read_bytes(), name
+    config = json.loads((cfg_out / "report.json").read_text())["config"]
+    assert config == {
+        "data": str(data), "target_column": "gold", "exogenous_columns": ["ftse"],
+        "label_column": "day", "train_fraction": 0.6, "forecaster": "ses(0.4)",
+        "classifier": "knn(k=3)", "alphas": [0.5, 3.0], "n_lags": 3,
+        "include_exogenous": False, "exog_lag": 1, "seed": 7, "theory_split": "test",
+        "refit_each_step": True,
+    }
+
+
+@pytest.mark.parametrize(
+    "argv, config_line",
+    [
+        pytest.param(["run", "--train-fraction", "abc"], "", id="flag-float"),
+        pytest.param(["run", "--knn-k", "x"], "", id="flag-int"),
+        pytest.param(["run"], "include_exogenous = maybe", id="config-bool"),
+        pytest.param(["run", "--forecaster", "bogus"], "", id="flag-choice"),
+        pytest.param(["run"], "forecaster = bogus", id="config-choice"),
+        pytest.param(["run", "--seed", "-1"], "", id="run-negative-seed"),
+        pytest.param(["run", "--alphas", "inf"], "", id="run-infinite-alpha"),
+        pytest.param(["simulate", "--alpha", "inf"], "", id="simulate-infinite-alpha"),
+        pytest.param(["simulate", "--seed", "-1"], "", id="simulate-negative-seed"),
+    ],
+)
+def test_bad_value_exits_one_without_traceback(tmp_path, monkeypatch, capsys, argv, config_line):
+    monkeypatch.chdir(tmp_path)
+    if argv[0] == "run":
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config_line + "\n")
+        data = _write_prices(tmp_path / "prices.csv")
+        argv = _run_args(data, "out", extra=("--config", str(cfg), *argv[1:]))
+    else:
+        argv = [*argv, "--n-steps", "50", "--n-trials", "2", "--out", "out"]
+    assert main(argv) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_zero_actual_leaves_mape_null(tmp_path, capsys):
+    values = 100.0 + np.cumsum(np.random.default_rng(1).standard_normal(60))
+    values[50] = 0.0  # inside the 30% test split
+    data = tmp_path / "zero.csv"
+    data.write_text("gold\n" + "".join(f"{float(v)!r}\n" for v in values))
+    out = tmp_path / "out"
+    code = main(
+        ["run", "--data", str(data), "--target-column", "gold", "--classifier", "oracle",
+         "--oracle-accuracy", "0.7", "--alphas", "1,2", "--out", str(out)]
+    )
+    assert code == 0
+    assert "MAPE=n/a" in capsys.readouterr().out
+    report = json.loads((out / "report.json").read_text())
+    assert report["base"]["mape"] is None
+    assert [e["report"]["mape"] for e in report["tats"]] == [None, None]
+    assert report["tats"][0]["report"]["mse"] > 0.0
+    with open(out / "results.csv", newline="") as fh:
+        assert [row["MAPE"] for row in csv.DictReader(fh)] == ["", "", ""]
+    # tats metrics stays strict about a zero actual
+    fc = tmp_path / "fc.csv"
+    fc.write_text("actual,forecast\n0,1\n2,3\n")
+    assert main(["metrics", "--data", str(fc)]) == 2
+
+
+def test_readme_lists_every_config_key_in_table_order():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listed = readme.split("Valid keys")[1].split(".\n")[0]
+    assert re.findall(r"`(\w+)`", listed) == list(_CONFIG_KEYS)

@@ -327,3 +327,23 @@ def test_sweep_alpha_rejects_bad_grids():
         sweep_alpha(config, (), train, test)
     with pytest.raises(ConfigError):
         sweep_alpha(config, (1.0, -2.0), train, test)
+
+
+@pytest.mark.parametrize("alpha", [float("inf"), float("nan")])
+def test_non_finite_alpha_rejected(alpha):
+    rng = np.random.default_rng(seed + 17)
+    series = _weather_series(rng)
+    train, test = chronological_split(series, 0.7)
+    config = TatsConfig(
+        alpha=1.0,
+        value_forecaster=ValueForecasterSpec.naive(),
+        trend_predictor=TrendPredictorSpec.oracle(accuracy=0.7, seed=1),
+    )
+    with pytest.raises(ConfigError, match="finite"):
+        adjust(y_hat=8.0, direction=UP, y_prev=7.0, alpha=alpha)
+    with pytest.raises(ConfigError, match="finite"):
+        TatsConfig(alpha, config.value_forecaster, config.trend_predictor)
+    with pytest.raises(ConfigError, match="finite"):
+        evaluate_forecasts(np.arange(5.0), 1, np.ones(2), np.array([1, 1]), alpha)
+    with pytest.raises(ConfigError, match="finite"):
+        sweep_alpha(config, (1.0, alpha), train, test)

@@ -13,7 +13,8 @@ from tats import (
     td_accuracy,
     trend_aware_loss,
 )
-from tats.metrics import EvalReport
+from tats.engine import evaluate_forecasts
+from tats.metrics import EvalReport, evaluate_trace
 
 seed = 202
 
@@ -77,6 +78,16 @@ def test_mape_is_percentage():
 def test_mape_rejects_zero_actual():
     with pytest.raises(DataError):
         mape(np.array([0.0, 1.0]), np.array([1.0, 1.0]))
+
+
+def test_evaluate_trace_leaves_mape_undefined_on_zero_actual():
+    values = np.array([1.0, 2.0, 0.0, 3.0])
+    run = evaluate_forecasts(values, 1, np.array([1.5, 2.5, 1.0]), np.array([1, -1, 1]), 1.0)
+    base = evaluate_trace(run.base)
+    assert base.mape is None
+    assert base.to_dict()["mape"] is None
+    assert base.mse == pytest.approx((0.25 + 6.25 + 4.0) / 3)
+    assert evaluate_trace(run.tats, base=base).mape is None
 
 
 def test_mae_mse_inequality():

@@ -75,6 +75,10 @@ def test_sim_config_validation():
         SimConfig(error_scale=2.5)
     with pytest.raises(ConfigError):
         SimConfig(alpha=0.0)
+    with pytest.raises(ConfigError):
+        SimConfig(alpha=float("inf"))
+    with pytest.raises(ConfigError):
+        SimConfig(seed=-1)
 
 
 QUICK = SimConfig(n_steps=300, n_trials=12, seed=17)
