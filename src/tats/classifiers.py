@@ -11,12 +11,13 @@ random stream.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import FLAT, Flat, TrendDirection
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, NumericError
 from .ingest import FeatureMatrix
 
 __all__ = [
@@ -84,8 +85,9 @@ class TrendPredictorSpec:
             if self.k is None or self.k < 1:
                 raise ConfigError(f"KNN needs k >= 1, got {self.k}")
         elif self.kind is ClassifierKind.LOGISTIC:
-            if self.learning_rate is None or not self.learning_rate > 0:
-                raise ConfigError(f"logistic learning rate must be positive, got {self.learning_rate}")
+            rate = self.learning_rate
+            if rate is None or not (math.isfinite(rate) and rate > 0):
+                raise ConfigError(f"logistic learning rate must be finite and positive, got {rate}")
             if self.iterations is None or self.iterations < 1:
                 raise ConfigError(f"logistic iteration count must be >= 1, got {self.iterations}")
         elif self.kind is ClassifierKind.ORACLE:
@@ -272,15 +274,19 @@ def _fit_logistic(features: FeatureMatrix, learning_rate: float, iterations: int
     b = 0.0
     signs = np.where(features.labels == 1, 1.0, -1.0)
     losses = []
-    for _ in range(iterations):
+    # a diverging step size overflows; that is reported below, not warned about
+    with np.errstate(all="ignore"):
+        for _ in range(iterations):
+            z = X @ w + b
+            losses.append(float(np.mean(np.logaddexp(0.0, -signs * z))))
+            p = _sigmoid(z)
+            gap = p - targets
+            w = w - learning_rate * (X.T @ gap) / m
+            b = b - learning_rate * float(np.mean(gap))
         z = X @ w + b
         losses.append(float(np.mean(np.logaddexp(0.0, -signs * z))))
-        p = _sigmoid(z)
-        gap = p - targets
-        w = w - learning_rate * (X.T @ gap) / m
-        b = b - learning_rate * float(np.mean(gap))
-    z = X @ w + b
-    losses.append(float(np.mean(np.logaddexp(0.0, -signs * z))))
+    if not (np.all(np.isfinite(w)) and math.isfinite(b)):
+        raise NumericError(f"logistic fit diverged to non-finite weights (learning rate {learning_rate})")
     w.flags.writeable = False
     return LogisticClassifier(
         weights=w, bias=b, feature_mean=mean, feature_scale=scale, loss_history=tuple(losses)

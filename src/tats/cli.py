@@ -21,9 +21,9 @@ from pathlib import Path
 
 from .classifiers import ClassifierKind, TrendPredictorSpec
 from .core import chronological_split
-from .engine import TatsConfig, evaluate_forecasts, run_tats, sweep_alpha
+from .engine import TatsConfig, _prepare_run, _sweep, evaluate_forecasts, sweep_alpha
 from .errors import ConfigError, DataError, NumericError
-from .forecasters import ValueForecasterSpec
+from .forecasters import ForecasterKind, ValueForecasterSpec
 from .ingest import (
     build_feature_table,
     load_csv,
@@ -38,9 +38,6 @@ from .theory import estimate_theory
 ENV_OUT_DIR = "TATS_OUT_DIR"
 RESULTS_HEADER = ("model", "split", "alpha", "TDA", "MSE", "MAE", "MAPE", "Diff", "R-Diff")
 DEFAULT_ALPHAS = (0.5, 1.0, 2.0, 5.0, 10.0, 20.0)
-
-_FORECASTER_NAMES = ("naive", "drift", "ar", "ses", "external")
-_CLASSIFIER_NAMES = ("majority", "logistic", "gaussian_nb", "knn", "oracle", "external")
 
 
 class _UsageError(Exception):
@@ -120,11 +117,11 @@ _SETTINGS = (
     ("exogenous_columns", _as_str_list, (), None, "comma-separated exogenous column names"),
     ("label_column", _as_str, None, None, "strictly increasing label column (dates, ids)"),
     ("train_fraction", _as_float, 0.7, None, "chronological train share (default 0.7)"),
-    ("forecaster", _as_str, "ar", _FORECASTER_NAMES, "value forecaster (default ar)"),
+    ("forecaster", _as_str, "ar", tuple(kind.value for kind in ForecasterKind), "value forecaster (default ar)"),
     ("ar_order", _as_int, 2, None, "AR lag count (default 2)"),
     ("ses_smoothing", _as_float, None, None, "SES smoothing weight in (0, 1]"),
     ("external_forecasts", _as_str, None, None, "time_index,forecast CSV for the external forecaster"),
-    ("classifier", _as_str, "logistic", _CLASSIFIER_NAMES, "trend classifier (default logistic)"),
+    ("classifier", _as_str, "logistic", tuple(kind.value for kind in ClassifierKind), "trend classifier (default logistic)"),
     ("knn_k", _as_int, 5, None, "KNN neighbor count (default 5)"),
     ("logistic_learning_rate", _as_float, 0.1, None, "gradient step (default 0.1)"),
     ("logistic_iterations", _as_int, 1000, None, "gradient steps (default 1000)"),
@@ -320,9 +317,11 @@ def _sweep_chart(sweep) -> str:
 def cmd_run(args: argparse.Namespace) -> int:
     _resolve_settings(args)
     _, train, test, features, config, alphas = _prepare_experiment(args)
-    sweep = sweep_alpha(config, alphas, train, test, features)
-    theory_run = run_tats(config, train, test, features, eval_split=args.theory_split)
-    theory = estimate_theory(theory_run.base)
+    test_inputs, theory_inputs = _prepare_run(
+        config, train, test, features, ("test", args.theory_split)
+    )
+    sweep = _sweep(test_inputs, alphas)
+    theory = estimate_theory(evaluate_forecasts(*theory_inputs, config.alpha).base)
 
     out = args.out_dir
     out.mkdir(parents=True, exist_ok=True)
@@ -363,7 +362,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     (out / "report.json").write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
 
     best = min(sweep.entries, key=lambda e: e.report.mse)
-    best_run = evaluate_forecasts(*sweep.inputs, best.alpha)
+    best_run = evaluate_forecasts(*test_inputs, best.alpha)
     xs = [float(t) for t in best_run.tats.t]
     forecast_svg = line_chart(
         f"Test forecasts (alpha={best.alpha:g})",

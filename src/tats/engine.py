@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -266,11 +266,12 @@ def _prepare_run(
     train: TimeSeries,
     test: TimeSeries,
     features: FeatureTable | None,
-    eval_split: str,
-) -> tuple[np.ndarray, int, np.ndarray, np.ndarray]:
-    """Fit sub-models once and produce (values, start, forecasts, directions)."""
-    if eval_split not in ("train", "test"):
-        raise ConfigError(f"eval_split must be 'train' or 'test', got {eval_split!r}")
+    eval_splits: tuple[str, ...],
+) -> list[tuple[np.ndarray, int, np.ndarray, np.ndarray]]:
+    """Fit sub-models once; give (values, start, forecasts, directions) per split."""
+    for eval_split in eval_splits:
+        if eval_split not in ("train", "test"):
+            raise ConfigError(f"eval_split must be 'train' or 'test', got {eval_split!r}")
     full = concat(train, test)
     values = full.values
     n_train = len(train)
@@ -278,57 +279,50 @@ def _prepare_run(
 
     clf_spec = config.trend_predictor
     feature_based = clf_spec.kind not in (ClassifierKind.ORACLE, ClassifierKind.EXTERNAL)
-    table = None
     if feature_based:
         if features is None:
             features = build_feature_table(
                 Dataset(target=full, exogenous={}), config.n_lags,
                 config.include_exogenous, config.exog_lag,
             )
-        table = features
         if n_train < 2:
             raise DataError("train split too short to label classifier rows")
-        classifier = fit_classifier(clf_spec, table.training_matrix(n_train - 2))
-    else:
-        classifier = fit_classifier(clf_spec)
+        classifier = fit_classifier(clf_spec, features.training_matrix(n_train - 2))
 
-    if eval_split == "test":
-        start = n_train
-        stop = values.size
-    else:
-        start = max(1, int(fitted.required_history))
-        if feature_based:
-            start = max(start, int(table.row_time_index[0]) + 1)
-        stop = n_train
-        if start >= stop:
-            raise DataError(
-                f"train split of length {n_train} leaves no in-sample steps "
-                f"(first evaluable index {start})"
+    prepared = []
+    for eval_split in eval_splits:
+        if eval_split == "test":
+            start = n_train
+            stop = values.size
+        else:
+            start = max(1, int(fitted.required_history))
+            if feature_based:
+                start = max(start, int(features.row_time_index[0]) + 1)
+            stop = n_train
+            if start >= stop:
+                raise DataError(
+                    f"train split of length {n_train} leaves no in-sample steps "
+                    f"(first evaluable index {start})"
+                )
+
+        forecasts = _walk_forward(
+            config.value_forecaster, fitted, values[:stop], start, config.refit_each_step
+        )
+        eval_t = np.arange(start, stop)
+        # a fresh oracle per split restarts its draws from the seed
+        if not feature_based:
+            classifier = fit_classifier(clf_spec)
+        if isinstance(classifier, OracleTrendPredictor):
+            truths = np.sign(values[eval_t] - values[eval_t - 1]).astype(int)
+            directions = classifier.draw_many(truths)
+        elif isinstance(classifier, DirectionTable):
+            directions = np.array(
+                [int(classifier.direction_at(int(t))) for t in eval_t], dtype=int
             )
-    eval_t = np.arange(start, stop)
-    if eval_t.size == 0:
-        raise DataError("no steps to evaluate")
-    if start < int(fitted.required_history):
-        raise DataError(
-            f"history at index {start} shorter than the forecaster needs "
-            f"({fitted.required_history})"
-        )
-
-    forecasts = _walk_forward(
-        config.value_forecaster, fitted, values[:stop], start, config.refit_each_step
-    )
-
-    if isinstance(classifier, OracleTrendPredictor):
-        truths = np.sign(values[eval_t] - values[eval_t - 1]).astype(int)
-        directions = classifier.draw_many(truths)
-    elif isinstance(classifier, DirectionTable):
-        directions = np.array(
-            [int(classifier.direction_at(int(t))) for t in eval_t], dtype=int
-        )
-    else:
-        rows = table._rows_at(eval_t - 1)
-        directions = classifier.predict_matrix(rows)
-    return values, start, forecasts, directions
+        else:
+            directions = classifier.predict_matrix(features._rows_at(eval_t - 1))
+        prepared.append((values, start, forecasts, directions))
+    return prepared
 
 
 def run_tats(
@@ -349,8 +343,8 @@ def run_tats(
     ``features`` supplies classifier rows built from a richer dataset
     (exogenous columns); without it, rows are built from target lags.
     """
-    values, start, forecasts, directions = _prepare_run(config, train, test, features, eval_split)
-    return evaluate_forecasts(values, start, forecasts, directions, config.alpha)
+    [inputs] = _prepare_run(config, train, test, features, (eval_split,))
+    return evaluate_forecasts(*inputs, config.alpha)
 
 
 @dataclass(frozen=True)
@@ -364,8 +358,6 @@ class SweepEntry:
 class SweepResult:
     base_report: EvalReport
     entries: tuple[SweepEntry, ...]
-    # (values, start, forecasts, directions) that every entry was evaluated from
-    inputs: tuple = field(compare=False, repr=False)
 
 
 def sweep_alpha(
@@ -382,12 +374,17 @@ def sweep_alpha(
     are computed once and only the adjustment arithmetic is repeated.
     Entries come back in the given alpha order.
     """
+    [inputs] = _prepare_run(config, train, test, features, (eval_split,))
+    return _sweep(inputs, alphas)
+
+
+def _sweep(inputs: tuple, alphas) -> SweepResult:
+    """Evaluate prepared (values, start, forecasts, directions) at each alpha."""
     alphas = [float(a) for a in alphas]
     if not alphas:
         raise ConfigError("alpha sweep needs at least one alpha")
     for a in alphas:
         _check_alpha(a)
-    inputs = _prepare_run(config, train, test, features, eval_split)
     base_report = None
     entries = []
     for a in alphas:
@@ -401,4 +398,4 @@ def sweep_alpha(
                 tally=run.scenario_tally,
             )
         )
-    return SweepResult(base_report=base_report, entries=tuple(entries), inputs=inputs)
+    return SweepResult(base_report=base_report, entries=tuple(entries))

@@ -293,14 +293,14 @@ def load_external_forecasts(path: str | Path, series: TimeSeries) -> ExternalFor
     return ExternalForecasts(by_index=table)
 
 
-def load_external_directions(path: str | Path, series: TimeSeries | None = None) -> dict[int, TrendDirection]:
-    """Load a time_index,direction CSV; directions must be +1 or -1."""
+def load_external_directions(path: str | Path, series: TimeSeries) -> dict[int, TrendDirection]:
+    """Load a time_index,direction CSV aligned to ``series``; directions must be +1 or -1."""
     table = _indexed_column(path, "direction")
     out: dict[int, TrendDirection] = {}
     for t, v in table.items():
         if v not in (1.0, -1.0):
             raise DataError(f"{path}: direction at time_index {t} must be +1 or -1, got {v}")
-        if series is not None and not 1 <= t <= len(series) - 1:
+        if not 1 <= t <= len(series) - 1:
             raise DataError(
                 f"{path}: time_index {t} outside the forecastable range 1..{len(series) - 1}"
             )

@@ -3,7 +3,7 @@ pairwise improvement (Diff, R-Diff), and a trend-aware penalty loss."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -178,8 +178,5 @@ def evaluate_trace(trace: "ForecastTrace", base: EvalReport | None = None) -> Ev
     )
     if base is not None:
         d, r = diff_rdiff(base, report)
-        report = EvalReport(
-            tda=report.tda, mse=report.mse, mae=report.mae, mape=report.mape,
-            n_steps=report.n_steps, diff=d, r_diff=r,
-        )
+        report = replace(report, diff=d, r_diff=r)
     return report

@@ -62,8 +62,8 @@ class SimConfig:
             raise ConfigError(f"n_steps must be at least 10, got {self.n_steps}")
         if self.n_trials < 1:
             raise ConfigError(f"n_trials must be at least 1, got {self.n_trials}")
-        if not self.volatility > 0.0:
-            raise ConfigError(f"volatility must be positive, got {self.volatility}")
+        if not (math.isfinite(self.volatility) and self.volatility > 0.0):
+            raise ConfigError(f"volatility must be finite and positive, got {self.volatility}")
         if not math.isfinite(self.drift):
             raise ConfigError(f"drift must be finite, got {self.drift}")
         for name in ("p_dt", "p_db"):

@@ -46,8 +46,9 @@ def _blobs(n=200, rng_seed=7):
 def test_spec_validation():
     with pytest.raises(ConfigError):
         TrendPredictorSpec.knn(k=0)
-    with pytest.raises(ConfigError):
-        TrendPredictorSpec.logistic(learning_rate=0.0)
+    for rate in (0.0, float("inf"), float("nan")):
+        with pytest.raises(ConfigError):
+            TrendPredictorSpec.logistic(learning_rate=rate)
     with pytest.raises(ConfigError):
         TrendPredictorSpec.logistic(iterations=0)
     with pytest.raises(ConfigError):

@@ -1,11 +1,14 @@
 import csv
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tats.engine
+from tats.classifiers import TrendPredictorSpec
 from tats.cli import (
     _CONFIG_KEYS,
     _SETTINGS,
@@ -14,6 +17,11 @@ from tats.cli import (
     main,
     parse_config_file,
 )
+from tats.core import chronological_split
+from tats.engine import TatsConfig, run_tats
+from tats.forecasters import ValueForecasterSpec
+from tats.ingest import build_feature_table, load_csv, load_external_directions
+from tats.theory import estimate_theory
 
 seed = 909
 
@@ -348,6 +356,11 @@ def test_config_file_and_flags_write_identical_artifacts(tmp_path):
         pytest.param(["run", "--alphas", "inf"], "", id="run-infinite-alpha"),
         pytest.param(["simulate", "--alpha", "inf"], "", id="simulate-infinite-alpha"),
         pytest.param(["simulate", "--seed", "-1"], "", id="simulate-negative-seed"),
+        pytest.param(
+            ["run", "--classifier", "logistic", "--logistic-learning-rate", "inf"], "",
+            id="run-infinite-learning-rate",
+        ),
+        pytest.param(["simulate", "--volatility", "inf"], "", id="simulate-infinite-volatility"),
     ],
 )
 def test_bad_value_exits_one_without_traceback(tmp_path, monkeypatch, capsys, argv, config_line):
@@ -362,6 +375,76 @@ def test_bad_value_exits_one_without_traceback(tmp_path, monkeypatch, capsys, ar
     assert main(argv) == 1
     assert "Traceback" not in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_diverging_logistic_fit_exits_three_without_warnings(tmp_path, capsys):
+    values = 100.0 + np.cumsum(np.random.default_rng(2).standard_normal(150))
+    data = tmp_path / "walk.csv"
+    data.write_text("gold\n" + "".join(f"{float(v)!r}\n" for v in values))
+    argv = ["run", "--data", str(data), "--target-column", "gold", "--classifier", "logistic",
+            "--logistic-learning-rate", "1e308", "--out", str(tmp_path / "out")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would raise here
+        assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric error: logistic fit diverged")
+    assert "Traceback" not in err and "RuntimeWarning" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("theory_split", ["train", "test"])
+def test_run_fits_forecaster_and_classifier_once(tmp_path, monkeypatch, theory_split):
+    calls = {"fit_classifier": 0, "fit_forecaster": 0}
+
+    def counting(name):
+        fit = getattr(tats.engine, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fit(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(tats.engine, name, counting(name))
+    data = _write_prices(tmp_path / "prices.csv")
+    argv = ["run", "--data", str(data), "--target-column", "gold", "--exogenous-columns", "ftse",
+            "--classifier", "logistic", "--theory-split", theory_split, "--out", str(tmp_path / "o")]
+    assert main(argv) == 0
+    assert calls == {"fit_classifier": 1, "fit_forecaster": 1}
+
+
+@pytest.mark.parametrize("theory_split", ["train", "test"])
+@pytest.mark.parametrize("classifier", ["logistic", "oracle", "external"])
+def test_report_theory_matches_a_separate_run(tmp_path, classifier, theory_split):
+    data = _write_prices(tmp_path / "prices.csv")
+    directions = tmp_path / "dirs.csv"
+    signs = np.where(np.random.default_rng(5).random(119) < 0.6, 1, -1)
+    directions.write_text(
+        "time_index,direction\n" + "".join(f"{t},{s}\n" for t, s in enumerate(signs, start=1))
+    )
+    out = tmp_path / "o"
+    extra = {
+        "logistic": [],
+        "oracle": ["--oracle-accuracy", "0.8", "--seed", "3"],
+        "external": ["--external-directions", str(directions)],
+    }[classifier]
+    argv = ["run", "--data", str(data), "--target-column", "gold", "--exogenous-columns", "ftse",
+            "--classifier", classifier, *extra, "--theory-split", theory_split, "--out", str(out)]
+    assert main(argv) == 0
+
+    dataset = load_csv(data, "gold", ["ftse"])
+    train, test = chronological_split(dataset.target, 0.7)
+    spec = {
+        "logistic": TrendPredictorSpec.logistic(),
+        "oracle": TrendPredictorSpec.oracle(accuracy=0.8, seed=3),
+        "external": TrendPredictorSpec.external(load_external_directions(directions, dataset.target)),
+    }[classifier]
+    features = build_feature_table(dataset, 2, True, 0) if classifier == "logistic" else None
+    config = TatsConfig(alpha=DEFAULT_ALPHAS[0], value_forecaster=ValueForecasterSpec.ar(2),
+                        trend_predictor=spec)
+    expected = estimate_theory(run_tats(config, train, test, features, eval_split=theory_split).base)
+    report = json.loads((out / "report.json").read_text())
+    assert report["theory"] == json.loads(json.dumps(expected.to_dict()))
 
 
 def test_zero_actual_leaves_mape_null(tmp_path, capsys):

@@ -193,10 +193,17 @@ def test_external_forecasts_validation(tmp_path):
 
 
 def test_external_directions(tmp_path):
+    series = TimeSeries(np.arange(60.0))
     path = _write(tmp_path, "dirs.csv", "time_index,direction\n1,1\n2,-1\n")
-    table = load_external_directions(path)
+    table = load_external_directions(path, series)
     assert int(table[1]) == 1
     assert int(table[2]) == -1
+    with pytest.raises(TypeError):
+        load_external_directions(path)  # the series is required
     bad = _write(tmp_path, "bad.csv", "time_index,direction\n1,0\n")
     with pytest.raises(DataError):
-        load_external_directions(bad)
+        load_external_directions(bad, series)
+    for index in (0, 60, 999):
+        far = _write(tmp_path, "far.csv", f"time_index,direction\n1,1\n{index},-1\n")
+        with pytest.raises(DataError, match=f"time_index {index} outside the forecastable range 1..59"):
+            load_external_directions(far, series)

@@ -79,6 +79,9 @@ def test_sim_config_validation():
         SimConfig(alpha=float("inf"))
     with pytest.raises(ConfigError):
         SimConfig(seed=-1)
+    for volatility in (0.0, float("inf"), float("nan")):
+        with pytest.raises(ConfigError):
+            SimConfig(volatility=volatility)
 
 
 QUICK = SimConfig(n_steps=300, n_trials=12, seed=17)
