@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import FLAT, Flat, TrendDirection
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError, NumericError, _require_finite
 from .ingest import FeatureMatrix
 
 __all__ = [
@@ -145,7 +145,9 @@ class LogisticClassifier:
     Features are standardized with training statistics; weights start at
     zero, so with no informative gradient the model predicts UP (score
     exactly 0.5). loss_history holds the mean log-loss before the first
-    update and after each one.
+    update and after each one: the mean softplus of the signed margin,
+    max(m, 0) + log1p(exp(-|z|)), computed from the same exp(-|z|) that
+    gives the sigmoid for that step's gradient.
     """
 
     weights: np.ndarray
@@ -159,8 +161,10 @@ class LogisticClassifier:
         return int(self.weights.size)
 
     def _scores(self, rows: np.ndarray) -> np.ndarray:
-        standardized = (rows - self.feature_mean) / self.feature_scale
-        return standardized @ self.weights + self.bias
+        with np.errstate(over="ignore", invalid="ignore"):
+            standardized = (rows - self.feature_mean) / self.feature_scale
+            scores = standardized @ self.weights + self.bias
+        return _require_finite(scores, "the logistic scores")
 
     def predict_matrix(self, rows: np.ndarray) -> np.ndarray:
         return np.where(self._scores(rows) >= 0.0, 1, -1)
@@ -182,11 +186,13 @@ class GaussianNBClassifier:
     def predict_matrix(self, rows: np.ndarray) -> np.ndarray:
         # log N(x; mu, var) summed over features, one column per class
         scores = np.empty((rows.shape[0], self.class_values.size))
-        for j in range(self.class_values.size):
-            gap = rows - self.means[j]
-            scores[:, j] = self.log_priors[j] - 0.5 * np.sum(
-                np.log(2.0 * np.pi * self.variances[j]) + gap**2 / self.variances[j], axis=1
-            )
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(self.class_values.size):
+                gap = rows - self.means[j]
+                scores[:, j] = self.log_priors[j] - 0.5 * np.sum(
+                    np.log(2.0 * np.pi * self.variances[j]) + gap**2 / self.variances[j], axis=1
+                )
+        _require_finite(scores, "the naive Bayes log-likelihoods")
         up = int(np.flatnonzero(self.class_values == 1)[0])
         down = int(np.flatnonzero(self.class_values == -1)[0])
         return np.where(scores[:, up] >= scores[:, down], 1, -1)
@@ -207,7 +213,9 @@ class KNNClassifier:
     def predict_matrix(self, rows: np.ndarray) -> np.ndarray:
         out = np.empty(rows.shape[0], dtype=int)
         for i in range(rows.shape[0]):
-            distances = np.sqrt(np.sum((self.rows - rows[i]) ** 2, axis=1))
+            with np.errstate(over="ignore", invalid="ignore"):
+                distances = np.sqrt(np.sum((self.rows - rows[i]) ** 2, axis=1))
+            _require_finite(distances, "the nearest-neighbor distances")
             nearest = np.argsort(distances, kind="stable")[: self.k]
             votes_up = int(np.count_nonzero(self.labels[nearest] == 1))
             out[i] = 1 if votes_up >= self.k - votes_up else -1
@@ -253,38 +261,34 @@ class DirectionTable:
             raise DataError(f"external directions missing time index {time_index}") from None
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
 def _fit_logistic(features: FeatureMatrix, learning_rate: float, iterations: int) -> LogisticClassifier:
     rows = features.rows.astype(float)
     targets = (features.labels == 1).astype(float)
-    mean = rows.mean(axis=0)
-    scale = rows.std(axis=0)
+    # an overflowing mean also makes the standard deviation non-finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = rows.mean(axis=0)
+        scale = _require_finite(rows.std(axis=0), "the feature standard deviations")
     scale = np.where(scale < 1e-12, 1.0, scale)
     X = (rows - mean) / scale
     m, d = X.shape
     w = np.zeros(d)
     b = 0.0
-    signs = np.where(features.labels == 1, 1.0, -1.0)
+    # +1 where a positive score is a miss (DOWN rows), -1 for UP rows
+    margin_sign = np.where(features.labels == 1, -1.0, 1.0)
     losses = []
     # a diverging step size overflows; that is reported below, not warned about
     with np.errstate(all="ignore"):
-        for _ in range(iterations):
+        for step in range(iterations + 1):
             z = X @ w + b
-            losses.append(float(np.mean(np.logaddexp(0.0, -signs * z))))
-            p = _sigmoid(z)
-            gap = p - targets
+            # one exp(-|z|) serves the stable sigmoid and the stable softplus
+            ez = np.exp(-np.abs(z))
+            losses.append(float(np.mean(np.maximum(margin_sign * z, 0.0) + np.log1p(ez))))
+            if step == iterations:
+                break
+            d = 1.0 + ez
+            gap = np.where(z >= 0, 1.0 / d, ez / d) - targets
             w = w - learning_rate * (X.T @ gap) / m
             b = b - learning_rate * float(np.mean(gap))
-        z = X @ w + b
-        losses.append(float(np.mean(np.logaddexp(0.0, -signs * z))))
     if not (np.all(np.isfinite(w)) and math.isfinite(b)):
         raise NumericError(f"logistic fit diverged to non-finite weights (learning rate {learning_rate})")
     w.flags.writeable = False
@@ -304,9 +308,12 @@ def _fit_gaussian_nb(features: FeatureMatrix) -> GaussianNBClassifier:
         if count == 0:
             raise DataError("gaussian naive Bayes needs both directions in the training set")
         sub = features.rows[mask]
-        means[j] = sub.mean(axis=0)
-        variances[j] = np.maximum(sub.var(axis=0), NB_VARIANCE_FLOOR)
+        # an overflowing mean also makes the variance non-finite
+        with np.errstate(over="ignore", invalid="ignore"):
+            means[j] = sub.mean(axis=0)
+            variances[j] = np.maximum(sub.var(axis=0), NB_VARIANCE_FLOOR)
         log_priors[j] = np.log(count / features.labels.size)
+    _require_finite(variances, "the naive Bayes feature variances")
     return GaussianNBClassifier(
         class_values=classes, log_priors=log_priors, means=means, variances=variances
     )

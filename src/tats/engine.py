@@ -38,7 +38,7 @@ from .classifiers import (
     fit_classifier,
 )
 from .core import FLAT, TimeSeries, TrendDirection, concat, direction_of
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, _require_finite
 from .forecasters import ValueForecasterSpec, _walk_forward, fit_forecaster
 from .ingest import Dataset, FeatureTable, build_feature_table
 from .metrics import EvalReport, evaluate_trace
@@ -222,7 +222,7 @@ def evaluate_forecasts(
         raise ConfigError("no steps to evaluate")
     if directions.size != m:
         raise ConfigError(f"{m} forecasts but {directions.size} directions")
-    if not np.all(np.isin(directions, (1, -1))):
+    if not np.all(np.abs(directions) == 1):
         raise DataError("directions must be +1 or -1")
     if start < 1 or start + m > values.size:
         raise ConfigError(
@@ -231,12 +231,16 @@ def evaluate_forecasts(
     t = np.arange(start, start + m)
     y_prev = values[t - 1]
     y_true = values[t]
-    fdelta = forecasts - y_prev
-    ind = (fdelta * directions >= 0.0).astype(int)
-    y_adj = np.where(ind == 1, forecasts, y_prev + directions * alpha)
-    loss_base = (forecasts - y_true) ** 2
-    loss_adj = (y_adj - y_true) ** 2
-    actual_sign = np.sign(y_true - y_prev).astype(int)
+    # a difference that overflows to +-inf keeps its sign; the losses are checked
+    with np.errstate(over="ignore", invalid="ignore"):
+        fdelta = forecasts - y_prev
+        ind = (fdelta * directions >= 0.0).astype(int)
+        y_adj = np.where(ind == 1, forecasts, y_prev + directions * alpha)
+        loss_base = (forecasts - y_true) ** 2
+        loss_adj = (y_adj - y_true) ** 2
+        actual_sign = np.sign(y_true - y_prev).astype(int)
+        # summing can overflow too, so the check stays inside the errstate block
+        _require_finite((loss_base.sum(), loss_adj.sum()), "the summed squared forecast errors")
     implied_sign = np.sign(fdelta).astype(int)
     undefined = (actual_sign == 0) | (implied_sign == 0)
     scenario = np.where(
@@ -313,7 +317,8 @@ def _prepare_run(
         if not feature_based:
             classifier = fit_classifier(clf_spec)
         if isinstance(classifier, OracleTrendPredictor):
-            truths = np.sign(values[eval_t] - values[eval_t - 1]).astype(int)
+            with np.errstate(over="ignore"):  # the sign survives overflow to +-inf
+                truths = np.sign(values[eval_t] - values[eval_t - 1]).astype(int)
             directions = classifier.draw_many(truths)
         elif isinstance(classifier, DirectionTable):
             directions = np.array(

@@ -6,6 +6,8 @@ reading or aligning inputs, and numeric problems surface during fitting
 or evaluation. The command line maps them to distinct exit codes.
 """
 
+import numpy as np
+
 
 class TatsError(Exception):
     """Base class for all errors raised by this package."""
@@ -21,3 +23,15 @@ class DataError(TatsError):
 
 class NumericError(TatsError):
     """A computation could not be completed (degenerate fit, division by zero)."""
+
+
+def _require_finite(value, what: str):
+    """Return ``value`` when every element is finite, else raise NumericError.
+
+    Callers compute ``value`` under ``np.errstate`` so that an overflow
+    from huge finite inputs is reported once, as this error, instead of
+    as numpy warnings followed by a misleading downstream failure.
+    """
+    if not np.isfinite(value).all():
+        raise NumericError(f"{what} overflowed float64; the input values are too large")
+    return value

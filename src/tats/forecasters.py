@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import TimeSeries, concat
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError, NumericError, _require_finite
 from .ingest import ExternalForecasts
 
 __all__ = [
@@ -125,7 +125,8 @@ class DriftForecaster:
     required_history: int = 1
 
     def forecast_one(self, history: np.ndarray) -> float:
-        return float(history[-1] + self.mean_step)
+        # Python float arithmetic: an overflow gives inf, which the loss check reports
+        return float(history[-1]) + self.mean_step
 
 
 @dataclass(frozen=True)
@@ -205,14 +206,16 @@ def fit_ar(series: TimeSeries, order: int) -> ARModel:
     design = np.column_stack(
         [np.ones(targets.size)] + [y[order - k : y.size - k] for k in range(1, order + 1)]
     )
-    solution, _, rank, _ = np.linalg.lstsq(design, targets, rcond=None)
-    degenerate = rank < design.shape[1]
-    if degenerate:
-        gram = design.T @ design + AR_RIDGE_PENALTY * np.eye(design.shape[1])
-        try:
-            solution = np.linalg.solve(gram, design.T @ targets)
-        except np.linalg.LinAlgError as exc:
-            raise NumericError(f"AR({order}) fit failed even with ridge fallback: {exc}") from exc
+    # huge values overflow inside the solve; the coefficients are checked below
+    with np.errstate(over="ignore", invalid="ignore"):
+        solution, _, rank, _ = np.linalg.lstsq(design, targets, rcond=None)
+        degenerate = rank < design.shape[1]
+        if degenerate:
+            gram = design.T @ design + AR_RIDGE_PENALTY * np.eye(design.shape[1])
+            try:
+                solution = np.linalg.solve(gram, design.T @ targets)
+            except np.linalg.LinAlgError as exc:
+                raise NumericError(f"AR({order}) fit failed even with ridge fallback: {exc}") from exc
     if not np.all(np.isfinite(solution)):
         raise NumericError(f"AR({order}) fit produced non-finite coefficients")
     coeffs = solution[1:].copy()
@@ -227,7 +230,9 @@ def fit_forecaster(spec: ValueForecasterSpec, train: TimeSeries):
     if spec.kind is ForecasterKind.DRIFT:
         if len(train) < 2:
             raise DataError("drift forecaster needs at least 2 training values")
-        return DriftForecaster(mean_step=float(np.mean(np.diff(train.values))))
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean_step = _require_finite(np.mean(np.diff(train.values)), "the mean training step")
+        return DriftForecaster(mean_step=float(mean_step))
     if spec.kind is ForecasterKind.AR:
         return fit_ar(train, spec.order)
     if spec.kind is ForecasterKind.SES:

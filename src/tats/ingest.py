@@ -230,7 +230,10 @@ def build_feature_table(
         for series in dataset.exogenous.values():
             cols = cols + [series.values[times - exog_lag]]
     rows = np.column_stack(cols)
-    return FeatureTable(rows=rows, row_time_index=times, next_delta=y[times + 1] - y[times])
+    # labels use only the sign of a move, which survives overflow to +-inf
+    with np.errstate(over="ignore"):
+        next_delta = y[times + 1] - y[times]
+    return FeatureTable(rows=rows, row_time_index=times, next_delta=next_delta)
 
 
 def build_features(

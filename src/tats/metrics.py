@@ -8,7 +8,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError, NumericError, _require_finite
 
 if TYPE_CHECKING:
     from .engine import ForecastTrace
@@ -47,20 +47,24 @@ def td_accuracy(y_prev, y_true, y_pred) -> float:
     prev = np.asarray(y_prev, dtype=float)
     if prev.shape != t.shape:
         raise ConfigError(f"y_prev must align with actuals, got {prev.shape} vs {t.shape}")
-    hits = (p - prev) * (t - prev) > 0
+    # an overflowing product still has the sign of the true one
+    with np.errstate(over="ignore", invalid="ignore"):
+        hits = (p - prev) * (t - prev) > 0
     return float(np.count_nonzero(hits) / t.size)
 
 
 def mse(y_true, y_pred) -> float:
     """Mean squared error."""
     t, p = _aligned(y_true, y_pred)
-    return float(np.mean((t - p) ** 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(_require_finite(np.mean((t - p) ** 2), "MSE"))
 
 
 def mae(y_true, y_pred) -> float:
     """Mean absolute error."""
     t, p = _aligned(y_true, y_pred)
-    return float(np.mean(np.abs(t - p)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(_require_finite(np.mean(np.abs(t - p)), "MAE"))
 
 
 def mape(y_true, y_pred) -> float:
@@ -72,7 +76,8 @@ def mape(y_true, y_pred) -> float:
     if np.any(t == 0.0):
         bad = int(np.flatnonzero(t == 0.0)[0])
         raise DataError(f"MAPE undefined: actual value at step {bad} is zero")
-    return float(100.0 * np.mean(np.abs((t - p) / t)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(_require_finite(100.0 * np.mean(np.abs((t - p) / t)), "MAPE"))
 
 
 @dataclass(frozen=True)
@@ -97,7 +102,8 @@ def trend_aware_loss(y_true, y_pred, config: TrendAwareLossConfig | float, y_pre
     if not isinstance(config, TrendAwareLossConfig):
         config = TrendAwareLossConfig(float(config))
     t, p = _aligned(y_true, y_pred)
-    sse = float(np.sum((t - p) ** 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        sse = float(_require_finite(np.sum((t - p) ** 2), "the sum of squared errors"))
     if y_prev is None:
         if t.size < 2:
             return sse
@@ -107,7 +113,8 @@ def trend_aware_loss(y_true, y_pred, config: TrendAwareLossConfig | float, y_pre
         if prev.shape != t.shape:
             raise ConfigError(f"y_prev must align with actuals, got {prev.shape} vs {t.shape}")
         tt, pp = t, p
-    wrong = int(np.count_nonzero((pp - prev) * (tt - prev) < 0))
+    with np.errstate(over="ignore", invalid="ignore"):  # the product keeps its sign
+        wrong = int(np.count_nonzero((pp - prev) * (tt - prev) < 0))
     return sse + config.gamma * wrong
 
 
@@ -160,7 +167,10 @@ def diff_rdiff(base: EvalReport, candidate: EvalReport) -> tuple[float, float]:
     if base.mse == 0.0:
         raise NumericError("relative improvement undefined: base MSE is zero")
     d = base.mse - candidate.mse
-    return d, d / base.mse
+    r = d / base.mse
+    if not np.isfinite(r):
+        raise NumericError(f"relative improvement overflowed float64: base MSE {base.mse!r} is too small")
+    return d, r
 
 
 def evaluate_trace(trace: "ForecastTrace", base: EvalReport | None = None) -> EvalReport:

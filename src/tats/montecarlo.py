@@ -27,7 +27,7 @@ import numpy as np
 from .classifiers import OracleTrendPredictor
 from .core import TimeSeries
 from .engine import Scenario, _check_alpha, evaluate_forecasts
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, _require_finite
 from .theory import lower_bound
 
 __all__ = [
@@ -88,12 +88,15 @@ def gen_random_walk(
     """Gaussian random walk of length n starting at 100."""
     if n < 2:
         raise ConfigError(f"walk length must be at least 2, got {n}")
-    if not volatility > 0.0:
-        raise ConfigError(f"volatility must be positive, got {volatility}")
+    if not (math.isfinite(volatility) and volatility > 0.0):
+        raise ConfigError(f"volatility must be finite and positive, got {volatility}")
+    if not math.isfinite(drift):
+        raise ConfigError(f"drift must be finite, got {drift}")
     rng = np.random.default_rng(seed)
-    steps = drift + volatility * rng.standard_normal(n - 1)
-    values = WALK_START + np.concatenate([[0.0], np.cumsum(steps)])
-    return TimeSeries(values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        steps = drift + volatility * rng.standard_normal(n - 1)
+        values = WALK_START + np.concatenate([[0.0], np.cumsum(steps)])
+    return TimeSeries(_require_finite(values, "the random walk"))
 
 
 def synthetic_forecaster(
@@ -113,17 +116,20 @@ def synthetic_forecaster(
         raise ConfigError(f"p_dt must lie strictly inside (0, 1), got {p_dt}")
     if not error_scale > 0.0:
         raise ConfigError(f"error_scale must be positive, got {error_scale}")
-    deltas = np.diff(series.values)
-    if np.any(deltas == 0.0):
-        bad = int(np.flatnonzero(deltas == 0.0)[0])
-        raise NumericError(
-            f"flat step at index {bad + 1}: directional accuracy is undefined there; "
-            "regenerate or perturb the series"
-        )
-    rng = np.random.default_rng(seed)
-    correct = rng.random(deltas.size) < p_dt
-    signed = np.where(correct, error_scale * deltas, -error_scale * deltas)
-    return series.values[:-1] + signed
+    # steps of huge walks can overflow; that shows in the forecasts checked below
+    with np.errstate(over="ignore", invalid="ignore"):
+        deltas = np.diff(series.values)
+        if np.any(deltas == 0.0):
+            bad = int(np.flatnonzero(deltas == 0.0)[0])
+            raise NumericError(
+                f"flat step at index {bad + 1}: directional accuracy is undefined there; "
+                "regenerate or perturb the series"
+            )
+        rng = np.random.default_rng(seed)
+        correct = rng.random(deltas.size) < p_dt
+        signed = np.where(correct, error_scale * deltas, -error_scale * deltas)
+        forecasts = series.values[:-1] + signed
+    return _require_finite(forecasts, "the synthetic forecasts")
 
 
 @dataclass(frozen=True)
@@ -193,8 +199,11 @@ def _run_trial(config: SimConfig, child: np.random.SeedSequence):
     mse_base = float(np.mean(run.base.loss_base))
     mse_tats = float(np.mean(run.tats.loss_adj))
     correct_clf = int(np.count_nonzero(directions == truths))
-    correct_fc = int(np.count_nonzero((forecasts - run.base.y_prev) * deltas > 0.0))
-    abs_gap_sum = float(np.sum(np.abs(run.base.loss_base - deltas**2)))
+    # an overflowing product keeps its sign, so only the gap sum is checked
+    with np.errstate(over="ignore", invalid="ignore"):
+        correct_fc = int(np.count_nonzero((forecasts - run.base.y_prev) * deltas > 0.0))
+        abs_gap_sum = np.sum(np.abs(run.base.loss_base - deltas**2))
+    abs_gap_sum = float(_require_finite(abs_gap_sum, "the summed absolute loss gap"))
     counts = np.bincount(run.tats.scenario, minlength=5)
     return mse_base, mse_tats, correct_clf, correct_fc, abs_gap_sum, counts
 
@@ -212,16 +221,21 @@ def validate_prop1(config: SimConfig) -> SimulationReport:
     trials = tuple(TrialResult(mse_base=r[0], mse_tats=r[1]) for r in raw)
     reductions = [t.reduction for t in trials]
     n = len(reductions)
-    mean_reduction = math.fsum(reductions) / n
-    if n > 1:
-        variance = math.fsum((r - mean_reduction) ** 2 for r in reductions) / (n - 1)
-        std_error = math.sqrt(variance / n)
-    else:
-        std_error = 0.0
     total_steps = config.n_steps * config.n_trials
+    try:
+        mean_reduction = math.fsum(reductions) / n
+        if n > 1:
+            variance = math.fsum((r - mean_reduction) ** 2 for r in reductions) / (n - 1)
+            std_error = math.sqrt(variance / n)
+        else:
+            std_error = 0.0
+        abs_gap = math.fsum(r[4] for r in raw) / total_steps
+    except OverflowError:
+        raise NumericError(
+            "trial statistics overflowed float64; the drift or volatility is too large"
+        ) from None
     correct_clf = sum(r[2] for r in raw)
     correct_fc = sum(r[3] for r in raw)
-    abs_gap = math.fsum(r[4] for r in raw) / total_steps
     counts = np.sum([r[5] for r in raw], axis=0)
     realized_p_db = correct_clf / total_steps
     realized_p_dt = correct_fc / total_steps

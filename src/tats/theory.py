@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, _require_finite
 from .metrics import td_accuracy
 
 if TYPE_CHECKING:
@@ -85,8 +85,10 @@ def lower_bound(abs_gap: float, p_db: float, p_dt: float) -> float:
 
 def abs_gap_from_trace(trace: "ForecastTrace") -> float:
     """Mean |l_t - (y_t - y_{t-1})^2| over a trace's base losses."""
-    deltas = trace.y_true - trace.y_prev
-    return float(np.mean(np.abs(trace.loss_base - deltas**2)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        deltas = trace.y_true - trace.y_prev
+        gap = np.mean(np.abs(trace.loss_base - deltas**2))
+    return float(_require_finite(gap, "the mean absolute loss gap"))
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ import pytest
 from tats import (
     ConfigError,
     DataError,
+    NumericError,
     TrendDirection,
     TrendPredictorSpec,
     cross_val_accuracy,
@@ -97,6 +98,107 @@ def test_logistic_loss_history_non_increasing():
     hist = np.asarray(clf.loss_history)
     assert hist.size == 301  # initial loss plus one entry per update
     assert np.all(np.diff(hist) <= 1e-12)
+
+
+def _reference_sigmoid(z):
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def _reference_logistic_fit(fm, learning_rate, iterations):
+    """The gradient loop with a masked sigmoid and a logaddexp loss."""
+    rows = fm.rows.astype(float)
+    targets = (fm.labels == 1).astype(float)
+    mean = rows.mean(axis=0)
+    scale = rows.std(axis=0)
+    scale = np.where(scale < 1e-12, 1.0, scale)
+    X = (rows - mean) / scale
+    m, d = X.shape
+    w = np.zeros(d)
+    b = 0.0
+    signs = np.where(fm.labels == 1, 1.0, -1.0)
+    losses = []
+    with np.errstate(all="ignore"):
+        for _ in range(iterations):
+            z = X @ w + b
+            losses.append(float(np.mean(np.logaddexp(0.0, -signs * z))))
+            gap = _reference_sigmoid(z) - targets
+            w = w - learning_rate * (X.T @ gap) / m
+            b = b - learning_rate * float(np.mean(gap))
+        z = X @ w + b
+        losses.append(float(np.mean(np.logaddexp(0.0, -signs * z))))
+    if not (np.all(np.isfinite(w)) and np.isfinite(b)):
+        raise NumericError("reference fit diverged")
+    return w, b, losses
+
+
+def _large_score_matrix():
+    # well separated on both sides: the fitted scores reach far past +-40,
+    # where exp(-|z|) is below 1e-17 and the sigmoid rounds to 0 or 1
+    rng = np.random.default_rng(11)
+    X = np.vstack([rng.normal(-4.0, 0.3, size=(150, 3)), rng.normal(4.0, 0.3, size=(150, 3))])
+    return _matrix(X, [-1] * 150 + [1] * 150)
+
+
+@pytest.mark.parametrize(
+    "fm, learning_rate, iterations",
+    [
+        (_blobs(), 0.1, 1000),
+        (_blobs(n=500, rng_seed=3), 0.05, 300),
+        (_large_score_matrix(), 50.0, 200),
+        (_blobs(rng_seed=4), 0.1, 1),
+    ],
+    ids=["blobs", "blobs-500", "large-scores", "one-iteration"],
+)
+def test_logistic_fit_matches_reference_loop(fm, learning_rate, iterations):
+    w, b, losses = _reference_logistic_fit(fm, learning_rate, iterations)
+    clf = fit_classifier(TrendPredictorSpec.logistic(learning_rate, iterations), fm)
+    assert np.array_equal(clf.weights, w)
+    assert clf.bias == b
+    assert len(clf.loss_history) == len(losses) == iterations + 1
+    np.testing.assert_allclose(clf.loss_history, losses, rtol=1e-14, atol=0.0)
+
+
+def test_logistic_fit_large_scores_case_is_saturated():
+    fm = _large_score_matrix()
+    clf = fit_classifier(TrendPredictorSpec.logistic(50.0, 200), fm)
+    scores = clf._scores(fm.rows)
+    assert scores.min() < -40.0 and scores.max() > 40.0
+
+
+def test_logistic_fit_diverges_like_reference_loop():
+    fm = _blobs(rng_seed=5)
+    with pytest.raises(NumericError):
+        _reference_logistic_fit(fm, 1e308, 50)
+    with pytest.raises(NumericError, match="logistic fit diverged"):
+        fit_classifier(TrendPredictorSpec.logistic(1e308, 50), fm)
+
+
+@pytest.mark.parametrize("spec", [
+    TrendPredictorSpec.logistic(), TrendPredictorSpec.gaussian_nb(), TrendPredictorSpec.knn(3),
+], ids=["logistic", "gaussian_nb", "knn"])
+def test_overflowing_features_are_numeric_errors(spec):
+    rng = np.random.default_rng(12)
+    fm = _matrix(np.where(rng.random((40, 2)) < 0.5, 1e307, -1e307), [1, -1] * 20)
+    with pytest.raises(NumericError, match="overflowed float64"):
+        fit_classifier(spec, fm).predict_matrix(fm.rows)
+
+
+def test_overflowing_prediction_rows_are_numeric_errors():
+    huge = np.full((1, 2), 1e200)
+    for spec in (TrendPredictorSpec.gaussian_nb(), TrendPredictorSpec.knn(3)):
+        with pytest.raises(NumericError, match="overflowed float64"):
+            fit_classifier(spec, _blobs()).predict_matrix(huge)
+    clf = LogisticClassifier(
+        weights=np.ones(2), bias=0.0, feature_mean=np.zeros(2),
+        feature_scale=np.full(2, 1e-200), loss_history=(0.0,),
+    )
+    with pytest.raises(NumericError, match="logistic scores"):
+        clf.predict_matrix(huge)
 
 
 def test_logistic_zero_score_predicts_up():

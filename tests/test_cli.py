@@ -392,6 +392,46 @@ def test_diverging_logistic_fit_exits_three_without_warnings(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def _huge_series(path, magnitude, n):
+    signs = np.where(np.random.default_rng(0).random(n) < 0.5, 1.0, -1.0)
+    path.write_text("gold\n" + "".join(f"{float(v)!r}\n" for v in magnitude * signs))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv, series, message",
+    [
+        pytest.param(["simulate", "--drift", "1e308"], None, "the random walk", id="simulate-drift"),
+        pytest.param(["simulate", "--volatility", "1e308"], None, "the random walk",
+                     id="simulate-volatility"),
+        pytest.param(["simulate", "--drift", "1e100"], None, "trial statistics",
+                     id="simulate-drift-statistics"),
+        pytest.param(["run", "--forecaster", "naive", "--classifier", "oracle",
+                      "--oracle-accuracy", "0.7"], (1e307, 40), "the summed squared",
+                     id="run-1e307-naive-oracle"),
+        pytest.param(["run", "--forecaster", "ar", "--classifier", "oracle",
+                      "--oracle-accuracy", "0.7"], (1e307, 40), "AR(2) fit",
+                     id="run-1e307-ar"),
+        pytest.param(["run", "--forecaster", "naive"], (1e153, 400), "the summed squared",
+                     id="run-1e153-naive"),
+    ],
+)
+def test_overflow_exits_three_without_warnings(tmp_path, capsys, argv, series, message):
+    if series is None:
+        argv = argv + ["--n-steps", "50", "--n-trials", "2"]
+    else:
+        data = _huge_series(tmp_path / "huge.csv", *series)
+        argv = argv + ["--data", data, "--target-column", "gold"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would raise here
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"numeric error: {message}")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err and "RuntimeWarning" not in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("theory_split", ["train", "test"])
 def test_run_fits_forecaster_and_classifier_once(tmp_path, monkeypatch, theory_split):
     calls = {"fit_classifier": 0, "fit_forecaster": 0}

@@ -4,6 +4,7 @@ import pytest
 from tats import (
     ConfigError,
     DataError,
+    NumericError,
     Scenario,
     TatsConfig,
     TimeSeries,
@@ -157,12 +158,23 @@ def test_evaluate_forecasts_validation():
         evaluate_forecasts(values, 1, np.array([]), np.array([]), 1.0)
     with pytest.raises(ConfigError):
         evaluate_forecasts(values, 1, np.ones(3), np.ones(2), 1.0)
-    with pytest.raises(DataError):
-        evaluate_forecasts(values, 1, np.ones(2), np.array([1, 0]), 1.0)
+    for bad in ([1, 0], [1, 2], [-1, -2]):
+        with pytest.raises(DataError, match="directions must be"):
+            evaluate_forecasts(values, 1, np.ones(2), np.array(bad), 1.0)
     with pytest.raises(ConfigError):
         evaluate_forecasts(values, 0, np.ones(2), np.array([1, 1]), 1.0)
     with pytest.raises(ConfigError):
         evaluate_forecasts(values, 4, np.ones(2), np.array([1, 1]), 1.0)
+
+
+def test_evaluate_forecasts_overflow_is_a_numeric_error():
+    # each squared error is finite at 1e153, but their sum is not
+    values = np.tile([1e153, -1e153], 200)
+    with pytest.raises(NumericError, match="summed squared forecast errors"):
+        evaluate_forecasts(values, 1, values[:-1], np.ones(399, dtype=int), 1.0)
+    values = np.array([1e307, -1e307, 1e307])
+    with pytest.raises(NumericError):
+        evaluate_forecasts(values, 1, values[:-1], np.array([1, 1]), 1.0)
 
 
 def test_scenario_tally():

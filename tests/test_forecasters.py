@@ -4,6 +4,7 @@ import pytest
 from tats import (
     ConfigError,
     DataError,
+    NumericError,
     TimeSeries,
     ValueForecasterSpec,
     fit_forecaster,
@@ -210,3 +211,14 @@ def test_external_spec_rejects_a_path(tmp_path):
     train, test = _series(values[:7]), _series(values[7:])
     with pytest.raises(ConfigError, match="load_external_forecasts"):
         walk_forward_forecasts(ValueForecasterSpec.external(str(path)), train, test)
+
+
+def test_fits_on_huge_values_are_numeric_errors():
+    huge = _series(np.where(np.random.default_rng(3).random(40) < 0.5, 1e307, -1e307))
+    with pytest.raises(NumericError, match="AR\\(2\\) fit"):
+        fit_ar(huge, 2)
+    with pytest.raises(NumericError, match="mean training step"):
+        fit_forecaster(ValueForecasterSpec.drift(), _series([1.5e308, -1.5e308, 1.5e308]))
+    # a drift step past the float64 range is inf, left to the loss check, with no warning
+    drift = fit_forecaster(ValueForecasterSpec.drift(), _series([0.0, 1e308]))
+    assert forecast_one(drift, [0.0, 1e308]) == float("inf")

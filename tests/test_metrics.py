@@ -99,6 +99,19 @@ def test_mae_mse_inequality():
         assert mae(a, p) ** 2 <= mse(a, p) + 1e-12
 
 
+def test_overflowing_metrics_are_numeric_errors():
+    huge = np.array([1e308, -1e308, 1e308])  # the errors themselves overflow
+    for metric in (mse, mae, mape, lambda t, p: trend_aware_loss(t, p, 1.0)):
+        with pytest.raises(NumericError, match="overflowed float64"):
+            metric(huge, -huge)
+    tiny = EvalReport(tda=0.5, mse=1e-320, mae=1e-160, mape=None, n_steps=4)
+    worse = EvalReport(tda=0.5, mse=1.0, mae=1.0, mape=None, n_steps=4)
+    with pytest.raises(NumericError, match="relative improvement overflowed"):
+        diff_rdiff(tiny, worse)
+    # an overflowing direction product keeps its sign
+    assert td_accuracy(np.zeros(2), np.array([1e200, -1e200]), np.array([1e200, 1e200])) == 0.5
+
+
 def test_length_mismatch():
     with pytest.raises(ConfigError):
         mse(np.array([1.0]), np.array([1.0, 2.0]))

@@ -138,3 +138,23 @@ def test_converse_direction():
     rep = validate_prop1(SimConfig(n_trials=40, p_db=0.50, p_dt=0.70, seed=4))
     assert rep.mean_reduction < 0
     assert not rep.bound_satisfied or rep.theoretical_bound < 0
+
+
+def test_walk_rejects_non_finite_settings():
+    for drift, volatility in ((0.0, float("inf")), (0.0, float("nan")), (0.0, -1.0),
+                              (float("inf"), 1.0), (float("nan"), 1.0)):
+        with pytest.raises(ConfigError):
+            gen_random_walk(10, drift, volatility, 0)
+
+
+@pytest.mark.parametrize("drift, volatility", [(1e308, 1.0), (0.0, 1e308)])
+def test_walk_overflow_is_a_numeric_error(drift, volatility):
+    with pytest.raises(NumericError, match="random walk overflowed"):
+        gen_random_walk(50, drift, volatility, 0)
+
+
+@pytest.mark.parametrize("drift, volatility", [(1e100, 1.0), (0.0, 1e100), (1e200, 1.0)])
+def test_validate_prop1_overflow_is_a_numeric_error(drift, volatility):
+    # every walk is finite, but the trial statistics overflow
+    with pytest.raises(NumericError, match="overflowed float64"):
+        validate_prop1(SimConfig(n_steps=50, n_trials=2, drift=drift, volatility=volatility))

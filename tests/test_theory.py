@@ -3,6 +3,7 @@ import pytest
 
 from tats import (
     ConfigError,
+    NumericError,
     estimate_theory,
     expected_loss_change,
     lower_bound,
@@ -81,6 +82,8 @@ def test_input_validation():
     with pytest.raises(ConfigError):
         lower_bound(-1.0, 0.5, 0.5)
     with pytest.raises(ConfigError):
+        lower_bound(float("nan"), 0.5, 0.5)
+    with pytest.raises(ConfigError):
         scenario_probabilities(0.5, 1.1)
 
 
@@ -107,6 +110,14 @@ def test_abs_gap_matches_brute_force():
     base = run.base
     expected = np.mean(np.abs(base.loss_base - (base.y_true - base.y_prev) ** 2))
     assert abs_gap_from_trace(base) == pytest.approx(float(expected), rel=1e-15)
+
+
+def test_abs_gap_overflow_is_a_numeric_error():
+    # perfect forecasts give zero losses, but the squared moves overflow
+    values = np.array([0.0, 1e200, -1e200, 1e200])
+    run = evaluate_forecasts(values, 1, values[1:], np.array([1, -1, 1]), 1.0)
+    with pytest.raises(NumericError, match="loss gap"):
+        estimate_theory(run.base)
 
 
 def test_estimate_theory_on_random_runs():
