@@ -57,8 +57,7 @@ print("alphas track the base closely; large ones overshoot whenever the")
 print("classifier is wrong, so MSE is not monotone in alpha.")
 
 # the plug-in estimate of the expected reduction, from in-sample behavior
-in_sample = run_tats(config, train, test, eval_split="train")
-theory = estimate_theory(in_sample.base)
+theory = estimate_theory(run_tats(config, train, test, eval_split="train"))
 print()
 print(
     f"in-sample estimate: p_db={theory.p_db:.4f} (classifier) vs "
@@ -73,7 +72,7 @@ out_dir = Path(__file__).resolve().parent / "output"
 out_dir.mkdir(exist_ok=True)
 
 best = min(sweep.entries, key=lambda e: e.report.mse)
-best_run = run_tats(
+trace = run_tats(
     TatsConfig(
         alpha=best.alpha,
         value_forecaster=config.value_forecaster,
@@ -83,13 +82,13 @@ best_run = run_tats(
     train,
     test,
 )
-xs = [float(t) for t in best_run.tats.t]
+xs = [float(t) for t in trace.t]
 chart = line_chart(
     f"Test forecasts (alpha={best.alpha:g})",
     [
-        ("actual", xs, list(best_run.tats.y_true)),
-        ("base", xs, list(best_run.base.y_adj)),
-        ("adjusted", xs, list(best_run.tats.y_adj)),
+        ("actual", xs, list(trace.y_true)),
+        ("base", xs, list(trace.y_hat)),
+        ("adjusted", xs, list(trace.y_adj)),
     ],
     x_label="t",
     y_label="price",

@@ -19,10 +19,7 @@ from .classifiers import (
     MajorityClassifier,
     OracleTrendPredictor,
     TrendPredictorSpec,
-    classification_accuracy,
-    cross_val_accuracy,
     fit_classifier,
-    predict_direction,
 )
 from .core import (
     FLAT,
@@ -41,7 +38,6 @@ from .engine import (
     SweepEntry,
     SweepResult,
     TatsConfig,
-    TatsRun,
     adjust,
     classify_scenario,
     evaluate_forecasts,
@@ -56,7 +52,6 @@ from .forecasters import (
     ValueForecasterSpec,
     fit_ar,
     fit_forecaster,
-    forecast_one,
     walk_forward_forecasts,
 )
 from .ingest import (
@@ -65,7 +60,6 @@ from .ingest import (
     FeatureMatrix,
     FeatureTable,
     build_feature_table,
-    build_features,
     load_csv,
     load_external_directions,
     load_external_forecasts,
@@ -129,7 +123,6 @@ __all__ = [
     "SweepResult",
     "TatsConfig",
     "TatsError",
-    "TatsRun",
     "TheoryEstimate",
     "TimeSeries",
     "TrendAwareLossConfig",
@@ -140,12 +133,9 @@ __all__ = [
     "abs_gap_from_trace",
     "adjust",
     "build_feature_table",
-    "build_features",
     "chronological_split",
-    "classification_accuracy",
     "classify_scenario",
     "concat",
-    "cross_val_accuracy",
     "diff",
     "diff_rdiff",
     "direction_of",
@@ -156,7 +146,6 @@ __all__ = [
     "fit_ar",
     "fit_classifier",
     "fit_forecaster",
-    "forecast_one",
     "gen_random_walk",
     "indicator",
     "load_csv",
@@ -166,7 +155,6 @@ __all__ = [
     "mae",
     "mape",
     "mse",
-    "predict_direction",
     "run_tats",
     "scenario_probabilities",
     "sweep_alpha",

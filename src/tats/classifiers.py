@@ -29,10 +29,7 @@ __all__ = [
     "MajorityClassifier",
     "OracleTrendPredictor",
     "TrendPredictorSpec",
-    "classification_accuracy",
-    "cross_val_accuracy",
     "fit_classifier",
-    "predict_direction",
 ]
 
 NB_VARIANCE_FLOOR = 1e-9
@@ -348,53 +345,3 @@ def fit_classifier(spec: TrendPredictorSpec, features: FeatureMatrix | None = No
             raise ConfigError(f"KNN k={spec.k} exceeds the {len(features)} training rows")
         return KNNClassifier(rows=features.rows.astype(float), labels=features.labels, k=spec.k)
     raise ConfigError(f"unknown classifier kind: {spec.kind}")
-
-
-def predict_direction(predictor, feature_row) -> TrendDirection:
-    """Predict the next move's direction from one feature row."""
-    if isinstance(predictor, (OracleTrendPredictor, DirectionTable)):
-        raise ConfigError(f"{type(predictor).__name__} does not consume feature rows")
-    row = np.asarray(feature_row, dtype=float)
-    n_features = predictor.n_features
-    if row.ndim != 1 or row.size != n_features:
-        raise ConfigError(f"feature row has shape {row.shape}, model expects {n_features} features")
-    return TrendDirection(int(predictor.predict_matrix(row[None, :])[0]))
-
-
-def classification_accuracy(predicted, actual) -> float:
-    """Fraction of exact direction matches between two aligned sequences."""
-    p = np.asarray([int(d) for d in predicted], dtype=int)
-    a = np.asarray([int(d) for d in actual], dtype=int)
-    if p.size != a.size:
-        raise ConfigError(f"prediction and truth lengths differ: {p.size} vs {a.size}")
-    if p.size == 0:
-        raise ConfigError("accuracy needs at least one prediction")
-    return float(np.count_nonzero(p == a) / p.size)
-
-
-def cross_val_accuracy(spec: TrendPredictorSpec, features: FeatureMatrix, n_folds: int = 5) -> float:
-    """Expanding-window cross-validated accuracy.
-
-    Rows are cut into n_folds contiguous chronological blocks; each block
-    after the first is predicted by a model fit on all earlier blocks,
-    so no fold ever trains on data from its own future.
-    """
-    if n_folds < 2:
-        raise ConfigError(f"cross-validation needs at least 2 folds, got {n_folds}")
-    if len(features) < n_folds:
-        raise DataError(f"{len(features)} rows cannot form {n_folds} folds")
-    blocks = np.array_split(np.arange(len(features)), n_folds)
-    scores = []
-    for i in range(1, n_folds):
-        train_idx = np.concatenate(blocks[:i])
-        val_idx = blocks[i]
-        train = FeatureMatrix(
-            rows=features.rows[train_idx],
-            labels=features.labels[train_idx],
-            row_time_index=features.row_time_index[train_idx],
-            n_flat_dropped=0,
-        )
-        fitted = fit_classifier(spec, train)
-        predicted = fitted.predict_matrix(features.rows[val_idx])
-        scores.append(classification_accuracy(predicted, features.labels[val_idx]))
-    return float(np.mean(scores))

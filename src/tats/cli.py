@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .classifiers import ClassifierKind, TrendPredictorSpec
 from .core import chronological_split
-from .engine import TatsConfig, _prepare_run, _sweep, evaluate_forecasts, sweep_alpha
+from .engine import TatsConfig, _prepare_run, _SplitDataError, _sweep, evaluate_forecasts, sweep_alpha
 from .errors import ConfigError, DataError, NumericError
 from .forecasters import ForecasterKind, ValueForecasterSpec
 from .ingest import (
@@ -317,11 +317,19 @@ def _sweep_chart(sweep) -> str:
 def cmd_run(args: argparse.Namespace) -> int:
     _resolve_settings(args)
     _, train, test, features, config, alphas = _prepare_experiment(args)
-    test_inputs, theory_inputs = _prepare_run(
-        config, train, test, features, ("test", args.theory_split)
-    )
+    try:
+        test_inputs, theory_inputs = _prepare_run(
+            config, train, test, features, ("test", args.theory_split)
+        )
+    except _SplitDataError as exc:
+        if exc.split != "train":
+            raise
+        # the first split is the test split, so the train one is the theory estimate's
+        raise DataError(
+            f"{exc}; the theory estimate reads the train split, and --theory-split test avoids it"
+        ) from None
     sweep = _sweep(test_inputs, alphas)
-    theory = estimate_theory(evaluate_forecasts(*theory_inputs, config.alpha).base)
+    theory = estimate_theory(evaluate_forecasts(*theory_inputs, config.alpha))
 
     out = args.out_dir
     out.mkdir(parents=True, exist_ok=True)
@@ -362,14 +370,14 @@ def cmd_run(args: argparse.Namespace) -> int:
     (out / "report.json").write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
 
     best = min(sweep.entries, key=lambda e: e.report.mse)
-    best_run = evaluate_forecasts(*test_inputs, best.alpha)
-    xs = [float(t) for t in best_run.tats.t]
+    trace = evaluate_forecasts(*test_inputs, best.alpha)
+    xs = [float(t) for t in trace.t]
     forecast_svg = line_chart(
         f"Test forecasts (alpha={best.alpha:g})",
         [
-            ("actual", xs, list(best_run.tats.y_true)),
-            ("base", xs, list(best_run.base.y_adj)),
-            ("adjusted", xs, list(best_run.tats.y_adj)),
+            ("actual", xs, list(trace.y_true)),
+            ("base", xs, list(trace.y_hat)),
+            ("adjusted", xs, list(trace.y_adj)),
         ],
         x_label="t",
         y_label=args.target_column,

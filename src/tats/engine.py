@@ -50,7 +50,6 @@ __all__ = [
     "SweepEntry",
     "SweepResult",
     "TatsConfig",
-    "TatsRun",
     "adjust",
     "classify_scenario",
     "evaluate_forecasts",
@@ -107,8 +106,9 @@ def classify_scenario(
 class ForecastTrace:
     """Aligned per-step arrays for one evaluated forecast sequence.
 
-    y_adj holds the trace's final forecasts; for an unadjusted base
-    trace it simply equals y_hat and loss_adj equals loss_base.
+    Each step carries both forecasts the method compares: the base
+    forecast y_hat with its loss_base, and the adjusted forecast y_adj
+    with its loss_adj.
     """
 
     t: np.ndarray
@@ -149,7 +149,11 @@ class ScenarioTally:
 
     @classmethod
     def from_trace(cls, trace: ForecastTrace) -> "ScenarioTally":
-        counts = np.bincount(trace.scenario, minlength=5)
+        return cls.from_counts(np.bincount(trace.scenario, minlength=5))
+
+    @classmethod
+    def from_counts(cls, counts: np.ndarray) -> "ScenarioTally":
+        """Tally from per-scenario counts indexed by Scenario value."""
         return cls(
             s1=int(counts[Scenario.S1]),
             s2=int(counts[Scenario.S2]),
@@ -167,18 +171,6 @@ class ScenarioTally:
             "S1": self.s1, "S2": self.s2, "S3": self.s3, "S4": self.s4,
             "undefined": self.undefined,
         }
-
-
-@dataclass(frozen=True)
-class TatsRun:
-    """Adjusted trace plus the unadjusted base trace over the same steps."""
-
-    tats: ForecastTrace
-    base: ForecastTrace
-
-    @property
-    def scenario_tally(self) -> ScenarioTally:
-        return ScenarioTally.from_trace(self.tats)
 
 
 @dataclass(frozen=True)
@@ -205,7 +197,7 @@ def evaluate_forecasts(
     forecasts: np.ndarray,
     directions: np.ndarray,
     alpha: float,
-) -> TatsRun:
+) -> ForecastTrace:
     """Apply the adjustment to precomputed forecasts and directions.
 
     values is the full series; forecasts[i] and directions[i] describe
@@ -252,17 +244,19 @@ def evaluate_forecasts(
             np.where(directions == actual_sign, int(Scenario.S4), int(Scenario.S3)),
         ),
     )
-    tats = ForecastTrace(
+    return ForecastTrace(
         t=t, y_prev=y_prev, y_true=y_true, y_hat=forecasts, direction=directions,
         indicator=ind, y_adj=y_adj, loss_base=loss_base, loss_adj=loss_adj,
         scenario=scenario,
     )
-    base = ForecastTrace(
-        t=t, y_prev=y_prev, y_true=y_true, y_hat=forecasts, direction=directions,
-        indicator=ind, y_adj=forecasts, loss_base=loss_base, loss_adj=loss_base,
-        scenario=scenario,
-    )
-    return TatsRun(tats=tats, base=base)
+
+
+class _SplitDataError(DataError):
+    """A data error met while forecasting or predicting one evaluation split."""
+
+    def __init__(self, split: str, message: str) -> None:
+        super().__init__(f"{message} (in the {split} split)")
+        self.split = split
 
 
 def _prepare_run(
@@ -309,23 +303,26 @@ def _prepare_run(
                     f"(first evaluable index {start})"
                 )
 
-        forecasts = _walk_forward(
-            config.value_forecaster, fitted, values[:stop], start, config.refit_each_step
-        )
         eval_t = np.arange(start, stop)
         # a fresh oracle per split restarts its draws from the seed
         if not feature_based:
             classifier = fit_classifier(clf_spec)
-        if isinstance(classifier, OracleTrendPredictor):
-            with np.errstate(over="ignore"):  # the sign survives overflow to +-inf
-                truths = np.sign(values[eval_t] - values[eval_t - 1]).astype(int)
-            directions = classifier.draw_many(truths)
-        elif isinstance(classifier, DirectionTable):
-            directions = np.array(
-                [int(classifier.direction_at(int(t))) for t in eval_t], dtype=int
+        try:
+            forecasts = _walk_forward(
+                config.value_forecaster, fitted, values[:stop], start, config.refit_each_step
             )
-        else:
-            directions = classifier.predict_matrix(features._rows_at(eval_t - 1))
+            if isinstance(classifier, OracleTrendPredictor):
+                with np.errstate(over="ignore"):  # the sign survives overflow to +-inf
+                    truths = np.sign(values[eval_t] - values[eval_t - 1]).astype(int)
+                directions = classifier.draw_many(truths)
+            elif isinstance(classifier, DirectionTable):
+                directions = np.array(
+                    [int(classifier.direction_at(int(t))) for t in eval_t], dtype=int
+                )
+            else:
+                directions = classifier.predict_matrix(features.rows_at(eval_t - 1))
+        except DataError as exc:
+            raise _SplitDataError(eval_split, str(exc)) from None
         prepared.append((values, start, forecasts, directions))
     return prepared
 
@@ -336,7 +333,7 @@ def run_tats(
     test: TimeSeries,
     features: FeatureTable | None = None,
     eval_split: str = "test",
-) -> TatsRun:
+) -> ForecastTrace:
     """Fit on the train split and evaluate the adjustment walk-forward.
 
     By default evaluation covers the test split, with true values
@@ -390,17 +387,9 @@ def _sweep(inputs: tuple, alphas) -> SweepResult:
         raise ConfigError("alpha sweep needs at least one alpha")
     for a in alphas:
         _check_alpha(a)
-    base_report = None
     entries = []
     for a in alphas:
-        run = evaluate_forecasts(*inputs, a)
-        if base_report is None:
-            base_report = evaluate_trace(run.base)
-        entries.append(
-            SweepEntry(
-                alpha=a,
-                report=evaluate_trace(run.tats, base=base_report),
-                tally=run.scenario_tally,
-            )
-        )
+        trace = evaluate_forecasts(*inputs, a)
+        base_report, report = evaluate_trace(trace)
+        entries.append(SweepEntry(alpha=a, report=report, tally=ScenarioTally.from_trace(trace)))
     return SweepResult(base_report=base_report, entries=tuple(entries))

@@ -28,7 +28,6 @@ __all__ = [
     "ValueForecasterSpec",
     "fit_ar",
     "fit_forecaster",
-    "forecast_one",
     "walk_forward_forecasts",
 ]
 
@@ -242,18 +241,6 @@ def fit_forecaster(spec: ValueForecasterSpec, train: TimeSeries):
     raise ConfigError(f"unknown forecaster kind: {spec.kind}")
 
 
-def forecast_one(model, history) -> float:
-    """One-step-ahead forecast given everything observed so far."""
-    hist = np.asarray(history, dtype=float)
-    if hist.ndim != 1 or hist.size < 1:
-        raise DataError("history must be a non-empty 1-D sequence")
-    if hist.size < model.required_history:
-        raise DataError(
-            f"history of length {hist.size} too short: model needs {model.required_history}"
-        )
-    return model.forecast_one(hist)
-
-
 def walk_forward_forecasts(
     spec: ValueForecasterSpec,
     train: TimeSeries,
@@ -279,12 +266,15 @@ def walk_forward_forecasts(
 def _walk_forward(spec, fitted, values: np.ndarray, start: int, refit_each_step: bool) -> np.ndarray:
     """Forecast values[t] from values[:t] for every t from start on.
 
-    ``fitted`` serves every step unless refit_each_step is set, in which
-    case each step after the first refits ``spec`` on its history.
+    start must be at least ``fitted.required_history``, so no step checks
+    its history length: in-sample walks start there or later, and every
+    fit needs at least that many training values. ``fitted`` serves every
+    step unless refit_each_step is set, in which case each step after the
+    first refits ``spec`` on its history.
     """
     out = np.empty(values.size - start, dtype=float)
     for i, t in enumerate(range(start, values.size)):
         if refit_each_step and t > start:
             fitted = fit_forecaster(spec, TimeSeries(values[:t]))
-        out[i] = forecast_one(fitted, values[:t])
+        out[i] = fitted.forecast_one(values[:t])
     return out

@@ -22,6 +22,7 @@ counted, never silently imputed.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -35,7 +36,6 @@ __all__ = [
     "ExternalForecasts",
     "FeatureMatrix",
     "FeatureTable",
-    "build_features",
     "build_feature_table",
     "load_csv",
     "load_external_directions",
@@ -183,11 +183,7 @@ class FeatureTable:
             n_flat_dropped=n_flat,
         )
 
-    def row_at(self, time_index: int) -> np.ndarray:
-        """Feature row at an exact time index; errors if not constructible."""
-        return self._rows_at(np.array([time_index]))[0]
-
-    def _rows_at(self, time_indices: np.ndarray) -> np.ndarray:
+    def rows_at(self, time_indices: np.ndarray) -> np.ndarray:
         """Feature rows at exact time indices; the first missing one raises."""
         times = self.row_time_index
         pos = np.minimum(np.searchsorted(times, time_indices), times.size - 1)
@@ -236,17 +232,6 @@ def build_feature_table(
     return FeatureTable(rows=rows, row_time_index=times, next_delta=next_delta)
 
 
-def build_features(
-    dataset: Dataset,
-    n_lags: int,
-    include_exogenous: bool = True,
-    exog_lag: int = 0,
-) -> FeatureMatrix:
-    """Labeled feature rows over the whole dataset (flat labels dropped)."""
-    table = build_feature_table(dataset, n_lags, include_exogenous, exog_lag)
-    return table.training_matrix()
-
-
 @dataclass(frozen=True)
 class ExternalForecasts:
     """Forecasts keyed by 0-based series position."""
@@ -284,15 +269,18 @@ def _indexed_column(path: str | Path, value_column: str) -> dict[int, float]:
 def load_external_forecasts(path: str | Path, series: TimeSeries) -> ExternalForecasts:
     """Load a time_index,forecast CSV aligned to ``series``.
 
-    Every index must fall in 1..len(series)-1; duplicates are rejected.
+    Every index must fall in 1..len(series)-1 and every forecast must be
+    finite; duplicates are rejected.
     """
     table = _indexed_column(path, "forecast")
     n = len(series)
-    for t in table:
+    for t, v in table.items():
         if not 1 <= t <= n - 1:
             raise DataError(
                 f"{path}: time_index {t} outside the forecastable range 1..{n - 1}"
             )
+        if not math.isfinite(v):
+            raise DataError(f"{path}: forecast at time_index {t} is not finite, got {v}")
     return ExternalForecasts(by_index=table)
 
 

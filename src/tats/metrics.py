@@ -173,20 +173,24 @@ def diff_rdiff(base: EvalReport, candidate: EvalReport) -> tuple[float, float]:
     return d, r
 
 
-def evaluate_trace(trace: "ForecastTrace", base: EvalReport | None = None) -> EvalReport:
-    """Build an EvalReport from a trace's final forecasts.
-
-    With ``base`` given, Diff/R-Diff against it are filled in. MAPE is
-    None when any actual is zero, where it is undefined.
-    """
-    report = EvalReport(
-        tda=td_accuracy(trace.y_prev, trace.y_true, trace.y_adj),
-        mse=mse(trace.y_true, trace.y_adj),
-        mae=mae(trace.y_true, trace.y_adj),
-        mape=None if np.any(trace.y_true == 0.0) else mape(trace.y_true, trace.y_adj),
+def _report(trace: "ForecastTrace", forecasts: np.ndarray) -> EvalReport:
+    return EvalReport(
+        tda=td_accuracy(trace.y_prev, trace.y_true, forecasts),
+        mse=mse(trace.y_true, forecasts),
+        mae=mae(trace.y_true, forecasts),
+        mape=None if np.any(trace.y_true == 0.0) else mape(trace.y_true, forecasts),
         n_steps=len(trace),
     )
-    if base is not None:
-        d, r = diff_rdiff(base, report)
-        report = replace(report, diff=d, r_diff=r)
-    return report
+
+
+def evaluate_trace(trace: "ForecastTrace") -> tuple[EvalReport, EvalReport]:
+    """Reports for a trace's base forecasts (y_hat) and adjusted ones (y_adj).
+
+    The adjusted report carries Diff/R-Diff against the base report, so a
+    zero base MSE raises NumericError. MAPE is None when any actual is
+    zero, where it is undefined.
+    """
+    base = _report(trace, trace.y_hat)
+    adjusted = _report(trace, trace.y_adj)
+    d, r = diff_rdiff(base, adjusted)
+    return base, replace(adjusted, diff=d, r_diff=r)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .classifiers import OracleTrendPredictor
 from .core import TimeSeries
-from .engine import Scenario, _check_alpha, evaluate_forecasts
+from .engine import ScenarioTally, _check_alpha, evaluate_forecasts
 from .errors import ConfigError, NumericError, _require_finite
 from .theory import lower_bound
 
@@ -194,17 +194,17 @@ def _run_trial(config: SimConfig, child: np.random.SeedSequence):
     truths = np.sign(np.diff(series.values)).astype(int)
     oracle = OracleTrendPredictor(accuracy=config.p_db, rng=np.random.default_rng(classifier_ss))
     directions = oracle.draw_many(truths)
-    run = evaluate_forecasts(series.values, 1, forecasts, directions, config.alpha)
-    deltas = run.base.y_true - run.base.y_prev
-    mse_base = float(np.mean(run.base.loss_base))
-    mse_tats = float(np.mean(run.tats.loss_adj))
+    trace = evaluate_forecasts(series.values, 1, forecasts, directions, config.alpha)
+    deltas = trace.y_true - trace.y_prev
+    mse_base = float(np.mean(trace.loss_base))
+    mse_tats = float(np.mean(trace.loss_adj))
     correct_clf = int(np.count_nonzero(directions == truths))
     # an overflowing product keeps its sign, so only the gap sum is checked
     with np.errstate(over="ignore", invalid="ignore"):
-        correct_fc = int(np.count_nonzero((forecasts - run.base.y_prev) * deltas > 0.0))
-        abs_gap_sum = np.sum(np.abs(run.base.loss_base - deltas**2))
+        correct_fc = int(np.count_nonzero((forecasts - trace.y_prev) * deltas > 0.0))
+        abs_gap_sum = np.sum(np.abs(trace.loss_base - deltas**2))
     abs_gap_sum = float(_require_finite(abs_gap_sum, "the summed absolute loss gap"))
-    counts = np.bincount(run.tats.scenario, minlength=5)
+    counts = np.bincount(trace.scenario, minlength=5)
     return mse_base, mse_tats, correct_clf, correct_fc, abs_gap_sum, counts
 
 
@@ -249,12 +249,6 @@ def validate_prop1(config: SimConfig) -> SimulationReport:
         realized_p_dt=realized_p_dt,
         mean_abs_gap=abs_gap,
         theoretical_bound=lower_bound(abs_gap, realized_p_db, realized_p_dt),
-        scenario_counts={
-            "S1": int(counts[Scenario.S1]),
-            "S2": int(counts[Scenario.S2]),
-            "S3": int(counts[Scenario.S3]),
-            "S4": int(counts[Scenario.S4]),
-            "undefined": int(counts[Scenario.UNDEFINED]),
-        },
+        scenario_counts=ScenarioTally.from_counts(counts).to_dict(),
         n_steps_total=total_steps,
     )

@@ -107,19 +107,19 @@ class TheoryEstimate:
         return asdict(self)
 
 
-def estimate_theory(base_trace: "ForecastTrace") -> TheoryEstimate:
-    """Estimate p_db, p_dt, and the expected reduction from a base trace.
+def estimate_theory(trace: "ForecastTrace") -> TheoryEstimate:
+    """Estimate p_db, p_dt, and the expected reduction from a trace's base forecasts.
 
-    p_dt is the trace's own trend-direction accuracy. p_db is the
-    classifier's hit rate against the realized strict direction on the
-    same steps; a flat actual move counts as a miss for both, mirroring
-    the accuracy definition.
+    p_dt is the trend-direction accuracy of the base forecasts y_hat. p_db
+    is the classifier's hit rate against the realized strict direction on
+    the same steps; a flat actual move counts as a miss for both, mirroring
+    the accuracy definition. The adjusted forecasts are not used.
     """
-    deltas = base_trace.y_true - base_trace.y_prev
+    deltas = trace.y_true - trace.y_prev
     actual_sign = np.sign(deltas).astype(int)
-    p_db = float(np.count_nonzero(base_trace.direction == actual_sign) / deltas.size)
-    p_dt = td_accuracy(base_trace.y_prev, base_trace.y_true, base_trace.y_hat)
-    gap = abs_gap_from_trace(base_trace)
+    p_db = float(np.count_nonzero(trace.direction == actual_sign) / deltas.size)
+    p_dt = td_accuracy(trace.y_prev, trace.y_true, trace.y_hat)
+    gap = abs_gap_from_trace(trace)
     change = expected_loss_change(gap, p_db, p_dt)
     return TheoryEstimate(
         p_db=p_db,

@@ -121,8 +121,8 @@ def test_c04_identity_configurations():
         )
         run = run_tats(naive_cfg, train, test)
         if not (
-            np.array_equal(run.tats.y_adj, run.base.y_adj)
-            and np.array_equal(run.tats.loss_adj, run.base.loss_base)
+            np.array_equal(run.y_adj, run.y_hat)
+            and np.array_equal(run.loss_adj, run.loss_base)
         ):
             mismatches_naive += 1
 
@@ -139,7 +139,7 @@ def test_c04_identity_configurations():
             trend_predictor=TrendPredictorSpec.external(source=table),
         )
         run = run_tats(echo_cfg, train, test)
-        if not np.array_equal(run.tats.y_adj, run.base.y_adj):
+        if not np.array_equal(run.y_adj, run.y_hat):
             mismatches_echo += 1
     ok = mismatches_naive == 0 and mismatches_echo == 0
     _report(

@@ -7,16 +7,9 @@ from tats import (
     NumericError,
     TrendDirection,
     TrendPredictorSpec,
-    cross_val_accuracy,
     fit_classifier,
-    predict_direction,
 )
-from tats.classifiers import (
-    DirectionTable,
-    LogisticClassifier,
-    OracleTrendPredictor,
-    classification_accuracy,
-)
+from tats.classifiers import LogisticClassifier, OracleTrendPredictor
 from tats.core import FLAT
 from tats.ingest import FeatureMatrix
 
@@ -75,19 +68,19 @@ def test_external_spec_takes_only_a_loaded_table(tmp_path):
 def test_majority_tie_goes_up():
     fm = _matrix([[0.0], [1.0], [2.0], [3.0]], [1, 1, -1, -1])
     clf = fit_classifier(TrendPredictorSpec.majority(), fm)
-    assert predict_direction(clf, np.array([9.9])) is TrendDirection.UP
+    assert clf.predict_matrix(np.array([[9.9]]))[0] == 1
 
 
 def test_majority_follows_count():
     fm = _matrix([[0.0], [1.0], [2.0]], [-1, -1, 1])
     clf = fit_classifier(TrendPredictorSpec.majority(), fm)
-    assert predict_direction(clf, np.array([0.0])) is TrendDirection.DOWN
+    assert clf.predict_matrix(np.array([[0.0]]))[0] == -1
 
 
 def test_logistic_separable_blobs():
     fm = _blobs()
     clf = fit_classifier(TrendPredictorSpec.logistic(), fm)
-    acc = classification_accuracy(clf.predict_matrix(fm.rows), fm.labels)
+    acc = np.mean(clf.predict_matrix(fm.rows) == fm.labels)
     assert acc >= 0.95
 
 
@@ -209,13 +202,13 @@ def test_logistic_zero_score_predicts_up():
         feature_scale=np.ones(2),
         loss_history=(0.0,),
     )
-    assert predict_direction(clf, np.array([0.0, 0.0])) is TrendDirection.UP
+    assert clf.predict_matrix(np.array([[0.0, 0.0]]))[0] == 1
 
 
 def test_gaussian_nb_separable():
     fm = _blobs(rng_seed=9)
     clf = fit_classifier(TrendPredictorSpec.gaussian_nb(), fm)
-    acc = classification_accuracy(clf.predict_matrix(fm.rows), fm.labels)
+    acc = np.mean(clf.predict_matrix(fm.rows) == fm.labels)
     assert acc >= 0.95
 
 
@@ -223,7 +216,7 @@ def test_gaussian_nb_constant_feature_column():
     # zero variance hits the variance floor instead of dividing by zero
     fm = _matrix([[1.0, 5.0], [2.0, 5.0], [3.0, 5.0], [4.0, 5.0]], [1, 1, -1, -1])
     clf = fit_classifier(TrendPredictorSpec.gaussian_nb(), fm)
-    assert predict_direction(clf, np.array([1.5, 5.0])) is TrendDirection.UP
+    assert clf.predict_matrix(np.array([[1.5, 5.0]]))[0] == 1
 
 
 def test_single_class_training_rejected():
@@ -237,14 +230,14 @@ def test_single_class_training_rejected():
 def test_knn_nearest_neighbour():
     fm = _matrix([[0.0], [1.0], [10.0]], [1, -1, 1])
     clf = fit_classifier(TrendPredictorSpec.knn(k=1), fm)
-    assert predict_direction(clf, np.array([0.4])) is TrendDirection.UP
-    assert predict_direction(clf, np.array([0.6])) is TrendDirection.DOWN
+    assert clf.predict_matrix(np.array([[0.4]]))[0] == 1
+    assert clf.predict_matrix(np.array([[0.6]]))[0] == -1
 
 
 def test_knn_tie_goes_up():
     fm = _matrix([[0.0], [1.0]], [1, -1])
     clf = fit_classifier(TrendPredictorSpec.knn(k=2), fm)
-    assert predict_direction(clf, np.array([0.5])) is TrendDirection.UP
+    assert clf.predict_matrix(np.array([[0.5]]))[0] == 1
 
 
 def test_knn_k_exceeds_rows():
@@ -286,40 +279,3 @@ def test_oracle_scalar_matches_vector_stream():
         int(scal.draw(TrendDirection(int(t)) if t != 0 else FLAT)) for t in truths
     ]
     assert np.array_equal(vec, np.array(one_by_one))
-
-
-def test_predict_direction_rejects_non_feature_models():
-    orc = OracleTrendPredictor(accuracy=0.5, rng=np.random.default_rng(0))
-    with pytest.raises(ConfigError):
-        predict_direction(orc, np.array([1.0]))
-    with pytest.raises(ConfigError):
-        predict_direction(DirectionTable(by_index={1: TrendDirection.UP}), np.array([1.0]))
-
-
-def test_feature_dimension_mismatch():
-    fm = _blobs()
-    clf = fit_classifier(TrendPredictorSpec.logistic(), fm)
-    with pytest.raises(ConfigError):
-        predict_direction(clf, np.array([1.0, 2.0, 3.0]))
-
-
-def test_classification_accuracy():
-    assert classification_accuracy(np.array([1, -1, 1]), np.array([1, 1, 1])) == pytest.approx(2 / 3)
-    with pytest.raises(ConfigError):
-        classification_accuracy(np.array([1]), np.array([1, -1]))
-
-
-def test_cross_val_accuracy_bounds_and_determinism():
-    fm = _blobs(rng_seed=10)
-    spec = TrendPredictorSpec.knn(k=5)
-    a = cross_val_accuracy(spec, fm, n_folds=5)
-    b = cross_val_accuracy(spec, fm, n_folds=5)
-    assert a == b
-    assert 0.0 <= a <= 1.0
-    assert a >= 0.9  # blobs are nearly separable
-
-
-def test_cross_val_too_many_folds():
-    fm = _matrix([[0.0], [1.0], [2.0]], [1, -1, 1])
-    with pytest.raises(DataError):
-        cross_val_accuracy(TrendPredictorSpec.majority(), fm, n_folds=10)

@@ -263,6 +263,52 @@ def test_exit_code_numeric_error(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_non_finite_external_forecast_exits_two(tmp_path, capsys, cell):
+    data = _write_prices(tmp_path / "prices.csv", n=60)
+    values = load_csv(data, "gold").target.values
+    fc = tmp_path / "fc.csv"
+    fc.write_text("time_index,forecast\n" + "".join(
+        f"{t},{cell if t == 50 else repr(float(values[t - 1]))}\n" for t in range(1, 60)
+    ))
+    argv = ["run", "--data", str(data), "--target-column", "gold", "--forecaster", "external",
+            "--external-forecasts", str(fc), "--classifier", "oracle", "--oracle-accuracy", "0.7",
+            "--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"data error: {fc}: forecast at time_index 50 is not finite, got {cell}"
+    ]
+
+
+@pytest.mark.parametrize("kind", ["forecasts", "directions"])
+def test_test_split_only_external_table_names_the_train_split(tmp_path, capsys, kind):
+    # the paper's setting: external values exist for the test split only
+    data = _write_prices(tmp_path / "prices.csv", n=60)
+    values = load_csv(data, "gold").target.values
+    n_train = len(chronological_split(load_csv(data, "gold").target, 0.7)[0])
+    table = tmp_path / "table.csv"
+    if kind == "forecasts":
+        table.write_text("time_index,forecast\n" + "".join(
+            f"{t},{float(values[t - 1])!r}\n" for t in range(n_train, 60)
+        ))
+        extra = ["--forecaster", "external", "--external-forecasts", str(table),
+                 "--classifier", "oracle", "--oracle-accuracy", "0.7"]
+        first_missing = 1
+    else:
+        table.write_text("time_index,direction\n" + "".join(
+            f"{t},{1 if t % 2 else -1}\n" for t in range(n_train, 60)
+        ))
+        extra = ["--classifier", "external", "--external-directions", str(table)]
+        first_missing = 2  # the ar(2) in-sample walk starts at index 2
+    argv = ["run", "--data", str(data), "--target-column", "gold", *extra, "--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"data error: external {kind} missing time index {first_missing} (in the train split); "
+        "the theory estimate reads the train split, and --theory-split test avoids it"
+    ]
+    assert main([*argv, "--theory-split", "test"]) == 0
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert "run" in capsys.readouterr().out
@@ -482,7 +528,7 @@ def test_report_theory_matches_a_separate_run(tmp_path, classifier, theory_split
     features = build_feature_table(dataset, 2, True, 0) if classifier == "logistic" else None
     config = TatsConfig(alpha=DEFAULT_ALPHAS[0], value_forecaster=ValueForecasterSpec.ar(2),
                         trend_predictor=spec)
-    expected = estimate_theory(run_tats(config, train, test, features, eval_split=theory_split).base)
+    expected = estimate_theory(run_tats(config, train, test, features, eval_split=theory_split))
     report = json.loads((out / "report.json").read_text())
     assert report["theory"] == json.loads(json.dumps(expected.to_dict()))
 

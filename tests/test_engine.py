@@ -99,8 +99,7 @@ def _random_run(rng, n=40, alpha=1.0):
 def test_vectorized_matches_scalar_path():
     rng = np.random.default_rng(seed + 1)
     for _ in range(20):
-        run = _random_run(rng)
-        t = run.tats
+        t = _random_run(rng)
         for i in range(len(t)):
             y_prev, y_true, y_hat = float(t.y_prev[i]), float(t.y_true[i]), float(t.y_hat[i])
             y_adj = float(t.y_adj[i])
@@ -118,7 +117,7 @@ def test_vectorized_matches_scalar_path():
 def test_adjusted_value_never_fights_the_classifier():
     rng = np.random.default_rng(seed + 2)
     for _ in range(20):
-        t = _random_run(rng).tats
+        t = _random_run(rng)
         moved = t.y_adj - t.y_prev
         assert np.all(moved * t.direction >= 0.0)
         overridden = t.indicator == 0
@@ -128,17 +127,21 @@ def test_adjusted_value_never_fights_the_classifier():
 def test_agreeing_steps_share_losses_bitwise():
     rng = np.random.default_rng(seed + 3)
     for _ in range(20):
-        run = _random_run(rng)
-        agree = run.tats.indicator == 1
-        assert np.array_equal(run.tats.y_adj[agree], run.base.y_adj[agree])
-        assert np.array_equal(run.tats.loss_adj[agree], run.base.loss_adj[agree])
+        trace = _random_run(rng)
+        agree = trace.indicator == 1
+        assert np.array_equal(trace.y_adj[agree], trace.y_hat[agree])
+        assert np.array_equal(trace.loss_adj[agree], trace.loss_base[agree])
 
 
 def test_base_trace_is_unadjusted():
     rng = np.random.default_rng(seed + 4)
-    run = _random_run(rng)
-    assert np.array_equal(run.base.y_adj, run.base.y_hat)
-    assert np.array_equal(run.base.loss_adj, run.base.loss_base)
+    values = np.cumsum(rng.normal(size=40)) + 50.0
+    forecasts = values[:-1] + rng.normal(size=39)
+    directions = np.where(rng.random(39) < 0.5, 1, -1)
+    trace = evaluate_forecasts(values, 1, forecasts, directions, 1.0)
+    # the base columns hold the given forecasts and their own losses
+    assert np.array_equal(trace.y_hat, forecasts)
+    assert np.array_equal(trace.loss_base, (forecasts - values[1:]) ** 2)
 
 
 def test_small_alpha_limit():
@@ -146,10 +149,10 @@ def test_small_alpha_limit():
     values = np.cumsum(rng.normal(size=30)) + 50.0
     forecasts = values[:-1] + rng.normal(size=29)
     directions = np.where(rng.random(29) < 0.5, 1, -1)
-    run = evaluate_forecasts(values, 1, forecasts, directions, alpha=1e-9)
-    overridden = run.tats.indicator == 0
-    deltas = run.tats.y_true - run.tats.y_prev
-    assert np.allclose(run.tats.loss_adj[overridden], deltas[overridden] ** 2, rtol=1e-6)
+    trace = evaluate_forecasts(values, 1, forecasts, directions, alpha=1e-9)
+    overridden = trace.indicator == 0
+    deltas = trace.y_true - trace.y_prev
+    assert np.allclose(trace.loss_adj[overridden], deltas[overridden] ** 2, rtol=1e-6)
 
 
 def test_evaluate_forecasts_validation():
@@ -179,19 +182,19 @@ def test_evaluate_forecasts_overflow_is_a_numeric_error():
 
 def test_scenario_tally():
     rng = np.random.default_rng(seed + 6)
-    run = _random_run(rng, n=80)
-    tally = ScenarioTally.from_trace(run.tats)
-    assert tally.total == len(run.tats)
+    trace = _random_run(rng, n=80)
+    tally = ScenarioTally.from_trace(trace)
+    assert tally.total == len(trace)
     d = tally.to_dict()
     assert set(d) == {"S1", "S2", "S3", "S4", "undefined"}
-    assert sum(d.values()) == len(run.tats)
+    assert sum(d.values()) == len(trace)
 
 
 def test_trace_step_time_axis():
     rng = np.random.default_rng(seed + 7)
-    run = _random_run(rng, n=12)
-    assert np.array_equal(run.tats.t, np.arange(1, 12))
-    assert int(run.tats.t[3]) == 4
+    trace = _random_run(rng, n=12)
+    assert np.array_equal(trace.t, np.arange(1, 12))
+    assert int(trace.t[3]) == 4
 
 
 def _weather_series(rng, n=120):
@@ -209,9 +212,9 @@ def test_run_tats_naive_forecaster_is_identity():
             value_forecaster=ValueForecasterSpec.naive(),
             trend_predictor=TrendPredictorSpec.oracle(accuracy=0.3, seed=1),
         )
-        run = run_tats(config, train, test)
-        assert np.array_equal(run.tats.y_adj, run.base.y_adj)
-        assert np.all(run.tats.indicator == 1)
+        trace = run_tats(config, train, test)
+        assert np.array_equal(trace.y_adj, trace.y_hat)
+        assert np.all(trace.indicator == 1)
 
 
 def test_run_tats_echo_classifier_is_identity():
@@ -232,9 +235,9 @@ def test_run_tats_echo_classifier_is_identity():
         value_forecaster=spec,
         trend_predictor=TrendPredictorSpec.external(source=table),
     )
-    run = run_tats(config, train, test)
-    assert np.array_equal(run.tats.y_adj, run.base.y_adj)
-    assert np.array_equal(run.tats.loss_adj, run.base.loss_base)
+    trace = run_tats(config, train, test)
+    assert np.array_equal(trace.y_adj, trace.y_hat)
+    assert np.array_equal(trace.loss_adj, trace.loss_base)
 
 
 def test_run_tats_deterministic():
@@ -248,8 +251,8 @@ def test_run_tats_deterministic():
     )
     a = run_tats(config, train, test)
     b = run_tats(config, train, test)
-    assert np.array_equal(a.tats.y_adj, b.tats.y_adj)
-    assert np.array_equal(a.tats.direction, b.tats.direction)
+    assert np.array_equal(a.y_adj, b.y_adj)
+    assert np.array_equal(a.direction, b.direction)
 
 
 def test_run_tats_perfect_oracle_never_hits_s2_s3():
@@ -261,8 +264,7 @@ def test_run_tats_perfect_oracle_never_hits_s2_s3():
         value_forecaster=ValueForecasterSpec.drift(),
         trend_predictor=TrendPredictorSpec.oracle(accuracy=1.0, seed=2),
     )
-    run = run_tats(config, train, test)
-    tally = run.scenario_tally
+    tally = ScenarioTally.from_trace(run_tats(config, train, test))
     assert tally.s2 == 0
     assert tally.s3 == 0
 
@@ -276,9 +278,9 @@ def test_run_tats_train_split_is_in_sample():
         value_forecaster=ValueForecasterSpec.ar(order=2),
         trend_predictor=TrendPredictorSpec.logistic(),
     )
-    run = run_tats(config, train, test, eval_split="train")
-    assert run.tats.t[-1] == len(train) - 1
-    assert run.tats.t[0] >= 1
+    trace = run_tats(config, train, test, eval_split="train")
+    assert trace.t[-1] == len(train) - 1
+    assert trace.t[0] >= 1
 
 
 def test_run_tats_rejects_unknown_split():
@@ -322,8 +324,9 @@ def test_sweep_alpha_single_run_consistency():
         trend_predictor=TrendPredictorSpec.oracle(accuracy=0.9, seed=6),
     )
     sweep = sweep_alpha(config, (2.0,), train, test)
-    run = run_tats(config, train, test)
-    assert sweep.entries[0].report.mse == evaluate_trace(run.tats).mse
+    base, adjusted = evaluate_trace(run_tats(config, train, test))
+    assert sweep.base_report == base
+    assert sweep.entries[0].report == adjusted
 
 
 def test_sweep_alpha_rejects_bad_grids():

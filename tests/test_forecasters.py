@@ -8,7 +8,6 @@ from tats import (
     TimeSeries,
     ValueForecasterSpec,
     fit_forecaster,
-    forecast_one,
     walk_forward_forecasts,
 )
 from tats.forecasters import ARModel, fit_ar
@@ -38,24 +37,24 @@ def test_spec_validation():
 
 def test_naive():
     model = fit_forecaster(ValueForecasterSpec.naive(), _series([1.0, 2.0, 7.0]))
-    assert forecast_one(model, np.array([3.0, 4.0])) == 4.0
+    assert model.forecast_one(np.array([3.0, 4.0])) == 4.0
 
 
 def test_drift_freezes_training_mean_step():
     # mean training step 0.25, last observed value 8 -> 8.25
     train = _series([7.0, 7.25, 7.5, 7.75, 8.0])
     model = fit_forecaster(ValueForecasterSpec.drift(), train)
-    assert forecast_one(model, train.values) == 8.25
+    assert model.forecast_one(train.values) == 8.25
     # same frozen step applied to an unrelated history
-    assert forecast_one(model, np.array([100.0])) == 100.25
+    assert model.forecast_one(np.array([100.0])) == 100.25
 
 
 def test_ses_limits_and_recursion():
     train = _series([2.0, 4.0, 4.0])
     one = fit_forecaster(ValueForecasterSpec.ses(smoothing=1.0), train)
-    assert forecast_one(one, np.array([5.0, 9.0])) == 9.0  # lambda=1 is naive
+    assert one.forecast_one(np.array([5.0, 9.0])) == 9.0  # lambda=1 is naive
     half = fit_forecaster(ValueForecasterSpec.ses(smoothing=0.5), train)
-    assert forecast_one(half, np.array([2.0, 4.0])) == 3.0
+    assert half.forecast_one(np.array([2.0, 4.0])) == 3.0
     # independent recursion check
     rng = np.random.default_rng(seed)
     history = rng.normal(size=20)
@@ -64,13 +63,13 @@ def test_ses_limits_and_recursion():
     for x in history[1:]:
         level = lam * x + (1 - lam) * level
     model = fit_forecaster(ValueForecasterSpec.ses(smoothing=lam), train)
-    assert forecast_one(model, history) == pytest.approx(level, rel=1e-12)
+    assert model.forecast_one(history) == pytest.approx(level, rel=1e-12)
 
 
 def test_ses_forecast_is_pure():
     model = fit_forecaster(ValueForecasterSpec.ses(smoothing=0.4), _series([1.0, 2.0]))
     h = np.array([1.0, 3.0, 2.0])
-    assert forecast_one(model, h) == forecast_one(model, h)
+    assert model.forecast_one(h) == model.forecast_one(h)
 
 
 def test_ar_exact_recovery_noiseless():
@@ -123,29 +122,23 @@ def test_ar_matches_normal_equations():
 def test_ar_degenerate_on_constant_series():
     model = fit_ar(_series([5.0] * 30), order=2)
     assert model.degenerate
-    assert forecast_one(model, np.array([5.0, 5.0])) == pytest.approx(5.0, abs=1e-6)
+    assert model.forecast_one(np.array([5.0, 5.0])) == pytest.approx(5.0, abs=1e-6)
 
 
 def test_ar_worked_example():
     model = ARModel(intercept=0.0, coefficients=np.array([0.6]), degenerate=False)
-    assert forecast_one(model, np.array([4.0, 10.0])) == 6.0
+    assert model.forecast_one(np.array([4.0, 10.0])) == 6.0
 
 
 def test_ar_lag_order():
     # forecast = c + phi1*y_{t-1} + phi2*y_{t-2}
     model = ARModel(intercept=1.0, coefficients=np.array([2.0, 3.0]), degenerate=False)
-    assert forecast_one(model, np.array([5.0, 7.0])) == 1.0 + 2.0 * 7.0 + 3.0 * 5.0
+    assert model.forecast_one(np.array([5.0, 7.0])) == 1.0 + 2.0 * 7.0 + 3.0 * 5.0
 
 
 def test_ar_too_short():
     with pytest.raises(DataError):
         fit_ar(_series([1.0, 2.0]), order=2)
-
-
-def test_forecast_one_needs_history():
-    model = fit_forecaster(ValueForecasterSpec.ar(order=2), _series(np.arange(20.0)))
-    with pytest.raises(DataError):
-        forecast_one(model, np.array([1.0]))
 
 
 def test_walk_forward_naive_is_shifted_actuals():
@@ -221,4 +214,4 @@ def test_fits_on_huge_values_are_numeric_errors():
         fit_forecaster(ValueForecasterSpec.drift(), _series([1.5e308, -1.5e308, 1.5e308]))
     # a drift step past the float64 range is inf, left to the loss check, with no warning
     drift = fit_forecaster(ValueForecasterSpec.drift(), _series([0.0, 1e308]))
-    assert forecast_one(drift, [0.0, 1e308]) == float("inf")
+    assert drift.forecast_one(np.array([0.0, 1e308])) == float("inf")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tats import DataError, Dataset, TimeSeries, build_features, load_csv
+from tats import DataError, Dataset, TimeSeries, load_csv
 from tats.ingest import (
     build_feature_table,
     load_external_directions,
@@ -69,7 +69,7 @@ def test_dataset_length_mismatch():
 
 def test_build_features_worked_example():
     ds = Dataset(target=TimeSeries(np.array([7.0, 5.0, 9.0, 7.0, 8.0])), exogenous={})
-    fm = build_features(ds, n_lags=2)
+    fm = build_feature_table(ds, n_lags=2).training_matrix()
     assert np.array_equal(fm.rows, np.array([[5.0, 7.0], [9.0, 5.0], [7.0, 9.0]]))
     assert np.array_equal(fm.labels, np.array([1, -1, 1]))
     assert np.array_equal(fm.row_time_index, np.array([1, 2, 3]))
@@ -78,7 +78,7 @@ def test_build_features_worked_example():
 
 def test_build_features_drops_flat_labels():
     ds = Dataset(target=TimeSeries(np.array([1.0, 2.0, 2.0, 3.0])), exogenous={})
-    fm = build_features(ds, n_lags=1)
+    fm = build_feature_table(ds, n_lags=1).training_matrix()
     assert fm.n_flat_dropped == 1
     assert np.array_equal(fm.labels, np.array([1, 1]))
     assert np.array_equal(fm.row_time_index, np.array([0, 2]))
@@ -91,7 +91,7 @@ def test_build_features_row_count_invariant():
         k = int(rng.integers(1, max(2, n - 1)))
         values = rng.normal(size=n)
         ds = Dataset(target=TimeSeries(values), exogenous={})
-        fm = build_features(ds, n_lags=k)
+        fm = build_feature_table(ds, n_lags=k).training_matrix()
         assert len(fm.labels) + fm.n_flat_dropped == n - k
         # each label is the strict direction of the next move
         for row_t, label in zip(fm.row_time_index, fm.labels):
@@ -105,14 +105,14 @@ def test_build_features_row_count_invariant():
 def test_build_features_too_few_observations():
     ds = Dataset(target=TimeSeries(np.array([1.0, 2.0])), exogenous={})
     with pytest.raises(DataError):
-        build_features(ds, n_lags=2)
+        build_feature_table(ds, n_lags=2).training_matrix()
 
 
 def test_exogenous_appended_after_lags():
     target = TimeSeries(np.array([1.0, 2.0, 4.0, 8.0]))
     exog = TimeSeries(np.array([10.0, 20.0, 30.0, 40.0]))
     ds = Dataset(target=target, exogenous={"x": exog})
-    fm = build_features(ds, n_lags=2)
+    fm = build_feature_table(ds, n_lags=2).training_matrix()
     # rows at t=1,2: lags then exogenous at the same time step
     assert np.array_equal(fm.rows, np.array([[2.0, 1.0, 20.0], [4.0, 2.0, 30.0]]))
 
@@ -121,7 +121,7 @@ def test_exogenous_lag_shifts_column():
     target = TimeSeries(np.array([1.0, 2.0, 4.0, 8.0]))
     exog = TimeSeries(np.array([10.0, 20.0, 30.0, 40.0]))
     ds = Dataset(target=target, exogenous={"x": exog})
-    fm = build_features(ds, n_lags=1, exog_lag=1)
+    fm = build_feature_table(ds, n_lags=1, exog_lag=1).training_matrix()
     # rows start at max(n_lags-1, exog_lag) = 1; exogenous taken one step back
     assert np.array_equal(fm.row_time_index, np.array([1, 2]))
     assert np.array_equal(fm.rows, np.array([[2.0, 10.0], [4.0, 20.0]]))
@@ -131,7 +131,7 @@ def test_include_exogenous_false():
     target = TimeSeries(np.array([1.0, 2.0, 4.0, 8.0]))
     exog = TimeSeries(np.array([10.0, 20.0, 30.0, 40.0]))
     ds = Dataset(target=target, exogenous={"x": exog})
-    fm = build_features(ds, n_lags=1, include_exogenous=False)
+    fm = build_feature_table(ds, n_lags=1, include_exogenous=False).training_matrix()
     assert fm.rows.shape[1] == 1
 
 
@@ -149,23 +149,23 @@ def test_feature_table_row_at():
     values = np.arange(10, dtype=float)
     ds = Dataset(target=TimeSeries(values), exogenous={})
     table = build_feature_table(ds, n_lags=3)
-    row = table.row_at(5)
+    [row] = table.rows_at(np.array([5]))
     assert np.array_equal(row, np.array([5.0, 4.0, 3.0]))
     with pytest.raises(DataError):
-        table.row_at(0)  # before the first complete lag window
+        table.rows_at(np.array([0]))  # before the first complete lag window
 
 
 def test_feature_table_batch_gather():
     values = np.arange(10, dtype=float)
     ds = Dataset(target=TimeSeries(values), exogenous={})
     table = build_feature_table(ds, n_lags=3)
-    rows = table._rows_at(np.array([7, 2, 5]))
+    rows = table.rows_at(np.array([7, 2, 5]))
     assert np.array_equal(rows, np.array([[7.0, 6.0, 5.0], [2.0, 1.0, 0.0], [5.0, 4.0, 3.0]]))
-    # the gather starts before the first row (time 2): same error as row_at
+    # the gather starts before the first row (time 2); the first missing index is named
     with pytest.raises(DataError, match=r"no feature row at time index 1 \(available 2\.\.8\)"):
-        table._rows_at(np.arange(1, 6))
+        table.rows_at(np.arange(1, 6))
     with pytest.raises(DataError, match="no feature row at time index 9"):
-        table._rows_at(np.array([8, 9]))
+        table.rows_at(np.array([8, 9]))
 
 
 def test_external_forecasts_round_trip(tmp_path):
@@ -190,6 +190,10 @@ def test_external_forecasts_validation(tmp_path):
     far = _write(tmp_path, "g.csv", "time_index,forecast\n9,10.0\n")
     with pytest.raises(DataError):
         load_external_forecasts(far, series)
+    for cell in ("nan", "inf", "-inf"):
+        bad = _write(tmp_path, "n.csv", f"time_index,forecast\n1,10.0\n3,{cell}\n")
+        with pytest.raises(DataError, match=rf"n\.csv: forecast at time_index 3 is not finite, got {cell}"):
+            load_external_forecasts(bad, series)
 
 
 def test_external_directions(tmp_path):

@@ -82,12 +82,12 @@ def test_mape_rejects_zero_actual():
 
 def test_evaluate_trace_leaves_mape_undefined_on_zero_actual():
     values = np.array([1.0, 2.0, 0.0, 3.0])
-    run = evaluate_forecasts(values, 1, np.array([1.5, 2.5, 1.0]), np.array([1, -1, 1]), 1.0)
-    base = evaluate_trace(run.base)
+    trace = evaluate_forecasts(values, 1, np.array([1.5, 2.5, 1.0]), np.array([1, -1, 1]), 1.0)
+    base, adjusted = evaluate_trace(trace)
     assert base.mape is None
     assert base.to_dict()["mape"] is None
     assert base.mse == pytest.approx((0.25 + 6.25 + 4.0) / 3)
-    assert evaluate_trace(run.tats, base=base).mape is None
+    assert adjusted.mape is None
 
 
 def test_mae_mse_inequality():

@@ -96,8 +96,7 @@ def _toy_trace():
 
 
 def test_estimate_theory_counts():
-    run = _toy_trace()
-    est = estimate_theory(run.base)
+    est = estimate_theory(_toy_trace())
     # classifier always says up; actual moves are up, down, flat, up -> 2 of 4
     assert est.p_db == 0.5
     # forecaster implied moves: up, down, down, up vs up, down, flat, up -> 3 of 4
@@ -106,18 +105,17 @@ def test_estimate_theory_counts():
 
 
 def test_abs_gap_matches_brute_force():
-    run = _toy_trace()
-    base = run.base
-    expected = np.mean(np.abs(base.loss_base - (base.y_true - base.y_prev) ** 2))
-    assert abs_gap_from_trace(base) == pytest.approx(float(expected), rel=1e-15)
+    trace = _toy_trace()
+    expected = np.mean(np.abs(trace.loss_base - (trace.y_true - trace.y_prev) ** 2))
+    assert abs_gap_from_trace(trace) == pytest.approx(float(expected), rel=1e-15)
 
 
 def test_abs_gap_overflow_is_a_numeric_error():
     # perfect forecasts give zero losses, but the squared moves overflow
     values = np.array([0.0, 1e200, -1e200, 1e200])
-    run = evaluate_forecasts(values, 1, values[1:], np.array([1, -1, 1]), 1.0)
+    trace = evaluate_forecasts(values, 1, values[1:], np.array([1, -1, 1]), 1.0)
     with pytest.raises(NumericError, match="loss gap"):
-        estimate_theory(run.base)
+        estimate_theory(trace)
 
 
 def test_estimate_theory_on_random_runs():
@@ -127,8 +125,7 @@ def test_estimate_theory_on_random_runs():
         values = np.cumsum(r.normal(size=n)) + 50.0
         forecasts = values[:-1] + r.normal(size=n - 1)
         directions = np.where(r.random(n - 1) < 0.5, 1, -1)
-        run = evaluate_forecasts(values, 1, forecasts, directions, alpha=1.0)
-        est = estimate_theory(run.base)
+        est = estimate_theory(evaluate_forecasts(values, 1, forecasts, directions, alpha=1.0))
         assert 0.0 <= est.p_db <= 1.0
         assert 0.0 <= est.p_dt <= 1.0
         assert est.abs_gap >= 0.0
