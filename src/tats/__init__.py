@@ -28,7 +28,6 @@ from .core import (
     TrendDirection,
     chronological_split,
     concat,
-    diff,
     direction_of,
 )
 from .engine import (
@@ -85,7 +84,6 @@ from .montecarlo import (
 )
 from .theory import (
     TheoryEstimate,
-    abs_gap_from_trace,
     estimate_theory,
     expected_loss_change,
     lower_bound,
@@ -130,13 +128,11 @@ __all__ = [
     "TrendPredictorSpec",
     "TrialResult",
     "ValueForecasterSpec",
-    "abs_gap_from_trace",
     "adjust",
     "build_feature_table",
     "chronological_split",
     "classify_scenario",
     "concat",
-    "diff",
     "diff_rdiff",
     "direction_of",
     "estimate_theory",

@@ -279,8 +279,6 @@ def _prepare_experiment(args: argparse.Namespace):
         value_forecaster=forecaster,
         trend_predictor=classifier,
         n_lags=args.n_lags,
-        include_exogenous=args.include_exogenous,
-        exog_lag=args.exog_lag,
         refit_each_step=args.refit_each_step,
     )
     return dataset, train, test, features, config, alphas
@@ -438,11 +436,11 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     dataset = load_csv(args.data, args.actual_column, [args.forecast_column])
     actual = dataset.target.values
     forecast = dataset.exogenous[args.forecast_column].values
+    if actual.size < 2:
+        raise DataError("trend-direction accuracy needs at least 2 rows")
     print(f"MSE {mse(actual, forecast)!r}")
     print(f"MAE {mae(actual, forecast)!r}")
     print(f"MAPE {mape(actual, forecast)!r}")
-    if actual.size < 2:
-        raise DataError("trend-direction accuracy needs at least 2 rows")
     tda = td_accuracy(actual[:-1], actual[1:], forecast[1:])
     print(f"TDA {tda!r}")
     return 0

@@ -23,7 +23,6 @@ __all__ = [
     "TrendDirection",
     "chronological_split",
     "concat",
-    "diff",
     "direction_of",
 ]
 
@@ -110,13 +109,6 @@ class TimeSeries:
             raise ConfigError(f"invalid slice [{start}, {stop}) of series with length {len(self)}")
         labels = self.labels[start:stop] if self.labels is not None else None
         return TimeSeries(self.values[start:stop], labels)
-
-
-def diff(series: TimeSeries) -> np.ndarray:
-    """First differences y_t - y_{t-1}, length len(series) - 1."""
-    if len(series) < 2:
-        raise DataError("series too short to difference (need at least 2 values)")
-    return np.diff(series.values)
 
 
 def direction_of(delta: float) -> TrendDirection | Flat:

@@ -38,7 +38,7 @@ from .classifiers import (
     fit_classifier,
 )
 from .core import FLAT, TimeSeries, TrendDirection, concat, direction_of
-from .errors import ConfigError, DataError, _require_finite
+from .errors import ConfigError, DataError, NumericError, _require_finite
 from .forecasters import ValueForecasterSpec, _walk_forward, fit_forecaster
 from .ingest import Dataset, FeatureTable, build_feature_table
 from .metrics import EvalReport, evaluate_trace
@@ -181,8 +181,6 @@ class TatsConfig:
     value_forecaster: ValueForecasterSpec
     trend_predictor: TrendPredictorSpec
     n_lags: int = 2
-    include_exogenous: bool = True
-    exog_lag: int = 0
     refit_each_step: bool = False
 
     def __post_init__(self) -> None:
@@ -231,8 +229,13 @@ def evaluate_forecasts(
         loss_base = (forecasts - y_true) ** 2
         loss_adj = (y_adj - y_true) ** 2
         actual_sign = np.sign(y_true - y_prev).astype(int)
-        # summing can overflow too, so the check stays inside the errstate block
-        _require_finite((loss_base.sum(), loss_adj.sum()), "the summed squared forecast errors")
+        # summing can overflow too, so the checks stay inside the errstate block
+        _require_finite(loss_base.sum(), "the summed squared forecast errors")
+        if not np.isfinite(loss_adj.sum()):
+            raise NumericError(
+                f"the summed squared errors of the adjusted forecasts at alpha={alpha!r} "
+                "overflowed float64; alpha or the moves of the series are too large"
+            )
     implied_sign = np.sign(fdelta).astype(int)
     undefined = (actual_sign == 0) | (implied_sign == 0)
     scenario = np.where(
@@ -279,10 +282,7 @@ def _prepare_run(
     feature_based = clf_spec.kind not in (ClassifierKind.ORACLE, ClassifierKind.EXTERNAL)
     if feature_based:
         if features is None:
-            features = build_feature_table(
-                Dataset(target=full, exogenous={}), config.n_lags,
-                config.include_exogenous, config.exog_lag,
-            )
+            features = build_feature_table(Dataset(target=full, exogenous={}), config.n_lags)
         if n_train < 2:
             raise DataError("train split too short to label classifier rows")
         classifier = fit_classifier(clf_spec, features.training_matrix(n_train - 2))

@@ -47,10 +47,14 @@ def td_accuracy(y_prev, y_true, y_pred) -> float:
     prev = np.asarray(y_prev, dtype=float)
     if prev.shape != t.shape:
         raise ConfigError(f"y_prev must align with actuals, got {prev.shape} vs {t.shape}")
+    return float(_direction_hits(prev, t, p) / t.size)
+
+
+def _direction_hits(y_prev: np.ndarray, y_true: np.ndarray, y_pred: np.ndarray) -> int:
+    """Number of steps with (y_pred - y_prev)(y_true - y_prev) > 0."""
     # an overflowing product still has the sign of the true one
     with np.errstate(over="ignore", invalid="ignore"):
-        hits = (p - prev) * (t - prev) > 0
-    return float(np.count_nonzero(hits) / t.size)
+        return int(np.count_nonzero((y_pred - y_prev) * (y_true - y_prev) > 0))
 
 
 def mse(y_true, y_pred) -> float:

@@ -15,6 +15,10 @@ Walk, forecaster, and classifier randomness come from independent
 sub-streams spawned per trial from one root seed, so results are
 reproducible and one trial's outcome does not depend on the others;
 aggregation uses compensated summation in a fixed trial order.
+
+The realized p_db, p_dt, loss gap and bound pool the statistics that
+:func:`tats.theory.estimate_theory` takes from each trial's trace, so the
+check scores the estimator that ``tats run`` reports.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from .classifiers import OracleTrendPredictor
 from .core import TimeSeries
 from .engine import ScenarioTally, _check_alpha, evaluate_forecasts
 from .errors import ConfigError, NumericError, _require_finite
-from .theory import lower_bound
+from .theory import _estimate, _trace_stats
 
 __all__ = [
     "SimConfig",
@@ -180,7 +184,7 @@ class SimulationReport:
 
 
 def _run_trial(config: SimConfig, child: np.random.SeedSequence):
-    """One trial; returns sums so aggregation stays order-deterministic."""
+    """One trial: its two MSEs, the trace's theory statistics, its scenario counts."""
     series = None
     for _ in range(_MAX_REGEN_ATTEMPTS):
         walk_ss, forecaster_ss, classifier_ss = child.spawn(3)
@@ -195,17 +199,9 @@ def _run_trial(config: SimConfig, child: np.random.SeedSequence):
     oracle = OracleTrendPredictor(accuracy=config.p_db, rng=np.random.default_rng(classifier_ss))
     directions = oracle.draw_many(truths)
     trace = evaluate_forecasts(series.values, 1, forecasts, directions, config.alpha)
-    deltas = trace.y_true - trace.y_prev
     mse_base = float(np.mean(trace.loss_base))
     mse_tats = float(np.mean(trace.loss_adj))
-    correct_clf = int(np.count_nonzero(directions == truths))
-    # an overflowing product keeps its sign, so only the gap sum is checked
-    with np.errstate(over="ignore", invalid="ignore"):
-        correct_fc = int(np.count_nonzero((forecasts - trace.y_prev) * deltas > 0.0))
-        abs_gap_sum = np.sum(np.abs(trace.loss_base - deltas**2))
-    abs_gap_sum = float(_require_finite(abs_gap_sum, "the summed absolute loss gap"))
-    counts = np.bincount(trace.scenario, minlength=5)
-    return mse_base, mse_tats, correct_clf, correct_fc, abs_gap_sum, counts
+    return mse_base, mse_tats, _trace_stats(trace), np.bincount(trace.scenario, minlength=5)
 
 
 def validate_prop1(config: SimConfig) -> SimulationReport:
@@ -216,12 +212,12 @@ def validate_prop1(config: SimConfig) -> SimulationReport:
     a time, so memory stays at one trial's arrays.
     """
     children = np.random.SeedSequence(config.seed).spawn(config.n_trials)
-    raw = [_run_trial(config, child) for child in children]
+    mse_base, mse_tats, stats, counts = zip(*(_run_trial(config, child) for child in children))
+    clf_hits, fc_hits, gap_sums, steps = zip(*stats)
 
-    trials = tuple(TrialResult(mse_base=r[0], mse_tats=r[1]) for r in raw)
+    trials = tuple(TrialResult(mse_base=b, mse_tats=t) for b, t in zip(mse_base, mse_tats))
     reductions = [t.reduction for t in trials]
     n = len(reductions)
-    total_steps = config.n_steps * config.n_trials
     try:
         mean_reduction = math.fsum(reductions) / n
         if n > 1:
@@ -229,26 +225,23 @@ def validate_prop1(config: SimConfig) -> SimulationReport:
             std_error = math.sqrt(variance / n)
         else:
             std_error = 0.0
-        abs_gap = math.fsum(r[4] for r in raw) / total_steps
+        gap_sum = math.fsum(gap_sums)
     except OverflowError:
         raise NumericError(
             "trial statistics overflowed float64; the drift or volatility is too large"
         ) from None
-    correct_clf = sum(r[2] for r in raw)
-    correct_fc = sum(r[3] for r in raw)
-    counts = np.sum([r[5] for r in raw], axis=0)
-    realized_p_db = correct_clf / total_steps
-    realized_p_dt = correct_fc / total_steps
+    total_steps = sum(steps)
+    estimate = _estimate(sum(clf_hits), sum(fc_hits), gap_sum, total_steps)
     return SimulationReport(
         config=config,
         trials=trials,
         mean_reduction=mean_reduction,
         std_error=std_error,
         positive_fraction=sum(1 for r in reductions if r > 0.0) / n,
-        realized_p_db=realized_p_db,
-        realized_p_dt=realized_p_dt,
-        mean_abs_gap=abs_gap,
-        theoretical_bound=lower_bound(abs_gap, realized_p_db, realized_p_dt),
-        scenario_counts=ScenarioTally.from_counts(counts).to_dict(),
+        realized_p_db=estimate.p_db,
+        realized_p_dt=estimate.p_dt,
+        mean_abs_gap=estimate.abs_gap,
+        theoretical_bound=estimate.lower_bound,
+        scenario_counts=ScenarioTally.from_counts(np.sum(counts, axis=0)).to_dict(),
         n_steps_total=total_steps,
     )

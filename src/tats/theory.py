@@ -14,6 +14,10 @@ its lower bound coincide; both names are kept because callers use them
 for different purposes, and equality is asserted by the test suite.
 A positive value means the adjustment is expected to reduce error, which
 happens exactly when the classifier beats the forecaster directionally.
+
+:func:`estimate_theory` reduces a trace to hit counts and a summed loss
+gap, then divides by the step count; :mod:`tats.montecarlo` pools the
+same statistics over its trials and feeds them to the same estimate.
 """
 
 from __future__ import annotations
@@ -24,14 +28,13 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ConfigError, _require_finite
-from .metrics import td_accuracy
+from .metrics import _direction_hits
 
 if TYPE_CHECKING:
     from .engine import ForecastTrace
 
 __all__ = [
     "TheoryEstimate",
-    "abs_gap_from_trace",
     "estimate_theory",
     "expected_loss_change",
     "lower_bound",
@@ -83,14 +86,6 @@ def lower_bound(abs_gap: float, p_db: float, p_dt: float) -> float:
     return abs_gap * (a - b)
 
 
-def abs_gap_from_trace(trace: "ForecastTrace") -> float:
-    """Mean |l_t - (y_t - y_{t-1})^2| over a trace's base losses."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        deltas = trace.y_true - trace.y_prev
-        gap = np.mean(np.abs(trace.loss_base - deltas**2))
-    return float(_require_finite(gap, "the mean absolute loss gap"))
-
-
 @dataclass(frozen=True)
 class TheoryEstimate:
     """Plug-in estimate of the adjustment's expected effect on one split."""
@@ -107,26 +102,42 @@ class TheoryEstimate:
         return asdict(self)
 
 
+def _trace_stats(trace: "ForecastTrace") -> tuple[int, int, float, int]:
+    """(classifier hits, forecaster hits, summed gap, steps) of a trace's base forecasts."""
+    # a move that overflows to +-inf keeps its sign; the gap sum is checked
+    with np.errstate(over="ignore", invalid="ignore"):
+        deltas = trace.y_true - trace.y_prev
+        gap_sum = np.sum(np.abs(trace.loss_base - deltas**2))
+    gap_sum = float(_require_finite(gap_sum, "the summed absolute loss gap"))
+    clf_hits = int(np.count_nonzero(trace.direction == np.sign(deltas)))
+    fc_hits = _direction_hits(trace.y_prev, trace.y_true, trace.y_hat)
+    return clf_hits, fc_hits, gap_sum, int(deltas.size)
+
+
+def _estimate(clf_hits: int, fc_hits: int, gap_sum: float, n_steps: int) -> TheoryEstimate:
+    """Plug-in estimate from (possibly pooled) :func:`_trace_stats` statistics."""
+    p_db = clf_hits / n_steps
+    p_dt = fc_hits / n_steps
+    gap = gap_sum / n_steps
+    bound = lower_bound(gap, p_db, p_dt)
+    return TheoryEstimate(
+        p_db=p_db,
+        p_dt=p_dt,
+        abs_gap=gap,
+        expected_loss_change=bound,
+        lower_bound=bound,
+        prop1_holds=p_db > p_dt,
+        n_steps=n_steps,
+    )
+
+
 def estimate_theory(trace: "ForecastTrace") -> TheoryEstimate:
     """Estimate p_db, p_dt, and the expected reduction from a trace's base forecasts.
 
     p_dt is the trend-direction accuracy of the base forecasts y_hat. p_db
     is the classifier's hit rate against the realized strict direction on
     the same steps; a flat actual move counts as a miss for both, mirroring
-    the accuracy definition. The adjusted forecasts are not used.
+    the accuracy definition. abs_gap is the mean |l_t - (y_t - y_{t-1})^2|
+    over the base losses. The adjusted forecasts are not used.
     """
-    deltas = trace.y_true - trace.y_prev
-    actual_sign = np.sign(deltas).astype(int)
-    p_db = float(np.count_nonzero(trace.direction == actual_sign) / deltas.size)
-    p_dt = td_accuracy(trace.y_prev, trace.y_true, trace.y_hat)
-    gap = abs_gap_from_trace(trace)
-    change = expected_loss_change(gap, p_db, p_dt)
-    return TheoryEstimate(
-        p_db=p_db,
-        p_dt=p_dt,
-        abs_gap=gap,
-        expected_loss_change=change,
-        lower_bound=lower_bound(gap, p_db, p_dt),
-        prop1_holds=p_db > p_dt,
-        n_steps=int(deltas.size),
-    )
+    return _estimate(*_trace_stats(trace))

@@ -211,6 +211,15 @@ def test_metrics_custom_columns(tmp_path, capsys):
     assert "MSE 8.0" in capsys.readouterr().out
 
 
+def test_metrics_one_row_prints_nothing(tmp_path, capsys):
+    path = tmp_path / "fc.csv"
+    path.write_text("actual,forecast\n7,8\n")
+    assert main(["metrics", "--data", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "trend-direction accuracy needs at least 2 rows" in captured.err
+
+
 def test_exit_code_usage_errors(tmp_path):
     assert main(["frobnicate"]) == 1
     data = _write_prices(tmp_path / "prices.csv")

@@ -180,6 +180,13 @@ def test_evaluate_forecasts_overflow_is_a_numeric_error():
         evaluate_forecasts(values, 1, values[:-1], np.array([1, 1]), 1.0)
 
 
+def test_adjusted_overflow_names_alpha():
+    # the base errors are small; only the steps of size alpha overflow
+    values = np.array([100.0, 101.0, 99.0, 102.0])
+    with pytest.raises(NumericError, match=r"adjusted forecasts at alpha=1e\+308 "):
+        evaluate_forecasts(values, 1, values[:-1] - 0.5, np.ones(3, dtype=int), 1e308)
+
+
 def test_scenario_tally():
     rng = np.random.default_rng(seed + 6)
     trace = _random_run(rng, n=80)

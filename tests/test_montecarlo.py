@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from tats import ConfigError, NumericError, SimConfig, validate_prop1
+from tats import ConfigError, NumericError, SimConfig, estimate_theory, validate_prop1
+from tats.classifiers import OracleTrendPredictor
+from tats.engine import evaluate_forecasts
 from tats.montecarlo import gen_random_walk, synthetic_forecaster
 
 seed = 808
@@ -112,6 +114,24 @@ def test_report_bookkeeping():
     d = rep.to_dict()
     assert d["mean_reduction"] == rep.mean_reduction
     assert d["config"]["seed"] == QUICK.seed
+
+
+def test_realized_fields_are_estimate_theory_of_the_trial():
+    config = SimConfig(n_steps=3000, n_trials=1, seed=11)
+    rep = validate_prop1(config)
+    # rebuild the one trial from the same spawned streams
+    [child] = np.random.SeedSequence(config.seed).spawn(1)
+    walk_ss, forecaster_ss, classifier_ss = child.spawn(3)
+    walk = gen_random_walk(config.n_steps + 1, config.drift, config.volatility, walk_ss)
+    forecasts = synthetic_forecaster(walk, config.p_dt, config.error_scale, forecaster_ss)
+    oracle = OracleTrendPredictor(accuracy=config.p_db, rng=np.random.default_rng(classifier_ss))
+    directions = oracle.draw_many(np.sign(np.diff(walk.values)).astype(int))
+    est = estimate_theory(evaluate_forecasts(walk.values, 1, forecasts, directions, config.alpha))
+    assert rep.realized_p_db == est.p_db
+    assert rep.realized_p_dt == est.p_dt
+    assert rep.mean_abs_gap == est.abs_gap
+    assert rep.theoretical_bound == est.lower_bound
+    assert rep.n_steps_total == est.n_steps
 
 
 def test_defaults_show_positive_reduction():

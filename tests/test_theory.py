@@ -10,7 +10,6 @@ from tats import (
     scenario_probabilities,
 )
 from tats.engine import evaluate_forecasts
-from tats.theory import abs_gap_from_trace
 
 seed = 303
 npairs = 1000
@@ -107,7 +106,7 @@ def test_estimate_theory_counts():
 def test_abs_gap_matches_brute_force():
     trace = _toy_trace()
     expected = np.mean(np.abs(trace.loss_base - (trace.y_true - trace.y_prev) ** 2))
-    assert abs_gap_from_trace(trace) == pytest.approx(float(expected), rel=1e-15)
+    assert estimate_theory(trace).abs_gap == pytest.approx(float(expected), rel=1e-15)
 
 
 def test_abs_gap_overflow_is_a_numeric_error():
