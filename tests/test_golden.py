@@ -19,16 +19,31 @@ from tats.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 DATA = "series.csv"
+FORECASTS = "forecasts.csv"
+DIRECTIONS = "directions.csv"
 RUN_FILES = ("report.json", "results.csv", "forecasts.svg", "mse_vs_alpha.svg")
 SIM_FILES = ("simulation.json", "trials.csv")
-RUN_ARGS = [
-    "run", "--data", DATA, "--target-column", "price",
-    "--exogenous-columns", "signal", "--forecaster", "ar", "--ar-order", "2",
-]
+BASE_ARGS = ["run", "--data", DATA, "--target-column", "price", "--exogenous-columns", "signal"]
+RUN_ARGS = BASE_ARGS + ["--forecaster", "ar", "--ar-order", "2"]
 CASES = {
     "run_ar_logistic": (RUN_ARGS + ["--classifier", "logistic"], RUN_FILES),
     "run_ar_oracle": (
         RUN_ARGS + ["--classifier", "oracle", "--oracle-accuracy", "0.7", "--seed", "3"],
+        RUN_FILES,
+    ),
+    "run_drift_nb_refit": (
+        BASE_ARGS + ["--forecaster", "drift", "--classifier", "gaussian_nb", "--refit-each-step"],
+        RUN_FILES,
+    ),
+    "run_external": (
+        BASE_ARGS + [
+            "--forecaster", "external", "--external-forecasts", FORECASTS,
+            "--classifier", "external", "--external-directions", DIRECTIONS,
+        ],
+        RUN_FILES,
+    ),
+    "run_ses_knn": (
+        BASE_ARGS + ["--forecaster", "ses", "--ses-smoothing", "0.4", "--classifier", "knn"],
         RUN_FILES,
     ),
     "simulate": (
@@ -38,24 +53,39 @@ CASES = {
 }
 
 
-def _write_series(path: Path, n: int = 400, rng_seed: int = 2024) -> None:
+def _write_csv(path: Path, header: list[str], columns: list) -> None:
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in zip(*columns):
+            writer.writerow([repr(cell) for cell in row])
+
+
+def _write_inputs(workdir: Path, n: int = 400, rng_seed: int = 2024) -> None:
+    """Write the series and external forecast and direction tables for it."""
     # the next target move leans on the current signal, so the logistic
     # classifier has something to learn from the exogenous column
     rng = np.random.default_rng(rng_seed)
     signal = rng.standard_normal(n)
     steps = 0.8 * signal[:-1] + rng.standard_normal(n - 1)
     price = 100.0 + np.concatenate([[0.0], np.cumsum(steps)])
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t", "price", "signal"])
-        for i in range(n):
-            writer.writerow([i, repr(float(price[i])), repr(float(signal[i]))])
+    _write_csv(workdir / DATA, ["t", "price", "signal"],
+               [range(n), price.tolist(), signal.tolist()])
+    # external tables cover every forecastable position 1..n-1: a forecast
+    # that uses the signal, and the true direction flipped 30% of the time
+    ext = np.random.default_rng(rng_seed + 1)
+    t = np.arange(1, n)
+    forecasts = price[t - 1] + 0.8 * signal[t - 1] + 0.5 * ext.standard_normal(n - 1)
+    truth = np.where(price[t] >= price[t - 1], 1, -1)
+    directions = np.where(ext.random(n - 1) < 0.7, truth, -truth)
+    _write_csv(workdir / FORECASTS, ["time_index", "forecast"], [t.tolist(), forecasts.tolist()])
+    _write_csv(workdir / DIRECTIONS, ["time_index", "direction"], [t.tolist(), directions.tolist()])
 
 
 def _artifacts(workdir: Path, case: str) -> dict[str, bytes]:
     """Run one case inside workdir and return the bytes of its artifacts."""
     args, files = CASES[case]
-    _write_series(workdir / DATA)
+    _write_inputs(workdir)
     code = main(args + ["--out", case])
     assert code == 0, f"{case} exited with {code}"
     return {name: (workdir / case / name).read_bytes() for name in files}
