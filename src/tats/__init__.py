@@ -12,7 +12,6 @@ empirically.
 
 from .classifiers import (
     ClassifierKind,
-    DirectionTable,
     GaussianNBClassifier,
     KNNClassifier,
     LogisticClassifier,
@@ -55,7 +54,6 @@ from .forecasters import (
 )
 from .ingest import (
     Dataset,
-    ExternalForecasts,
     FeatureMatrix,
     FeatureTable,
     build_feature_table,
@@ -98,9 +96,7 @@ __all__ = [
     "ConfigError",
     "DataError",
     "Dataset",
-    "DirectionTable",
     "EvalReport",
-    "ExternalForecasts",
     "FLAT",
     "FeatureMatrix",
     "FeatureTable",

@@ -22,7 +22,6 @@ from .ingest import FeatureMatrix
 
 __all__ = [
     "ClassifierKind",
-    "DirectionTable",
     "GaussianNBClassifier",
     "KNNClassifier",
     "LogisticClassifier",
@@ -48,9 +47,9 @@ class ClassifierKind(enum.Enum):
 class TrendPredictorSpec:
     """Declarative classifier choice; parameters must match the kind.
 
-    source: a loaded time_index -> direction table (EXTERNAL only); read a
-        time_index,direction CSV with load_external_directions, which checks
-        its indices against the series.
+    source: +1/-1 directions indexed by series position, NaN where absent
+        (EXTERNAL only); read a time_index,direction CSV with
+        load_external_directions, which checks its indices against the series.
     """
 
     kind: ClassifierKind
@@ -59,7 +58,7 @@ class TrendPredictorSpec:
     iterations: int | None = None
     accuracy: float | None = None
     seed: int | None = None
-    source: dict[int, TrendDirection] | None = None
+    source: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.kind, ClassifierKind):
@@ -93,9 +92,9 @@ class TrendPredictorSpec:
             if self.seed is None or self.seed < 0:
                 raise ConfigError(f"oracle classifier needs a non-negative seed, got {self.seed}")
         elif self.kind is ClassifierKind.EXTERNAL:
-            if not isinstance(self.source, dict):
+            if not isinstance(self.source, np.ndarray):
                 raise ConfigError(
-                    "external classifier needs a direction table, got "
+                    "external classifier needs a position-indexed direction array, got "
                     f"{self.source!r}; read a file with load_external_directions(path, series)"
                 )
 
@@ -120,7 +119,7 @@ class TrendPredictorSpec:
         return cls(ClassifierKind.ORACLE, accuracy=accuracy, seed=seed)
 
     @classmethod
-    def external(cls, source: dict[int, TrendDirection]) -> "TrendPredictorSpec":
+    def external(cls, source: np.ndarray) -> "TrendPredictorSpec":
         return cls(ClassifierKind.EXTERNAL, source=source)
 
 
@@ -245,19 +244,6 @@ class OracleTrendPredictor:
         return np.where(u < np.where(flat, 0.5, self.accuracy), signed, -signed)
 
 
-@dataclass(frozen=True)
-class DirectionTable:
-    """Directions keyed by series position (externally supplied)."""
-
-    by_index: dict[int, TrendDirection]
-
-    def direction_at(self, time_index: int) -> TrendDirection:
-        try:
-            return self.by_index[time_index]
-        except KeyError:
-            raise DataError(f"external directions missing time index {time_index}") from None
-
-
 def _fit_logistic(features: FeatureMatrix, learning_rate: float, iterations: int) -> LogisticClassifier:
     rows = features.rows.astype(float)
     targets = (features.labels == 1).astype(float)
@@ -320,12 +306,13 @@ def fit_classifier(spec: TrendPredictorSpec, features: FeatureMatrix | None = No
     """Build the predictor described by ``spec``.
 
     Feature-based kinds require a training FeatureMatrix; the oracle and
-    external tables do not.
+    external tables do not. An external table is its own predictor: the
+    position-indexed direction array is returned as it is.
     """
     if spec.kind is ClassifierKind.ORACLE:
         return OracleTrendPredictor(accuracy=spec.accuracy, rng=np.random.default_rng(spec.seed))
     if spec.kind is ClassifierKind.EXTERNAL:
-        return DirectionTable(by_index=dict(spec.source))
+        return spec.source
     if features is None:
         raise ConfigError(f"{spec.kind.value} classifier needs a training feature matrix")
     if len(features) == 0:

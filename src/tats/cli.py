@@ -163,6 +163,8 @@ def _resolve_settings(args: argparse.Namespace) -> None:
         raise ConfigError("no data file given (use --data or a config file)")
     if args.target_column is None:
         raise ConfigError("no target column given (use --target-column or a config file)")
+    if args.exog_lag < 0:
+        raise ConfigError(f"exog_lag must be non-negative, got {args.exog_lag}")
     args.out_dir = _out_dir(args.out_dir)
 
 
@@ -438,11 +440,14 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     forecast = dataset.exogenous[args.forecast_column].values
     if actual.size < 2:
         raise DataError("trend-direction accuracy needs at least 2 rows")
-    print(f"MSE {mse(actual, forecast)!r}")
-    print(f"MAE {mae(actual, forecast)!r}")
-    print(f"MAPE {mape(actual, forecast)!r}")
-    tda = td_accuracy(actual[:-1], actual[1:], forecast[1:])
-    print(f"TDA {tda!r}")
+    # every metric is computed before the first line, so an error prints nothing
+    lines = [
+        f"MSE {mse(actual, forecast)!r}",
+        f"MAE {mae(actual, forecast)!r}",
+        f"MAPE {mape(actual, forecast)!r}",
+        f"TDA {td_accuracy(actual[:-1], actual[1:], forecast[1:])!r}",
+    ]
+    print("\n".join(lines))
     return 0
 
 

@@ -32,7 +32,6 @@ import numpy as np
 
 from .classifiers import (
     ClassifierKind,
-    DirectionTable,
     OracleTrendPredictor,
     TrendPredictorSpec,
     fit_classifier,
@@ -40,7 +39,7 @@ from .classifiers import (
 from .core import FLAT, TimeSeries, TrendDirection, concat, direction_of
 from .errors import ConfigError, DataError, NumericError, _require_finite
 from .forecasters import ValueForecasterSpec, _walk_forward, fit_forecaster
-from .ingest import Dataset, FeatureTable, build_feature_table
+from .ingest import Dataset, FeatureTable, _table_slice, build_feature_table
 from .metrics import EvalReport, evaluate_trace
 
 __all__ = [
@@ -315,10 +314,8 @@ def _prepare_run(
                 with np.errstate(over="ignore"):  # the sign survives overflow to +-inf
                     truths = np.sign(values[eval_t] - values[eval_t - 1]).astype(int)
                 directions = classifier.draw_many(truths)
-            elif isinstance(classifier, DirectionTable):
-                directions = np.array(
-                    [int(classifier.direction_at(int(t))) for t in eval_t], dtype=int
-                )
+            elif not feature_based:  # an external direction table
+                directions = _table_slice(classifier, start, stop, "directions")
             else:
                 directions = classifier.predict_matrix(features.rows_at(eval_t - 1))
         except DataError as exc:

@@ -2,7 +2,9 @@
 
 Parameters are fit once on the training split and never touched again;
 walking forward only appends realized values to the history each model
-conditions on. Forecasting is a pure function of (model, history), so
+conditions on. Every fitted model has one hook, forecast_path(values,
+start), which forecasts values[t] from values[:t] for each t from start
+to the end in one call. It is a pure function of (model, values), so
 traces are reproducible and models can be shared across runs. A config
 flag allows refitting at every step for callers who want it.
 """
@@ -16,7 +18,7 @@ import numpy as np
 
 from .core import TimeSeries, concat
 from .errors import ConfigError, DataError, NumericError, _require_finite
-from .ingest import ExternalForecasts
+from .ingest import _table_slice
 
 __all__ = [
     "ARModel",
@@ -48,15 +50,15 @@ class ValueForecasterSpec:
 
     order: AR lag count (AR only).
     smoothing: exponential smoothing weight in (0, 1] (SES only).
-    source: a preloaded ExternalForecasts table (EXTERNAL only); read a
-        time_index,forecast CSV with load_external_forecasts, which
-        checks its indices against the series.
+    source: forecasts indexed by series position, NaN where absent
+        (EXTERNAL only); read a time_index,forecast CSV with
+        load_external_forecasts, which checks its indices against the series.
     """
 
     kind: ForecasterKind
     order: int | None = None
     smoothing: float | None = None
-    source: ExternalForecasts | None = None
+    source: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.kind, ForecasterKind):
@@ -71,9 +73,9 @@ class ValueForecasterSpec:
             if self.smoothing is None or not 0.0 < self.smoothing <= 1.0:
                 raise ConfigError(f"SES smoothing must lie in (0, 1], got {self.smoothing}")
         elif self.kind is ForecasterKind.EXTERNAL:
-            if not isinstance(self.source, ExternalForecasts):
+            if not isinstance(self.source, np.ndarray):
                 raise ConfigError(
-                    "external forecaster needs an ExternalForecasts table, got "
+                    "external forecaster needs a position-indexed forecast array, got "
                     f"{self.source!r}; read a file with load_external_forecasts(path, series)"
                 )
         own = {
@@ -102,7 +104,7 @@ class ValueForecasterSpec:
         return cls(ForecasterKind.SES, smoothing=smoothing)
 
     @classmethod
-    def external(cls, source: ExternalForecasts) -> "ValueForecasterSpec":
+    def external(cls, source: np.ndarray) -> "ValueForecasterSpec":
         return cls(ForecasterKind.EXTERNAL, source=source)
 
 
@@ -112,8 +114,8 @@ class NaiveForecaster:
 
     required_history: int = 1
 
-    def forecast_one(self, history: np.ndarray) -> float:
-        return float(history[-1])
+    def forecast_path(self, values: np.ndarray, start: int) -> np.ndarray:
+        return values[start - 1 : -1]
 
 
 @dataclass(frozen=True)
@@ -123,9 +125,10 @@ class DriftForecaster:
     mean_step: float
     required_history: int = 1
 
-    def forecast_one(self, history: np.ndarray) -> float:
-        # Python float arithmetic: an overflow gives inf, which the loss check reports
-        return float(history[-1]) + self.mean_step
+    def forecast_path(self, values: np.ndarray, start: int) -> np.ndarray:
+        # an overflow gives inf, which the loss check reports
+        with np.errstate(over="ignore"):
+            return values[start - 1 : -1] + self.mean_step
 
 
 @dataclass(frozen=True)
@@ -148,43 +151,50 @@ class ARModel:
     def required_history(self) -> int:
         return self.order
 
-    def forecast_one(self, history: np.ndarray) -> float:
-        lags = history[-1 : -self.order - 1 : -1]
-        return float(self.intercept + float(np.dot(self.coefficients, lags)))
+    def forecast_path(self, values: np.ndarray, start: int) -> np.ndarray:
+        # one np.dot per step: a lag-matrix product rounds differently
+        out = np.empty(values.size - start, dtype=float)
+        for i, t in enumerate(range(start, values.size)):
+            lags = values[:t][-1 : -self.order - 1 : -1]
+            out[i] = self.intercept + float(np.dot(self.coefficients, lags))
+        return out
 
 
 @dataclass(frozen=True)
 class SESForecaster:
     """Exponential smoothing: level = smoothing*y + (1-smoothing)*level.
 
-    The level is recomputed from the given history on every call, which
-    keeps forecasting a pure function; smoothing is the only parameter.
+    The level starts at values[0] and is carried forward one value at a
+    time; the forecast of values[t] is the level after values[t - 1].
+    Smoothing is the only parameter.
     """
 
     smoothing: float
     required_history: int = 1
 
-    def forecast_one(self, history: np.ndarray) -> float:
-        level = float(history[0])
+    def forecast_path(self, values: np.ndarray, start: int) -> np.ndarray:
         lam = self.smoothing
-        for value in history[1:]:
-            level = lam * float(value) + (1.0 - lam) * level
-        return level
+        level = float(values[0])
+        path = []
+        for t, value in enumerate(values[1:].tolist(), start=1):
+            if t >= start:
+                path.append(level)
+            level = lam * value + (1.0 - lam) * level
+        return np.array(path, dtype=float)
 
 
 @dataclass(frozen=True)
 class ExternalForecaster:
-    """Replays forecasts from a table keyed by series position.
+    """Replays forecasts from an array indexed by series position.
 
-    Relies on histories being full series prefixes, so the next time
-    index equals len(history).
+    values must be a prefix of the series the table was loaded for.
     """
 
-    forecasts: ExternalForecasts
+    forecasts: np.ndarray
     required_history: int = 1
 
-    def forecast_one(self, history: np.ndarray) -> float:
-        return self.forecasts.value_at(int(len(history)))
+    def forecast_path(self, values: np.ndarray, start: int) -> np.ndarray:
+        return _table_slice(self.forecasts, start, values.size, "forecasts")
 
 
 def fit_ar(series: TimeSeries, order: int) -> ARModel:
@@ -272,9 +282,11 @@ def _walk_forward(spec, fitted, values: np.ndarray, start: int, refit_each_step:
     step unless refit_each_step is set, in which case each step after the
     first refits ``spec`` on its history.
     """
+    if not refit_each_step:
+        return fitted.forecast_path(values, start)
     out = np.empty(values.size - start, dtype=float)
     for i, t in enumerate(range(start, values.size)):
-        if refit_each_step and t > start:
+        if t > start:
             fitted = fit_forecaster(spec, TimeSeries(values[:t]))
-        out[i] = fitted.forecast_one(values[:t])
+        out[i] = fitted.forecast_path(values[: t + 1], t)[0]
     return out

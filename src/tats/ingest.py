@@ -11,6 +11,9 @@ File conventions (all CSVs carry a header row):
 * external directions: columns ``time_index,direction`` with direction
   +1 or -1, same index convention.
 
+Both external tables load as float arrays over series positions, with
+NaN where the file lists no value.
+
 Classifier rows at time s stack the last ``n_lags`` target values
 [y_s, y_{s-1}, ..., y_{s-n_lags+1}], optionally followed by the
 exogenous values at s (or at s - exog_lag), and are labeled with the
@@ -28,12 +31,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import TimeSeries, TrendDirection
+from .core import TimeSeries
 from .errors import ConfigError, DataError
 
 __all__ = [
     "Dataset",
-    "ExternalForecasts",
     "FeatureMatrix",
     "FeatureTable",
     "build_feature_table",
@@ -232,68 +234,61 @@ def build_feature_table(
     return FeatureTable(rows=rows, row_time_index=times, next_delta=next_delta)
 
 
-@dataclass(frozen=True)
-class ExternalForecasts:
-    """Forecasts keyed by 0-based series position."""
+def _load_table(path: str | Path, series: TimeSeries, column: str, valid, problem: str) -> np.ndarray:
+    """Read a time_index,<column> CSV into a float array over series positions.
 
-    by_index: dict[int, float]
-
-    def value_at(self, time_index: int) -> float:
-        try:
-            return self.by_index[time_index]
-        except KeyError:
-            raise DataError(f"external forecasts missing time index {time_index}") from None
-
-
-def _indexed_column(path: str | Path, value_column: str) -> dict[int, float]:
+    Positions the file does not list hold NaN. Every index must fall in
+    1..len(series)-1 and appear once, and valid(value) must hold for every
+    value; a row that breaks the last rule is reported as ``problem``.
+    """
     header, rows = _read_rows(path)
     raw_idx = _column(header, rows, "time_index", path)
-    raw_val = _column(header, rows, value_column, path)
-    out: dict[int, float] = {}
+    raw_val = _column(header, rows, column, path)
+    n = len(series)
+    table = np.full(n, np.nan)
     for i, (cell_t, cell_v) in enumerate(zip(raw_idx, raw_val), start=1):
         try:
             t = int(cell_t)
         except ValueError:
             raise DataError(f"{path}: non-integer time_index {cell_t!r} at data row {i}") from None
-        if t in out:
+        if not 1 <= t <= n - 1:
+            raise DataError(f"{path}: time_index {t} outside the forecastable range 1..{n - 1}")
+        if not math.isnan(table[t]):
             raise DataError(f"{path}: duplicate time_index {t}")
         try:
-            out[t] = float(cell_v)
+            v = float(cell_v)
         except ValueError:
             raise DataError(
-                f"{path}: non-numeric value {cell_v!r} in column '{value_column}', data row {i}"
+                f"{path}: non-numeric value {cell_v!r} in column '{column}', data row {i}"
             ) from None
-    return out
+        if not valid(v):
+            raise DataError(f"{path}: {column} at time_index {t} {problem}, got {v}")
+        table[t] = v
+    return table
 
 
-def load_external_forecasts(path: str | Path, series: TimeSeries) -> ExternalForecasts:
-    """Load a time_index,forecast CSV aligned to ``series``.
+def _table_slice(table: np.ndarray, start: int, stop: int, what: str) -> np.ndarray:
+    """table[start:stop] of an external table; the first absent position raises."""
+    part = table[start:stop]
+    absent = np.flatnonzero(np.isnan(part))
+    if absent.size or part.size < stop - start:
+        first = start + int(absent[0] if absent.size else part.size)
+        raise DataError(f"external {what} missing time index {first}")
+    return part
+
+
+def load_external_forecasts(path: str | Path, series: TimeSeries) -> np.ndarray:
+    """Load a time_index,forecast CSV as forecasts indexed by series position.
 
     Every index must fall in 1..len(series)-1 and every forecast must be
-    finite; duplicates are rejected.
+    finite; duplicates are rejected. Unlisted positions hold NaN.
     """
-    table = _indexed_column(path, "forecast")
-    n = len(series)
-    for t, v in table.items():
-        if not 1 <= t <= n - 1:
-            raise DataError(
-                f"{path}: time_index {t} outside the forecastable range 1..{n - 1}"
-            )
-        if not math.isfinite(v):
-            raise DataError(f"{path}: forecast at time_index {t} is not finite, got {v}")
-    return ExternalForecasts(by_index=table)
+    return _load_table(path, series, "forecast", math.isfinite, "is not finite")
 
 
-def load_external_directions(path: str | Path, series: TimeSeries) -> dict[int, TrendDirection]:
-    """Load a time_index,direction CSV aligned to ``series``; directions must be +1 or -1."""
-    table = _indexed_column(path, "direction")
-    out: dict[int, TrendDirection] = {}
-    for t, v in table.items():
-        if v not in (1.0, -1.0):
-            raise DataError(f"{path}: direction at time_index {t} must be +1 or -1, got {v}")
-        if not 1 <= t <= len(series) - 1:
-            raise DataError(
-                f"{path}: time_index {t} outside the forecastable range 1..{len(series) - 1}"
-            )
-        out[t] = TrendDirection(int(v))
-    return out
+def load_external_directions(path: str | Path, series: TimeSeries) -> np.ndarray:
+    """Load a time_index,direction CSV as +1/-1 floats indexed by series position.
+
+    Same index rules as :func:`load_external_forecasts`; unlisted positions hold NaN.
+    """
+    return _load_table(path, series, "direction", lambda v: v in (1.0, -1.0), "must be +1 or -1")

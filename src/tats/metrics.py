@@ -39,9 +39,9 @@ def _aligned(y_true, y_pred) -> tuple[np.ndarray, np.ndarray]:
 def td_accuracy(y_prev, y_true, y_pred) -> float:
     """Fraction of steps whose forecast moves the same way as the actual.
 
-    A step counts as correct only when (y_pred - y_prev)(y_true - y_prev)
-    is strictly positive; flat moves on either side count as incorrect.
-    The denominator is the total number of steps.
+    A step counts as correct only when y_pred - y_prev and y_true - y_prev
+    have the same strict sign; flat moves on either side count as
+    incorrect. The denominator is the total number of steps.
     """
     t, p = _aligned(y_true, y_pred)
     prev = np.asarray(y_prev, dtype=float)
@@ -51,10 +51,11 @@ def td_accuracy(y_prev, y_true, y_pred) -> float:
 
 
 def _direction_hits(y_prev: np.ndarray, y_true: np.ndarray, y_pred: np.ndarray) -> int:
-    """Number of steps with (y_pred - y_prev)(y_true - y_prev) > 0."""
-    # an overflowing product still has the sign of the true one
+    """Number of steps where the forecast and the actual move the same strict way."""
+    # signs, not the product of the moves, which underflows to 0 below about
+    # 1e-154; a move that overflows to +-inf keeps its sign
     with np.errstate(over="ignore", invalid="ignore"):
-        return int(np.count_nonzero((y_pred - y_prev) * (y_true - y_prev) > 0))
+        return int(np.count_nonzero(np.sign(y_pred - y_prev) * np.sign(y_true - y_prev) > 0))
 
 
 def mse(y_true, y_pred) -> float:
@@ -98,7 +99,8 @@ class TrendAwareLossConfig:
 def trend_aware_loss(y_true, y_pred, config: TrendAwareLossConfig | float, y_prev=None) -> float:
     """Sum of squared errors plus gamma per wrong-direction step.
 
-    A step is penalized when (y_pred - y_prev)(y_true - y_prev) < 0.
+    A step is penalized when y_pred - y_prev and y_true - y_prev have
+    opposite strict signs.
     When ``y_prev`` is omitted it is taken from the actuals themselves,
     in which case the first step has no previous value and is exempt
     from the penalty (but still contributes its squared error).
@@ -117,8 +119,8 @@ def trend_aware_loss(y_true, y_pred, config: TrendAwareLossConfig | float, y_pre
         if prev.shape != t.shape:
             raise ConfigError(f"y_prev must align with actuals, got {prev.shape} vs {t.shape}")
         tt, pp = t, p
-    with np.errstate(over="ignore", invalid="ignore"):  # the product keeps its sign
-        wrong = int(np.count_nonzero((pp - prev) * (tt - prev) < 0))
+    with np.errstate(over="ignore", invalid="ignore"):  # as in _direction_hits
+        wrong = int(np.count_nonzero(np.sign(pp - prev) * np.sign(tt - prev) < 0))
     return sse + config.gamma * wrong
 
 

@@ -128,7 +128,7 @@ def test_c04_identity_configurations():
 
         fc_spec = ValueForecasterSpec.ar(order=2)
         forecasts = walk_forward_forecasts(fc_spec, train, test)
-        table = {}
+        table = np.full(values.size, np.nan)
         for i, f in enumerate(forecasts):
             t = len(train) + i
             implied = f - values[t - 1]

@@ -61,8 +61,8 @@ def test_external_spec_takes_only_a_loaded_table(tmp_path):
     for source in (str(path), path, None):
         with pytest.raises(ConfigError, match=r"load_external_directions\(path, series\)"):
             TrendPredictorSpec.external(source)
-    spec = TrendPredictorSpec.external({1: TrendDirection.UP})
-    assert fit_classifier(spec).direction_at(1) is TrendDirection.UP
+    spec = TrendPredictorSpec.external(np.array([np.nan, TrendDirection.UP]))
+    assert fit_classifier(spec)[1] == TrendDirection.UP
 
 
 def test_majority_tie_goes_up():

@@ -220,6 +220,42 @@ def test_metrics_one_row_prints_nothing(tmp_path, capsys):
     assert "trend-direction accuracy needs at least 2 rows" in captured.err
 
 
+def test_metrics_zero_actual_prints_nothing(tmp_path, capsys):
+    path = tmp_path / "fc.csv"
+    path.write_text("actual,forecast\n0,1\n2,3\n")
+    assert main(["metrics", "--data", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "MAPE undefined: actual value at step 0 is zero" in captured.err
+
+
+def test_metrics_tda_on_tiny_moves(tmp_path, capsys):
+    # every forecast moves the way the actual does, by about 1e-200
+    path = tmp_path / "fc.csv"
+    path.write_text("actual,forecast\n1e-200,1e-200\n2e-200,1.5e-200\n1e-200,1.5e-200\n3e-200,2e-200\n")
+    assert main(["metrics", "--data", str(path)]) == 0
+    assert "TDA 1.0\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("classifier", ["logistic", "oracle", "external"])
+def test_negative_exog_lag_is_a_config_error(tmp_path, capsys, command, classifier):
+    data = _write_prices(tmp_path / "prices.csv")
+    directions = tmp_path / "dirs.csv"
+    directions.write_text("time_index,direction\n" + "".join(f"{t},1\n" for t in range(1, 120)))
+    extra = {
+        "logistic": [],
+        "oracle": ["--oracle-accuracy", "0.7"],
+        "external": ["--external-directions", str(directions)],
+    }[classifier]
+    out = tmp_path / "o"
+    argv = [command, "--data", str(data), "--target-column", "gold", "--classifier", classifier,
+            *extra, "--alphas", "1", "--exog-lag", "-3", "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: exog_lag must be non-negative, got -3\n"
+    assert not out.exists()
+
+
 def test_exit_code_usage_errors(tmp_path):
     assert main(["frobnicate"]) == 1
     data = _write_prices(tmp_path / "prices.csv")

@@ -232,7 +232,7 @@ def test_run_tats_echo_classifier_is_identity():
     spec = ValueForecasterSpec.ar(order=2)
     forecasts = walk_forward_forecasts(spec, train, test)
     n_train = len(train)
-    table = {}
+    table = np.full(len(series), np.nan)
     for i, f in enumerate(forecasts):
         t = n_train + i
         implied = f - series.values[t - 1]

@@ -10,14 +10,64 @@ from tats import (
     fit_forecaster,
     walk_forward_forecasts,
 )
-from tats.forecasters import ARModel, fit_ar
-from tats.ingest import ExternalForecasts
+from tats.forecasters import (
+    ARModel,
+    DriftForecaster,
+    ExternalForecaster,
+    NaiveForecaster,
+    SESForecaster,
+    _walk_forward,
+    fit_ar,
+)
 
 seed = 505
 
 
 def _series(values):
     return TimeSeries(np.asarray(values, dtype=float))
+
+
+def _next(model, history):
+    """The model's forecast of the value after ``history``, read off its path."""
+    values = np.append(np.asarray(history, dtype=float), np.nan)
+    [forecast] = model.forecast_path(values, values.size - 1)
+    return forecast
+
+
+def _reference_forecast_one(model, history, external=None):
+    """The per-step forecast of each model before forecast_path, kept as the oracle.
+
+    ``external`` maps series positions to forecasts for an ExternalForecaster.
+    """
+    if isinstance(model, NaiveForecaster):
+        return float(history[-1])
+    if isinstance(model, DriftForecaster):
+        return float(history[-1]) + model.mean_step
+    if isinstance(model, ARModel):
+        lags = history[-1 : -model.order - 1 : -1]
+        return float(model.intercept + float(np.dot(model.coefficients, lags)))
+    if isinstance(model, SESForecaster):
+        level = float(history[0])
+        lam = model.smoothing
+        for value in history[1:]:
+            level = lam * float(value) + (1.0 - lam) * level
+        return level
+    assert isinstance(model, ExternalForecaster)
+    return external[int(len(history))]
+
+
+def _reference_walk(spec, fitted, values, start, refit_each_step=False, external=None):
+    out = np.empty(values.size - start, dtype=float)
+    for i, t in enumerate(range(start, values.size)):
+        if refit_each_step and t > start:
+            fitted = fit_forecaster(spec, TimeSeries(values[:t]))
+        out[i] = _reference_forecast_one(fitted, values[:t], external)
+    return out
+
+
+def _walk_values(n, rng_seed):
+    rng = np.random.default_rng(rng_seed)
+    return np.cumsum(rng.normal(size=n)) + 100.0
 
 
 def test_spec_validation():
@@ -37,24 +87,24 @@ def test_spec_validation():
 
 def test_naive():
     model = fit_forecaster(ValueForecasterSpec.naive(), _series([1.0, 2.0, 7.0]))
-    assert model.forecast_one(np.array([3.0, 4.0])) == 4.0
+    assert _next(model, [3.0, 4.0]) == 4.0
 
 
 def test_drift_freezes_training_mean_step():
     # mean training step 0.25, last observed value 8 -> 8.25
     train = _series([7.0, 7.25, 7.5, 7.75, 8.0])
     model = fit_forecaster(ValueForecasterSpec.drift(), train)
-    assert model.forecast_one(train.values) == 8.25
+    assert _next(model, train.values) == 8.25
     # same frozen step applied to an unrelated history
-    assert model.forecast_one(np.array([100.0])) == 100.25
+    assert _next(model, [100.0]) == 100.25
 
 
 def test_ses_limits_and_recursion():
     train = _series([2.0, 4.0, 4.0])
     one = fit_forecaster(ValueForecasterSpec.ses(smoothing=1.0), train)
-    assert one.forecast_one(np.array([5.0, 9.0])) == 9.0  # lambda=1 is naive
+    assert _next(one, [5.0, 9.0]) == 9.0  # lambda=1 is naive
     half = fit_forecaster(ValueForecasterSpec.ses(smoothing=0.5), train)
-    assert half.forecast_one(np.array([2.0, 4.0])) == 3.0
+    assert _next(half, [2.0, 4.0]) == 3.0
     # independent recursion check
     rng = np.random.default_rng(seed)
     history = rng.normal(size=20)
@@ -63,13 +113,14 @@ def test_ses_limits_and_recursion():
     for x in history[1:]:
         level = lam * x + (1 - lam) * level
     model = fit_forecaster(ValueForecasterSpec.ses(smoothing=lam), train)
-    assert model.forecast_one(history) == pytest.approx(level, rel=1e-12)
+    assert _next(model, history) == pytest.approx(level, rel=1e-12)
 
 
 def test_ses_forecast_is_pure():
     model = fit_forecaster(ValueForecasterSpec.ses(smoothing=0.4), _series([1.0, 2.0]))
     h = np.array([1.0, 3.0, 2.0])
-    assert model.forecast_one(h) == model.forecast_one(h)
+    assert np.array_equal(model.forecast_path(h, 1), model.forecast_path(h, 1))
+    assert np.array_equal(h, [1.0, 3.0, 2.0])
 
 
 def test_ar_exact_recovery_noiseless():
@@ -122,18 +173,18 @@ def test_ar_matches_normal_equations():
 def test_ar_degenerate_on_constant_series():
     model = fit_ar(_series([5.0] * 30), order=2)
     assert model.degenerate
-    assert model.forecast_one(np.array([5.0, 5.0])) == pytest.approx(5.0, abs=1e-6)
+    assert _next(model, [5.0, 5.0]) == pytest.approx(5.0, abs=1e-6)
 
 
 def test_ar_worked_example():
     model = ARModel(intercept=0.0, coefficients=np.array([0.6]), degenerate=False)
-    assert model.forecast_one(np.array([4.0, 10.0])) == 6.0
+    assert _next(model, [4.0, 10.0]) == 6.0
 
 
 def test_ar_lag_order():
     # forecast = c + phi1*y_{t-1} + phi2*y_{t-2}
     model = ARModel(intercept=1.0, coefficients=np.array([2.0, 3.0]), degenerate=False)
-    assert model.forecast_one(np.array([5.0, 7.0])) == 1.0 + 2.0 * 7.0 + 3.0 * 5.0
+    assert _next(model, [5.0, 7.0]) == 1.0 + 2.0 * 7.0 + 3.0 * 5.0
 
 
 def test_ar_too_short():
@@ -183,7 +234,8 @@ def test_walk_forward_refit_each_step_differs():
 def test_walk_forward_external_replays_file_values():
     values = np.arange(10.0) + 50.0
     train, test = _series(values[:7]), _series(values[7:])
-    table = ExternalForecasts(by_index={7: 1.5, 8: 2.5, 9: 3.5})
+    table = np.full(10, np.nan)
+    table[7:] = [1.5, 2.5, 3.5]
     out = walk_forward_forecasts(ValueForecasterSpec.external(source=table), train, test)
     assert np.array_equal(out, np.array([1.5, 2.5, 3.5]))
 
@@ -191,9 +243,15 @@ def test_walk_forward_external_replays_file_values():
 def test_walk_forward_external_missing_index():
     values = np.arange(10.0)
     train, test = _series(values[:7]), _series(values[7:])
-    spec = ValueForecasterSpec.external(source=ExternalForecasts(by_index={7: 1.0}))
-    with pytest.raises(DataError):
+    table = np.full(10, np.nan)
+    table[7] = 1.0
+    spec = ValueForecasterSpec.external(source=table)
+    with pytest.raises(DataError, match="external forecasts missing time index 8"):
         walk_forward_forecasts(spec, train, test)
+    # positions past the end of the table are missing too
+    short = ValueForecasterSpec.external(source=np.array([np.nan, 1.0]))
+    with pytest.raises(DataError, match="external forecasts missing time index 7"):
+        walk_forward_forecasts(short, train, test)
 
 
 def test_external_spec_rejects_a_path(tmp_path):
@@ -214,4 +272,69 @@ def test_fits_on_huge_values_are_numeric_errors():
         fit_forecaster(ValueForecasterSpec.drift(), _series([1.5e308, -1.5e308, 1.5e308]))
     # a drift step past the float64 range is inf, left to the loss check, with no warning
     drift = fit_forecaster(ValueForecasterSpec.drift(), _series([0.0, 1e308]))
-    assert drift.forecast_one(np.array([0.0, 1e308])) == float("inf")
+    assert _next(drift, [0.0, 1e308]) == float("inf")
+
+
+# forecast_path against the per-step forecasts it replaced: equal bit for bit
+
+
+@pytest.mark.parametrize("smoothing", [0.1, 0.4, 0.9, 1.0])
+def test_ses_path_matches_per_step_forecasts(smoothing):
+    # a 3,000-step walk after 1,000 training values
+    values = _walk_values(4000, seed + 6)
+    spec = ValueForecasterSpec.ses(smoothing)
+    fitted = fit_forecaster(spec, TimeSeries(values[:1000]))
+    path = _walk_forward(spec, fitted, values, 1000, False)
+    assert np.array_equal(path, _reference_walk(spec, fitted, values, 1000))
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_ar_path_matches_per_step_forecasts(order):
+    values = _walk_values(3000, seed + 7)
+    spec = ValueForecasterSpec.ar(order)
+    fitted = fit_forecaster(spec, TimeSeries(values[:1000]))
+    # in-sample walks start right after the lags the model needs
+    for start in (order, 1000):
+        path = _walk_forward(spec, fitted, values, start, False)
+        assert np.array_equal(path, _reference_walk(spec, fitted, values, start))
+
+
+@pytest.mark.parametrize("spec", [ValueForecasterSpec.naive(), ValueForecasterSpec.drift()],
+                         ids=["naive", "drift"])
+def test_naive_and_drift_paths_match_per_step_forecasts(spec):
+    values = _walk_values(3000, seed + 8)
+    fitted = fit_forecaster(spec, TimeSeries(values[:1000]))
+    for start in (1, 1000):
+        path = _walk_forward(spec, fitted, values, start, False)
+        assert np.array_equal(path, _reference_walk(spec, fitted, values, start))
+
+
+def test_external_path_matches_per_step_forecasts():
+    values = _walk_values(300, seed + 9)
+    forecasts = values + np.random.default_rng(seed + 10).normal(size=300)
+    table = np.full(300, np.nan)
+    table[1:] = forecasts[1:]
+    by_index = {t: float(forecasts[t]) for t in range(1, 300)}
+    spec = ValueForecasterSpec.external(table)
+    fitted = fit_forecaster(spec, TimeSeries(values[:100]))
+    for start in (1, 100):
+        path = _walk_forward(spec, fitted, values, start, False)
+        assert np.array_equal(path, _reference_walk(spec, fitted, values, start, external=by_index))
+
+
+@pytest.mark.parametrize("kind", ["ses", "ar", "drift", "naive", "external"])
+def test_refit_path_matches_per_step_forecasts(kind):
+    values = _walk_values(400, seed + 11)
+    table = np.append(np.nan, values[:-1] + 0.5)
+    spec = {
+        "ses": ValueForecasterSpec.ses(0.4),
+        "ar": ValueForecasterSpec.ar(2),
+        "drift": ValueForecasterSpec.drift(),
+        "naive": ValueForecasterSpec.naive(),
+        "external": ValueForecasterSpec.external(table),
+    }[kind]
+    by_index = {t: float(table[t]) for t in range(1, 400)}
+    fitted = fit_forecaster(spec, TimeSeries(values[:200]))
+    path = _walk_forward(spec, fitted, values, 200, True)
+    reference = _reference_walk(spec, fitted, values, 200, refit_each_step=True, external=by_index)
+    assert np.array_equal(path, reference)

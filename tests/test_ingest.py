@@ -3,6 +3,7 @@ import pytest
 
 from tats import DataError, Dataset, TimeSeries, load_csv
 from tats.ingest import (
+    _table_slice,
     build_feature_table,
     load_external_directions,
     load_external_forecasts,
@@ -172,11 +173,11 @@ def test_external_forecasts_round_trip(tmp_path):
     path = _write(tmp_path, "f.csv", "time_index,forecast\n1,10.5\n2,11.0\n")
     series = TimeSeries(np.arange(5, dtype=float))
     ext = load_external_forecasts(path, series)
-    assert ext.value_at(1) == 10.5
-    assert ext.value_at(2) == 11.0
-    assert sorted(ext.by_index) == [1, 2]
-    with pytest.raises(DataError):
-        ext.value_at(3)
+    assert ext[1] == 10.5
+    assert ext[2] == 11.0
+    assert np.array_equal(np.flatnonzero(~np.isnan(ext)), [1, 2])
+    with pytest.raises(DataError, match="external forecasts missing time index 3"):
+        _table_slice(ext, 1, 4, "forecasts")
 
 
 def test_external_forecasts_validation(tmp_path):

@@ -13,7 +13,7 @@ from tats import (
     td_accuracy,
     trend_aware_loss,
 )
-from tats.engine import evaluate_forecasts
+from tats.engine import Scenario, evaluate_forecasts
 from tats.metrics import EvalReport, evaluate_trace
 
 seed = 202
@@ -194,3 +194,21 @@ def test_diff_rdiff_errors():
 def test_eval_report_diff_pairing():
     with pytest.raises(ConfigError):
         EvalReport(tda=0.5, mse=1.0, mae=1.0, mape=1.0, n_steps=4, diff=1.0)
+
+
+# moves below about 1e-154 make the product of two moves underflow to 0
+TINY_SERIES = np.array([0.0, 1e-200, 2e-200, 1e-200, 3e-200])
+TINY_FORECASTS = np.array([0.5e-200, 1.5e-200, 1.5e-200, 2e-200])  # each moves the right way
+
+
+def test_direction_hits_survive_tiny_moves():
+    trace = evaluate_forecasts(TINY_SERIES, 1, TINY_FORECASTS, np.array([1, 1, -1, 1]), 1.0)
+    assert np.all(trace.scenario == Scenario.S1)
+    assert td_accuracy(trace.y_prev, trace.y_true, trace.y_hat) == 1.0
+
+
+def test_trend_aware_loss_counts_tiny_wrong_moves():
+    # the squared errors underflow to 0, so only the penalties remain
+    assert trend_aware_loss([1e-200, 0.0], [-1e-200, 2e-200], 1.0, y_prev=[0.0, 1e-200]) == 2.0
+    # a forecast equal to y_prev is flat, which is never a wrong direction
+    assert trend_aware_loss([1e-200, 0.0], [-1e-200, 1e-200], 1.0, y_prev=[0.0, 1e-200]) == 1.0

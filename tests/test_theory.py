@@ -130,3 +130,13 @@ def test_estimate_theory_on_random_runs():
         assert est.abs_gap >= 0.0
         assert est.expected_loss_change == est.lower_bound
         assert est.prop1_holds == (est.p_db > est.p_dt)
+
+
+def test_estimate_theory_on_tiny_moves():
+    # every forecast and every direction is right, although each move is about 1e-200
+    values = np.array([0.0, 1e-200, 2e-200, 1e-200, 3e-200])
+    forecasts = np.array([0.5e-200, 1.5e-200, 1.5e-200, 2e-200])
+    est = estimate_theory(evaluate_forecasts(values, 1, forecasts, np.array([1, 1, -1, 1]), 1.0))
+    assert est.p_db == 1.0
+    assert est.p_dt == 1.0
+    assert not est.prop1_holds
