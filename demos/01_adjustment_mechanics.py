@@ -10,10 +10,11 @@ Run: python demos/01_adjustment_mechanics.py
 
 import numpy as np
 
-from tats import Scenario, TrendDirection, adjust, indicator
+from tats import Scenario, adjust, indicator
 from tats.engine import classify_scenario, evaluate_forecasts
 
-UP, DOWN = TrendDirection.UP, TrendDirection.DOWN
+UP, DOWN = 1, -1  # directions are +1/-1 ints
+NAME = {UP: "UP", DOWN: "DOWN"}
 
 print("=== Single steps ===")
 print()
@@ -28,7 +29,7 @@ for label, y_prev, y_hat, direction, alpha in cases:
     out = adjust(y_hat, direction, y_prev, alpha)
     print(f"{label}:")
     print(
-        f"  last value {y_prev}, forecast {y_hat}, classifier says {direction.name},"
+        f"  last value {y_prev}, forecast {y_hat}, classifier says {NAME[direction]},"
         f" alpha={alpha}"
     )
     print(f"  indicator={ind} -> adjusted forecast {out}")
@@ -47,7 +48,7 @@ print(f"{'t':>2} {'prev':>7} {'true':>7} {'base':>7} {'dir':>4} {'ind':>3} "
 for i in range(len(tr)):
     print(
         f"{tr.t[i]:>2} {tr.y_prev[i]:>7.2f} {tr.y_true[i]:>7.2f} {tr.y_hat[i]:>7.2f} "
-        f"{TrendDirection(int(tr.direction[i])).name:>4} {tr.indicator[i]:>3} "
+        f"{NAME[tr.direction[i]]:>4} {tr.indicator[i]:>3} "
         f"{tr.y_adj[i]:>8.2f} {Scenario(int(tr.scenario[i])).name:>9}"
     )
 print()

@@ -20,15 +20,7 @@ from .classifiers import (
     TrendPredictorSpec,
     fit_classifier,
 )
-from .core import (
-    FLAT,
-    Flat,
-    TimeSeries,
-    TrendDirection,
-    chronological_split,
-    concat,
-    direction_of,
-)
+from .core import TimeSeries, chronological_split
 from .engine import (
     ForecastTrace,
     Scenario,
@@ -63,7 +55,6 @@ from .ingest import (
 )
 from .metrics import (
     EvalReport,
-    TrendAwareLossConfig,
     diff_rdiff,
     evaluate_trace,
     mae,
@@ -97,10 +88,8 @@ __all__ = [
     "DataError",
     "Dataset",
     "EvalReport",
-    "FLAT",
     "FeatureMatrix",
     "FeatureTable",
-    "Flat",
     "ForecastTrace",
     "ForecasterKind",
     "GaussianNBClassifier",
@@ -119,8 +108,6 @@ __all__ = [
     "TatsError",
     "TheoryEstimate",
     "TimeSeries",
-    "TrendAwareLossConfig",
-    "TrendDirection",
     "TrendPredictorSpec",
     "TrialResult",
     "ValueForecasterSpec",
@@ -128,9 +115,7 @@ __all__ = [
     "build_feature_table",
     "chronological_split",
     "classify_scenario",
-    "concat",
     "diff_rdiff",
-    "direction_of",
     "estimate_theory",
     "evaluate_forecasts",
     "evaluate_trace",

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FLAT, Flat, TrendDirection
 from .errors import ConfigError, DataError, NumericError, _require_finite
 from .ingest import FeatureMatrix
 
@@ -43,13 +42,16 @@ class ClassifierKind(enum.Enum):
     EXTERNAL = "external"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrendPredictorSpec:
     """Declarative classifier choice; parameters must match the kind.
 
     source: +1/-1 directions indexed by series position, NaN where absent
         (EXTERNAL only); read a time_index,direction CSV with
         load_external_directions, which checks its indices against the series.
+
+    Specs compare and hash by identity, as an array source has no single
+    truth value.
     """
 
     kind: ClassifierKind
@@ -127,11 +129,11 @@ class TrendPredictorSpec:
 class MajorityClassifier:
     """Always predicts the most frequent training direction (tie: UP)."""
 
-    direction: TrendDirection
+    direction: int
     n_features: int
 
     def predict_matrix(self, rows: np.ndarray) -> np.ndarray:
-        return np.full(rows.shape[0], int(self.direction), dtype=int)
+        return np.full(rows.shape[0], self.direction, dtype=int)
 
 
 @dataclass(frozen=True)
@@ -222,24 +224,23 @@ class KNNClassifier:
 class OracleTrendPredictor:
     """Emits the true direction with a dialed-in probability.
 
-    Consumes one uniform draw per prediction. For a FLAT truth there is
-    no correct answer; the same draw then picks UP or DOWN evenly.
+    Truths and predictions are +1/-1 ints, and a truth of 0 is a flat
+    move. Consumes one uniform draw per prediction. For a flat truth there
+    is no correct answer; the same draw then picks UP or DOWN evenly.
     """
 
     accuracy: float
     rng: np.random.Generator
 
-    def draw(self, truth: TrendDirection | Flat) -> TrendDirection:
-        u = float(self.rng.random())
-        if truth is FLAT:
-            return TrendDirection.UP if u < 0.5 else TrendDirection.DOWN
-        return truth if u < self.accuracy else truth.flipped()
+    def draw(self, truth: int) -> int:
+        """One prediction for one truth sign, by the rule of draw_many."""
+        return int(self.draw_many(np.array([truth]))[0])
 
     def draw_many(self, truths: np.ndarray) -> np.ndarray:
         """Vectorized draws for +1/-1/0 truth signs (0 meaning flat)."""
         u = self.rng.random(truths.size)
         flat = truths == 0
-        # as in draw(), a flat truth becomes UP below 0.5 and DOWN otherwise
+        # a flat truth becomes UP below 0.5 and DOWN otherwise
         signed = truths + flat
         return np.where(u < np.where(flat, 0.5, self.accuracy), signed, -signed)
 
@@ -319,7 +320,7 @@ def fit_classifier(spec: TrendPredictorSpec, features: FeatureMatrix | None = No
         raise DataError("training feature matrix is empty")
     if spec.kind is ClassifierKind.MAJORITY:
         ups = int(np.count_nonzero(features.labels == 1))
-        direction = TrendDirection.UP if ups >= len(features) - ups else TrendDirection.DOWN
+        direction = 1 if ups >= len(features) - ups else -1
         return MajorityClassifier(direction=direction, n_features=features.rows.shape[1])
     if spec.kind is ClassifierKind.LOGISTIC:
         if np.unique(features.labels).size < 2:

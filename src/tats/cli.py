@@ -283,7 +283,7 @@ def _prepare_experiment(args: argparse.Namespace):
         n_lags=args.n_lags,
         refit_each_step=args.refit_each_step,
     )
-    return dataset, train, test, features, config, alphas
+    return train, test, features, config, alphas
 
 
 def _print_sweep(args: argparse.Namespace, sweep) -> None:
@@ -316,7 +316,7 @@ def _sweep_chart(sweep) -> str:
 
 def cmd_run(args: argparse.Namespace) -> int:
     _resolve_settings(args)
-    _, train, test, features, config, alphas = _prepare_experiment(args)
+    train, test, features, config, alphas = _prepare_experiment(args)
     try:
         test_inputs, theory_inputs = _prepare_run(
             config, train, test, features, ("test", args.theory_split)
@@ -399,7 +399,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     _resolve_settings(args)
     if args.alphas is None:
         raise ConfigError("sweep needs --alphas (or alphas in the config file)")
-    _, train, test, features, config, alphas = _prepare_experiment(args)
+    train, test, features, config, alphas = _prepare_experiment(args)
     sweep = sweep_alpha(config, alphas, train, test, features)
     out = args.out_dir
     out.mkdir(parents=True, exist_ok=True)

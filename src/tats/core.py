@@ -1,75 +1,33 @@
-"""Core time series types: immutable series, directions, splits.
+"""Core time series types: an immutable series and its chronological split.
 
 A :class:`TimeSeries` wraps a 1-D float array that is validated once and
 never mutated afterwards, so every other module can share series objects
-freely. Directions are a two-valued enum; a zero step delta is neither
-up nor down and is represented by the distinct :data:`FLAT` marker so
-that callers are forced to state their tie policy explicitly.
+freely. Directions elsewhere in the package are plain ints: +1 up, -1
+down, and 0 for a flat move.
 """
 
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
 
 __all__ = [
-    "FLAT",
-    "Flat",
     "TimeSeries",
-    "TrendDirection",
     "chronological_split",
-    "concat",
-    "direction_of",
 ]
-
-
-class TrendDirection(enum.IntEnum):
-    """Direction of a one-step move, numerically +1 (up) or -1 (down)."""
-
-    UP = 1
-    DOWN = -1
-
-    def flipped(self) -> "TrendDirection":
-        return TrendDirection.DOWN if self is TrendDirection.UP else TrendDirection.UP
-
-
-class Flat:
-    """Singleton marker for a zero step delta.
-
-    Deliberately not a :class:`TrendDirection`: code that consumes
-    directions must decide what a flat step means for it instead of
-    silently inheriting a default.
-    """
-
-    _instance: "Flat | None" = None
-
-    def __new__(cls) -> "Flat":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "FLAT"
-
-
-FLAT = Flat()
 
 
 @dataclass(frozen=True, eq=False)
 class TimeSeries:
-    """Ordered univariate series with optional row labels.
+    """Ordered univariate series.
 
     values: finite floats, length >= 1, stored as a read-only array.
-    labels: optional timestamps or row identifiers, same length as
-        values and strictly increasing.
     """
 
     values: np.ndarray
-    labels: tuple | None = field(default=None)
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.values, dtype=float)
@@ -83,22 +41,6 @@ class TimeSeries:
         arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
-        if self.labels is not None:
-            labels = tuple(self.labels)
-            if len(labels) != arr.size:
-                raise DataError(
-                    f"labels length {len(labels)} does not match series length {arr.size}"
-                )
-            for i in range(1, len(labels)):
-                try:
-                    ordered = labels[i - 1] < labels[i]
-                except TypeError as exc:
-                    raise DataError(f"labels are not mutually comparable: {exc}") from exc
-                if not ordered:
-                    raise DataError(
-                        f"labels must be strictly increasing, violated at position {i}"
-                    )
-            object.__setattr__(self, "labels", labels)
 
     def __len__(self) -> int:
         return int(self.values.size)
@@ -107,19 +49,7 @@ class TimeSeries:
         """Contiguous sub-series over [start, stop)."""
         if not 0 <= start < stop <= len(self):
             raise ConfigError(f"invalid slice [{start}, {stop}) of series with length {len(self)}")
-        labels = self.labels[start:stop] if self.labels is not None else None
-        return TimeSeries(self.values[start:stop], labels)
-
-
-def direction_of(delta: float) -> TrendDirection | Flat:
-    """Classify a step delta as UP, DOWN, or FLAT (exactly zero)."""
-    if not math.isfinite(delta):
-        raise DataError(f"step delta must be finite, got {delta!r}")
-    if delta > 0:
-        return TrendDirection.UP
-    if delta < 0:
-        return TrendDirection.DOWN
-    return FLAT
+        return TimeSeries(self.values[start:stop])
 
 
 def chronological_split(series: TimeSeries, train_fraction: float) -> tuple[TimeSeries, TimeSeries]:
@@ -141,12 +71,3 @@ def chronological_split(series: TimeSeries, train_fraction: float) -> tuple[Time
     if n_train >= n:
         raise ConfigError(f"test split would be empty with train_fraction={train_fraction}")
     return series.slice(0, n_train), series.slice(n_train, n)
-
-
-def concat(first: TimeSeries, second: TimeSeries) -> TimeSeries:
-    """Concatenate two series, keeping labels only if both parts carry them."""
-    values = np.concatenate([first.values, second.values])
-    labels = None
-    if first.labels is not None and second.labels is not None:
-        labels = first.labels + second.labels
-    return TimeSeries(values, labels)

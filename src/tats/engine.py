@@ -36,7 +36,7 @@ from .classifiers import (
     TrendPredictorSpec,
     fit_classifier,
 )
-from .core import FLAT, TimeSeries, TrendDirection, concat, direction_of
+from .core import TimeSeries
 from .errors import ConfigError, DataError, NumericError, _require_finite
 from .forecasters import ValueForecasterSpec, _walk_forward, fit_forecaster
 from .ingest import Dataset, FeatureTable, _table_slice, build_feature_table
@@ -71,34 +71,35 @@ def _check_alpha(alpha: float) -> None:
         raise ConfigError(f"alpha must be finite and positive, got {alpha}")
 
 
-def indicator(y_hat: float, y_prev: float, direction: TrendDirection) -> int:
-    """1 when the forecast's implied move agrees with the predicted direction.
+def indicator(y_hat: float, y_prev: float, direction: int) -> int:
+    """1 when the forecast's implied move agrees with the predicted direction (+1/-1).
 
     Agreement is (y_hat - y_prev) * direction >= 0, so a forecast equal
     to the previous value never triggers an adjustment.
     """
-    return 1 if (y_hat - y_prev) * int(direction) >= 0.0 else 0
+    return 1 if (y_hat - y_prev) * direction >= 0.0 else 0
 
 
-def adjust(y_hat: float, direction: TrendDirection, y_prev: float, alpha: float) -> float:
+def adjust(y_hat: float, direction: int, y_prev: float, alpha: float) -> float:
     """Direction-gated forecast: keep y_hat or step alpha the predicted way."""
     _check_alpha(alpha)
     if indicator(y_hat, y_prev, direction):
         return y_hat
-    return y_prev + int(direction) * alpha
+    return y_prev + direction * alpha
 
 
-def classify_scenario(
-    y_prev: float, y_true: float, y_hat: float, direction: TrendDirection
-) -> Scenario:
-    """Tag a step by whether forecast and classifier called the move right."""
-    actual = direction_of(y_true - y_prev)
-    implied = direction_of(y_hat - y_prev)
-    if actual is FLAT or implied is FLAT:
+def classify_scenario(y_prev: float, y_true: float, y_hat: float, direction: int) -> Scenario:
+    """Tag a step by whether forecast and classifier (+1/-1) called the move right."""
+    moves = (y_true - y_prev, y_hat - y_prev)
+    for move in moves:
+        if not math.isfinite(move):
+            raise DataError(f"step delta must be finite, got {move!r}")
+    actual, implied = np.sign(moves)
+    if actual == 0 or implied == 0:
         return Scenario.UNDEFINED
-    if implied is actual:
-        return Scenario.S1 if direction is actual else Scenario.S2
-    return Scenario.S4 if direction is actual else Scenario.S3
+    if implied == actual:
+        return Scenario.S1 if direction == actual else Scenario.S2
+    return Scenario.S4 if direction == actual else Scenario.S3
 
 
 @dataclass(frozen=True, eq=False)
@@ -272,8 +273,7 @@ def _prepare_run(
     for eval_split in eval_splits:
         if eval_split not in ("train", "test"):
             raise ConfigError(f"eval_split must be 'train' or 'test', got {eval_split!r}")
-    full = concat(train, test)
-    values = full.values
+    values = np.concatenate([train.values, test.values])
     n_train = len(train)
     fitted = fit_forecaster(config.value_forecaster, train)
 
@@ -281,7 +281,7 @@ def _prepare_run(
     feature_based = clf_spec.kind not in (ClassifierKind.ORACLE, ClassifierKind.EXTERNAL)
     if feature_based:
         if features is None:
-            features = build_feature_table(Dataset(target=full, exogenous={}), config.n_lags)
+            features = build_feature_table(Dataset(target=TimeSeries(values), exogenous={}), config.n_lags)
         if n_train < 2:
             raise DataError("train split too short to label classifier rows")
         classifier = fit_classifier(clf_spec, features.training_matrix(n_train - 2))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TimeSeries, concat
+from .core import TimeSeries
 from .errors import ConfigError, DataError, NumericError, _require_finite
 from .ingest import _table_slice
 
@@ -44,7 +44,7 @@ class ForecasterKind(enum.Enum):
     EXTERNAL = "external"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ValueForecasterSpec:
     """Declarative forecaster choice; parameters must match the kind.
 
@@ -53,6 +53,9 @@ class ValueForecasterSpec:
     source: forecasts indexed by series position, NaN where absent
         (EXTERNAL only); read a time_index,forecast CSV with
         load_external_forecasts, which checks its indices against the series.
+
+    Specs compare and hash by identity, as an array source has no single
+    truth value.
     """
 
     kind: ForecasterKind
@@ -265,7 +268,7 @@ def walk_forward_forecasts(
     """
     if len(test) < 1:
         raise DataError("test split is empty")
-    values = concat(train, test).values
+    values = np.concatenate([train.values, test.values])
     n_train = len(train)
     if n_train < 1:
         raise DataError("train split is empty")

@@ -106,22 +106,33 @@ def _floats(cells: list[str], name: str, path) -> np.ndarray:
     return out
 
 
+def _check_increasing(labels: list[str]) -> None:
+    """Labels compare as numbers when every cell parses as a float, else as strings."""
+    try:
+        keys = [float(c) for c in labels]
+    except ValueError:
+        keys = labels
+    for i in range(1, len(keys)):
+        if not keys[i - 1] < keys[i]:
+            raise DataError(f"labels must be strictly increasing, violated at position {i}")
+
+
 def load_csv(
     path: str | Path,
     target_column: str,
     exogenous_columns: list[str] | None = None,
     label_column: str | None = None,
 ) -> Dataset:
-    """Load a Dataset from a headered CSV file."""
+    """Load a Dataset from a headered CSV file.
+
+    The label column, if named, is checked to be strictly increasing and
+    not kept.
+    """
     header, rows = _read_rows(path)
-    labels = None
-    if label_column is not None:
-        raw = _column(header, rows, label_column, path)
-        try:
-            labels = tuple(float(c) for c in raw)
-        except ValueError:
-            labels = tuple(raw)
-    target = TimeSeries(_floats(_column(header, rows, target_column, path), target_column, path), labels)
+    labels = None if label_column is None else _column(header, rows, label_column, path)
+    target = TimeSeries(_floats(_column(header, rows, target_column, path), target_column, path))
+    if labels is not None:
+        _check_increasing(labels)
     exogenous = {}
     for name in exogenous_columns or []:
         exogenous[name] = TimeSeries(_floats(_column(header, rows, name, path), name, path))

@@ -3,6 +3,7 @@ pairwise improvement (Diff, R-Diff), and a trend-aware penalty loss."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
@@ -15,7 +16,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "EvalReport",
-    "TrendAwareLossConfig",
     "diff_rdiff",
     "evaluate_trace",
     "mae",
@@ -85,19 +85,8 @@ def mape(y_true, y_pred) -> float:
         return float(_require_finite(100.0 * np.mean(np.abs((t - p) / t)), "MAPE"))
 
 
-@dataclass(frozen=True)
-class TrendAwareLossConfig:
-    """Weight for the wrong-direction penalty; gamma >= 0."""
-
-    gamma: float
-
-    def __post_init__(self) -> None:
-        if not self.gamma >= 0.0:
-            raise ConfigError(f"gamma must be non-negative, got {self.gamma}")
-
-
-def trend_aware_loss(y_true, y_pred, config: TrendAwareLossConfig | float, y_prev=None) -> float:
-    """Sum of squared errors plus gamma per wrong-direction step.
+def trend_aware_loss(y_true, y_pred, gamma: float, y_prev=None) -> float:
+    """Sum of squared errors plus gamma (finite, >= 0) per wrong-direction step.
 
     A step is penalized when y_pred - y_prev and y_true - y_prev have
     opposite strict signs.
@@ -105,8 +94,9 @@ def trend_aware_loss(y_true, y_pred, config: TrendAwareLossConfig | float, y_pre
     in which case the first step has no previous value and is exempt
     from the penalty (but still contributes its squared error).
     """
-    if not isinstance(config, TrendAwareLossConfig):
-        config = TrendAwareLossConfig(float(config))
+    gamma = float(gamma)
+    if not (math.isfinite(gamma) and gamma >= 0.0):
+        raise ConfigError(f"gamma must be finite and non-negative, got {gamma}")
     t, p = _aligned(y_true, y_pred)
     with np.errstate(over="ignore", invalid="ignore"):
         sse = float(_require_finite(np.sum((t - p) ** 2), "the sum of squared errors"))
@@ -121,7 +111,7 @@ def trend_aware_loss(y_true, y_pred, config: TrendAwareLossConfig | float, y_pre
         tt, pp = t, p
     with np.errstate(over="ignore", invalid="ignore"):  # as in _direction_hits
         wrong = int(np.count_nonzero(np.sign(pp - prev) * np.sign(tt - prev) < 0))
-    return sse + config.gamma * wrong
+    return sse + gamma * wrong
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,6 @@ from tats import (
     SimConfig,
     TatsConfig,
     TimeSeries,
-    TrendDirection,
     TrendPredictorSpec,
     ValueForecasterSpec,
     adjust,
@@ -88,7 +87,7 @@ def test_c03_adjustment_contract():
         y_prev = float(rng.integers(-40_000, 40_000)) / 16.0
         y_hat = float(rng.integers(-40_000, 40_000)) / 16.0
         alpha = float(rng.integers(1, 4_000)) / 16.0
-        d = TrendDirection.UP if rng.random() < 0.5 else TrendDirection.DOWN
+        d = 1 if rng.random() < 0.5 else -1
         out = adjust(y_hat=y_hat, direction=d, y_prev=y_prev, alpha=alpha)
         if indicator(y_hat, y_prev, d) == 1:
             if out != y_hat:
@@ -132,7 +131,7 @@ def test_c04_identity_configurations():
         for i, f in enumerate(forecasts):
             t = len(train) + i
             implied = f - values[t - 1]
-            table[t] = TrendDirection.UP if implied >= 0 else TrendDirection.DOWN
+            table[t] = 1 if implied >= 0 else -1
         echo_cfg = TatsConfig(
             alpha=5.0,
             value_forecaster=fc_spec,

@@ -5,12 +5,10 @@ from tats import (
     ConfigError,
     DataError,
     NumericError,
-    TrendDirection,
     TrendPredictorSpec,
     fit_classifier,
 )
 from tats.classifiers import LogisticClassifier, OracleTrendPredictor
-from tats.core import FLAT
 from tats.ingest import FeatureMatrix
 
 seed = 606
@@ -61,8 +59,8 @@ def test_external_spec_takes_only_a_loaded_table(tmp_path):
     for source in (str(path), path, None):
         with pytest.raises(ConfigError, match=r"load_external_directions\(path, series\)"):
             TrendPredictorSpec.external(source)
-    spec = TrendPredictorSpec.external(np.array([np.nan, TrendDirection.UP]))
-    assert fit_classifier(spec)[1] == TrendDirection.UP
+    spec = TrendPredictorSpec.external(np.array([np.nan, 1.0]))
+    assert fit_classifier(spec)[1] == 1
 
 
 def test_majority_tie_goes_up():
@@ -74,6 +72,7 @@ def test_majority_tie_goes_up():
 def test_majority_follows_count():
     fm = _matrix([[0.0], [1.0], [2.0]], [-1, -1, 1])
     clf = fit_classifier(TrendPredictorSpec.majority(), fm)
+    assert clf.direction == -1 and type(clf.direction) is int
     assert clf.predict_matrix(np.array([[0.0]]))[0] == -1
 
 
@@ -251,9 +250,9 @@ def test_oracle_endpoints():
     always = OracleTrendPredictor(accuracy=1.0, rng=rng)
     never = OracleTrendPredictor(accuracy=0.0, rng=rng)
     for _ in range(50):
-        truth = TrendDirection.UP if rng.random() < 0.5 else TrendDirection.DOWN
-        assert always.draw(truth) is truth
-        assert never.draw(truth) is truth.flipped()
+        truth = 1 if rng.random() < 0.5 else -1
+        assert always.draw(truth) == truth
+        assert never.draw(truth) == -truth
 
 
 def test_oracle_hit_rate():
@@ -275,7 +274,5 @@ def test_oracle_scalar_matches_vector_stream():
     truths = np.array([1, -1, 1, 0, -1, 1, 0, 1])
     vec = OracleTrendPredictor(accuracy=0.7, rng=np.random.default_rng(33)).draw_many(truths)
     scal = OracleTrendPredictor(accuracy=0.7, rng=np.random.default_rng(33))
-    one_by_one = [
-        int(scal.draw(TrendDirection(int(t)) if t != 0 else FLAT)) for t in truths
-    ]
+    one_by_one = [scal.draw(int(t)) for t in truths]
     assert np.array_equal(vec, np.array(one_by_one))

@@ -325,6 +325,45 @@ def test_non_finite_external_forecast_exits_two(tmp_path, capsys, cell):
     ]
 
 
+def _label_cells(kind, n):
+    cells = [str(i) for i in range(n)]
+    if kind == "decreasing":
+        cells.reverse()
+    elif kind == "duplicate":
+        cells[30] = cells[29]
+    elif kind == "nan":
+        cells[30] = "nan"
+    elif kind == "mixed-types":
+        cells[-1] = "x"  # every label now compares as text, and "9" > "10"
+    return cells
+
+
+@pytest.mark.parametrize(
+    "kind, message",
+    [
+        ("decreasing", "labels must be strictly increasing, violated at position 1"),
+        ("duplicate", "labels must be strictly increasing, violated at position 30"),
+        ("nan", "labels must be strictly increasing, violated at position 30"),
+        ("mixed-types", "labels must be strictly increasing, violated at position 10"),
+        ("nan-target", "series value at position 3 is not finite"),
+    ],
+)
+def test_bad_label_column_exits_two_with_one_line(tmp_path, capsys, kind, message):
+    n = 60
+    data = tmp_path / "labeled.csv"
+    gold = [repr(100.0 + 0.5 * i) for i in range(n)]
+    if kind == "nan-target":
+        gold[3] = "nan"
+        labels = _label_cells("decreasing", n)
+    else:
+        labels = _label_cells(kind, n)
+    data.write_text("day,gold\n" + "".join(f"{d},{g}\n" for d, g in zip(labels, gold)))
+    argv = _run_args(data, tmp_path / "o", extra=("--label-column", "day"))
+    assert main(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [f"data error: {message}"]
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("kind", ["forecasts", "directions"])
 def test_test_split_only_external_table_names_the_train_split(tmp_path, capsys, kind):
     # the paper's setting: external values exist for the test split only

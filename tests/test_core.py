@@ -2,15 +2,11 @@ import numpy as np
 import pytest
 
 from tats import (
-    FLAT,
     ConfigError,
     DataError,
     TimeSeries,
-    TrendDirection,
     chronological_split,
-    direction_of,
 )
-from tats.core import concat
 from tats.engine import evaluate_forecasts
 
 seed = 101
@@ -38,37 +34,6 @@ def test_series_values_read_only():
     s = TimeSeries(np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
         s.values[0] = 5.0
-
-
-def test_series_labels():
-    s = TimeSeries(np.array([1.0, 2.0]), labels=("2020-01", "2020-02"))
-    assert s.labels == ("2020-01", "2020-02")
-    with pytest.raises(DataError):
-        TimeSeries(np.array([1.0, 2.0]), labels=("2020-01",))
-    with pytest.raises(DataError):
-        TimeSeries(np.array([1.0, 2.0]), labels=("2020-02", "2020-01"))
-    with pytest.raises(DataError):
-        TimeSeries(np.array([1.0, 2.0]), labels=("2020-01", "2020-01"))
-
-
-def test_direction_of():
-    assert direction_of(0.5) is TrendDirection.UP
-    assert direction_of(-0.5) is TrendDirection.DOWN
-    assert direction_of(0.0) is FLAT
-    assert direction_of(-0.0) is FLAT
-    with pytest.raises(DataError):
-        direction_of(float("nan"))
-
-
-def test_direction_flipped():
-    assert TrendDirection.UP.flipped() is TrendDirection.DOWN
-    assert TrendDirection.DOWN.flipped() is TrendDirection.UP
-    assert int(TrendDirection.UP) == 1
-    assert int(TrendDirection.DOWN) == -1
-
-
-def test_flat_is_not_a_direction():
-    assert not isinstance(FLAT, TrendDirection)
 
 
 def _moves(s: TimeSeries) -> np.ndarray:
@@ -148,14 +113,7 @@ def test_split_concat_round_trip():
             continue
         train, test = chronological_split(s, f)
         assert len(train) + len(test) == n
-        assert np.array_equal(concat(train, test).values, s.values)
-
-
-def test_split_preserves_labels():
-    s = TimeSeries(np.arange(4, dtype=float), labels=("a", "b", "c", "d"))
-    train, test = chronological_split(s, 0.5)
-    assert train.labels == ("a", "b")
-    assert test.labels == ("c", "d")
+        assert np.array_equal(np.concatenate([train.values, test.values]), s.values)
 
 
 def test_slice():

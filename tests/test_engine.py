@@ -8,7 +8,6 @@ from tats import (
     Scenario,
     TatsConfig,
     TimeSeries,
-    TrendDirection,
     TrendPredictorSpec,
     ValueForecasterSpec,
     adjust,
@@ -22,7 +21,7 @@ from tats.metrics import evaluate_trace
 from tats.forecasters import walk_forward_forecasts
 
 seed = 707
-UP, DOWN = TrendDirection.UP, TrendDirection.DOWN
+UP, DOWN = 1, -1
 
 
 def test_indicator_agreement():
@@ -81,12 +80,37 @@ SCENARIO_CASES = [
     (10.0, 8.0, 11.0, DOWN, Scenario.S4),
     (10.0, 10.0, 11.0, UP, Scenario.UNDEFINED),  # flat actual move
     (10.0, 12.0, 10.0, UP, Scenario.UNDEFINED),  # flat implied move
+    (0.0, -0.0, 1.0, UP, Scenario.UNDEFINED),  # a -0.0 move is flat too
 ]
 
 
 @pytest.mark.parametrize("y_prev,y_true,y_hat,direction,expected", SCENARIO_CASES)
 def test_classify_scenario_truth_table(y_prev, y_true, y_hat, direction, expected):
     assert classify_scenario(y_prev, y_true, y_hat, direction) is expected
+
+
+@pytest.mark.parametrize("y_true,y_hat", [(float("nan"), 11.0), (12.0, float("nan"))])
+def test_classify_scenario_rejects_non_finite_move(y_true, y_hat):
+    with pytest.raises(DataError, match="step delta must be finite"):
+        classify_scenario(10.0, y_true, y_hat, UP)
+
+
+def test_spec_equality_and_hash_never_raise():
+    table = np.array([np.nan, 101.0, 102.0])
+    directions = np.array([np.nan, 1.0, -1.0])
+    specs = [
+        (ValueForecasterSpec.external(table), ValueForecasterSpec.external(table.copy())),
+        (TrendPredictorSpec.external(directions), TrendPredictorSpec.external(directions.copy())),
+    ]
+    for spec, twin in specs:
+        assert spec == spec
+        assert (spec == twin) is False  # specs compare by identity
+        assert hash(spec) == hash(spec)
+    config = TatsConfig(alpha=1.0, value_forecaster=specs[0][0], trend_predictor=specs[1][0])
+    twin_config = TatsConfig(alpha=1.0, value_forecaster=specs[0][1], trend_predictor=specs[1][1])
+    assert config == config
+    assert (config == twin_config) is False
+    assert hash(config) == hash(config)
 
 
 def _random_run(rng, n=40, alpha=1.0):
@@ -103,7 +127,7 @@ def test_vectorized_matches_scalar_path():
         for i in range(len(t)):
             y_prev, y_true, y_hat = float(t.y_prev[i]), float(t.y_true[i]), float(t.y_hat[i])
             y_adj = float(t.y_adj[i])
-            d = TrendDirection(int(t.direction[i]))
+            d = int(t.direction[i])
             assert t.indicator[i] == indicator(y_hat, y_prev, d)
             assert y_adj == adjust(y_hat, d, y_prev, alpha=1.0)
             assert Scenario(int(t.scenario[i])) is classify_scenario(y_prev, y_true, y_hat, d)

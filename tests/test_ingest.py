@@ -22,7 +22,6 @@ def test_load_csv_target_only(tmp_path):
     path = _write(tmp_path, "a.csv", "date,price\n2020-01,10.5\n2020-02,11.0\n")
     ds = load_csv(path, target_column="price", label_column="date")
     assert np.array_equal(ds.target.values, np.array([10.5, 11.0]))
-    assert ds.target.labels == ("2020-01", "2020-02")
     assert ds.exogenous == {}
 
 
@@ -37,6 +36,48 @@ def test_load_csv_missing_column(tmp_path):
     with pytest.raises(DataError) as err:
         load_csv(path, target_column="nope")
     assert "nope" in str(err.value)
+
+
+def _labeled_csv(tmp_path, labels, values=None):
+    values = values or [str(float(i)) for i in range(len(labels))]
+    rows = "".join(f"{label},{value}\n" for label, value in zip(labels, values))
+    return _write(tmp_path, "labeled.csv", "day,price\n" + rows)
+
+
+@pytest.mark.parametrize(
+    "labels, position",
+    [
+        pytest.param(["3", "2", "1", "0"], 1, id="decreasing"),
+        pytest.param(["0", "1", "1", "2"], 2, id="duplicate"),
+        pytest.param(["0", "1", "nan", "2"], 2, id="nan"),
+        # one text cell makes every label compare as text, and "9" > "10"
+        pytest.param([str(i) for i in range(11)] + ["x"], 10, id="mixed-types"),
+    ],
+)
+def test_load_csv_rejects_labels_that_do_not_increase(tmp_path, labels, position):
+    path = _labeled_csv(tmp_path, labels)
+    with pytest.raises(DataError, match=f"^labels must be strictly increasing, violated at position {position}$"):
+        load_csv(path, target_column="price", label_column="day")
+
+
+def test_load_csv_labels_compare_as_numbers_when_all_parse(tmp_path):
+    # as text "9" > "10"; as numbers the column increases
+    path = _labeled_csv(tmp_path, [str(i) for i in range(12)])
+    ds = load_csv(path, target_column="price", label_column="day")
+    assert len(ds.target) == 12
+
+
+@pytest.mark.parametrize(
+    "cell, message",
+    [
+        ("nan", "series value at position 3 is not finite"),
+        ("abc", "non-numeric value 'abc' in column 'price', data row 4"),
+    ],
+)
+def test_load_csv_target_errors_come_before_label_errors(tmp_path, cell, message):
+    path = _labeled_csv(tmp_path, ["4", "3", "2", "1"], ["1.0", "2.0", "3.0", cell])
+    with pytest.raises(DataError, match=message):
+        load_csv(path, target_column="price", label_column="day")
 
 
 def test_load_csv_bad_cell_names_row_and_column(tmp_path):

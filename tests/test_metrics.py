@@ -5,7 +5,6 @@ from tats import (
     ConfigError,
     DataError,
     NumericError,
-    TrendAwareLossConfig,
     diff_rdiff,
     mae,
     mape,
@@ -121,9 +120,8 @@ def test_length_mismatch():
 
 def test_trend_aware_loss_fixture():
     # first step has no reference move, so it adds squared error but no penalty
-    cfg = TrendAwareLossConfig(gamma=10.0)
-    assert trend_aware_loss(ACTUAL, MODEL_ONE, cfg) == 40.0
-    assert trend_aware_loss(ACTUAL, MODEL_TWO, cfg) == 70.0
+    assert trend_aware_loss(ACTUAL, MODEL_ONE, 10.0) == 40.0
+    assert trend_aware_loss(ACTUAL, MODEL_TWO, 10.0) == 70.0
 
 
 def test_trend_aware_loss_explicit_prev():
@@ -162,8 +160,15 @@ def test_trend_aware_loss_monotone_under_more_errors():
 
 
 def test_trend_aware_loss_rejects_negative_gamma():
-    with pytest.raises(ConfigError):
-        TrendAwareLossConfig(gamma=-1.0)
+    with pytest.raises(ConfigError, match="gamma must be finite and non-negative, got -1.0"):
+        trend_aware_loss([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], -1.0)
+
+
+@pytest.mark.parametrize("gamma", [float("inf"), float("nan")])
+def test_trend_aware_loss_rejects_non_finite_gamma(gamma):
+    # inf * 0 wrong steps would be nan, not a loss
+    with pytest.raises(ConfigError, match="gamma must be finite"):
+        trend_aware_loss([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], gamma)
 
 
 def test_diff_rdiff():
