@@ -24,7 +24,6 @@ from .core import TimeSeries, chronological_split
 from .engine import (
     ForecastTrace,
     Scenario,
-    ScenarioTally,
     SweepEntry,
     SweepResult,
     TatsConfig,
@@ -99,7 +98,6 @@ __all__ = [
     "NumericError",
     "OracleTrendPredictor",
     "Scenario",
-    "ScenarioTally",
     "SimConfig",
     "SimulationReport",
     "SweepEntry",

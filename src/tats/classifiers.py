@@ -3,9 +3,9 @@ externally supplied direction tables.
 
 All decision rules break ties toward UP so results are reproducible:
 logistic scores use >= 0.5, nearest-neighbor and majority votes use
-count(UP) >= count(DOWN). The oracle consumes exactly one uniform draw
-per prediction, which keeps scalar and vectorized paths on the same
-random stream.
+count(UP) >= count(DOWN). A seeded oracle is a pure function of its
+seed: each call takes one uniform draw per prediction from the start of
+the seed's stream, so equal truths give equal directions.
 """
 
 from __future__ import annotations
@@ -130,7 +130,6 @@ class MajorityClassifier:
     """Always predicts the most frequent training direction (tie: UP)."""
 
     direction: int
-    n_features: int
 
     def predict_matrix(self, rows: np.ndarray) -> np.ndarray:
         return np.full(rows.shape[0], self.direction, dtype=int)
@@ -154,10 +153,6 @@ class LogisticClassifier:
     feature_scale: np.ndarray
     loss_history: tuple[float, ...]
 
-    @property
-    def n_features(self) -> int:
-        return int(self.weights.size)
-
     def _scores(self, rows: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
             standardized = (rows - self.feature_mean) / self.feature_scale
@@ -170,30 +165,26 @@ class LogisticClassifier:
 
 @dataclass(frozen=True)
 class GaussianNBClassifier:
-    """Gaussian naive Bayes over feature columns (variance floor 1e-9)."""
+    """Gaussian naive Bayes over feature columns (variance floor 1e-9).
 
-    class_values: np.ndarray
+    Row 0 of log_priors, means and variances is the UP class, row 1 DOWN.
+    """
+
     log_priors: np.ndarray
     means: np.ndarray
     variances: np.ndarray
 
-    @property
-    def n_features(self) -> int:
-        return int(self.means.shape[1])
-
     def predict_matrix(self, rows: np.ndarray) -> np.ndarray:
         # log N(x; mu, var) summed over features, one column per class
-        scores = np.empty((rows.shape[0], self.class_values.size))
+        scores = np.empty((rows.shape[0], 2))
         with np.errstate(over="ignore", invalid="ignore"):
-            for j in range(self.class_values.size):
+            for j in range(2):
                 gap = rows - self.means[j]
                 scores[:, j] = self.log_priors[j] - 0.5 * np.sum(
                     np.log(2.0 * np.pi * self.variances[j]) + gap**2 / self.variances[j], axis=1
                 )
         _require_finite(scores, "the naive Bayes log-likelihoods")
-        up = int(np.flatnonzero(self.class_values == 1)[0])
-        down = int(np.flatnonzero(self.class_values == -1)[0])
-        return np.where(scores[:, up] >= scores[:, down], 1, -1)
+        return np.where(scores[:, 0] >= scores[:, 1], 1, -1)
 
 
 @dataclass(frozen=True)
@@ -203,10 +194,6 @@ class KNNClassifier:
     rows: np.ndarray
     labels: np.ndarray
     k: int
-
-    @property
-    def n_features(self) -> int:
-        return int(self.rows.shape[1])
 
     def predict_matrix(self, rows: np.ndarray) -> np.ndarray:
         out = np.empty(rows.shape[0], dtype=int)
@@ -225,20 +212,18 @@ class OracleTrendPredictor:
     """Emits the true direction with a dialed-in probability.
 
     Truths and predictions are +1/-1 ints, and a truth of 0 is a flat
-    move. Consumes one uniform draw per prediction. For a flat truth there
-    is no correct answer; the same draw then picks UP or DOWN evenly.
+    move. Each call draws one uniform per prediction from the start of
+    the stream of ``seed``, so one oracle always gives the same
+    directions for the same truths. For a flat truth there is no correct
+    answer; the same draw then picks UP or DOWN evenly.
     """
 
     accuracy: float
-    rng: np.random.Generator
-
-    def draw(self, truth: int) -> int:
-        """One prediction for one truth sign, by the rule of draw_many."""
-        return int(self.draw_many(np.array([truth]))[0])
+    seed: int | np.random.SeedSequence
 
     def draw_many(self, truths: np.ndarray) -> np.ndarray:
-        """Vectorized draws for +1/-1/0 truth signs (0 meaning flat)."""
-        u = self.rng.random(truths.size)
+        """Draws for +1/-1/0 truth signs (0 meaning flat)."""
+        u = np.random.default_rng(self.seed).random(truths.size)
         flat = truths == 0
         # a flat truth becomes UP below 0.5 and DOWN otherwise
         signed = truths + flat
@@ -282,11 +267,10 @@ def _fit_logistic(features: FeatureMatrix, learning_rate: float, iterations: int
 
 
 def _fit_gaussian_nb(features: FeatureMatrix) -> GaussianNBClassifier:
-    classes = np.array([1, -1], dtype=int)
     means = np.empty((2, features.rows.shape[1]))
     variances = np.empty_like(means)
     log_priors = np.empty(2)
-    for j, c in enumerate(classes):
+    for j, c in enumerate((1, -1)):
         mask = features.labels == c
         count = int(np.count_nonzero(mask))
         if count == 0:
@@ -298,9 +282,7 @@ def _fit_gaussian_nb(features: FeatureMatrix) -> GaussianNBClassifier:
             variances[j] = np.maximum(sub.var(axis=0), NB_VARIANCE_FLOOR)
         log_priors[j] = np.log(count / features.labels.size)
     _require_finite(variances, "the naive Bayes feature variances")
-    return GaussianNBClassifier(
-        class_values=classes, log_priors=log_priors, means=means, variances=variances
-    )
+    return GaussianNBClassifier(log_priors=log_priors, means=means, variances=variances)
 
 
 def fit_classifier(spec: TrendPredictorSpec, features: FeatureMatrix | None = None):
@@ -311,7 +293,7 @@ def fit_classifier(spec: TrendPredictorSpec, features: FeatureMatrix | None = No
     position-indexed direction array is returned as it is.
     """
     if spec.kind is ClassifierKind.ORACLE:
-        return OracleTrendPredictor(accuracy=spec.accuracy, rng=np.random.default_rng(spec.seed))
+        return OracleTrendPredictor(accuracy=spec.accuracy, seed=spec.seed)
     if spec.kind is ClassifierKind.EXTERNAL:
         return spec.source
     if features is None:
@@ -321,7 +303,7 @@ def fit_classifier(spec: TrendPredictorSpec, features: FeatureMatrix | None = No
     if spec.kind is ClassifierKind.MAJORITY:
         ups = int(np.count_nonzero(features.labels == 1))
         direction = 1 if ups >= len(features) - ups else -1
-        return MajorityClassifier(direction=direction, n_features=features.rows.shape[1])
+        return MajorityClassifier(direction=direction)
     if spec.kind is ClassifierKind.LOGISTIC:
         if np.unique(features.labels).size < 2:
             raise DataError("logistic regression needs both directions in the training set")

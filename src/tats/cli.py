@@ -25,6 +25,7 @@ from .engine import TatsConfig, _prepare_run, _SplitDataError, _sweep, evaluate_
 from .errors import ConfigError, DataError, NumericError
 from .forecasters import ForecasterKind, ValueForecasterSpec
 from .ingest import (
+    _read_text,
     build_feature_table,
     load_csv,
     load_external_directions,
@@ -55,7 +56,7 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
     if not p.is_file():
         raise DataError(f"config file not found: {p}")
     out: dict[str, str] = {}
-    for lineno, line in enumerate(p.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(_read_text(p).splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -317,10 +318,9 @@ def _sweep_chart(sweep) -> str:
 def cmd_run(args: argparse.Namespace) -> int:
     _resolve_settings(args)
     train, test, features, config, alphas = _prepare_experiment(args)
+    splits = ("test",) if args.theory_split == "test" else ("test", "train")
     try:
-        test_inputs, theory_inputs = _prepare_run(
-            config, train, test, features, ("test", args.theory_split)
-        )
+        prepared = _prepare_run(config, train, test, features, splits)
     except _SplitDataError as exc:
         if exc.split != "train":
             raise
@@ -328,6 +328,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         raise DataError(
             f"{exc}; the theory estimate reads the train split, and --theory-split test avoids it"
         ) from None
+    test_inputs, theory_inputs = prepared[0], prepared[-1]
     sweep = _sweep(test_inputs, alphas)
     theory = estimate_theory(evaluate_forecasts(*theory_inputs, config.alpha))
 
@@ -361,7 +362,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             {
                 "alpha": entry.alpha,
                 "report": entry.report.to_dict(),
-                "scenarios": entry.tally.to_dict(),
+                "scenarios": entry.scenarios,
             }
             for entry in sweep.entries
         ],
@@ -506,10 +507,8 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ConfigError as exc:
+    # reads raise DataError, so an OSError here comes from writing the outputs
+    except (_UsageError, ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except DataError as exc:

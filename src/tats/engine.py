@@ -45,7 +45,6 @@ from .metrics import EvalReport, evaluate_trace
 __all__ = [
     "ForecastTrace",
     "Scenario",
-    "ScenarioTally",
     "SweepEntry",
     "SweepResult",
     "TatsConfig",
@@ -136,41 +135,15 @@ class ForecastTrace:
     def __len__(self) -> int:
         return int(self.t.size)
 
+    def scenario_counts(self) -> dict[str, int]:
+        """Steps per scenario, keyed S1..S4 then undefined."""
+        return _scenario_counts(np.bincount(self.scenario, minlength=5))
 
-@dataclass(frozen=True)
-class ScenarioTally:
-    """Scenario counts over a trace; undefined steps are kept separate."""
 
-    s1: int
-    s2: int
-    s3: int
-    s4: int
-    undefined: int
-
-    @classmethod
-    def from_trace(cls, trace: ForecastTrace) -> "ScenarioTally":
-        return cls.from_counts(np.bincount(trace.scenario, minlength=5))
-
-    @classmethod
-    def from_counts(cls, counts: np.ndarray) -> "ScenarioTally":
-        """Tally from per-scenario counts indexed by Scenario value."""
-        return cls(
-            s1=int(counts[Scenario.S1]),
-            s2=int(counts[Scenario.S2]),
-            s3=int(counts[Scenario.S3]),
-            s4=int(counts[Scenario.S4]),
-            undefined=int(counts[Scenario.UNDEFINED]),
-        )
-
-    @property
-    def total(self) -> int:
-        return self.s1 + self.s2 + self.s3 + self.s4 + self.undefined
-
-    def to_dict(self) -> dict:
-        return {
-            "S1": self.s1, "S2": self.s2, "S3": self.s3, "S4": self.s4,
-            "undefined": self.undefined,
-        }
+def _scenario_counts(counts: np.ndarray) -> dict[str, int]:
+    """Keyed counts from a bincount indexed by Scenario value."""
+    named = {s.name: int(counts[s]) for s in (Scenario.S1, Scenario.S2, Scenario.S3, Scenario.S4)}
+    return {**named, "undefined": int(counts[Scenario.UNDEFINED])}
 
 
 @dataclass(frozen=True)
@@ -206,14 +179,16 @@ def evaluate_forecasts(
     _check_alpha(alpha)
     values = np.asarray(values, dtype=float)
     forecasts = np.asarray(forecasts, dtype=float)
-    directions = np.asarray(directions, dtype=int)
+    directions = np.asarray(directions)
     m = forecasts.size
     if m == 0:
         raise ConfigError("no steps to evaluate")
     if directions.size != m:
         raise ConfigError(f"{m} forecasts but {directions.size} directions")
+    # checked before the cast, which would truncate 1.7 to 1 and warn on NaN
     if not np.all(np.abs(directions) == 1):
         raise DataError("directions must be +1 or -1")
+    directions = directions.astype(int, copy=False)
     if start < 1 or start + m > values.size:
         raise ConfigError(
             f"evaluation range [{start}, {start + m}) outside series of length {values.size}"
@@ -279,12 +254,14 @@ def _prepare_run(
 
     clf_spec = config.trend_predictor
     feature_based = clf_spec.kind not in (ClassifierKind.ORACLE, ClassifierKind.EXTERNAL)
+    training = None
     if feature_based:
         if features is None:
             features = build_feature_table(Dataset(target=TimeSeries(values), exogenous={}), config.n_lags)
         if n_train < 2:
             raise DataError("train split too short to label classifier rows")
-        classifier = fit_classifier(clf_spec, features.training_matrix(n_train - 2))
+        training = features.training_matrix(n_train - 2)
+    classifier = fit_classifier(clf_spec, training)
 
     prepared = []
     for eval_split in eval_splits:
@@ -303,9 +280,6 @@ def _prepare_run(
                 )
 
         eval_t = np.arange(start, stop)
-        # a fresh oracle per split restarts its draws from the seed
-        if not feature_based:
-            classifier = fit_classifier(clf_spec)
         try:
             forecasts = _walk_forward(
                 config.value_forecaster, fitted, values[:stop], start, config.refit_each_step
@@ -350,7 +324,7 @@ def run_tats(
 class SweepEntry:
     alpha: float
     report: EvalReport
-    tally: ScenarioTally
+    scenarios: dict[str, int]
 
 
 @dataclass(frozen=True)
@@ -388,5 +362,5 @@ def _sweep(inputs: tuple, alphas) -> SweepResult:
     for a in alphas:
         trace = evaluate_forecasts(*inputs, a)
         base_report, report = evaluate_trace(trace)
-        entries.append(SweepEntry(alpha=a, report=report, tally=ScenarioTally.from_trace(trace)))
+        entries.append(SweepEntry(alpha=a, report=report, scenarios=trace.scenario_counts()))
     return SweepResult(base_report=base_report, entries=tuple(entries))

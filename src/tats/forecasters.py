@@ -6,7 +6,8 @@ conditions on. Every fitted model has one hook, forecast_path(values,
 start), which forecasts values[t] from values[:t] for each t from start
 to the end in one call. It is a pure function of (model, values), so
 traces are reproducible and models can be shared across runs. A config
-flag allows refitting at every step for callers who want it.
+flag allows refitting at every step for callers who want it; only AR and
+drift read the history when fit, so only they are refit.
 """
 
 from __future__ import annotations
@@ -282,10 +283,11 @@ def _walk_forward(spec, fitted, values: np.ndarray, start: int, refit_each_step:
     start must be at least ``fitted.required_history``, so no step checks
     its history length: in-sample walks start there or later, and every
     fit needs at least that many training values. ``fitted`` serves every
-    step unless refit_each_step is set, in which case each step after the
-    first refits ``spec`` on its history.
+    step unless refit_each_step is set and ``spec`` is AR or drift, in
+    which case each step after the first refits ``spec`` on its history.
+    Naive, SES and external fits build the same model from any history.
     """
-    if not refit_each_step:
+    if not refit_each_step or spec.kind not in (ForecasterKind.AR, ForecasterKind.DRIFT):
         return fitted.forecast_path(values, start)
     out = np.empty(values.size - start, dtype=float)
     for i, t in enumerate(range(start, values.size)):

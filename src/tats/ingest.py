@@ -25,6 +25,7 @@ counted, never silently imputed.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -61,26 +62,35 @@ class Dataset:
                 )
 
 
+def _read_text(path: Path) -> str:
+    """The text of a UTF-8 file without a byte-order mark; a failed read is a DataError."""
+    try:
+        return path.read_bytes().decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read: {exc.strerror}") from None
+
+
 def _read_rows(path: str | Path) -> tuple[list[str], list[list[str]]]:
     p = Path(path)
     if not p.is_file():
         raise DataError(f"file not found: {p}")
-    with p.open(newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{p}: file is empty") from None
-        header = [h.strip() for h in header]
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(header):
-                raise DataError(
-                    f"{p}: row {lineno} has {len(row)} cells, header has {len(header)}"
-                )
-            rows.append([c.strip() for c in row])
+    reader = csv.reader(io.StringIO(_read_text(p), newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError(f"{p}: file is empty") from None
+    header = [h.strip() for h in header]
+    rows = []
+    for lineno, row in enumerate(reader, start=2):
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) != len(header):
+            raise DataError(
+                f"{p}: row {lineno} has {len(row)} cells, header has {len(header)}"
+            )
+        rows.append([c.strip() for c in row])
     if not rows:
         raise DataError(f"{p}: no data rows")
     return header, rows

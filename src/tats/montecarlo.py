@@ -30,7 +30,7 @@ import numpy as np
 
 from .classifiers import OracleTrendPredictor
 from .core import TimeSeries
-from .engine import ScenarioTally, _check_alpha, evaluate_forecasts
+from .engine import _check_alpha, _scenario_counts, evaluate_forecasts
 from .errors import ConfigError, NumericError, _require_finite
 from .theory import _estimate, _trace_stats
 
@@ -196,7 +196,7 @@ def _run_trial(config: SimConfig, child: np.random.SeedSequence):
         raise NumericError("could not generate a walk without flat steps")
     forecasts = synthetic_forecaster(series, config.p_dt, config.error_scale, forecaster_ss)
     truths = np.sign(np.diff(series.values)).astype(int)
-    oracle = OracleTrendPredictor(accuracy=config.p_db, rng=np.random.default_rng(classifier_ss))
+    oracle = OracleTrendPredictor(accuracy=config.p_db, seed=classifier_ss)
     directions = oracle.draw_many(truths)
     trace = evaluate_forecasts(series.values, 1, forecasts, directions, config.alpha)
     mse_base = float(np.mean(trace.loss_base))
@@ -242,6 +242,6 @@ def validate_prop1(config: SimConfig) -> SimulationReport:
         realized_p_dt=estimate.p_dt,
         mean_abs_gap=estimate.abs_gap,
         theoretical_bound=estimate.lower_bound,
-        scenario_counts=ScenarioTally.from_counts(np.sum(counts, axis=0)).to_dict(),
+        scenario_counts=_scenario_counts(np.sum(counts, axis=0)),
         n_steps_total=total_steps,
     )

@@ -247,32 +247,40 @@ def test_knn_k_exceeds_rows():
 
 def test_oracle_endpoints():
     rng = np.random.default_rng(seed)
-    always = OracleTrendPredictor(accuracy=1.0, rng=rng)
-    never = OracleTrendPredictor(accuracy=0.0, rng=rng)
+    always = OracleTrendPredictor(accuracy=1.0, seed=seed)
+    never = OracleTrendPredictor(accuracy=0.0, seed=seed)
     for _ in range(50):
-        truth = 1 if rng.random() < 0.5 else -1
-        assert always.draw(truth) == truth
-        assert never.draw(truth) == -truth
+        truth = np.array([1 if rng.random() < 0.5 else -1])
+        assert np.array_equal(always.draw_many(truth), truth)
+        assert np.array_equal(never.draw_many(truth), -truth)
 
 
 def test_oracle_hit_rate():
-    orc = OracleTrendPredictor(accuracy=0.75, rng=np.random.default_rng(5))
+    orc = OracleTrendPredictor(accuracy=0.75, seed=5)
     truths = np.where(np.random.default_rng(6).standard_normal(10000) > 0, 1, -1)
     draws = orc.draw_many(truths)
     assert abs(float(np.mean(draws == truths)) - 0.75) < 0.015
 
 
 def test_oracle_flat_truth_fair_coin():
-    orc = OracleTrendPredictor(accuracy=1.0, rng=np.random.default_rng(12))
+    orc = OracleTrendPredictor(accuracy=1.0, seed=12)
     draws = orc.draw_many(np.zeros(2000, dtype=int))
     share_up = float(np.mean(draws == 1))
     assert abs(share_up - 0.5) < 0.04
     assert set(np.unique(draws)) == {-1, 1}
 
 
-def test_oracle_scalar_matches_vector_stream():
-    truths = np.array([1, -1, 1, 0, -1, 1, 0, 1])
-    vec = OracleTrendPredictor(accuracy=0.7, rng=np.random.default_rng(33)).draw_many(truths)
-    scal = OracleTrendPredictor(accuracy=0.7, rng=np.random.default_rng(33))
-    one_by_one = [scal.draw(int(t)) for t in truths]
-    assert np.array_equal(vec, np.array(one_by_one))
+def test_oracle_is_a_pure_function_of_its_seed():
+    truths = np.where(np.random.default_rng(34).random(500) < 0.5, 1, -1)
+    truths[::7] = 0
+    fitted = fit_classifier(TrendPredictorSpec.oracle(0.7, seed=1))
+    first = fitted.draw_many(truths)
+    assert np.array_equal(fitted.draw_many(truths), first)
+    # each call draws from the start of the seed's stream, as a fresh generator would
+    u = np.random.default_rng(1).random(truths.size)
+    signed = truths + (truths == 0)
+    expected = np.where(u < np.where(truths == 0, 0.5, 0.7), signed, -signed)
+    assert np.array_equal(first, expected)
+    ss = np.random.SeedSequence(9)
+    from_ss = OracleTrendPredictor(accuracy=0.7, seed=ss)
+    assert np.array_equal(from_ss.draw_many(truths), from_ss.draw_many(truths))

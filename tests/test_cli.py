@@ -423,6 +423,57 @@ def test_parse_config_file_errors(tmp_path):
         parse_config_file(tmp_path / "missing.cfg")
 
 
+@pytest.mark.parametrize(
+    "where, content, offset",
+    [
+        pytest.param("data", b"day,gold\n0,1.0\n1,caf\xe9\n", 20, id="data"),
+        pytest.param("external", b"time_index,direction\n1,1\n# caf\xe9\n", 30, id="external"),
+        pytest.param("config", b"# caf\xe9\nseed = 1\n", 5, id="config"),
+    ],
+)
+def test_undecodable_input_exits_two_with_one_line(tmp_path, capsys, where, content, offset):
+    data = _write_prices(tmp_path / "prices.csv")
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes(content)
+    argv = _run_args(bad if where == "data" else data, tmp_path / "o")
+    if where == "external":
+        argv += ["--classifier", "external", "--external-directions", str(bad)]
+    elif where == "config":
+        argv += ["--config", str(bad)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        f"data error: {bad}: not UTF-8 text (invalid continuation byte at byte {offset})"
+    ]
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_byte_order_mark_is_ignored(tmp_path):
+    data = _write_prices(tmp_path / "prices.csv")
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + data.read_bytes())
+    assert np.array_equal(load_csv(bom, "day").target.values, load_csv(data, "day").target.values)
+    cfg = tmp_path / "bom.cfg"
+    cfg.write_bytes(b"\xef\xbb\xbfseed = 4\n")
+    assert parse_config_file(cfg) == {"seed": "4"}
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "simulate"])
+def test_unwritable_out_exits_one_with_one_line(tmp_path, capsys, command):
+    blocker = tmp_path / "a_file"
+    blocker.write_text("")
+    out = blocker / "out"
+    if command == "simulate":
+        argv = ["simulate", "--n-steps", "50", "--n-trials", "2", "--out", str(out)]
+    else:
+        argv = [command, *_run_args(_write_prices(tmp_path / "prices.csv"), out, ("--alphas", "1"))[1:]]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_unknown_config_key_maps_to_exit_one(tmp_path):
     data = _write_prices(tmp_path / "prices.csv")
     cfg = tmp_path / "bad.cfg"
@@ -564,23 +615,28 @@ def test_overflow_exits_three_without_warnings(tmp_path, capsys, argv, series, m
 
 @pytest.mark.parametrize("theory_split", ["train", "test"])
 def test_run_fits_forecaster_and_classifier_once(tmp_path, monkeypatch, theory_split):
-    calls = {"fit_classifier": 0, "fit_forecaster": 0}
+    calls = {}
 
     def counting(name):
         fit = getattr(tats.engine, name)
 
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            calls[name] = calls.get(name, 0) + 1
             return fit(*args, **kwargs)
         return wrapper
 
-    for name in calls:
+    for name in ("fit_classifier", "fit_forecaster", "_walk_forward"):
         monkeypatch.setattr(tats.engine, name, counting(name))
     data = _write_prices(tmp_path / "prices.csv")
-    argv = ["run", "--data", str(data), "--target-column", "gold", "--exogenous-columns", "ftse",
-            "--classifier", "logistic", "--theory-split", theory_split, "--out", str(tmp_path / "o")]
-    assert main(argv) == 0
-    assert calls == {"fit_classifier": 1, "fit_forecaster": 1}
+    # the test split is walked once, and the train split once more for theory
+    walks = 1 if theory_split == "test" else 2
+    for classifier in (["logistic"], ["oracle", "--oracle-accuracy", "0.7"]):
+        calls.clear()
+        argv = ["run", "--data", str(data), "--target-column", "gold", "--exogenous-columns", "ftse",
+                "--classifier", *classifier, "--theory-split", theory_split,
+                "--out", str(tmp_path / "o")]
+        assert main(argv) == 0
+        assert calls == {"fit_classifier": 1, "fit_forecaster": 1, "_walk_forward": walks}
 
 
 @pytest.mark.parametrize("theory_split", ["train", "test"])

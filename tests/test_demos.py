@@ -16,7 +16,7 @@ def test_demo_runs_without_errors_or_warnings(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", str(demo)],
+        [sys.executable, "-W", "error", str(demo)],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr

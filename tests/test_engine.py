@@ -16,7 +16,7 @@ from tats import (
     run_tats,
     sweep_alpha,
 )
-from tats.engine import ScenarioTally, classify_scenario, evaluate_forecasts
+from tats.engine import classify_scenario, evaluate_forecasts
 from tats.metrics import evaluate_trace
 from tats.forecasters import walk_forward_forecasts
 
@@ -185,7 +185,8 @@ def test_evaluate_forecasts_validation():
         evaluate_forecasts(values, 1, np.array([]), np.array([]), 1.0)
     with pytest.raises(ConfigError):
         evaluate_forecasts(values, 1, np.ones(3), np.ones(2), 1.0)
-    for bad in ([1, 0], [1, 2], [-1, -2]):
+    # checked as given: a cast to int would truncate 1.7 and -1.2 and warn on NaN
+    for bad in ([1, 0], [1, 2], [-1, -2], [1, 1.7], [-1.2, 1], [0.0, 1], [1, np.nan], [np.inf, 1]):
         with pytest.raises(DataError, match="directions must be"):
             evaluate_forecasts(values, 1, np.ones(2), np.array(bad), 1.0)
     with pytest.raises(ConfigError):
@@ -214,11 +215,10 @@ def test_adjusted_overflow_names_alpha():
 def test_scenario_tally():
     rng = np.random.default_rng(seed + 6)
     trace = _random_run(rng, n=80)
-    tally = ScenarioTally.from_trace(trace)
-    assert tally.total == len(trace)
-    d = tally.to_dict()
-    assert set(d) == {"S1", "S2", "S3", "S4", "undefined"}
+    d = trace.scenario_counts()
+    assert list(d) == ["S1", "S2", "S3", "S4", "undefined"]
     assert sum(d.values()) == len(trace)
+    assert d["S2"] == int(np.count_nonzero(trace.scenario == Scenario.S2))
 
 
 def test_trace_step_time_axis():
@@ -295,9 +295,9 @@ def test_run_tats_perfect_oracle_never_hits_s2_s3():
         value_forecaster=ValueForecasterSpec.drift(),
         trend_predictor=TrendPredictorSpec.oracle(accuracy=1.0, seed=2),
     )
-    tally = ScenarioTally.from_trace(run_tats(config, train, test))
-    assert tally.s2 == 0
-    assert tally.s3 == 0
+    counts = run_tats(config, train, test).scenario_counts()
+    assert counts["S2"] == 0
+    assert counts["S3"] == 0
 
 
 def test_run_tats_train_split_is_in_sample():
@@ -340,7 +340,7 @@ def test_sweep_alpha_shares_forecasts_across_alphas():
     sweep = sweep_alpha(config, alphas, train, test)
     assert tuple(e.alpha for e in sweep.entries) == alphas
     # the oracle stream is drawn once: scenario tallies agree across alphas
-    tallies = [e.tally.to_dict() for e in sweep.entries]
+    tallies = [e.scenarios for e in sweep.entries]
     assert tallies[0] == tallies[1] == tallies[2]
     assert sweep.base_report.n_steps == len(test)
 

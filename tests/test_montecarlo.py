@@ -124,7 +124,7 @@ def test_realized_fields_are_estimate_theory_of_the_trial():
     walk_ss, forecaster_ss, classifier_ss = child.spawn(3)
     walk = gen_random_walk(config.n_steps + 1, config.drift, config.volatility, walk_ss)
     forecasts = synthetic_forecaster(walk, config.p_dt, config.error_scale, forecaster_ss)
-    oracle = OracleTrendPredictor(accuracy=config.p_db, rng=np.random.default_rng(classifier_ss))
+    oracle = OracleTrendPredictor(accuracy=config.p_db, seed=classifier_ss)
     directions = oracle.draw_many(np.sign(np.diff(walk.values)).astype(int))
     est = estimate_theory(evaluate_forecasts(walk.values, 1, forecasts, directions, config.alpha))
     assert rep.realized_p_db == est.p_db
