@@ -14,14 +14,14 @@ from pathlib import Path
 import numpy as np
 
 from tats import (
-    Dataset,
     TatsConfig,
     TimeSeries,
     TrendPredictorSpec,
     ValueForecasterSpec,
     chronological_split,
     estimate_theory,
-    run_tats,
+    evaluate_forecasts,
+    prepare_run,
     sweep_alpha,
 )
 from tats.svgchart import line_chart
@@ -33,14 +33,15 @@ train, test = chronological_split(prices, 0.7)
 print(f"{n} synthetic prices, {len(train)} train / {len(test)} test")
 
 config = TatsConfig(
-    alpha=1.0,
     value_forecaster=ValueForecasterSpec.ar(order=2),
     trend_predictor=TrendPredictorSpec.logistic(),
     n_lags=2,
 )
+# one fit gives forecasts and directions for both splits, at every alpha
+test_inputs, train_inputs = prepare_run(config, train, test, eval_splits=("test", "train"))
 
 alphas = (0.25, 0.5, 1.0, 2.0, 4.0)
-sweep = sweep_alpha(config, alphas, train, test)
+sweep = sweep_alpha(test_inputs, alphas)
 
 base = sweep.base_report
 print()
@@ -57,7 +58,7 @@ print("alphas track the base closely; large ones overshoot whenever the")
 print("classifier is wrong, so MSE is not monotone in alpha.")
 
 # the plug-in estimate of the expected reduction, from in-sample behavior
-theory = estimate_theory(run_tats(config, train, test, eval_split="train"))
+theory = estimate_theory(evaluate_forecasts(*train_inputs, 1.0))
 print()
 print(
     f"in-sample estimate: p_db={theory.p_db:.4f} (classifier) vs "
@@ -72,16 +73,7 @@ out_dir = Path(__file__).resolve().parent / "output"
 out_dir.mkdir(exist_ok=True)
 
 best = min(sweep.entries, key=lambda e: e.report.mse)
-trace = run_tats(
-    TatsConfig(
-        alpha=best.alpha,
-        value_forecaster=config.value_forecaster,
-        trend_predictor=config.trend_predictor,
-        n_lags=config.n_lags,
-    ),
-    train,
-    test,
-)
+trace = evaluate_forecasts(*test_inputs, best.alpha)
 xs = [float(t) for t in trace.t]
 chart = line_chart(
     f"Test forecasts (alpha={best.alpha:g})",

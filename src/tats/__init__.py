@@ -31,7 +31,7 @@ from .engine import (
     classify_scenario,
     evaluate_forecasts,
     indicator,
-    run_tats,
+    prepare_run,
     sweep_alpha,
 )
 from .errors import ConfigError, DataError, NumericError, TatsError
@@ -41,7 +41,6 @@ from .forecasters import (
     ValueForecasterSpec,
     fit_ar,
     fit_forecaster,
-    walk_forward_forecasts,
 )
 from .ingest import (
     Dataset,
@@ -130,12 +129,11 @@ __all__ = [
     "mae",
     "mape",
     "mse",
-    "run_tats",
+    "prepare_run",
     "scenario_probabilities",
     "sweep_alpha",
     "synthetic_forecaster",
     "td_accuracy",
     "trend_aware_loss",
     "validate_prop1",
-    "walk_forward_forecasts",
 ]

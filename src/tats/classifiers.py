@@ -41,6 +41,11 @@ class ClassifierKind(enum.Enum):
     ORACLE = "oracle"
     EXTERNAL = "external"
 
+    @property
+    def reads_features(self) -> bool:
+        """Whether this kind is fit on, and predicts from, a feature table."""
+        return self not in (ClassifierKind.ORACLE, ClassifierKind.EXTERNAL)
+
 
 @dataclass(frozen=True, eq=False)
 class TrendPredictorSpec:

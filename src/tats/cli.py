@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
@@ -21,7 +22,7 @@ from pathlib import Path
 
 from .classifiers import ClassifierKind, TrendPredictorSpec
 from .core import chronological_split
-from .engine import TatsConfig, _prepare_run, _SplitDataError, _sweep, evaluate_forecasts, sweep_alpha
+from .engine import TatsConfig, _SplitDataError, evaluate_forecasts, prepare_run, sweep_alpha
 from .errors import ConfigError, DataError, NumericError
 from .forecasters import ForecasterKind, ValueForecasterSpec
 from .ingest import (
@@ -236,31 +237,45 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _write_results_csv(path: Path, rows: list[dict]) -> None:
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(RESULTS_HEADER)
-        for row in rows:
-            writer.writerow([_cell(row[key]) for key in RESULTS_HEADER])
+def _csv_text(header, rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
-def _results_rows(args: argparse.Namespace, sweep, split: str) -> list[dict]:
+def _write_outputs(out: Path, texts: dict[str, str]) -> None:
+    """Write each rendered artifact into out, all or none.
+
+    A failed write removes every file this call opened, the failed one
+    included, so no artifact of a failed run is left behind.
+    """
+    out.mkdir(parents=True, exist_ok=True)
+    opened = []
+    try:
+        for name, text in texts.items():
+            with (out / name).open("w", encoding="utf-8", newline="") as fh:
+                opened.append(out / name)
+                fh.write(text)
+    except OSError:
+        for path in opened:
+            path.unlink(missing_ok=True)
+        raise
+
+
+def _results_csv(args: argparse.Namespace, sweep, split: str) -> str:
     base_model = _describe_forecaster(args)
     tats_model = f"tats({base_model}+{_describe_classifier(args)})"
-    rows = [{
-        "model": base_model, "split": split, "alpha": None,
-        "TDA": sweep.base_report.tda, "MSE": sweep.base_report.mse,
-        "MAE": sweep.base_report.mae, "MAPE": sweep.base_report.mape,
-        "Diff": None, "R-Diff": None,
-    }]
-    for entry in sweep.entries:
-        rows.append({
-            "model": tats_model, "split": split, "alpha": entry.alpha,
-            "TDA": entry.report.tda, "MSE": entry.report.mse,
-            "MAE": entry.report.mae, "MAPE": entry.report.mape,
-            "Diff": entry.report.diff, "R-Diff": entry.report.r_diff,
-        })
-    return rows
+    base = sweep.base_report
+    # one tuple per row, in RESULTS_HEADER order
+    rows = [(base_model, split, None, base.tda, base.mse, base.mae, base.mape, None, None)]
+    rows += [
+        (tats_model, split, e.alpha, e.report.tda, e.report.mse, e.report.mae, e.report.mape,
+         e.report.diff, e.report.r_diff)
+        for e in sweep.entries
+    ]
+    return _csv_text(RESULTS_HEADER, [[_cell(value) for value in row] for row in rows])
 
 
 def _prepare_experiment(args: argparse.Namespace):
@@ -272,13 +287,12 @@ def _prepare_experiment(args: argparse.Namespace):
     forecaster = _forecaster_spec(args, dataset.target)
     classifier = _classifier_spec(args, dataset.target)
     features = None
-    if classifier.kind not in (ClassifierKind.ORACLE, ClassifierKind.EXTERNAL):
+    if classifier.kind.reads_features:
         features = build_feature_table(
             dataset, args.n_lags, args.include_exogenous, args.exog_lag
         )
     alphas = args.alphas if args.alphas is not None else list(DEFAULT_ALPHAS)
     config = TatsConfig(
-        alpha=alphas[0] if alphas else 1.0,
         value_forecaster=forecaster,
         trend_predictor=classifier,
         n_lags=args.n_lags,
@@ -320,7 +334,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     train, test, features, config, alphas = _prepare_experiment(args)
     splits = ("test",) if args.theory_split == "test" else ("test", "train")
     try:
-        prepared = _prepare_run(config, train, test, features, splits)
+        prepared = prepare_run(config, train, test, features, splits)
     except _SplitDataError as exc:
         if exc.split != "train":
             raise
@@ -329,13 +343,8 @@ def cmd_run(args: argparse.Namespace) -> int:
             f"{exc}; the theory estimate reads the train split, and --theory-split test avoids it"
         ) from None
     test_inputs, theory_inputs = prepared[0], prepared[-1]
-    sweep = _sweep(test_inputs, alphas)
-    theory = estimate_theory(evaluate_forecasts(*theory_inputs, config.alpha))
-
-    out = args.out_dir
-    out.mkdir(parents=True, exist_ok=True)
-    rows = _results_rows(args, sweep, split="test")
-    _write_results_csv(out / "results.csv", rows)
+    sweep = sweep_alpha(test_inputs, alphas)
+    theory = estimate_theory(evaluate_forecasts(*theory_inputs, sweep.entries[0].alpha))
 
     report = {
         "config": {
@@ -368,7 +377,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         ],
         "theory": theory.to_dict(),
     }
-    (out / "report.json").write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
 
     best = min(sweep.entries, key=lambda e: e.report.mse)
     trace = evaluate_forecasts(*test_inputs, best.alpha)
@@ -383,8 +391,13 @@ def cmd_run(args: argparse.Namespace) -> int:
         x_label="t",
         y_label=args.target_column,
     )
-    (out / "forecasts.svg").write_text(forecast_svg)
-    (out / "mse_vs_alpha.svg").write_text(_sweep_chart(sweep))
+    out = args.out_dir
+    _write_outputs(out, {
+        "results.csv": _results_csv(args, sweep, split="test"),
+        "report.json": json.dumps(report, sort_keys=True, indent=2) + "\n",
+        "forecasts.svg": forecast_svg,
+        "mse_vs_alpha.svg": _sweep_chart(sweep),
+    })
 
     _print_sweep(args, sweep)
     print(
@@ -401,11 +414,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.alphas is None:
         raise ConfigError("sweep needs --alphas (or alphas in the config file)")
     train, test, features, config, alphas = _prepare_experiment(args)
-    sweep = sweep_alpha(config, alphas, train, test, features)
+    [test_inputs] = prepare_run(config, train, test, features)
+    sweep = sweep_alpha(test_inputs, alphas)
     out = args.out_dir
-    out.mkdir(parents=True, exist_ok=True)
-    _write_results_csv(out / "results.csv", _results_rows(args, sweep, split="test"))
-    (out / "mse_vs_alpha.svg").write_text(_sweep_chart(sweep))
+    _write_outputs(out, {
+        "results.csv": _results_csv(args, sweep, split="test"),
+        "mse_vs_alpha.svg": _sweep_chart(sweep),
+    })
     _print_sweep(args, sweep)
     print(f"wrote {out / 'results.csv'} and 1 chart")
     return 0
@@ -418,14 +433,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         error_scale=args.error_scale, alpha=args.alpha, seed=args.seed,
     )
     report = validate_prop1(config)
+    trials = [
+        (i, repr(trial.mse_base), repr(trial.mse_tats), repr(trial.reduction))
+        for i, trial in enumerate(report.trials)
+    ]
     out = _out_dir(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "simulation.json").write_text(json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n")
-    with (out / "trials.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("trial", "mse_base", "mse_tats", "reduction"))
-        for i, trial in enumerate(report.trials):
-            writer.writerow((i, repr(trial.mse_base), repr(trial.mse_tats), repr(trial.reduction)))
+    _write_outputs(out, {
+        "simulation.json": json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n",
+        "trials.csv": _csv_text(("trial", "mse_base", "mse_tats", "reduction"), trials),
+    })
     print(
         f"mean_reduction={report.mean_reduction:.6g} (SE {report.std_error:.3g}) "
         f"bound={report.theoretical_bound:.6g} positive_fraction={report.positive_fraction:.4g} "

@@ -30,12 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifiers import (
-    ClassifierKind,
-    OracleTrendPredictor,
-    TrendPredictorSpec,
-    fit_classifier,
-)
+from .classifiers import OracleTrendPredictor, TrendPredictorSpec, fit_classifier
 from .core import TimeSeries
 from .errors import ConfigError, DataError, NumericError, _require_finite
 from .forecasters import ValueForecasterSpec, _walk_forward, fit_forecaster
@@ -52,7 +47,7 @@ __all__ = [
     "classify_scenario",
     "evaluate_forecasts",
     "indicator",
-    "run_tats",
+    "prepare_run",
     "sweep_alpha",
 ]
 
@@ -148,16 +143,18 @@ def _scenario_counts(counts: np.ndarray) -> dict[str, int]:
 
 @dataclass(frozen=True)
 class TatsConfig:
-    """Everything one adjusted run needs besides the data itself."""
+    """Everything the fit of one run needs besides the data itself.
 
-    alpha: float
+    The adjustment runs on the fitted outputs, so one fit serves every
+    alpha (see :func:`prepare_run`).
+    """
+
     value_forecaster: ValueForecasterSpec
     trend_predictor: TrendPredictorSpec
     n_lags: int = 2
     refit_each_step: bool = False
 
     def __post_init__(self) -> None:
-        _check_alpha(self.alpha)
         if self.n_lags < 1:
             raise ConfigError(f"n_lags must be at least 1, got {self.n_lags}")
 
@@ -237,14 +234,26 @@ class _SplitDataError(DataError):
         self.split = split
 
 
-def _prepare_run(
+def prepare_run(
     config: TatsConfig,
     train: TimeSeries,
     test: TimeSeries,
-    features: FeatureTable | None,
-    eval_splits: tuple[str, ...],
+    features: FeatureTable | None = None,
+    eval_splits: tuple[str, ...] = ("test",),
 ) -> list[tuple[np.ndarray, int, np.ndarray, np.ndarray]]:
-    """Fit sub-models once; give (values, start, forecasts, directions) per split."""
+    """Fit both sub-models once on train; give the inputs of each evaluation split.
+
+    Returns one (values, start, forecasts, directions) tuple per entry of
+    eval_splits, in that order. "test" walks forward over the test split,
+    appending true values to the history as they are revealed; "train"
+    walks in-sample over the train split (for plug-in theory estimates).
+    Forecasts and directions do not depend on alpha, so one tuple serves
+    every alpha: pass it to :func:`evaluate_forecasts` as
+    ``evaluate_forecasts(*inputs, alpha)``, or to :func:`sweep_alpha`.
+
+    ``features`` supplies classifier rows built from a richer dataset
+    (exogenous columns); without it, rows are built from target lags.
+    """
     for eval_split in eval_splits:
         if eval_split not in ("train", "test"):
             raise ConfigError(f"eval_split must be 'train' or 'test', got {eval_split!r}")
@@ -253,7 +262,7 @@ def _prepare_run(
     fitted = fit_forecaster(config.value_forecaster, train)
 
     clf_spec = config.trend_predictor
-    feature_based = clf_spec.kind not in (ClassifierKind.ORACLE, ClassifierKind.EXTERNAL)
+    feature_based = clf_spec.kind.reads_features
     training = None
     if feature_based:
         if features is None:
@@ -298,28 +307,6 @@ def _prepare_run(
     return prepared
 
 
-def run_tats(
-    config: TatsConfig,
-    train: TimeSeries,
-    test: TimeSeries,
-    features: FeatureTable | None = None,
-    eval_split: str = "test",
-) -> ForecastTrace:
-    """Fit on the train split and evaluate the adjustment walk-forward.
-
-    By default evaluation covers the test split, with true values
-    appended to the history as they are revealed. eval_split="train"
-    instead evaluates in-sample over the train split (used for plug-in
-    theory estimates); sub-model parameters are fit on the full train
-    split either way.
-
-    ``features`` supplies classifier rows built from a richer dataset
-    (exogenous columns); without it, rows are built from target lags.
-    """
-    [inputs] = _prepare_run(config, train, test, features, (eval_split,))
-    return evaluate_forecasts(*inputs, config.alpha)
-
-
 @dataclass(frozen=True)
 class SweepEntry:
     alpha: float
@@ -333,26 +320,12 @@ class SweepResult:
     entries: tuple[SweepEntry, ...]
 
 
-def sweep_alpha(
-    config: TatsConfig,
-    alphas,
-    train: TimeSeries,
-    test: TimeSeries,
-    features: FeatureTable | None = None,
-    eval_split: str = "test",
-) -> SweepResult:
-    """Evaluate the same run at several alphas, fitting sub-models once.
+def sweep_alpha(inputs: tuple, alphas) -> SweepResult:
+    """Evaluate one prepared split at each alpha, in the given order.
 
-    Forecasts and predicted directions do not depend on alpha, so they
-    are computed once and only the adjustment arithmetic is repeated.
-    Entries come back in the given alpha order.
+    ``inputs`` is one (values, start, forecasts, directions) tuple from
+    :func:`prepare_run`; only the adjustment arithmetic is repeated.
     """
-    [inputs] = _prepare_run(config, train, test, features, (eval_split,))
-    return _sweep(inputs, alphas)
-
-
-def _sweep(inputs: tuple, alphas) -> SweepResult:
-    """Evaluate prepared (values, start, forecasts, directions) at each alpha."""
     alphas = [float(a) for a in alphas]
     if not alphas:
         raise ConfigError("alpha sweep needs at least one alpha")

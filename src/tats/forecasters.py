@@ -31,7 +31,6 @@ __all__ = [
     "ValueForecasterSpec",
     "fit_ar",
     "fit_forecaster",
-    "walk_forward_forecasts",
 ]
 
 AR_RIDGE_PENALTY = 1e-8
@@ -253,28 +252,6 @@ def fit_forecaster(spec: ValueForecasterSpec, train: TimeSeries):
     if spec.kind is ForecasterKind.EXTERNAL:
         return ExternalForecaster(forecasts=spec.source)
     raise ConfigError(f"unknown forecaster kind: {spec.kind}")
-
-
-def walk_forward_forecasts(
-    spec: ValueForecasterSpec,
-    train: TimeSeries,
-    test: TimeSeries,
-    refit_each_step: bool = False,
-) -> np.ndarray:
-    """Forecast each test value from all values before it.
-
-    The model is fit on the train split once (or refit on the growing
-    history when refit_each_step is set) and then fed true values as
-    they are revealed.
-    """
-    if len(test) < 1:
-        raise DataError("test split is empty")
-    values = np.concatenate([train.values, test.values])
-    n_train = len(train)
-    if n_train < 1:
-        raise DataError("train split is empty")
-    fitted = fit_forecaster(spec, train)
-    return _walk_forward(spec, fitted, values, n_train, refit_each_step)
 
 
 def _walk_forward(spec, fitted, values: np.ndarray, start: int, refit_each_step: bool) -> np.ndarray:

@@ -21,19 +21,20 @@ from tats import (
     ValueForecasterSpec,
     adjust,
     chronological_split,
+    evaluate_forecasts,
     expected_loss_change,
     indicator,
     load_csv,
     lower_bound,
     mse,
-    run_tats,
+    prepare_run,
     scenario_probabilities,
     td_accuracy,
     trend_aware_loss,
     validate_prop1,
 )
 from tats.cli import RESULTS_HEADER, main
-from tats.forecasters import fit_ar, walk_forward_forecasts
+from tats.forecasters import fit_ar
 
 FIXTURE = Path(__file__).resolve().parent.parent / "data" / "sample_forecasts.csv"
 
@@ -114,11 +115,11 @@ def test_c04_identity_configurations():
         train, test = chronological_split(series, 0.7)
 
         naive_cfg = TatsConfig(
-            alpha=2.0,
             value_forecaster=ValueForecasterSpec.naive(),
             trend_predictor=TrendPredictorSpec.oracle(accuracy=0.3, seed=9),
         )
-        run = run_tats(naive_cfg, train, test)
+        [inputs] = prepare_run(naive_cfg, train, test)
+        run = evaluate_forecasts(*inputs, 2.0)
         if not (
             np.array_equal(run.y_adj, run.y_hat)
             and np.array_equal(run.loss_adj, run.loss_base)
@@ -126,18 +127,19 @@ def test_c04_identity_configurations():
             mismatches_naive += 1
 
         fc_spec = ValueForecasterSpec.ar(order=2)
-        forecasts = walk_forward_forecasts(fc_spec, train, test)
+        ar_cfg = TatsConfig(value_forecaster=fc_spec, trend_predictor=TrendPredictorSpec.majority())
+        [(_, _, forecasts, _)] = prepare_run(ar_cfg, train, test)
         table = np.full(values.size, np.nan)
         for i, f in enumerate(forecasts):
             t = len(train) + i
             implied = f - values[t - 1]
             table[t] = 1 if implied >= 0 else -1
         echo_cfg = TatsConfig(
-            alpha=5.0,
             value_forecaster=fc_spec,
             trend_predictor=TrendPredictorSpec.external(source=table),
         )
-        run = run_tats(echo_cfg, train, test)
+        [inputs] = prepare_run(echo_cfg, train, test)
+        run = evaluate_forecasts(*inputs, 5.0)
         if not np.array_equal(run.y_adj, run.y_hat):
             mismatches_echo += 1
     ok = mismatches_naive == 0 and mismatches_echo == 0

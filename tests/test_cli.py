@@ -18,7 +18,7 @@ from tats.cli import (
     parse_config_file,
 )
 from tats.core import chronological_split
-from tats.engine import TatsConfig, run_tats
+from tats.engine import TatsConfig, evaluate_forecasts, prepare_run
 from tats.forecasters import ValueForecasterSpec
 from tats.ingest import build_feature_table, load_csv, load_external_directions
 from tats.theory import estimate_theory
@@ -474,6 +474,21 @@ def test_unwritable_out_exits_one_with_one_line(tmp_path, capsys, command):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, blocked", [("run", "report.json"), ("simulate", "trials.csv")])
+def test_failed_write_leaves_no_artifact(tmp_path, capsys, command, blocked):
+    out = tmp_path / "o"
+    (out / blocked).mkdir(parents=True)
+    if command == "simulate":
+        argv = ["simulate", "--n-steps", "50", "--n-trials", "2", "--out", str(out)]
+    else:
+        argv = _run_args(_write_prices(tmp_path / "prices.csv"), out)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert [p.name for p in out.iterdir()] == [blocked]
+
+
 def test_unknown_config_key_maps_to_exit_one(tmp_path):
     data = _write_prices(tmp_path / "prices.csv")
     cfg = tmp_path / "bad.cfg"
@@ -535,6 +550,8 @@ def test_config_file_and_flags_write_identical_artifacts(tmp_path):
         pytest.param(["run"], "forecaster = bogus", id="config-choice"),
         pytest.param(["run", "--seed", "-1"], "", id="run-negative-seed"),
         pytest.param(["run", "--alphas", "inf"], "", id="run-infinite-alpha"),
+        pytest.param(["run", "--alphas", ","], "", id="run-empty-alphas"),
+        pytest.param(["sweep", "--alphas", ","], "", id="sweep-empty-alphas"),
         pytest.param(["simulate", "--alpha", "inf"], "", id="simulate-infinite-alpha"),
         pytest.param(["simulate", "--seed", "-1"], "", id="simulate-negative-seed"),
         pytest.param(
@@ -546,11 +563,11 @@ def test_config_file_and_flags_write_identical_artifacts(tmp_path):
 )
 def test_bad_value_exits_one_without_traceback(tmp_path, monkeypatch, capsys, argv, config_line):
     monkeypatch.chdir(tmp_path)
-    if argv[0] == "run":
+    if argv[0] in ("run", "sweep"):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(config_line + "\n")
         data = _write_prices(tmp_path / "prices.csv")
-        argv = _run_args(data, "out", extra=("--config", str(cfg), *argv[1:]))
+        argv = [argv[0], *_run_args(data, "out", extra=("--config", str(cfg), *argv[1:]))[1:]]
     else:
         argv = [*argv, "--n-steps", "50", "--n-trials", "2", "--out", "out"]
     assert main(argv) == 1
@@ -637,6 +654,12 @@ def test_run_fits_forecaster_and_classifier_once(tmp_path, monkeypatch, theory_s
                 "--out", str(tmp_path / "o")]
         assert main(argv) == 0
         assert calls == {"fit_classifier": 1, "fit_forecaster": 1, "_walk_forward": walks}
+        # sweep walks the test split only
+        calls.clear()
+        argv = ["sweep", "--data", str(data), "--target-column", "gold", "--exogenous-columns", "ftse",
+                "--classifier", *classifier, "--alphas", "1,2", "--out", str(tmp_path / "s")]
+        assert main(argv) == 0
+        assert calls == {"fit_classifier": 1, "fit_forecaster": 1, "_walk_forward": 1}
 
 
 @pytest.mark.parametrize("theory_split", ["train", "test"])
@@ -666,9 +689,9 @@ def test_report_theory_matches_a_separate_run(tmp_path, classifier, theory_split
         "external": TrendPredictorSpec.external(load_external_directions(directions, dataset.target)),
     }[classifier]
     features = build_feature_table(dataset, 2, True, 0) if classifier == "logistic" else None
-    config = TatsConfig(alpha=DEFAULT_ALPHAS[0], value_forecaster=ValueForecasterSpec.ar(2),
-                        trend_predictor=spec)
-    expected = estimate_theory(run_tats(config, train, test, features, eval_split=theory_split))
+    config = TatsConfig(value_forecaster=ValueForecasterSpec.ar(2), trend_predictor=spec)
+    [inputs] = prepare_run(config, train, test, features, (theory_split,))
+    expected = estimate_theory(evaluate_forecasts(*inputs, DEFAULT_ALPHAS[0]))
     report = json.loads((out / "report.json").read_text())
     assert report["theory"] == json.loads(json.dumps(expected.to_dict()))
 

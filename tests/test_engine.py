@@ -13,12 +13,11 @@ from tats import (
     adjust,
     chronological_split,
     indicator,
-    run_tats,
+    prepare_run,
     sweep_alpha,
 )
 from tats.engine import classify_scenario, evaluate_forecasts
 from tats.metrics import evaluate_trace
-from tats.forecasters import walk_forward_forecasts
 
 seed = 707
 UP, DOWN = 1, -1
@@ -106,8 +105,8 @@ def test_spec_equality_and_hash_never_raise():
         assert spec == spec
         assert (spec == twin) is False  # specs compare by identity
         assert hash(spec) == hash(spec)
-    config = TatsConfig(alpha=1.0, value_forecaster=specs[0][0], trend_predictor=specs[1][0])
-    twin_config = TatsConfig(alpha=1.0, value_forecaster=specs[0][1], trend_predictor=specs[1][1])
+    config = TatsConfig(value_forecaster=specs[0][0], trend_predictor=specs[1][0])
+    twin_config = TatsConfig(value_forecaster=specs[0][1], trend_predictor=specs[1][1])
     assert config == config
     assert (config == twin_config) is False
     assert hash(config) == hash(config)
@@ -232,6 +231,11 @@ def _weather_series(rng, n=120):
     return TimeSeries(np.cumsum(rng.normal(0.1, 1.0, size=n)) + 60.0)
 
 
+def _trace(config, train, test, alpha, eval_split="test"):
+    [inputs] = prepare_run(config, train, test, eval_splits=(eval_split,))
+    return evaluate_forecasts(*inputs, alpha)
+
+
 def test_run_tats_naive_forecaster_is_identity():
     # naive forecast never moves, so the indicator is always 1
     rng = np.random.default_rng(seed + 8)
@@ -239,11 +243,10 @@ def test_run_tats_naive_forecaster_is_identity():
         series = _weather_series(rng)
         train, test = chronological_split(series, 0.7)
         config = TatsConfig(
-            alpha=2.0,
             value_forecaster=ValueForecasterSpec.naive(),
             trend_predictor=TrendPredictorSpec.oracle(accuracy=0.3, seed=1),
         )
-        trace = run_tats(config, train, test)
+        trace = _trace(config, train, test, 2.0)
         assert np.array_equal(trace.y_adj, trace.y_hat)
         assert np.all(trace.indicator == 1)
 
@@ -254,7 +257,9 @@ def test_run_tats_echo_classifier_is_identity():
     series = _weather_series(rng)
     train, test = chronological_split(series, 0.7)
     spec = ValueForecasterSpec.ar(order=2)
-    forecasts = walk_forward_forecasts(spec, train, test)
+    [(_, _, forecasts, _)] = prepare_run(
+        TatsConfig(value_forecaster=spec, trend_predictor=TrendPredictorSpec.majority()), train, test
+    )
     n_train = len(train)
     table = np.full(len(series), np.nan)
     for i, f in enumerate(forecasts):
@@ -262,11 +267,10 @@ def test_run_tats_echo_classifier_is_identity():
         implied = f - series.values[t - 1]
         table[t] = UP if implied >= 0 else DOWN
     config = TatsConfig(
-        alpha=5.0,
         value_forecaster=spec,
         trend_predictor=TrendPredictorSpec.external(source=table),
     )
-    trace = run_tats(config, train, test)
+    trace = _trace(config, train, test, 5.0)
     assert np.array_equal(trace.y_adj, trace.y_hat)
     assert np.array_equal(trace.loss_adj, trace.loss_base)
 
@@ -276,12 +280,11 @@ def test_run_tats_deterministic():
     series = _weather_series(rng)
     train, test = chronological_split(series, 0.7)
     config = TatsConfig(
-        alpha=1.0,
         value_forecaster=ValueForecasterSpec.ar(order=2),
         trend_predictor=TrendPredictorSpec.oracle(accuracy=0.8, seed=4),
     )
-    a = run_tats(config, train, test)
-    b = run_tats(config, train, test)
+    a = _trace(config, train, test, 1.0)
+    b = _trace(config, train, test, 1.0)
     assert np.array_equal(a.y_adj, b.y_adj)
     assert np.array_equal(a.direction, b.direction)
 
@@ -291,11 +294,10 @@ def test_run_tats_perfect_oracle_never_hits_s2_s3():
     series = _weather_series(rng)
     train, test = chronological_split(series, 0.7)
     config = TatsConfig(
-        alpha=0.5,
         value_forecaster=ValueForecasterSpec.drift(),
         trend_predictor=TrendPredictorSpec.oracle(accuracy=1.0, seed=2),
     )
-    counts = run_tats(config, train, test).scenario_counts()
+    counts = _trace(config, train, test, 0.5).scenario_counts()
     assert counts["S2"] == 0
     assert counts["S3"] == 0
 
@@ -305,11 +307,10 @@ def test_run_tats_train_split_is_in_sample():
     series = _weather_series(rng)
     train, test = chronological_split(series, 0.7)
     config = TatsConfig(
-        alpha=1.0,
         value_forecaster=ValueForecasterSpec.ar(order=2),
         trend_predictor=TrendPredictorSpec.logistic(),
     )
-    trace = run_tats(config, train, test, eval_split="train")
+    trace = _trace(config, train, test, 1.0, eval_split="train")
     assert trace.t[-1] == len(train) - 1
     assert trace.t[0] >= 1
 
@@ -319,12 +320,11 @@ def test_run_tats_rejects_unknown_split():
     series = _weather_series(rng)
     train, test = chronological_split(series, 0.7)
     config = TatsConfig(
-        alpha=1.0,
         value_forecaster=ValueForecasterSpec.naive(),
         trend_predictor=TrendPredictorSpec.majority(),
     )
     with pytest.raises(ConfigError):
-        run_tats(config, train, test, eval_split="validation")
+        prepare_run(config, train, test, eval_splits=("validation",))
 
 
 def test_sweep_alpha_shares_forecasts_across_alphas():
@@ -332,12 +332,12 @@ def test_sweep_alpha_shares_forecasts_across_alphas():
     series = _weather_series(rng)
     train, test = chronological_split(series, 0.7)
     config = TatsConfig(
-        alpha=1.0,
         value_forecaster=ValueForecasterSpec.ar(order=2),
         trend_predictor=TrendPredictorSpec.oracle(accuracy=0.8, seed=5),
     )
     alphas = (0.5, 1.0, 2.0)
-    sweep = sweep_alpha(config, alphas, train, test)
+    [inputs] = prepare_run(config, train, test)
+    sweep = sweep_alpha(inputs, alphas)
     assert tuple(e.alpha for e in sweep.entries) == alphas
     # the oracle stream is drawn once: scenario tallies agree across alphas
     tallies = [e.scenarios for e in sweep.entries]
@@ -350,12 +350,12 @@ def test_sweep_alpha_single_run_consistency():
     series = _weather_series(rng)
     train, test = chronological_split(series, 0.7)
     config = TatsConfig(
-        alpha=2.0,
         value_forecaster=ValueForecasterSpec.drift(),
         trend_predictor=TrendPredictorSpec.oracle(accuracy=0.9, seed=6),
     )
-    sweep = sweep_alpha(config, (2.0,), train, test)
-    base, adjusted = evaluate_trace(run_tats(config, train, test))
+    [inputs] = prepare_run(config, train, test)
+    sweep = sweep_alpha(inputs, (2.0,))
+    base, adjusted = evaluate_trace(_trace(config, train, test, 2.0))
     assert sweep.base_report == base
     assert sweep.entries[0].report == adjusted
 
@@ -365,14 +365,14 @@ def test_sweep_alpha_rejects_bad_grids():
     series = _weather_series(rng)
     train, test = chronological_split(series, 0.7)
     config = TatsConfig(
-        alpha=1.0,
         value_forecaster=ValueForecasterSpec.naive(),
         trend_predictor=TrendPredictorSpec.majority(),
     )
+    [inputs] = prepare_run(config, train, test)
     with pytest.raises(ConfigError):
-        sweep_alpha(config, (), train, test)
+        sweep_alpha(inputs, ())
     with pytest.raises(ConfigError):
-        sweep_alpha(config, (1.0, -2.0), train, test)
+        sweep_alpha(inputs, (1.0, -2.0))
 
 
 @pytest.mark.parametrize("alpha", [float("inf"), float("nan")])
@@ -381,15 +381,13 @@ def test_non_finite_alpha_rejected(alpha):
     series = _weather_series(rng)
     train, test = chronological_split(series, 0.7)
     config = TatsConfig(
-        alpha=1.0,
         value_forecaster=ValueForecasterSpec.naive(),
         trend_predictor=TrendPredictorSpec.oracle(accuracy=0.7, seed=1),
     )
     with pytest.raises(ConfigError, match="finite"):
         adjust(y_hat=8.0, direction=UP, y_prev=7.0, alpha=alpha)
     with pytest.raises(ConfigError, match="finite"):
-        TatsConfig(alpha, config.value_forecaster, config.trend_predictor)
-    with pytest.raises(ConfigError, match="finite"):
         evaluate_forecasts(np.arange(5.0), 1, np.ones(2), np.array([1, 1]), alpha)
+    [inputs] = prepare_run(config, train, test)
     with pytest.raises(ConfigError, match="finite"):
-        sweep_alpha(config, (1.0, alpha), train, test)
+        sweep_alpha(inputs, (1.0, alpha))

@@ -8,7 +8,6 @@ from tats import (
     TimeSeries,
     ValueForecasterSpec,
     fit_forecaster,
-    walk_forward_forecasts,
 )
 from tats.forecasters import (
     ARModel,
@@ -192,12 +191,17 @@ def test_ar_too_short():
         fit_ar(_series([1.0, 2.0]), order=2)
 
 
+def _walk(spec, train, test, refit_each_step=False):
+    values = np.concatenate([train.values, test.values])
+    return _walk_forward(spec, fit_forecaster(spec, train), values, len(train), refit_each_step)
+
+
 def test_walk_forward_naive_is_shifted_actuals():
     rng = np.random.default_rng(seed + 3)
     values = np.cumsum(rng.normal(size=30)) + 10.0
     train = _series(values[:20])
     test = _series(values[20:])
-    out = walk_forward_forecasts(ValueForecasterSpec.naive(), train, test)
+    out = _walk(ValueForecasterSpec.naive(), train, test)
     assert np.array_equal(out, values[19:29])
 
 
@@ -206,8 +210,8 @@ def test_walk_forward_deterministic():
     values = np.cumsum(rng.normal(size=40)) + 10.0
     train, test = _series(values[:30]), _series(values[30:])
     spec = ValueForecasterSpec.ar(order=2)
-    a = walk_forward_forecasts(spec, train, test)
-    b = walk_forward_forecasts(spec, train, test)
+    a = _walk(spec, train, test)
+    b = _walk(spec, train, test)
     assert np.array_equal(a, b)
 
 
@@ -215,7 +219,7 @@ def test_walk_forward_params_frozen_by_default():
     # drift step comes from the training split only
     train = _series([0.0, 1.0, 2.0, 3.0])  # mean step 1
     test = _series([103.0, 203.0, 303.0])  # wildly different steps
-    out = walk_forward_forecasts(ValueForecasterSpec.drift(), train, test)
+    out = _walk(ValueForecasterSpec.drift(), train, test)
     assert np.array_equal(out, np.array([4.0, 104.0, 204.0]))
 
 
@@ -224,8 +228,8 @@ def test_walk_forward_refit_each_step_differs():
     values = np.cumsum(rng.normal(size=60)) + 100.0
     train, test = _series(values[:40]), _series(values[40:])
     spec = ValueForecasterSpec.ar(order=1)
-    frozen = walk_forward_forecasts(spec, train, test)
-    refit = walk_forward_forecasts(spec, train, test, refit_each_step=True)
+    frozen = _walk(spec, train, test)
+    refit = _walk(spec, train, test, refit_each_step=True)
     assert frozen.shape == refit.shape
     assert not np.array_equal(frozen, refit)
     assert np.all(np.isfinite(refit))
@@ -236,7 +240,7 @@ def test_walk_forward_external_replays_file_values():
     train, test = _series(values[:7]), _series(values[7:])
     table = np.full(10, np.nan)
     table[7:] = [1.5, 2.5, 3.5]
-    out = walk_forward_forecasts(ValueForecasterSpec.external(source=table), train, test)
+    out = _walk(ValueForecasterSpec.external(source=table), train, test)
     assert np.array_equal(out, np.array([1.5, 2.5, 3.5]))
 
 
@@ -247,11 +251,11 @@ def test_walk_forward_external_missing_index():
     table[7] = 1.0
     spec = ValueForecasterSpec.external(source=table)
     with pytest.raises(DataError, match="external forecasts missing time index 8"):
-        walk_forward_forecasts(spec, train, test)
+        _walk(spec, train, test)
     # positions past the end of the table are missing too
     short = ValueForecasterSpec.external(source=np.array([np.nan, 1.0]))
     with pytest.raises(DataError, match="external forecasts missing time index 7"):
-        walk_forward_forecasts(short, train, test)
+        _walk(short, train, test)
 
 
 def test_external_spec_rejects_a_path(tmp_path):
@@ -261,7 +265,7 @@ def test_external_spec_rejects_a_path(tmp_path):
     values = np.arange(10.0)
     train, test = _series(values[:7]), _series(values[7:])
     with pytest.raises(ConfigError, match="load_external_forecasts"):
-        walk_forward_forecasts(ValueForecasterSpec.external(str(path)), train, test)
+        _walk(ValueForecasterSpec.external(str(path)), train, test)
 
 
 def test_fits_on_huge_values_are_numeric_errors():
