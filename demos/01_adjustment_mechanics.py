@@ -42,18 +42,19 @@ forecasts = np.array([101.0, 102.3, 101.2, 102.8, 101.8])
 directions = np.array([1, -1, 1, -1, 1])
 alpha = 0.5
 
-tr = evaluate_forecasts(values, 1, forecasts, directions, alpha)
+tr = evaluate_forecasts(values, 1, forecasts, directions)
+y_adj, loss_adj = tr.adjusted(alpha)
 print(f"{'t':>2} {'prev':>7} {'true':>7} {'base':>7} {'dir':>4} {'ind':>3} "
       f"{'adjusted':>8} {'scenario':>9}")
 for i in range(len(tr)):
     print(
         f"{tr.t[i]:>2} {tr.y_prev[i]:>7.2f} {tr.y_true[i]:>7.2f} {tr.y_hat[i]:>7.2f} "
         f"{NAME[tr.direction[i]]:>4} {tr.indicator[i]:>3} "
-        f"{tr.y_adj[i]:>8.2f} {Scenario(int(tr.scenario[i])).name:>9}"
+        f"{y_adj[i]:>8.2f} {Scenario(int(tr.scenario[i])).name:>9}"
     )
 print()
 print(f"base MSE     {np.mean(tr.loss_base):.4f}")
-print(f"adjusted MSE {np.mean(tr.loss_adj):.4f}")
+print(f"adjusted MSE {np.mean(loss_adj):.4f}")
 print()
 print("The override only ever moves the forecast to the classifier's side")
 print("of the last value; agreeing steps are reproduced bit for bit.")

@@ -20,7 +20,6 @@ from tats import (
     ValueForecasterSpec,
     chronological_split,
     estimate_theory,
-    evaluate_forecasts,
     prepare_run,
     sweep_alpha,
 )
@@ -37,11 +36,11 @@ config = TatsConfig(
     trend_predictor=TrendPredictorSpec.logistic(),
     n_lags=2,
 )
-# one fit gives forecasts and directions for both splits, at every alpha
-test_inputs, train_inputs = prepare_run(config, train, test, eval_splits=("test", "train"))
+# one fit gives the trace of both splits; alpha only enters the adjustment
+test_trace, train_trace = prepare_run(config, train, test, eval_splits=("test", "train"))
 
 alphas = (0.25, 0.5, 1.0, 2.0, 4.0)
-sweep = sweep_alpha(test_inputs, alphas)
+sweep = sweep_alpha(test_trace, alphas)
 
 base = sweep.base_report
 print()
@@ -58,7 +57,7 @@ print("alphas track the base closely; large ones overshoot whenever the")
 print("classifier is wrong, so MSE is not monotone in alpha.")
 
 # the plug-in estimate of the expected reduction, from in-sample behavior
-theory = estimate_theory(evaluate_forecasts(*train_inputs, 1.0))
+theory = estimate_theory(train_trace)
 print()
 print(
     f"in-sample estimate: p_db={theory.p_db:.4f} (classifier) vs "
@@ -73,14 +72,14 @@ out_dir = Path(__file__).resolve().parent / "output"
 out_dir.mkdir(exist_ok=True)
 
 best = min(sweep.entries, key=lambda e: e.report.mse)
-trace = evaluate_forecasts(*test_inputs, best.alpha)
-xs = [float(t) for t in trace.t]
+y_adj, _ = test_trace.adjusted(best.alpha)
+xs = [float(t) for t in test_trace.t]
 chart = line_chart(
     f"Test forecasts (alpha={best.alpha:g})",
     [
-        ("actual", xs, list(trace.y_true)),
-        ("base", xs, list(trace.y_hat)),
-        ("adjusted", xs, list(trace.y_adj)),
+        ("actual", xs, list(test_trace.y_true)),
+        ("base", xs, list(test_trace.y_hat)),
+        ("adjusted", xs, list(y_adj)),
     ],
     x_label="t",
     y_label="price",

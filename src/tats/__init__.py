@@ -54,7 +54,6 @@ from .ingest import (
 from .metrics import (
     EvalReport,
     diff_rdiff,
-    evaluate_trace,
     mae,
     mape,
     mse,
@@ -115,7 +114,6 @@ __all__ = [
     "diff_rdiff",
     "estimate_theory",
     "evaluate_forecasts",
-    "evaluate_trace",
     "expected_loss_change",
     "fit_ar",
     "fit_classifier",

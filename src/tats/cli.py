@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .classifiers import ClassifierKind, TrendPredictorSpec
 from .core import chronological_split
-from .engine import TatsConfig, _SplitDataError, evaluate_forecasts, prepare_run, sweep_alpha
+from .engine import TatsConfig, _SplitDataError, _check_alphas, prepare_run, sweep_alpha
 from .errors import ConfigError, DataError, NumericError
 from .forecasters import ForecasterKind, ValueForecasterSpec
 from .ingest import (
@@ -167,6 +167,8 @@ def _resolve_settings(args: argparse.Namespace) -> None:
         raise ConfigError("no target column given (use --target-column or a config file)")
     if args.exog_lag < 0:
         raise ConfigError(f"exog_lag must be non-negative, got {args.exog_lag}")
+    if args.alphas is not None:
+        args.alphas = _check_alphas(args.alphas)
     args.out_dir = _out_dir(args.out_dir)
 
 
@@ -310,9 +312,10 @@ def _print_sweep(args: argparse.Namespace, sweep) -> None:
     )
     for entry in sweep.entries:
         r = entry.report
+        r_diff = "n/a" if r.r_diff is None else f"{r.r_diff:.6g}"
         print(
             f"alpha={entry.alpha:g}: TDA={r.tda:.6g} MSE={r.mse:.6g} "
-            f"Diff={r.diff:.6g} R-Diff={r.r_diff:.6g}"
+            f"Diff={r.diff:.6g} R-Diff={r_diff}"
         )
 
 
@@ -342,9 +345,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         raise DataError(
             f"{exc}; the theory estimate reads the train split, and --theory-split test avoids it"
         ) from None
-    test_inputs, theory_inputs = prepared[0], prepared[-1]
-    sweep = sweep_alpha(test_inputs, alphas)
-    theory = estimate_theory(evaluate_forecasts(*theory_inputs, sweep.entries[0].alpha))
+    test_trace = prepared[0]
+    sweep = sweep_alpha(test_trace, alphas)
+    theory = estimate_theory(prepared[-1])
+    scenarios = test_trace.scenario_counts()
 
     report = {
         "config": {
@@ -371,7 +375,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             {
                 "alpha": entry.alpha,
                 "report": entry.report.to_dict(),
-                "scenarios": entry.scenarios,
+                "scenarios": scenarios,
             }
             for entry in sweep.entries
         ],
@@ -379,14 +383,14 @@ def cmd_run(args: argparse.Namespace) -> int:
     }
 
     best = min(sweep.entries, key=lambda e: e.report.mse)
-    trace = evaluate_forecasts(*test_inputs, best.alpha)
-    xs = [float(t) for t in trace.t]
+    y_adj, _ = test_trace.adjusted(best.alpha)
+    xs = [float(t) for t in test_trace.t]
     forecast_svg = line_chart(
         f"Test forecasts (alpha={best.alpha:g})",
         [
-            ("actual", xs, list(trace.y_true)),
-            ("base", xs, list(trace.y_hat)),
-            ("adjusted", xs, list(trace.y_adj)),
+            ("actual", xs, list(test_trace.y_true)),
+            ("base", xs, list(test_trace.y_hat)),
+            ("adjusted", xs, list(y_adj)),
         ],
         x_label="t",
         y_label=args.target_column,
@@ -414,8 +418,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.alphas is None:
         raise ConfigError("sweep needs --alphas (or alphas in the config file)")
     train, test, features, config, alphas = _prepare_experiment(args)
-    [test_inputs] = prepare_run(config, train, test, features)
-    sweep = sweep_alpha(test_inputs, alphas)
+    [test_trace] = prepare_run(config, train, test, features)
+    sweep = sweep_alpha(test_trace, alphas)
     out = args.out_dir
     _write_outputs(out, {
         "results.csv": _results_csv(args, sweep, split="test"),

@@ -12,8 +12,9 @@ replaced by a minimal step of size alpha in the predicted direction:
 
     y_adj = indicator * y_hat + (1 - indicator) * (y_prev + c * alpha)
 
-alpha is in absolute value units and must be finite and positive. Each
-evaluated step is also tagged with the direction outcome scenario:
+alpha is in absolute value units and must be finite and positive; it
+enters only :meth:`ForecastTrace.adjusted`. Each evaluated step is also
+tagged with the direction outcome scenario:
 
     S1 forecast right, classifier right    S2 forecast right, classifier wrong
     S3 forecast wrong, classifier wrong    S4 forecast wrong, classifier right
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -35,7 +36,7 @@ from .core import TimeSeries
 from .errors import ConfigError, DataError, NumericError, _require_finite
 from .forecasters import ValueForecasterSpec, _walk_forward, fit_forecaster
 from .ingest import Dataset, FeatureTable, _table_slice, build_feature_table
-from .metrics import EvalReport, evaluate_trace
+from .metrics import EvalReport, _report, diff_rdiff
 
 __all__ = [
     "ForecastTrace",
@@ -63,6 +64,16 @@ class Scenario(enum.IntEnum):
 def _check_alpha(alpha: float) -> None:
     if not (math.isfinite(alpha) and alpha > 0.0):
         raise ConfigError(f"alpha must be finite and positive, got {alpha}")
+
+
+def _check_alphas(alphas) -> list[float]:
+    """An alpha grid as floats: non-empty, every alpha finite and positive."""
+    alphas = [float(a) for a in alphas]
+    if not alphas:
+        raise ConfigError("alpha sweep needs at least one alpha")
+    for a in alphas:
+        _check_alpha(a)
+    return alphas
 
 
 def indicator(y_hat: float, y_prev: float, direction: int) -> int:
@@ -100,9 +111,10 @@ def classify_scenario(y_prev: float, y_true: float, y_hat: float, direction: int
 class ForecastTrace:
     """Aligned per-step arrays for one evaluated forecast sequence.
 
-    Each step carries both forecasts the method compares: the base
-    forecast y_hat with its loss_base, and the adjusted forecast y_adj
-    with its loss_adj.
+    Nothing here depends on alpha: each step carries the base forecast
+    y_hat with its loss_base, the predicted direction, the indicator and
+    the scenario tag. :meth:`adjusted` gives the adjusted forecasts and
+    their losses at one alpha.
     """
 
     t: np.ndarray
@@ -111,15 +123,12 @@ class ForecastTrace:
     y_hat: np.ndarray
     direction: np.ndarray
     indicator: np.ndarray
-    y_adj: np.ndarray
     loss_base: np.ndarray
-    loss_adj: np.ndarray
     scenario: np.ndarray
 
     def __post_init__(self) -> None:
         n = self.t.size
-        for name in ("y_prev", "y_true", "y_hat", "direction", "indicator",
-                     "y_adj", "loss_base", "loss_adj", "scenario"):
+        for name in ("y_prev", "y_true", "y_hat", "direction", "indicator", "loss_base", "scenario"):
             if getattr(self, name).size != n:
                 raise ConfigError(f"trace field {name} does not align with t")
         if n == 0:
@@ -129,6 +138,19 @@ class ForecastTrace:
 
     def __len__(self) -> int:
         return int(self.t.size)
+
+    def adjusted(self, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+        """(y_adj, loss_adj) at alpha: :func:`adjust` per step, and the squared errors."""
+        _check_alpha(alpha)
+        with np.errstate(over="ignore", invalid="ignore"):
+            y_adj = np.where(self.indicator == 1, self.y_hat, self.y_prev + self.direction * alpha)
+            loss_adj = (y_adj - self.y_true) ** 2
+            if not np.isfinite(loss_adj.sum()):
+                raise NumericError(
+                    f"the summed squared errors of the adjusted forecasts at alpha={alpha!r} "
+                    "overflowed float64; alpha or the moves of the series are too large"
+                )
+        return y_adj, loss_adj
 
     def scenario_counts(self) -> dict[str, int]:
         """Steps per scenario, keyed S1..S4 then undefined."""
@@ -164,16 +186,13 @@ def evaluate_forecasts(
     start: int,
     forecasts: np.ndarray,
     directions: np.ndarray,
-    alpha: float,
 ) -> ForecastTrace:
-    """Apply the adjustment to precomputed forecasts and directions.
+    """The trace of precomputed forecasts and directions, ready for any alpha.
 
     values is the full series; forecasts[i] and directions[i] describe
     step start + i. This is the vectorized equivalent of calling
-    :func:`indicator`, :func:`adjust`, and :func:`classify_scenario`
-    once per step.
+    :func:`indicator` and :func:`classify_scenario` once per step.
     """
-    _check_alpha(alpha)
     values = np.asarray(values, dtype=float)
     forecasts = np.asarray(forecasts, dtype=float)
     directions = np.asarray(directions)
@@ -197,17 +216,10 @@ def evaluate_forecasts(
     with np.errstate(over="ignore", invalid="ignore"):
         fdelta = forecasts - y_prev
         ind = (fdelta * directions >= 0.0).astype(int)
-        y_adj = np.where(ind == 1, forecasts, y_prev + directions * alpha)
         loss_base = (forecasts - y_true) ** 2
-        loss_adj = (y_adj - y_true) ** 2
         actual_sign = np.sign(y_true - y_prev).astype(int)
-        # summing can overflow too, so the checks stay inside the errstate block
+        # summing can overflow too, so the check stays inside the errstate block
         _require_finite(loss_base.sum(), "the summed squared forecast errors")
-        if not np.isfinite(loss_adj.sum()):
-            raise NumericError(
-                f"the summed squared errors of the adjusted forecasts at alpha={alpha!r} "
-                "overflowed float64; alpha or the moves of the series are too large"
-            )
     implied_sign = np.sign(fdelta).astype(int)
     undefined = (actual_sign == 0) | (implied_sign == 0)
     scenario = np.where(
@@ -221,8 +233,7 @@ def evaluate_forecasts(
     )
     return ForecastTrace(
         t=t, y_prev=y_prev, y_true=y_true, y_hat=forecasts, direction=directions,
-        indicator=ind, y_adj=y_adj, loss_base=loss_base, loss_adj=loss_adj,
-        scenario=scenario,
+        indicator=ind, loss_base=loss_base, scenario=scenario,
     )
 
 
@@ -240,16 +251,15 @@ def prepare_run(
     test: TimeSeries,
     features: FeatureTable | None = None,
     eval_splits: tuple[str, ...] = ("test",),
-) -> list[tuple[np.ndarray, int, np.ndarray, np.ndarray]]:
-    """Fit both sub-models once on train; give the inputs of each evaluation split.
+) -> list[ForecastTrace]:
+    """Fit both sub-models once on train; give the trace of each evaluation split.
 
-    Returns one (values, start, forecasts, directions) tuple per entry of
-    eval_splits, in that order. "test" walks forward over the test split,
-    appending true values to the history as they are revealed; "train"
-    walks in-sample over the train split (for plug-in theory estimates).
-    Forecasts and directions do not depend on alpha, so one tuple serves
-    every alpha: pass it to :func:`evaluate_forecasts` as
-    ``evaluate_forecasts(*inputs, alpha)``, or to :func:`sweep_alpha`.
+    Returns one :class:`ForecastTrace` per entry of eval_splits, in that
+    order. "test" walks forward over the test split, appending true
+    values to the history as they are revealed; "train" walks in-sample
+    over the train split (for plug-in theory estimates). The fit and the
+    trace do not depend on alpha, so one trace serves every alpha: pass
+    it to :func:`sweep_alpha`, or call its :meth:`ForecastTrace.adjusted`.
 
     ``features`` supplies classifier rows built from a richer dataset
     (exogenous columns); without it, rows are built from target lags.
@@ -303,7 +313,7 @@ def prepare_run(
                 directions = classifier.predict_matrix(features.rows_at(eval_t - 1))
         except DataError as exc:
             raise _SplitDataError(eval_split, str(exc)) from None
-        prepared.append((values, start, forecasts, directions))
+        prepared.append(evaluate_forecasts(values, start, forecasts, directions))
     return prepared
 
 
@@ -311,7 +321,6 @@ def prepare_run(
 class SweepEntry:
     alpha: float
     report: EvalReport
-    scenarios: dict[str, int]
 
 
 @dataclass(frozen=True)
@@ -320,20 +329,19 @@ class SweepResult:
     entries: tuple[SweepEntry, ...]
 
 
-def sweep_alpha(inputs: tuple, alphas) -> SweepResult:
-    """Evaluate one prepared split at each alpha, in the given order.
+def sweep_alpha(trace: ForecastTrace, alphas) -> SweepResult:
+    """Report a trace's base forecasts once, then its adjusted ones at each alpha.
 
-    ``inputs`` is one (values, start, forecasts, directions) tuple from
-    :func:`prepare_run`; only the adjustment arithmetic is repeated.
+    Entries follow the order of alphas. Each adjusted report carries
+    Diff/R-Diff against the base report; R-Diff is None when the base MSE
+    is zero, where it is undefined. MAPE is None when any actual is zero.
     """
-    alphas = [float(a) for a in alphas]
-    if not alphas:
-        raise ConfigError("alpha sweep needs at least one alpha")
-    for a in alphas:
-        _check_alpha(a)
+    alphas = _check_alphas(alphas)
+    base = _report(trace, trace.y_hat)
     entries = []
     for a in alphas:
-        trace = evaluate_forecasts(*inputs, a)
-        base_report, report = evaluate_trace(trace)
-        entries.append(SweepEntry(alpha=a, report=report, scenarios=trace.scenario_counts()))
-    return SweepResult(base_report=base_report, entries=tuple(entries))
+        report = _report(trace, trace.adjusted(a)[0])
+        diff = base.mse - report.mse
+        r_diff = None if base.mse == 0.0 else diff_rdiff(base, report)[1]
+        entries.append(SweepEntry(alpha=a, report=replace(report, diff=diff, r_diff=r_diff)))
+    return SweepResult(base_report=base, entries=tuple(entries))

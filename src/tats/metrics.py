@@ -4,7 +4,7 @@ pairwise improvement (Diff, R-Diff), and a trend-aware penalty loss."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -17,7 +17,6 @@ if TYPE_CHECKING:
 __all__ = [
     "EvalReport",
     "diff_rdiff",
-    "evaluate_trace",
     "mae",
     "mape",
     "mse",
@@ -118,8 +117,9 @@ def trend_aware_loss(y_true, y_pred, gamma: float, y_prev=None) -> float:
 class EvalReport:
     """Metric bundle for one forecast trace.
 
-    diff and r_diff compare against a baseline report and are either
-    both present or both absent.
+    diff and r_diff compare against a baseline report. r_diff needs
+    diff; diff comes alone when the baseline MSE is zero, where r_diff
+    is undefined.
     """
 
     tda: float
@@ -131,8 +131,8 @@ class EvalReport:
     r_diff: float | None = None
 
     def __post_init__(self) -> None:
-        if (self.diff is None) != (self.r_diff is None):
-            raise ConfigError("diff and r_diff must be set together")
+        if self.diff is None and self.r_diff is not None:
+            raise ConfigError("r_diff needs diff")
         if self.n_steps < 1:
             raise ConfigError("a report must cover at least one step")
 
@@ -170,6 +170,7 @@ def diff_rdiff(base: EvalReport, candidate: EvalReport) -> tuple[float, float]:
 
 
 def _report(trace: "ForecastTrace", forecasts: np.ndarray) -> EvalReport:
+    """Metrics of forecasts for the steps of a trace; MAPE is None on a zero actual."""
     return EvalReport(
         tda=td_accuracy(trace.y_prev, trace.y_true, forecasts),
         mse=mse(trace.y_true, forecasts),
@@ -177,16 +178,3 @@ def _report(trace: "ForecastTrace", forecasts: np.ndarray) -> EvalReport:
         mape=None if np.any(trace.y_true == 0.0) else mape(trace.y_true, forecasts),
         n_steps=len(trace),
     )
-
-
-def evaluate_trace(trace: "ForecastTrace") -> tuple[EvalReport, EvalReport]:
-    """Reports for a trace's base forecasts (y_hat) and adjusted ones (y_adj).
-
-    The adjusted report carries Diff/R-Diff against the base report, so a
-    zero base MSE raises NumericError. MAPE is None when any actual is
-    zero, where it is undefined.
-    """
-    base = _report(trace, trace.y_hat)
-    adjusted = _report(trace, trace.y_adj)
-    d, r = diff_rdiff(base, adjusted)
-    return base, replace(adjusted, diff=d, r_diff=r)

@@ -198,9 +198,9 @@ def _run_trial(config: SimConfig, child: np.random.SeedSequence):
     truths = np.sign(np.diff(series.values)).astype(int)
     oracle = OracleTrendPredictor(accuracy=config.p_db, seed=classifier_ss)
     directions = oracle.draw_many(truths)
-    trace = evaluate_forecasts(series.values, 1, forecasts, directions, config.alpha)
+    trace = evaluate_forecasts(series.values, 1, forecasts, directions)
     mse_base = float(np.mean(trace.loss_base))
-    mse_tats = float(np.mean(trace.loss_adj))
+    mse_tats = float(np.mean(trace.adjusted(config.alpha)[1]))
     return mse_base, mse_tats, _trace_stats(trace), np.bincount(trace.scenario, minlength=5)
 
 

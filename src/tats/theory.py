@@ -138,6 +138,6 @@ def estimate_theory(trace: "ForecastTrace") -> TheoryEstimate:
     is the classifier's hit rate against the realized strict direction on
     the same steps; a flat actual move counts as a miss for both, mirroring
     the accuracy definition. abs_gap is the mean |l_t - (y_t - y_{t-1})^2|
-    over the base losses. The adjusted forecasts are not used.
+    over the base losses.
     """
     return _estimate(*_trace_stats(trace))

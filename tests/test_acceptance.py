@@ -118,17 +118,17 @@ def test_c04_identity_configurations():
             value_forecaster=ValueForecasterSpec.naive(),
             trend_predictor=TrendPredictorSpec.oracle(accuracy=0.3, seed=9),
         )
-        [inputs] = prepare_run(naive_cfg, train, test)
-        run = evaluate_forecasts(*inputs, 2.0)
+        [run] = prepare_run(naive_cfg, train, test)
+        y_adj, loss_adj = run.adjusted(2.0)
         if not (
-            np.array_equal(run.y_adj, run.y_hat)
-            and np.array_equal(run.loss_adj, run.loss_base)
+            np.array_equal(y_adj, run.y_hat)
+            and np.array_equal(loss_adj, run.loss_base)
         ):
             mismatches_naive += 1
 
         fc_spec = ValueForecasterSpec.ar(order=2)
         ar_cfg = TatsConfig(value_forecaster=fc_spec, trend_predictor=TrendPredictorSpec.majority())
-        [(_, _, forecasts, _)] = prepare_run(ar_cfg, train, test)
+        forecasts = prepare_run(ar_cfg, train, test)[0].y_hat
         table = np.full(values.size, np.nan)
         for i, f in enumerate(forecasts):
             t = len(train) + i
@@ -138,9 +138,8 @@ def test_c04_identity_configurations():
             value_forecaster=fc_spec,
             trend_predictor=TrendPredictorSpec.external(source=table),
         )
-        [inputs] = prepare_run(echo_cfg, train, test)
-        run = evaluate_forecasts(*inputs, 5.0)
-        if not np.array_equal(run.y_adj, run.y_hat):
+        [run] = prepare_run(echo_cfg, train, test)
+        if not np.array_equal(run.adjusted(5.0)[0], run.y_hat):
             mismatches_echo += 1
     ok = mismatches_naive == 0 and mismatches_echo == 0
     _report(

@@ -18,7 +18,7 @@ from tats.cli import (
     parse_config_file,
 )
 from tats.core import chronological_split
-from tats.engine import TatsConfig, evaluate_forecasts, prepare_run
+from tats.engine import TatsConfig, prepare_run
 from tats.forecasters import ValueForecasterSpec
 from tats.ingest import build_feature_table, load_csv, load_external_directions
 from tats.theory import estimate_theory
@@ -280,16 +280,16 @@ def test_exit_code_data_errors(tmp_path):
 
 
 def test_exit_code_numeric_error(tmp_path):
-    # an external forecaster replaying the actuals gives a base MSE of
-    # exactly zero, so the relative improvement is undefined
+    # an external forecaster that calls every rise a fall is overridden
+    # wherever the oracle is right, and steps of alpha=1e308 overflow
     n = 10
     values = [float(100 + i) for i in range(n)]
     data = tmp_path / "tiny.csv"
     data.write_text("gold\n" + "\n".join(str(v) for v in values) + "\n")
-    fc = tmp_path / "perfect.csv"
+    fc = tmp_path / "wrong.csv"
     fc.write_text(
         "time_index,forecast\n"
-        + "\n".join(f"{t},{values[t]}" for t in range(1, n))
+        + "\n".join(f"{t},{values[t - 1] - 1.0}" for t in range(1, n))
         + "\n"
     )
     code = main(
@@ -301,7 +301,7 @@ def test_exit_code_numeric_error(tmp_path):
             "--external-forecasts", str(fc),
             "--classifier", "oracle",
             "--oracle-accuracy", "0.8",
-            "--alphas", "1",
+            "--alphas", "1e308",
             "--out", str(tmp_path / "o"),
         ]
     )
@@ -559,10 +559,18 @@ def test_config_file_and_flags_write_identical_artifacts(tmp_path):
             id="run-infinite-learning-rate",
         ),
         pytest.param(["simulate", "--volatility", "inf"], "", id="simulate-infinite-volatility"),
+        # the grid is checked before the data is read: a later --data wins, and names no file
+        pytest.param(["run", "--alphas", ",", "--data", "missing.csv"], "",
+                     id="run-empty-alphas-before-load"),
+        pytest.param(["run", "--alphas", "1,inf", "--data", "missing.csv"], "",
+                     id="run-infinite-alpha-before-load"),
+        pytest.param(["sweep", "--alphas", "1,-2", "--data", "missing.csv"], "",
+                     id="sweep-negative-alpha-before-load"),
     ],
 )
 def test_bad_value_exits_one_without_traceback(tmp_path, monkeypatch, capsys, argv, config_line):
     monkeypatch.chdir(tmp_path)
+    missing_data = "missing.csv" in argv
     if argv[0] in ("run", "sweep"):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(config_line + "\n")
@@ -571,7 +579,13 @@ def test_bad_value_exits_one_without_traceback(tmp_path, monkeypatch, capsys, ar
     else:
         argv = [*argv, "--n-steps", "50", "--n-trials", "2", "--out", "out"]
     assert main(argv) == 1
-    assert "Traceback" not in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if missing_data:
+        assert re.fullmatch(
+            r"error: (alpha sweep needs at least one alpha|alpha must be finite and positive, got \S+)\n",
+            err,
+        ), err
     assert not (tmp_path / "out").exists()
 
 
@@ -642,10 +656,10 @@ def test_run_fits_forecaster_and_classifier_once(tmp_path, monkeypatch, theory_s
             return fit(*args, **kwargs)
         return wrapper
 
-    for name in ("fit_classifier", "fit_forecaster", "_walk_forward"):
+    for name in ("fit_classifier", "fit_forecaster", "_walk_forward", "evaluate_forecasts"):
         monkeypatch.setattr(tats.engine, name, counting(name))
     data = _write_prices(tmp_path / "prices.csv")
-    # the test split is walked once, and the train split once more for theory
+    # the test split is walked and evaluated once, and the train split once more for theory
     walks = 1 if theory_split == "test" else 2
     for classifier in (["logistic"], ["oracle", "--oracle-accuracy", "0.7"]):
         calls.clear()
@@ -653,13 +667,28 @@ def test_run_fits_forecaster_and_classifier_once(tmp_path, monkeypatch, theory_s
                 "--classifier", *classifier, "--theory-split", theory_split,
                 "--out", str(tmp_path / "o")]
         assert main(argv) == 0
-        assert calls == {"fit_classifier": 1, "fit_forecaster": 1, "_walk_forward": walks}
+        assert calls == {"fit_classifier": 1, "fit_forecaster": 1, "_walk_forward": walks,
+                         "evaluate_forecasts": walks}
         # sweep walks the test split only
         calls.clear()
         argv = ["sweep", "--data", str(data), "--target-column", "gold", "--exogenous-columns", "ftse",
                 "--classifier", *classifier, "--alphas", "1,2", "--out", str(tmp_path / "s")]
         assert main(argv) == 0
-        assert calls == {"fit_classifier": 1, "fit_forecaster": 1, "_walk_forward": 1}
+        assert calls == {"fit_classifier": 1, "fit_forecaster": 1, "_walk_forward": 1,
+                         "evaluate_forecasts": 1}
+
+
+@pytest.mark.parametrize("theory_split", ["train", "test"])
+def test_theory_block_does_not_depend_on_alphas(tmp_path, theory_split):
+    data = _write_prices(tmp_path / "prices.csv")
+    blocks = []
+    for alphas in ("0.5", "20,0.5"):
+        out = tmp_path / alphas
+        argv = ["run", "--data", str(data), "--target-column", "gold", "--exogenous-columns", "ftse",
+                "--theory-split", theory_split, "--alphas", alphas, "--out", str(out)]
+        assert main(argv) == 0
+        blocks.append(json.loads((out / "report.json").read_text())["theory"])
+    assert blocks[0] == blocks[1]
 
 
 @pytest.mark.parametrize("theory_split", ["train", "test"])
@@ -690,8 +719,8 @@ def test_report_theory_matches_a_separate_run(tmp_path, classifier, theory_split
     }[classifier]
     features = build_feature_table(dataset, 2, True, 0) if classifier == "logistic" else None
     config = TatsConfig(value_forecaster=ValueForecasterSpec.ar(2), trend_predictor=spec)
-    [inputs] = prepare_run(config, train, test, features, (theory_split,))
-    expected = estimate_theory(evaluate_forecasts(*inputs, DEFAULT_ALPHAS[0]))
+    [trace] = prepare_run(config, train, test, features, (theory_split,))
+    expected = estimate_theory(trace)
     report = json.loads((out / "report.json").read_text())
     assert report["theory"] == json.loads(json.dumps(expected.to_dict()))
 
@@ -718,6 +747,33 @@ def test_zero_actual_leaves_mape_null(tmp_path, capsys):
     fc = tmp_path / "fc.csv"
     fc.write_text("actual,forecast\n0,1\n2,3\n")
     assert main(["metrics", "--data", str(fc)]) == 2
+
+
+def test_zero_base_mse_leaves_r_diff_null(tmp_path, capsys):
+    # the naive forecast is exact on a test split that repeats the last train value
+    walk = 100.0 + np.cumsum(np.random.default_rng(3).standard_normal(42))
+    values = np.concatenate([walk, np.full(18, walk[-1])])
+    data = tmp_path / "flat.csv"
+    data.write_text("gold\n" + "".join(f"{float(v)!r}\n" for v in values))
+    out = tmp_path / "out"
+    code = main(
+        ["run", "--data", str(data), "--target-column", "gold", "--forecaster", "naive",
+         "--classifier", "oracle", "--oracle-accuracy", "0.7", "--train-fraction", "0.7",
+         "--alphas", "1,2", "--out", str(out)]
+    )
+    assert code == 0
+    printed = capsys.readouterr().out
+    assert printed.count("R-Diff=n/a") == 2
+    report = json.loads((out / "report.json").read_text())
+    assert report["n_test"] == 18
+    assert report["base"]["mse"] == 0.0
+    assert [e["report"]["diff"] for e in report["tats"]] == [0.0, 0.0]
+    assert [e["report"]["r_diff"] for e in report["tats"]] == [None, None]
+    assert report["base"]["tda"] == 0.0
+    with open(out / "results.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["R-Diff"] for row in rows] == ["", "", ""]
+    assert [row["Diff"] for row in rows] == ["", "0.0", "0.0"]
 
 
 def test_readme_lists_every_config_key_in_table_order():

@@ -39,7 +39,7 @@ def test_series_values_read_only():
 def _moves(s: TimeSeries) -> np.ndarray:
     """Per-step moves y_t - y_{t-1} of s, as a forecast trace over all of s records them."""
     n = len(s)
-    trace = evaluate_forecasts(s.values, 1, s.values[:-1], np.ones(n - 1, dtype=int), 1.0)
+    trace = evaluate_forecasts(s.values, 1, s.values[:-1], np.ones(n - 1, dtype=int))
     return trace.y_true - trace.y_prev
 
 

@@ -17,7 +17,7 @@ from tats import (
     sweep_alpha,
 )
 from tats.engine import classify_scenario, evaluate_forecasts
-from tats.metrics import evaluate_trace
+from tats.metrics import mae, mape, mse, td_accuracy
 
 seed = 707
 UP, DOWN = 1, -1
@@ -112,20 +112,21 @@ def test_spec_equality_and_hash_never_raise():
     assert hash(config) == hash(config)
 
 
-def _random_run(rng, n=40, alpha=1.0):
+def _random_run(rng, n=40):
     values = np.cumsum(rng.normal(size=n)) + 50.0
     forecasts = values[:-1] + rng.normal(size=n - 1)
     directions = np.where(rng.random(n - 1) < 0.5, 1, -1)
-    return evaluate_forecasts(values, 1, forecasts, directions, alpha)
+    return evaluate_forecasts(values, 1, forecasts, directions)
 
 
 def test_vectorized_matches_scalar_path():
     rng = np.random.default_rng(seed + 1)
     for _ in range(20):
         t = _random_run(rng)
+        y_adjs, loss_adj = t.adjusted(1.0)
         for i in range(len(t)):
             y_prev, y_true, y_hat = float(t.y_prev[i]), float(t.y_true[i]), float(t.y_hat[i])
-            y_adj = float(t.y_adj[i])
+            y_adj = float(y_adjs[i])
             d = int(t.direction[i])
             assert t.indicator[i] == indicator(y_hat, y_prev, d)
             assert y_adj == adjust(y_hat, d, y_prev, alpha=1.0)
@@ -133,7 +134,7 @@ def test_vectorized_matches_scalar_path():
             # square via multiplication: scalar pow() can differ by one ulp
             adj_err = y_adj - y_true
             base_err = y_hat - y_true
-            assert t.loss_adj[i] == adj_err * adj_err
+            assert loss_adj[i] == adj_err * adj_err
             assert t.loss_base[i] == base_err * base_err
 
 
@@ -141,7 +142,7 @@ def test_adjusted_value_never_fights_the_classifier():
     rng = np.random.default_rng(seed + 2)
     for _ in range(20):
         t = _random_run(rng)
-        moved = t.y_adj - t.y_prev
+        moved = t.adjusted(1.0)[0] - t.y_prev
         assert np.all(moved * t.direction >= 0.0)
         overridden = t.indicator == 0
         assert np.all(moved[overridden] * t.direction[overridden] > 0.0)
@@ -151,9 +152,10 @@ def test_agreeing_steps_share_losses_bitwise():
     rng = np.random.default_rng(seed + 3)
     for _ in range(20):
         trace = _random_run(rng)
+        y_adj, loss_adj = trace.adjusted(1.0)
         agree = trace.indicator == 1
-        assert np.array_equal(trace.y_adj[agree], trace.y_hat[agree])
-        assert np.array_equal(trace.loss_adj[agree], trace.loss_base[agree])
+        assert np.array_equal(y_adj[agree], trace.y_hat[agree])
+        assert np.array_equal(loss_adj[agree], trace.loss_base[agree])
 
 
 def test_base_trace_is_unadjusted():
@@ -161,7 +163,7 @@ def test_base_trace_is_unadjusted():
     values = np.cumsum(rng.normal(size=40)) + 50.0
     forecasts = values[:-1] + rng.normal(size=39)
     directions = np.where(rng.random(39) < 0.5, 1, -1)
-    trace = evaluate_forecasts(values, 1, forecasts, directions, 1.0)
+    trace = evaluate_forecasts(values, 1, forecasts, directions)
     # the base columns hold the given forecasts and their own losses
     assert np.array_equal(trace.y_hat, forecasts)
     assert np.array_equal(trace.loss_base, (forecasts - values[1:]) ** 2)
@@ -172,43 +174,44 @@ def test_small_alpha_limit():
     values = np.cumsum(rng.normal(size=30)) + 50.0
     forecasts = values[:-1] + rng.normal(size=29)
     directions = np.where(rng.random(29) < 0.5, 1, -1)
-    trace = evaluate_forecasts(values, 1, forecasts, directions, alpha=1e-9)
+    trace = evaluate_forecasts(values, 1, forecasts, directions)
     overridden = trace.indicator == 0
     deltas = trace.y_true - trace.y_prev
-    assert np.allclose(trace.loss_adj[overridden], deltas[overridden] ** 2, rtol=1e-6)
+    assert np.allclose(trace.adjusted(1e-9)[1][overridden], deltas[overridden] ** 2, rtol=1e-6)
 
 
 def test_evaluate_forecasts_validation():
     values = np.arange(5, dtype=float)
     with pytest.raises(ConfigError):
-        evaluate_forecasts(values, 1, np.array([]), np.array([]), 1.0)
+        evaluate_forecasts(values, 1, np.array([]), np.array([]))
     with pytest.raises(ConfigError):
-        evaluate_forecasts(values, 1, np.ones(3), np.ones(2), 1.0)
+        evaluate_forecasts(values, 1, np.ones(3), np.ones(2))
     # checked as given: a cast to int would truncate 1.7 and -1.2 and warn on NaN
     for bad in ([1, 0], [1, 2], [-1, -2], [1, 1.7], [-1.2, 1], [0.0, 1], [1, np.nan], [np.inf, 1]):
         with pytest.raises(DataError, match="directions must be"):
-            evaluate_forecasts(values, 1, np.ones(2), np.array(bad), 1.0)
+            evaluate_forecasts(values, 1, np.ones(2), np.array(bad))
     with pytest.raises(ConfigError):
-        evaluate_forecasts(values, 0, np.ones(2), np.array([1, 1]), 1.0)
+        evaluate_forecasts(values, 0, np.ones(2), np.array([1, 1]))
     with pytest.raises(ConfigError):
-        evaluate_forecasts(values, 4, np.ones(2), np.array([1, 1]), 1.0)
+        evaluate_forecasts(values, 4, np.ones(2), np.array([1, 1]))
 
 
 def test_evaluate_forecasts_overflow_is_a_numeric_error():
     # each squared error is finite at 1e153, but their sum is not
     values = np.tile([1e153, -1e153], 200)
     with pytest.raises(NumericError, match="summed squared forecast errors"):
-        evaluate_forecasts(values, 1, values[:-1], np.ones(399, dtype=int), 1.0)
+        evaluate_forecasts(values, 1, values[:-1], np.ones(399, dtype=int))
     values = np.array([1e307, -1e307, 1e307])
     with pytest.raises(NumericError):
-        evaluate_forecasts(values, 1, values[:-1], np.array([1, 1]), 1.0)
+        evaluate_forecasts(values, 1, values[:-1], np.array([1, 1]))
 
 
 def test_adjusted_overflow_names_alpha():
     # the base errors are small; only the steps of size alpha overflow
     values = np.array([100.0, 101.0, 99.0, 102.0])
+    trace = evaluate_forecasts(values, 1, values[:-1] - 0.5, np.ones(3, dtype=int))
     with pytest.raises(NumericError, match=r"adjusted forecasts at alpha=1e\+308 "):
-        evaluate_forecasts(values, 1, values[:-1] - 0.5, np.ones(3, dtype=int), 1e308)
+        trace.adjusted(1e308)
 
 
 def test_scenario_tally():
@@ -231,9 +234,9 @@ def _weather_series(rng, n=120):
     return TimeSeries(np.cumsum(rng.normal(0.1, 1.0, size=n)) + 60.0)
 
 
-def _trace(config, train, test, alpha, eval_split="test"):
-    [inputs] = prepare_run(config, train, test, eval_splits=(eval_split,))
-    return evaluate_forecasts(*inputs, alpha)
+def _trace(config, train, test, eval_split="test"):
+    [trace] = prepare_run(config, train, test, eval_splits=(eval_split,))
+    return trace
 
 
 def test_run_tats_naive_forecaster_is_identity():
@@ -246,8 +249,8 @@ def test_run_tats_naive_forecaster_is_identity():
             value_forecaster=ValueForecasterSpec.naive(),
             trend_predictor=TrendPredictorSpec.oracle(accuracy=0.3, seed=1),
         )
-        trace = _trace(config, train, test, 2.0)
-        assert np.array_equal(trace.y_adj, trace.y_hat)
+        trace = _trace(config, train, test)
+        assert np.array_equal(trace.adjusted(2.0)[0], trace.y_hat)
         assert np.all(trace.indicator == 1)
 
 
@@ -257,9 +260,9 @@ def test_run_tats_echo_classifier_is_identity():
     series = _weather_series(rng)
     train, test = chronological_split(series, 0.7)
     spec = ValueForecasterSpec.ar(order=2)
-    [(_, _, forecasts, _)] = prepare_run(
+    forecasts = _trace(
         TatsConfig(value_forecaster=spec, trend_predictor=TrendPredictorSpec.majority()), train, test
-    )
+    ).y_hat
     n_train = len(train)
     table = np.full(len(series), np.nan)
     for i, f in enumerate(forecasts):
@@ -270,9 +273,10 @@ def test_run_tats_echo_classifier_is_identity():
         value_forecaster=spec,
         trend_predictor=TrendPredictorSpec.external(source=table),
     )
-    trace = _trace(config, train, test, 5.0)
-    assert np.array_equal(trace.y_adj, trace.y_hat)
-    assert np.array_equal(trace.loss_adj, trace.loss_base)
+    trace = _trace(config, train, test)
+    y_adj, loss_adj = trace.adjusted(5.0)
+    assert np.array_equal(y_adj, trace.y_hat)
+    assert np.array_equal(loss_adj, trace.loss_base)
 
 
 def test_run_tats_deterministic():
@@ -283,9 +287,9 @@ def test_run_tats_deterministic():
         value_forecaster=ValueForecasterSpec.ar(order=2),
         trend_predictor=TrendPredictorSpec.oracle(accuracy=0.8, seed=4),
     )
-    a = _trace(config, train, test, 1.0)
-    b = _trace(config, train, test, 1.0)
-    assert np.array_equal(a.y_adj, b.y_adj)
+    a = _trace(config, train, test)
+    b = _trace(config, train, test)
+    assert np.array_equal(a.adjusted(1.0)[0], b.adjusted(1.0)[0])
     assert np.array_equal(a.direction, b.direction)
 
 
@@ -297,7 +301,7 @@ def test_run_tats_perfect_oracle_never_hits_s2_s3():
         value_forecaster=ValueForecasterSpec.drift(),
         trend_predictor=TrendPredictorSpec.oracle(accuracy=1.0, seed=2),
     )
-    counts = _trace(config, train, test, 0.5).scenario_counts()
+    counts = _trace(config, train, test).scenario_counts()
     assert counts["S2"] == 0
     assert counts["S3"] == 0
 
@@ -310,7 +314,7 @@ def test_run_tats_train_split_is_in_sample():
         value_forecaster=ValueForecasterSpec.ar(order=2),
         trend_predictor=TrendPredictorSpec.logistic(),
     )
-    trace = _trace(config, train, test, 1.0, eval_split="train")
+    trace = _trace(config, train, test, eval_split="train")
     assert trace.t[-1] == len(train) - 1
     assert trace.t[0] >= 1
 
@@ -336,12 +340,8 @@ def test_sweep_alpha_shares_forecasts_across_alphas():
         trend_predictor=TrendPredictorSpec.oracle(accuracy=0.8, seed=5),
     )
     alphas = (0.5, 1.0, 2.0)
-    [inputs] = prepare_run(config, train, test)
-    sweep = sweep_alpha(inputs, alphas)
+    sweep = sweep_alpha(_trace(config, train, test), alphas)
     assert tuple(e.alpha for e in sweep.entries) == alphas
-    # the oracle stream is drawn once: scenario tallies agree across alphas
-    tallies = [e.scenarios for e in sweep.entries]
-    assert tallies[0] == tallies[1] == tallies[2]
     assert sweep.base_report.n_steps == len(test)
 
 
@@ -353,11 +353,18 @@ def test_sweep_alpha_single_run_consistency():
         value_forecaster=ValueForecasterSpec.drift(),
         trend_predictor=TrendPredictorSpec.oracle(accuracy=0.9, seed=6),
     )
-    [inputs] = prepare_run(config, train, test)
-    sweep = sweep_alpha(inputs, (2.0,))
-    base, adjusted = evaluate_trace(_trace(config, train, test, 2.0))
-    assert sweep.base_report == base
-    assert sweep.entries[0].report == adjusted
+    trace = _trace(config, train, test)
+    sweep = sweep_alpha(trace, (2.0,))
+    y_adj, _ = trace.adjusted(2.0)
+    base, adjusted = sweep.base_report, sweep.entries[0].report
+    for report, forecasts in ((base, trace.y_hat), (adjusted, y_adj)):
+        assert report.mse == mse(trace.y_true, forecasts)
+        assert report.mae == mae(trace.y_true, forecasts)
+        assert report.mape == mape(trace.y_true, forecasts)
+        assert report.tda == td_accuracy(trace.y_prev, trace.y_true, forecasts)
+    assert base.diff is None and base.r_diff is None
+    assert adjusted.diff == base.mse - adjusted.mse
+    assert adjusted.r_diff == adjusted.diff / base.mse
 
 
 def test_sweep_alpha_rejects_bad_grids():
@@ -368,11 +375,11 @@ def test_sweep_alpha_rejects_bad_grids():
         value_forecaster=ValueForecasterSpec.naive(),
         trend_predictor=TrendPredictorSpec.majority(),
     )
-    [inputs] = prepare_run(config, train, test)
+    trace = _trace(config, train, test)
     with pytest.raises(ConfigError):
-        sweep_alpha(inputs, ())
+        sweep_alpha(trace, ())
     with pytest.raises(ConfigError):
-        sweep_alpha(inputs, (1.0, -2.0))
+        sweep_alpha(trace, (1.0, -2.0))
 
 
 @pytest.mark.parametrize("alpha", [float("inf"), float("nan")])
@@ -387,7 +394,6 @@ def test_non_finite_alpha_rejected(alpha):
     with pytest.raises(ConfigError, match="finite"):
         adjust(y_hat=8.0, direction=UP, y_prev=7.0, alpha=alpha)
     with pytest.raises(ConfigError, match="finite"):
-        evaluate_forecasts(np.arange(5.0), 1, np.ones(2), np.array([1, 1]), alpha)
-    [inputs] = prepare_run(config, train, test)
+        evaluate_forecasts(np.arange(5.0), 1, np.ones(2), np.array([1, 1])).adjusted(alpha)
     with pytest.raises(ConfigError, match="finite"):
-        sweep_alpha(inputs, (1.0, alpha))
+        sweep_alpha(_trace(config, train, test), (1.0, alpha))

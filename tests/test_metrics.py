@@ -12,8 +12,8 @@ from tats import (
     td_accuracy,
     trend_aware_loss,
 )
-from tats.engine import Scenario, evaluate_forecasts
-from tats.metrics import EvalReport, evaluate_trace
+from tats.engine import Scenario, evaluate_forecasts, sweep_alpha
+from tats.metrics import EvalReport
 
 seed = 202
 
@@ -79,10 +79,11 @@ def test_mape_rejects_zero_actual():
         mape(np.array([0.0, 1.0]), np.array([1.0, 1.0]))
 
 
-def test_evaluate_trace_leaves_mape_undefined_on_zero_actual():
+def test_sweep_leaves_mape_undefined_on_zero_actual():
     values = np.array([1.0, 2.0, 0.0, 3.0])
-    trace = evaluate_forecasts(values, 1, np.array([1.5, 2.5, 1.0]), np.array([1, -1, 1]), 1.0)
-    base, adjusted = evaluate_trace(trace)
+    trace = evaluate_forecasts(values, 1, np.array([1.5, 2.5, 1.0]), np.array([1, -1, 1]))
+    sweep = sweep_alpha(trace, (1.0,))
+    base, adjusted = sweep.base_report, sweep.entries[0].report
     assert base.mape is None
     assert base.to_dict()["mape"] is None
     assert base.mse == pytest.approx((0.25 + 6.25 + 4.0) / 3)
@@ -198,7 +199,10 @@ def test_diff_rdiff_errors():
 
 def test_eval_report_diff_pairing():
     with pytest.raises(ConfigError):
-        EvalReport(tda=0.5, mse=1.0, mae=1.0, mape=1.0, n_steps=4, diff=1.0)
+        EvalReport(tda=0.5, mse=1.0, mae=1.0, mape=1.0, n_steps=4, r_diff=1.0)
+    # a zero base MSE leaves R-Diff undefined, so diff may come alone
+    alone = EvalReport(tda=0.5, mse=1.0, mae=1.0, mape=1.0, n_steps=4, diff=1.0)
+    assert alone.to_dict()["r_diff"] is None
 
 
 # moves below about 1e-154 make the product of two moves underflow to 0
@@ -207,7 +211,7 @@ TINY_FORECASTS = np.array([0.5e-200, 1.5e-200, 1.5e-200, 2e-200])  # each moves 
 
 
 def test_direction_hits_survive_tiny_moves():
-    trace = evaluate_forecasts(TINY_SERIES, 1, TINY_FORECASTS, np.array([1, 1, -1, 1]), 1.0)
+    trace = evaluate_forecasts(TINY_SERIES, 1, TINY_FORECASTS, np.array([1, 1, -1, 1]))
     assert np.all(trace.scenario == Scenario.S1)
     assert td_accuracy(trace.y_prev, trace.y_true, trace.y_hat) == 1.0
 

@@ -126,7 +126,7 @@ def test_realized_fields_are_estimate_theory_of_the_trial():
     forecasts = synthetic_forecaster(walk, config.p_dt, config.error_scale, forecaster_ss)
     oracle = OracleTrendPredictor(accuracy=config.p_db, seed=classifier_ss)
     directions = oracle.draw_many(np.sign(np.diff(walk.values)).astype(int))
-    est = estimate_theory(evaluate_forecasts(walk.values, 1, forecasts, directions, config.alpha))
+    est = estimate_theory(evaluate_forecasts(walk.values, 1, forecasts, directions))
     assert rep.realized_p_db == est.p_db
     assert rep.realized_p_dt == est.p_dt
     assert rep.mean_abs_gap == est.abs_gap

@@ -91,7 +91,7 @@ def _toy_trace():
     values = np.array([10.0, 12.0, 11.0, 11.0, 14.0])
     forecasts = np.array([13.0, 11.5, 10.0, 13.0])  # up, down, down, up implied
     directions = np.array([1, 1, 1, 1])
-    return evaluate_forecasts(values, start=1, forecasts=forecasts, directions=directions, alpha=0.5)
+    return evaluate_forecasts(values, start=1, forecasts=forecasts, directions=directions)
 
 
 def test_estimate_theory_counts():
@@ -112,7 +112,7 @@ def test_abs_gap_matches_brute_force():
 def test_abs_gap_overflow_is_a_numeric_error():
     # perfect forecasts give zero losses, but the squared moves overflow
     values = np.array([0.0, 1e200, -1e200, 1e200])
-    trace = evaluate_forecasts(values, 1, values[1:], np.array([1, -1, 1]), 1.0)
+    trace = evaluate_forecasts(values, 1, values[1:], np.array([1, -1, 1]))
     with pytest.raises(NumericError, match="loss gap"):
         estimate_theory(trace)
 
@@ -124,7 +124,7 @@ def test_estimate_theory_on_random_runs():
         values = np.cumsum(r.normal(size=n)) + 50.0
         forecasts = values[:-1] + r.normal(size=n - 1)
         directions = np.where(r.random(n - 1) < 0.5, 1, -1)
-        est = estimate_theory(evaluate_forecasts(values, 1, forecasts, directions, alpha=1.0))
+        est = estimate_theory(evaluate_forecasts(values, 1, forecasts, directions))
         assert 0.0 <= est.p_db <= 1.0
         assert 0.0 <= est.p_dt <= 1.0
         assert est.abs_gap >= 0.0
@@ -136,7 +136,7 @@ def test_estimate_theory_on_tiny_moves():
     # every forecast and every direction is right, although each move is about 1e-200
     values = np.array([0.0, 1e-200, 2e-200, 1e-200, 3e-200])
     forecasts = np.array([0.5e-200, 1.5e-200, 1.5e-200, 2e-200])
-    est = estimate_theory(evaluate_forecasts(values, 1, forecasts, np.array([1, 1, -1, 1]), 1.0))
+    est = estimate_theory(evaluate_forecasts(values, 1, forecasts, np.array([1, 1, -1, 1])))
     assert est.p_db == 1.0
     assert est.p_dt == 1.0
     assert not est.prop1_holds
