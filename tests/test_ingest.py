@@ -253,3 +253,63 @@ def test_external_directions(tmp_path):
         far = _write(tmp_path, "far.csv", f"time_index,direction\n1,1\n{index},-1\n")
         with pytest.raises(DataError, match=f"time_index {index} outside the forecastable range 1..59"):
             load_external_directions(far, series)
+
+
+# Parity of the CSV reader: padding, blank rows and the row a message names.
+
+
+def test_load_csv_skips_blank_rows(tmp_path):
+    # a row of empty cells, rows of whitespace (full width and one cell) and an empty line
+    path = _write(tmp_path, "a.csv", "p,q\n1,4\n,\n  ,\t\n   \n\n2,5\n")
+    ds = load_csv(path, target_column="p", exogenous_columns=["q"])
+    assert np.array_equal(ds.target.values, np.array([1.0, 2.0]))
+    assert np.array_equal(ds.exogenous["q"].values, np.array([4.0, 5.0]))
+
+
+def test_load_csv_reads_padded_numbers(tmp_path):
+    path = _write(tmp_path, "a.csv", " p , q \n 1.5 ,4\n2\t, \t-0.25 \n  3e2,  6  \n")
+    ds = load_csv(path, target_column="p", exogenous_columns=["q"])
+    assert np.array_equal(ds.target.values, np.array([1.5, 2.0, 300.0]))
+    assert np.array_equal(ds.exogenous["q"].values, np.array([4.0, -0.25, 6.0]))
+
+
+def test_load_csv_strips_text_labels_before_comparing(tmp_path):
+    # unstripped, "x1 " > " x2" and " b" < "a": only the stripped labels give these results
+    rising = _write(tmp_path, "rising.csv", "day,p\nx1 ,1\n x2,2\nx3,3\n")
+    assert len(load_csv(rising, target_column="p", label_column="day").target) == 3
+    falling = _write(tmp_path, "falling.csv", "day,p\n  b,1\na,2\n")
+    with pytest.raises(DataError, match="^labels must be strictly increasing, violated at position 1$"):
+        load_csv(falling, target_column="p", label_column="day")
+
+
+@pytest.mark.parametrize("blank", ["\n", ",\n", "  , \n"], ids=["empty-line", "commas", "spaces"])
+def test_load_csv_bad_cell_after_blank_row_counts_data_rows(tmp_path, blank):
+    path = _write(tmp_path, "a.csv", f"p,q\n1,2\n{blank}  xyz ,3\n")
+    with pytest.raises(DataError, match=r"a\.csv: non-numeric value 'xyz' in column 'p', data row 2$"):
+        load_csv(path, target_column="p", exogenous_columns=["q"])
+
+
+def test_load_csv_ragged_row_names_its_line(tmp_path):
+    path = _write(tmp_path, "a.csv", "p,q\n1,2\n\n , \n3\n")
+    with pytest.raises(DataError, match=r"a\.csv: row 5 has 1 cells, header has 2$"):
+        load_csv(path, target_column="p", exogenous_columns=["q"])
+
+
+def test_load_csv_only_blank_rows_has_no_data_rows(tmp_path):
+    path = _write(tmp_path, "a.csv", "p,q\n,\n \n")
+    with pytest.raises(DataError, match=r"a\.csv: no data rows$"):
+        load_csv(path, target_column="missing")
+
+
+def test_external_table_reads_padded_cells(tmp_path):
+    series = TimeSeries(np.arange(5, dtype=float))
+    path = _write(tmp_path, "f.csv", " time_index , forecast \n 1 , 10.5 \n\n,\n2\t,11\n")
+    ext = load_external_forecasts(path, series)
+    assert np.array_equal(ext[1:3], np.array([10.5, 11.0]))
+    assert np.array_equal(np.flatnonzero(~np.isnan(ext)), [1, 2])
+    bad = _write(tmp_path, "b.csv", "time_index,forecast\n1,10\n,\n 2 , x y \n")
+    with pytest.raises(DataError, match=r"b\.csv: non-numeric value 'x y' in column 'forecast', data row 2$"):
+        load_external_forecasts(bad, series)
+    bad_index = _write(tmp_path, "i.csv", "time_index,forecast\n \n 1.5 ,10\n")
+    with pytest.raises(DataError, match=r"i\.csv: non-integer time_index '1\.5' at data row 1$"):
+        load_external_forecasts(bad_index, series)
