@@ -146,17 +146,18 @@ class LogisticClassifier:
 
     Features are standardized with training statistics; weights start at
     zero, so with no informative gradient the model predicts UP (score
-    exactly 0.5). loss_history holds the mean log-loss before the first
-    update and after each one: the mean softplus of the signed margin,
-    max(m, 0) + log1p(exp(-|z|)), computed from the same exp(-|z|) that
-    gives the sigmoid for that step's gradient.
+    exactly 0.5). initial_loss is the mean log-loss before the first
+    update and final_loss the one after the last: the mean softplus of
+    the signed margin, max(m, 0) + log1p(exp(-|z|)), computed from the
+    same exp(-|z|) that gives the sigmoid. No loss is computed in between.
     """
 
     weights: np.ndarray
     bias: float
     feature_mean: np.ndarray
     feature_scale: np.ndarray
-    loss_history: tuple[float, ...]
+    initial_loss: float
+    final_loss: float
 
     def _scores(self, rows: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -249,25 +250,36 @@ def _fit_logistic(features: FeatureMatrix, learning_rate: float, iterations: int
     b = 0.0
     # +1 where a positive score is a miss (DOWN rows), -1 for UP rows
     margin_sign = np.where(features.labels == 1, -1.0, 1.0)
+    # the per-step arrays are buffers filled in place; the loss is taken
+    # before the first update and after the last
+    z, ez, den, gap = (np.empty(m) for _ in range(4))
     losses = []
     # a diverging step size overflows; that is reported below, not warned about
     with np.errstate(all="ignore"):
         for step in range(iterations + 1):
-            z = X @ w + b
+            np.matmul(X, w, out=z)
+            z += b
             # one exp(-|z|) serves the stable sigmoid and the stable softplus
-            ez = np.exp(-np.abs(z))
-            losses.append(float(np.mean(np.maximum(margin_sign * z, 0.0) + np.log1p(ez))))
+            np.exp(np.negative(np.abs(z, out=ez), out=ez), out=ez)
+            if step in (0, iterations):
+                losses.append(float(np.mean(np.maximum(margin_sign * z, 0.0) + np.log1p(ez))))
             if step == iterations:
                 break
-            d = 1.0 + ez
-            gap = np.where(z >= 0, 1.0 / d, ez / d) - targets
+            # the sigmoid: 1 / (1 + ez) where z >= 0, else ez / (1 + ez)
+            np.add(ez, 1.0, out=den)
+            np.copyto(gap, ez)
+            np.copyto(gap, 1.0, where=z >= 0)
+            gap /= den
+            gap -= targets
             w = w - learning_rate * (X.T @ gap) / m
-            b = b - learning_rate * float(np.mean(gap))
+            # the sum over m is the bits np.mean gives
+            b = b - learning_rate * float(gap.sum() / m)
     if not (np.all(np.isfinite(w)) and math.isfinite(b)):
         raise NumericError(f"logistic fit diverged to non-finite weights (learning rate {learning_rate})")
     w.flags.writeable = False
     return LogisticClassifier(
-        weights=w, bias=b, feature_mean=mean, feature_scale=scale, loss_history=tuple(losses)
+        weights=w, bias=b, feature_mean=mean, feature_scale=scale,
+        initial_loss=losses[0], final_loss=losses[-1],
     )
 
 

@@ -16,6 +16,7 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import TimeSeries
 from .errors import ConfigError, DataError, NumericError, _require_finite
@@ -155,12 +156,12 @@ class ARModel:
         return self.order
 
     def forecast_path(self, values: np.ndarray, start: int) -> np.ndarray:
-        # one np.dot per step: a lag-matrix product rounds differently
-        out = np.empty(values.size - start, dtype=float)
-        for i, t in enumerate(range(start, values.size)):
-            lags = values[:t][-1 : -self.order - 1 : -1]
-            out[i] = self.intercept + float(np.dot(self.coefficients, lags))
-        return out
+        # one dot per step over a negative-stride view of the lags, newest
+        # first, which keeps numpy's non-BLAS loop: a lag-matrix product
+        # rounds differently
+        order = self.order
+        lags = sliding_window_view(values, order)[start - order : values.size - order, ::-1]
+        return self.intercept + np.array(list(map(self.coefficients.dot, lags)), dtype=float)
 
 
 @dataclass(frozen=True)

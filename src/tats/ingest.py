@@ -72,7 +72,15 @@ def _read_text(path: Path) -> str:
         raise DataError(f"{path}: cannot read: {exc.strerror}") from None
 
 
-def _read_rows(path: str | Path) -> tuple[list[str], list[list[str]]]:
+def _read_rows(path: str | Path, parse):
+    """parse(header, rows) over the body rows of a headered CSV file.
+
+    When every row has the header's width, parse first gets the rows as
+    read, padding and blank rows included (float() and int() ignore the
+    one and fail on the other). If that raises, parse gets the rows with
+    blank ones skipped and cells stripped, so its errors name the cell
+    and data row as the file shows them; a ragged or empty body raises.
+    """
     p = Path(path)
     if not p.is_file():
         raise DataError(f"file not found: {p}")
@@ -82,8 +90,14 @@ def _read_rows(path: str | Path) -> tuple[list[str], list[list[str]]]:
     except StopIteration:
         raise DataError(f"{p}: file is empty") from None
     header = [h.strip() for h in header]
+    body = list(reader)
+    if body and set(map(len, body)) == {len(header)}:
+        try:
+            return parse(header, body)
+        except (ValueError, DataError):
+            pass
     rows = []
-    for lineno, row in enumerate(reader, start=2):
+    for lineno, row in enumerate(body, start=2):
         if not row or all(not c.strip() for c in row):
             continue
         if len(row) != len(header):
@@ -93,7 +107,7 @@ def _read_rows(path: str | Path) -> tuple[list[str], list[list[str]]]:
         rows.append([c.strip() for c in row])
     if not rows:
         raise DataError(f"{p}: no data rows")
-    return header, rows
+    return parse(header, rows)
 
 
 def _column(header: list[str], rows: list[list[str]], name: str, path) -> list[str]:
@@ -105,21 +119,23 @@ def _column(header: list[str], rows: list[list[str]], name: str, path) -> list[s
 
 
 def _floats(cells: list[str], name: str, path) -> np.ndarray:
-    out = np.empty(len(cells), dtype=float)
-    for i, cell in enumerate(cells):
-        try:
-            out[i] = float(cell)
-        except ValueError:
-            raise DataError(
-                f"{path}: non-numeric value {cell!r} in column '{name}', data row {i + 1}"
-            ) from None
-    return out
+    values: list[float] = []
+    try:
+        values.extend(map(float, cells))
+    except ValueError:
+        # extend keeps the values parsed before the first bad cell
+        i = len(values)
+        raise DataError(
+            f"{path}: non-numeric value {cells[i]!r} in column '{name}', data row {i + 1}"
+        ) from None
+    return np.array(values, dtype=float)
 
 
 def _check_increasing(labels: list[str]) -> None:
-    """Labels compare as numbers when every cell parses as a float, else as strings."""
+    """Stripped labels compare as numbers when every one parses as a float, else as strings."""
+    labels = list(map(str.strip, labels))
     try:
-        keys = [float(c) for c in labels]
+        keys = list(map(float, labels))
     except ValueError:
         keys = labels
     for i in range(1, len(keys)):
@@ -138,15 +154,18 @@ def load_csv(
     The label column, if named, is checked to be strictly increasing and
     not kept.
     """
-    header, rows = _read_rows(path)
-    labels = None if label_column is None else _column(header, rows, label_column, path)
-    target = TimeSeries(_floats(_column(header, rows, target_column, path), target_column, path))
-    if labels is not None:
-        _check_increasing(labels)
-    exogenous = {}
-    for name in exogenous_columns or []:
-        exogenous[name] = TimeSeries(_floats(_column(header, rows, name, path), name, path))
-    return Dataset(target=target, exogenous=exogenous)
+
+    def parse(header: list[str], rows: list[list[str]]) -> Dataset:
+        labels = None if label_column is None else _column(header, rows, label_column, path)
+        target = TimeSeries(_floats(_column(header, rows, target_column, path), target_column, path))
+        if labels is not None:
+            _check_increasing(labels)
+        exogenous = {}
+        for name in exogenous_columns or []:
+            exogenous[name] = TimeSeries(_floats(_column(header, rows, name, path), name, path))
+        return Dataset(target=target, exogenous=exogenous)
+
+    return _read_rows(path, parse)
 
 
 @dataclass(frozen=True)
@@ -262,30 +281,32 @@ def _load_table(path: str | Path, series: TimeSeries, column: str, valid, proble
     1..len(series)-1 and appear once, and valid(value) must hold for every
     value; a row that breaks the last rule is reported as ``problem``.
     """
-    header, rows = _read_rows(path)
-    raw_idx = _column(header, rows, "time_index", path)
-    raw_val = _column(header, rows, column, path)
-    n = len(series)
-    table = np.full(n, np.nan)
-    for i, (cell_t, cell_v) in enumerate(zip(raw_idx, raw_val), start=1):
-        try:
-            t = int(cell_t)
-        except ValueError:
-            raise DataError(f"{path}: non-integer time_index {cell_t!r} at data row {i}") from None
-        if not 1 <= t <= n - 1:
-            raise DataError(f"{path}: time_index {t} outside the forecastable range 1..{n - 1}")
-        if not math.isnan(table[t]):
-            raise DataError(f"{path}: duplicate time_index {t}")
-        try:
-            v = float(cell_v)
-        except ValueError:
-            raise DataError(
-                f"{path}: non-numeric value {cell_v!r} in column '{column}', data row {i}"
-            ) from None
-        if not valid(v):
-            raise DataError(f"{path}: {column} at time_index {t} {problem}, got {v}")
-        table[t] = v
-    return table
+    def parse(header: list[str], rows: list[list[str]]) -> np.ndarray:
+        raw_idx = _column(header, rows, "time_index", path)
+        raw_val = _column(header, rows, column, path)
+        n = len(series)
+        table = np.full(n, np.nan)
+        for i, (cell_t, cell_v) in enumerate(zip(raw_idx, raw_val), start=1):
+            try:
+                t = int(cell_t)
+            except ValueError:
+                raise DataError(f"{path}: non-integer time_index {cell_t!r} at data row {i}") from None
+            if not 1 <= t <= n - 1:
+                raise DataError(f"{path}: time_index {t} outside the forecastable range 1..{n - 1}")
+            if not math.isnan(table[t]):
+                raise DataError(f"{path}: duplicate time_index {t}")
+            try:
+                v = float(cell_v)
+            except ValueError:
+                raise DataError(
+                    f"{path}: non-numeric value {cell_v!r} in column '{column}', data row {i}"
+                ) from None
+            if not valid(v):
+                raise DataError(f"{path}: {column} at time_index {t} {problem}, got {v}")
+            table[t] = v
+        return table
+
+    return _read_rows(path, parse)
 
 
 def _table_slice(table: np.ndarray, start: int, stop: int, what: str) -> np.ndarray:

@@ -21,6 +21,15 @@ def _fmt(value: float) -> str:
     return f"{value:.6g}"
 
 
+def _axis(values: list[float]) -> tuple[float, float]:
+    """The ends of an axis over values. A single value v spans v to v + 1,
+    or v to 0 where v + 1 rounds back to v (|v| >= 2**53)."""
+    lo, hi = min(values), max(values)
+    if hi != lo:
+        return lo, hi
+    return (lo, lo + 1.0) if lo + 1.0 != lo else (min(lo, 0.0), max(lo, 0.0))
+
+
 def line_chart(
     title: str,
     series: list[tuple[str, list[float], list[float]]],
@@ -40,12 +49,8 @@ def line_chart(
     plot_h = height - margin_top - margin_bottom
     all_x = [v for _, xs, _ in series for v in xs]
     all_y = [v for _, _, ys in series for v in ys]
-    x_lo, x_hi = min(all_x), max(all_x)
-    y_lo, y_hi = min(all_y), max(all_y)
-    if x_hi == x_lo:
-        x_hi = x_lo + 1.0
-    if y_hi == y_lo:
-        y_hi = y_lo + 1.0
+    x_lo, x_hi = _axis(all_x)
+    y_lo, y_hi = _axis(all_y)
 
     def sx(v: float) -> float:
         return margin_left + (v - x_lo) / (x_hi - x_lo) * plot_w

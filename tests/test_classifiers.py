@@ -87,9 +87,14 @@ def test_logistic_loss_history_non_increasing():
     fm = _blobs(rng_seed=8)
     spec = TrendPredictorSpec.logistic(learning_rate=0.05, iterations=300)
     clf = fit_classifier(spec, fm)
-    hist = np.asarray(clf.loss_history)
+    # the fit keeps the first and last loss; the reference loop records every step
+    _, _, losses = _reference_logistic_fit(fm, 0.05, 300)
+    hist = np.asarray(losses)
     assert hist.size == 301  # initial loss plus one entry per update
     assert np.all(np.diff(hist) <= 1e-12)
+    np.testing.assert_allclose(
+        [clf.initial_loss, clf.final_loss], hist[[0, -1]], rtol=1e-14, atol=0.0
+    )
 
 
 def _reference_sigmoid(z):
@@ -151,8 +156,10 @@ def test_logistic_fit_matches_reference_loop(fm, learning_rate, iterations):
     clf = fit_classifier(TrendPredictorSpec.logistic(learning_rate, iterations), fm)
     assert np.array_equal(clf.weights, w)
     assert clf.bias == b
-    assert len(clf.loss_history) == len(losses) == iterations + 1
-    np.testing.assert_allclose(clf.loss_history, losses, rtol=1e-14, atol=0.0)
+    assert len(losses) == iterations + 1
+    np.testing.assert_allclose(
+        [clf.initial_loss, clf.final_loss], [losses[0], losses[-1]], rtol=1e-14, atol=0.0
+    )
 
 
 def test_logistic_fit_large_scores_case_is_saturated():
@@ -187,7 +194,7 @@ def test_overflowing_prediction_rows_are_numeric_errors():
             fit_classifier(spec, _blobs()).predict_matrix(huge)
     clf = LogisticClassifier(
         weights=np.ones(2), bias=0.0, feature_mean=np.zeros(2),
-        feature_scale=np.full(2, 1e-200), loss_history=(0.0,),
+        feature_scale=np.full(2, 1e-200), initial_loss=0.0, final_loss=0.0,
     )
     with pytest.raises(NumericError, match="logistic scores"):
         clf.predict_matrix(huge)
@@ -199,7 +206,8 @@ def test_logistic_zero_score_predicts_up():
         bias=0.0,
         feature_mean=np.zeros(2),
         feature_scale=np.ones(2),
-        loss_history=(0.0,),
+        initial_loss=0.0,
+        final_loss=0.0,
     )
     assert clf.predict_matrix(np.array([[0.0, 0.0]]))[0] == 1
 

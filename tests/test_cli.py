@@ -169,6 +169,18 @@ def test_sweep_writes_results(tmp_path):
     assert len(rows) == 5  # header, base, 3 alphas
 
 
+def test_sweep_with_one_huge_alpha_draws_its_chart(tmp_path, capsys):
+    # 1e20 + 1.0 == 1e20, so a one-alpha axis needs more than a unit of width
+    data = _write_prices(tmp_path / "prices.csv", n=2000)
+    out = tmp_path / "out"
+    argv = ["sweep", "--data", str(data), "--target-column", "gold", "--forecaster", "naive",
+            "--classifier", "majority", "--alphas", "1e20", "--out", str(out)]
+    assert main(argv) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    svg = (out / "mse_vs_alpha.svg").read_text()
+    assert "nan" not in svg.lower() and "inf" not in svg.lower()
+
+
 def test_simulate_writes_report(tmp_path, capsys):
     out = tmp_path / "sim"
     code = main(

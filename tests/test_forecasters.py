@@ -292,15 +292,20 @@ def test_ses_path_matches_per_step_forecasts(smoothing):
     assert np.array_equal(path, _reference_walk(spec, fitted, values, 1000))
 
 
-@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("order", [1, 2, 3, 8])
 def test_ar_path_matches_per_step_forecasts(order):
-    values = _walk_values(3000, seed + 7)
+    # steps from about 1e-7 to 1e8 in size make every dot product mix magnitudes
+    rng = np.random.default_rng(seed + 12)
+    decades = np.cumsum(rng.standard_normal(3000) * 10.0 ** rng.uniform(-7.0, 8.0, 3000))
     spec = ValueForecasterSpec.ar(order)
-    fitted = fit_forecaster(spec, TimeSeries(values[:1000]))
-    # in-sample walks start right after the lags the model needs
-    for start in (order, 1000):
-        path = _walk_forward(spec, fitted, values, start, False)
-        assert np.array_equal(path, _reference_walk(spec, fitted, values, start))
+    for values in (_walk_values(3000, seed + 7), decades):
+        fitted = fit_forecaster(spec, TimeSeries(values[:1000]))
+        # in-sample walks start right after the lags the model needs
+        for start in (order, 1000):
+            path = _walk_forward(spec, fitted, values, start, False)
+            reference = _reference_walk(spec, fitted, values, start)
+            assert np.array_equal(path, reference)
+            assert np.array_equal(np.signbit(path), np.signbit(reference))
 
 
 @pytest.mark.parametrize("spec", [ValueForecasterSpec.naive(), ValueForecasterSpec.drift()],

@@ -282,6 +282,16 @@ def test_load_csv_strips_text_labels_before_comparing(tmp_path):
         load_csv(falling, target_column="p", label_column="day")
 
 
+def test_load_csv_strips_separator_characters_that_float_rejects(tmp_path):
+    # str.strip() removes \x1c-\x1f and float() does not: the stripped labels are
+    # numbers, so they fall at 10 > 9, where as text "10" < "9" would pass
+    labels = _write(tmp_path, "a.csv", "day,p\n\x1c10,1\n9\x1d,2\n")
+    with pytest.raises(DataError, match="^labels must be strictly increasing, violated at position 1$"):
+        load_csv(labels, target_column="p", label_column="day")
+    cells = _write(tmp_path, "b.csv", "p\n\x1f1.5\n2\x1e\n")
+    assert np.array_equal(load_csv(cells, target_column="p").target.values, np.array([1.5, 2.0]))
+
+
 @pytest.mark.parametrize("blank", ["\n", ",\n", "  , \n"], ids=["empty-line", "commas", "spaces"])
 def test_load_csv_bad_cell_after_blank_row_counts_data_rows(tmp_path, blank):
     path = _write(tmp_path, "a.csv", f"p,q\n1,2\n{blank}  xyz ,3\n")

@@ -1,3 +1,6 @@
+import math
+import re
+
 import pytest
 
 from tats import ConfigError
@@ -37,3 +40,21 @@ def test_chart_rejects_bad_input():
         line_chart("ragged", [("s", [0, 1], [1.0])])
     with pytest.raises(ConfigError):
         line_chart("hollow", [("s", [], [])])
+
+
+@pytest.mark.parametrize("x", [1e20, 1e300, -1.7e308, 1.7976931348623157e308])
+def test_chart_widens_a_huge_single_value(x):
+    # x + 1.0 rounds back to x here, so the axis spans x to 0 instead
+    svg = line_chart("one alpha", [("s", [x], [2.0]), ("t", [x, x], [1.0, 3.0])])
+    assert "nan" not in svg.lower() and "inf" not in svg.lower()
+    points = [float(v) for p in re.findall(r'points="([^"]*)"', svg) for v in re.split("[ ,]", p)]
+    assert all(math.isfinite(v) for v in points)
+
+
+def test_chart_keeps_the_unit_width_where_it_shows():
+    # below 2**53 a single x spans x to x + 1, with the point on the left edge
+    svg = line_chart("flat", [("s", [3.0, 3.0], [5.0, 6.0])])
+    assert [f">{v}</text>" in svg for v in ("3", "3.25", "3.5", "3.75", "4")] == [True] * 5
+    for x in (-(2.0**53) + 1, 2.0**53 - 1):
+        svg = line_chart("flat", [("s", [x, x], [5.0, 6.0])])
+        assert '<polyline points="64.00,388.00 64.00,44.00"' in svg
