@@ -160,6 +160,8 @@ class ARModel:
         # first, which keeps numpy's non-BLAS loop: a lag-matrix product
         # rounds differently
         order = self.order
+        if start < order:
+            raise ConfigError(f"AR({order}) forecasts need {order} values of history, got start {start}")
         lags = sliding_window_view(values, order)[start - order : values.size - order, ::-1]
         return self.intercept + np.array(list(map(self.coefficients.dot, lags)), dtype=float)
 

@@ -189,6 +189,10 @@ def test_ar_lag_order():
 def test_ar_too_short():
     with pytest.raises(DataError):
         fit_ar(_series([1.0, 2.0]), order=2)
+    model = ARModel(intercept=0.0, coefficients=np.array([0.5, 0.5]))
+    for start in (0, 1):
+        with pytest.raises(ConfigError, match=f"AR\\(2\\) forecasts need 2 values of history, got start {start}"):
+            model.forecast_path(np.arange(10.0), start)
 
 
 def _walk(spec, train, test, refit_each_step=False):
