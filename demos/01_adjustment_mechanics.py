@@ -10,8 +10,7 @@ Run: python demos/01_adjustment_mechanics.py
 
 import numpy as np
 
-from tats import Scenario, adjust, indicator
-from tats.engine import classify_scenario, evaluate_forecasts
+from tats import Scenario, evaluate_forecasts
 
 UP, DOWN = 1, -1  # directions are +1/-1 ints
 NAME = {UP: "UP", DOWN: "DOWN"}
@@ -25,8 +24,10 @@ cases = [
     ("larger alpha, larger override step", 7.0, 6.1, UP, 2.5),
 ]
 for label, y_prev, y_hat, direction, alpha in cases:
-    ind = indicator(y_hat, y_prev, direction)
-    out = adjust(y_hat, direction, y_prev, alpha)
+    # a one-step trace; the realized value (here y_hat) does not enter the adjustment
+    step = evaluate_forecasts(np.array([y_prev, y_hat]), 1, np.array([y_hat]), np.array([direction]))
+    ind = step.indicator[0]
+    out = step.adjusted(alpha)[0][0]
     print(f"{label}:")
     print(
         f"  last value {y_prev}, forecast {y_hat}, classifier says {NAME[direction]},"
@@ -59,9 +60,9 @@ print()
 print("The override only ever moves the forecast to the classifier's side")
 print("of the last value; agreeing steps are reproduced bit for bit.")
 
-# classify_scenario names the four direction outcomes after the fact:
+# The scenario tag names the four direction outcomes after the fact:
 # S1 both right, S2 forecast right but classifier wrong, S3 both wrong,
 # S4 forecast wrong but classifier right (the case the override rescues).
-example = classify_scenario(y_prev=10.0, y_true=12.0, y_hat=9.0, direction=UP)
+example = evaluate_forecasts(np.array([10.0, 12.0]), 1, np.array([9.0]), np.array([UP]))
 print()
-print(f"classify_scenario(prev=10, true=12, forecast=9, dir=UP) -> {example.name}")
+print(f"scenario of (prev=10, true=12, forecast=9, dir=UP) -> {Scenario(int(example.scenario[0])).name}")
