@@ -27,10 +27,7 @@ from .engine import (
     SweepEntry,
     SweepResult,
     TatsConfig,
-    adjust,
-    classify_scenario,
     evaluate_forecasts,
-    indicator,
     prepare_run,
     sweep_alpha,
 )
@@ -63,7 +60,6 @@ from .metrics import (
 from .montecarlo import (
     SimConfig,
     SimulationReport,
-    TrialResult,
     gen_random_walk,
     synthetic_forecaster,
     validate_prop1,
@@ -71,7 +67,6 @@ from .montecarlo import (
 from .theory import (
     TheoryEstimate,
     estimate_theory,
-    expected_loss_change,
     lower_bound,
     scenario_probabilities,
 )
@@ -105,21 +100,16 @@ __all__ = [
     "TheoryEstimate",
     "TimeSeries",
     "TrendPredictorSpec",
-    "TrialResult",
     "ValueForecasterSpec",
-    "adjust",
     "build_feature_table",
     "chronological_split",
-    "classify_scenario",
     "diff_rdiff",
     "estimate_theory",
     "evaluate_forecasts",
-    "expected_loss_change",
     "fit_ar",
     "fit_classifier",
     "fit_forecaster",
     "gen_random_walk",
-    "indicator",
     "load_csv",
     "load_external_directions",
     "load_external_forecasts",

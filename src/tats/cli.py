@@ -438,8 +438,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     )
     report = validate_prop1(config)
     trials = [
-        (i, repr(trial.mse_base), repr(trial.mse_tats), repr(trial.reduction))
-        for i, trial in enumerate(report.trials)
+        (i, repr(base), repr(tats), repr(base - tats))
+        for i, (base, tats) in enumerate(report.trials.tolist())
     ]
     out = _out_dir(args.out)
     _write_outputs(out, {

@@ -44,10 +44,7 @@ __all__ = [
     "SweepEntry",
     "SweepResult",
     "TatsConfig",
-    "adjust",
-    "classify_scenario",
     "evaluate_forecasts",
-    "indicator",
     "prepare_run",
     "sweep_alpha",
 ]
@@ -74,37 +71,6 @@ def _check_alphas(alphas) -> list[float]:
     for a in alphas:
         _check_alpha(a)
     return alphas
-
-
-def indicator(y_hat: float, y_prev: float, direction: int) -> int:
-    """1 when the forecast's implied move agrees with the predicted direction (+1/-1).
-
-    Agreement is (y_hat - y_prev) * direction >= 0, so a forecast equal
-    to the previous value never triggers an adjustment.
-    """
-    return 1 if (y_hat - y_prev) * direction >= 0.0 else 0
-
-
-def adjust(y_hat: float, direction: int, y_prev: float, alpha: float) -> float:
-    """Direction-gated forecast: keep y_hat or step alpha the predicted way."""
-    _check_alpha(alpha)
-    if indicator(y_hat, y_prev, direction):
-        return y_hat
-    return y_prev + direction * alpha
-
-
-def classify_scenario(y_prev: float, y_true: float, y_hat: float, direction: int) -> Scenario:
-    """Tag a step by whether forecast and classifier (+1/-1) called the move right."""
-    moves = (y_true - y_prev, y_hat - y_prev)
-    for move in moves:
-        if not math.isfinite(move):
-            raise DataError(f"step delta must be finite, got {move!r}")
-    actual, implied = np.sign(moves)
-    if actual == 0 or implied == 0:
-        return Scenario.UNDEFINED
-    if implied == actual:
-        return Scenario.S1 if direction == actual else Scenario.S2
-    return Scenario.S4 if direction == actual else Scenario.S3
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,7 +106,7 @@ class ForecastTrace:
         return int(self.t.size)
 
     def adjusted(self, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-        """(y_adj, loss_adj) at alpha: :func:`adjust` per step, and the squared errors."""
+        """(y_adj, loss_adj) at alpha: the module docstring's y_adj per step, and its squared errors."""
         _check_alpha(alpha)
         with np.errstate(over="ignore", invalid="ignore"):
             y_adj = np.where(self.indicator == 1, self.y_hat, self.y_prev + self.direction * alpha)
@@ -190,8 +156,8 @@ def evaluate_forecasts(
     """The trace of precomputed forecasts and directions, ready for any alpha.
 
     values is the full series; forecasts[i] and directions[i] describe
-    step start + i. This is the vectorized equivalent of calling
-    :func:`indicator` and :func:`classify_scenario` once per step.
+    step start + i. The indicator and scenario of every step follow the
+    rules in the module docstring, applied to all steps at once.
     """
     values = np.asarray(values, dtype=float)
     forecasts = np.asarray(forecasts, dtype=float)

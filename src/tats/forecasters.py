@@ -4,7 +4,8 @@ Parameters are fit once on the training split and never touched again;
 walking forward only appends realized values to the history each model
 conditions on. Every fitted model has one hook, forecast_path(values,
 start), which forecasts values[t] from values[:t] for each t from start
-to the end in one call. It is a pure function of (model, values), so
+to the end in one call; a start below its required_history or past the
+end raises a ConfigError. It is a pure function of (model, values), so
 traces are reproducible and models can be shared across runs. A config
 flag allows refitting at every step for callers who want it; only AR and
 drift read the history when fit, so only they are refit.
@@ -112,6 +113,13 @@ class ValueForecasterSpec:
         return cls(ForecasterKind.EXTERNAL, source=source)
 
 
+def _check_start(label: str, required: int, values: np.ndarray, start: int) -> None:
+    """The start of every forecast_path: at least required, at most values.size."""
+    if not required <= start <= values.size:
+        raise ConfigError(f"{label} forecasts need {required} values of history, got start {start} "
+                          f"for a series of {values.size} values")
+
+
 @dataclass(frozen=True)
 class NaiveForecaster:
     """Forecasts the last observed value."""
@@ -119,6 +127,7 @@ class NaiveForecaster:
     required_history: int = 1
 
     def forecast_path(self, values: np.ndarray, start: int) -> np.ndarray:
+        _check_start("naive", self.required_history, values, start)
         return values[start - 1 : -1]
 
 
@@ -130,6 +139,7 @@ class DriftForecaster:
     required_history: int = 1
 
     def forecast_path(self, values: np.ndarray, start: int) -> np.ndarray:
+        _check_start("drift", self.required_history, values, start)
         # an overflow gives inf, which the loss check reports
         with np.errstate(over="ignore"):
             return values[start - 1 : -1] + self.mean_step
@@ -160,8 +170,7 @@ class ARModel:
         # first, which keeps numpy's non-BLAS loop: a lag-matrix product
         # rounds differently
         order = self.order
-        if start < order:
-            raise ConfigError(f"AR({order}) forecasts need {order} values of history, got start {start}")
+        _check_start(f"AR({order})", order, values, start)
         lags = sliding_window_view(values, order)[start - order : values.size - order, ::-1]
         return self.intercept + np.array(list(map(self.coefficients.dot, lags)), dtype=float)
 
@@ -179,6 +188,7 @@ class SESForecaster:
     required_history: int = 1
 
     def forecast_path(self, values: np.ndarray, start: int) -> np.ndarray:
+        _check_start("SES", self.required_history, values, start)
         lam = self.smoothing
         level = float(values[0])
         path = []
@@ -200,6 +210,7 @@ class ExternalForecaster:
     required_history: int = 1
 
     def forecast_path(self, values: np.ndarray, start: int) -> np.ndarray:
+        _check_start("external", self.required_history, values, start)
         return _table_slice(self.forecasts, start, values.size, "forecasts")
 
 
@@ -258,14 +269,12 @@ def fit_forecaster(spec: ValueForecasterSpec, train: TimeSeries):
 
 
 def _walk_forward(spec, fitted, values: np.ndarray, start: int, refit_each_step: bool) -> np.ndarray:
-    """Forecast values[t] from values[:t] for every t from start on.
+    """Forecast values[t] from values[:t] for each t from start on; forecast_path checks start.
 
-    start must be at least ``fitted.required_history``, so no step checks
-    its history length: in-sample walks start there or later, and every
-    fit needs at least that many training values. ``fitted`` serves every
-    step unless refit_each_step is set and ``spec`` is AR or drift, in
-    which case each step after the first refits ``spec`` on its history.
-    Naive, SES and external fits build the same model from any history.
+    ``fitted`` serves every step unless refit_each_step is set and ``spec``
+    is AR or drift, in which case each step after the first refits
+    ``spec`` on its history. Naive, SES and external fits build the same
+    model from any history.
     """
     if not refit_each_step or spec.kind not in (ForecasterKind.AR, ForecasterKind.DRIFT):
         return fitted.forecast_path(values, start)

@@ -37,7 +37,6 @@ from .theory import _estimate, _trace_stats
 __all__ = [
     "SimConfig",
     "SimulationReport",
-    "TrialResult",
     "gen_random_walk",
     "synthetic_forecaster",
     "validate_prop1",
@@ -136,22 +135,12 @@ def synthetic_forecaster(
     return _require_finite(forecasts, "the synthetic forecasts")
 
 
-@dataclass(frozen=True)
-class TrialResult:
-    mse_base: float
-    mse_tats: float
-
-    @property
-    def reduction(self) -> float:
-        return self.mse_base - self.mse_tats
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimulationReport:
     """Aggregated outcome of a validation run."""
 
     config: SimConfig
-    trials: tuple[TrialResult, ...]
+    trials: np.ndarray  # (n_trials, 2) floats: each trial's (mse_base, mse_tats), in trial order
     mean_reduction: float
     std_error: float
     positive_fraction: float
@@ -215,8 +204,8 @@ def validate_prop1(config: SimConfig) -> SimulationReport:
     mse_base, mse_tats, stats, counts = zip(*(_run_trial(config, child) for child in children))
     clf_hits, fc_hits, gap_sums, steps = zip(*stats)
 
-    trials = tuple(TrialResult(mse_base=b, mse_tats=t) for b, t in zip(mse_base, mse_tats))
-    reductions = [t.reduction for t in trials]
+    trials = np.column_stack([mse_base, mse_tats])
+    reductions = [b - t for b, t in zip(mse_base, mse_tats)]
     n = len(reductions)
     try:
         mean_reduction = math.fsum(reductions) / n

@@ -9,9 +9,9 @@ classifier changes the expected per-step squared error by
 
 where abs_gap is the mean absolute gap between the base model's loss and
 the loss of standing still, E|l_t - (y_t - y_{t-1})^2|. The bracket
-simplifies algebraically to (p_db - p_dt), so the expected change and
-its lower bound coincide; both names are kept because callers use them
-for different purposes, and equality is asserted by the test suite.
+simplifies algebraically to (p_db - p_dt); :func:`lower_bound` computes
+that form, and :class:`TheoryEstimate` reports it both as the expected
+change and as the bound.
 A positive value means the adjustment is expected to reduce error, which
 happens exactly when the classifier beats the forecaster directionally.
 
@@ -36,7 +36,6 @@ if TYPE_CHECKING:
 __all__ = [
     "TheoryEstimate",
     "estimate_theory",
-    "expected_loss_change",
     "lower_bound",
     "scenario_probabilities",
 ]
@@ -61,16 +60,6 @@ def scenario_probabilities(p_db: float, p_dt: float) -> tuple[float, float, floa
     a = _check_probability("p_db", p_db)
     b = _check_probability("p_dt", p_dt)
     return (a * b, (1.0 - a) * b, (1.0 - a) * (1.0 - b), a * (1.0 - b))
-
-
-def expected_loss_change(abs_gap: float, p_db: float, p_dt: float) -> float:
-    """Expected per-step squared-error reduction from the adjustment.
-
-    Definitionally abs_gap * (p_db*(1-p_dt) - (1-p_db)*p_dt); computed in
-    the algebraically identical form abs_gap * (p_db - p_dt) so that it
-    matches :func:`lower_bound` bit for bit.
-    """
-    return lower_bound(abs_gap, p_db, p_dt)
 
 
 def lower_bound(abs_gap: float, p_db: float, p_dt: float) -> float:

@@ -10,14 +10,14 @@ from tats import (
     TimeSeries,
     TrendPredictorSpec,
     ValueForecasterSpec,
-    adjust,
     chronological_split,
-    indicator,
     prepare_run,
     sweep_alpha,
 )
-from tats.engine import classify_scenario, evaluate_forecasts
+from tats.engine import evaluate_forecasts
 from tats.metrics import mae, mape, mse, td_accuracy
+
+from scalar_reference import adjust, classify_scenario, indicator
 
 seed = 707
 UP, DOWN = 1, -1

@@ -34,3 +34,8 @@ def test_package_exports_are_sorted_unique_and_re_exported():
         home = importlib.import_module(getattr(obj, "__module__", None) or type(obj).__module__)
         assert name in _exports(home), f"{home.__name__} does not export {name}"
         assert getattr(home, name) is obj
+
+
+def test_package_exports_stay_within_fifty_names():
+    # a new public name should replace an old one, so the surface cannot silently regrow
+    assert len(tats.__all__) <= 50

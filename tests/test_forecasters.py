@@ -195,6 +195,27 @@ def test_ar_too_short():
             model.forecast_path(np.arange(10.0), start)
 
 
+FORECASTERS = {
+    "naive": NaiveForecaster(),
+    "drift": DriftForecaster(mean_step=0.5),
+    "ses": SESForecaster(smoothing=0.4),
+    "ar2": ARModel(intercept=0.0, coefficients=np.array([0.5, 0.5])),
+    "external": ExternalForecaster(forecasts=np.concatenate([[np.nan], np.arange(1.0, 10.0)])),
+}
+
+
+@pytest.mark.parametrize("name", FORECASTERS)
+def test_forecast_path_length_or_config_error(name):
+    model = FORECASTERS[name]
+    values = np.arange(10.0)
+    for start in range(model.required_history, values.size + 1):
+        assert model.forecast_path(values, start).size == values.size - start
+    for start in (model.required_history - 1, values.size + 1, values.size + 5):
+        match = f"need {model.required_history} values of history, got start {start} for a series of 10"
+        with pytest.raises(ConfigError, match=match):
+            model.forecast_path(values, start)
+
+
 def _walk(spec, train, test, refit_each_step=False):
     values = np.concatenate([train.values, test.values])
     return _walk_forward(spec, fit_forecaster(spec, train), values, len(train), refit_each_step)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -110,6 +112,10 @@ def test_report_bookkeeping():
     assert rep.n_steps_total == QUICK.n_steps * QUICK.n_trials
     assert sum(rep.scenario_counts.values()) == rep.n_steps_total
     assert len(rep.trials) == QUICK.n_trials
+    assert rep.trials.shape == (QUICK.n_trials, 2) and rep.trials.dtype == float
+    reductions = [base - tats for base, tats in rep.trials.tolist()]
+    assert rep.mean_reduction == math.fsum(reductions) / QUICK.n_trials
+    assert rep.positive_fraction == sum(r > 0.0 for r in reductions) / QUICK.n_trials
     assert 0.0 <= rep.positive_fraction <= 1.0
     d = rep.to_dict()
     assert d["mean_reduction"] == rep.mean_reduction

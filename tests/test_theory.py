@@ -5,7 +5,6 @@ from tats import (
     ConfigError,
     NumericError,
     estimate_theory,
-    expected_loss_change,
     lower_bound,
     scenario_probabilities,
 )
@@ -38,19 +37,21 @@ def test_probabilities_sum_to_one(a, b):
     assert all(0.0 <= x <= 1.0 for x in p)
 
 
-def test_bound_equals_expected_change_exactly():
+def test_bound_matches_definitional_bracket():
+    # gap * (a - b) is the simplified form of gap * (a*(1-b) - (1-a)*b)
     r = np.random.default_rng(seed + 1)
     for _ in range(npairs):
         gap = float(r.uniform(0.0, 500.0))
         a = float(r.uniform(0.01, 0.99))
         b = float(r.uniform(0.01, 0.99))
-        assert expected_loss_change(gap, a, b) == lower_bound(gap, a, b)
+        bracket = gap * (a * (1.0 - b) - (1.0 - a) * b)
+        assert abs(lower_bound(gap, a, b) - bracket) <= 1e-12 * abs(bracket)
 
 
 def test_expected_change_signs():
-    assert expected_loss_change(10.0, 0.8, 0.5) > 0
-    assert expected_loss_change(10.0, 0.5, 0.8) < 0
-    assert expected_loss_change(10.0, 0.6, 0.6) == 0.0
+    assert lower_bound(10.0, 0.8, 0.5) > 0
+    assert lower_bound(10.0, 0.5, 0.8) < 0
+    assert lower_bound(10.0, 0.6, 0.6) == 0.0
 
 
 def test_expected_change_antisymmetry():
@@ -59,17 +60,17 @@ def test_expected_change_antisymmetry():
         gap = float(r.uniform(0.0, 100.0))
         a = float(r.uniform(0.01, 0.99))
         b = float(r.uniform(0.01, 0.99))
-        assert expected_loss_change(gap, a, b) == -expected_loss_change(gap, b, a)
+        assert lower_bound(gap, a, b) == -lower_bound(gap, b, a)
 
 
 def test_expected_change_monotone_in_base_accuracy():
-    vals = [expected_loss_change(50.0, a, 0.5) for a in (0.3, 0.5, 0.7, 0.9)]
+    vals = [lower_bound(50.0, a, 0.5) for a in (0.3, 0.5, 0.7, 0.9)]
     assert vals == sorted(vals)
 
 
 def test_expected_change_scales_with_gap():
-    assert expected_loss_change(20.0, 0.8, 0.5) == pytest.approx(
-        2 * expected_loss_change(10.0, 0.8, 0.5), rel=1e-15
+    assert lower_bound(20.0, 0.8, 0.5) == pytest.approx(
+        2 * lower_bound(10.0, 0.8, 0.5), rel=1e-15
     )
 
 
