@@ -11,7 +11,6 @@ empirically.
 """
 
 from .classifiers import (
-    ClassifierKind,
     GaussianNBClassifier,
     KNNClassifier,
     LogisticClassifier,
@@ -34,7 +33,6 @@ from .engine import (
 from .errors import ConfigError, DataError, NumericError, TatsError
 from .forecasters import (
     ARModel,
-    ForecasterKind,
     ValueForecasterSpec,
     fit_ar,
     fit_forecaster,
@@ -75,7 +73,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ARModel",
-    "ClassifierKind",
     "ConfigError",
     "DataError",
     "Dataset",
@@ -83,7 +80,6 @@ __all__ = [
     "FeatureMatrix",
     "FeatureTable",
     "ForecastTrace",
-    "ForecasterKind",
     "GaussianNBClassifier",
     "KNNClassifier",
     "LogisticClassifier",

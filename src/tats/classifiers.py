@@ -10,7 +10,6 @@ the seed's stream, so equal truths give equal directions.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -20,7 +19,6 @@ from .errors import ConfigError, DataError, NumericError, _require_finite
 from .ingest import FeatureMatrix
 
 __all__ = [
-    "ClassifierKind",
     "GaussianNBClassifier",
     "KNNClassifier",
     "LogisticClassifier",
@@ -31,103 +29,93 @@ __all__ = [
 ]
 
 NB_VARIANCE_FLOOR = 1e-9
-
-
-class ClassifierKind(enum.Enum):
-    MAJORITY = "majority"
-    LOGISTIC = "logistic"
-    GAUSSIAN_NB = "gaussian_nb"
-    KNN = "knn"
-    ORACLE = "oracle"
-    EXTERNAL = "external"
-
-    @property
-    def reads_features(self) -> bool:
-        """Whether this kind is fit on, and predicts from, a feature table."""
-        return self not in (ClassifierKind.ORACLE, ClassifierKind.EXTERNAL)
+CLASSIFIER_KINDS = ("majority", "logistic", "gaussian_nb", "knn", "oracle", "external")
+# the logistic fit's gradient step and step count
+LOGISTIC_LEARNING_RATE = 0.1
+LOGISTIC_ITERATIONS = 1000
 
 
 @dataclass(frozen=True, eq=False)
 class TrendPredictorSpec:
     """Declarative classifier choice; parameters must match the kind.
 
+    kind: one of CLASSIFIER_KINDS.
+    k: neighbor count (knn only).
+    accuracy: hit probability in [0, 1] (oracle only).
+    seed: non-negative seed of the draws (oracle only).
     source: +1/-1 directions indexed by series position, NaN where absent
-        (EXTERNAL only); read a time_index,direction CSV with
+        (external only); read a time_index,direction CSV with
         load_external_directions, which checks its indices against the series.
 
     Specs compare and hash by identity, as an array source has no single
     truth value.
     """
 
-    kind: ClassifierKind
+    kind: str
     k: int | None = None
-    learning_rate: float | None = None
-    iterations: int | None = None
     accuracy: float | None = None
     seed: int | None = None
     source: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.kind, ClassifierKind):
-            try:
-                object.__setattr__(self, "kind", ClassifierKind(self.kind))
-            except ValueError:
-                raise ConfigError(f"unknown classifier kind: {self.kind!r}") from None
-        allowed = {
-            ClassifierKind.MAJORITY: set(),
-            ClassifierKind.LOGISTIC: {"learning_rate", "iterations"},
-            ClassifierKind.GAUSSIAN_NB: set(),
-            ClassifierKind.KNN: {"k"},
-            ClassifierKind.ORACLE: {"accuracy", "seed"},
-            ClassifierKind.EXTERNAL: {"source"},
-        }[self.kind]
-        for name in ("k", "learning_rate", "iterations", "accuracy", "seed", "source"):
-            if getattr(self, name) is not None and name not in allowed:
-                raise ConfigError(f"{name} is not a parameter of the {self.kind.value} classifier")
-        if self.kind is ClassifierKind.KNN:
+        if not isinstance(self.kind, str) or self.kind not in CLASSIFIER_KINDS:
+            raise ConfigError(f"unknown classifier kind: {self.kind!r}")
+        own = {"knn": ("k",), "oracle": ("accuracy", "seed"), "external": ("source",)}.get(self.kind, ())
+        for name in ("k", "accuracy", "seed", "source"):
+            if getattr(self, name) is not None and name not in own:
+                raise ConfigError(f"{name} is not a parameter of the {self.kind} classifier")
+        if self.kind == "knn":
             if self.k is None or self.k < 1:
                 raise ConfigError(f"KNN needs k >= 1, got {self.k}")
-        elif self.kind is ClassifierKind.LOGISTIC:
-            rate = self.learning_rate
-            if rate is None or not (math.isfinite(rate) and rate > 0):
-                raise ConfigError(f"logistic learning rate must be finite and positive, got {rate}")
-            if self.iterations is None or self.iterations < 1:
-                raise ConfigError(f"logistic iteration count must be >= 1, got {self.iterations}")
-        elif self.kind is ClassifierKind.ORACLE:
+        elif self.kind == "oracle":
             if self.accuracy is None or not 0.0 <= self.accuracy <= 1.0:
                 raise ConfigError(f"oracle accuracy must lie in [0, 1], got {self.accuracy}")
             if self.seed is None or self.seed < 0:
                 raise ConfigError(f"oracle classifier needs a non-negative seed, got {self.seed}")
-        elif self.kind is ClassifierKind.EXTERNAL:
+        elif self.kind == "external":
             if not isinstance(self.source, np.ndarray):
                 raise ConfigError(
                     "external classifier needs a position-indexed direction array, got "
                     f"{self.source!r}; read a file with load_external_directions(path, series)"
                 )
 
-    @classmethod
-    def majority(cls) -> "TrendPredictorSpec":
-        return cls(ClassifierKind.MAJORITY)
+    @property
+    def reads_features(self) -> bool:
+        """Whether this kind is fit on, and predicts from, a feature table."""
+        return self.kind not in ("oracle", "external")
+
+    @property
+    def label(self) -> str:
+        """The model's name in reports: knn(k=5), oracle(p=0.7), or the kind."""
+        if self.kind == "knn":
+            return f"knn(k={self.k})"
+        if self.kind == "oracle":
+            return f"oracle(p={self.accuracy:g})"
+        return self.kind
 
     @classmethod
-    def logistic(cls, learning_rate: float = 0.1, iterations: int = 1000) -> "TrendPredictorSpec":
-        return cls(ClassifierKind.LOGISTIC, learning_rate=learning_rate, iterations=iterations)
+    def majority(cls) -> "TrendPredictorSpec":
+        return cls("majority")
+
+    @classmethod
+    def logistic(cls) -> "TrendPredictorSpec":
+        return cls("logistic")
 
     @classmethod
     def gaussian_nb(cls) -> "TrendPredictorSpec":
-        return cls(ClassifierKind.GAUSSIAN_NB)
+        return cls("gaussian_nb")
 
     @classmethod
     def knn(cls, k: int = 5) -> "TrendPredictorSpec":
-        return cls(ClassifierKind.KNN, k=k)
+        return cls("knn", k=k)
 
     @classmethod
     def oracle(cls, accuracy: float, seed: int = 0) -> "TrendPredictorSpec":
-        return cls(ClassifierKind.ORACLE, accuracy=accuracy, seed=seed)
+        return cls("oracle", accuracy=accuracy, seed=seed)
 
     @classmethod
     def external(cls, source: np.ndarray) -> "TrendPredictorSpec":
-        return cls(ClassifierKind.EXTERNAL, source=source)
+        return cls("external", source=source)
 
 
 @dataclass(frozen=True)
@@ -142,7 +130,7 @@ class MajorityClassifier:
 
 @dataclass(frozen=True)
 class LogisticClassifier:
-    """Logistic regression trained by full-batch gradient descent.
+    """Logistic regression trained by 1,000 full-batch gradient steps of 0.1.
 
     Features are standardized with training statistics; weights start at
     zero, so with no informative gradient the model predicts UP (score
@@ -236,7 +224,11 @@ class OracleTrendPredictor:
         return np.where(u < np.where(flat, 0.5, self.accuracy), signed, -signed)
 
 
-def _fit_logistic(features: FeatureMatrix, learning_rate: float, iterations: int) -> LogisticClassifier:
+def _fit_logistic(
+    features: FeatureMatrix,
+    learning_rate: float = LOGISTIC_LEARNING_RATE,
+    iterations: int = LOGISTIC_ITERATIONS,
+) -> LogisticClassifier:
     rows = features.rows.astype(float)
     targets = (features.labels == 1).astype(float)
     # an overflowing mean also makes the standard deviation non-finite
@@ -309,25 +301,25 @@ def fit_classifier(spec: TrendPredictorSpec, features: FeatureMatrix | None = No
     external tables do not. An external table is its own predictor: the
     position-indexed direction array is returned as it is.
     """
-    if spec.kind is ClassifierKind.ORACLE:
+    if spec.kind == "oracle":
         return OracleTrendPredictor(accuracy=spec.accuracy, seed=spec.seed)
-    if spec.kind is ClassifierKind.EXTERNAL:
+    if spec.kind == "external":
         return spec.source
     if features is None:
-        raise ConfigError(f"{spec.kind.value} classifier needs a training feature matrix")
+        raise ConfigError(f"{spec.kind} classifier needs a training feature matrix")
     if len(features) == 0:
         raise DataError("training feature matrix is empty")
-    if spec.kind is ClassifierKind.MAJORITY:
+    if spec.kind == "majority":
         ups = int(np.count_nonzero(features.labels == 1))
         direction = 1 if ups >= len(features) - ups else -1
         return MajorityClassifier(direction=direction)
-    if spec.kind is ClassifierKind.LOGISTIC:
+    if spec.kind == "logistic":
         if np.unique(features.labels).size < 2:
             raise DataError("logistic regression needs both directions in the training set")
-        return _fit_logistic(features, spec.learning_rate, spec.iterations)
-    if spec.kind is ClassifierKind.GAUSSIAN_NB:
+        return _fit_logistic(features)
+    if spec.kind == "gaussian_nb":
         return _fit_gaussian_nb(features)
-    if spec.kind is ClassifierKind.KNN:
+    if spec.kind == "knn":
         if spec.k > len(features):
             raise ConfigError(f"KNN k={spec.k} exceeds the {len(features)} training rows")
         return KNNClassifier(rows=features.rows.astype(float), labels=features.labels, k=spec.k)

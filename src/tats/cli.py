@@ -20,11 +20,11 @@ import os
 import sys
 from pathlib import Path
 
-from .classifiers import ClassifierKind, TrendPredictorSpec
+from .classifiers import CLASSIFIER_KINDS, TrendPredictorSpec
 from .core import chronological_split
 from .engine import TatsConfig, _SplitDataError, _check_alphas, prepare_run, sweep_alpha
 from .errors import ConfigError, DataError, NumericError
-from .forecasters import ForecasterKind, ValueForecasterSpec
+from .forecasters import FORECASTER_KINDS, ValueForecasterSpec
 from .ingest import (
     _read_text,
     build_feature_table,
@@ -119,14 +119,12 @@ _SETTINGS = (
     ("exogenous_columns", _as_str_list, (), None, "comma-separated exogenous column names"),
     ("label_column", _as_str, None, None, "strictly increasing label column (dates, ids)"),
     ("train_fraction", _as_float, 0.7, None, "chronological train share (default 0.7)"),
-    ("forecaster", _as_str, "ar", tuple(kind.value for kind in ForecasterKind), "value forecaster (default ar)"),
+    ("forecaster", _as_str, "ar", FORECASTER_KINDS, "value forecaster (default ar)"),
     ("ar_order", _as_int, 2, None, "AR lag count (default 2)"),
     ("ses_smoothing", _as_float, None, None, "SES smoothing weight in (0, 1]"),
     ("external_forecasts", _as_str, None, None, "time_index,forecast CSV for the external forecaster"),
-    ("classifier", _as_str, "logistic", tuple(kind.value for kind in ClassifierKind), "trend classifier (default logistic)"),
+    ("classifier", _as_str, "logistic", CLASSIFIER_KINDS, "trend classifier (default logistic)"),
     ("knn_k", _as_int, 5, None, "KNN neighbor count (default 5)"),
-    ("logistic_learning_rate", _as_float, 0.1, None, "gradient step (default 0.1)"),
-    ("logistic_iterations", _as_int, 1000, None, "gradient steps (default 1000)"),
     ("oracle_accuracy", _as_float, None, None, "oracle hit probability"),
     ("external_directions", _as_str, None, None, "time_index,direction CSV for the external classifier"),
     ("alphas", _as_float_list, None, None, "comma-separated adjustment step sizes"),
@@ -174,61 +172,36 @@ def _resolve_settings(args: argparse.Namespace) -> None:
 
 def _forecaster_spec(args: argparse.Namespace, full_series) -> ValueForecasterSpec:
     name = args.forecaster
-    if name == "naive":
-        return ValueForecasterSpec.naive()
-    if name == "drift":
-        return ValueForecasterSpec.drift()
     if name == "ar":
         return ValueForecasterSpec.ar(order=args.ar_order)
     if name == "ses":
         if args.ses_smoothing is None:
             raise ConfigError("SES forecaster needs ses_smoothing")
         return ValueForecasterSpec.ses(args.ses_smoothing)
-    if args.external_forecasts is None:
-        raise ConfigError("external forecaster needs external_forecasts")
-    return ValueForecasterSpec.external(
-        load_external_forecasts(args.external_forecasts, full_series)
-    )
+    if name == "external":
+        if args.external_forecasts is None:
+            raise ConfigError("external forecaster needs external_forecasts")
+        return ValueForecasterSpec.external(
+            load_external_forecasts(args.external_forecasts, full_series)
+        )
+    return ValueForecasterSpec(name)
 
 
 def _classifier_spec(args: argparse.Namespace, full_series) -> TrendPredictorSpec:
     name = args.classifier
-    if name == "majority":
-        return TrendPredictorSpec.majority()
-    if name == "logistic":
-        return TrendPredictorSpec.logistic(
-            learning_rate=args.logistic_learning_rate,
-            iterations=args.logistic_iterations,
-        )
-    if name == "gaussian_nb":
-        return TrendPredictorSpec.gaussian_nb()
     if name == "knn":
         return TrendPredictorSpec.knn(k=args.knn_k)
     if name == "oracle":
         if args.oracle_accuracy is None:
             raise ConfigError("oracle classifier needs oracle_accuracy")
         return TrendPredictorSpec.oracle(accuracy=args.oracle_accuracy, seed=args.seed)
-    if args.external_directions is None:
-        raise ConfigError("external classifier needs external_directions")
-    return TrendPredictorSpec.external(
-        load_external_directions(args.external_directions, full_series)
-    )
-
-
-def _describe_forecaster(args: argparse.Namespace) -> str:
-    if args.forecaster == "ar":
-        return f"ar({args.ar_order})"
-    if args.forecaster == "ses":
-        return f"ses({args.ses_smoothing:g})"
-    return args.forecaster
-
-
-def _describe_classifier(args: argparse.Namespace) -> str:
-    if args.classifier == "knn":
-        return f"knn(k={args.knn_k})"
-    if args.classifier == "oracle":
-        return f"oracle(p={args.oracle_accuracy:g})"
-    return args.classifier
+    if name == "external":
+        if args.external_directions is None:
+            raise ConfigError("external classifier needs external_directions")
+        return TrendPredictorSpec.external(
+            load_external_directions(args.external_directions, full_series)
+        )
+    return TrendPredictorSpec(name)
 
 
 def _cell(value) -> str:
@@ -266,9 +239,9 @@ def _write_outputs(out: Path, texts: dict[str, str]) -> None:
         raise
 
 
-def _results_csv(args: argparse.Namespace, sweep, split: str) -> str:
-    base_model = _describe_forecaster(args)
-    tats_model = f"tats({base_model}+{_describe_classifier(args)})"
+def _results_csv(config: TatsConfig, sweep, split: str) -> str:
+    base_model = config.value_forecaster.label
+    tats_model = f"tats({base_model}+{config.trend_predictor.label})"
     base = sweep.base_report
     # one tuple per row, in RESULTS_HEADER order
     rows = [(base_model, split, None, base.tda, base.mse, base.mae, base.mape, None, None)]
@@ -289,7 +262,7 @@ def _prepare_experiment(args: argparse.Namespace):
     forecaster = _forecaster_spec(args, dataset.target)
     classifier = _classifier_spec(args, dataset.target)
     features = None
-    if classifier.kind.reads_features:
+    if classifier.reads_features:
         features = build_feature_table(
             dataset, args.n_lags, args.include_exogenous, args.exog_lag
         )
@@ -303,11 +276,11 @@ def _prepare_experiment(args: argparse.Namespace):
     return train, test, features, config, alphas
 
 
-def _print_sweep(args: argparse.Namespace, sweep) -> None:
+def _print_sweep(config: TatsConfig, sweep) -> None:
     base = sweep.base_report
     base_mape = "n/a" if base.mape is None else f"{base.mape:.6g}"
     print(
-        f"base {_describe_forecaster(args)}: "
+        f"base {config.value_forecaster.label}: "
         f"TDA={base.tda:.6g} MSE={base.mse:.6g} MAE={base.mae:.6g} MAPE={base_mape}"
     )
     for entry in sweep.entries:
@@ -357,8 +330,8 @@ def cmd_run(args: argparse.Namespace) -> int:
             "exogenous_columns": list(args.exogenous_columns),
             "label_column": args.label_column,
             "train_fraction": args.train_fraction,
-            "forecaster": _describe_forecaster(args),
-            "classifier": _describe_classifier(args),
+            "forecaster": config.value_forecaster.label,
+            "classifier": config.trend_predictor.label,
             "alphas": list(alphas),
             "n_lags": args.n_lags,
             "include_exogenous": args.include_exogenous,
@@ -397,13 +370,13 @@ def cmd_run(args: argparse.Namespace) -> int:
     )
     out = args.out_dir
     _write_outputs(out, {
-        "results.csv": _results_csv(args, sweep, split="test"),
+        "results.csv": _results_csv(config, sweep, split="test"),
         "report.json": json.dumps(report, sort_keys=True, indent=2) + "\n",
         "forecasts.svg": forecast_svg,
         "mse_vs_alpha.svg": _sweep_chart(sweep),
     })
 
-    _print_sweep(args, sweep)
+    _print_sweep(config, sweep)
     print(
         f"theory[{args.theory_split}]: p_db={theory.p_db:.6g} p_dt={theory.p_dt:.6g} "
         f"abs_gap={theory.abs_gap:.6g} bound={theory.lower_bound:.6g} "
@@ -422,10 +395,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     sweep = sweep_alpha(test_trace, alphas)
     out = args.out_dir
     _write_outputs(out, {
-        "results.csv": _results_csv(args, sweep, split="test"),
+        "results.csv": _results_csv(config, sweep, split="test"),
         "mse_vs_alpha.svg": _sweep_chart(sweep),
     })
-    _print_sweep(args, sweep)
+    _print_sweep(config, sweep)
     print(f"wrote {out / 'results.csv'} and 1 chart")
     return 0
 

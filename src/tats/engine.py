@@ -238,7 +238,7 @@ def prepare_run(
     fitted = fit_forecaster(config.value_forecaster, train)
 
     clf_spec = config.trend_predictor
-    feature_based = clf_spec.kind.reads_features
+    feature_based = clf_spec.reads_features
     training = None
     if feature_based:
         if features is None:

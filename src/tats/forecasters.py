@@ -13,7 +13,6 @@ drift read the history when fit, so only they are refit.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +26,6 @@ __all__ = [
     "ARModel",
     "DriftForecaster",
     "ExternalForecaster",
-    "ForecasterKind",
     "NaiveForecaster",
     "SESForecaster",
     "ValueForecasterSpec",
@@ -36,81 +34,77 @@ __all__ = [
 ]
 
 AR_RIDGE_PENALTY = 1e-8
-
-
-class ForecasterKind(enum.Enum):
-    NAIVE = "naive"
-    DRIFT = "drift"
-    AR = "ar"
-    SES = "ses"
-    EXTERNAL = "external"
+FORECASTER_KINDS = ("naive", "drift", "ar", "ses", "external")
 
 
 @dataclass(frozen=True, eq=False)
 class ValueForecasterSpec:
     """Declarative forecaster choice; parameters must match the kind.
 
-    order: AR lag count (AR only).
-    smoothing: exponential smoothing weight in (0, 1] (SES only).
+    kind: one of FORECASTER_KINDS.
+    order: AR lag count (ar only).
+    smoothing: exponential smoothing weight in (0, 1] (ses only).
     source: forecasts indexed by series position, NaN where absent
-        (EXTERNAL only); read a time_index,forecast CSV with
+        (external only); read a time_index,forecast CSV with
         load_external_forecasts, which checks its indices against the series.
 
     Specs compare and hash by identity, as an array source has no single
     truth value.
     """
 
-    kind: ForecasterKind
+    kind: str
     order: int | None = None
     smoothing: float | None = None
     source: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.kind, ForecasterKind):
-            try:
-                object.__setattr__(self, "kind", ForecasterKind(self.kind))
-            except ValueError:
-                raise ConfigError(f"unknown forecaster kind: {self.kind!r}") from None
-        if self.kind is ForecasterKind.AR:
+        if not isinstance(self.kind, str) or self.kind not in FORECASTER_KINDS:
+            raise ConfigError(f"unknown forecaster kind: {self.kind!r}")
+        if self.kind == "ar":
             if self.order is None or self.order < 1:
                 raise ConfigError(f"AR forecaster needs order >= 1, got {self.order}")
-        elif self.kind is ForecasterKind.SES:
+        elif self.kind == "ses":
             if self.smoothing is None or not 0.0 < self.smoothing <= 1.0:
                 raise ConfigError(f"SES smoothing must lie in (0, 1], got {self.smoothing}")
-        elif self.kind is ForecasterKind.EXTERNAL:
+        elif self.kind == "external":
             if not isinstance(self.source, np.ndarray):
                 raise ConfigError(
                     "external forecaster needs a position-indexed forecast array, got "
                     f"{self.source!r}; read a file with load_external_forecasts(path, series)"
                 )
-        own = {
-            ForecasterKind.AR: "order",
-            ForecasterKind.SES: "smoothing",
-            ForecasterKind.EXTERNAL: "source",
-        }.get(self.kind)
+        own = {"ar": "order", "ses": "smoothing", "external": "source"}.get(self.kind)
         for name in ("order", "smoothing", "source"):
             if name != own and getattr(self, name) is not None:
-                raise ConfigError(f"{name} is not a parameter of the {self.kind.value} forecaster")
+                raise ConfigError(f"{name} is not a parameter of the {self.kind} forecaster")
+
+    @property
+    def label(self) -> str:
+        """The model's name in reports: ar(2), ses(0.4), or the kind."""
+        if self.kind == "ar":
+            return f"ar({self.order})"
+        if self.kind == "ses":
+            return f"ses({self.smoothing:g})"
+        return self.kind
 
     @classmethod
     def naive(cls) -> "ValueForecasterSpec":
-        return cls(ForecasterKind.NAIVE)
+        return cls("naive")
 
     @classmethod
     def drift(cls) -> "ValueForecasterSpec":
-        return cls(ForecasterKind.DRIFT)
+        return cls("drift")
 
     @classmethod
     def ar(cls, order: int = 2) -> "ValueForecasterSpec":
-        return cls(ForecasterKind.AR, order=order)
+        return cls("ar", order=order)
 
     @classmethod
     def ses(cls, smoothing: float) -> "ValueForecasterSpec":
-        return cls(ForecasterKind.SES, smoothing=smoothing)
+        return cls("ses", smoothing=smoothing)
 
     @classmethod
     def external(cls, source: np.ndarray) -> "ValueForecasterSpec":
-        return cls(ForecasterKind.EXTERNAL, source=source)
+        return cls("external", source=source)
 
 
 def _check_start(label: str, required: int, values: np.ndarray, start: int) -> None:
@@ -251,19 +245,19 @@ def fit_ar(series: TimeSeries, order: int) -> ARModel:
 
 def fit_forecaster(spec: ValueForecasterSpec, train: TimeSeries):
     """Fit the forecaster described by ``spec`` on the training split."""
-    if spec.kind is ForecasterKind.NAIVE:
+    if spec.kind == "naive":
         return NaiveForecaster()
-    if spec.kind is ForecasterKind.DRIFT:
+    if spec.kind == "drift":
         if len(train) < 2:
             raise DataError("drift forecaster needs at least 2 training values")
         with np.errstate(over="ignore", invalid="ignore"):
             mean_step = _require_finite(np.mean(np.diff(train.values)), "the mean training step")
         return DriftForecaster(mean_step=float(mean_step))
-    if spec.kind is ForecasterKind.AR:
+    if spec.kind == "ar":
         return fit_ar(train, spec.order)
-    if spec.kind is ForecasterKind.SES:
+    if spec.kind == "ses":
         return SESForecaster(smoothing=spec.smoothing)
-    if spec.kind is ForecasterKind.EXTERNAL:
+    if spec.kind == "external":
         return ExternalForecaster(forecasts=spec.source)
     raise ConfigError(f"unknown forecaster kind: {spec.kind}")
 
@@ -276,7 +270,7 @@ def _walk_forward(spec, fitted, values: np.ndarray, start: int, refit_each_step:
     ``spec`` on its history. Naive, SES and external fits build the same
     model from any history.
     """
-    if not refit_each_step or spec.kind not in (ForecasterKind.AR, ForecasterKind.DRIFT):
+    if not refit_each_step or spec.kind not in ("ar", "drift"):
         return fitted.forecast_path(values, start)
     out = np.empty(values.size - start, dtype=float)
     for i, t in enumerate(range(start, values.size)):

@@ -115,6 +115,8 @@ def _column(header: list[str], rows: list[list[str]], name: str, path) -> list[s
         idx = header.index(name)
     except ValueError:
         raise DataError(f"{path}: column '{name}' not found; available: {', '.join(header)}") from None
+    if header.count(name) > 1:
+        raise DataError(f"{path}: column '{name}' appears {header.count(name)} times in the header")
     return [row[idx] for row in rows]
 
 
@@ -152,8 +154,12 @@ def load_csv(
     """Load a Dataset from a headered CSV file.
 
     The label column, if named, is checked to be strictly increasing and
-    not kept.
+    not kept. A column named twice in the header, or listed twice in
+    exogenous_columns, is an error.
     """
+    for i, name in enumerate(exogenous_columns or []):
+        if name in exogenous_columns[:i]:
+            raise ConfigError(f"exogenous column '{name}' is listed twice")
 
     def parse(header: list[str], rows: list[list[str]]) -> Dataset:
         labels = None if label_column is None else _column(header, rows, label_column, path)

@@ -8,7 +8,7 @@ from tats import (
     TrendPredictorSpec,
     fit_classifier,
 )
-from tats.classifiers import LogisticClassifier, OracleTrendPredictor
+from tats.classifiers import LogisticClassifier, OracleTrendPredictor, _fit_logistic
 from tats.ingest import FeatureMatrix
 
 seed = 606
@@ -38,11 +38,8 @@ def _blobs(n=200, rng_seed=7):
 def test_spec_validation():
     with pytest.raises(ConfigError):
         TrendPredictorSpec.knn(k=0)
-    for rate in (0.0, float("inf"), float("nan")):
-        with pytest.raises(ConfigError):
-            TrendPredictorSpec.logistic(learning_rate=rate)
-    with pytest.raises(ConfigError):
-        TrendPredictorSpec.logistic(iterations=0)
+    with pytest.raises(ConfigError, match="k is not a parameter of the logistic classifier"):
+        TrendPredictorSpec("logistic", k=3)
     with pytest.raises(ConfigError):
         TrendPredictorSpec.oracle(accuracy=1.5)
     with pytest.raises(ConfigError):
@@ -51,6 +48,13 @@ def test_spec_validation():
         TrendPredictorSpec(kind="nonsense")
     with pytest.raises(ConfigError):
         TrendPredictorSpec.oracle(accuracy=0.7, seed=-1)
+
+
+@pytest.mark.parametrize("kind", [np.array(["knn"]), np.array(["knn", "oracle"]), 2, None, b"knn"],
+                         ids=["array", "two-element-array", "int", "none", "bytes"])
+def test_kind_that_is_not_a_string_is_unknown(kind):
+    with pytest.raises(ConfigError, match="unknown classifier kind"):
+        TrendPredictorSpec(kind, k=3)
 
 
 def test_external_spec_takes_only_a_loaded_table(tmp_path):
@@ -85,8 +89,7 @@ def test_logistic_separable_blobs():
 
 def test_logistic_loss_history_non_increasing():
     fm = _blobs(rng_seed=8)
-    spec = TrendPredictorSpec.logistic(learning_rate=0.05, iterations=300)
-    clf = fit_classifier(spec, fm)
+    clf = _fit_logistic(fm, 0.05, 300)
     # the fit keeps the first and last loss; the reference loop records every step
     _, _, losses = _reference_logistic_fit(fm, 0.05, 300)
     hist = np.asarray(losses)
@@ -153,7 +156,7 @@ def _large_score_matrix():
 )
 def test_logistic_fit_matches_reference_loop(fm, learning_rate, iterations):
     w, b, losses = _reference_logistic_fit(fm, learning_rate, iterations)
-    clf = fit_classifier(TrendPredictorSpec.logistic(learning_rate, iterations), fm)
+    clf = _fit_logistic(fm, learning_rate, iterations)
     assert np.array_equal(clf.weights, w)
     assert clf.bias == b
     assert len(losses) == iterations + 1
@@ -162,9 +165,17 @@ def test_logistic_fit_matches_reference_loop(fm, learning_rate, iterations):
     )
 
 
+def test_logistic_spec_fits_1000_steps_of_a_tenth():
+    fm = _blobs(n=300, rng_seed=9)
+    w, b, _ = _reference_logistic_fit(fm, 0.1, 1000)
+    clf = fit_classifier(TrendPredictorSpec.logistic(), fm)
+    assert np.array_equal(clf.weights, w)
+    assert clf.bias == b
+
+
 def test_logistic_fit_large_scores_case_is_saturated():
     fm = _large_score_matrix()
-    clf = fit_classifier(TrendPredictorSpec.logistic(50.0, 200), fm)
+    clf = _fit_logistic(fm, 50.0, 200)
     scores = clf._scores(fm.rows)
     assert scores.min() < -40.0 and scores.max() > 40.0
 
@@ -174,7 +185,7 @@ def test_logistic_fit_diverges_like_reference_loop():
     with pytest.raises(NumericError):
         _reference_logistic_fit(fm, 1e308, 50)
     with pytest.raises(NumericError, match="logistic fit diverged"):
-        fit_classifier(TrendPredictorSpec.logistic(1e308, 50), fm)
+        _fit_logistic(fm, 1e308, 50)
 
 
 @pytest.mark.parametrize("spec", [

@@ -517,8 +517,7 @@ def test_config_file_and_flags_write_identical_artifacts(tmp_path):
         "data": str(data), "target_column": "gold", "exogenous_columns": "ftse",
         "label_column": "day", "train_fraction": "0.6", "forecaster": "ses",
         "ar_order": "3", "ses_smoothing": "0.4", "external_forecasts": str(tmp_path / "fc.csv"),
-        "classifier": "knn", "knn_k": "3", "logistic_learning_rate": "0.05",
-        "logistic_iterations": "200", "oracle_accuracy": "0.6",
+        "classifier": "knn", "knn_k": "3", "oracle_accuracy": "0.6",
         "external_directions": str(tmp_path / "dirs.csv"), "alphas": "0.5,3", "n_lags": "3",
         "include_exogenous": "false", "exog_lag": "1", "seed": "7",
         "refit_each_step": "true", "theory_split": "test",
@@ -566,10 +565,13 @@ def test_config_file_and_flags_write_identical_artifacts(tmp_path):
         pytest.param(["sweep", "--alphas", ","], "", id="sweep-empty-alphas"),
         pytest.param(["simulate", "--alpha", "inf"], "", id="simulate-infinite-alpha"),
         pytest.param(["simulate", "--seed", "-1"], "", id="simulate-negative-seed"),
+        # the logistic step size and step count are constants, so their settings are unknown
         pytest.param(
             ["run", "--classifier", "logistic", "--logistic-learning-rate", "inf"], "",
-            id="run-infinite-learning-rate",
+            id="run-removed-learning-rate-flag",
         ),
+        pytest.param(["run", "--classifier", "logistic"], "logistic_iterations = 200",
+                     id="run-removed-iterations-key"),
         pytest.param(["simulate", "--volatility", "inf"], "", id="simulate-infinite-volatility"),
         # the grid is checked before the data is read: a later --data wins, and names no file
         pytest.param(["run", "--alphas", ",", "--data", "missing.csv"], "",
@@ -593,26 +595,16 @@ def test_bad_value_exits_one_without_traceback(tmp_path, monkeypatch, capsys, ar
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert "Traceback" not in err
+    key = config_line.partition("=")[0].strip()
+    if key and key not in _CONFIG_KEYS:
+        assert f"unknown config key '{key}'" in err, err
+    if "--logistic-learning-rate" in argv:
+        assert "unrecognized arguments: --logistic-learning-rate" in err, err
     if missing_data:
         assert re.fullmatch(
             r"error: (alpha sweep needs at least one alpha|alpha must be finite and positive, got \S+)\n",
             err,
         ), err
-    assert not (tmp_path / "out").exists()
-
-
-def test_diverging_logistic_fit_exits_three_without_warnings(tmp_path, capsys):
-    values = 100.0 + np.cumsum(np.random.default_rng(2).standard_normal(150))
-    data = tmp_path / "walk.csv"
-    data.write_text("gold\n" + "".join(f"{float(v)!r}\n" for v in values))
-    argv = ["run", "--data", str(data), "--target-column", "gold", "--classifier", "logistic",
-            "--logistic-learning-rate", "1e308", "--out", str(tmp_path / "out")]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # a numpy RuntimeWarning would raise here
-        assert main(argv) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("numeric error: logistic fit diverged")
-    assert "Traceback" not in err and "RuntimeWarning" not in err
     assert not (tmp_path / "out").exists()
 
 
@@ -735,6 +727,64 @@ def test_report_theory_matches_a_separate_run(tmp_path, classifier, theory_split
     expected = estimate_theory(trace)
     report = json.loads((out / "report.json").read_text())
     assert report["theory"] == json.loads(json.dumps(expected.to_dict()))
+
+
+@pytest.mark.parametrize(
+    "forecaster, spec",
+    [
+        (["ar", "--ar-order", "2"], ValueForecasterSpec.ar(2)),
+        (["ses", "--ses-smoothing", "0.3"], ValueForecasterSpec.ses(0.3)),
+        (["drift"], ValueForecasterSpec.drift()),
+    ],
+    ids=["ar", "ses", "drift"],
+)
+def test_external_replay_of_refit_forecasts_matches_the_model(tmp_path, forecaster, spec):
+    values = 100.0 + np.cumsum(np.random.default_rng(8).standard_normal(300))
+    data = tmp_path / "walk.csv"
+    data.write_text("y\n" + "".join(f"{float(v)!r}\n" for v in values))
+    common = ["run", "--data", str(data), "--target-column", "y", "--classifier", "logistic",
+              "--refit-each-step", "--theory-split", "test"]
+    assert main([*common, "--forecaster", *forecaster, "--out", str(tmp_path / "model")]) == 0
+
+    train, test = chronological_split(load_csv(data, "y").target, 0.7)
+    config = TatsConfig(value_forecaster=spec, trend_predictor=TrendPredictorSpec.logistic(),
+                        refit_each_step=True)
+    [trace] = prepare_run(config, train, test)
+    table = tmp_path / "forecasts.csv"
+    table.write_text("time_index,forecast\n" + "".join(
+        f"{t},{f!r}\n" for t, f in zip(trace.t.tolist(), trace.y_hat.tolist())
+    ))
+    argv = [*common, "--forecaster", "external", "--external-forecasts", str(table),
+            "--out", str(tmp_path / "replay")]
+    assert main(argv) == 0
+
+    results, reports = [], []
+    for run in ("model", "replay"):
+        with open(tmp_path / run / "results.csv", newline="") as fh:
+            results.append([row[1:] for row in csv.reader(fh)])  # all but the model column
+        reports.append(json.loads((tmp_path / run / "report.json").read_text()))
+    assert results[0] == results[1]
+    for key in ("base", "tats", "theory"):
+        assert reports[0][key] == reports[1][key], key
+
+
+@pytest.mark.parametrize(
+    "header, extra, code, message",
+    [
+        ("y,y", [], 2, r"data error: \S+: column 'y' appears 2 times in the header"),
+        ("y,x", ["--exogenous-columns", "x,x"], 1, r"error: exogenous column 'x' is listed twice"),
+    ],
+    ids=["header-names-target-twice", "exogenous-column-listed-twice"],
+)
+def test_duplicate_column_exits_with_one_line(tmp_path, capsys, header, extra, code, message):
+    rows = np.random.default_rng(3).standard_normal((40, 2)).cumsum(axis=0)
+    data = tmp_path / "dup.csv"
+    data.write_text(header + "\n" + "".join(f"{a!r},{b!r}\n" for a, b in rows.tolist()))
+    argv = ["run", "--data", str(data), "--target-column", "y", *extra, "--out", str(tmp_path / "out")]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert re.fullmatch(message + r"\n", err), err
+    assert not (tmp_path / "out").exists()
 
 
 def test_zero_actual_leaves_mape_null(tmp_path, capsys):

@@ -279,6 +279,45 @@ def test_run_tats_echo_classifier_is_identity():
     assert np.array_equal(loss_adj, trace.loss_base)
 
 
+# (forecaster, classifier, refit_each_step, losses scale exactly): scaling by a power
+# of two is exact for every model but AR, whose least-squares solve rounds differently
+SCALED_PAIRS = [
+    (ValueForecasterSpec.naive(), TrendPredictorSpec.oracle(accuracy=0.7, seed=2), False, True),
+    (ValueForecasterSpec.drift(), TrendPredictorSpec.logistic(), False, True),
+    (ValueForecasterSpec.drift(), TrendPredictorSpec.logistic(), True, True),
+    (ValueForecasterSpec.ses(0.4), TrendPredictorSpec.knn(5), False, True),
+    (ValueForecasterSpec.ar(2), TrendPredictorSpec.gaussian_nb(), False, False),
+    (ValueForecasterSpec.ar(2), TrendPredictorSpec.logistic(), False, False),
+]
+
+
+@pytest.mark.parametrize(
+    "forecaster, classifier, refit, exact", SCALED_PAIRS,
+    ids=["naive-oracle", "drift-logistic", "drift-logistic-refit", "ses-knn", "ar-gaussian_nb",
+         "ar-logistic"],
+)
+def test_scaling_series_and_alpha_by_eight_keeps_directions(forecaster, classifier, refit, exact):
+    # mean-reverting levels, so every fitted classifier calls both directions
+    noise = np.random.default_rng(seed + 20).normal(size=200)
+    values = np.empty(200)
+    values[0] = noise[0]
+    for i in range(1, 200):
+        values[i] = 0.5 * values[i - 1] + noise[i]
+    config = TatsConfig(value_forecaster=forecaster, trend_predictor=classifier, refit_each_step=refit)
+    traces = []
+    for scale in (1.0, 8.0):
+        train, test = chronological_split(TimeSeries(scale * (60.0 + values)), 0.7)
+        traces.append(prepare_run(config, train, test, eval_splits=("test", "train")))
+    for plain, scaled in zip(*traces):
+        assert np.array_equal(scaled.direction, plain.direction)
+        assert np.array_equal(scaled.indicator, plain.indicator)
+        assert np.array_equal(scaled.scenario, plain.scenario)
+        if exact:
+            assert np.array_equal(scaled.loss_base, 64.0 * plain.loss_base)
+            for alpha in (0.5, 3.0):
+                assert np.array_equal(scaled.adjusted(8.0 * alpha)[1], 64.0 * plain.adjusted(alpha)[1])
+
+
 def test_run_tats_deterministic():
     rng = np.random.default_rng(seed + 10)
     series = _weather_series(rng)

@@ -84,6 +84,13 @@ def test_spec_validation():
         ValueForecasterSpec(kind="nonsense")
 
 
+@pytest.mark.parametrize("kind", [np.array(["ar"]), np.array(["ar", "naive"]), 2, None, b"ar"],
+                         ids=["array", "two-element-array", "int", "none", "bytes"])
+def test_kind_that_is_not_a_string_is_unknown(kind):
+    with pytest.raises(ConfigError, match="unknown forecaster kind"):
+        ValueForecasterSpec(kind, order=2)
+
+
 def test_naive():
     model = fit_forecaster(ValueForecasterSpec.naive(), _series([1.0, 2.0, 7.0]))
     assert _next(model, [3.0, 4.0]) == 4.0

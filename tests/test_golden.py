@@ -9,13 +9,16 @@ review the diff.
 """
 
 import csv
+import json
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from tats.classifiers import CLASSIFIER_KINDS, TrendPredictorSpec
 from tats.cli import main
+from tats.forecasters import FORECASTER_KINDS, ValueForecasterSpec
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 DATA = "series.csv"
@@ -100,6 +103,40 @@ def test_artifacts_match_golden(case, tmp_path, monkeypatch, capsys):
     for name, data in produced.items():
         expected = (GOLDEN / case / name).read_bytes()
         assert data == expected, f"{case}/{name} differs from the recorded artifact"
+
+
+TABLE = np.array([np.nan, 1.0])
+# each model kind as a golden case's arguments build it, and that case (None: no case runs it)
+KIND_SPECS = {
+    ("forecaster", "naive"): (ValueForecasterSpec.naive(), None),
+    ("forecaster", "drift"): (ValueForecasterSpec.drift(), "run_drift_nb_refit"),
+    ("forecaster", "ar"): (ValueForecasterSpec.ar(2), "run_ar_logistic"),
+    ("forecaster", "ses"): (ValueForecasterSpec.ses(0.4), "run_ses_knn"),
+    ("forecaster", "external"): (ValueForecasterSpec.external(TABLE), "run_external"),
+    ("classifier", "majority"): (TrendPredictorSpec.majority(), None),
+    ("classifier", "logistic"): (TrendPredictorSpec.logistic(), "run_ar_logistic"),
+    ("classifier", "gaussian_nb"): (TrendPredictorSpec.gaussian_nb(), "run_drift_nb_refit"),
+    ("classifier", "knn"): (TrendPredictorSpec.knn(), "run_ses_knn"),
+    ("classifier", "oracle"): (TrendPredictorSpec.oracle(0.7, seed=3), "run_ar_oracle"),
+    ("classifier", "external"): (TrendPredictorSpec.external(TABLE), "run_external"),
+}
+
+
+@pytest.mark.parametrize(
+    "role, kind",
+    [("forecaster", k) for k in FORECASTER_KINDS] + [("classifier", k) for k in CLASSIFIER_KINDS],
+)
+def test_spec_label_is_the_golden_model_name(role, kind):
+    spec, case = KIND_SPECS[role, kind]
+    if case is None:  # a kind without parameters is its own label
+        assert spec.label == kind
+        return
+    config = json.loads((GOLDEN / case / "report.json").read_text())["config"]
+    assert spec.label == config[role]
+    with open(GOLDEN / case / "results.csv", newline="") as fh:
+        models = [row["model"] for row in csv.DictReader(fh)]
+    assert models[0] == config["forecaster"]
+    assert set(models[1:]) == {f"tats({config['forecaster']}+{config['classifier']})"}
 
 
 if __name__ == "__main__":

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tats import DataError, Dataset, TimeSeries, load_csv
+from tats import ConfigError, DataError, Dataset, TimeSeries, load_csv
 from tats.ingest import (
     _table_slice,
     build_feature_table,
@@ -86,6 +86,29 @@ def test_load_csv_bad_cell_names_row_and_column(tmp_path):
         load_csv(path, target_column="p")
     msg = str(err.value)
     assert "'p'" in msg and "row 2" in msg
+
+
+@pytest.mark.parametrize("columns", [
+    {"target_column": "y"},
+    {"target_column": "x", "exogenous_columns": ["y"]},
+    {"target_column": "x", "label_column": "y"},
+], ids=["target", "exogenous", "label"])
+def test_load_csv_rejects_a_requested_column_named_twice(tmp_path, columns):
+    path = _write(tmp_path, "a.csv", "y,x,y\n1,2,3\n4,5,6\n")
+    with pytest.raises(DataError, match="column 'y' appears 2 times in the header"):
+        load_csv(path, **columns)
+
+
+def test_load_csv_ignores_a_repeated_column_it_does_not_read(tmp_path):
+    path = _write(tmp_path, "a.csv", "y,x,x\n1,2,3\n4,5,6\n")
+    ds = load_csv(path, target_column="y")
+    assert np.array_equal(ds.target.values, np.array([1.0, 4.0]))
+
+
+def test_load_csv_rejects_an_exogenous_column_listed_twice_before_reading(tmp_path):
+    # the file does not exist, so the error cannot come from reading it
+    with pytest.raises(ConfigError, match="exogenous column 'x' is listed twice"):
+        load_csv(tmp_path / "missing.csv", target_column="y", exogenous_columns=["x", "z", "x"])
 
 
 def test_load_csv_missing_file(tmp_path):
