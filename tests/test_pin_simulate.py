@@ -1,0 +1,61 @@
+"""sha256 pins of the ``tats simulate`` artifacts.
+
+The golden simulate case runs 20 trials of 200 steps. These two cases
+cover what it does not:
+
+* ``full-size``: 200 trials of 5,000 steps, the step count of the
+  benchmark's ``simulate-2000x5000`` workload, so every trial runs on
+  full-size buffers;
+* ``regenerated``: 40 trials of 10 steps at volatility 1e-13. Steps that
+  small are often lost when added to a walk at 100, so some walks have a
+  flat step and are drawn again, and some forecasts land exactly on the
+  previous value, which leaves undefined scenario steps.
+
+After a deliberate change of output, print the new digests with
+``python tests/test_pin_simulate.py`` and review why they moved.
+"""
+
+import hashlib
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from tats.cli import main
+
+CASES = {
+    "full-size": ["--n-trials", "200", "--n-steps", "5000", "--seed", "0"],
+    "regenerated": ["--n-trials", "40", "--n-steps", "10", "--volatility", "1e-13", "--seed", "4"],
+}
+DIGESTS = {
+    "full-size": {
+        "simulation.json": "f4db81cddfdadc9a11d1acb9ac8552856296b0849cdd3584c3d63ad2341df99b",
+        "trials.csv": "0def345ef3db158dcba61f02ae44712d1cb532725d60e0aca3abf6d7fff695a2",
+    },
+    "regenerated": {
+        "simulation.json": "77db81793b426b653ff592b6ed4f6cee2dbd52d5881527cfdbfc7dab795895ac",
+        "trials.csv": "fad54af92879dbb613f97eea4b75027e29479852b5205b1a8c70b39d912761b8",
+    },
+}
+
+
+def _digests(case: str, out: Path) -> dict[str, str]:
+    assert main(["simulate", *CASES[case], "--out", str(out)]) == 0
+    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in DIGESTS[case]}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_simulate_artifacts_keep_their_bytes(case, tmp_path, capsys):
+    produced = _digests(case, tmp_path)
+    capsys.readouterr()
+    assert produced == DIGESTS[case]
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        for case in CASES:
+            print(f'    "{case}": {{', file=sys.stderr)
+            for name, digest in _digests(case, Path(tmp, case)).items():
+                print(f'        "{name}": "{digest}",', file=sys.stderr)
+            print("    },", file=sys.stderr)
