@@ -217,11 +217,16 @@ class OracleTrendPredictor:
 
     def draw_many(self, truths: np.ndarray) -> np.ndarray:
         """Draws for +1/-1/0 truth signs (0 meaning flat)."""
-        u = np.random.default_rng(self.seed).random(truths.size)
+        out = np.empty(truths.size, dtype=np.result_type(truths, bool))
+        return self._draw_into(truths, out, np.empty(truths.size))
+
+    def _draw_into(self, truths: np.ndarray, out: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """:meth:`draw_many` written into out, with u as the buffer of uniform draws."""
+        np.random.default_rng(self.seed).random(out=u)
         flat = truths == 0
         # a flat truth becomes UP below 0.5 and DOWN otherwise
-        signed = truths + flat
-        return np.where(u < np.where(flat, 0.5, self.accuracy), signed, -signed)
+        np.add(truths, flat, out=out)
+        return np.negative(out, out=out, where=np.where(flat, u >= 0.5, u >= self.accuracy))
 
 
 def _fit_logistic(

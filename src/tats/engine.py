@@ -108,14 +108,8 @@ class ForecastTrace:
     def adjusted(self, alpha: float) -> tuple[np.ndarray, np.ndarray]:
         """(y_adj, loss_adj) at alpha: the module docstring's y_adj per step, and its squared errors."""
         _check_alpha(alpha)
-        with np.errstate(over="ignore", invalid="ignore"):
-            y_adj = np.where(self.indicator == 1, self.y_hat, self.y_prev + self.direction * alpha)
-            loss_adj = (y_adj - self.y_true) ** 2
-            if not np.isfinite(loss_adj.sum()):
-                raise NumericError(
-                    f"the summed squared errors of the adjusted forecasts at alpha={alpha!r} "
-                    "overflowed float64; alpha or the moves of the series are too large"
-                )
+        y_adj, loss_adj = np.empty(len(self)), np.empty(len(self))
+        _adjust_into(self, alpha, y_adj, loss_adj)
         return y_adj, loss_adj
 
     def scenario_counts(self) -> dict[str, int]:
@@ -127,6 +121,22 @@ def _scenario_counts(counts: np.ndarray) -> dict[str, int]:
     """Keyed counts from a bincount indexed by Scenario value."""
     named = {s.name: int(counts[s]) for s in (Scenario.S1, Scenario.S2, Scenario.S3, Scenario.S4)}
     return {**named, "undefined": int(counts[Scenario.UNDEFINED])}
+
+
+def _adjust_into(trace: ForecastTrace, alpha: float, y_adj: np.ndarray, loss_adj: np.ndarray) -> float:
+    """:meth:`ForecastTrace.adjusted` at a checked alpha, written into y_adj and loss_adj; gives their sum."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.multiply(trace.direction, alpha, out=y_adj)
+        y_adj += trace.y_prev
+        np.putmask(y_adj, trace.indicator == 1, trace.y_hat)
+        np.square(np.subtract(y_adj, trace.y_true, out=loss_adj), out=loss_adj)
+        loss_sum = loss_adj.sum()
+        if not np.isfinite(loss_sum):
+            raise NumericError(
+                f"the summed squared errors of the adjusted forecasts at alpha={alpha!r} "
+                "overflowed float64; alpha or the moves of the series are too large"
+            )
+    return float(loss_sum)
 
 
 @dataclass(frozen=True)
@@ -156,8 +166,8 @@ def evaluate_forecasts(
     """The trace of precomputed forecasts and directions, ready for any alpha.
 
     values is the full series; forecasts[i] and directions[i] describe
-    step start + i. The indicator and scenario of every step follow the
-    rules in the module docstring, applied to all steps at once.
+    step start + i. The trace's y_prev and y_true are views of values;
+    its indicator and scenario follow the rules in the module docstring.
     """
     values = np.asarray(values, dtype=float)
     forecasts = np.asarray(forecasts, dtype=float)
@@ -175,32 +185,40 @@ def evaluate_forecasts(
         raise ConfigError(
             f"evaluation range [{start}, {start + m}) outside series of length {values.size}"
         )
-    t = np.arange(start, start + m)
-    y_prev = values[t - 1]
-    y_true = values[t]
+    trace = ForecastTrace(
+        t=np.arange(start, start + m), y_prev=values[start - 1 : start - 1 + m],
+        y_true=values[start : start + m], y_hat=forecasts, direction=directions,
+        indicator=np.empty(m, dtype=int), loss_base=np.empty(m), scenario=np.empty(m, dtype=int),
+    )
+    # a move that overflows to +-inf keeps its sign; a NaN one fails the loss check
+    with np.errstate(over="ignore", invalid="ignore"):
+        actual = np.sign(trace.y_true - trace.y_prev).astype(int)
+    _evaluate_into(trace, actual, np.empty(m, dtype=int))
+    return trace
+
+
+def _evaluate_into(trace: ForecastTrace, actual: np.ndarray, implied: np.ndarray) -> float:
+    """Fill the indicator, loss_base and scenario of a trace; give sum(loss_base).
+
+    actual holds the int signs of y_true - y_prev; implied receives those of y_hat - y_prev.
+    """
+    loss = trace.loss_base
     # a difference that overflows to +-inf keeps its sign; the losses are checked
     with np.errstate(over="ignore", invalid="ignore"):
-        fdelta = forecasts - y_prev
-        ind = (fdelta * directions >= 0.0).astype(int)
-        loss_base = (forecasts - y_true) ** 2
-        actual_sign = np.sign(y_true - y_prev).astype(int)
+        np.subtract(trace.y_hat, trace.y_prev, out=loss)  # the implied moves, until the losses
+        np.sign(loss, out=implied, casting="unsafe")
+        np.square(np.subtract(trace.y_hat, trace.y_true, out=loss), out=loss)
         # summing can overflow too, so the check stays inside the errstate block
-        _require_finite(loss_base.sum(), "the summed squared forecast errors")
-    implied_sign = np.sign(fdelta).astype(int)
-    undefined = (actual_sign == 0) | (implied_sign == 0)
-    scenario = np.where(
-        undefined,
-        int(Scenario.UNDEFINED),
-        np.where(
-            implied_sign == actual_sign,
-            np.where(directions == actual_sign, int(Scenario.S1), int(Scenario.S2)),
-            np.where(directions == actual_sign, int(Scenario.S4), int(Scenario.S3)),
-        ),
-    )
-    return ForecastTrace(
-        t=t, y_prev=y_prev, y_true=y_true, y_hat=forecasts, direction=directions,
-        indicator=ind, loss_base=loss_base, scenario=scenario,
-    )
+        loss_sum = float(_require_finite(loss.sum(), "the summed squared forecast errors"))
+    # (y_hat - y_prev) * c >= 0 holds exactly when sign(y_hat - y_prev) * c >= 0
+    np.greater_equal(np.multiply(implied, trace.direction, out=trace.indicator), 0, out=trace.indicator)
+    # S1..S4 are 1 + 2*fc_wrong + (fc_wrong xor clf_wrong); a step with a flat sign is UNDEFINED
+    fc_wrong, scenario = implied != actual, trace.scenario
+    np.multiply(fc_wrong, 2, out=scenario)
+    scenario += fc_wrong ^ (trace.direction != actual)
+    scenario += 1
+    scenario *= np.multiply(implied, actual, out=implied) != 0
+    return loss_sum
 
 
 class _SplitDataError(DataError):
@@ -264,19 +282,18 @@ def prepare_run(
                     f"(first evaluable index {start})"
                 )
 
-        eval_t = np.arange(start, stop)
         try:
             forecasts = _walk_forward(
                 config.value_forecaster, fitted, values[:stop], start, config.refit_each_step
             )
             if isinstance(classifier, OracleTrendPredictor):
                 with np.errstate(over="ignore"):  # the sign survives overflow to +-inf
-                    truths = np.sign(values[eval_t] - values[eval_t - 1]).astype(int)
+                    truths = np.sign(np.diff(values[start - 1 : stop])).astype(int)
                 directions = classifier.draw_many(truths)
             elif not feature_based:  # an external direction table
                 directions = _table_slice(classifier, start, stop, "directions")
             else:
-                directions = classifier.predict_matrix(features.rows_at(eval_t - 1))
+                directions = classifier.predict_matrix(features.rows_at(np.arange(start - 1, stop - 1)))
         except DataError as exc:
             raise _SplitDataError(eval_split, str(exc)) from None
         prepared.append(evaluate_forecasts(values, start, forecasts, directions))

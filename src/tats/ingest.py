@@ -154,12 +154,14 @@ def load_csv(
     """Load a Dataset from a headered CSV file.
 
     The label column, if named, is checked to be strictly increasing and
-    not kept. A column named twice in the header, or listed twice in
-    exogenous_columns, is an error.
+    not kept. A column named twice in the header, listed twice in
+    exogenous_columns, or listed there as the target, is an error.
     """
     for i, name in enumerate(exogenous_columns or []):
         if name in exogenous_columns[:i]:
             raise ConfigError(f"exogenous column '{name}' is listed twice")
+        if name == target_column:
+            raise ConfigError(f"exogenous column '{name}' is the target column")
 
     def parse(header: list[str], rows: list[list[str]]) -> Dataset:
         labels = None if label_column is None else _column(header, rows, label_column, path)

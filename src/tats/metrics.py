@@ -46,15 +46,10 @@ def td_accuracy(y_prev, y_true, y_pred) -> float:
     prev = np.asarray(y_prev, dtype=float)
     if prev.shape != t.shape:
         raise ConfigError(f"y_prev must align with actuals, got {prev.shape} vs {t.shape}")
-    return float(_direction_hits(prev, t, p) / t.size)
-
-
-def _direction_hits(y_prev: np.ndarray, y_true: np.ndarray, y_pred: np.ndarray) -> int:
-    """Number of steps where the forecast and the actual move the same strict way."""
     # signs, not the product of the moves, which underflows to 0 below about
     # 1e-154; a move that overflows to +-inf keeps its sign
     with np.errstate(over="ignore", invalid="ignore"):
-        return int(np.count_nonzero(np.sign(y_pred - y_prev) * np.sign(y_true - y_prev) > 0))
+        return float(np.count_nonzero(np.sign(p - prev) * np.sign(t - prev) > 0) / t.size)
 
 
 def mse(y_true, y_pred) -> float:
@@ -108,7 +103,7 @@ def trend_aware_loss(y_true, y_pred, gamma: float, y_prev=None) -> float:
         if prev.shape != t.shape:
             raise ConfigError(f"y_prev must align with actuals, got {prev.shape} vs {t.shape}")
         tt, pp = t, p
-    with np.errstate(over="ignore", invalid="ignore"):  # as in _direction_hits
+    with np.errstate(over="ignore", invalid="ignore"):  # as in td_accuracy
         wrong = int(np.count_nonzero(np.sign(pp - prev) * np.sign(tt - prev) < 0))
     return sse + gamma * wrong
 

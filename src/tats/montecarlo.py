@@ -24,13 +24,13 @@ check scores the estimator that ``tats run`` reports.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from .classifiers import OracleTrendPredictor
 from .core import TimeSeries
-from .engine import _check_alpha, _scenario_counts, evaluate_forecasts
+from .engine import ForecastTrace, _adjust_into, _check_alpha, _evaluate_into, _scenario_counts
 from .errors import ConfigError, NumericError, _require_finite
 from .theory import _estimate, _trace_stats
 
@@ -95,11 +95,19 @@ def gen_random_walk(
         raise ConfigError(f"volatility must be finite and positive, got {volatility}")
     if not math.isfinite(drift):
         raise ConfigError(f"drift must be finite, got {drift}")
-    rng = np.random.default_rng(seed)
+    return TimeSeries(_walk_into(np.empty(n), np.empty(n - 1), drift, volatility, np.random.default_rng(seed)))
+
+
+def _walk_into(walk: np.ndarray, steps: np.ndarray, drift: float, volatility: float, rng) -> np.ndarray:
+    """:func:`gen_random_walk` written into walk, with steps as the buffer of its len(walk) - 1 steps."""
+    rng.standard_normal(out=steps)
     with np.errstate(over="ignore", invalid="ignore"):
-        steps = drift + volatility * rng.standard_normal(n - 1)
-        values = WALK_START + np.concatenate([[0.0], np.cumsum(steps)])
-    return TimeSeries(_require_finite(values, "the random walk"))
+        steps *= volatility
+        steps += drift
+        walk[0] = 0.0
+        np.cumsum(steps, out=walk[1:])
+        walk += WALK_START
+    return _require_finite(walk, "the random walk")
 
 
 def synthetic_forecaster(
@@ -121,17 +129,24 @@ def synthetic_forecaster(
         raise ConfigError(f"error_scale must be positive, got {error_scale}")
     # steps of huge walks can overflow; that shows in the forecasts checked below
     with np.errstate(over="ignore", invalid="ignore"):
-        deltas = np.diff(series.values)
-        if np.any(deltas == 0.0):
-            bad = int(np.flatnonzero(deltas == 0.0)[0])
-            raise NumericError(
-                f"flat step at index {bad + 1}: directional accuracy is undefined there; "
-                "regenerate or perturb the series"
-            )
-        rng = np.random.default_rng(seed)
-        correct = rng.random(deltas.size) < p_dt
-        signed = np.where(correct, error_scale * deltas, -error_scale * deltas)
-        forecasts = series.values[:-1] + signed
+        moves = np.diff(series.values)
+    flat = np.flatnonzero(moves == 0.0)
+    if flat.size:
+        raise NumericError(
+            f"flat step at index {flat[0] + 1}: directional accuracy is undefined there; "
+            "regenerate or perturb the series"
+        )
+    forecasts, u = np.empty(moves.size), np.empty(moves.size)
+    return _forecast_into(forecasts, series.values[:-1], moves, p_dt, error_scale, np.random.default_rng(seed), u)
+
+
+def _forecast_into(forecasts, y_prev, moves, p_dt: float, error_scale: float, rng, u) -> np.ndarray:
+    """:func:`synthetic_forecaster` for the moves of a walk without flat steps, written into forecasts."""
+    rng.random(out=u)
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.multiply(moves, error_scale, out=forecasts)
+        np.negative(forecasts, out=forecasts, where=u >= p_dt)
+        forecasts += y_prev
     return _require_finite(forecasts, "the synthetic forecasts")
 
 
@@ -157,40 +172,47 @@ class SimulationReport:
         return self.mean_reduction >= self.theoretical_bound - 3.0 * self.std_error
 
     def to_dict(self) -> dict:
-        return {
-            "config": asdict(self.config),
-            "mean_reduction": self.mean_reduction,
-            "std_error": self.std_error,
-            "positive_fraction": self.positive_fraction,
-            "realized_p_db": self.realized_p_db,
-            "realized_p_dt": self.realized_p_dt,
-            "mean_abs_gap": self.mean_abs_gap,
-            "theoretical_bound": self.theoretical_bound,
-            "bound_satisfied": self.bound_satisfied,
-            "scenario_counts": dict(self.scenario_counts),
-            "n_steps_total": self.n_steps_total,
-        }
+        """Every field but trials, with the config as a dict, then bound_satisfied."""
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "trials"}
+        out.update(config=asdict(self.config), scenario_counts=dict(self.scenario_counts))
+        return {**out, "bound_satisfied": self.bound_satisfied}
 
 
-def _run_trial(config: SimConfig, child: np.random.SeedSequence):
-    """One trial: its two MSEs, the trace's theory statistics, its scenario counts."""
-    series = None
+class _Workspace:
+    """The arrays of one trial, allocated once per run and refilled by every trial."""
+
+    def __init__(self, n_steps: int) -> None:
+        # draws holds one stream's draws at a time; moves holds y_t - y_{t-1} (then the loss
+        # gaps), actual their signs and implied the signs of the forecasts' implied moves
+        self.walk = np.empty(n_steps + 1)
+        self.draws, self.moves, self.y_adj, self.loss_adj = (np.empty(n_steps) for _ in range(4))
+        self.actual, self.implied = (np.empty(n_steps, dtype=int) for _ in range(2))
+        self.trace = ForecastTrace(
+            t=np.arange(1, n_steps + 1), y_prev=self.walk[:-1], y_true=self.walk[1:], y_hat=np.empty(n_steps),
+            direction=np.empty(n_steps, dtype=int), indicator=np.empty(n_steps, dtype=int),
+            loss_base=np.empty(n_steps), scenario=np.empty(n_steps, dtype=int),
+        )
+
+
+def _run_trial(config: SimConfig, child: np.random.SeedSequence, ws: _Workspace):
+    """One trial in ws: its two MSEs, the trace's theory statistics, its scenario counts."""
     for _ in range(_MAX_REGEN_ATTEMPTS):
         walk_ss, forecaster_ss, classifier_ss = child.spawn(3)
-        candidate = gen_random_walk(config.n_steps + 1, config.drift, config.volatility, walk_ss)
-        if np.all(np.diff(candidate.values) != 0.0):
-            series = candidate
+        _walk_into(ws.walk, ws.draws, config.drift, config.volatility, np.random.default_rng(walk_ss))
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.subtract(ws.walk[1:], ws.walk[:-1], out=ws.moves)
+        if np.count_nonzero(ws.moves) == ws.moves.size:
             break
-    if series is None:
+    else:
         raise NumericError("could not generate a walk without flat steps")
-    forecasts = synthetic_forecaster(series, config.p_dt, config.error_scale, forecaster_ss)
-    truths = np.sign(np.diff(series.values)).astype(int)
-    oracle = OracleTrendPredictor(accuracy=config.p_db, seed=classifier_ss)
-    directions = oracle.draw_many(truths)
-    trace = evaluate_forecasts(series.values, 1, forecasts, directions)
-    mse_base = float(np.mean(trace.loss_base))
-    mse_tats = float(np.mean(trace.adjusted(config.alpha)[1]))
-    return mse_base, mse_tats, _trace_stats(trace), np.bincount(trace.scenario, minlength=5)
+    trace, rng = ws.trace, np.random.default_rng(forecaster_ss)
+    _forecast_into(trace.y_hat, trace.y_prev, ws.moves, config.p_dt, config.error_scale, rng, ws.draws)
+    np.sign(ws.moves, out=ws.actual, casting="unsafe")
+    OracleTrendPredictor(config.p_db, classifier_ss)._draw_into(ws.actual, trace.direction, ws.draws)
+    mse_base = _evaluate_into(trace, ws.actual, ws.implied) / len(trace)
+    mse_tats = _adjust_into(trace, config.alpha, ws.y_adj, ws.loss_adj) / len(trace)
+    counts = np.bincount(trace.scenario, minlength=5)
+    return mse_base, mse_tats, _trace_stats(trace, ws.moves, ws.actual, counts), counts
 
 
 def validate_prop1(config: SimConfig) -> SimulationReport:
@@ -198,10 +220,13 @@ def validate_prop1(config: SimConfig) -> SimulationReport:
 
     Each trial's walk, forecaster draws, and classifier draws use
     independent sub-streams spawned from config.seed. Trials run one at
-    a time, so memory stays at one trial's arrays.
+    a time in one workspace of per-step arrays, allocated once per run:
+    each trial overwrites the arrays of the one before, so the trial
+    loop allocates nothing large and memory stays at one trial's arrays.
     """
     children = np.random.SeedSequence(config.seed).spawn(config.n_trials)
-    mse_base, mse_tats, stats, counts = zip(*(_run_trial(config, child) for child in children))
+    ws = _Workspace(config.n_steps)
+    mse_base, mse_tats, stats, counts = zip(*(_run_trial(config, child, ws) for child in children))
     clf_hits, fc_hits, gap_sums, steps = zip(*stats)
 
     trials = np.column_stack([mse_base, mse_tats])
@@ -209,11 +234,8 @@ def validate_prop1(config: SimConfig) -> SimulationReport:
     n = len(reductions)
     try:
         mean_reduction = math.fsum(reductions) / n
-        if n > 1:
-            variance = math.fsum((r - mean_reduction) ** 2 for r in reductions) / (n - 1)
-            std_error = math.sqrt(variance / n)
-        else:
-            std_error = 0.0
+        variance = math.fsum((r - mean_reduction) ** 2 for r in reductions) / max(n - 1, 1)
+        std_error = math.sqrt(variance / n)
         gap_sum = math.fsum(gap_sums)
     except OverflowError:
         raise NumericError(

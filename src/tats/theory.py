@@ -28,7 +28,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ConfigError, _require_finite
-from .metrics import _direction_hits
 
 if TYPE_CHECKING:
     from .engine import ForecastTrace
@@ -91,16 +90,19 @@ class TheoryEstimate:
         return asdict(self)
 
 
-def _trace_stats(trace: "ForecastTrace") -> tuple[int, int, float, int]:
-    """(classifier hits, forecaster hits, summed gap, steps) of a trace's base forecasts."""
+def _trace_stats(trace: "ForecastTrace", moves, actual, counts) -> tuple[int, int, float, int]:
+    """(classifier hits, forecaster hits, summed gap, steps) of a trace's base forecasts.
+
+    moves holds y_true - y_prev, which the loss gaps overwrite, actual its signs and counts
+    the bincount of the scenarios: the forecaster hits the S1 and S2 steps.
+    """
     # a move that overflows to +-inf keeps its sign; the gap sum is checked
     with np.errstate(over="ignore", invalid="ignore"):
-        deltas = trace.y_true - trace.y_prev
-        gap_sum = np.sum(np.abs(trace.loss_base - deltas**2))
+        np.subtract(trace.loss_base, np.square(moves, out=moves), out=moves)
+        gap_sum = np.abs(moves, out=moves).sum()
     gap_sum = float(_require_finite(gap_sum, "the summed absolute loss gap"))
-    clf_hits = int(np.count_nonzero(trace.direction == np.sign(deltas)))
-    fc_hits = _direction_hits(trace.y_prev, trace.y_true, trace.y_hat)
-    return clf_hits, fc_hits, gap_sum, int(deltas.size)
+    clf_hits = int(np.count_nonzero(trace.direction == actual))
+    return clf_hits, int(counts[1] + counts[2]), gap_sum, int(moves.size)
 
 
 def _estimate(clf_hits: int, fc_hits: int, gap_sum: float, n_steps: int) -> TheoryEstimate:
@@ -129,4 +131,6 @@ def estimate_theory(trace: "ForecastTrace") -> TheoryEstimate:
     the accuracy definition. abs_gap is the mean |l_t - (y_t - y_{t-1})^2|
     over the base losses.
     """
-    return _estimate(*_trace_stats(trace))
+    with np.errstate(over="ignore", invalid="ignore"):  # as in _trace_stats
+        moves = trace.y_true - trace.y_prev
+    return _estimate(*_trace_stats(trace, moves, np.sign(moves), np.bincount(trace.scenario, minlength=5)))

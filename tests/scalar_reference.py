@@ -1,9 +1,12 @@
-"""Scalar, one-step forms of the adjustment: the truth-table reference.
+"""Reference forms of the adjustment and of the theory statistics.
 
 The library evaluates whole traces at once (``evaluate_forecasts`` and
-``ForecastTrace.adjusted``). These per-step functions state the same
-rules for a single step, and the tests check the vectorized path
-against them.
+``ForecastTrace.adjusted``). The per-step functions state the same rules
+for a single step. ``scenario_tags`` and ``trace_stats`` are the earlier
+whole-trace formulas, kept as oracles: a nested selection for the
+scenario tags, and for the theory statistics hit counts taken from fresh
+signs of the moves with the gap sum beside them. The tests check the
+library against all of them.
 """
 
 import math
@@ -43,3 +46,34 @@ def classify_scenario(y_prev: float, y_true: float, y_hat: float, direction: int
     if implied == actual:
         return Scenario.S1 if direction == actual else Scenario.S2
     return Scenario.S4 if direction == actual else Scenario.S3
+
+
+def scenario_tags(y_prev, y_true, y_hat, directions) -> np.ndarray:
+    """The Scenario value of every step, selected by nested np.where."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        actual = np.sign(y_true - y_prev).astype(int)
+        implied = np.sign(y_hat - y_prev).astype(int)
+    return np.where(
+        (actual == 0) | (implied == 0),
+        int(Scenario.UNDEFINED),
+        np.where(
+            implied == actual,
+            np.where(directions == actual, int(Scenario.S1), int(Scenario.S2)),
+            np.where(directions == actual, int(Scenario.S4), int(Scenario.S3)),
+        ),
+    )
+
+
+def trace_stats(trace) -> tuple[int, int, float, int]:
+    """(classifier hits, forecaster hits, summed gap, steps) of a trace's base forecasts.
+
+    The classifier hits a step when it calls the strict sign of the move,
+    the forecaster when its implied move has the move's strict sign, and
+    the gap of a step is |loss_base - move**2|.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        deltas = trace.y_true - trace.y_prev
+        gap_sum = float(np.sum(np.abs(trace.loss_base - deltas**2)))
+        fc_hits = int(np.count_nonzero(np.sign(trace.y_hat - trace.y_prev) * np.sign(deltas) > 0))
+    clf_hits = int(np.count_nonzero(trace.direction == np.sign(deltas)))
+    return clf_hits, fc_hits, gap_sum, int(deltas.size)

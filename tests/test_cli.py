@@ -773,8 +773,9 @@ def test_external_replay_of_refit_forecasts_matches_the_model(tmp_path, forecast
     [
         ("y,y", [], 2, r"data error: \S+: column 'y' appears 2 times in the header"),
         ("y,x", ["--exogenous-columns", "x,x"], 1, r"error: exogenous column 'x' is listed twice"),
+        ("y,x", ["--exogenous-columns", "y"], 1, r"error: exogenous column 'y' is the target column"),
     ],
-    ids=["header-names-target-twice", "exogenous-column-listed-twice"],
+    ids=["header-names-target-twice", "exogenous-column-listed-twice", "exogenous-column-is-target"],
 )
 def test_duplicate_column_exits_with_one_line(tmp_path, capsys, header, extra, code, message):
     rows = np.random.default_rng(3).standard_normal((40, 2)).cumsum(axis=0)

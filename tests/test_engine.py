@@ -16,8 +16,9 @@ from tats import (
 )
 from tats.engine import evaluate_forecasts
 from tats.metrics import mae, mape, mse, td_accuracy
+from tats.theory import _estimate, estimate_theory
 
-from scalar_reference import adjust, classify_scenario, indicator
+from scalar_reference import adjust, classify_scenario, indicator, scenario_tags, trace_stats
 
 seed = 707
 UP, DOWN = 1, -1
@@ -80,12 +81,32 @@ SCENARIO_CASES = [
     (10.0, 10.0, 11.0, UP, Scenario.UNDEFINED),  # flat actual move
     (10.0, 12.0, 10.0, UP, Scenario.UNDEFINED),  # flat implied move
     (0.0, -0.0, 1.0, UP, Scenario.UNDEFINED),  # a -0.0 move is flat too
+    (0.0, 1.0, -0.0, UP, Scenario.UNDEFINED),  # and so is a -0.0 implied move
+    (-0.0, 0.0, 0.0, DOWN, Scenario.UNDEFINED),
 ]
 
 
 @pytest.mark.parametrize("y_prev,y_true,y_hat,direction,expected", SCENARIO_CASES)
 def test_classify_scenario_truth_table(y_prev, y_true, y_hat, direction, expected):
     assert classify_scenario(y_prev, y_true, y_hat, direction) is expected
+
+
+def test_truth_table_trace_matches_the_reference_formulas():
+    # case i is step 2i + 1; the step between two cases forecasts the next
+    # case's start and calls DOWN
+    values = np.array([v for y_prev, y_true, *_ in SCENARIO_CASES for v in (y_prev, y_true)])
+    forecasts, directions = [], []
+    for i, (_, _, y_hat, direction, _) in enumerate(SCENARIO_CASES):
+        forecasts.append(y_hat)
+        directions.append(direction)
+        if 2 * i + 2 < values.size:
+            forecasts.append(values[2 * i + 2])
+            directions.append(DOWN)
+    trace = evaluate_forecasts(values, 1, np.array(forecasts), np.array(directions))
+    assert trace.scenario[::2].tolist() == [case[-1] for case in SCENARIO_CASES]
+    expected = scenario_tags(trace.y_prev, trace.y_true, trace.y_hat, trace.direction)
+    assert np.array_equal(trace.scenario, expected)
+    assert estimate_theory(trace) == _estimate(*trace_stats(trace))
 
 
 @pytest.mark.parametrize("y_true,y_hat", [(float("nan"), 11.0), (12.0, float("nan"))])

@@ -111,6 +111,12 @@ def test_load_csv_rejects_an_exogenous_column_listed_twice_before_reading(tmp_pa
         load_csv(tmp_path / "missing.csv", target_column="y", exogenous_columns=["x", "z", "x"])
 
 
+def test_load_csv_rejects_the_target_as_an_exogenous_column_before_reading(tmp_path):
+    # each classifier row would hold the target's value twice
+    with pytest.raises(ConfigError, match="^exogenous column 'y' is the target column$"):
+        load_csv(tmp_path / "missing.csv", target_column="y", exogenous_columns=["x", "y"])
+
+
 def test_load_csv_missing_file(tmp_path):
     with pytest.raises(DataError):
         load_csv(tmp_path / "missing.csv", target_column="p")

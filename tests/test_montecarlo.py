@@ -1,14 +1,22 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tats import ConfigError, NumericError, SimConfig, estimate_theory, validate_prop1
+from tats import ConfigError, NumericError, SimConfig, estimate_theory, lower_bound, validate_prop1
 from tats.classifiers import OracleTrendPredictor
 from tats.engine import evaluate_forecasts
 from tats.montecarlo import gen_random_walk, synthetic_forecaster
+from tats.theory import _estimate
+
+from scalar_reference import scenario_tags, trace_stats
 
 seed = 808
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_walk_shape_and_start():
@@ -184,3 +192,113 @@ def test_validate_prop1_overflow_is_a_numeric_error(drift, volatility):
     # every walk is finite, but the trial statistics overflow
     with pytest.raises(NumericError, match="overflowed float64"):
         validate_prop1(SimConfig(n_steps=50, n_trials=2, drift=drift, volatility=volatility))
+
+
+def _trial_traces(config):
+    """(trace, redrawn walks) of every trial of config, rebuilt from the public functions.
+
+    Each trial spawns its walk, forecaster and classifier streams from its
+    own child seed, in that order, and draws a new walk while one has a
+    flat step.
+    """
+    for child in np.random.SeedSequence(config.seed).spawn(config.n_trials):
+        redrawn = 0
+        while True:
+            walk_ss, forecaster_ss, classifier_ss = child.spawn(3)
+            walk = gen_random_walk(config.n_steps + 1, config.drift, config.volatility, walk_ss)
+            if np.all(np.diff(walk.values) != 0.0):
+                break
+            redrawn += 1
+        forecasts = synthetic_forecaster(walk, config.p_dt, config.error_scale, forecaster_ss)
+        truths = np.sign(np.diff(walk.values)).astype(int)
+        directions = OracleTrendPredictor(config.p_db, classifier_ss).draw_many(truths)
+        yield evaluate_forecasts(walk.values, 1, forecasts, directions), redrawn
+
+
+def _rebuild(config):
+    """validate_prop1's trials and pooled fields from the rebuilt traces and the reference statistics."""
+    trials, counts, clf_hits, fc_hits, gap_sums = [], np.zeros(5, dtype=int), 0, 0, []
+    for trace, _ in _trial_traces(config):
+        trials.append((np.mean(trace.loss_base), np.mean(trace.adjusted(config.alpha)[1])))
+        counts += np.bincount(trace.scenario, minlength=5)
+        clf, fc, gap_sum, _ = trace_stats(trace)
+        clf_hits, fc_hits = clf_hits + clf, fc_hits + fc
+        gap_sums.append(gap_sum)
+    n = config.n_trials * config.n_steps
+    p_db, p_dt, gap = clf_hits / n, fc_hits / n, math.fsum(gap_sums) / n
+    return {
+        "trials": np.array(trials),
+        "scenario_counts": dict(zip(["undefined", "S1", "S2", "S3", "S4"], counts.tolist())),
+        "realized_p_db": p_db,
+        "realized_p_dt": p_dt,
+        "mean_abs_gap": gap,
+        "theoretical_bound": lower_bound(gap, p_db, p_dt),
+        "n_steps_total": n,
+    }
+
+
+REGENERATING = SimConfig(n_trials=40, n_steps=10, volatility=1e-13, seed=4)
+
+
+@pytest.mark.parametrize("config", [
+    SimConfig(n_steps=300, n_trials=12, seed=17),
+    SimConfig(n_steps=200, n_trials=10, p_dt=0.6, p_db=0.55, error_scale=1.2, drift=0.3, seed=8),
+    REGENERATING,
+], ids=["default", "drift", "regenerating"])
+def test_every_trial_matches_the_public_functions(config):
+    # trials share reused arrays, so state left by one trial would show in the next
+    rep = validate_prop1(config)
+    fields = _rebuild(config)
+    assert np.array_equal(rep.trials, fields.pop("trials"))
+    for name, value in fields.items():
+        assert getattr(rep, name) == value, name
+
+
+def test_regenerating_config_matches_the_reference_formulas():
+    traces, redrawn = zip(*_trial_traces(REGENERATING))
+    assert sum(redrawn) > 0
+    undefined = 0
+    for trace in traces:
+        expected = scenario_tags(trace.y_prev, trace.y_true, trace.y_hat, trace.direction)
+        assert np.array_equal(trace.scenario, expected)
+        assert estimate_theory(trace) == _estimate(*trace_stats(trace))
+        undefined += int(np.count_nonzero(trace.scenario == 0))
+    # forecasts that land on the previous value make flat implied moves
+    assert undefined == 27
+
+
+def test_walks_that_stay_flat_are_a_numeric_error():
+    # a step of 1e-16 is lost when added to 100, so every walk is flat
+    with pytest.raises(NumericError, match="^could not generate a walk without flat steps$"):
+        validate_prop1(SimConfig(n_steps=10, n_trials=1, volatility=1e-16))
+
+
+# Runs in a fresh interpreter: whether freed trial arrays go back to the
+# system, to fault in again in the next trial, depends on the heap layout,
+# and the history of the test process decides that layout. A block of pad
+# bytes shifts it; each line printed is the faults of 200 trials at one pad.
+FAULT_SCRIPT = """
+import resource
+from tats import SimConfig, validate_prop1
+
+validate_prop1(SimConfig(n_trials=2, n_steps=5000))
+for pad in (0, 25_000, 50_000, 75_000, 100_000):
+    block = bytearray(pad)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    validate_prop1(SimConfig(n_trials=200, n_steps=5000))
+    print(pad, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    del block
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="counts minor page faults with getrusage")
+def test_trials_do_not_fault_pages_back_in():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", FAULT_SCRIPT], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    per_trial = {int(pad): int(faults) / 200 for pad, faults in map(str.split, done.stdout.splitlines())}
+    assert len(per_trial) == 5
+    assert max(per_trial.values()) <= 5.0, per_trial
