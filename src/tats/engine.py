@@ -124,7 +124,7 @@ def _scenario_counts(counts: np.ndarray) -> dict[str, int]:
 
 
 def _adjust_into(trace: ForecastTrace, alpha: float, y_adj: np.ndarray, loss_adj: np.ndarray) -> float:
-    """:meth:`ForecastTrace.adjusted` at a checked alpha, written into y_adj and loss_adj; gives their sum."""
+    """:meth:`ForecastTrace.adjusted` at a checked alpha, written into y_adj and loss_adj; gives sum(loss_adj)."""
     with np.errstate(over="ignore", invalid="ignore"):
         np.multiply(trace.direction, alpha, out=y_adj)
         y_adj += trace.y_prev
