@@ -133,14 +133,8 @@ def test_report_bookkeeping():
 def test_realized_fields_are_estimate_theory_of_the_trial():
     config = SimConfig(n_steps=3000, n_trials=1, seed=11)
     rep = validate_prop1(config)
-    # rebuild the one trial from the same spawned streams
-    [child] = np.random.SeedSequence(config.seed).spawn(1)
-    walk_ss, forecaster_ss, classifier_ss = child.spawn(3)
-    walk = gen_random_walk(config.n_steps + 1, config.drift, config.volatility, walk_ss)
-    forecasts = synthetic_forecaster(walk, config.p_dt, config.error_scale, forecaster_ss)
-    oracle = OracleTrendPredictor(accuracy=config.p_db, seed=classifier_ss)
-    directions = oracle.draw_many(np.sign(np.diff(walk.values)).astype(int))
-    est = estimate_theory(evaluate_forecasts(walk.values, 1, forecasts, directions))
+    [(trace, _)] = _trial_traces(config)
+    est = estimate_theory(trace)
     assert rep.realized_p_db == est.p_db
     assert rep.realized_p_dt == est.p_dt
     assert rep.mean_abs_gap == est.abs_gap
