@@ -1,6 +1,6 @@
 """sha256 pins of the ``tats simulate`` artifacts.
 
-The golden simulate case runs 20 trials of 200 steps. These two cases
+The golden simulate case runs 20 trials of 200 steps. These three cases
 cover what it does not:
 
 * ``full-size``: 200 trials of 5,000 steps, the step count of the
@@ -9,7 +9,10 @@ cover what it does not:
 * ``regenerated``: 40 trials of 10 steps at volatility 1e-13. Steps that
   small are often lost when added to a walk at 100, so some walks have a
   flat step and are drawn again, and some forecasts land exactly on the
-  previous value, which leaves undefined scenario steps.
+  previous value, which leaves undefined scenario steps;
+* ``thresholds``: 300 trials of 500 steps with p_dt 0.6, p_db 0.55, error
+  scale 1.2 and drift 0.3, so the forecaster's and the oracle's draws are
+  compared with thresholds other than the defaults.
 
 After a deliberate change of output, print the new digests with
 ``python tests/test_pin_simulate.py`` and review why they moved.
@@ -27,6 +30,10 @@ from tats.cli import main
 CASES = {
     "full-size": ["--n-trials", "200", "--n-steps", "5000", "--seed", "0"],
     "regenerated": ["--n-trials", "40", "--n-steps", "10", "--volatility", "1e-13", "--seed", "4"],
+    "thresholds": [
+        "--n-trials", "300", "--n-steps", "500", "--p-dt", "0.6", "--p-db", "0.55",
+        "--error-scale", "1.2", "--drift", "0.3", "--seed", "3",
+    ],
 }
 DIGESTS = {
     "full-size": {
@@ -36,6 +43,10 @@ DIGESTS = {
     "regenerated": {
         "simulation.json": "77db81793b426b653ff592b6ed4f6cee2dbd52d5881527cfdbfc7dab795895ac",
         "trials.csv": "fad54af92879dbb613f97eea4b75027e29479852b5205b1a8c70b39d912761b8",
+    },
+    "thresholds": {
+        "simulation.json": "4c3736ac9fc1e1f2a4c3ac4ff971f890b7c71059097e0d49ddc8eaffae8fc455",
+        "trials.csv": "fd1e09a2f8bf8cf2fd9204c96d38d56740406aeed99787bc1f708e5a625b37e5",
     },
 }
 
