@@ -224,9 +224,16 @@ class OracleTrendPredictor:
         """:meth:`draw_many` written into out, with u as the buffer of uniform draws."""
         np.random.default_rng(self.seed).random(out=u)
         flat = truths == 0
-        # a flat truth becomes UP below 0.5 and DOWN otherwise
+        # a flat truth becomes UP below 0.5 and DOWN otherwise; flats are rare, so this mask
+        # is almost all False and the masked write costs little
+        wrong = u >= self.accuracy
+        np.greater_equal(u, 0.5, out=wrong, where=flat)
+        # out = (truths + flat) * (1 - 2*wrong), the factor built in the bytes of wrong
+        factor = wrong.view(np.int8)
+        factor *= -2
+        factor += 1
         np.add(truths, flat, out=out)
-        return np.negative(out, out=out, where=np.where(flat, u >= 0.5, u >= self.accuracy))
+        return np.multiply(out, factor, out=out)
 
 
 def _fit_logistic(

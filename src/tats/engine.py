@@ -212,12 +212,15 @@ def _evaluate_into(trace: ForecastTrace, actual: np.ndarray, implied: np.ndarray
         loss_sum = float(_require_finite(loss.sum(), "the summed squared forecast errors"))
     # (y_hat - y_prev) * c >= 0 holds exactly when sign(y_hat - y_prev) * c >= 0
     np.greater_equal(np.multiply(implied, trace.direction, out=trace.indicator), 0, out=trace.indicator)
-    # S1..S4 are 1 + 2*fc_wrong + (fc_wrong xor clf_wrong); a step with a flat sign is UNDEFINED
-    fc_wrong, scenario = implied != actual, trace.scenario
-    np.multiply(fc_wrong, 2, out=scenario)
-    scenario += fc_wrong ^ (trace.direction != actual)
-    scenario += 1
-    scenario *= np.multiply(implied, actual, out=implied) != 0
+    # with f = implied*actual and c = direction*actual, S1..S4 are (5 - f*(c + 2)) >> 1 for
+    # (f, c) = (1, 1), (1, -1), (-1, -1), (-1, 1); the factor f*f makes a flat sign UNDEFINED
+    f, scenario = np.multiply(implied, actual, out=implied), trace.scenario
+    np.multiply(trace.direction, actual, out=scenario)
+    scenario += 2
+    scenario *= f
+    np.subtract(5, scenario, out=scenario)
+    scenario >>= 1
+    scenario *= np.square(f, out=f)
     return loss_sum
 
 

@@ -143,9 +143,14 @@ def synthetic_forecaster(
 def _forecast_into(forecasts, y_prev, moves, p_dt: float, error_scale: float, rng, u) -> np.ndarray:
     """:func:`synthetic_forecaster` for the moves of a walk without flat steps, written into forecasts."""
     rng.random(out=u)
+    # u becomes the factor -1.0 where the direction is wrong (u >= p_dt) and 1.0 elsewhere;
+    # multiplying by -1.0 negates exactly, signed zeros and infinities included
+    np.greater_equal(u, p_dt, out=u, casting="unsafe")
+    u *= -2.0
+    u += 1.0
     with np.errstate(over="ignore", invalid="ignore"):
         np.multiply(moves, error_scale, out=forecasts)
-        np.negative(forecasts, out=forecasts, where=u >= p_dt)
+        forecasts *= u
         forecasts += y_prev
     return _require_finite(forecasts, "the synthetic forecasts")
 
@@ -179,18 +184,23 @@ class SimulationReport:
 
 
 class _Workspace:
-    """The arrays of one trial, allocated once per run and refilled by every trial."""
+    """The arrays of one trial, allocated once per run and refilled by every trial.
+
+    Signs are int8: actual, implied, and the trace's direction, indicator
+    and scenario, whose values all lie in -1..4. One byte per step keeps
+    the integer passes of a trial short; the public functions give int.
+    """
 
     def __init__(self, n_steps: int) -> None:
         # draws holds one stream's draws at a time; moves holds y_t - y_{t-1} (then the loss
         # gaps), actual their signs and implied the signs of the forecasts' implied moves
         self.walk = np.empty(n_steps + 1)
         self.draws, self.moves, self.y_adj, self.loss_adj = (np.empty(n_steps) for _ in range(4))
-        self.actual, self.implied = (np.empty(n_steps, dtype=int) for _ in range(2))
+        self.actual, self.implied = (np.empty(n_steps, dtype=np.int8) for _ in range(2))
         self.trace = ForecastTrace(
             t=np.arange(1, n_steps + 1), y_prev=self.walk[:-1], y_true=self.walk[1:], y_hat=np.empty(n_steps),
-            direction=np.empty(n_steps, dtype=int), indicator=np.empty(n_steps, dtype=int),
-            loss_base=np.empty(n_steps), scenario=np.empty(n_steps, dtype=int),
+            direction=np.empty(n_steps, dtype=np.int8), indicator=np.empty(n_steps, dtype=np.int8),
+            loss_base=np.empty(n_steps), scenario=np.empty(n_steps, dtype=np.int8),
         )
 
 
@@ -222,27 +232,37 @@ def validate_prop1(config: SimConfig) -> SimulationReport:
     independent sub-streams spawned from config.seed. Trials run one at
     a time in one workspace of per-step arrays, allocated once per run:
     each trial overwrites the arrays of the one before, so the trial
-    loop allocates nothing large and memory stays at one trial's arrays.
+    loop allocates nothing large and memory stays at one trial's arrays
+    plus three floats per trial. A run whose arrays cannot be allocated
+    raises a ConfigError before any trial starts.
     """
-    children = np.random.SeedSequence(config.seed).spawn(config.n_trials)
-    ws = _Workspace(config.n_steps)
-    mse_base, mse_tats, stats, counts = zip(*(_run_trial(config, child, ws) for child in children))
-    clf_hits, fc_hits, gap_sums, steps = zip(*stats)
-
-    trials = np.column_stack([mse_base, mse_tats])
-    reductions = [b - t for b, t in zip(mse_base, mse_tats)]
-    n = len(reductions)
+    root = np.random.SeedSequence(config.seed)
     try:
+        ws = _Workspace(config.n_steps)
+        trials, gap_sums = np.empty((config.n_trials, 2)), np.empty(config.n_trials)
+    except (MemoryError, ValueError):  # numpy's ValueError: more bytes than an index can count
+        raise ConfigError(f"n_trials={config.n_trials}, n_steps={config.n_steps}: too large to allocate") from None
+    counts = np.zeros(5, dtype=np.int64)
+    clf_hits = fc_hits = total_steps = 0
+    for i in range(config.n_trials):
+        # spawning one child at a time gives the seeds of spawn(n_trials)
+        trials[i, 0], trials[i, 1], stats, trial_counts = _run_trial(config, root.spawn(1)[0], ws)
+        clf, fc, gap_sums[i], steps = stats
+        clf_hits, fc_hits, total_steps = clf_hits + clf, fc_hits + fc, total_steps + steps
+        counts += trial_counts
+
+    n = config.n_trials
+    try:
+        gap_sum = math.fsum(gap_sums.tolist())
+        reductions = (trials[:, 0] - trials[:, 1]).tolist()
         mean_reduction = math.fsum(reductions) / n
         variance = math.fsum((r - mean_reduction) ** 2 for r in reductions) / max(n - 1, 1)
         std_error = math.sqrt(variance / n)
-        gap_sum = math.fsum(gap_sums)
     except OverflowError:
         raise NumericError(
             "trial statistics overflowed float64; the drift or volatility is too large"
         ) from None
-    total_steps = sum(steps)
-    estimate = _estimate(sum(clf_hits), sum(fc_hits), gap_sum, total_steps)
+    estimate = _estimate(clf_hits, fc_hits, gap_sum, total_steps)
     return SimulationReport(
         config=config,
         trials=trials,
@@ -253,6 +273,6 @@ def validate_prop1(config: SimConfig) -> SimulationReport:
         realized_p_dt=estimate.p_dt,
         mean_abs_gap=estimate.abs_gap,
         theoretical_bound=estimate.lower_bound,
-        scenario_counts=_scenario_counts(np.sum(counts, axis=0)),
+        scenario_counts=_scenario_counts(counts),
         n_steps_total=total_steps,
     )

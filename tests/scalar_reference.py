@@ -1,12 +1,15 @@
-"""Reference forms of the adjustment and of the theory statistics.
+"""Reference forms of the adjustment, the trial kernels and the theory statistics.
 
 The library evaluates whole traces at once (``evaluate_forecasts`` and
 ``ForecastTrace.adjusted``). The per-step functions state the same rules
 for a single step. ``scenario_tags`` and ``trace_stats`` are the earlier
 whole-trace formulas, kept as oracles: a nested selection for the
 scenario tags, and for the theory statistics hit counts taken from fresh
-signs of the moves with the gap sum beside them. The tests check the
-library against all of them.
+signs of the moves with the gap sum beside them. ``synthetic_forecasts``,
+``oracle_draws`` and ``scenario_from_signs`` are the earlier Monte-Carlo
+trial formulas, which negate or tag through boolean masks. The tests
+check the library against all of them; ``FixedDraws`` feeds a kernel
+chosen uniform draws, so ties can be placed exactly.
 """
 
 import math
@@ -77,3 +80,36 @@ def trace_stats(trace) -> tuple[int, int, float, int]:
         fc_hits = int(np.count_nonzero(np.sign(trace.y_hat - trace.y_prev) * np.sign(deltas) > 0))
     clf_hits = int(np.count_nonzero(trace.direction == np.sign(deltas)))
     return clf_hits, fc_hits, gap_sum, int(deltas.size)
+
+
+def synthetic_forecasts(moves, y_prev, u, p_dt: float, error_scale: float) -> np.ndarray:
+    """y_prev + error_scale*move, the move negated where its draw u >= p_dt (direction wrong)."""
+    forecasts = np.multiply(moves, error_scale)
+    np.negative(forecasts, out=forecasts, where=u >= p_dt)
+    return forecasts + y_prev
+
+
+def oracle_draws(truths, u, accuracy: float) -> np.ndarray:
+    """The oracle's calls: a flat truth is UP below the draw 0.5, any other truth is negated where u >= accuracy."""
+    flat = truths == 0
+    out = truths + flat
+    return np.negative(out, out=out, where=np.where(flat, u >= 0.5, u >= accuracy))
+
+
+def scenario_from_signs(implied, direction, actual) -> np.ndarray:
+    """1 + 2*fc_wrong + (fc_wrong xor clf_wrong), or 0 where the implied or actual sign is flat."""
+    fc_wrong = implied != actual
+    tags = 1 + 2 * fc_wrong.astype(int) + (fc_wrong ^ (direction != actual))
+    return tags * (implied * actual != 0)
+
+
+class FixedDraws(np.random.Generator):
+    """A generator whose ``random(out=...)`` writes the given draws; ``np.random.default_rng`` passes it through."""
+
+    def __init__(self, draws) -> None:
+        super().__init__(np.random.PCG64(0))
+        self.draws = np.asarray(draws, dtype=float)
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        out[...] = self.draws
+        return out

@@ -11,6 +11,8 @@ from tats import (
 from tats.classifiers import LogisticClassifier, OracleTrendPredictor, _fit_logistic
 from tats.ingest import FeatureMatrix
 
+from scalar_reference import FixedDraws, oracle_draws
+
 seed = 606
 
 
@@ -287,6 +289,27 @@ def test_oracle_flat_truth_fair_coin():
     share_up = float(np.mean(draws == 1))
     assert abs(share_up - 0.5) < 0.04
     assert set(np.unique(draws)) == {-1, 1}
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int64])
+def test_draw_kernel_matches_the_masked_formula_on_ties(dtype):
+    u = np.random.default_rng(seed).random(600)
+    truths = np.sign(np.random.default_rng(seed + 1).standard_normal(600)).astype(dtype)
+    truths[::5] = 0
+    # the accuracy ties one ±1 truth's draw and one flat truth's draw, which must ignore it
+    assert truths[7] != 0 and truths[400] == 0
+    for accuracy in (float(u[7]), float(u[400])):
+        oracle = OracleTrendPredictor(accuracy, seed)
+        out = np.empty(600, dtype=dtype)
+        assert oracle._draw_into(truths, out, np.empty(600)) is out
+        assert np.array_equal(out, oracle_draws(truths, u, accuracy))
+        assert np.array_equal(oracle.draw_many(truths.astype(int)), oracle_draws(truths.astype(int), u, accuracy))
+    # no seed draws exactly 0.5, so fixed draws place it on a flat truth, where it means DOWN
+    u = np.array([0.5, np.nextafter(0.5, 0.0), 0.7, 0.7, np.nextafter(0.7, 0.0), 0.7, 0.0])
+    truths = np.array([0, 0, 0, 1, -1, -1, 1], dtype=dtype)
+    got = OracleTrendPredictor(0.7, FixedDraws(u))._draw_into(truths, np.empty(7, dtype=dtype), np.empty(7))
+    assert got.tolist() == [-1, 1, -1, -1, -1, 1, 1]
+    assert np.array_equal(got, oracle_draws(truths, u, 0.7))
 
 
 def test_oracle_is_a_pure_function_of_its_seed():

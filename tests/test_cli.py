@@ -1,6 +1,9 @@
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -24,6 +27,7 @@ from tats.ingest import build_feature_table, load_csv, load_external_directions
 from tats.theory import estimate_theory
 
 seed = 909
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _write_prices(path, n=120, rng_seed=42):
@@ -201,6 +205,25 @@ def test_simulate_writes_report(tmp_path, capsys):
     assert rows[0] == ["trial", "mse_base", "mse_tats", "reduction"]
     assert len(rows) == 11
     assert "mean_reduction" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("size", [
+    ["--n-steps", "1000000000000000", "--n-trials", "1"],
+    ["--n-trials", "1000000000000000"],
+    ["--n-trials", "100000000000000000000"],
+], ids=["steps", "trials", "trials-past-int64"])
+def test_simulate_sizes_that_cannot_be_allocated_exit_1(size, tmp_path):
+    # each size needs more than 2**47 bytes, past what a 64-bit address space maps, so nothing
+    # is allocated; a fresh process with a timeout, since a regression may grow until killed
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "tats", "simulate", *size, "--out", str(tmp_path / "sim")],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 1
+    assert re.fullmatch(r"error: n_trials=\d+, n_steps=\d+: too large to allocate\n", done.stderr)
+    assert not (tmp_path / "sim").exists()
 
 
 def test_metrics_output(tmp_path, capsys):

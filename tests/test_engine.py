@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -14,11 +16,18 @@ from tats import (
     prepare_run,
     sweep_alpha,
 )
-from tats.engine import evaluate_forecasts
+from tats.engine import ForecastTrace, _evaluate_into, evaluate_forecasts
 from tats.metrics import mae, mape, mse, td_accuracy
 from tats.theory import _estimate, estimate_theory
 
-from scalar_reference import adjust, classify_scenario, indicator, scenario_tags, trace_stats
+from scalar_reference import (
+    adjust,
+    classify_scenario,
+    indicator,
+    scenario_from_signs,
+    scenario_tags,
+    trace_stats,
+)
 
 seed = 707
 UP, DOWN = 1, -1
@@ -107,6 +116,28 @@ def test_truth_table_trace_matches_the_reference_formulas():
     expected = scenario_tags(trace.y_prev, trace.y_true, trace.y_hat, trace.direction)
     assert np.array_equal(trace.scenario, expected)
     assert estimate_theory(trace) == _estimate(*trace_stats(trace))
+
+
+def test_evaluate_kernel_tags_every_sign_combination():
+    # every (implied, direction, actual) in {-1, 0, 1} x {-1, 1} x {-1, 0, 1}, with int8
+    # sign arrays as in a Monte-Carlo trial and with int64 ones as in evaluate_forecasts
+    implied, direction, actual = np.array(list(itertools.product((-1, 0, 1), (-1, 1), (-1, 0, 1)))).T
+    y_prev = np.full(implied.size, 10.0)
+    y_true, y_hat = y_prev + actual, y_prev + 0.5 * implied
+    expected = scenario_from_signs(implied, direction, actual)
+    assert expected.tolist() == [classify_scenario(*step) for step in zip(y_prev, y_true, y_hat, direction)]
+    tags = {}
+    for dtype in (np.int8, np.int64):
+        trace = ForecastTrace(
+            t=np.arange(1, implied.size + 1), y_prev=y_prev, y_true=y_true, y_hat=y_hat,
+            direction=direction.astype(dtype), indicator=np.empty(implied.size, dtype=dtype),
+            loss_base=np.empty(implied.size), scenario=np.empty(implied.size, dtype=dtype),
+        )
+        _evaluate_into(trace, actual.astype(dtype), np.empty(implied.size, dtype=dtype))
+        assert trace.indicator.tolist() == [indicator(*step) for step in zip(y_hat, y_prev, direction)]
+        tags[dtype] = trace.scenario
+    assert np.array_equal(tags[np.int8], expected)
+    assert np.array_equal(tags[np.int64], expected)
 
 
 @pytest.mark.parametrize("y_true,y_hat", [(float("nan"), 11.0), (12.0, float("nan"))])

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,10 +11,10 @@ import pytest
 from tats import ConfigError, NumericError, SimConfig, estimate_theory, lower_bound, validate_prop1
 from tats.classifiers import OracleTrendPredictor
 from tats.engine import evaluate_forecasts
-from tats.montecarlo import gen_random_walk, synthetic_forecaster
+from tats.montecarlo import _forecast_into, gen_random_walk, synthetic_forecaster
 from tats.theory import _estimate
 
-from scalar_reference import scenario_tags, trace_stats
+from scalar_reference import FixedDraws, scenario_tags, synthetic_forecasts, trace_stats
 
 seed = 808
 ROOT = Path(__file__).resolve().parents[1]
@@ -64,6 +65,25 @@ def test_synthetic_forecaster_error_magnitudes():
     loss = (f - true) ** 2
     assert np.allclose(loss[hit], ((1 - u) * delta[hit]) ** 2, rtol=1e-9)
     assert np.allclose(loss[~hit], ((1 + u) * delta[~hit]) ** 2, rtol=1e-9)
+
+
+def test_forecast_kernel_matches_the_masked_formula_on_ties():
+    # draws exactly at p_dt count as wrong; signed zeros show whether the negation is exact
+    p_dt, below, above = 0.6, np.nextafter(0.6, 0.0), np.nextafter(0.6, 1.0)
+    u = np.array([p_dt, below, above, p_dt, below, p_dt, below, 0.0, p_dt, 0.25, p_dt, 0.999])
+    moves = np.array([1.5, 1.5, -2.25, 0.0, 0.0, -0.0, -0.0, 5e-324, 5e-324, -1e-300, 7.0, -7.0])
+    y_prev = np.array([100.0, 100.0, -3.0, -0.0, -0.0, -0.0, 0.0, -0.0, -0.0, 0.0, 1e300, -1.0])
+    forecasts = np.empty(u.size)
+    got = _forecast_into(forecasts, y_prev, moves, p_dt, 1.2, FixedDraws(u), np.empty(u.size))
+    assert got is forecasts
+    assert got.tobytes() == synthetic_forecasts(moves, y_prev, u, p_dt, 1.2).tobytes()
+
+
+@pytest.mark.parametrize("move", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("draw", [0.1, 0.9])
+def test_forecast_kernel_rejects_non_finite_moves(move, draw):
+    with pytest.raises(NumericError, match="synthetic forecasts overflowed"):
+        _forecast_into(np.empty(2), np.ones(2), np.array([1.0, move]), 0.6, 1.2, FixedDraws([0.1, draw]), np.empty(2))
 
 
 def test_synthetic_forecaster_rejects_flat_step():
@@ -259,6 +279,19 @@ def test_regenerating_config_matches_the_reference_formulas():
         undefined += int(np.count_nonzero(trace.scenario == 0))
     # forecasts that land on the previous value make flat implied moves
     assert undefined == 27
+
+
+def test_bookkeeping_per_trial_stays_small():
+    # the trials keep three floats each; per-trial seeds, tuples and count arrays would
+    # take about 0.9 KB each, 17.9 MB here
+    validate_prop1(SimConfig(n_trials=2, n_steps=10))  # lazy imports count once, not here
+    tracemalloc.start()
+    try:
+        validate_prop1(SimConfig(n_trials=20_000, n_steps=10))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3_000_000
 
 
 def test_walks_that_stay_flat_are_a_numeric_error():
