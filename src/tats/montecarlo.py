@@ -186,9 +186,8 @@ class SimulationReport:
 class _Workspace:
     """The arrays of one trial, allocated once per run and refilled by every trial.
 
-    Signs are int8: actual, implied, and the trace's direction, indicator
-    and scenario, whose values all lie in -1..4. One byte per step keeps
-    the integer passes of a trial short; the public functions give int.
+    Signs are int8 (actual, implied, and the trace's direction, indicator and scenario, all
+    in -1..4), so a trial's integer passes read one byte per step; the public functions give int.
     """
 
     def __init__(self, n_steps: int) -> None:

@@ -296,8 +296,9 @@ def test_draw_kernel_matches_the_masked_formula_on_ties(dtype):
     u = np.random.default_rng(seed).random(600)
     truths = np.sign(np.random.default_rng(seed + 1).standard_normal(600)).astype(dtype)
     truths[::5] = 0
-    # the accuracy ties one ±1 truth's draw and one flat truth's draw, which must ignore it
-    assert truths[7] != 0 and truths[400] == 0
+    # each accuracy equals one draw: a ±1 truth's (a tie counts as wrong), then a flat
+    # truth's below 0.5 (UP, since a flat truth ignores the accuracy)
+    assert truths[7] != 0 and truths[400] == 0 and u[400] < 0.5
     for accuracy in (float(u[7]), float(u[400])):
         oracle = OracleTrendPredictor(accuracy, seed)
         out = np.empty(600, dtype=dtype)
