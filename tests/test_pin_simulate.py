@@ -1,6 +1,6 @@
 """sha256 pins of the ``tats simulate`` artifacts.
 
-The golden simulate case runs 20 trials of 200 steps. These three cases
+The golden simulate case runs 20 trials of 200 steps. These five cases
 cover what it does not:
 
 * ``full-size``: 200 trials of 5,000 steps, the step count of the
@@ -12,7 +12,11 @@ cover what it does not:
   previous value, which leaves undefined scenario steps;
 * ``thresholds``: 300 trials of 500 steps with p_dt 0.6, p_db 0.55, error
   scale 1.2 and drift 0.3, so the forecaster's and the oracle's draws are
-  compared with thresholds other than the defaults.
+  compared with thresholds other than the defaults;
+* ``seed-three-words`` and ``seed-five-words``: 300 trials of 50 steps at
+  seeds 2**64 + 7 and 2**130 + 1, whose entropy is three 32-bit words
+  (fewer than the four words of a seed's pool) and five words (more);
+  300 trials span more than one block of per-trial seeds.
 
 After a deliberate change of output, print the new digests with
 ``python tests/test_pin_simulate.py`` and review why they moved.
@@ -34,6 +38,10 @@ CASES = {
         "--n-trials", "300", "--n-steps", "500", "--p-dt", "0.6", "--p-db", "0.55",
         "--error-scale", "1.2", "--drift", "0.3", "--seed", "3",
     ],
+    "seed-three-words": ["--n-trials", "300", "--n-steps", "50", "--seed", "18446744073709551623"],
+    "seed-five-words": [
+        "--n-trials", "300", "--n-steps", "50", "--seed", "1361129467683753853853498429727072845825",
+    ],
 }
 DIGESTS = {
     "full-size": {
@@ -47,6 +55,14 @@ DIGESTS = {
     "thresholds": {
         "simulation.json": "4c3736ac9fc1e1f2a4c3ac4ff971f890b7c71059097e0d49ddc8eaffae8fc455",
         "trials.csv": "fd1e09a2f8bf8cf2fd9204c96d38d56740406aeed99787bc1f708e5a625b37e5",
+    },
+    "seed-three-words": {
+        "simulation.json": "839eb74fe1a417d75ec19d7a1273052b30c0e5b621bcbb1a2d24a0d529f82751",
+        "trials.csv": "215db94ca431a3e4264d10c9b888d7e963861e74e2695e6615dacdcb3612a792",
+    },
+    "seed-five-words": {
+        "simulation.json": "be8bbd18f873751af382f9100a63301f872f9e8cb38bec260b9ba20f21832963",
+        "trials.csv": "68e30bae94a062e94976ba0fdb516af15ded348c0a56968c802636070ae2602e",
     },
 }
 
