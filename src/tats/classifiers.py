@@ -206,14 +206,14 @@ class OracleTrendPredictor:
     """Emits the true direction with a dialed-in probability.
 
     Truths and predictions are +1/-1 ints, and a truth of 0 is a flat
-    move. Each call draws one uniform per prediction from the start of
-    the stream of ``seed``, so one oracle always gives the same
-    directions for the same truths. For a flat truth there is no correct
-    answer; the same draw then picks UP or DOWN evenly.
+    move. Each call draws one uniform per prediction from the start of the
+    stream of ``seed``, an int or any numpy ``ISeedSequence``, so one oracle
+    always gives the same directions for the same truths. For a flat truth
+    there is no correct answer; the same draw then picks UP or DOWN evenly.
     """
 
     accuracy: float
-    seed: int | np.random.SeedSequence
+    seed: int | np.random.bit_generator.ISeedSequence
 
     def draw_many(self, truths: np.ndarray) -> np.ndarray:
         """Draws for +1/-1/0 truth signs (0 meaning flat)."""

@@ -212,14 +212,6 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _csv_text(header, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
 def _write_outputs(out: Path, texts: dict[str, str]) -> None:
     """Write each rendered artifact into out, all or none.
 
@@ -250,7 +242,11 @@ def _results_csv(config: TatsConfig, sweep, split: str) -> str:
          e.report.diff, e.report.r_diff)
         for e in sweep.entries
     ]
-    return _csv_text(RESULTS_HEADER, [[_cell(value) for value in row] for row in rows])
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(RESULTS_HEADER)
+    writer.writerows([_cell(value) for value in row] for row in rows)
+    return buf.getvalue()
 
 
 def _prepare_experiment(args: argparse.Namespace):
@@ -410,14 +406,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         error_scale=args.error_scale, alpha=args.alpha, seed=args.seed,
     )
     report = validate_prop1(config)
-    trials = [
-        (i, repr(base), repr(tats), repr(base - tats))
-        for i, (base, tats) in enumerate(report.trials.tolist())
-    ]
+    # repr of a float never needs CSV quoting, so each row is formatted straight into the text
+    rows = (f"{i},{b!r},{t!r},{(b - t)!r}\n" for i, (b, t) in enumerate(report.trials.tolist()))
     out = _out_dir(args.out)
     _write_outputs(out, {
         "simulation.json": json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n",
-        "trials.csv": _csv_text(("trial", "mse_base", "mse_tats", "reduction"), trials),
+        "trials.csv": "trial,mse_base,mse_tats,reduction\n" + "".join(rows),
     })
     print(
         f"mean_reduction={report.mean_reduction:.6g} (SE {report.std_error:.3g}) "

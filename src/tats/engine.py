@@ -109,7 +109,8 @@ class ForecastTrace:
         """(y_adj, loss_adj) at alpha: the module docstring's y_adj per step, and its squared errors."""
         _check_alpha(alpha)
         y_adj, loss_adj = np.empty(len(self)), np.empty(len(self))
-        _adjust_into(self, alpha, y_adj, loss_adj)
+        with np.errstate(over="ignore", invalid="ignore"):  # the kernel checks the summed loss
+            _adjust_into(self, alpha, y_adj, loss_adj)
         return y_adj, loss_adj
 
     def scenario_counts(self) -> dict[str, int]:
@@ -124,18 +125,17 @@ def _scenario_counts(counts: np.ndarray) -> dict[str, int]:
 
 
 def _adjust_into(trace: ForecastTrace, alpha: float, y_adj: np.ndarray, loss_adj: np.ndarray) -> float:
-    """:meth:`ForecastTrace.adjusted` at a checked alpha, written into y_adj and loss_adj; gives sum(loss_adj)."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.multiply(trace.direction, alpha, out=y_adj)
-        y_adj += trace.y_prev
-        np.putmask(y_adj, trace.indicator == 1, trace.y_hat)
-        np.square(np.subtract(y_adj, trace.y_true, out=loss_adj), out=loss_adj)
-        loss_sum = loss_adj.sum()
-        if not np.isfinite(loss_sum):
-            raise NumericError(
-                f"the summed squared errors of the adjusted forecasts at alpha={alpha!r} "
-                "overflowed float64; alpha or the moves of the series are too large"
-            )
+    """:meth:`ForecastTrace.adjusted` at a checked alpha, under the caller's errstate; gives sum(loss_adj)."""
+    np.multiply(trace.direction, alpha, out=y_adj)
+    y_adj += trace.y_prev
+    np.putmask(y_adj, trace.indicator == 1, trace.y_hat)
+    np.square(np.subtract(y_adj, trace.y_true, out=loss_adj), out=loss_adj)
+    loss_sum = loss_adj.sum()
+    if not np.isfinite(loss_sum):
+        raise NumericError(
+            f"the summed squared errors of the adjusted forecasts at alpha={alpha!r} "
+            "overflowed float64; alpha or the moves of the series are too large"
+        )
     return float(loss_sum)
 
 
@@ -193,7 +193,7 @@ def evaluate_forecasts(
     # a move that overflows to +-inf keeps its sign; a NaN one fails the loss check
     with np.errstate(over="ignore", invalid="ignore"):
         actual = np.sign(trace.y_true - trace.y_prev).astype(int)
-    _evaluate_into(trace, actual, np.empty(m, dtype=int))
+        _evaluate_into(trace, actual, np.empty(m, dtype=int))
     return trace
 
 
@@ -201,15 +201,13 @@ def _evaluate_into(trace: ForecastTrace, actual: np.ndarray, implied: np.ndarray
     """Fill the indicator, loss_base and scenario of a trace; give sum(loss_base).
 
     actual holds the int signs of y_true - y_prev; implied receives those of y_hat - y_prev.
+    Under the caller's errstate, a difference that overflows to +-inf keeps its sign; the losses are checked.
     """
     loss = trace.loss_base
-    # a difference that overflows to +-inf keeps its sign; the losses are checked
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.subtract(trace.y_hat, trace.y_prev, out=loss)  # the implied moves, until the losses
-        np.sign(loss, out=implied, casting="unsafe")
-        np.square(np.subtract(trace.y_hat, trace.y_true, out=loss), out=loss)
-        # summing can overflow too, so the check stays inside the errstate block
-        loss_sum = float(_require_finite(loss.sum(), "the summed squared forecast errors"))
+    np.subtract(trace.y_hat, trace.y_prev, out=loss)  # the implied moves, until the losses
+    np.sign(loss, out=implied, casting="unsafe")
+    np.square(np.subtract(trace.y_hat, trace.y_true, out=loss), out=loss)
+    loss_sum = float(_require_finite(loss.sum(), "the summed squared forecast errors"))
     # (y_hat - y_prev) * c >= 0 holds exactly when sign(y_hat - y_prev) * c >= 0
     np.greater_equal(np.multiply(implied, trace.direction, out=trace.indicator), 0, out=trace.indicator)
     # with f = implied*actual and c = direction*actual, S1..S4 are (5 - f*(c + 2)) >> 1 for

@@ -14,7 +14,8 @@ sign track the scenario-probability imbalance sharply.
 Walk, forecaster, and classifier randomness come from independent
 sub-streams spawned per trial from one root seed, so results are
 reproducible and one trial's outcome does not depend on the others;
-aggregation uses compensated summation in a fixed trial order.
+aggregation uses compensated summation in a fixed trial order. Seed
+states come in blocks of trials, exactly as SeedSequence.spawn gives them.
 
 The realized p_db, p_dt, loss gap and bound pool the statistics that
 :func:`tats.theory.estimate_theory` takes from each trial's trace, so the
@@ -23,8 +24,11 @@ check scores the estimator that ``tats run`` reports.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import asdict, dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,6 +48,10 @@ __all__ = [
 
 WALK_START = 100.0
 _MAX_REGEN_ATTEMPTS = 100
+_SEED_BLOCK = 256  # trials whose seed states are computed together
+_STREAMS = np.arange(3, dtype=np.uint32)  # a trial's walk, forecaster and oracle streams
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED  # numpy's SeedSequence
+_MIX_MULT_L, _MIX_MULT_R, _MASK32 = 0xCA01F9DD, 0x4973F715, 0xFFFFFFFF  # hash constants
 
 
 @dataclass(frozen=True)
@@ -65,6 +73,8 @@ class SimConfig:
             raise ConfigError(f"n_steps must be at least 10, got {self.n_steps}")
         if self.n_trials < 1:
             raise ConfigError(f"n_trials must be at least 1, got {self.n_trials}")
+        if self.n_trials >= 2**32:  # a trial's index is one 32-bit word of its seeds; results alone take 96 GiB
+            raise ConfigError(f"n_trials={self.n_trials}, n_steps={self.n_steps}: too large to allocate")
         if not (math.isfinite(self.volatility) and self.volatility > 0.0):
             raise ConfigError(f"volatility must be finite and positive, got {self.volatility}")
         if not math.isfinite(self.drift):
@@ -95,18 +105,18 @@ def gen_random_walk(
         raise ConfigError(f"volatility must be finite and positive, got {volatility}")
     if not math.isfinite(drift):
         raise ConfigError(f"drift must be finite, got {drift}")
-    return TimeSeries(_walk_into(np.empty(n), np.empty(n - 1), drift, volatility, np.random.default_rng(seed)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return TimeSeries(_walk_into(np.empty(n), np.empty(n - 1), drift, volatility, np.random.default_rng(seed)))
 
 
 def _walk_into(walk: np.ndarray, steps: np.ndarray, drift: float, volatility: float, rng) -> np.ndarray:
     """:func:`gen_random_walk` written into walk, with steps as the buffer of its len(walk) - 1 steps."""
     rng.standard_normal(out=steps)
-    with np.errstate(over="ignore", invalid="ignore"):
-        steps *= volatility
-        steps += drift
-        walk[0] = 0.0
-        np.cumsum(steps, out=walk[1:])
-        walk += WALK_START
+    steps *= volatility
+    steps += drift
+    walk[0] = 0.0
+    np.cumsum(steps, out=walk[1:])
+    walk += WALK_START
     return _require_finite(walk, "the random walk")
 
 
@@ -127,17 +137,17 @@ def synthetic_forecaster(
         raise ConfigError(f"p_dt must lie strictly inside (0, 1), got {p_dt}")
     if not error_scale > 0.0:
         raise ConfigError(f"error_scale must be positive, got {error_scale}")
-    # steps of huge walks can overflow; that shows in the forecasts checked below
+    # steps of huge walks can overflow; that shows in the forecasts checked by the kernel
     with np.errstate(over="ignore", invalid="ignore"):
         moves = np.diff(series.values)
-    flat = np.flatnonzero(moves == 0.0)
-    if flat.size:
-        raise NumericError(
-            f"flat step at index {flat[0] + 1}: directional accuracy is undefined there; "
-            "regenerate or perturb the series"
-        )
-    forecasts, u = np.empty(moves.size), np.empty(moves.size)
-    return _forecast_into(forecasts, series.values[:-1], moves, p_dt, error_scale, np.random.default_rng(seed), u)
+        flat = np.flatnonzero(moves == 0.0)
+        if flat.size:
+            raise NumericError(
+                f"flat step at index {flat[0] + 1}: directional accuracy is undefined there; "
+                "regenerate or perturb the series"
+            )
+        forecasts, u, rng = np.empty(moves.size), np.empty(moves.size), np.random.default_rng(seed)
+        return _forecast_into(forecasts, series.values[:-1], moves, p_dt, error_scale, rng, u)
 
 
 def _forecast_into(forecasts, y_prev, moves, p_dt: float, error_scale: float, rng, u) -> np.ndarray:
@@ -148,10 +158,9 @@ def _forecast_into(forecasts, y_prev, moves, p_dt: float, error_scale: float, rn
     np.greater_equal(u, p_dt, out=u, casting="unsafe")
     u *= -2.0
     u += 1.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.multiply(moves, error_scale, out=forecasts)
-        forecasts *= u
-        forecasts += y_prev
+    np.multiply(moves, error_scale, out=forecasts)
+    forecasts *= u
+    forecasts += y_prev
     return _require_finite(forecasts, "the synthetic forecasts")
 
 
@@ -203,21 +212,62 @@ class _Workspace:
         )
 
 
-def _run_trial(config: SimConfig, child: np.random.SeedSequence, ws: _Workspace):
-    """One trial in ws: its two MSEs, the trace's theory statistics, its scenario counts."""
-    for _ in range(_MAX_REGEN_ATTEMPTS):
-        walk_ss, forecaster_ss, classifier_ss = child.spawn(3)
-        _walk_into(ws.walk, ws.draws, config.drift, config.volatility, np.random.default_rng(walk_ss))
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.subtract(ws.walk[1:], ws.walk[:-1], out=ws.moves)
+class _StoredSeed(NamedTuple):
+    """A seed state from :func:`_seed_states`, which np.random.default_rng takes as an ISeedSequence."""
+
+    state: np.ndarray
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        return self.state
+
+
+def _seed_states(seed: int, trials: np.ndarray, streams: np.ndarray) -> np.ndarray:
+    """SeedSequence(seed, spawn_key=(i, j)).generate_state(4, np.uint64) for i in trials, j in streams.
+
+    That key is SeedSequence(seed).spawn(n)[i].spawn(m)[j]. numpy's algorithm runs on uint32 arrays
+    that broadcast, adding an axis of 4 words; scalars stay Python ints masked to 32 bits, which never overflow.
+    """
+    seed, const, mult = operator.index(seed), _INIT_A, _MULT_A
+
+    def hashmix(value):
+        nonlocal const
+        value, const = value ^ const, const * mult & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        value = ((x * _MIX_MULT_L & _MASK32) - (y * _MIX_MULT_R & _MASK32)) & _MASK32
+        return value ^ value >> 16
+
+    # the seed's 32-bit words, low first, padded with zeros to the pool's 4 as before a spawn key
+    words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 128), 32)]
+    pool = [hashmix(word) for word in words[:4]]
+    for src, dst in itertools.permutations(range(4), 2):
+        pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in [*words[4:], trials, streams]:
+        pool = [mix(value, hashmix(word)) for value in pool]
+    const, mult = _INIT_B, _MULT_B
+    state = np.stack([hashmix(pool[k % 4]) for k in range(8)], axis=-1)
+    # as numpy reads them: pairs of words as little-endian uint64, then in native byte order
+    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+
+
+def _run_trial(config: SimConfig, i: int, states: np.ndarray, ws: _Workspace):
+    """Trial i in ws from its streams' seed states: its two MSEs, theory statistics and scenario counts."""
+    for attempt in range(1, _MAX_REGEN_ATTEMPTS + 1):
+        walk_seed, forecaster_seed, oracle_seed = map(_StoredSeed, states)
+        _walk_into(ws.walk, ws.draws, config.drift, config.volatility, np.random.default_rng(walk_seed))
+        np.subtract(ws.walk[1:], ws.walk[:-1], out=ws.moves)
         if np.count_nonzero(ws.moves) == ws.moves.size:
             break
+        # spawn(3) number k (from 0) of trial i's SeedSequence gives streams 3k, 3k + 1 and 3k + 2
+        states = _seed_states(config.seed, np.array([i], np.uint32), _STREAMS + 3 * attempt)
     else:
         raise NumericError("could not generate a walk without flat steps")
-    trace, rng = ws.trace, np.random.default_rng(forecaster_ss)
+    trace, rng = ws.trace, np.random.default_rng(forecaster_seed)
     _forecast_into(trace.y_hat, trace.y_prev, ws.moves, config.p_dt, config.error_scale, rng, ws.draws)
     np.sign(ws.moves, out=ws.actual, casting="unsafe")
-    OracleTrendPredictor(config.p_db, classifier_ss)._draw_into(ws.actual, trace.direction, ws.draws)
+    OracleTrendPredictor(config.p_db, oracle_seed)._draw_into(ws.actual, trace.direction, ws.draws)
     mse_base = _evaluate_into(trace, ws.actual, ws.implied) / len(trace)
     mse_tats = _adjust_into(trace, config.alpha, ws.y_adj, ws.loss_adj) / len(trace)
     counts = np.bincount(trace.scenario, minlength=5)
@@ -227,15 +277,15 @@ def _run_trial(config: SimConfig, child: np.random.SeedSequence, ws: _Workspace)
 def validate_prop1(config: SimConfig) -> SimulationReport:
     """Run the trials and compare realized reduction to the plug-in bound.
 
-    Each trial's walk, forecaster draws, and classifier draws use
-    independent sub-streams spawned from config.seed. Trials run one at
-    a time in one workspace of per-step arrays, allocated once per run:
-    each trial overwrites the arrays of the one before, so the trial
-    loop allocates nothing large and memory stays at one trial's arrays
-    plus three floats per trial. A run whose arrays cannot be allocated
+    Each trial's walk, forecaster draws, and classifier draws use independent sub-streams
+    spawned from config.seed, seeded for blocks of trials at once. Trials run one at a time
+    in one workspace of per-step arrays, allocated once per run: each trial overwrites the
+    arrays of the one before, so the trial loop allocates nothing large and memory stays at
+    one trial's arrays plus three floats per trial. A run whose arrays cannot be allocated
     raises a ConfigError before any trial starts.
     """
-    root = np.random.SeedSequence(config.seed)
+    from numpy.random.bit_generator import ISeedSequence  # here, so that import tats leaves numpy.random out
+    ISeedSequence.register(_StoredSeed)
     try:
         ws = _Workspace(config.n_steps)
         trials, gap_sums = np.empty((config.n_trials, 2)), np.empty(config.n_trials)
@@ -243,12 +293,16 @@ def validate_prop1(config: SimConfig) -> SimulationReport:
         raise ConfigError(f"n_trials={config.n_trials}, n_steps={config.n_steps}: too large to allocate") from None
     counts = np.zeros(5, dtype=np.int64)
     clf_hits = fc_hits = total_steps = 0
-    for i in range(config.n_trials):
-        # spawning one child at a time gives the seeds of spawn(n_trials)
-        trials[i, 0], trials[i, 1], stats, trial_counts = _run_trial(config, root.spawn(1)[0], ws)
-        clf, fc, gap_sums[i], steps = stats
-        clf_hits, fc_hits, total_steps = clf_hits + clf, fc_hits + fc, total_steps + steps
-        counts += trial_counts
+    # one error state for every kernel of every trial; each kernel checks its own results
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, config.n_trials, _SEED_BLOCK):
+            block = np.arange(start, min(start + _SEED_BLOCK, config.n_trials), dtype=np.uint32)
+            states = _seed_states(config.seed, block[:, None], _STREAMS)
+            for i, trial_states in zip(block.tolist(), states):
+                trials[i, 0], trials[i, 1], stats, trial_counts = _run_trial(config, i, trial_states, ws)
+                clf, fc, gap_sums[i], steps = stats
+                clf_hits, fc_hits, total_steps = clf_hits + clf, fc_hits + fc, total_steps + steps
+                counts += trial_counts
 
     n = config.n_trials
     try:

@@ -94,13 +94,11 @@ def _trace_stats(trace: "ForecastTrace", moves, actual, counts) -> tuple[int, in
     """(classifier hits, forecaster hits, summed gap, steps) of a trace's base forecasts.
 
     moves holds y_true - y_prev, which the loss gaps overwrite, actual its signs and counts
-    the bincount of the scenarios: the forecaster hits the S1 and S2 steps.
+    the bincount of the scenarios: the forecaster hits the S1 and S2 steps. Under the caller's
+    errstate, a move that overflows to +-inf keeps its sign; the gap sum is checked.
     """
-    # a move that overflows to +-inf keeps its sign; the gap sum is checked
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.subtract(trace.loss_base, np.square(moves, out=moves), out=moves)
-        gap_sum = np.abs(moves, out=moves).sum()
-    gap_sum = float(_require_finite(gap_sum, "the summed absolute loss gap"))
+    np.subtract(trace.loss_base, np.square(moves, out=moves), out=moves)
+    gap_sum = float(_require_finite(np.abs(moves, out=moves).sum(), "the summed absolute loss gap"))
     clf_hits = int(np.count_nonzero(trace.direction == actual))
     return clf_hits, int(counts[1] + counts[2]), gap_sum, int(moves.size)
 
@@ -133,4 +131,4 @@ def estimate_theory(trace: "ForecastTrace") -> TheoryEstimate:
     """
     with np.errstate(over="ignore", invalid="ignore"):  # as in _trace_stats
         moves = trace.y_true - trace.y_prev
-    return _estimate(*_trace_stats(trace, moves, np.sign(moves), np.bincount(trace.scenario, minlength=5)))
+        return _estimate(*_trace_stats(trace, moves, np.sign(moves), np.bincount(trace.scenario, minlength=5)))

@@ -226,6 +226,13 @@ def test_simulate_sizes_that_cannot_be_allocated_exit_1(size, tmp_path):
     assert not (tmp_path / "sim").exists()
 
 
+def test_simulate_trial_counts_past_32_bits_exit_1(tmp_path, capsys):
+    # the config is rejected before anything is allocated, so this runs in process
+    assert main(["simulate", "--n-trials", str(2**32), "--out", str(tmp_path / "sim")]) == 1
+    assert capsys.readouterr().err == "error: n_trials=4294967296, n_steps=2000: too large to allocate\n"
+    assert not (tmp_path / "sim").exists()
+
+
 def test_metrics_output(tmp_path, capsys):
     data = _write_fixture(tmp_path / "fc.csv")
     code = main(["metrics", "--data", str(data)])

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -11,7 +12,7 @@ import pytest
 from tats import ConfigError, NumericError, SimConfig, estimate_theory, lower_bound, validate_prop1
 from tats.classifiers import OracleTrendPredictor
 from tats.engine import evaluate_forecasts
-from tats.montecarlo import _forecast_into, gen_random_walk, synthetic_forecaster
+from tats.montecarlo import _SEED_BLOCK, _forecast_into, _seed_states, gen_random_walk, synthetic_forecaster
 from tats.theory import _estimate
 
 from scalar_reference import FixedDraws, scenario_tags, synthetic_forecasts, trace_stats
@@ -116,6 +117,39 @@ def test_sim_config_validation():
             SimConfig(volatility=volatility)
 
 
+def test_sim_config_rejects_trial_indices_past_32_bits():
+    # a config allocates nothing, so the largest count is checked without running it
+    assert SimConfig(n_trials=2**32 - 1).n_trials == 2**32 - 1
+    for n_trials in (2**32, 2**64):
+        with pytest.raises(ConfigError, match=f"^n_trials={n_trials}, n_steps=2000: too large to allocate$"):
+            SimConfig(n_trials=n_trials)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32 + 5, 2**64 + 7, 2**130 + 1])
+def test_seed_states_are_those_of_spawned_seed_sequences(seed):
+    # one to five entropy words; trial indices around a block edge and at the 32-bit limit;
+    # streams of the first two attempts and of the last regeneration attempt
+    trials = np.array([0, 1, 255, 256, 257, 2**31, 2**32 - 1], dtype=np.uint32)
+    streams = np.array([0, 1, 2, 3, 4, 5, 297, 298, 299], dtype=np.uint32)
+    got = _seed_states(seed, trials[:, None], streams)
+    assert got.shape == (trials.size, streams.size, 4) and got.dtype == np.uint64
+    for (a, i), (b, j) in itertools.product(enumerate(trials.tolist()), enumerate(streams.tolist())):
+        expected = np.random.SeedSequence(seed, spawn_key=(i, j)).generate_state(4, np.uint64)
+        assert got[a, b].tobytes() == expected.tobytes(), (i, j)
+    # the same states when a trial index or a stream is broadcast alone
+    assert np.array_equal(_seed_states(seed, trials[3:4], streams), got[3])
+    assert np.array_equal(_seed_states(seed, trials, streams[6:7]), got[:, 6])
+
+
+def test_import_tats_leaves_numpy_random_unloaded():
+    # numpy.random is imported on first use, so it does not slow down every import tats
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    code = "import sys, tats; print('numpy.random' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
+
+
 QUICK = SimConfig(n_steps=300, n_trials=12, seed=17)
 
 
@@ -125,6 +159,12 @@ def test_validate_prop1_deterministic():
     assert a.mean_reduction == b.mean_reduction
     assert a.std_error == b.std_error
     assert a.realized_p_db == b.realized_p_db
+
+
+def test_numpy_integer_seeds_give_the_same_run():
+    expected = validate_prop1(QUICK).trials
+    for seed in (np.int64(QUICK.seed), np.uint64(QUICK.seed)):
+        assert np.array_equal(validate_prop1(SimConfig(n_steps=300, n_trials=12, seed=seed)).trials, expected)
 
 
 def test_trial_streams_are_independent():
@@ -258,9 +298,12 @@ REGENERATING = SimConfig(n_trials=40, n_steps=10, volatility=1e-13, seed=4)
     SimConfig(n_steps=300, n_trials=12, seed=17),
     SimConfig(n_steps=200, n_trials=10, p_dt=0.6, p_db=0.55, error_scale=1.2, drift=0.3, seed=8),
     REGENERATING,
-], ids=["default", "drift", "regenerating"])
+    SimConfig(n_steps=20, n_trials=_SEED_BLOCK + 1, seed=2**64 + 7),
+    SimConfig(n_trials=_SEED_BLOCK + 1, n_steps=10, volatility=1e-13, seed=5),
+], ids=["default", "drift", "regenerating", "two-blocks", "regenerating-two-blocks"])
 def test_every_trial_matches_the_public_functions(config):
-    # trials share reused arrays, so state left by one trial would show in the next
+    # trials share reused arrays, so state left by one trial would show in the next; the seed
+    # states of a run come in blocks, so the last two configs cross a block's edge
     rep = validate_prop1(config)
     fields = _rebuild(config)
     assert np.array_equal(rep.trials, fields.pop("trials"))
