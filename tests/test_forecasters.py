@@ -324,7 +324,7 @@ def test_ses_path_matches_per_step_forecasts(smoothing):
     assert np.array_equal(path, _reference_walk(spec, fitted, values, 1000))
 
 
-@pytest.mark.parametrize("order", [1, 2, 3, 8])
+@pytest.mark.parametrize("order", [1, 2, 3, 8, 15])
 def test_ar_path_matches_per_step_forecasts(order):
     # steps from about 1e-7 to 1e8 in size make every dot product mix magnitudes
     rng = np.random.default_rng(seed + 12)
