@@ -271,8 +271,8 @@ def _fit_logistic(
                 break
             # the sigmoid: 1 / (1 + ez) where z >= 0, else ez / (1 + ez)
             np.add(ez, 1.0, out=den)
-            np.copyto(gap, ez)
-            np.copyto(gap, 1.0, where=z >= 0)
+            # max(z >= 0, ez) is 1 where z >= 0 and ez elsewhere, as 0 <= ez <= 1; a NaN ez stays NaN
+            np.maximum(np.greater_equal(z, 0.0, out=gap), ez, out=gap)
             gap /= den
             gap -= targets
             w = w - learning_rate * (X.T @ gap) / m
@@ -326,7 +326,7 @@ def fit_classifier(spec: TrendPredictorSpec, features: FeatureMatrix | None = No
         direction = 1 if ups >= len(features) - ups else -1
         return MajorityClassifier(direction=direction)
     if spec.kind == "logistic":
-        if np.unique(features.labels).size < 2:
+        if features.labels.min() == features.labels.max():
             raise DataError("logistic regression needs both directions in the training set")
         return _fit_logistic(features)
     if spec.kind == "gaussian_nb":

@@ -353,13 +353,13 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     best = min(sweep.entries, key=lambda e: e.report.mse)
     y_adj, _ = test_trace.adjusted(best.alpha)
-    xs = [float(t) for t in test_trace.t]
+    xs = test_trace.t.astype(float).tolist()
     forecast_svg = line_chart(
         f"Test forecasts (alpha={best.alpha:g})",
         [
-            ("actual", xs, list(test_trace.y_true)),
-            ("base", xs, list(test_trace.y_hat)),
-            ("adjusted", xs, list(y_adj)),
+            ("actual", xs, test_trace.y_true.tolist()),
+            ("base", xs, test_trace.y_hat.tolist()),
+            ("adjusted", xs, y_adj.tolist()),
         ],
         x_label="t",
         y_label=args.target_column,

@@ -13,10 +13,10 @@ drift read the history when fit, so only they are refit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import TimeSeries
 from .errors import ConfigError, DataError, NumericError, _require_finite
@@ -35,6 +35,69 @@ __all__ = [
 
 AR_RIDGE_PENALTY = 1e-8
 FORECASTER_KINDS = ("naive", "drift", "ar", "ses", "external")
+# Veltkamp's splitter for 53-bit significands, and the bounds of the range where _fma is exact
+_SPLITTER = 2.0**27 + 1.0
+_SPLIT_MAX, _PRODUCT_MIN, _TERM_MAX = 2.0**995, 2.0**-968, 2.0**1021
+
+
+def _split(x):
+    """Veltkamp's split: hi + lo == x, each of 26 bits or fewer, for |x| <= _SPLIT_MAX."""
+    t = _SPLITTER * x
+    hi = t - (t - x)
+    return hi, x - hi
+
+
+def _two_sum(x, y):
+    """Knuth's TwoSum: s + e == x + y exactly, s the rounded sum, where nothing overflows."""
+    s = x + y
+    t = s - x
+    return s, (x - (s - t)) + (y - t)
+
+
+def _fma(a, b: np.ndarray, c: np.ndarray, b_parts=None, checked: bool = False) -> np.ndarray:
+    """a*b + c rounded once (IEEE 754 fma) for each element; a may be a scalar.
+
+    Dekker's product (Numer. Math. 18, 1971) gives a*b == p + pl, TwoSum gives c + p == s + sl,
+    and s + RO(sl + pl), RO rounding to odd, is a*b + c rounded once (Boldo & Melquiond, IEEE
+    Trans. Computers 57(4), 2008). That is exact for finite operands with |a|, |b| <= _SPLIT_MAX
+    (the split cannot overflow), |c|, |p| <= _TERM_MAX (no sum overflows) and |p| >= _PRODUCT_MIN
+    (its error term cannot underflow) or a*b == 0. Other elements go through _fma_exact, unless
+    the caller has checked that there are none. b_parts is _split(b), where the caller has it.
+    """
+    with np.errstate(all="ignore"):
+        p = a * b
+        (ah, al), (bh, bl) = _split(a), b_parts or _split(b)
+        s, sl = _two_sum(c, p)
+        v, e = _two_sum(sl, ((ah * bh - p) + ah * bl + al * bh) + al * bl)
+        # round v to odd: truncate it towards zero, then set its last bit where it was inexact
+        inexact, bits = e != 0, v.view(np.int64)
+        bits -= inexact & (np.signbit(e) != np.signbit(v))
+        bits |= inexact
+        z = s + v
+        np.add(p, c, out=z, where=z == 0)  # an exact zero takes the sign of IEEE addition
+        if checked:
+            return z
+        size = np.abs(p)
+        inside = ((size <= _TERM_MAX) & ((size >= _PRODUCT_MIN) | (a == 0) | (b == 0))
+                  & (np.abs(a) <= _SPLIT_MAX) & (np.abs(b) <= _SPLIT_MAX) & (np.abs(c) <= _TERM_MAX))
+    outside = np.flatnonzero(~inside)
+    if outside.size:
+        a, b, c = (np.broadcast_to(x, z.shape)[outside].tolist() for x in (a, b, c))
+        z[outside] = list(map(_fma_exact, a, b, c))
+    return z
+
+
+def _fma_exact(a: float, b: float, c: float) -> float:
+    """a*b + c rounded once by IEEE 754 rules, from exact rationals."""
+    from fractions import Fraction  # only operands outside _fma's range come here
+
+    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
+        return a * b + c if not (math.isfinite(a) and math.isfinite(b)) else c  # as inf and NaN are exact
+    exact = Fraction(a) * Fraction(b) + Fraction(c)
+    try:  # a zero sum is exact in floats too, where it takes the sign of IEEE addition
+        return float(exact) if exact else a * b + c
+    except OverflowError:
+        return math.inf if exact > 0 else -math.inf
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,13 +223,27 @@ class ARModel:
         return self.order
 
     def forecast_path(self, values: np.ndarray, start: int) -> np.ndarray:
-        # one dot per step over a negative-stride view of the lags, newest
-        # first, which keeps numpy's non-BLAS loop: a lag-matrix product
-        # rounds differently
-        order = self.order
-        _check_start(f"AR({order})", order, values, start)
-        lags = sliding_window_view(values, order)[start - order : values.size - order, ::-1]
-        return self.intercept + np.array(list(map(self.coefficients.dot, lags)), dtype=float)
+        _check_start(f"AR({self.order})", self.order, values, start)
+        return _ar_path(self.intercept, self.coefficients, values, start)
+
+
+def _ar_path(intercept, coefficients: np.ndarray, values: np.ndarray, start: int) -> np.ndarray:
+    """AR forecasts of values[t] for t from start on, with one model or one (intercept, row of
+    coefficients) per step. The sum of coefficient times lag, newest first, is a chain of fused
+    multiply-adds from +0.0: OpenBLAS's dot of under 16 terms on an FMA kernel, on any CPU."""
+    order = coefficients.shape[-1]
+    lags = values[start - order : values.size - 1]
+    size, scale, acc = np.abs(lags), np.abs(coefficients), np.zeros(values.size - start)
+    with np.errstate(all="ignore"):
+        # every step is inside _fma's range where the extreme lags and coefficients are
+        top = size.max(initial=0.0)
+        checked = bool(max(top, scale.max()) <= _SPLIT_MAX and top * scale.sum(axis=-1).max() <= _TERM_MAX / 2
+                       and size.min(initial=np.inf) * scale.min(where=scale > 0, initial=np.inf) >= _PRODUCT_MIN)
+        high, low = _split(lags)
+    for k in range(order):
+        lag = slice(order - 1 - k, lags.size - k)
+        acc = _fma(coefficients[..., k], lags[lag], acc, (high[lag], low[lag]), checked)
+    return intercept + acc
 
 
 @dataclass(frozen=True)
@@ -270,11 +347,11 @@ def _walk_forward(spec, fitted, values: np.ndarray, start: int, refit_each_step:
     ``spec`` on its history. Naive, SES and external fits build the same
     model from any history.
     """
+    path = fitted.forecast_path(values, start)  # a refit walk starts with this model's first step too
     if not refit_each_step or spec.kind not in ("ar", "drift"):
-        return fitted.forecast_path(values, start)
-    out = np.empty(values.size - start, dtype=float)
-    for i, t in enumerate(range(start, values.size)):
-        if t > start:
-            fitted = fit_forecaster(spec, TimeSeries(values[:t]))
-        out[i] = fitted.forecast_path(values[: t + 1], t)[0]
-    return out
+        return path
+    models = [fitted] + [fit_forecaster(spec, TimeSeries(values[:t])) for t in range(start + 1, values.size)]
+    if spec.kind == "ar":
+        return _ar_path(np.array([m.intercept for m in models]), np.stack([m.coefficients for m in models]), values, start)
+    with np.errstate(over="ignore"):
+        return values[start - 1 : -1] + np.array([m.mean_step for m in models])

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import operator
 from dataclasses import asdict, dataclass, fields
 from typing import NamedTuple
@@ -69,10 +70,13 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_steps < 10:
-            raise ConfigError(f"n_steps must be at least 10, got {self.n_steps}")
-        if self.n_trials < 1:
-            raise ConfigError(f"n_trials must be at least 1, got {self.n_trials}")
+        for name, low in (("n_steps", 10), ("n_trials", 1), ("seed", 0)):  # ints and numpy ints; not bools
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            if value < low:
+                raise ConfigError(f"{name} must be at least {low}, got {value}")
+            object.__setattr__(self, name, operator.index(value))  # stored as an int
         if self.n_trials >= 2**32:  # a trial's index is one 32-bit word of its seeds; results alone take 96 GiB
             raise ConfigError(f"n_trials={self.n_trials}, n_steps={self.n_steps}: too large to allocate")
         if not (math.isfinite(self.volatility) and self.volatility > 0.0):
@@ -88,8 +92,6 @@ class SimConfig:
                 f"error_scale must lie in (0, 2) for sharp scenario signs, got {self.error_scale}"
             )
         _check_alpha(self.alpha)
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
 
 def gen_random_walk(

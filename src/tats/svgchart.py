@@ -2,23 +2,15 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 from .errors import ConfigError
 
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")
 
 
 def _escape(text: str) -> str:
-    return (
-        str(text)
-        .replace("&", "&amp;")
-        .replace("<", "&lt;")
-        .replace(">", "&gt;")
-        .replace('"', "&quot;")
-    )
-
-
-def _fmt(value: float) -> str:
-    return f"{value:.6g}"
+    return str(text).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;").replace('"', "&quot;")
 
 
 def _axis(values: list[float]) -> tuple[float, float]:
@@ -47,10 +39,8 @@ def line_chart(
     margin_left, margin_right, margin_top, margin_bottom = 64, 20, 44, 52
     plot_w = width - margin_left - margin_right
     plot_h = height - margin_top - margin_bottom
-    all_x = [v for _, xs, _ in series for v in xs]
-    all_y = [v for _, _, ys in series for v in ys]
-    x_lo, x_hi = _axis(all_x)
-    y_lo, y_hi = _axis(all_y)
+    x_lo, x_hi = _axis([v for _, xs, _ in series for v in xs])
+    y_lo, y_hi = _axis([v for _, _, ys in series for v in ys])
 
     def sx(v: float) -> float:
         return margin_left + (v - x_lo) / (x_hi - x_lo) * plot_w
@@ -66,28 +56,16 @@ def line_chart(
         f'<rect x="{margin_left}" y="{margin_top}" width="{plot_w}" height="{plot_h}" '
         'fill="none" stroke="#444"/>',
     ]
-    n_ticks = 5
-    for i in range(n_ticks):
-        frac = i / (n_ticks - 1)
-        xv = x_lo + frac * (x_hi - x_lo)
-        yv = y_lo + frac * (y_hi - y_lo)
-        px = sx(xv)
-        py = sy(yv)
-        parts.append(
+    for i in range(5):
+        xv, yv = x_lo + i / 4 * (x_hi - x_lo), y_lo + i / 4 * (y_hi - y_lo)
+        px, py = sx(xv), sy(yv)
+        parts += [
             f'<line x1="{px:.1f}" y1="{margin_top + plot_h}" x2="{px:.1f}" '
-            f'y2="{margin_top + plot_h + 5}" stroke="#444"/>'
-        )
-        parts.append(
-            f'<text x="{px:.1f}" y="{margin_top + plot_h + 18}" text-anchor="middle">'
-            f"{_fmt(xv)}</text>"
-        )
-        parts.append(
-            f'<line x1="{margin_left - 5}" y1="{py:.1f}" x2="{margin_left}" y2="{py:.1f}" '
-            'stroke="#444"/>'
-        )
-        parts.append(
-            f'<text x="{margin_left - 8}" y="{py + 4:.1f}" text-anchor="end">{_fmt(yv)}</text>'
-        )
+            f'y2="{margin_top + plot_h + 5}" stroke="#444"/>',
+            f'<text x="{px:.1f}" y="{margin_top + plot_h + 18}" text-anchor="middle">{xv:.6g}</text>',
+            f'<line x1="{margin_left - 5}" y1="{py:.1f}" x2="{margin_left}" y2="{py:.1f}" stroke="#444"/>',
+            f'<text x="{margin_left - 8}" y="{py + 4:.1f}" text-anchor="end">{yv:.6g}</text>',
+        ]
     if x_label:
         parts.append(
             f'<text x="{margin_left + plot_w / 2:.1f}" y="{height - 12}" '
@@ -101,13 +79,16 @@ def line_chart(
         )
     for idx, (label, xs, ys) in enumerate(series):
         color = _COLORS[idx % len(_COLORS)]
-        points = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys))
-        parts.append(
-            f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.6"/>'
-        )
-        lx = margin_left + plot_w - 150
-        ly = margin_top + 16 + 16 * idx
-        parts.append(f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" y2="{ly - 4}" stroke="{color}" stroke-width="2"/>')
-        parts.append(f'<text x="{lx + 28}" y="{ly}">{_escape(label)}</text>')
+        # sx and sy on arrays round each operation once, as they do on floats
+        xy = np.empty((len(xs), 2))
+        with np.errstate(all="ignore"):
+            xy[:, 0], xy[:, 1] = sx(np.array(xs, dtype=float)), sy(np.array(ys, dtype=float))
+        points = " ".join(["%.2f,%.2f"] * len(xs)) % tuple(xy.ravel().tolist())
+        lx, ly = margin_left + plot_w - 150, margin_top + 16 + 16 * idx
+        parts += [
+            f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.6"/>',
+            f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" y2="{ly - 4}" stroke="{color}" stroke-width="2"/>',
+            f'<text x="{lx + 28}" y="{ly}">{_escape(label)}</text>',
+        ]
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

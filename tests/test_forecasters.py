@@ -1,3 +1,10 @@
+import math
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -15,6 +22,7 @@ from tats.forecasters import (
     ExternalForecaster,
     NaiveForecaster,
     SESForecaster,
+    _fma,
     _walk_forward,
     fit_ar,
 )
@@ -33,6 +41,39 @@ def _next(model, history):
     return forecast
 
 
+_OVERFLOW = 2**1024 - 2**970  # the exact values from here up round to inf
+
+
+def _fraction_fma(a, b, c):
+    """a*b + c rounded once to the nearest double (ties to even), with IEEE 754's rules for
+    zeros, infinities and NaN: the oracle of every fused multiply-add."""
+    a, b, c = float(a), float(b), float(c)
+    if math.isnan(a) or math.isnan(b) or math.isnan(c):
+        return math.nan
+    product_sign = math.copysign(1.0, a) * math.copysign(1.0, b)
+    if math.isinf(a) or math.isinf(b):
+        if a == 0 or b == 0 or (math.isinf(c) and math.copysign(1.0, c) != product_sign):
+            return math.nan
+        return product_sign * math.inf
+    if math.isinf(c):
+        return c
+    exact = Fraction(a) * Fraction(b) + Fraction(c)
+    if exact == 0:
+        # both zeros negative gives -0; an exact cancellation, or any other pair of zeros, +0
+        both_negative = (a == 0 or b == 0) and product_sign < 0 and math.copysign(1.0, c) < 0
+        return -0.0 if both_negative else 0.0
+    if abs(exact) >= _OVERFLOW:
+        return math.inf if exact > 0 else -math.inf
+    rounded = exact.numerator / exact.denominator  # int / int rounds once, ties to even
+    return rounded if rounded != 0 else math.copysign(0.0, exact)
+
+
+def _same_doubles(x, y):
+    """Equal bit patterns, with every NaN equal to every other."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    return bool(np.all((x.view(np.int64) == y.view(np.int64)) | (np.isnan(x) & np.isnan(y))))
+
+
 def _reference_forecast_one(model, history, external=None):
     """The per-step forecast of each model before forecast_path, kept as the oracle.
 
@@ -43,8 +84,11 @@ def _reference_forecast_one(model, history, external=None):
     if isinstance(model, DriftForecaster):
         return float(history[-1]) + model.mean_step
     if isinstance(model, ARModel):
-        lags = history[-1 : -model.order - 1 : -1]
-        return float(model.intercept + float(np.dot(model.coefficients, lags)))
+        # the fused chain from +0.0, newest lag first, each step rounded once
+        acc = 0.0
+        for coefficient, lag in zip(model.coefficients, history[::-1]):
+            acc = _fraction_fma(coefficient, lag, acc)
+        return model.intercept + acc
     if isinstance(model, SESForecaster):
         level = float(history[0])
         lam = model.smoothing
@@ -332,12 +376,160 @@ def test_ar_path_matches_per_step_forecasts(order):
     spec = ValueForecasterSpec.ar(order)
     for values in (_walk_values(3000, seed + 7), decades):
         fitted = fit_forecaster(spec, TimeSeries(values[:1000]))
-        # in-sample walks start right after the lags the model needs
+        # in-sample walks start right after the lags the model needs; a step's forecast does not
+        # depend on where its walk started
+        reference = _reference_walk(spec, fitted, values, order)
         for start in (order, 1000):
             path = _walk_forward(spec, fitted, values, start, False)
-            reference = _reference_walk(spec, fitted, values, start)
-            assert np.array_equal(path, reference)
-            assert np.array_equal(np.signbit(path), np.signbit(reference))
+            assert np.array_equal(path, reference[start - order :])
+            assert np.array_equal(np.signbit(path), np.signbit(reference[start - order :]))
+
+
+def _dot_fuses():
+    """Whether numpy's dot of two terms fuses its multiply-add, as OpenBLAS's FMA kernels do."""
+    x = 1.0 + 2.0**-30
+    # fused, 1 - x*x is exact; rounded first, x*x loses its last term 2**-60
+    return float(np.dot([1.0, x], [1.0, -x])) == -(2.0**-29) - 2.0**-60
+
+
+@pytest.mark.skipif(not _dot_fuses(), reason="numpy's dot does not fuse multiply-adds on this CPU")
+@pytest.mark.parametrize("order", range(1, 16))
+def test_ar_path_matches_per_step_dot_on_fma_kernels(order):
+    # below 16 terms, OpenBLAS's dot on an FMA kernel is the chain the walk computes
+    rng = np.random.default_rng(seed + 13)
+    decades = np.cumsum(rng.standard_normal(4000) * 10.0 ** rng.uniform(-7.0, 8.0, 4000))
+    for values in (_walk_values(4000, seed + 14), decades):
+        model = fit_ar(TimeSeries(values[:1000]), order)
+        path = model.forecast_path(values, order)
+        lags = [values[t - 1 :: -1][:order] for t in range(order, values.size)]
+        dots = model.intercept + np.array([np.dot(model.coefficients, lag) for lag in lags])
+        assert _same_doubles(path, dots)
+
+
+def test_ar_path_is_exact_outside_the_array_range():
+    # lags too large to split, products whose error terms underflow, infinities, NaN and signed
+    # zeros: each step outside _fma's range is rounded once from exact rationals
+    values = np.array([1e301, -1.5e301, 3.0, 1e-300, -5e-324, 0.0, -0.0, 2.0**995, 2.0**996, -7.5,
+                       np.inf, 2.0, np.nan, 4.0, 1e-160, 1e-160, 1e300, 1e300, 1.0, -1.0])
+    for intercept, coefficients in [(0.5, [0.5, 0.25]), (-0.0, [1e-300, -2.0]), (0.0, [0.0, -0.0, 3.0]),
+                                    (1.0, [1e10, 1e-10, -1.0, 2.0**-60])]:
+        model = ARModel(intercept=intercept, coefficients=np.array(coefficients))
+        start = model.order
+        path = model.forecast_path(values, start)
+        reference = [_reference_forecast_one(model, values[:t]) for t in range(start, values.size)]
+        assert _same_doubles(path, reference)
+    # a walk of huge values stays finite
+    huge = 1e301 * (1.0 + np.sin(np.arange(50.0)) / 4.0)
+    path = ARModel(intercept=1.0, coefficients=np.array([0.6, 0.3])).forecast_path(huge, 2)
+    assert np.all(np.isfinite(path))
+
+
+def _fma_triples():
+    """Named (a, b, c) edge cases of a fused multiply-add, each side of each bound of _fma's range."""
+    tiny, big, top = 2.0**-1074, 2.0**995, 2.0**1021
+    cases = {
+        "zeros": [(0.0, 1.0, -0.0), (-0.0, 1.0, -0.0), (0.0, -1.0, -0.0), (-0.0, -1.0, -0.0),
+                  (-0.0, 1.0, 0.0), (1.0, -0.0, -0.0), (-2.0, 0.0, -0.0), (0.0, 0.0, 0.0), (0.0, 5.0, 3.0)],
+        "cancellation": [(3.0, 7.0, -21.0), (-3.0, 7.0, 21.0), (1.0 + 2.0**-30, 1.0 + 2.0**-30, -1.0),
+                         (0.1, 10.0, -1.0), (1.0 + 2.0**-52, 1.0 - 2.0**-53, -1.0)],
+        # the product overflows, but c brings the sum back into range, or not
+        "overflowing-product": [(1.5 * 2.0**512, 1.5 * 2.0**511, -1.7976931348623157e308),
+                                (2.0**600, 2.0**600, -1e308), (1.7976931348623157e308, 2.0, 0.0),
+                                (-1.7976931348623157e308, 1.0, -1.7976931348623157e308)],
+        # the sum's rounding to inf: half an ulp past the largest double, and just short of it
+        "overflowing-sum": [(1.7976931348623157e308, 1.0, 2.0**970), (1.7976931348623157e308, 1.0, 2.0**970 - 2.0**918),
+                            (2.0**1000, 2.0**23, 2.0**1023), (2.0**1000, 2.0**23, -(2.0**1023))],
+        # products below the smallest double, at it, and rounding to it or to zero
+        "subnormal-products": [(2.0**-600, 2.0**-500, 0.0), (2.0**-537, 2.0**-537, 0.0), (1.5 * 2.0**-538, 2.0**-537, 0.0),
+                               (2.0**-538, 2.0**-537, 0.0), (-(2.0**-538), 2.0**-537, 0.0), (2.0**-538, 2.0**-537, -0.0),
+                               (3.0, 1e-308, -2e-308), (1e-200, 1e-120, 1e-310), (-1e-200, 1e-120, tiny)],
+        # products in the normal range whose error terms are subnormal or lost
+        "subnormal-error-terms": [(1.0 + 2.0**-52, (1.0 + 2.0**-52) * 2.0**-980, 0.0),
+                                  (1.0 + 2.0**-52, (1.0 + 2.0**-52) * 2.0**-1000, -(2.0**-1000)),
+                                  (1.0 + 2.0**-52, (1.0 + 2.0**-52) * 2.0**-967, -(2.0**-967))],
+        "non-finite": [(np.inf, 2.0, 1.0), (np.inf, 0.0, 1.0), (-np.inf, 2.0, np.inf), (np.inf, -2.0, -np.inf),
+                       (2.0, 3.0, -np.inf), (1e300, 1e300, -np.inf), (np.nan, 0.0, 1.0), (1.0, 1.0, np.nan),
+                       (0.0, np.inf, np.nan)],
+        # each bound of the range: (a, b, c) on the edge, inside, then one step past it, outside
+        "split-bound": [(big, 0.75, 1.0), (np.nextafter(big, np.inf), 0.75, 1.0),
+                        (0.75, -big, 1.0), (0.75, -np.nextafter(big, np.inf), 1.0)],
+        "product-top": [(big, 2.0**26, -3.0), (big, np.nextafter(2.0**26, np.inf), -3.0)],
+        "product-floor": [(2.0**-484, 2.0**-484, 1e-300), (2.0**-484, np.nextafter(2.0**-484, 0.0), 1e-300),
+                          (-(2.0**-484), 2.0**-484, -0.0), (-(2.0**-484), np.nextafter(2.0**-484, 0.0), -0.0)],
+        "addend-top": [(3.0, 5.0, top), (3.0, 5.0, np.nextafter(top, np.inf)), (3.0, 5.0, -top),
+                       (3.0, 5.0, -np.nextafter(top, np.inf))],
+        "zero-factor": [(0.0, 2.0**1000, 1.0), (2.0**-1060, 0.0, -0.0), (-0.0, tiny, -0.0)],
+    }
+    return cases
+
+
+# elements of each case that go through the exact scalar routine
+_OUTSIDE = {
+    "zeros": [], "cancellation": [], "overflowing-product": [0, 1, 2, 3], "overflowing-sum": [0, 1, 2, 3],
+    "subnormal-products": [0, 1, 2, 3, 4, 5, 6, 7, 8], "subnormal-error-terms": [0, 1],
+    "non-finite": [0, 1, 2, 3, 4, 5, 6, 7, 8], "split-bound": [1, 3], "product-top": [1],
+    "product-floor": [1, 3], "addend-top": [1, 3], "zero-factor": [0],
+}
+
+
+@pytest.mark.parametrize("case", list(_fma_triples()))
+def test_fma_edge_cases_round_once(case, monkeypatch):
+    import tats.forecasters as forecasters
+
+    triples = np.array(_fma_triples()[case], dtype=float)
+    exact_calls = []
+    scalar = forecasters._fma_exact
+    monkeypatch.setattr(forecasters, "_fma_exact", lambda *abc: exact_calls.append(abc) or scalar(*abc))
+    got = _fma(triples[:, 0], triples[:, 1], triples[:, 2])
+    assert _same_doubles(got, [_fraction_fma(*abc) for abc in triples])
+    assert len(exact_calls) == len(_OUTSIDE[case])
+    assert _same_doubles(np.reshape(exact_calls, (-1, 3)), triples[_OUTSIDE[case]])
+
+
+def _random_doubles(rng, n, low, high):
+    return rng.choice([-1.0, 1.0], n) * rng.uniform(1.0, 2.0, n) * np.exp2(rng.integers(low, high, n).astype(float))
+
+
+@pytest.mark.parametrize("low, high", [(-1000, 1000), (-60, 60)], ids=["wide", "narrow"])
+def test_fma_matches_exact_rationals_on_random_triples(low, high):
+    rng = np.random.default_rng(seed + 15)
+    n = 12_000
+    a, b = _random_doubles(rng, n, low, high), _random_doubles(rng, n, low, high)
+    # c at a random scale, near -a*b, at exactly -round(a*b), or at half an ulp of a*b
+    with np.errstate(over="ignore", under="ignore"):
+        product = a * b
+        c = np.select(
+            [np.arange(n) % 4 == k for k in range(4)],
+            [_random_doubles(rng, n, 2 * low, 2 * high),
+             -product * (1.0 + rng.standard_normal(n) * np.exp2(-rng.integers(10, 60, n).astype(float))),
+             -product,
+             np.spacing(product) / 2.0 * rng.choice([-3.0, -1.0, 1.0, 3.0], n)],
+        )
+    got = _fma(a, b, c)
+    assert _same_doubles(got, [_fraction_fma(*abc) for abc in zip(a.tolist(), b.tolist(), c.tolist())])
+    # the scalar form of a gives the same bytes, as the AR walk passes it
+    assert _same_doubles(_fma(a[0], b, c), [_fraction_fma(a[0], *bc) for bc in zip(b.tolist(), c.tolist())])
+
+
+def _openblas_dynamic_arch():
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return False
+    return "openblas" in blas.get("name", "").lower() and "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
+
+
+@pytest.mark.skipif(not _openblas_dynamic_arch(), reason="numpy's BLAS is not an OpenBLAS DYNAMIC_ARCH build")
+@pytest.mark.parametrize("coretype", ["Prescott", "Haswell"])
+def test_ar_walk_bytes_hold_under_other_openblas_kernels(coretype):
+    # OPENBLAS_CORETYPE forces a kernel for one process; Prescott has no FMA
+    repo = Path(__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", str(Path(__file__).resolve()),
+         "-k", "ar_path or refit_path"],
+        cwd=repo, env=dict(os.environ, OPENBLAS_CORETYPE=coretype), capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stdout[-3000:] + result.stderr[-3000:]
 
 
 @pytest.mark.parametrize("spec", [ValueForecasterSpec.naive(), ValueForecasterSpec.drift()],

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import os
 import subprocess
@@ -119,6 +120,22 @@ def test_sim_config_validation():
     assert SimConfig(n_trials=2**32 - 1).n_trials == 2**32 - 1
     with pytest.raises(ConfigError, match="^n_trials=4294967296, n_steps=2000: too large to allocate$"):
         SimConfig(n_trials=2**32)
+
+
+@pytest.mark.parametrize("name, value", [("seed", 3.5), ("seed", "7"), ("n_trials", 2.5), ("n_steps", 10.5),
+                                         ("seed", None), ("n_steps", np.float64(20.0)), ("seed", np.array([3])),
+                                         ("seed", True), ("n_trials", False), ("n_steps", np.True_)])
+def test_sim_config_counts_and_seed_are_integers_not_bools(name, value):
+    # a bool is refused too: True as a seed or a count is a slip, and numpy refuses np.True_ as an index
+    with pytest.raises(ConfigError, match=f"^{name} must be an integer, got "):
+        SimConfig(**{name: value})
+
+
+def test_sim_config_stores_numpy_integers_as_ints():
+    config = SimConfig(n_steps=np.int32(300), n_trials=np.uint16(12), seed=np.uint64(17))
+    assert [type(v) for v in (config.n_steps, config.n_trials, config.seed)] == [int, int, int]
+    assert config == QUICK
+    assert json.dumps(validate_prop1(config).to_dict()) == json.dumps(validate_prop1(QUICK).to_dict())
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32 + 5, 2**64 + 7, 2**130 + 1])
