@@ -234,16 +234,16 @@ def _ar_path(intercept, coefficients: np.ndarray, values: np.ndarray, start: int
     order = coefficients.shape[-1]
     lags = values[start - order : values.size - 1]
     size, scale, acc = np.abs(lags), np.abs(coefficients), np.zeros(values.size - start)
-    with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):  # an overflow gives inf, which the loss check reports
         # every step is inside _fma's range where the extreme lags and coefficients are
         top = size.max(initial=0.0)
-        checked = bool(max(top, scale.max()) <= _SPLIT_MAX and top * scale.sum(axis=-1).max() <= _TERM_MAX / 2
+        checked = bool(max(top, scale.max(initial=0.0)) <= _SPLIT_MAX and top * scale.sum(axis=-1).max() <= _TERM_MAX / 2
                        and size.min(initial=np.inf) * scale.min(where=scale > 0, initial=np.inf) >= _PRODUCT_MIN)
         high, low = _split(lags)
-    for k in range(order):
-        lag = slice(order - 1 - k, lags.size - k)
-        acc = _fma(coefficients[..., k], lags[lag], acc, (high[lag], low[lag]), checked)
-    return intercept + acc
+        for k in range(order):
+            lag = slice(order - 1 - k, lags.size - k)
+            acc = _fma(coefficients[..., k], lags[lag], acc, (high[lag], low[lag]), checked)
+        return intercept + acc
 
 
 @dataclass(frozen=True)

@@ -418,10 +418,17 @@ def test_ar_path_is_exact_outside_the_array_range():
         path = model.forecast_path(values, start)
         reference = [_reference_forecast_one(model, values[:t]) for t in range(start, values.size)]
         assert _same_doubles(path, reference)
-    # a walk of huge values stays finite
+    # a model with no lags forecasts its intercept, as its empty dot did
+    assert _same_doubles(ARModel(intercept=0.5, coefficients=np.array([])).forecast_path(values, 0), [0.5] * 20)
+    # tiny values with no zero among them: every product's error term underflows
+    tiny = 1e-160 * (1.0 + np.sin(np.arange(30.0)) / 4.0)
+    model = ARModel(intercept=0.0, coefficients=np.array([1e-150, -3e-151]))
+    assert _same_doubles(model.forecast_path(tiny, 2), [_reference_forecast_one(model, tiny[:t]) for t in range(2, 30)])
+    # a walk of huge values stays finite; past the float64 range it is inf, with no warning
     huge = 1e301 * (1.0 + np.sin(np.arange(50.0)) / 4.0)
     path = ARModel(intercept=1.0, coefficients=np.array([0.6, 0.3])).forecast_path(huge, 2)
     assert np.all(np.isfinite(path))
+    assert _next(ARModel(intercept=1e308, coefficients=np.array([1.0])), [1e308]) == np.inf
 
 
 def _fma_triples():
@@ -439,6 +446,11 @@ def _fma_triples():
         # the sum's rounding to inf: half an ulp past the largest double, and just short of it
         "overflowing-sum": [(1.7976931348623157e308, 1.0, 2.0**970), (1.7976931348623157e308, 1.0, 2.0**970 - 2.0**918),
                             (2.0**1000, 2.0**23, 2.0**1023), (2.0**1000, 2.0**23, -(2.0**1023))],
+        # the low parts sum inexactly next to a tie of the result: rounding them to nearest
+        # first, or truncating them on the wrong side, gives the wrong neighbour
+        "round-to-odd": [(1.0 + 2.0**-52, 2.0**-53 - 2.0**-106, 1.0), (1.0 + 2.0**-52, -(2.0**-53 - 2.0**-106), 1.5),
+                         (1.0 - 3 * 2.0**-53, 2.0**-53 + 3 * 2.0**-105, 1.0),
+                         (1.0 - 3 * 2.0**-53, -(2.0**-53 + 3 * 2.0**-105), -1.0)],
         # products below the smallest double, at it, and rounding to it or to zero
         "subnormal-products": [(2.0**-600, 2.0**-500, 0.0), (2.0**-537, 2.0**-537, 0.0), (1.5 * 2.0**-538, 2.0**-537, 0.0),
                                (2.0**-538, 2.0**-537, 0.0), (-(2.0**-538), 2.0**-537, 0.0), (2.0**-538, 2.0**-537, -0.0),
@@ -447,6 +459,9 @@ def _fma_triples():
         "subnormal-error-terms": [(1.0 + 2.0**-52, (1.0 + 2.0**-52) * 2.0**-980, 0.0),
                                   (1.0 + 2.0**-52, (1.0 + 2.0**-52) * 2.0**-1000, -(2.0**-1000)),
                                   (1.0 + 2.0**-52, (1.0 + 2.0**-52) * 2.0**-967, -(2.0**-967))],
+        # subnormal factors whose products lie in the range
+        "subnormal-factors": [(tiny, -big, -1e-280), (-(2.0**40 + 1.0) * tiny, 2.0**990, 3e-290),
+                              (1.5 * 2.0**990, 7.0 * tiny, 0.0)],
         "non-finite": [(np.inf, 2.0, 1.0), (np.inf, 0.0, 1.0), (-np.inf, 2.0, np.inf), (np.inf, -2.0, -np.inf),
                        (2.0, 3.0, -np.inf), (1e300, 1e300, -np.inf), (np.nan, 0.0, 1.0), (1.0, 1.0, np.nan),
                        (0.0, np.inf, np.nan)],
@@ -458,7 +473,7 @@ def _fma_triples():
                           (-(2.0**-484), 2.0**-484, -0.0), (-(2.0**-484), np.nextafter(2.0**-484, 0.0), -0.0)],
         "addend-top": [(3.0, 5.0, top), (3.0, 5.0, np.nextafter(top, np.inf)), (3.0, 5.0, -top),
                        (3.0, 5.0, -np.nextafter(top, np.inf))],
-        "zero-factor": [(0.0, 2.0**1000, 1.0), (2.0**-1060, 0.0, -0.0), (-0.0, tiny, -0.0)],
+        "zero-factor": [(0.0, 2.0**1000, 1.0), (2.0**-1060, 0.0, -0.0), (-0.0, tiny, -0.0), (2.0**1000, -0.0, -0.0)],
     }
     return cases
 
@@ -466,9 +481,9 @@ def _fma_triples():
 # elements of each case that go through the exact scalar routine
 _OUTSIDE = {
     "zeros": [], "cancellation": [], "overflowing-product": [0, 1, 2, 3], "overflowing-sum": [0, 1, 2, 3],
-    "subnormal-products": [0, 1, 2, 3, 4, 5, 6, 7, 8], "subnormal-error-terms": [0, 1],
+    "subnormal-products": [0, 1, 2, 3, 4, 5, 6, 7, 8], "subnormal-error-terms": [0, 1], "subnormal-factors": [],
     "non-finite": [0, 1, 2, 3, 4, 5, 6, 7, 8], "split-bound": [1, 3], "product-top": [1],
-    "product-floor": [1, 3], "addend-top": [1, 3], "zero-factor": [0],
+    "product-floor": [1, 3], "addend-top": [1, 3], "zero-factor": [0, 3], "round-to-odd": [],
 }
 
 
