@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NumericError, _require_finite
+from .errors import ConfigError, DataError, NumericError, _int_at_least, _real, _require_finite
 from .ingest import FeatureMatrix
 
 __all__ = [
@@ -65,15 +65,12 @@ class TrendPredictorSpec:
             if getattr(self, name) is not None and name not in own:
                 raise ConfigError(f"{name} is not a parameter of the {self.kind} classifier")
         if self.kind == "knn":
-            if self.k is None or self.k < 1:
-                raise ConfigError(f"KNN needs k >= 1, got {self.k}")
+            object.__setattr__(self, "k", _int_at_least("KNN k", self.k, 1))
         elif self.kind == "oracle":
-            if self.accuracy is None or not 0.0 <= self.accuracy <= 1.0:
-                raise ConfigError(f"oracle accuracy must lie in [0, 1], got {self.accuracy}")
-            if self.seed is None or self.seed < 0:
-                raise ConfigError(f"oracle classifier needs a non-negative seed, got {self.seed}")
+            object.__setattr__(self, "accuracy", _real("oracle accuracy", self.accuracy, 0.0, 1.0))
+            object.__setattr__(self, "seed", _int_at_least("oracle seed", self.seed, 0))
         elif self.kind == "external":
-            if not isinstance(self.source, np.ndarray):
+            if not (isinstance(self.source, np.ndarray) and self.source.ndim == 1):
                 raise ConfigError(
                     "external classifier needs a position-indexed direction array, got "
                     f"{self.source!r}; read a file with load_external_directions(path, series)"

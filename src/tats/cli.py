@@ -23,7 +23,7 @@ from pathlib import Path
 from .classifiers import CLASSIFIER_KINDS, TrendPredictorSpec
 from .core import chronological_split
 from .engine import TatsConfig, _SplitDataError, _check_alphas, prepare_run, sweep_alpha
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError, NumericError, _int_at_least
 from .forecasters import FORECASTER_KINDS, ValueForecasterSpec
 from .ingest import (
     _read_text,
@@ -163,8 +163,7 @@ def _resolve_settings(args: argparse.Namespace) -> None:
         raise ConfigError("no data file given (use --data or a config file)")
     if args.target_column is None:
         raise ConfigError("no target column given (use --target-column or a config file)")
-    if args.exog_lag < 0:
-        raise ConfigError(f"exog_lag must be non-negative, got {args.exog_lag}")
+    _int_at_least("exog_lag", args.exog_lag, 0)  # oracle and external runs build no feature table
     if args.alphas is not None:
         args.alphas = _check_alphas(args.alphas)
     args.out_dir = _out_dir(args.out_dir)
@@ -406,8 +405,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         error_scale=args.error_scale, alpha=args.alpha, seed=args.seed,
     )
     report = validate_prop1(config)
-    # repr of a float never needs CSV quoting, so each row is formatted straight into the text
-    rows = (f"{i},{b!r},{t!r},{(b - t)!r}\n" for i, (b, t) in enumerate(report.trials.tolist()))
+    # repr of a float never needs CSV quoting; each row is formatted from one trial's floats
+    rows = (f"{i},{b!r},{t!r},{(b - t)!r}\n" for i, (b, t) in enumerate(row.tolist() for row in report.trials))
     out = _out_dir(args.out)
     _write_outputs(out, {
         "simulation.json": json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n",

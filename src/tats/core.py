@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, _real, _vector
 
 __all__ = [
     "TimeSeries",
@@ -30,9 +30,7 @@ class TimeSeries:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.values, dtype=float)
-        if arr.ndim != 1:
-            raise DataError(f"series values must be one-dimensional, got shape {arr.shape}")
+        arr = _vector("series values", self.values, DataError)
         if arr.size < 1:
             raise DataError("series must contain at least one value")
         if not np.all(np.isfinite(arr)):
@@ -58,16 +56,13 @@ def chronological_split(series: TimeSeries, train_fraction: float) -> tuple[Time
     The train part takes floor(train_fraction * n) values; the remainder
     becomes the test part. Both parts must be non-empty.
     """
-    if not 0.0 < train_fraction < 1.0:
-        raise ConfigError(f"train_fraction must lie strictly between 0 and 1, got {train_fraction}")
+    train_fraction = _real("train_fraction", train_fraction, 0.0, 1.0, "()")
     n = len(series)
     if n < 2:
         raise DataError("series too short to split (need at least 2 values)")
     n_train = math.floor(train_fraction * n)
     if n_train < 1:
-        raise ConfigError(
-            f"train split would be empty: floor({train_fraction} * {n}) = {n_train}"
-        )
+        raise ConfigError(f"train split would be empty: floor({train_fraction} * {n}) = {n_train}")
     if n_train >= n:
         raise ConfigError(f"test split would be empty with train_fraction={train_fraction}")
     return series.slice(0, n_train), series.slice(n_train, n)

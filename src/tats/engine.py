@@ -26,14 +26,13 @@ are tagged UNDEFINED and excluded from scenario-conditional statistics.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .classifiers import OracleTrendPredictor, TrendPredictorSpec, fit_classifier
 from .core import TimeSeries
-from .errors import ConfigError, DataError, NumericError, _require_finite
+from .errors import ConfigError, DataError, NumericError, _int_at_least, _real, _require_finite, _vector
 from .forecasters import ValueForecasterSpec, _walk_forward, fit_forecaster
 from .ingest import Dataset, FeatureTable, _table_slice, build_feature_table
 from .metrics import EvalReport, _report, diff_rdiff
@@ -58,18 +57,13 @@ class Scenario(enum.IntEnum):
     S4 = 4
 
 
-def _check_alpha(alpha: float) -> None:
-    if not (math.isfinite(alpha) and alpha > 0.0):
-        raise ConfigError(f"alpha must be finite and positive, got {alpha}")
-
-
 def _check_alphas(alphas) -> list[float]:
     """An alpha grid as floats: non-empty, every alpha finite and positive."""
-    alphas = [float(a) for a in alphas]
+    if not np.iterable(alphas):
+        raise ConfigError(f"alphas must be a sequence of numbers, got {type(alphas).__name__}")
+    alphas = [_real("alpha", a, 0.0, ends="()") for a in alphas]
     if not alphas:
         raise ConfigError("alpha sweep needs at least one alpha")
-    for a in alphas:
-        _check_alpha(a)
     return alphas
 
 
@@ -107,7 +101,7 @@ class ForecastTrace:
 
     def adjusted(self, alpha: float) -> tuple[np.ndarray, np.ndarray]:
         """(y_adj, loss_adj) at alpha: the module docstring's y_adj per step, and its squared errors."""
-        _check_alpha(alpha)
+        alpha = _real("alpha", alpha, 0.0, ends="()")
         y_adj, loss_adj = np.empty(len(self)), np.empty(len(self))
         with np.errstate(over="ignore", invalid="ignore"):  # the kernel checks the summed loss
             _adjust_into(self, alpha, y_adj, loss_adj)
@@ -153,8 +147,7 @@ class TatsConfig:
     refit_each_step: bool = False
 
     def __post_init__(self) -> None:
-        if self.n_lags < 1:
-            raise ConfigError(f"n_lags must be at least 1, got {self.n_lags}")
+        object.__setattr__(self, "n_lags", _int_at_least("n_lags", self.n_lags, 1))
 
 
 def evaluate_forecasts(
@@ -169,19 +162,16 @@ def evaluate_forecasts(
     step start + i. The trace's y_prev and y_true are views of values;
     its indicator and scenario follow the rules in the module docstring.
     """
-    values = np.asarray(values, dtype=float)
-    forecasts = np.asarray(forecasts, dtype=float)
-    directions = np.asarray(directions)
-    m = forecasts.size
-    if m == 0:
-        raise ConfigError("no steps to evaluate")
+    values, forecasts = _vector("values", values), _vector("forecasts", forecasts)
+    directions, start = _vector("directions", directions), _int_at_least("start", start, 1)
+    m = forecasts.size  # the trace refuses m == 0
     if directions.size != m:
         raise ConfigError(f"{m} forecasts but {directions.size} directions")
     # checked before the cast, which would truncate 1.7 to 1 and warn on NaN
     if not np.all(np.abs(directions) == 1):
         raise DataError("directions must be +1 or -1")
     directions = directions.astype(int, copy=False)
-    if start < 1 or start + m > values.size:
+    if start + m > values.size:
         raise ConfigError(
             f"evaluation range [{start}, {start + m}) outside series of length {values.size}"
         )

@@ -3,8 +3,13 @@
 The split mirrors how failures are reported to callers: configuration
 problems are caught before any work starts, data problems surface while
 reading or aligning inputs, and numeric problems surface during fitting
-or evaluation. The command line maps them to distinct exit codes.
+or evaluation. The command line maps them to distinct exit codes. The
+checkers below refuse a parameter of the wrong type as one out of range.
 """
+
+import math
+import numbers
+import operator
 
 import numpy as np
 
@@ -35,3 +40,42 @@ def _require_finite(value, what: str):
     if not np.isfinite(value).all():
         raise NumericError(f"{what} overflowed float64; the input values are too large")
     return value
+
+
+def _int_at_least(name: str, value, low: int) -> int:
+    """value as an int of at least low. numpy integers pass; bools and floats do not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ConfigError(f"{name} must be {'non-negative' if low == 0 else f'at least {low}'}, got {value}")
+    return operator.index(value)
+
+
+def _real(name: str, value, low: float = -math.inf, high: float = math.inf, ends: str = "[]") -> float:
+    """value as a float: a finite real, not a bool, from low to high. ends holds the interval's
+    brackets, "(" or ")" at an open end; without a finite high end, low is -inf or 0."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a real number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:  # an int beyond the range of floats
+        x = math.inf if value > 0 else -math.inf
+    above = low < x if ends[0] == "(" else low <= x
+    below = x < high if ends[1] == ")" else x <= high
+    if not (math.isfinite(x) and above and below):
+        rule = f"lie in {ends[0]}{low:g}, {high:g}{ends[1]}" if high < math.inf else "be finite"
+        if high == math.inf and low == 0.0:
+            rule += " and positive" if ends[0] == "(" else " and non-negative"
+        raise ConfigError(f"{name} must {rule}, got {x}")
+    return x
+
+
+def _vector(name: str, value, error: type[TatsError] = ConfigError) -> np.ndarray:
+    """np.asarray(value, dtype=float), which must convert and be one-dimensional, else error."""
+    try:
+        array = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise error(f"{name} must be an array of numbers, got {type(value).__name__}") from None
+    if array.ndim != 1:
+        raise error(f"{name} must be one-dimensional, got shape {array.shape}")
+    return array

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import TimeSeries
-from .errors import ConfigError, DataError, NumericError, _require_finite
+from .errors import ConfigError, DataError, NumericError, _int_at_least, _real, _require_finite
 from .ingest import _table_slice
 
 __all__ = [
@@ -124,13 +124,11 @@ class ValueForecasterSpec:
         if not isinstance(self.kind, str) or self.kind not in FORECASTER_KINDS:
             raise ConfigError(f"unknown forecaster kind: {self.kind!r}")
         if self.kind == "ar":
-            if self.order is None or self.order < 1:
-                raise ConfigError(f"AR forecaster needs order >= 1, got {self.order}")
+            object.__setattr__(self, "order", _int_at_least("AR order", self.order, 1))
         elif self.kind == "ses":
-            if self.smoothing is None or not 0.0 < self.smoothing <= 1.0:
-                raise ConfigError(f"SES smoothing must lie in (0, 1], got {self.smoothing}")
+            object.__setattr__(self, "smoothing", _real("SES smoothing", self.smoothing, 0.0, 1.0, "(]"))
         elif self.kind == "external":
-            if not isinstance(self.source, np.ndarray):
+            if not (isinstance(self.source, np.ndarray) and self.source.ndim == 1):
                 raise ConfigError(
                     "external forecaster needs a position-indexed forecast array, got "
                     f"{self.source!r}; read a file with load_external_forecasts(path, series)"
@@ -292,8 +290,7 @@ def fit_ar(series: TimeSeries, order: int) -> ARModel:
     design (constant series, too few rows) falls back to a ridge solve
     with penalty 1e-8 and is flagged degenerate.
     """
-    if order < 1:
-        raise ConfigError(f"AR order must be at least 1, got {order}")
+    order = _int_at_least("AR order", order, 1)
     y = series.values
     if y.size < order + 1:
         raise DataError(

@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import TimeSeries
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, _int_at_least
 
 __all__ = [
     "Dataset",
@@ -258,10 +258,7 @@ def build_feature_table(
     holds the n_lags most recent target values (newest first) and, when
     requested, the exogenous values at s - exog_lag in declared order.
     """
-    if n_lags < 1:
-        raise ConfigError(f"n_lags must be at least 1, got {n_lags}")
-    if exog_lag < 0:
-        raise ConfigError(f"exog_lag must be non-negative, got {exog_lag}")
+    n_lags, exog_lag = _int_at_least("n_lags", n_lags, 1), _int_at_least("exog_lag", exog_lag, 0)
     y = dataset.target.values
     n = y.size
     start = max(n_lags - 1, exog_lag if include_exogenous and dataset.exogenous else 0)

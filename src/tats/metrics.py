@@ -3,13 +3,12 @@ pairwise improvement (Diff, R-Diff), and a trend-aware penalty loss."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NumericError, _require_finite
+from .errors import ConfigError, DataError, NumericError, _int_at_least, _real, _require_finite, _vector
 
 if TYPE_CHECKING:
     from .engine import ForecastTrace
@@ -25,14 +24,14 @@ __all__ = [
 ]
 
 
-def _aligned(y_true, y_pred) -> tuple[np.ndarray, np.ndarray]:
-    t = np.asarray(y_true, dtype=float)
-    p = np.asarray(y_pred, dtype=float)
-    if t.shape != p.shape or t.ndim != 1:
-        raise ConfigError(f"actuals and forecasts must be 1-D and aligned, got {t.shape} vs {p.shape}")
-    if t.size == 0:
+def _aligned(*arrays) -> list[np.ndarray]:
+    """Actuals, forecasts and any previous values as 1-D float arrays of one shape, not empty."""
+    arrays = [_vector(name, a) for name, a in zip(("actuals", "forecasts", "y_prev"), arrays)]
+    if len({a.shape for a in arrays}) > 1:
+        raise ConfigError(f"actuals, forecasts and any y_prev must be aligned, got shapes {[a.shape for a in arrays]}")
+    if arrays[0].size == 0:
         raise ConfigError("metrics need at least one step")
-    return t, p
+    return arrays
 
 
 def td_accuracy(y_prev, y_true, y_pred) -> float:
@@ -42,10 +41,7 @@ def td_accuracy(y_prev, y_true, y_pred) -> float:
     have the same strict sign; flat moves on either side count as
     incorrect. The denominator is the total number of steps.
     """
-    t, p = _aligned(y_true, y_pred)
-    prev = np.asarray(y_prev, dtype=float)
-    if prev.shape != t.shape:
-        raise ConfigError(f"y_prev must align with actuals, got {prev.shape} vs {t.shape}")
+    t, p, prev = _aligned(y_true, y_pred, y_prev)
     # signs, not the product of the moves, which underflows to 0 below about
     # 1e-154; a move that overflows to +-inf keeps its sign
     with np.errstate(over="ignore", invalid="ignore"):
@@ -88,21 +84,11 @@ def trend_aware_loss(y_true, y_pred, gamma: float, y_prev=None) -> float:
     in which case the first step has no previous value and is exempt
     from the penalty (but still contributes its squared error).
     """
-    gamma = float(gamma)
-    if not (math.isfinite(gamma) and gamma >= 0.0):
-        raise ConfigError(f"gamma must be finite and non-negative, got {gamma}")
-    t, p = _aligned(y_true, y_pred)
+    gamma = _real("gamma", gamma, 0.0)
+    t, p, *given = _aligned(y_true, y_pred, *([] if y_prev is None else [y_prev]))
     with np.errstate(over="ignore", invalid="ignore"):
         sse = float(_require_finite(np.sum((t - p) ** 2), "the sum of squared errors"))
-    if y_prev is None:
-        if t.size < 2:
-            return sse
-        prev, tt, pp = t[:-1], t[1:], p[1:]
-    else:
-        prev = np.asarray(y_prev, dtype=float)
-        if prev.shape != t.shape:
-            raise ConfigError(f"y_prev must align with actuals, got {prev.shape} vs {t.shape}")
-        tt, pp = t, p
+    prev, tt, pp = (given[0], t, p) if given else (t[:-1], t[1:], p[1:])
     with np.errstate(over="ignore", invalid="ignore"):  # as in td_accuracy
         wrong = int(np.count_nonzero(np.sign(pp - prev) * np.sign(tt - prev) < 0))
     return sse + gamma * wrong
@@ -128,8 +114,7 @@ class EvalReport:
     def __post_init__(self) -> None:
         if self.diff is None and self.r_diff is not None:
             raise ConfigError("r_diff needs diff")
-        if self.n_steps < 1:
-            raise ConfigError("a report must cover at least one step")
+        object.__setattr__(self, "n_steps", _int_at_least("a report's n_steps", self.n_steps, 1))
 
     def to_dict(self) -> dict:
         out = {

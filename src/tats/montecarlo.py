@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 import operator
 from dataclasses import asdict, dataclass, fields
 from typing import NamedTuple
@@ -35,8 +34,8 @@ import numpy as np
 
 from .classifiers import OracleTrendPredictor
 from .core import TimeSeries
-from .engine import ForecastTrace, _adjust_into, _check_alpha, _evaluate_into, _scenario_counts
-from .errors import ConfigError, NumericError, _require_finite
+from .engine import ForecastTrace, _adjust_into, _evaluate_into, _scenario_counts
+from .errors import ConfigError, NumericError, _int_at_least, _real, _require_finite
 from .theory import _estimate, _trace_stats
 
 __all__ = [
@@ -70,28 +69,14 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name, low in (("n_steps", 10), ("n_trials", 1), ("seed", 0)):  # ints and numpy ints; not bools
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-            if value < low:
-                raise ConfigError(f"{name} must be at least {low}, got {value}")
-            object.__setattr__(self, name, operator.index(value))  # stored as an int
+        for name, low in (("n_steps", 10), ("n_trials", 1), ("seed", 0)):  # stored as ints
+            object.__setattr__(self, name, _int_at_least(name, getattr(self, name), low))
         if self.n_trials >= 2**32:  # a trial's index is one 32-bit word of its seeds; results alone take 96 GiB
             raise ConfigError(f"n_trials={self.n_trials}, n_steps={self.n_steps}: too large to allocate")
-        if not (math.isfinite(self.volatility) and self.volatility > 0.0):
-            raise ConfigError(f"volatility must be finite and positive, got {self.volatility}")
-        if not math.isfinite(self.drift):
-            raise ConfigError(f"drift must be finite, got {self.drift}")
-        for name in ("p_dt", "p_db"):
-            value = getattr(self, name)
-            if not 0.0 < value < 1.0:
-                raise ConfigError(f"{name} must lie strictly inside (0, 1), got {value}")
-        if not 0.0 < self.error_scale < 2.0:
-            raise ConfigError(
-                f"error_scale must lie in (0, 2) for sharp scenario signs, got {self.error_scale}"
-            )
-        _check_alpha(self.alpha)
+        # error_scale lies in (0, 2) for sharp scenario signs (see the module docstring)
+        for name, low, high in (("drift", -math.inf, math.inf), ("volatility", 0.0, math.inf), ("p_dt", 0.0, 1.0),
+                                ("p_db", 0.0, 1.0), ("error_scale", 0.0, 2.0), ("alpha", 0.0, math.inf)):
+            object.__setattr__(self, name, _real(name, getattr(self, name), low, high, "()"))
 
 
 def gen_random_walk(
@@ -101,14 +86,17 @@ def gen_random_walk(
     seed: int | np.random.SeedSequence | np.random.Generator,
 ) -> TimeSeries:
     """Gaussian random walk of length n starting at 100."""
-    if n < 2:
-        raise ConfigError(f"walk length must be at least 2, got {n}")
-    if not (math.isfinite(volatility) and volatility > 0.0):
-        raise ConfigError(f"volatility must be finite and positive, got {volatility}")
-    if not math.isfinite(drift):
-        raise ConfigError(f"drift must be finite, got {drift}")
+    n, drift = _int_at_least("walk length", n, 2), _real("drift", drift)
+    volatility, rng = _real("volatility", volatility, 0.0, ends="()"), _rng(seed)
     with np.errstate(over="ignore", invalid="ignore"):
-        return TimeSeries(_walk_into(np.empty(n), np.empty(n - 1), drift, volatility, np.random.default_rng(seed)))
+        return TimeSeries(_walk_into(np.empty(n), np.empty(n - 1), drift, volatility, rng))
+
+
+def _rng(seed) -> np.random.Generator:
+    """np.random.default_rng of a Generator, a SeedSequence, or an int seed checked here."""
+    if not isinstance(seed, (np.random.Generator, np.random.SeedSequence)):
+        seed = _int_at_least("seed", seed, 0)
+    return np.random.default_rng(seed)
 
 
 def _walk_into(walk: np.ndarray, steps: np.ndarray, drift: float, volatility: float, rng) -> np.ndarray:
@@ -135,10 +123,8 @@ def synthetic_forecaster(
     and y_{t-1} - error_scale*delta otherwise (direction wrong). The
     series must have no flat steps; regenerate it if it does.
     """
-    if not 0.0 < p_dt < 1.0:
-        raise ConfigError(f"p_dt must lie strictly inside (0, 1), got {p_dt}")
-    if not error_scale > 0.0:
-        raise ConfigError(f"error_scale must be positive, got {error_scale}")
+    p_dt, error_scale = _real("p_dt", p_dt, 0.0, 1.0, "()"), _real("error_scale", error_scale, 0.0, ends="()")
+    rng = _rng(seed)
     # steps of huge walks can overflow; that shows in the forecasts checked by the kernel
     with np.errstate(over="ignore", invalid="ignore"):
         moves = np.diff(series.values)
@@ -148,7 +134,7 @@ def synthetic_forecaster(
                 f"flat step at index {flat[0] + 1}: directional accuracy is undefined there; "
                 "regenerate or perturb the series"
             )
-        forecasts, u, rng = np.empty(moves.size), np.empty(moves.size), np.random.default_rng(seed)
+        forecasts, u = np.empty(moves.size), np.empty(moves.size)
         return _forecast_into(forecasts, series.values[:-1], moves, p_dt, error_scale, rng, u)
 
 
@@ -306,12 +292,11 @@ def validate_prop1(config: SimConfig) -> SimulationReport:
                 clf_hits, fc_hits, total_steps = clf_hits + clf, fc_hits + fc, total_steps + steps
                 counts += trial_counts
 
-    n = config.n_trials
-    try:
-        gap_sum = math.fsum(gap_sums.tolist())
-        reductions = (trials[:, 0] - trials[:, 1]).tolist()
+    n, reductions = config.n_trials, trials[:, 0] - trials[:, 1]
+    try:  # the sums read the arrays one float at a time; a float's ** raises OverflowError
+        gap_sum = math.fsum(gap_sums)
         mean_reduction = math.fsum(reductions) / n
-        variance = math.fsum((r - mean_reduction) ** 2 for r in reductions) / max(n - 1, 1)
+        variance = math.fsum((r - mean_reduction) ** 2 for r in map(float, reductions)) / max(n - 1, 1)
         std_error = math.sqrt(variance / n)
     except OverflowError:
         raise NumericError(
@@ -323,7 +308,7 @@ def validate_prop1(config: SimConfig) -> SimulationReport:
         trials=trials,
         mean_reduction=mean_reduction,
         std_error=std_error,
-        positive_fraction=sum(1 for r in reductions if r > 0.0) / n,
+        positive_fraction=np.count_nonzero(reductions > 0.0) / n,
         realized_p_db=estimate.p_db,
         realized_p_dt=estimate.p_dt,
         mean_abs_gap=estimate.abs_gap,

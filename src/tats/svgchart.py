@@ -7,6 +7,7 @@ import numpy as np
 from .errors import ConfigError
 
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")
+_WIDTH, _HEIGHT = 760, 440  # of every chart, in pixels
 
 
 def _escape(text: str) -> str:
@@ -27,8 +28,6 @@ def line_chart(
     series: list[tuple[str, list[float], list[float]]],
     x_label: str = "",
     y_label: str = "",
-    width: int = 760,
-    height: int = 440,
 ) -> str:
     """Render labeled (x, y) polylines into an SVG document string."""
     if not series:
@@ -37,8 +36,8 @@ def line_chart(
         if len(xs) != len(ys) or not xs:
             raise ConfigError(f"series '{label}' must have matching non-empty x and y")
     margin_left, margin_right, margin_top, margin_bottom = 64, 20, 44, 52
-    plot_w = width - margin_left - margin_right
-    plot_h = height - margin_top - margin_bottom
+    plot_w = _WIDTH - margin_left - margin_right
+    plot_h = _HEIGHT - margin_top - margin_bottom
     x_lo, x_hi = _axis([v for _, xs, _ in series for v in xs])
     y_lo, y_hi = _axis([v for _, _, ys in series for v in ys])
 
@@ -49,10 +48,10 @@ def line_chart(
         return margin_top + (1.0 - (v - y_lo) / (y_hi - y_lo)) * plot_h
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" font-family="sans-serif" font-size="12">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{width / 2:.1f}" y="24" text-anchor="middle" font-size="15">{_escape(title)}</text>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}" font-family="sans-serif" font-size="12">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
+        f'<text x="{_WIDTH / 2:.1f}" y="24" text-anchor="middle" font-size="15">{_escape(title)}</text>',
         f'<rect x="{margin_left}" y="{margin_top}" width="{plot_w}" height="{plot_h}" '
         'fill="none" stroke="#444"/>',
     ]
@@ -68,7 +67,7 @@ def line_chart(
         ]
     if x_label:
         parts.append(
-            f'<text x="{margin_left + plot_w / 2:.1f}" y="{height - 12}" '
+            f'<text x="{margin_left + plot_w / 2:.1f}" y="{_HEIGHT - 12}" '
             f'text-anchor="middle">{_escape(x_label)}</text>'
         )
     if y_label:

@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ConfigError, _require_finite
+from .errors import _real, _require_finite
 
 if TYPE_CHECKING:
     from .engine import ForecastTrace
@@ -40,12 +40,6 @@ __all__ = [
 ]
 
 
-def _check_probability(name: str, value: float) -> float:
-    if not 0.0 <= value <= 1.0:
-        raise ConfigError(f"{name} must lie in [0, 1], got {value}")
-    return float(value)
-
-
 def scenario_probabilities(p_db: float, p_dt: float) -> tuple[float, float, float, float]:
     """Probabilities of the four direction outcomes (S1, S2, S3, S4).
 
@@ -56,8 +50,7 @@ def scenario_probabilities(p_db: float, p_dt: float) -> tuple[float, float, floa
 
     Assumes the two error events are independent; the four terms sum to 1.
     """
-    a = _check_probability("p_db", p_db)
-    b = _check_probability("p_dt", p_dt)
+    a, b = _real("p_db", p_db, 0.0, 1.0), _real("p_dt", p_dt, 0.0, 1.0)
     return (a * b, (1.0 - a) * b, (1.0 - a) * (1.0 - b), a * (1.0 - b))
 
 
@@ -67,11 +60,8 @@ def lower_bound(abs_gap: float, p_db: float, p_dt: float) -> float:
     Positive whenever the classifier is directionally more accurate than
     the base forecaster.
     """
-    a = _check_probability("p_db", p_db)
-    b = _check_probability("p_dt", p_dt)
-    if not abs_gap >= 0.0:
-        raise ConfigError(f"abs_gap must be non-negative, got {abs_gap}")
-    return abs_gap * (a - b)
+    a, b = _real("p_db", p_db, 0.0, 1.0), _real("p_dt", p_dt, 0.0, 1.0)
+    return _real("abs_gap", abs_gap, 0.0) * (a - b)
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,8 @@ import math
 
 import numpy as np
 
-from tats.engine import Scenario, _check_alpha
-from tats.errors import DataError
+from tats.engine import Scenario
+from tats.errors import DataError, _real
 
 
 def indicator(y_hat: float, y_prev: float, direction: int) -> int:
@@ -31,7 +31,7 @@ def indicator(y_hat: float, y_prev: float, direction: int) -> int:
 
 def adjust(y_hat: float, direction: int, y_prev: float, alpha: float) -> float:
     """Direction-gated forecast: keep y_hat or step alpha the predicted way."""
-    _check_alpha(alpha)
+    _real("alpha", alpha, 0.0, ends="()")
     if indicator(y_hat, y_prev, direction):
         return y_hat
     return y_prev + direction * alpha

@@ -2,6 +2,7 @@
 
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -39,3 +40,10 @@ def test_package_exports_are_sorted_unique_and_re_exported():
 def test_package_exports_stay_within_forty_eight_names():
     # a new public name should replace an old one, so the surface cannot silently regrow
     assert len(tats.__all__) <= 48
+
+
+def test_package_source_stays_within_its_line_cap():
+    # the lines of `cat src/tats/*.py | wc -l`, which ROADMAP tracks; a change that raises
+    # the cap says why in CHANGES.md, so the package cannot grow silently
+    lines = sum(path.read_bytes().count(b"\n") for path in Path(tats.__file__).parent.glob("*.py"))
+    assert lines <= 2832
