@@ -13,8 +13,6 @@ Exit codes: 0 success, 1 usage or configuration error, 2 data error,
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import sys
@@ -241,11 +239,8 @@ def _results_csv(config: TatsConfig, sweep, split: str) -> str:
          e.report.diff, e.report.r_diff)
         for e in sweep.entries
     ]
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(RESULTS_HEADER)
-    writer.writerows([_cell(value) for value in row] for row in rows)
-    return buf.getvalue()
+    # no label or number needs CSV quoting
+    return "".join(",".join(map(_cell, row)) + "\n" for row in [RESULTS_HEADER, *rows])
 
 
 def _prepare_experiment(args: argparse.Namespace):

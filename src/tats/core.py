@@ -43,12 +43,6 @@ class TimeSeries:
     def __len__(self) -> int:
         return int(self.values.size)
 
-    def slice(self, start: int, stop: int) -> "TimeSeries":
-        """Contiguous sub-series over [start, stop)."""
-        if not 0 <= start < stop <= len(self):
-            raise ConfigError(f"invalid slice [{start}, {stop}) of series with length {len(self)}")
-        return TimeSeries(self.values[start:stop])
-
 
 def chronological_split(series: TimeSeries, train_fraction: float) -> tuple[TimeSeries, TimeSeries]:
     """Split into (train, test) preserving order.
@@ -65,4 +59,4 @@ def chronological_split(series: TimeSeries, train_fraction: float) -> tuple[Time
         raise ConfigError(f"train split would be empty: floor({train_fraction} * {n}) = {n_train}")
     if n_train >= n:
         raise ConfigError(f"test split would be empty with train_fraction={train_fraction}")
-    return series.slice(0, n_train), series.slice(n_train, n)
+    return TimeSeries(series.values[:n_train]), TimeSeries(series.values[n_train:])

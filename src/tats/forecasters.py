@@ -54,19 +54,18 @@ def _two_sum(x, y):
     return s, (x - (s - t)) + (y - t)
 
 
-def _fma(a, b: np.ndarray, c: np.ndarray, b_parts=None, checked: bool = False) -> np.ndarray:
+def _fma(a, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     """a*b + c rounded once (IEEE 754 fma) for each element; a may be a scalar.
 
     Dekker's product (Numer. Math. 18, 1971) gives a*b == p + pl, TwoSum gives c + p == s + sl,
     and s + RO(sl + pl), RO rounding to odd, is a*b + c rounded once (Boldo & Melquiond, IEEE
     Trans. Computers 57(4), 2008). That is exact for finite operands with |a|, |b| <= _SPLIT_MAX
     (the split cannot overflow), |c|, |p| <= _TERM_MAX (no sum overflows) and |p| >= _PRODUCT_MIN
-    (its error term cannot underflow) or a*b == 0. Other elements go through _fma_exact, unless
-    the caller has checked that there are none. b_parts is _split(b), where the caller has it.
+    (its error term cannot underflow) or a*b == 0. Other elements go through _fma_exact.
     """
     with np.errstate(all="ignore"):
         p = a * b
-        (ah, al), (bh, bl) = _split(a), b_parts or _split(b)
+        (ah, al), (bh, bl) = _split(a), _split(b)
         s, sl = _two_sum(c, p)
         v, e = _two_sum(sl, ((ah * bh - p) + ah * bl + al * bh) + al * bl)
         # round v to odd: truncate it towards zero, then set its last bit where it was inexact
@@ -75,8 +74,6 @@ def _fma(a, b: np.ndarray, c: np.ndarray, b_parts=None, checked: bool = False) -
         bits |= inexact
         z = s + v
         np.add(p, c, out=z, where=z == 0)  # an exact zero takes the sign of IEEE addition
-        if checked:
-            return z
         size = np.abs(p)
         inside = ((size <= _TERM_MAX) & ((size >= _PRODUCT_MIN) | (a == 0) | (b == 0))
                   & (np.abs(a) <= _SPLIT_MAX) & (np.abs(b) <= _SPLIT_MAX) & (np.abs(c) <= _TERM_MAX))
@@ -230,17 +227,10 @@ def _ar_path(intercept, coefficients: np.ndarray, values: np.ndarray, start: int
     coefficients) per step. The sum of coefficient times lag, newest first, is a chain of fused
     multiply-adds from +0.0: OpenBLAS's dot of under 16 terms on an FMA kernel, on any CPU."""
     order = coefficients.shape[-1]
-    lags = values[start - order : values.size - 1]
-    size, scale, acc = np.abs(lags), np.abs(coefficients), np.zeros(values.size - start)
+    lags, acc = values[start - order : values.size - 1], np.zeros(values.size - start)
     with np.errstate(all="ignore"):  # an overflow gives inf, which the loss check reports
-        # every step is inside _fma's range where the extreme lags and coefficients are
-        top = size.max(initial=0.0)
-        checked = bool(max(top, scale.max(initial=0.0)) <= _SPLIT_MAX and top * scale.sum(axis=-1).max() <= _TERM_MAX / 2
-                       and size.min(initial=np.inf) * scale.min(where=scale > 0, initial=np.inf) >= _PRODUCT_MIN)
-        high, low = _split(lags)
         for k in range(order):
-            lag = slice(order - 1 - k, lags.size - k)
-            acc = _fma(coefficients[..., k], lags[lag], acc, (high[lag], low[lag]), checked)
+            acc = _fma(coefficients[..., k], lags[order - 1 - k : lags.size - k], acc)
         return intercept + acc
 
 

@@ -3,7 +3,7 @@ pairwise improvement (Diff, R-Diff), and a trend-aware penalty loss."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -117,16 +117,9 @@ class EvalReport:
         object.__setattr__(self, "n_steps", _int_at_least("a report's n_steps", self.n_steps, 1))
 
     def to_dict(self) -> dict:
-        out = {
-            "tda": self.tda,
-            "mse": self.mse,
-            "mae": self.mae,
-            "mape": self.mape,
-            "n_steps": self.n_steps,
-        }
-        if self.diff is not None:
-            out["diff"] = self.diff
-            out["r_diff"] = self.r_diff
+        out = asdict(self)
+        if self.diff is None:  # no baseline
+            del out["diff"], out["r_diff"]
         return out
 
 

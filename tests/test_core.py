@@ -115,8 +115,3 @@ def test_split_concat_round_trip():
         assert len(train) + len(test) == n
         assert np.array_equal(np.concatenate([train.values, test.values]), s.values)
 
-
-def test_slice():
-    s = TimeSeries(np.arange(10, dtype=float))
-    part = s.slice(2, 5)
-    assert np.array_equal(part.values, np.array([2.0, 3.0, 4.0]))
