@@ -56,6 +56,10 @@ class Scenario(enum.IntEnum):
     S3 = 3
     S4 = 4
 
+    @classmethod
+    def _missing_(cls, value):
+        raise ConfigError(f"no scenario has the value {value!r}")
+
 
 def _check_alphas(alphas) -> list[float]:
     """An alpha grid as floats: non-empty, every alpha finite and positive."""
@@ -87,10 +91,10 @@ class ForecastTrace:
     scenario: np.ndarray
 
     def __post_init__(self) -> None:
+        for name in ("t", "y_prev", "y_true", "y_hat", "direction", "indicator", "loss_base", "scenario"):
+            if not (isinstance(value := getattr(self, name), np.ndarray) and value.shape == (self.t.size,)):
+                raise ConfigError(f"trace field {name} must be a 1-D array that aligns with t")
         n = self.t.size
-        for name in ("y_prev", "y_true", "y_hat", "direction", "indicator", "loss_base", "scenario"):
-            if getattr(self, name).size != n:
-                raise ConfigError(f"trace field {name} does not align with t")
         if n == 0:
             raise ConfigError("a trace must contain at least one step")
         if n > 1 and not np.all(np.diff(self.t) > 0):

@@ -191,8 +191,10 @@ class FeatureMatrix:
     n_flat_dropped: int
 
     def __post_init__(self) -> None:
-        if self.rows.shape[0] != self.labels.size or self.rows.shape[0] != self.row_time_index.size:
-            raise DataError("feature rows, labels, and time index must align")
+        arrays = (self.rows, self.labels, self.row_time_index)
+        if not (all(isinstance(a, np.ndarray) for a in arrays) and [a.ndim for a in arrays] == [2, 1, 1]
+                and self.rows.shape[0] == self.labels.size == self.row_time_index.size):
+            raise DataError("feature rows, labels, and time index must be 2-D, 1-D and 1-D arrays that align")
 
     def __len__(self) -> int:
         return int(self.rows.shape[0])

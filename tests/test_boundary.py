@@ -10,11 +10,14 @@ the groups below, so a new export or parameter fails
   name or a flag (``NOT_PROBED``) are typed by their annotations and not
   probed here;
 * records that the library builds and returns, the scenario enum and the
-  exception classes (``NOT_CALLED``) are not called here.
+  exception classes (``NOT_CALLED``) are not probed parameter by
+  parameter; the records whose constructors check their fields, and the
+  scenario enum, are called with wrong values by the tests at the end.
 
 numpy integers and floats stay valid wherever an int or a real is.
 """
 
+import dataclasses
 import inspect
 import math
 from functools import partial
@@ -24,7 +27,12 @@ import pytest
 
 import tats
 from tats import (
+    ConfigError,
+    DataError,
     Dataset,
+    FeatureMatrix,
+    ForecastTrace,
+    Scenario,
     SimConfig,
     TatsConfig,
     TatsError,
@@ -193,3 +201,44 @@ def test_seeds_may_be_numpy_seed_objects():
     seq = np.random.SeedSequence(5)
     assert np.array_equal(gen_random_walk(10, 0.0, 1.0, seq).values, gen_random_walk(10, 0.0, 1.0, 5).values)
     assert gen_random_walk(10, 0.0, 1.0, np.random.default_rng(5)).values.size == 10
+
+
+
+def _wrong_fields(n: int) -> dict:
+    """Values that are not a 1-D array of n elements, by name."""
+    return {"string": "x", "none": None, "list": [1.0] * n, "0-d-array": np.array(3.0),
+            "column": np.ones((n, 1)), "short": np.ones(n - 1)}
+
+
+TRACE_FIELDS = {f.name: getattr(TRACE, f.name) for f in dataclasses.fields(ForecastTrace)}
+MATRIX_FIELDS = dict(rows=np.ones((3, 2)), labels=np.array([1, -1, 1]), row_time_index=np.arange(3), n_flat_dropped=0)
+MATRIX_ROWS = {"string": "x", "none": None, "list": [[1.0, 2.0]] * 3, "1-d-array": np.ones(3),
+               "3-d-array": np.ones((3, 2, 1)), "short": np.ones((2, 2))}
+RECORD_CASES = [
+    *[pytest.param(ForecastTrace, TRACE_FIELDS, field, wrong, ConfigError, id=f"ForecastTrace-{field}-{label}")
+      for field in TRACE_FIELDS for label, wrong in _wrong_fields(len(TRACE)).items()],
+    *[pytest.param(FeatureMatrix, MATRIX_FIELDS, field, wrong, DataError, id=f"FeatureMatrix-{field}-{label}")
+      for field in ("labels", "row_time_index") for label, wrong in _wrong_fields(3).items()],
+    *[pytest.param(FeatureMatrix, MATRIX_FIELDS, "rows", wrong, DataError, id=f"FeatureMatrix-rows-{label}")
+      for label, wrong in MATRIX_ROWS.items()],
+]
+
+
+@pytest.mark.parametrize("record, fields, field, wrong, error", RECORD_CASES)
+def test_records_fail_closed(record, fields, field, wrong, error):
+    record(**fields)
+    with pytest.raises(error):
+        record(**{**fields, field: wrong})
+
+
+@pytest.mark.parametrize("value", [7, -1, "x", "S1", None, 1.5])
+def test_unknown_scenario_values_raise_a_config_error(value):
+    with pytest.raises(ConfigError):
+        Scenario(value)
+
+
+def test_records_keep_their_int8_fields():
+    # the Monte-Carlo trial workspace stores directions, indicators and scenarios as int8
+    small = {name: TRACE_FIELDS[name].astype(np.int8) for name in ("direction", "indicator", "scenario")}
+    assert len(ForecastTrace(**{**TRACE_FIELDS, **small})) == len(TRACE)
+    assert Scenario(np.int8(1)) is Scenario.S1

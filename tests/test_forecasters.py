@@ -501,6 +501,30 @@ def test_fma_edge_cases_round_once(case, monkeypatch):
     assert _same_doubles(np.reshape(exact_calls, (-1, 3)), triples[_OUTSIDE[case]])
 
 
+def test_ordinary_walks_never_reach_the_exact_scalar_route(monkeypatch):
+    # every walk takes _fma's one path; on ordinary data no operand leaves its range
+    import tats.forecasters as forecasters
+
+    def refuse(*abc):
+        raise AssertionError(f"_fma_exact reached with {abc}")
+
+    monkeypatch.setattr(forecasters, "_fma_exact", refuse)
+    values = _walk_values(20_000, seed + 16)
+    for order in (1, 2, 3, 8, 15):
+        model = fit_ar(TimeSeries(values[:14_000]), order)
+        for start in (order, 14_000):  # the train walk and the test walk
+            assert np.all(np.isfinite(model.forecast_path(values, start)))
+    spec, short = ValueForecasterSpec.ar(2), values[:400]
+    refit = _walk_forward(spec, fit_forecaster(spec, TimeSeries(short[:200])), short, 200, True)
+    assert np.all(np.isfinite(refit))
+    ints = np.cumsum(np.random.default_rng(seed + 17).integers(-2, 3, 3000)).astype(float)
+    ints -= ints[1500]
+    assert np.count_nonzero(ints == 0.0) > 1
+    for order in (1, 2, 3):
+        model = fit_ar(TimeSeries(ints[:2000]), order)
+        assert np.all(np.isfinite(model.forecast_path(ints, order)))
+
+
 def _random_doubles(rng, n, low, high):
     return rng.choice([-1.0, 1.0], n) * rng.uniform(1.0, 2.0, n) * np.exp2(rng.integers(low, high, n).astype(float))
 
