@@ -236,9 +236,3 @@ def test_unknown_scenario_values_raise_a_config_error(value):
     with pytest.raises(ConfigError):
         Scenario(value)
 
-
-def test_records_keep_their_int8_fields():
-    # the Monte-Carlo trial workspace stores directions, indicators and scenarios as int8
-    small = {name: TRACE_FIELDS[name].astype(np.int8) for name in ("direction", "indicator", "scenario")}
-    assert len(ForecastTrace(**{**TRACE_FIELDS, **small})) == len(TRACE)
-    assert Scenario(np.int8(1)) is Scenario.S1

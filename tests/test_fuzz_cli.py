@@ -19,8 +19,8 @@ Y = 100.0 + np.cumsum(_rng.standard_normal(N))
 X1 = 400.0 + np.cumsum(2.0 * _rng.standard_normal(N))
 
 
-def _csv(y, x1, header="y,x1") -> str:
-    return header + "\n" + "".join(f"{a!r},{b!r}\n" for a, b in zip(np.asarray(y).tolist(), np.asarray(x1).tolist()))
+def _csv(y, x1) -> str:
+    return "y,x1\n" + "".join(f"{a!r},{b!r}\n" for a, b in zip(np.asarray(y).tolist(), np.asarray(x1).tolist()))
 
 
 def _with_lines(text: str, at: int, *lines: str) -> str:
