@@ -203,7 +203,6 @@ def test_seeds_may_be_numpy_seed_objects():
     assert gen_random_walk(10, 0.0, 1.0, np.random.default_rng(5)).values.size == 10
 
 
-
 def _wrong_fields(n: int) -> dict:
     """Values that are not a 1-D array of n elements, by name."""
     return {"string": "x", "none": None, "list": [1.0] * n, "0-d-array": np.array(3.0),
@@ -235,4 +234,3 @@ def test_records_fail_closed(record, fields, field, wrong, error):
 def test_unknown_scenario_values_raise_a_config_error(value):
     with pytest.raises(ConfigError):
         Scenario(value)
-
