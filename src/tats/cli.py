@@ -21,15 +21,9 @@ from pathlib import Path
 from .classifiers import CLASSIFIER_KINDS, TrendPredictorSpec
 from .core import chronological_split
 from .engine import TatsConfig, _SplitDataError, _check_alphas, prepare_run, sweep_alpha
-from .errors import ConfigError, DataError, NumericError, _int_at_least
+from .errors import ConfigError, DataError, NumericError
 from .forecasters import FORECASTER_KINDS, ValueForecasterSpec
-from .ingest import (
-    _read_text,
-    build_feature_table,
-    load_csv,
-    load_external_directions,
-    load_external_forecasts,
-)
+from .ingest import _read_text, load_csv, load_external_directions, load_external_forecasts
 from .metrics import mae, mape, mse, td_accuracy
 from .montecarlo import SimConfig, validate_prop1
 from .svgchart import line_chart
@@ -161,7 +155,6 @@ def _resolve_settings(args: argparse.Namespace) -> None:
         raise ConfigError("no data file given (use --data or a config file)")
     if args.target_column is None:
         raise ConfigError("no target column given (use --target-column or a config file)")
-    _int_at_least("exog_lag", args.exog_lag, 0)  # oracle and external runs build no feature table
     if args.alphas is not None:
         args.alphas = _check_alphas(args.alphas)
     args.out_dir = _out_dir(args.out_dir)
@@ -251,19 +244,15 @@ def _prepare_experiment(args: argparse.Namespace):
     train, test = chronological_split(dataset.target, args.train_fraction)
     forecaster = _forecaster_spec(args, dataset.target)
     classifier = _classifier_spec(args, dataset.target)
-    features = None
-    if classifier.reads_features:
-        features = build_feature_table(
-            dataset, args.n_lags, args.include_exogenous, args.exog_lag
-        )
     alphas = args.alphas if args.alphas is not None else list(DEFAULT_ALPHAS)
     config = TatsConfig(
         value_forecaster=forecaster,
         trend_predictor=classifier,
         n_lags=args.n_lags,
         refit_each_step=args.refit_each_step,
+        exog_lag=args.exog_lag,
     )
-    return train, test, features, config, alphas
+    return train, test, dataset.exogenous if args.include_exogenous else {}, config, alphas
 
 
 def _print_sweep(config: TatsConfig, sweep) -> None:
@@ -297,10 +286,10 @@ def _sweep_chart(sweep) -> str:
 
 def cmd_run(args: argparse.Namespace) -> int:
     _resolve_settings(args)
-    train, test, features, config, alphas = _prepare_experiment(args)
+    train, test, exogenous, config, alphas = _prepare_experiment(args)
     splits = ("test",) if args.theory_split == "test" else ("test", "train")
     try:
-        prepared = prepare_run(config, train, test, features, splits)
+        prepared = prepare_run(config, train, test, exogenous, splits)
     except _SplitDataError as exc:
         if exc.split != "train":
             raise
@@ -380,8 +369,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     _resolve_settings(args)
     if args.alphas is None:
         raise ConfigError("sweep needs --alphas (or alphas in the config file)")
-    train, test, features, config, alphas = _prepare_experiment(args)
-    [test_trace] = prepare_run(config, train, test, features)
+    train, test, exogenous, config, alphas = _prepare_experiment(args)
+    [test_trace] = prepare_run(config, train, test, exogenous)
     sweep = sweep_alpha(test_trace, alphas)
     out = args.out_dir
     _write_outputs(out, {

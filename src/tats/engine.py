@@ -34,7 +34,7 @@ from .classifiers import OracleTrendPredictor, TrendPredictorSpec, fit_classifie
 from .core import TimeSeries
 from .errors import ConfigError, DataError, NumericError, _int_at_least, _real, _require_finite, _vector
 from .forecasters import ValueForecasterSpec, _walk_forward, fit_forecaster
-from .ingest import Dataset, FeatureTable, _table_slice, build_feature_table
+from .ingest import Dataset, _table_slice, build_feature_table
 from .metrics import EvalReport, _report, diff_rdiff
 
 __all__ = [
@@ -149,9 +149,11 @@ class TatsConfig:
     trend_predictor: TrendPredictorSpec
     n_lags: int = 2
     refit_each_step: bool = False
+    exog_lag: int = 0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n_lags", _int_at_least("n_lags", self.n_lags, 1))
+        object.__setattr__(self, "exog_lag", _int_at_least("exog_lag", self.exog_lag, 0))
 
 
 def evaluate_forecasts(
@@ -228,7 +230,7 @@ def prepare_run(
     config: TatsConfig,
     train: TimeSeries,
     test: TimeSeries,
-    features: FeatureTable | None = None,
+    exogenous: dict[str, TimeSeries] | None = None,
     eval_splits: tuple[str, ...] = ("test",),
 ) -> list[ForecastTrace]:
     """Fit both sub-models once on train; give the trace of each evaluation split.
@@ -240,26 +242,25 @@ def prepare_run(
     trace do not depend on alpha, so one trace serves every alpha: pass
     it to :func:`sweep_alpha`, or call its :meth:`ForecastTrace.adjusted`.
 
-    ``features`` supplies classifier rows built from a richer dataset
-    (exogenous columns); without it, rows are built from target lags.
+    A classifier that reads features is fitted on the rows of
+    :func:`build_feature_table` over train and test joined, with
+    config.n_lags and config.exog_lag; exogenous maps names to series as
+    long as train and test together, as in :class:`Dataset`.
     """
     for eval_split in eval_splits:
         if eval_split not in ("train", "test"):
             raise ConfigError(f"eval_split must be 'train' or 'test', got {eval_split!r}")
     values = np.concatenate([train.values, test.values])
     n_train = len(train)
-    fitted = fit_forecaster(config.value_forecaster, train)
-
     clf_spec = config.trend_predictor
     feature_based = clf_spec.reads_features
-    training = None
     if feature_based:
-        if features is None:
-            features = build_feature_table(Dataset(target=TimeSeries(values), exogenous={}), config.n_lags)
-        if n_train < 2:
-            raise DataError("train split too short to label classifier rows")
-        training = features.training_matrix(n_train - 2)
-    classifier = fit_classifier(clf_spec, training)
+        dataset = Dataset(target=TimeSeries(values), exogenous={} if exogenous is None else exogenous)
+        features = build_feature_table(dataset, config.n_lags, config.exog_lag)
+    fitted = fit_forecaster(config.value_forecaster, train)
+    if feature_based and n_train < 2:
+        raise DataError("train split too short to label classifier rows")
+    classifier = fit_classifier(clf_spec, features.training_matrix(n_train - 2) if feature_based else None)
 
     prepared = []
     for eval_split in eval_splits:

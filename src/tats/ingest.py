@@ -54,6 +54,9 @@ class Dataset:
     exogenous: dict[str, TimeSeries]
 
     def __post_init__(self) -> None:
+        if not (isinstance(self.target, TimeSeries) and isinstance(self.exogenous, dict)
+                and all(isinstance(series, TimeSeries) for series in self.exogenous.values())):
+            raise ConfigError("a dataset needs a TimeSeries target and a dict of TimeSeries exogenous series")
         for name, series in self.exogenous.items():
             if len(series) != len(self.target):
                 raise DataError(
@@ -248,32 +251,25 @@ class FeatureTable:
         return self.rows[pos]
 
 
-def build_feature_table(
-    dataset: Dataset,
-    n_lags: int,
-    include_exogenous: bool = True,
-    exog_lag: int = 0,
-) -> FeatureTable:
+def build_feature_table(dataset: Dataset, n_lags: int, exog_lag: int = 0) -> FeatureTable:
     """Construct every feature row the dataset supports.
 
-    Rows exist for s from max(n_lags - 1, exog_lag) through n - 2; each
-    holds the n_lags most recent target values (newest first) and, when
-    requested, the exogenous values at s - exog_lag in declared order.
+    Rows exist for s from n_lags - 1 (or exog_lag, if larger and the
+    dataset has exogenous series) through n - 2; each holds the n_lags
+    most recent target values (newest first), then the exogenous values
+    at s - exog_lag in declared order.
     """
     n_lags, exog_lag = _int_at_least("n_lags", n_lags, 1), _int_at_least("exog_lag", exog_lag, 0)
     y = dataset.target.values
     n = y.size
-    start = max(n_lags - 1, exog_lag if include_exogenous and dataset.exogenous else 0)
+    start = max(n_lags - 1, exog_lag if dataset.exogenous else 0)
     if start > n - 2:
         raise DataError(
             f"series of length {n} too short for {n_lags} lags (no labeled rows possible)"
         )
     times = np.arange(start, n - 1)
-    lag_cols = [y[times - k] for k in range(n_lags)]
-    cols = lag_cols
-    if include_exogenous:
-        for series in dataset.exogenous.values():
-            cols = cols + [series.values[times - exog_lag]]
+    cols = [y[times - k] for k in range(n_lags)]
+    cols += [series.values[times - exog_lag] for series in dataset.exogenous.values()]
     rows = np.column_stack(cols)
     # labels use only the sign of a move, which survives overflow to +-inf
     with np.errstate(over="ignore"):

@@ -23,7 +23,7 @@ from tats.cli import (
 from tats.core import chronological_split
 from tats.engine import TatsConfig, prepare_run
 from tats.forecasters import ValueForecasterSpec
-from tats.ingest import build_feature_table, load_csv, load_external_directions
+from tats.ingest import load_csv, load_external_directions
 from tats.theory import estimate_theory
 
 seed = 909
@@ -747,9 +747,8 @@ def test_report_theory_matches_a_separate_run(tmp_path, classifier, theory_split
         "oracle": TrendPredictorSpec.oracle(accuracy=0.8, seed=3),
         "external": TrendPredictorSpec.external(load_external_directions(directions, dataset.target)),
     }[classifier]
-    features = build_feature_table(dataset, 2, True, 0) if classifier == "logistic" else None
     config = TatsConfig(value_forecaster=ValueForecasterSpec.ar(2), trend_predictor=spec)
-    [trace] = prepare_run(config, train, test, features, (theory_split,))
+    [trace] = prepare_run(config, train, test, dataset.exogenous, (theory_split,))
     expected = estimate_theory(trace)
     report = json.loads((out / "report.json").read_text())
     assert report["theory"] == json.loads(json.dumps(expected.to_dict()))

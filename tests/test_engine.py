@@ -1,3 +1,4 @@
+import inspect
 import itertools
 
 import numpy as np
@@ -16,7 +17,10 @@ from tats import (
     prepare_run,
     sweep_alpha,
 )
+from tats import engine
+from tats.classifiers import fit_classifier
 from tats.engine import ForecastTrace, _evaluate_into, evaluate_forecasts
+from tats.ingest import Dataset, build_feature_table
 from tats.metrics import mae, mape, mse, td_accuracy
 from tats.theory import _estimate, estimate_theory
 
@@ -420,6 +424,34 @@ def test_run_tats_rejects_unknown_split():
     )
     with pytest.raises(ConfigError):
         prepare_run(config, train, test, eval_splits=("validation",))
+
+
+def test_the_config_alone_sets_the_classifier_features(monkeypatch):
+    rng = np.random.default_rng(seed + 30)
+    series, exog = _weather_series(rng), _weather_series(rng)
+    train, test = chronological_split(series, 0.7)
+    fitted_on = []
+
+    def spy(spec, features):
+        fitted_on.append(features)
+        return fit_classifier(spec, features)
+
+    monkeypatch.setattr(engine, "fit_classifier", spy)
+    logistic = TrendPredictorSpec.logistic()
+    for n_lags, exog_lag in ((2, 0), (3, 0), (3, 4)):
+        config = TatsConfig(ValueForecasterSpec.naive(), logistic, n_lags=n_lags, exog_lag=exog_lag)
+        prepare_run(config, train, test, {"x": exog})
+        expected = build_feature_table(Dataset(series, {"x": exog}), n_lags, exog_lag).training_matrix(len(train) - 2)
+        assert np.array_equal(fitted_on[-1].rows, expected.rows)
+        assert fitted_on[-1].rows.shape[1] == n_lags + 1
+        assert fitted_on[-1].row_time_index[0] == max(n_lags - 1, exog_lag)
+    # no argument takes a ready table: a table built with other lags is refused, not fitted
+    assert list(inspect.signature(prepare_run).parameters) == ["config", "train", "test", "exogenous", "eval_splits"]
+    other = build_feature_table(Dataset(series, {}), n_lags=2)
+    for exogenous in (other, {"x": other}):
+        with pytest.raises(ConfigError):
+            prepare_run(TatsConfig(ValueForecasterSpec.naive(), logistic, n_lags=3), train, test, exogenous)
+    assert len(fitted_on) == 3
 
 
 def test_sweep_alpha_shares_forecasts_across_alphas():

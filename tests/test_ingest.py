@@ -199,11 +199,11 @@ def test_exogenous_lag_shifts_column():
 
 
 def test_include_exogenous_false():
+    # a caller that wants no exogenous features passes none, and exog_lag then moves no row
     target = TimeSeries(np.array([1.0, 2.0, 4.0, 8.0]))
-    exog = TimeSeries(np.array([10.0, 20.0, 30.0, 40.0]))
-    ds = Dataset(target=target, exogenous={"x": exog})
-    fm = build_feature_table(ds, n_lags=1, include_exogenous=False).training_matrix()
+    fm = build_feature_table(Dataset(target=target, exogenous={}), n_lags=1, exog_lag=2).training_matrix()
     assert fm.rows.shape[1] == 1
+    assert np.array_equal(fm.row_time_index, np.array([0, 1, 2]))
 
 
 def test_feature_table_training_cutoff():
