@@ -328,8 +328,7 @@ def fit_classifier(spec: TrendPredictorSpec, features: FeatureMatrix | None = No
         return _fit_logistic(features)
     if spec.kind == "gaussian_nb":
         return _fit_gaussian_nb(features)
-    if spec.kind == "knn":
-        if spec.k > len(features):
-            raise ConfigError(f"KNN k={spec.k} exceeds the {len(features)} training rows")
-        return KNNClassifier(rows=features.rows.astype(float), labels=features.labels, k=spec.k)
-    raise ConfigError(f"unknown classifier kind: {spec.kind}")
+    # knn, the last kind that the spec admits
+    if spec.k > len(features):
+        raise ConfigError(f"KNN k={spec.k} exceeds the {len(features)} training rows")
+    return KNNClassifier(rows=features.rows.astype(float), labels=features.labels, k=spec.k)

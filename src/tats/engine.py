@@ -254,8 +254,8 @@ def prepare_run(
     n_train = len(train)
     clf_spec = config.trend_predictor
     feature_based = clf_spec.reads_features
+    dataset = Dataset(target=TimeSeries(values), exogenous={} if exogenous is None else exogenous)
     if feature_based:
-        dataset = Dataset(target=TimeSeries(values), exogenous={} if exogenous is None else exogenous)
         features = build_feature_table(dataset, config.n_lags, config.exog_lag)
     fitted = fit_forecaster(config.value_forecaster, train)
     if feature_based and n_train < 2:
@@ -313,7 +313,8 @@ def sweep_alpha(trace: ForecastTrace, alphas) -> SweepResult:
 
     Entries follow the order of alphas. Each adjusted report carries
     Diff/R-Diff against the base report; R-Diff is None when the base MSE
-    is zero, where it is undefined. MAPE is None when any actual is zero.
+    is zero, where it is undefined. MAPE is None where :func:`~tats.metrics.mape`
+    refuses: on a zero actual, or when the ratios overflow on tiny actuals.
     """
     alphas = _check_alphas(alphas)
     base = _report(trace, trace.y_hat)

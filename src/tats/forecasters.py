@@ -321,9 +321,7 @@ def fit_forecaster(spec: ValueForecasterSpec, train: TimeSeries):
         return fit_ar(train, spec.order)
     if spec.kind == "ses":
         return SESForecaster(smoothing=spec.smoothing)
-    if spec.kind == "external":
-        return ExternalForecaster(forecasts=spec.source)
-    raise ConfigError(f"unknown forecaster kind: {spec.kind}")
+    return ExternalForecaster(forecasts=spec.source)  # the last kind that the spec admits
 
 
 def _walk_forward(spec, fitted, values: np.ndarray, start: int, refit_each_step: bool) -> np.ndarray:

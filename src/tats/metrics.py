@@ -143,11 +143,15 @@ def diff_rdiff(base: EvalReport, candidate: EvalReport) -> tuple[float, float]:
 
 
 def _report(trace: "ForecastTrace", forecasts: np.ndarray) -> EvalReport:
-    """Metrics of forecasts for the steps of a trace; MAPE is None on a zero actual."""
+    """Metrics of forecasts for the steps of a trace; MAPE is None wherever :func:`mape` refuses."""
+    try:
+        mape_value = mape(trace.y_true, forecasts)
+    except (DataError, NumericError):  # a zero actual, or a ratio past float64 on tiny actuals
+        mape_value = None
     return EvalReport(
         tda=td_accuracy(trace.y_prev, trace.y_true, forecasts),
         mse=mse(trace.y_true, forecasts),
         mae=mae(trace.y_true, forecasts),
-        mape=None if np.any(trace.y_true == 0.0) else mape(trace.y_true, forecasts),
+        mape=mape_value,
         n_steps=len(trace),
     )

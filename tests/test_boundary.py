@@ -234,3 +234,22 @@ def test_records_fail_closed(record, fields, field, wrong, error):
 def test_unknown_scenario_values_raise_a_config_error(value):
     with pytest.raises(ConfigError):
         Scenario(value)
+
+
+DATASET_CASES = {
+    "target-array": dict(target=VALUES, exogenous={}),
+    "target-list": dict(target=list(VALUES), exogenous={}),
+    "target-none": dict(target=None, exogenous={}),
+    "exogenous-list": dict(target=SERIES, exogenous=[SERIES]),
+    "exogenous-array": dict(target=SERIES, exogenous=np.ones((60, 1))),
+    "exogenous-none": dict(target=SERIES, exogenous=None),
+    "exogenous-value-array": dict(target=SERIES, exogenous={"x": VALUES}),
+    "exogenous-value-list": dict(target=SERIES, exogenous={"x": list(VALUES)}),
+}
+
+
+@pytest.mark.parametrize("case", DATASET_CASES)
+def test_datasets_of_wrong_types_raise_a_config_error(case):
+    Dataset(SERIES, {"x": SERIES})
+    with pytest.raises(ConfigError, match="a dataset needs a TimeSeries target"):
+        Dataset(**DATASET_CASES[case])

@@ -52,6 +52,15 @@ def test_spec_validation():
         TrendPredictorSpec.oracle(accuracy=0.7, seed=-1)
 
 
+@pytest.mark.parametrize("kind", ["majority", "logistic", "gaussian_nb", "knn"])
+def test_feature_classifiers_need_a_non_empty_training_matrix(kind):
+    spec = TrendPredictorSpec(kind, k=3 if kind == "knn" else None)
+    with pytest.raises(ConfigError, match=f"^{kind} classifier needs a training feature matrix$"):
+        fit_classifier(spec)
+    with pytest.raises(DataError, match="^training feature matrix is empty$"):
+        fit_classifier(spec, _matrix(np.empty((0, 2)), []))
+
+
 @pytest.mark.parametrize("kind", [np.array(["knn"]), np.array(["knn", "oracle"]), 2, None, b"knn"],
                          ids=["array", "two-element-array", "int", "none", "bytes"])
 def test_kind_that_is_not_a_string_is_unknown(kind):

@@ -294,6 +294,26 @@ def test_negative_exog_lag_is_a_config_error(tmp_path, capsys, command, classifi
     assert not out.exists()
 
 
+@pytest.mark.parametrize("drop, extra, message", [
+    pytest.param("--data", [], "no data file given (use --data or a config file)", id="no-data"),
+    pytest.param("--target-column", [], "no target column given (use --target-column or a config file)",
+                 id="no-target"),
+    pytest.param(None, ["--forecaster", "ses"], "SES forecaster needs ses_smoothing", id="ses"),
+    pytest.param(None, ["--forecaster", "external"], "external forecaster needs external_forecasts",
+                 id="external-forecaster"),
+    pytest.param(None, ["--classifier", "oracle"], "oracle classifier needs oracle_accuracy", id="oracle"),
+    pytest.param(None, ["--classifier", "external"], "external classifier needs external_directions",
+                 id="external-classifier"),
+])
+def test_missing_settings_are_config_errors(tmp_path, capsys, drop, extra, message):
+    data, out = _write_prices(tmp_path / "prices.csv"), tmp_path / "o"
+    given = {"--data": str(data), "--target-column": "gold", "--out": str(out)}
+    argv = ["run", *[part for flag, value in given.items() if flag != drop for part in (flag, value)], *extra]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_exit_code_usage_errors(tmp_path):
     assert main(["frobnicate"]) == 1
     data = _write_prices(tmp_path / "prices.csv")

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import itertools
 
@@ -448,10 +449,29 @@ def test_the_config_alone_sets_the_classifier_features(monkeypatch):
     # no argument takes a ready table: a table built with other lags is refused, not fitted
     assert list(inspect.signature(prepare_run).parameters) == ["config", "train", "test", "exogenous", "eval_splits"]
     other = build_feature_table(Dataset(series, {}), n_lags=2)
-    for exogenous in (other, {"x": other}):
-        with pytest.raises(ConfigError):
-            prepare_run(TatsConfig(ValueForecasterSpec.naive(), logistic, n_lags=3), train, test, exogenous)
+    for exogenous, spec in itertools.product((other, {"x": other}), (logistic, TrendPredictorSpec.oracle(0.7))):
+        with pytest.raises(ConfigError, match="a dataset needs a TimeSeries target"):
+            prepare_run(TatsConfig(ValueForecasterSpec.naive(), spec, n_lags=3), train, test, exogenous)
     assert len(fitted_on) == 3
+
+
+def test_trace_time_indices_must_increase():
+    fields = {f.name: getattr(_random_run(np.random.default_rng(seed + 31), n=6), f.name)
+              for f in dataclasses.fields(ForecastTrace)}
+    for t in ([1, 1, 2, 3, 4], [5, 4, 3, 2, 1]):
+        with pytest.raises(ConfigError, match="^trace time indices must be strictly increasing$"):
+            ForecastTrace(**{**fields, "t": np.array(t)})
+
+
+def test_a_one_value_train_split_is_refused():
+    train, test = TimeSeries(np.array([5.0])), TimeSeries(np.array([6.0, 4.0, 7.0, 3.0, 8.0]))
+    naive = ValueForecasterSpec.naive()
+    with pytest.raises(DataError, match="^train split too short to label classifier rows$"):
+        prepare_run(TatsConfig(naive, TrendPredictorSpec.majority(), n_lags=1), train, test)
+    oracle = TatsConfig(naive, TrendPredictorSpec.oracle(accuracy=0.7))
+    assert len(prepare_run(oracle, train, test)[0]) == 5
+    with pytest.raises(DataError, match=r"^train split of length 1 leaves no in-sample steps \(first evaluable index 1\)$"):
+        prepare_run(oracle, train, test, eval_splits=("train",))
 
 
 def test_sweep_alpha_shares_forecasts_across_alphas():

@@ -149,6 +149,11 @@ def test_drift_freezes_training_mean_step():
     assert _next(model, [100.0]) == 100.25
 
 
+def test_drift_needs_two_training_values():
+    with pytest.raises(DataError, match="drift forecaster needs at least 2 training values"):
+        fit_forecaster(ValueForecasterSpec.drift(), _series([7.0]))
+
+
 def test_ses_limits_and_recursion():
     train = _series([2.0, 4.0, 4.0])
     one = fit_forecaster(ValueForecasterSpec.ses(smoothing=1.0), train)

@@ -90,6 +90,19 @@ def test_sweep_leaves_mape_undefined_on_zero_actual():
     assert adjusted.mape is None
 
 
+def test_sweep_leaves_mape_undefined_where_it_overflows():
+    # on actuals near 1e-320, each forecast moves up, each direction says down, and the
+    # adjusted step of 1.0 gives ratios past float64
+    values = 1e-320 * np.array([1.0, 2.0, 3.0, 1.0])
+    trace = evaluate_forecasts(values, 1, values[:-1] + 1e-320, np.array([-1, -1, -1]))
+    with pytest.raises(NumericError):
+        mape(trace.y_true, trace.adjusted(1.0)[0])
+    sweep = sweep_alpha(trace, (1.0,))
+    assert sweep.base_report.mape == mape(trace.y_true, trace.y_hat)
+    assert sweep.entries[0].report.mape is None
+    assert sweep.entries[0].report.mse == pytest.approx(mse(trace.y_true, trace.adjusted(1.0)[0]))
+
+
 def test_mae_mse_inequality():
     rng = np.random.default_rng(seed + 1)
     for _ in range(200):
@@ -117,6 +130,14 @@ def test_length_mismatch():
         mse(np.array([1.0]), np.array([1.0, 2.0]))
     with pytest.raises(ConfigError):
         td_accuracy(np.array([1.0]), np.array([1.0, 2.0]), np.array([1.0]))
+
+
+@pytest.mark.parametrize("metric", [mse, mae, mape, lambda t, p: td_accuracy(t, t, p),
+                                    lambda t, p: trend_aware_loss(t, p, 1.0)],
+                         ids=["mse", "mae", "mape", "td_accuracy", "trend_aware_loss"])
+def test_metrics_need_at_least_one_step(metric):
+    with pytest.raises(ConfigError, match="^metrics need at least one step$"):
+        metric(np.array([]), np.array([]))
 
 
 def test_trend_aware_loss_fixture():
