@@ -18,7 +18,6 @@ from tats import (
     prepare_run,
     sweep_alpha,
 )
-from tats import engine
 from tats.classifiers import fit_classifier
 from tats.engine import ForecastTrace, _evaluate_into, evaluate_forecasts
 from tats.ingest import Dataset, build_feature_table
@@ -437,7 +436,7 @@ def test_the_config_alone_sets_the_classifier_features(monkeypatch):
         fitted_on.append(features)
         return fit_classifier(spec, features)
 
-    monkeypatch.setattr(engine, "fit_classifier", spy)
+    monkeypatch.setattr("tats.engine.fit_classifier", spy)
     logistic = TrendPredictorSpec.logistic()
     for n_lags, exog_lag in ((2, 0), (3, 0), (3, 4)):
         config = TatsConfig(ValueForecasterSpec.naive(), logistic, n_lags=n_lags, exog_lag=exog_lag)
