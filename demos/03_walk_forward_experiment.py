@@ -14,11 +14,11 @@ from pathlib import Path
 import numpy as np
 
 from tats import (
+    Dataset,
     TatsConfig,
     TimeSeries,
     TrendPredictorSpec,
     ValueForecasterSpec,
-    chronological_split,
     estimate_theory,
     prepare_run,
     sweep_alpha,
@@ -28,16 +28,16 @@ from tats.svgchart import line_chart
 rng = np.random.default_rng(2024)
 n = 250
 prices = TimeSeries(np.cumsum(rng.normal(0.15, 1.2, size=n)) + 100.0)
-train, test = chronological_split(prices, 0.7)
-print(f"{n} synthetic prices, {len(train)} train / {len(test)} test")
 
 config = TatsConfig(
     value_forecaster=ValueForecasterSpec.ar(order=2),
     trend_predictor=TrendPredictorSpec.logistic(),
     n_lags=2,
+    train_fraction=0.7,
 )
 # one fit gives the trace of both splits; alpha only enters the adjustment
-test_trace, train_trace = prepare_run(config, train, test, eval_splits=("test", "train"))
+test_trace, train_trace = prepare_run(config, Dataset(prices), eval_splits=("test", "train"))
+print(f"{n} synthetic prices, {n - len(test_trace)} train / {len(test_trace)} test")
 
 alphas = (0.25, 0.5, 1.0, 2.0, 4.0)
 sweep = sweep_alpha(test_trace, alphas)

@@ -19,11 +19,10 @@ import sys
 from pathlib import Path
 
 from .classifiers import CLASSIFIER_KINDS, TrendPredictorSpec
-from .core import chronological_split
 from .engine import TatsConfig, _SplitDataError, _check_alphas, prepare_run, sweep_alpha
 from .errors import ConfigError, DataError, NumericError
 from .forecasters import FORECASTER_KINDS, ValueForecasterSpec
-from .ingest import _read_text, load_csv, load_external_directions, load_external_forecasts
+from .ingest import Dataset, _read_text, load_csv, load_external_directions, load_external_forecasts
 from .metrics import mae, mape, mse, td_accuracy
 from .montecarlo import SimConfig, validate_prop1
 from .svgchart import line_chart
@@ -241,7 +240,6 @@ def _prepare_experiment(args: argparse.Namespace):
         args.data, args.target_column,
         args.exogenous_columns, args.label_column,
     )
-    train, test = chronological_split(dataset.target, args.train_fraction)
     forecaster = _forecaster_spec(args, dataset.target)
     classifier = _classifier_spec(args, dataset.target)
     alphas = args.alphas if args.alphas is not None else list(DEFAULT_ALPHAS)
@@ -251,8 +249,9 @@ def _prepare_experiment(args: argparse.Namespace):
         n_lags=args.n_lags,
         refit_each_step=args.refit_each_step,
         exog_lag=args.exog_lag,
+        train_fraction=args.train_fraction,
     )
-    return train, test, dataset.exogenous if args.include_exogenous else {}, config, alphas
+    return dataset if args.include_exogenous else Dataset(dataset.target), config, alphas
 
 
 def _print_sweep(config: TatsConfig, sweep) -> None:
@@ -286,10 +285,10 @@ def _sweep_chart(sweep) -> str:
 
 def cmd_run(args: argparse.Namespace) -> int:
     _resolve_settings(args)
-    train, test, exogenous, config, alphas = _prepare_experiment(args)
+    dataset, config, alphas = _prepare_experiment(args)
     splits = ("test",) if args.theory_split == "test" else ("test", "train")
     try:
-        prepared = prepare_run(config, train, test, exogenous, splits)
+        prepared = prepare_run(config, dataset, splits)
     except _SplitDataError as exc:
         if exc.split != "train":
             raise
@@ -319,8 +318,8 @@ def cmd_run(args: argparse.Namespace) -> int:
             "theory_split": args.theory_split,
             "refit_each_step": args.refit_each_step,
         },
-        "n_train": len(train),
-        "n_test": len(test),
+        "n_train": len(dataset.target) - len(test_trace),
+        "n_test": len(test_trace),
         "eval_split": "test",
         "base": sweep.base_report.to_dict(),
         "tats": [
@@ -369,8 +368,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     _resolve_settings(args)
     if args.alphas is None:
         raise ConfigError("sweep needs --alphas (or alphas in the config file)")
-    train, test, exogenous, config, alphas = _prepare_experiment(args)
-    [test_trace] = prepare_run(config, train, test, exogenous)
+    dataset, config, alphas = _prepare_experiment(args)
+    [test_trace] = prepare_run(config, dataset)
     sweep = sweep_alpha(test_trace, alphas)
     out = args.out_dir
     _write_outputs(out, {

@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .classifiers import OracleTrendPredictor, TrendPredictorSpec, fit_classifier
-from .core import TimeSeries
+from .core import chronological_split
 from .errors import ConfigError, DataError, NumericError, _int_at_least, _real, _require_finite, _vector
 from .forecasters import ValueForecasterSpec, _walk_forward, fit_forecaster
 from .ingest import Dataset, _table_slice, build_feature_table
@@ -150,10 +150,12 @@ class TatsConfig:
     n_lags: int = 2
     refit_each_step: bool = False
     exog_lag: int = 0
+    train_fraction: float = 0.7
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n_lags", _int_at_least("n_lags", self.n_lags, 1))
         object.__setattr__(self, "exog_lag", _int_at_least("exog_lag", self.exog_lag, 0))
+        object.__setattr__(self, "train_fraction", _real("train_fraction", self.train_fraction, 0.0, 1.0, "()"))
 
 
 def evaluate_forecasts(
@@ -226,51 +228,43 @@ class _SplitDataError(DataError):
         self.split = split
 
 
-def prepare_run(
-    config: TatsConfig,
-    train: TimeSeries,
-    test: TimeSeries,
-    exogenous: dict[str, TimeSeries] | None = None,
-    eval_splits: tuple[str, ...] = ("test",),
-) -> list[ForecastTrace]:
-    """Fit both sub-models once on train; give the trace of each evaluation split.
+def prepare_run(config: TatsConfig, dataset: Dataset, eval_splits: tuple[str, ...] = ("test",)) -> list[ForecastTrace]:
+    """Fit both sub-models once on the train split; give the trace of each evaluation split.
 
-    Returns one :class:`ForecastTrace` per entry of eval_splits, in that
-    order. "test" walks forward over the test split, appending true
-    values to the history as they are revealed; "train" walks in-sample
-    over the train split (for plug-in theory estimates). The fit and the
-    trace do not depend on alpha, so one trace serves every alpha: pass
-    it to :func:`sweep_alpha`, or call its :meth:`ForecastTrace.adjusted`.
+    The train split is the first part of chronological_split(dataset.target,
+    config.train_fraction), and the test split the rest. Returns one
+    :class:`ForecastTrace` per entry of eval_splits, in that order. "test"
+    walks forward over the test split, appending true values to the history
+    as they are revealed; "train" walks in-sample over the train split (for
+    plug-in theory estimates). The fit and the trace do not depend on alpha,
+    so one trace serves every alpha: pass it to :func:`sweep_alpha`, or call
+    its :meth:`ForecastTrace.adjusted`.
 
     A classifier that reads features is fitted on the rows of
-    :func:`build_feature_table` over train and test joined, with
-    config.n_lags and config.exog_lag; exogenous maps names to series as
-    long as train and test together, as in :class:`Dataset`.
+    :func:`build_feature_table` over the whole dataset, with config.n_lags
+    and config.exog_lag, whose labels lie in the train split.
     """
+    if not isinstance(dataset, Dataset):
+        raise ConfigError(f"prepare_run needs a Dataset, got {type(dataset).__name__}")
     for eval_split in eval_splits:
         if eval_split not in ("train", "test"):
             raise ConfigError(f"eval_split must be 'train' or 'test', got {eval_split!r}")
-    values = np.concatenate([train.values, test.values])
-    n_train = len(train)
+    train, _ = chronological_split(dataset.target, config.train_fraction)
+    values, n_train = dataset.target.values, len(train)
     clf_spec = config.trend_predictor
-    feature_based = clf_spec.reads_features
-    dataset = Dataset(target=TimeSeries(values), exogenous={} if exogenous is None else exogenous)
-    if feature_based:
+    if feature_based := clf_spec.reads_features:
         features = build_feature_table(dataset, config.n_lags, config.exog_lag)
     fitted = fit_forecaster(config.value_forecaster, train)
-    if feature_based and n_train < 2:
-        raise DataError("train split too short to label classifier rows")
-    classifier = fit_classifier(clf_spec, features.training_matrix(n_train - 2) if feature_based else None)
+    classifier = fit_classifier(clf_spec, features.training_matrix(n_train) if feature_based else None)
 
     prepared = []
     for eval_split in eval_splits:
         if eval_split == "test":
-            start = n_train
-            stop = values.size
+            start, stop = n_train, values.size
         else:
             start = max(1, int(fitted.required_history))
             if feature_based:
-                start = max(start, int(features.row_time_index[0]) + 1)
+                start = max(start, features.first + 1)
             stop = n_train
             if start >= stop:
                 raise DataError(
@@ -289,7 +283,7 @@ def prepare_run(
             elif not feature_based:  # an external direction table
                 directions = _table_slice(classifier, start, stop, "directions")
             else:
-                directions = classifier.predict_matrix(features.rows_at(np.arange(start - 1, stop - 1)))
+                directions = classifier.predict_matrix(features.rows_for_steps(start, stop))
         except DataError as exc:
             raise _SplitDataError(eval_split, str(exc)) from None
         prepared.append(evaluate_forecasts(values, start, forecasts, directions))

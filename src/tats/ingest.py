@@ -27,7 +27,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -51,7 +51,7 @@ class Dataset:
     """A target series plus index-aligned exogenous series."""
 
     target: TimeSeries
-    exogenous: dict[str, TimeSeries]
+    exogenous: dict[str, TimeSeries] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not (isinstance(self.target, TimeSeries) and isinstance(self.exogenous, dict)
@@ -208,47 +208,38 @@ class FeatureTable:
     """All constructible rows, labeled where the next move is strict.
 
     Unlike :class:`FeatureMatrix` this keeps flat-label rows, because a
-    row used for prediction does not need a label. next_delta[i] is
-    y_{s+1} - y_s at s = row_time_index[i].
+    row used for prediction does not need a label. rows[i] is the row at
+    time s = first + i, which predicts step s + 1; next_delta[i] is
+    y_{s+1} - y_s. The rows run without gaps to s = n - 2.
     """
 
     rows: np.ndarray
-    row_time_index: np.ndarray
+    first: int
     next_delta: np.ndarray
 
-    def training_matrix(self, last_label_time: int | None = None) -> FeatureMatrix:
-        """Labeled rows with time index <= last_label_time, flats dropped.
+    def training_matrix(self, n_train: int | None = None) -> FeatureMatrix:
+        """Labeled rows whose label lies inside the first n_train values (all if None), flats dropped.
 
-        Pass last_label_time = n_train - 2 to train strictly inside a
-        train split of length n_train (the label at s peeks at y_{s+1}).
+        The label at s reads y_{s+1}, so the rows kept run from first to n_train - 2.
         """
-        keep = np.ones(self.row_time_index.size, dtype=bool)
-        if last_label_time is not None:
-            keep &= self.row_time_index <= last_label_time
-        strict = self.next_delta != 0.0
-        selected = keep & strict
-        n_flat = int(np.count_nonzero(keep & ~strict))
-        if not np.any(selected):
+        n = self.next_delta.size if n_train is None else max(0, n_train - 1 - self.first)
+        delta = self.next_delta[:n]
+        strict = np.flatnonzero(delta != 0.0)
+        if not strict.size:
             raise DataError("no labeled feature rows available for training")
-        labels = np.where(self.next_delta[selected] > 0, 1, -1).astype(int)
         return FeatureMatrix(
-            rows=self.rows[selected],
-            labels=labels,
-            row_time_index=self.row_time_index[selected],
-            n_flat_dropped=n_flat,
+            rows=self.rows[strict],
+            labels=np.where(delta[strict] > 0, 1, -1),
+            row_time_index=self.first + strict,
+            n_flat_dropped=delta.size - strict.size,
         )
 
-    def rows_at(self, time_indices: np.ndarray) -> np.ndarray:
-        """Feature rows at exact time indices; the first missing one raises."""
-        times = self.row_time_index
-        pos = np.minimum(np.searchsorted(times, time_indices), times.size - 1)
-        missing = np.flatnonzero(times[pos] != time_indices)
-        if missing.size:
-            raise DataError(
-                f"no feature row at time index {int(time_indices[missing[0]])} "
-                f"(available {int(times[0])}..{int(times[-1])})"
-            )
-        return self.rows[pos]
+    def rows_for_steps(self, start: int, stop: int) -> np.ndarray:
+        """The rows that predict steps start..stop - 1, those at s = start - 1..stop - 2."""
+        last = self.first + self.next_delta.size
+        if not self.first + 1 <= start <= stop <= last + 1:
+            raise DataError(f"no feature rows for steps {start}..{stop - 1} (available {self.first + 1}..{last})")
+        return self.rows[start - 1 - self.first : stop - 1 - self.first]
 
 
 def build_feature_table(dataset: Dataset, n_lags: int, exog_lag: int = 0) -> FeatureTable:
@@ -274,7 +265,7 @@ def build_feature_table(dataset: Dataset, n_lags: int, exog_lag: int = 0) -> Fea
     # labels use only the sign of a move, which survives overflow to +-inf
     with np.errstate(over="ignore"):
         next_delta = y[times + 1] - y[times]
-    return FeatureTable(rows=rows, row_time_index=times, next_delta=next_delta)
+    return FeatureTable(rows=rows, first=start, next_delta=next_delta)
 
 
 def _load_table(path: str | Path, series: TimeSeries, column: str, valid, problem: str) -> np.ndarray:

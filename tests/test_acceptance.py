@@ -14,12 +14,12 @@ import numpy as np
 import pytest
 
 from tats import (
+    Dataset,
     SimConfig,
     TatsConfig,
     TimeSeries,
     TrendPredictorSpec,
     ValueForecasterSpec,
-    chronological_split,
     evaluate_forecasts,
     load_csv,
     lower_bound,
@@ -110,14 +110,13 @@ def test_c04_identity_configurations():
     mismatches_echo = 0
     for _ in range(100):
         values = np.cumsum(rng.normal(0.1, 1.0, size=60)) + 80.0
-        series = TimeSeries(values)
-        train, test = chronological_split(series, 0.7)
+        dataset = Dataset(TimeSeries(values))
 
         naive_cfg = TatsConfig(
             value_forecaster=ValueForecasterSpec.naive(),
             trend_predictor=TrendPredictorSpec.oracle(accuracy=0.3, seed=9),
         )
-        [run] = prepare_run(naive_cfg, train, test)
+        [run] = prepare_run(naive_cfg, dataset)
         y_adj, loss_adj = run.adjusted(2.0)
         if not (
             np.array_equal(y_adj, run.y_hat)
@@ -127,17 +126,17 @@ def test_c04_identity_configurations():
 
         fc_spec = ValueForecasterSpec.ar(order=2)
         ar_cfg = TatsConfig(value_forecaster=fc_spec, trend_predictor=TrendPredictorSpec.majority())
-        forecasts = prepare_run(ar_cfg, train, test)[0].y_hat
+        forecasts = prepare_run(ar_cfg, dataset)[0].y_hat
         table = np.full(values.size, np.nan)
         for i, f in enumerate(forecasts):
-            t = len(train) + i
+            t = values.size - forecasts.size + i
             implied = f - values[t - 1]
             table[t] = 1 if implied >= 0 else -1
         echo_cfg = TatsConfig(
             value_forecaster=fc_spec,
             trend_predictor=TrendPredictorSpec.external(source=table),
         )
-        [run] = prepare_run(echo_cfg, train, test)
+        [run] = prepare_run(echo_cfg, dataset)
         if not np.array_equal(run.adjusted(5.0)[0], run.y_hat):
             mismatches_echo += 1
     ok = mismatches_naive == 0 and mismatches_echo == 0

@@ -80,7 +80,7 @@ CALLS = {
     ), dict(n_steps=INT, n_trials=INT, seed=INT, drift=REAL, volatility=REAL, p_dt=REAL, p_db=REAL,
             error_scale=REAL, alpha=REAL)),
     "TatsConfig": ("TatsConfig", partial(TatsConfig, ValueForecasterSpec.naive(), TrendPredictorSpec.logistic()),
-                   dict(n_lags=2, exog_lag=0), dict(n_lags=INT, exog_lag=INT)),
+                   dict(n_lags=2, exog_lag=0, train_fraction=0.7), dict(n_lags=INT, exog_lag=INT, train_fraction=REAL)),
     "TimeSeries": ("TimeSeries", TimeSeries, dict(values=VALUES), dict(values=ARRAY)),
     # each spec classmethod passes its arguments to the spec's fields of the same names
     "TrendPredictorSpec.knn": ("TrendPredictorSpec", TrendPredictorSpec.knn, dict(k=3), dict(k=INT)),
@@ -137,7 +137,7 @@ NOT_PROBED = {
     "load_csv": {"path", "target_column", "exogenous_columns", "label_column"},
     "load_external_directions": {"path", "series"},
     "load_external_forecasts": {"path", "series"},
-    "prepare_run": {"config", "train", "test", "exogenous", "eval_splits"},
+    "prepare_run": {"config", "dataset", "eval_splits"},
     "sweep_alpha": {"trace"},
     "synthetic_forecaster": {"series"},
     "validate_prop1": {"config"},

@@ -761,14 +761,13 @@ def test_report_theory_matches_a_separate_run(tmp_path, classifier, theory_split
     assert main(argv) == 0
 
     dataset = load_csv(data, "gold", ["ftse"])
-    train, test = chronological_split(dataset.target, 0.7)
     spec = {
         "logistic": TrendPredictorSpec.logistic(),
         "oracle": TrendPredictorSpec.oracle(accuracy=0.8, seed=3),
         "external": TrendPredictorSpec.external(load_external_directions(directions, dataset.target)),
     }[classifier]
     config = TatsConfig(value_forecaster=ValueForecasterSpec.ar(2), trend_predictor=spec)
-    [trace] = prepare_run(config, train, test, dataset.exogenous, (theory_split,))
+    [trace] = prepare_run(config, dataset, (theory_split,))
     expected = estimate_theory(trace)
     report = json.loads((out / "report.json").read_text())
     assert report["theory"] == json.loads(json.dumps(expected.to_dict()))
@@ -791,10 +790,9 @@ def test_external_replay_of_refit_forecasts_matches_the_model(tmp_path, forecast
               "--refit-each-step", "--theory-split", "test"]
     assert main([*common, "--forecaster", *forecaster, "--out", str(tmp_path / "model")]) == 0
 
-    train, test = chronological_split(load_csv(data, "y").target, 0.7)
     config = TatsConfig(value_forecaster=spec, trend_predictor=TrendPredictorSpec.logistic(),
                         refit_each_step=True)
-    [trace] = prepare_run(config, train, test)
+    [trace] = prepare_run(config, load_csv(data, "y"))
     table = tmp_path / "forecasts.csv"
     table.write_text("time_index,forecast\n" + "".join(
         f"{t},{f!r}\n" for t, f in zip(trace.t.tolist(), trace.y_hat.tolist())

@@ -290,8 +290,8 @@ def _weather_series(rng, n=120):
     return TimeSeries(np.cumsum(rng.normal(0.1, 1.0, size=n)) + 60.0)
 
 
-def _trace(config, train, test, eval_split="test"):
-    [trace] = prepare_run(config, train, test, eval_splits=(eval_split,))
+def _trace(config, series, eval_split="test"):
+    [trace] = prepare_run(config, Dataset(series), eval_splits=(eval_split,))
     return trace
 
 
@@ -300,12 +300,11 @@ def test_run_tats_naive_forecaster_is_identity():
     rng = np.random.default_rng(seed + 8)
     for _ in range(10):
         series = _weather_series(rng)
-        train, test = chronological_split(series, 0.7)
         config = TatsConfig(
             value_forecaster=ValueForecasterSpec.naive(),
             trend_predictor=TrendPredictorSpec.oracle(accuracy=0.3, seed=1),
         )
-        trace = _trace(config, train, test)
+        trace = _trace(config, series)
         assert np.array_equal(trace.adjusted(2.0)[0], trace.y_hat)
         assert np.all(trace.indicator == 1)
 
@@ -314,12 +313,11 @@ def test_run_tats_echo_classifier_is_identity():
     # table feeding back the forecaster's own implied direction
     rng = np.random.default_rng(seed + 9)
     series = _weather_series(rng)
-    train, test = chronological_split(series, 0.7)
     spec = ValueForecasterSpec.ar(order=2)
     forecasts = _trace(
-        TatsConfig(value_forecaster=spec, trend_predictor=TrendPredictorSpec.majority()), train, test
+        TatsConfig(value_forecaster=spec, trend_predictor=TrendPredictorSpec.majority()), series
     ).y_hat
-    n_train = len(train)
+    n_train = len(series) - forecasts.size
     table = np.full(len(series), np.nan)
     for i, f in enumerate(forecasts):
         t = n_train + i
@@ -329,7 +327,7 @@ def test_run_tats_echo_classifier_is_identity():
         value_forecaster=spec,
         trend_predictor=TrendPredictorSpec.external(source=table),
     )
-    trace = _trace(config, train, test)
+    trace = _trace(config, series)
     y_adj, loss_adj = trace.adjusted(5.0)
     assert np.array_equal(y_adj, trace.y_hat)
     assert np.array_equal(loss_adj, trace.loss_base)
@@ -362,8 +360,8 @@ def test_scaling_series_and_alpha_by_eight_keeps_directions(forecaster, classifi
     config = TatsConfig(value_forecaster=forecaster, trend_predictor=classifier, refit_each_step=refit)
     traces = []
     for scale in (1.0, 8.0):
-        train, test = chronological_split(TimeSeries(scale * (60.0 + values)), 0.7)
-        traces.append(prepare_run(config, train, test, eval_splits=("test", "train")))
+        dataset = Dataset(TimeSeries(scale * (60.0 + values)))
+        traces.append(prepare_run(config, dataset, eval_splits=("test", "train")))
     for plain, scaled in zip(*traces):
         assert np.array_equal(scaled.direction, plain.direction)
         assert np.array_equal(scaled.indicator, plain.indicator)
@@ -377,13 +375,12 @@ def test_scaling_series_and_alpha_by_eight_keeps_directions(forecaster, classifi
 def test_run_tats_deterministic():
     rng = np.random.default_rng(seed + 10)
     series = _weather_series(rng)
-    train, test = chronological_split(series, 0.7)
     config = TatsConfig(
         value_forecaster=ValueForecasterSpec.ar(order=2),
         trend_predictor=TrendPredictorSpec.oracle(accuracy=0.8, seed=4),
     )
-    a = _trace(config, train, test)
-    b = _trace(config, train, test)
+    a = _trace(config, series)
+    b = _trace(config, series)
     assert np.array_equal(a.adjusted(1.0)[0], b.adjusted(1.0)[0])
     assert np.array_equal(a.direction, b.direction)
 
@@ -391,12 +388,11 @@ def test_run_tats_deterministic():
 def test_run_tats_perfect_oracle_never_hits_s2_s3():
     rng = np.random.default_rng(seed + 11)
     series = _weather_series(rng)
-    train, test = chronological_split(series, 0.7)
     config = TatsConfig(
         value_forecaster=ValueForecasterSpec.drift(),
         trend_predictor=TrendPredictorSpec.oracle(accuracy=1.0, seed=2),
     )
-    counts = _trace(config, train, test).scenario_counts()
+    counts = _trace(config, series).scenario_counts()
     assert counts["S2"] == 0
     assert counts["S3"] == 0
 
@@ -404,32 +400,30 @@ def test_run_tats_perfect_oracle_never_hits_s2_s3():
 def test_run_tats_train_split_is_in_sample():
     rng = np.random.default_rng(seed + 12)
     series = _weather_series(rng)
-    train, test = chronological_split(series, 0.7)
     config = TatsConfig(
         value_forecaster=ValueForecasterSpec.ar(order=2),
         trend_predictor=TrendPredictorSpec.logistic(),
     )
-    trace = _trace(config, train, test, eval_split="train")
-    assert trace.t[-1] == len(train) - 1
+    trace = _trace(config, series, eval_split="train")
+    assert trace.t[-1] == len(chronological_split(series, 0.7)[0]) - 1
     assert trace.t[0] >= 1
 
 
 def test_run_tats_rejects_unknown_split():
     rng = np.random.default_rng(seed + 13)
     series = _weather_series(rng)
-    train, test = chronological_split(series, 0.7)
     config = TatsConfig(
         value_forecaster=ValueForecasterSpec.naive(),
         trend_predictor=TrendPredictorSpec.majority(),
     )
     with pytest.raises(ConfigError):
-        prepare_run(config, train, test, eval_splits=("validation",))
+        prepare_run(config, Dataset(series), eval_splits=("validation",))
 
 
 def test_the_config_alone_sets_the_classifier_features(monkeypatch):
     rng = np.random.default_rng(seed + 30)
     series, exog = _weather_series(rng), _weather_series(rng)
-    train, test = chronological_split(series, 0.7)
+    n_train = len(chronological_split(series, 0.7)[0])
     fitted_on = []
 
     def spy(spec, features):
@@ -440,17 +434,20 @@ def test_the_config_alone_sets_the_classifier_features(monkeypatch):
     logistic = TrendPredictorSpec.logistic()
     for n_lags, exog_lag in ((2, 0), (3, 0), (3, 4)):
         config = TatsConfig(ValueForecasterSpec.naive(), logistic, n_lags=n_lags, exog_lag=exog_lag)
-        prepare_run(config, train, test, {"x": exog})
-        expected = build_feature_table(Dataset(series, {"x": exog}), n_lags, exog_lag).training_matrix(len(train) - 2)
+        prepare_run(config, Dataset(series, {"x": exog}))
+        expected = build_feature_table(Dataset(series, {"x": exog}), n_lags, exog_lag).training_matrix(n_train)
         assert np.array_equal(fitted_on[-1].rows, expected.rows)
         assert fitted_on[-1].rows.shape[1] == n_lags + 1
         assert fitted_on[-1].row_time_index[0] == max(n_lags - 1, exog_lag)
     # no argument takes a ready table: a table built with other lags is refused, not fitted
-    assert list(inspect.signature(prepare_run).parameters) == ["config", "train", "test", "exogenous", "eval_splits"]
-    other = build_feature_table(Dataset(series, {}), n_lags=2)
-    for exogenous, spec in itertools.product((other, {"x": other}), (logistic, TrendPredictorSpec.oracle(0.7))):
+    assert list(inspect.signature(prepare_run).parameters) == ["config", "dataset", "eval_splits"]
+    other = build_feature_table(Dataset(series), n_lags=2)
+    for spec in (logistic, TrendPredictorSpec.oracle(0.7)):
+        config = TatsConfig(ValueForecasterSpec.naive(), spec, n_lags=3)
+        with pytest.raises(ConfigError, match="^prepare_run needs a .*got .*FeatureTable$"):
+            prepare_run(config, other)
         with pytest.raises(ConfigError, match="a dataset needs a TimeSeries target"):
-            prepare_run(TatsConfig(ValueForecasterSpec.naive(), spec, n_lags=3), train, test, exogenous)
+            prepare_run(config, Dataset(series, {"x": other}))
     assert len(fitted_on) == 3
 
 
@@ -463,39 +460,38 @@ def test_trace_time_indices_must_increase():
 
 
 def test_a_one_value_train_split_is_refused():
-    train, test = TimeSeries(np.array([5.0])), TimeSeries(np.array([6.0, 4.0, 7.0, 3.0, 8.0]))
+    # a train_fraction of (k + 0.5) / n cuts exactly k values; k / n can floor to k - 1
+    dataset = Dataset(TimeSeries(np.array([5.0, 6.0, 4.0, 7.0, 3.0, 8.0])))
     naive = ValueForecasterSpec.naive()
-    with pytest.raises(DataError, match="^train split too short to label classifier rows$"):
-        prepare_run(TatsConfig(naive, TrendPredictorSpec.majority(), n_lags=1), train, test)
-    oracle = TatsConfig(naive, TrendPredictorSpec.oracle(accuracy=0.7))
-    assert len(prepare_run(oracle, train, test)[0]) == 5
+    with pytest.raises(DataError, match="^no labeled feature rows available for training$"):
+        prepare_run(TatsConfig(naive, TrendPredictorSpec.majority(), n_lags=1, train_fraction=1.5 / 6), dataset)
+    oracle = TatsConfig(naive, TrendPredictorSpec.oracle(accuracy=0.7), train_fraction=1.5 / 6)
+    assert len(prepare_run(oracle, dataset)[0]) == 5
     with pytest.raises(DataError, match=r"^train split of length 1 leaves no in-sample steps \(first evaluable index 1\)$"):
-        prepare_run(oracle, train, test, eval_splits=("train",))
+        prepare_run(oracle, dataset, eval_splits=("train",))
 
 
 def test_sweep_alpha_shares_forecasts_across_alphas():
     rng = np.random.default_rng(seed + 14)
     series = _weather_series(rng)
-    train, test = chronological_split(series, 0.7)
     config = TatsConfig(
         value_forecaster=ValueForecasterSpec.ar(order=2),
         trend_predictor=TrendPredictorSpec.oracle(accuracy=0.8, seed=5),
     )
     alphas = (0.5, 1.0, 2.0)
-    sweep = sweep_alpha(_trace(config, train, test), alphas)
+    sweep = sweep_alpha(_trace(config, series), alphas)
     assert tuple(e.alpha for e in sweep.entries) == alphas
-    assert sweep.base_report.n_steps == len(test)
+    assert sweep.base_report.n_steps == len(chronological_split(series, 0.7)[1])
 
 
 def test_sweep_alpha_single_run_consistency():
     rng = np.random.default_rng(seed + 15)
     series = _weather_series(rng)
-    train, test = chronological_split(series, 0.7)
     config = TatsConfig(
         value_forecaster=ValueForecasterSpec.drift(),
         trend_predictor=TrendPredictorSpec.oracle(accuracy=0.9, seed=6),
     )
-    trace = _trace(config, train, test)
+    trace = _trace(config, series)
     sweep = sweep_alpha(trace, (2.0,))
     y_adj, _ = trace.adjusted(2.0)
     base, adjusted = sweep.base_report, sweep.entries[0].report
@@ -512,12 +508,11 @@ def test_sweep_alpha_single_run_consistency():
 def test_sweep_alpha_rejects_bad_grids():
     rng = np.random.default_rng(seed + 16)
     series = _weather_series(rng)
-    train, test = chronological_split(series, 0.7)
     config = TatsConfig(
         value_forecaster=ValueForecasterSpec.naive(),
         trend_predictor=TrendPredictorSpec.majority(),
     )
-    trace = _trace(config, train, test)
+    trace = _trace(config, series)
     with pytest.raises(ConfigError):
         sweep_alpha(trace, ())
     with pytest.raises(ConfigError):
@@ -528,7 +523,6 @@ def test_sweep_alpha_rejects_bad_grids():
 def test_non_finite_alpha_rejected(alpha):
     rng = np.random.default_rng(seed + 17)
     series = _weather_series(rng)
-    train, test = chronological_split(series, 0.7)
     config = TatsConfig(
         value_forecaster=ValueForecasterSpec.naive(),
         trend_predictor=TrendPredictorSpec.oracle(accuracy=0.7, seed=1),
@@ -538,4 +532,4 @@ def test_non_finite_alpha_rejected(alpha):
     with pytest.raises(ConfigError, match="finite"):
         evaluate_forecasts(np.arange(5.0), 1, np.ones(2), np.array([1, 1])).adjusted(alpha)
     with pytest.raises(ConfigError, match="finite"):
-        sweep_alpha(_trace(config, train, test), (1.0, alpha))
+        sweep_alpha(_trace(config, series), (1.0, alpha))

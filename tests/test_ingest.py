@@ -211,7 +211,8 @@ def test_feature_table_training_cutoff():
     ds = Dataset(target=TimeSeries(values), exogenous={})
     table = build_feature_table(ds, n_lags=2)
     full = table.training_matrix()
-    cut = table.training_matrix(last_label_time=4)
+    cut = table.training_matrix(n_train=6)
+    # the label at s reads y_{s+1}, so a train split of 6 values labels rows up to s = 4
     assert cut.row_time_index.max() == 4
     assert len(cut.labels) < len(full.labels)
 
@@ -220,23 +221,23 @@ def test_feature_table_row_at():
     values = np.arange(10, dtype=float)
     ds = Dataset(target=TimeSeries(values), exogenous={})
     table = build_feature_table(ds, n_lags=3)
-    [row] = table.rows_at(np.array([5]))
+    [row] = table.rows_for_steps(6, 7)  # the row at s = 5 predicts step 6
     assert np.array_equal(row, np.array([5.0, 4.0, 3.0]))
     with pytest.raises(DataError):
-        table.rows_at(np.array([0]))  # before the first complete lag window
+        table.rows_for_steps(1, 2)  # the row at s = 0 is before the first complete lag window
 
 
 def test_feature_table_batch_gather():
     values = np.arange(10, dtype=float)
     ds = Dataset(target=TimeSeries(values), exogenous={})
     table = build_feature_table(ds, n_lags=3)
-    rows = table.rows_at(np.array([7, 2, 5]))
-    assert np.array_equal(rows, np.array([[7.0, 6.0, 5.0], [2.0, 1.0, 0.0], [5.0, 4.0, 3.0]]))
-    # the gather starts before the first row (time 2); the first missing index is named
-    with pytest.raises(DataError, match=r"no feature row at time index 1 \(available 2\.\.8\)"):
-        table.rows_at(np.arange(1, 6))
-    with pytest.raises(DataError, match="no feature row at time index 9"):
-        table.rows_at(np.array([8, 9]))
+    rows = table.rows_for_steps(3, 10)
+    assert np.array_equal(rows, np.array([[s, s - 1.0, s - 2.0] for s in range(2, 9)]))
+    # the steps start before the first row (time 2, which predicts step 3); the message names the steps available
+    with pytest.raises(DataError, match=r"^no feature rows for steps 2\.\.5 \(available 3\.\.9\)$"):
+        table.rows_for_steps(2, 6)
+    with pytest.raises(DataError, match=r"^no feature rows for steps 9\.\.10 \(available 3\.\.9\)$"):
+        table.rows_for_steps(9, 11)
 
 
 def test_external_forecasts_round_trip(tmp_path):
