@@ -153,6 +153,12 @@ class TatsConfig:
     train_fraction: float = 0.7
 
     def __post_init__(self) -> None:
+        if not (isinstance(self.value_forecaster, ValueForecasterSpec)
+                and isinstance(self.trend_predictor, TrendPredictorSpec)):
+            raise ConfigError("a config needs a ValueForecasterSpec and a TrendPredictorSpec")
+        if not isinstance(self.refit_each_step, (bool, np.bool_)):
+            raise ConfigError(f"refit_each_step must be a bool, got {self.refit_each_step!r}")
+        object.__setattr__(self, "refit_each_step", bool(self.refit_each_step))
         object.__setattr__(self, "n_lags", _int_at_least("n_lags", self.n_lags, 1))
         object.__setattr__(self, "exog_lag", _int_at_least("exog_lag", self.exog_lag, 0))
         object.__setattr__(self, "train_fraction", _real("train_fraction", self.train_fraction, 0.0, 1.0, "()"))
@@ -244,11 +250,12 @@ def prepare_run(config: TatsConfig, dataset: Dataset, eval_splits: tuple[str, ..
     :func:`build_feature_table` over the whole dataset, with config.n_lags
     and config.exog_lag, whose labels lie in the train split.
     """
-    if not isinstance(dataset, Dataset):
-        raise ConfigError(f"prepare_run needs a Dataset, got {type(dataset).__name__}")
-    for eval_split in eval_splits:
-        if eval_split not in ("train", "test"):
-            raise ConfigError(f"eval_split must be 'train' or 'test', got {eval_split!r}")
+    if not (isinstance(config, TatsConfig) and isinstance(dataset, Dataset)):
+        raise ConfigError("prepare_run needs a TatsConfig and a Dataset, "
+                          f"got {type(config).__name__} and {type(dataset).__name__}")
+    if not (isinstance(eval_splits, (tuple, list))
+            and all(isinstance(split, str) and split in ("train", "test") for split in eval_splits)):
+        raise ConfigError(f"eval_splits must be a tuple or list of 'train' and 'test', got {eval_splits!r}")
     train, _ = chronological_split(dataset.target, config.train_fraction)
     values, n_train = dataset.target.values, len(train)
     clf_spec = config.trend_predictor

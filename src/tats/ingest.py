@@ -217,6 +217,12 @@ class FeatureTable:
     first: int
     next_delta: np.ndarray
 
+    def __post_init__(self) -> None:
+        if not (isinstance(self.rows, np.ndarray) and self.rows.ndim == 2
+                and isinstance(self.next_delta, np.ndarray) and self.next_delta.shape == self.rows.shape[:1]):
+            raise DataError("feature rows and next moves must be 2-D and 1-D arrays that align")
+        object.__setattr__(self, "first", _int_at_least("first", self.first, 0))
+
     def training_matrix(self, n_train: int | None = None) -> FeatureMatrix:
         """Labeled rows whose label lies inside the first n_train values (all if None), flats dropped.
 
@@ -255,9 +261,8 @@ def build_feature_table(dataset: Dataset, n_lags: int, exog_lag: int = 0) -> Fea
     n = y.size
     start = max(n_lags - 1, exog_lag if dataset.exogenous else 0)
     if start > n - 2:
-        raise DataError(
-            f"series of length {n} too short for {n_lags} lags (no labeled rows possible)"
-        )
+        binding = f"{n_lags} lags" if start == n_lags - 1 else f"exog_lag={exog_lag}"
+        raise DataError(f"series of length {n} too short for {binding} (no labeled rows possible)")
     times = np.arange(start, n - 1)
     cols = [y[times - k] for k in range(n_lags)]
     cols += [series.values[times - exog_lag] for series in dataset.exogenous.values()]

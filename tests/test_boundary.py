@@ -4,15 +4,20 @@ Every parameter of every export in ``tats.__all__`` is sorted into one of
 the groups below, so a new export or parameter fails
 ``test_every_export_parameter_is_sorted`` until it is placed:
 
-* int, real and array parameters are probed with values of the wrong
-  type or shape (``BAD``), and each probe must raise a TatsError;
-* parameters that take one of the package's objects, a path, a column
-  name or a flag (``NOT_PROBED``) are typed by their annotations and not
-  probed here;
-* records that the library builds and returns, the scenario enum and the
-  exception classes (``NOT_CALLED``) are not probed parameter by
-  parameter; the records whose constructors check their fields, and the
-  scenario enum, are called with wrong values by the tests at the end.
+* int, real and array parameters, the run path's object parameters
+  (``TatsConfig``'s specs and ``prepare_run``'s arguments) and its flag
+  ``refit_each_step`` are probed with values of the wrong type or shape
+  (``BAD``), and each probe must raise a TatsError;
+* the other parameters that take one of the package's objects, a path, a
+  column name or a flag (``NOT_PROBED``) are typed by their annotations
+  and not probed here;
+* a record whose every field is called with wrong values by the tests
+  at the end (``RECORD_CASES``) is sorted there;
+* the other records that the library builds and returns, the scenario
+  enum and the exception classes (``NOT_CALLED``) are not probed
+  parameter by parameter; the records whose constructors check their
+  fields, and the scenario enum, are called with wrong values by the
+  tests at the end.
 
 numpy integers and floats stay valid wherever an int or a real is.
 """
@@ -31,6 +36,7 @@ from tats import (
     DataError,
     Dataset,
     FeatureMatrix,
+    FeatureTable,
     ForecastTrace,
     Scenario,
     SimConfig,
@@ -48,6 +54,7 @@ from tats import (
     mae,
     mape,
     mse,
+    prepare_run,
     scenario_probabilities,
     sweep_alpha,
     synthetic_forecaster,
@@ -71,7 +78,10 @@ BAD = {
     "0-d-array": np.array(3),
     "2-d-array": np.ones((2, 2)),
 }
-INT, REAL, ARRAY = "int", "real", "array"
+INT, REAL, ARRAY, OBJECT, FLAG = "int", "real", "array", "object", "flag"
+# the BAD values that a kind of parameter takes; an object parameter takes none of them
+VALID_BY_KIND = {REAL: {"float"}, FLAG: {"bool"}}
+NAIVE = ValueForecasterSpec.naive()
 
 # label: (export, callable with its object arguments bound, valid probed arguments, their kinds)
 CALLS = {
@@ -79,8 +89,11 @@ CALLS = {
         n_steps=20, n_trials=2, drift=0.0, volatility=1.0, p_dt=0.5, p_db=0.7, error_scale=0.5, alpha=1e-6, seed=0,
     ), dict(n_steps=INT, n_trials=INT, seed=INT, drift=REAL, volatility=REAL, p_dt=REAL, p_db=REAL,
             error_scale=REAL, alpha=REAL)),
-    "TatsConfig": ("TatsConfig", partial(TatsConfig, ValueForecasterSpec.naive(), TrendPredictorSpec.logistic()),
-                   dict(n_lags=2, exog_lag=0, train_fraction=0.7), dict(n_lags=INT, exog_lag=INT, train_fraction=REAL)),
+    "TatsConfig": ("TatsConfig", TatsConfig, dict(
+        value_forecaster=NAIVE, trend_predictor=TrendPredictorSpec.logistic(), n_lags=2, refit_each_step=False,
+        exog_lag=0, train_fraction=0.7,
+    ), dict(value_forecaster=OBJECT, trend_predictor=OBJECT, n_lags=INT, refit_each_step=FLAG, exog_lag=INT,
+            train_fraction=REAL)),
     "TimeSeries": ("TimeSeries", TimeSeries, dict(values=VALUES), dict(values=ARRAY)),
     # each spec classmethod passes its arguments to the spec's fields of the same names
     "TrendPredictorSpec.knn": ("TrendPredictorSpec", TrendPredictorSpec.knn, dict(k=3), dict(k=INT)),
@@ -106,6 +119,9 @@ CALLS = {
                         dict(n=INT, drift=REAL, volatility=REAL, seed=INT)),
     "lower_bound": ("lower_bound", lower_bound, dict(abs_gap=1.0, p_db=0.6, p_dt=0.5),
                     dict(abs_gap=REAL, p_db=REAL, p_dt=REAL)),
+    "prepare_run": ("prepare_run", prepare_run, dict(
+        config=TatsConfig(NAIVE, TrendPredictorSpec.majority()), dataset=Dataset(SERIES), eval_splits=("test",),
+    ), dict(config=OBJECT, dataset=OBJECT, eval_splits=OBJECT)),
     "scenario_probabilities": ("scenario_probabilities", scenario_probabilities, dict(p_db=0.6, p_dt=0.5),
                                dict(p_db=REAL, p_dt=REAL)),
     "sweep_alpha": ("sweep_alpha", partial(sweep_alpha, TRACE), dict(alphas=[1.0, 2.0]), dict(alphas=ARRAY)),
@@ -124,7 +140,6 @@ VALID_BAD = {("trend_aware_loss", "y_prev", "none")}
 # export: its parameters that take the package's objects, paths, names or flags
 NOT_PROBED = {
     "Dataset": {"target", "exogenous"},
-    "TatsConfig": {"value_forecaster", "trend_predictor", "refit_each_step"},
     "TrendPredictorSpec": {"kind"},
     "ValueForecasterSpec": {"kind"},
     "build_feature_table": {"dataset"},
@@ -137,13 +152,12 @@ NOT_PROBED = {
     "load_csv": {"path", "target_column", "exogenous_columns", "label_column"},
     "load_external_directions": {"path", "series"},
     "load_external_forecasts": {"path", "series"},
-    "prepare_run": {"config", "dataset", "eval_splits"},
     "sweep_alpha": {"trace"},
     "synthetic_forecaster": {"series"},
     "validate_prop1": {"config"},
 }
 NOT_CALLED = {
-    "ARModel", "EvalReport", "FeatureMatrix", "FeatureTable", "ForecastTrace", "GaussianNBClassifier",
+    "ARModel", "EvalReport", "FeatureMatrix", "ForecastTrace", "GaussianNBClassifier",
     "KNNClassifier", "LogisticClassifier", "MajorityClassifier", "OracleTrendPredictor", "Scenario",
     "SimulationReport", "SweepEntry", "SweepResult", "TheoryEstimate",
 }
@@ -152,7 +166,7 @@ PROBES = [
     for label, (_, _, kwargs, kinds) in CALLS.items()
     for param in kwargs
     for bad in BAD
-    if not (kinds[param] == REAL and bad == "float") and (label, param, bad) not in VALID_BAD
+    if bad not in VALID_BY_KIND.get(kinds[param], ()) and (label, param, bad) not in VALID_BAD
 ]
 
 
@@ -173,7 +187,7 @@ def test_wrong_type_or_shape_raises_a_tats_error(label, param, bad):
 @pytest.mark.parametrize("label", CALLS)
 def test_numpy_scalars_stay_valid(label):
     _, fn, kwargs, kinds = CALLS[label]
-    cast = {INT: np.int64, REAL: np.float64}
+    cast = {INT: np.int64, REAL: np.float64, FLAG: np.bool_}
     fn(**{p: cast[kinds[p]](v) if kinds[p] in cast else v for p, v in kwargs.items()})
 
 
@@ -181,6 +195,8 @@ def test_every_export_parameter_is_sorted():
     probed = {}
     for export, _, kwargs, _ in CALLS.values():
         probed.setdefault(export, set()).update(kwargs)
+    for record, _, field, _, _ in (case.values for case in RECORD_CASES):
+        probed.setdefault(record.__name__, set()).add(field)
     for name in tats.__all__:
         obj = getattr(tats, name)
         if name in NOT_CALLED or (isinstance(obj, type) and issubclass(obj, TatsError)):
@@ -213,6 +229,8 @@ TRACE_FIELDS = {f.name: getattr(TRACE, f.name) for f in dataclasses.fields(Forec
 MATRIX_FIELDS = dict(rows=np.ones((3, 2)), labels=np.array([1, -1, 1]), row_time_index=np.arange(3), n_flat_dropped=0)
 MATRIX_ROWS = {"string": "x", "none": None, "list": [[1.0, 2.0]] * 3, "1-d-array": np.ones(3),
                "3-d-array": np.ones((3, 2, 1)), "short": np.ones((2, 2))}
+TABLE_FIELDS = dict(rows=np.ones((3, 2)), first=1, next_delta=np.array([1.0, -1.0, 0.0]))
+TABLE_FIRSTS = {"float": 1.0, "string": "x", "none": None, "bool": True, "0-d-array": np.array(1), "negative": -1}
 RECORD_CASES = [
     *[pytest.param(ForecastTrace, TRACE_FIELDS, field, wrong, ConfigError, id=f"ForecastTrace-{field}-{label}")
       for field in TRACE_FIELDS for label, wrong in _wrong_fields(len(TRACE)).items()],
@@ -220,6 +238,12 @@ RECORD_CASES = [
       for field in ("labels", "row_time_index") for label, wrong in _wrong_fields(3).items()],
     *[pytest.param(FeatureMatrix, MATRIX_FIELDS, "rows", wrong, DataError, id=f"FeatureMatrix-rows-{label}")
       for label, wrong in MATRIX_ROWS.items()],
+    *[pytest.param(FeatureTable, TABLE_FIELDS, "rows", wrong, DataError, id=f"FeatureTable-rows-{label}")
+      for label, wrong in MATRIX_ROWS.items()],
+    *[pytest.param(FeatureTable, TABLE_FIELDS, "next_delta", wrong, DataError, id=f"FeatureTable-next_delta-{label}")
+      for label, wrong in _wrong_fields(3).items()],
+    *[pytest.param(FeatureTable, TABLE_FIELDS, "first", wrong, ConfigError, id=f"FeatureTable-first-{label}")
+      for label, wrong in TABLE_FIRSTS.items()],
 ]
 
 
@@ -253,3 +277,16 @@ def test_datasets_of_wrong_types_raise_a_config_error(case):
     Dataset(SERIES, {"x": SERIES})
     with pytest.raises(ConfigError, match="a dataset needs a TimeSeries target"):
         Dataset(**DATASET_CASES[case])
+
+
+def test_the_run_flag_is_stored_as_a_bool_and_eval_splits_may_be_a_list():
+    for flag in (True, False, np.bool_(True), np.bool_(False)):
+        config = TatsConfig(NAIVE, TrendPredictorSpec.majority(), refit_each_step=flag)
+        assert type(config.refit_each_step) is bool and config.refit_each_step == flag
+    config = TatsConfig(NAIVE, TrendPredictorSpec.majority())
+    as_list = prepare_run(config, Dataset(SERIES), ["test", "train"])
+    as_tuple = prepare_run(config, Dataset(SERIES), ("test", "train"))
+    assert [trace.t.tolist() for trace in as_list] == [trace.t.tolist() for trace in as_tuple]
+    for splits in (["test", 1], ("test", None), "test", {"test"}):
+        with pytest.raises(ConfigError, match="^eval_splits must be a tuple or list of 'train' and 'test'"):
+            prepare_run(config, Dataset(SERIES), splits)

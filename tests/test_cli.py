@@ -773,6 +773,17 @@ def test_report_theory_matches_a_separate_run(tmp_path, classifier, theory_split
     assert report["theory"] == json.loads(json.dumps(expected.to_dict()))
 
 
+def test_an_exog_lag_beyond_the_series_names_the_setting(tmp_path, capsys):
+    data = _write_prices(tmp_path / "prices.csv", n=40)
+    argv = ["run", "--data", str(data), "--target-column", "gold", "--exogenous-columns", "ftse",
+            "--exog-lag", "50", "--out", str(tmp_path / "o")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "data error: series of length 40 too short for exog_lag=50 (no labeled rows possible)"
+    ]
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize(
     "forecaster, spec",
     [

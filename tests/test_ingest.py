@@ -240,6 +240,53 @@ def test_feature_table_batch_gather():
         table.rows_for_steps(9, 11)
 
 
+def test_rows_for_steps_bounds():
+    values = np.random.default_rng(seed + 1).normal(size=12)
+    table = build_feature_table(Dataset(TimeSeries(values)), n_lags=4)  # rows at s = 3..10 predict steps 4..11
+    assert table.first == 3
+    assert np.array_equal(table.rows_for_steps(4, 5), values[3::-1][None, :])  # the first valid step
+    assert table.rows_for_steps(4, 12).shape == (8, 4)  # through the last step
+    available = r" \(available 4\.\.11\)$"
+    with pytest.raises(DataError, match=r"^no feature rows for steps 3\.\.4" + available):
+        table.rows_for_steps(3, 5)  # one step before the first
+    with pytest.raises(DataError, match=r"^no feature rows for steps 11\.\.12" + available):
+        table.rows_for_steps(11, 13)  # one step past the end
+
+
+def test_training_matrix_keeps_the_labels_inside_the_train_split():
+    rng = np.random.default_rng(seed + 2)
+    for _ in range(30):
+        n = int(rng.integers(6, 30))
+        values = rng.integers(0, 3, size=n).astype(float)  # few levels, so many moves are flat
+        dataset = Dataset(TimeSeries(values), {"x": TimeSeries(rng.normal(size=n))})
+        table = build_feature_table(dataset, int(rng.integers(1, 3)), int(rng.integers(0, 3)))
+        assert table.training_matrix(None).row_time_index.tolist() == table.training_matrix(n).row_time_index.tolist()
+        for n_train in range(1, n + 1):
+            # brute force: each s with first <= s <= n_train - 2 and a non-zero next move, in order
+            steps = range(table.first, n_train - 1)
+            labeled = [s for s in steps if values[s + 1] != values[s]]
+            if not labeled:
+                with pytest.raises(DataError, match="^no labeled feature rows available for training$"):
+                    table.training_matrix(n_train)
+                continue
+            fm = table.training_matrix(n_train)
+            assert fm.row_time_index.tolist() == labeled
+            assert fm.labels.tolist() == [1 if values[s + 1] > values[s] else -1 for s in labeled]
+            assert np.array_equal(fm.rows, table.rows[[s - table.first for s in labeled]])
+            assert fm.n_flat_dropped == len(steps) - len(labeled)
+
+
+def test_too_short_message_names_the_setting_that_binds():
+    target, x = TimeSeries(np.arange(20.0)), TimeSeries(np.ones(20))
+    too_short = r"^series of length 20 too short for {} \(no labeled rows possible\)$"
+    with pytest.raises(DataError, match=too_short.format("exog_lag=50")):
+        build_feature_table(Dataset(target, {"x": x}), 2, exog_lag=50)
+    with pytest.raises(DataError, match=too_short.format("30 lags")):
+        build_feature_table(Dataset(target, {"x": x}), 30, exog_lag=5)
+    with pytest.raises(DataError, match=too_short.format("30 lags")):
+        build_feature_table(Dataset(target), 30, exog_lag=50)  # no exogenous series, so exog_lag moves no row
+
+
 def test_external_forecasts_round_trip(tmp_path):
     path = _write(tmp_path, "f.csv", "time_index,forecast\n1,10.5\n2,11.0\n")
     series = TimeSeries(np.arange(5, dtype=float))
