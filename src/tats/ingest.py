@@ -241,7 +241,7 @@ class FeatureTable:
         )
 
     def rows_for_steps(self, start: int, stop: int) -> np.ndarray:
-        """The rows that predict steps start..stop - 1, those at s = start - 1..stop - 2."""
+        """A view of the rows that predict steps start..stop - 1, those at s = start - 1..stop - 2."""
         last = self.first + self.next_delta.size
         if not self.first + 1 <= start <= stop <= last + 1:
             raise DataError(f"no feature rows for steps {start}..{stop - 1} (available {self.first + 1}..{last})")

@@ -19,7 +19,7 @@ the groups below, so a new export or parameter fails
   fields, and the scenario enum, are called with wrong values by the
   tests at the end.
 
-numpy integers and floats stay valid wherever an int or a real is.
+numpy integers, floats and bools stay valid wherever an int, a real or a flag is.
 """
 
 import dataclasses
