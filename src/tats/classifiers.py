@@ -214,23 +214,23 @@ class OracleTrendPredictor:
 
     def draw_many(self, truths: np.ndarray) -> np.ndarray:
         """Draws for +1/-1/0 truth signs (0 meaning flat)."""
-        out = np.empty(truths.size, dtype=np.result_type(truths, bool))
-        return self._draw_into(truths, out, np.empty(truths.size))
+        u = np.random.default_rng(self.seed).random(truths.size)
+        return _directions_into(truths, self.accuracy, u, np.empty(truths.size, dtype=np.result_type(truths, bool)))
 
-    def _draw_into(self, truths: np.ndarray, out: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """:meth:`draw_many` written into out, with u as the buffer of uniform draws."""
-        np.random.default_rng(self.seed).random(out=u)
-        flat = truths == 0
-        # a flat truth becomes UP below 0.5 and DOWN otherwise; flats are rare, so this mask
-        # is almost all False and the masked write costs little
-        wrong = u >= self.accuracy
-        np.greater_equal(u, 0.5, out=wrong, where=flat)
-        # out = (truths + flat) * (1 - 2*wrong), the factor built in the bytes of wrong
-        factor = wrong.view(np.int8)
-        factor *= -2
-        factor += 1
-        np.add(truths, flat, out=out)
-        return np.multiply(out, factor, out=out)
+
+def _directions_into(truths: np.ndarray, accuracy: float, u: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """:meth:`OracleTrendPredictor.draw_many` of the uniform draws u, elementwise into out of any shape."""
+    flat = truths == 0
+    # a flat truth becomes UP below 0.5 and DOWN otherwise; flats are rare, so this mask
+    # is almost all False and the masked write costs little
+    wrong = u >= accuracy
+    np.greater_equal(u, 0.5, out=wrong, where=flat)
+    # out = (truths + flat) * (1 - 2*wrong), the factor built in the bytes of wrong
+    factor = wrong.view(np.int8)
+    factor *= -2
+    factor += 1
+    np.add(truths, flat, out=out)
+    return np.multiply(out, factor, out=out)
 
 
 def _fit_logistic(

@@ -122,19 +122,22 @@ def _scenario_counts(counts: np.ndarray) -> dict[str, int]:
     return {**named, "undefined": int(counts[Scenario.UNDEFINED])}
 
 
-def _adjust_into(trace: ForecastTrace, alpha: float, y_adj: np.ndarray, loss_adj: np.ndarray) -> float:
-    """:meth:`ForecastTrace.adjusted` at a checked alpha, under the caller's errstate; gives sum(loss_adj)."""
+def _adjust_into(trace: ForecastTrace, alpha: float, y_adj: np.ndarray, loss_adj: np.ndarray):
+    """:meth:`ForecastTrace.adjusted` at a checked alpha, under the caller's errstate; gives sum(loss_adj).
+
+    Per row, like :func:`_evaluate_into`; y_adj and loss_adj may be one array.
+    """
     np.multiply(trace.direction, alpha, out=y_adj)
     y_adj += trace.y_prev
     np.putmask(y_adj, trace.indicator == 1, trace.y_hat)
     np.square(np.subtract(y_adj, trace.y_true, out=loss_adj), out=loss_adj)
-    loss_sum = loss_adj.sum()
-    if not np.isfinite(loss_sum):
+    loss_sum = loss_adj.sum(axis=-1)
+    if not np.isfinite(loss_sum).all():
         raise NumericError(
             f"the summed squared errors of the adjusted forecasts at alpha={alpha!r} "
             "overflowed float64; alpha or the moves of the series are too large"
         )
-    return float(loss_sum)
+    return loss_sum
 
 
 @dataclass(frozen=True)
@@ -201,9 +204,10 @@ def evaluate_forecasts(
     return trace
 
 
-def _evaluate_into(trace: ForecastTrace, actual: np.ndarray, implied: np.ndarray) -> float:
+def _evaluate_into(trace: ForecastTrace, actual: np.ndarray, implied: np.ndarray):
     """Fill the indicator, loss_base and scenario of a trace; give sum(loss_base).
 
+    The arrays may hold one trace per row, as a Monte-Carlo block does; the sum is then per row.
     actual holds the int signs of y_true - y_prev; implied receives those of y_hat - y_prev.
     Under the caller's errstate, a difference that overflows to +-inf keeps its sign; the losses are checked.
     """
@@ -211,7 +215,7 @@ def _evaluate_into(trace: ForecastTrace, actual: np.ndarray, implied: np.ndarray
     np.subtract(trace.y_hat, trace.y_prev, out=loss)  # the implied moves, until the losses
     np.sign(loss, out=implied, casting="unsafe")
     np.square(np.subtract(trace.y_hat, trace.y_true, out=loss), out=loss)
-    loss_sum = float(_require_finite(loss.sum(), "the summed squared forecast errors"))
+    loss_sum = _require_finite(loss.sum(axis=-1), "the summed squared forecast errors")
     # (y_hat - y_prev) * c >= 0 holds exactly when sign(y_hat - y_prev) * c >= 0
     np.greater_equal(np.multiply(implied, trace.direction, out=trace.indicator), 0, out=trace.indicator)
     # with f = implied*actual and c = direction*actual, S1..S4 are (5 - f*(c + 2)) >> 1 for
@@ -317,6 +321,8 @@ def sweep_alpha(trace: ForecastTrace, alphas) -> SweepResult:
     is zero, where it is undefined. MAPE is None where :func:`~tats.metrics.mape`
     refuses: on a zero actual, or when the ratios overflow on tiny actuals.
     """
+    if not isinstance(trace, ForecastTrace):
+        raise ConfigError(f"sweep_alpha needs a ForecastTrace, got {type(trace).__name__}")
     alphas = _check_alphas(alphas)
     base = _report(trace, trace.y_hat)
     entries = []

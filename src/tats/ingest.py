@@ -183,21 +183,19 @@ def load_csv(
 class FeatureMatrix:
     """Labeled classifier rows (training view).
 
-    rows[i] is the feature vector at time row_time_index[i]; labels[i]
-    is +1/-1 for the direction of the next move. Flat-label rows are
-    excluded and counted in n_flat_dropped.
+    rows[i] is a feature vector and labels[i] is +1/-1 for the direction
+    of the move after it. Flat-label rows are excluded and counted in
+    n_flat_dropped.
     """
 
     rows: np.ndarray
     labels: np.ndarray
-    row_time_index: np.ndarray
     n_flat_dropped: int
 
     def __post_init__(self) -> None:
-        arrays = (self.rows, self.labels, self.row_time_index)
-        if not (all(isinstance(a, np.ndarray) for a in arrays) and [a.ndim for a in arrays] == [2, 1, 1]
-                and self.rows.shape[0] == self.labels.size == self.row_time_index.size):
-            raise DataError("feature rows, labels, and time index must be 2-D, 1-D and 1-D arrays that align")
+        if not (isinstance(self.rows, np.ndarray) and self.rows.ndim == 2
+                and isinstance(self.labels, np.ndarray) and self.labels.shape == self.rows.shape[:1]):
+            raise DataError("feature rows and labels must be 2-D and 1-D arrays that align")
 
     def __len__(self) -> int:
         return int(self.rows.shape[0])
@@ -228,7 +226,7 @@ class FeatureTable:
 
         The label at s reads y_{s+1}, so the rows kept run from first to n_train - 2.
         """
-        n = self.next_delta.size if n_train is None else max(0, n_train - 1 - self.first)
+        n = self.next_delta.size if n_train is None else max(0, _int_at_least("n_train", n_train, 0) - 1 - self.first)
         delta = self.next_delta[:n]
         strict = np.flatnonzero(delta != 0.0)
         if not strict.size:
@@ -236,12 +234,12 @@ class FeatureTable:
         return FeatureMatrix(
             rows=self.rows[strict],
             labels=np.where(delta[strict] > 0, 1, -1),
-            row_time_index=self.first + strict,
             n_flat_dropped=delta.size - strict.size,
         )
 
     def rows_for_steps(self, start: int, stop: int) -> np.ndarray:
         """A view of the rows that predict steps start..stop - 1, those at s = start - 1..stop - 2."""
+        start, stop = _int_at_least("start", start, 0), _int_at_least("stop", stop, 0)
         last = self.first + self.next_delta.size
         if not self.first + 1 <= start <= stop <= last + 1:
             raise DataError(f"no feature rows for steps {start}..{stop - 1} (available {self.first + 1}..{last})")

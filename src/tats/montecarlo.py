@@ -16,6 +16,9 @@ sub-streams spawned per trial from one root seed, so results are
 reproducible and one trial's outcome does not depend on the others;
 aggregation uses compensated summation in a fixed trial order. Seed
 states come in blocks of trials, exactly as SeedSequence.spawn gives them.
+Trials run in blocks, one per row, on up to two threads that each refill
+their own arrays (see :func:`validate_prop1`); a trial's bytes do not
+depend on its block or thread.
 
 The realized p_db, p_dt, loss gap and bound pool the statistics that
 :func:`tats.theory.estimate_theory` takes from each trial's trace, so the
@@ -27,15 +30,17 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import os
+import threading
 from dataclasses import asdict, dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
 
-from .classifiers import OracleTrendPredictor
+from .classifiers import _directions_into
 from .core import TimeSeries
-from .engine import ForecastTrace, _adjust_into, _evaluate_into, _scenario_counts
-from .errors import ConfigError, NumericError, _int_at_least, _real, _require_finite
+from .engine import _adjust_into, _evaluate_into, _scenario_counts
+from .errors import ConfigError, NumericError, TatsError, _int_at_least, _real, _require_finite
 from .theory import _estimate, _trace_stats
 
 __all__ = [
@@ -49,6 +54,8 @@ __all__ = [
 WALK_START = 100.0
 _MAX_REGEN_ATTEMPTS = 100
 _SEED_BLOCK = 256  # trials whose seed states are computed together
+_BLOCK_STEPS = 20_000  # steps per block of trials run together; a workspace (0.9 MB) fits a 2 MB L2 cache
+_MAX_THREADS = 2  # threads that run blocks; more were not measured
 _STREAMS = np.arange(3, dtype=np.uint32)  # a trial's walk, forecaster and oracle streams
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED  # numpy's SeedSequence
 _MIX_MULT_L, _MIX_MULT_R, _MASK32 = 0xCA01F9DD, 0x4973F715, 0xFFFFFFFF  # hash constants
@@ -89,7 +96,7 @@ def gen_random_walk(
     n, drift = _int_at_least("walk length", n, 2), _real("drift", drift)
     volatility, rng = _real("volatility", volatility, 0.0, ends="()"), _rng(seed)
     with np.errstate(over="ignore", invalid="ignore"):
-        return TimeSeries(_walk_into(np.empty(n), np.empty(n - 1), drift, volatility, rng))
+        return TimeSeries(_walk_into(np.empty(n), rng.standard_normal(n - 1), drift, volatility))
 
 
 def _rng(seed) -> np.random.Generator:
@@ -99,13 +106,12 @@ def _rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def _walk_into(walk: np.ndarray, steps: np.ndarray, drift: float, volatility: float, rng) -> np.ndarray:
-    """:func:`gen_random_walk` written into walk, with steps as the buffer of its len(walk) - 1 steps."""
-    rng.standard_normal(out=steps)
+def _walk_into(walk: np.ndarray, steps: np.ndarray, drift: float, volatility: float) -> np.ndarray:
+    """:func:`gen_random_walk` of the standard normal draws in steps (made the steps), into walk; one walk per row."""
     steps *= volatility
     steps += drift
-    walk[0] = 0.0
-    np.cumsum(steps, out=walk[1:])
+    walk[..., 0] = 0.0
+    np.cumsum(steps, axis=-1, out=walk[..., 1:])
     walk += WALK_START
     return _require_finite(walk, "the random walk")
 
@@ -123,6 +129,8 @@ def synthetic_forecaster(
     and y_{t-1} - error_scale*delta otherwise (direction wrong). The
     series must have no flat steps; regenerate it if it does.
     """
+    if not isinstance(series, TimeSeries):
+        raise ConfigError(f"synthetic_forecaster needs a TimeSeries, got {type(series).__name__}")
     p_dt, error_scale = _real("p_dt", p_dt, 0.0, 1.0, "()"), _real("error_scale", error_scale, 0.0, ends="()")
     rng = _rng(seed)
     # steps of huge walks can overflow; that shows in the forecasts checked by the kernel
@@ -134,13 +142,12 @@ def synthetic_forecaster(
                 f"flat step at index {flat[0] + 1}: directional accuracy is undefined there; "
                 "regenerate or perturb the series"
             )
-        forecasts, u = np.empty(moves.size), np.empty(moves.size)
-        return _forecast_into(forecasts, series.values[:-1], moves, p_dt, error_scale, rng, u)
+        return _forecast_into(np.empty(moves.size), series.values[:-1], moves, p_dt, error_scale,
+                              rng.random(moves.size))
 
 
-def _forecast_into(forecasts, y_prev, moves, p_dt: float, error_scale: float, rng, u) -> np.ndarray:
-    """:func:`synthetic_forecaster` for the moves of a walk without flat steps, written into forecasts."""
-    rng.random(out=u)
+def _forecast_into(forecasts, y_prev, moves, p_dt: float, error_scale: float, u) -> np.ndarray:
+    """:func:`synthetic_forecaster` of the uniform draws in u for moves without flat steps, into forecasts."""
     # u becomes the factor -1.0 where the direction is wrong (u >= p_dt) and 1.0 elsewhere;
     # multiplying by -1.0 negates exactly, signed zeros and infinities included
     np.greater_equal(u, p_dt, out=u, casting="unsafe")
@@ -181,23 +188,25 @@ class SimulationReport:
 
 
 class _Workspace:
-    """The arrays of one trial, allocated once per run and refilled by every trial.
+    """The per-step arrays of a block of trials, one row per trial, which the engine's kernels read as traces.
 
-    Signs are int8 (actual, implied, and the trace's direction, indicator and scenario, all
-    in -1..4), so a trial's integer passes read one byte per step; the public functions give int.
+    Signs are int8 (all in -1..4), so the integer passes read one byte per step.
     """
 
-    def __init__(self, n_steps: int) -> None:
-        # draws holds one stream's draws at a time; moves holds y_t - y_{t-1} (then the loss
-        # gaps), actual their signs and implied the signs of the forecasts' implied moves
-        self.walk = np.empty(n_steps + 1)
-        self.draws, self.moves, self.y_adj, self.loss_adj = (np.empty(n_steps) for _ in range(4))
-        self.actual, self.implied = (np.empty(n_steps, dtype=np.int8) for _ in range(2))
-        self.trace = ForecastTrace(
-            t=np.arange(1, n_steps + 1), y_prev=self.walk[:-1], y_true=self.walk[1:], y_hat=np.empty(n_steps),
-            direction=np.empty(n_steps, dtype=np.int8), indicator=np.empty(n_steps, dtype=np.int8),
-            loss_base=np.empty(n_steps), scenario=np.empty(n_steps, dtype=np.int8),
-        )
+    def __init__(self, rows: int, n_steps: int) -> None:
+        # draws holds one stream's draws at a time, then the adjusted forecasts' losses; moves holds
+        # y_t - y_{t-1} (then the loss gaps), actual their signs, implied those of the implied moves
+        self.walk = np.empty((rows, n_steps + 1))
+        self.y_prev, self.y_true = self.walk[:, :-1], self.walk[:, 1:]
+        self.draws, self.moves, self.y_hat, self.loss_base = (np.empty((rows, n_steps)) for _ in range(4))
+        self.actual, self.implied, self.direction, self.indicator, self.scenario = (
+            np.empty((rows, n_steps), dtype=np.int8) for _ in range(5))
+
+    def rows(self, lo: int, hi: int) -> _Workspace:
+        """A workspace of views of rows lo..hi - 1."""
+        view = object.__new__(_Workspace)
+        view.__dict__.update((name, array[lo:hi]) for name, array in vars(self).items())
+        return view
 
 
 class _StoredSeed(NamedTuple):
@@ -240,58 +249,118 @@ def _seed_states(seed: int, trials: np.ndarray, streams: np.ndarray) -> np.ndarr
     return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
 
 
-def _run_trial(config: SimConfig, i: int, states: np.ndarray, ws: _Workspace):
-    """Trial i in ws from its streams' seed states: its two MSEs, theory statistics and scenario counts."""
-    for attempt in range(1, _MAX_REGEN_ATTEMPTS + 1):
-        walk_seed, forecaster_seed, oracle_seed = map(_StoredSeed, states)
-        _walk_into(ws.walk, ws.draws, config.drift, config.volatility, np.random.default_rng(walk_seed))
-        np.subtract(ws.walk[1:], ws.walk[:-1], out=ws.moves)
-        if np.count_nonzero(ws.moves) == ws.moves.size:
-            break
-        # spawn(3) number k (from 0) of trial i's SeedSequence gives streams 3k, 3k + 1 and 3k + 2
-        states = _seed_states(config.seed, np.array([i], np.uint32), _STREAMS + 3 * attempt)
-    else:
-        raise NumericError("could not generate a walk without flat steps")
-    trace, rng = ws.trace, np.random.default_rng(forecaster_seed)
-    _forecast_into(trace.y_hat, trace.y_prev, ws.moves, config.p_dt, config.error_scale, rng, ws.draws)
-    np.sign(ws.moves, out=ws.actual, casting="unsafe")
-    OracleTrendPredictor(config.p_db, oracle_seed)._draw_into(ws.actual, trace.direction, ws.draws)
-    mse_base = _evaluate_into(trace, ws.actual, ws.implied) / len(trace)
-    mse_tats = _adjust_into(trace, config.alpha, ws.y_adj, ws.loss_adj) / len(trace)
-    counts = np.bincount(trace.scenario, minlength=5)
-    return mse_base, mse_tats, _trace_stats(trace, ws.moves, ws.actual, counts), counts
+def _draw_rows(out: np.ndarray, states: np.ndarray, method: str) -> None:
+    """Fill each row of out from the start of the stream of its seed state."""
+    for row, state in zip(out, states):
+        getattr(np.random.default_rng(_StoredSeed(state)), method)(out=row)
+
+
+def _walks_into(ws: _Workspace, states: np.ndarray, config: SimConfig) -> np.ndarray:
+    """Draw each row's walk and its moves from its walk stream; give the rows with a flat move."""
+    _draw_rows(ws.draws, states[:, 0], "standard_normal")
+    _walk_into(ws.walk, ws.draws, config.drift, config.volatility)
+    np.subtract(ws.y_true, ws.y_prev, out=ws.moves)
+    return np.flatnonzero(np.count_nonzero(ws.moves, axis=-1) < config.n_steps)
+
+
+def _blocks(config: SimConfig, rows: int):
+    """(first trial, seed states) of each block of at most rows trials, in order and inside the seed blocks."""
+    for start in range(0, config.n_trials, _SEED_BLOCK):
+        block = np.arange(start, min(start + _SEED_BLOCK, config.n_trials), dtype=np.uint32)
+        states = _seed_states(config.seed, block[:, None], _STREAMS)
+        for lo in range(0, block.size, rows):
+            yield start + lo, states[lo : lo + rows]
+
+
+def _run_block(config: SimConfig, first: int, states: np.ndarray, ws: _Workspace):
+    """Trials first, first + 1, ..., one per row of ws, from their seed states (a redrawn walk's replace them).
+
+    Gives each trial's summed base and adjusted losses and summed gap, then the block's scenario
+    counts, classifier hits and forecaster hits as one tally.
+    """
+    try:
+        for row in _walks_into(ws, states, config).tolist():  # each row with a flat move
+            for attempt in range(1, _MAX_REGEN_ATTEMPTS + 1):
+                # spawn(3) number k (from 0) of trial i's SeedSequence gives streams 3k, 3k + 1 and 3k + 2
+                states[row] = _seed_states(config.seed, np.array([first + row], np.uint32), _STREAMS + 3 * attempt)
+                if not _walks_into(ws.rows(row, row + 1), states[row : row + 1], config).size:
+                    break
+            else:
+                raise NumericError("could not generate a walk without flat steps")
+        _draw_rows(ws.draws, states[:, 1], "random")
+        _forecast_into(ws.y_hat, ws.y_prev, ws.moves, config.p_dt, config.error_scale, ws.draws)
+        np.sign(ws.moves, out=ws.actual, casting="unsafe")
+        _draw_rows(ws.draws, states[:, 2], "random")
+        _directions_into(ws.actual, config.p_db, ws.draws, ws.direction)
+        base = _evaluate_into(ws, ws.actual, ws.implied)
+        adjusted = _adjust_into(ws, config.alpha, ws.draws, ws.draws)
+        counts = np.bincount(ws.scenario.ravel(), minlength=5)
+        clf_hits, fc_hits, gaps, _ = _trace_stats(ws, ws.moves, ws.actual, counts)
+        return base, adjusted, gaps, np.append(counts, (clf_hits, fc_hits))
+    except TatsError:
+        if len(states) > 1:  # the block's first failing trial raises its error, as in a block of one
+            for row in range(len(states)):
+                _run_block(config, first + row, states[row : row + 1], ws.rows(row, row + 1))
+        raise
 
 
 def validate_prop1(config: SimConfig) -> SimulationReport:
     """Run the trials and compare realized reduction to the plug-in bound.
 
     Each trial's walk, forecaster draws, and classifier draws use independent sub-streams
-    spawned from config.seed, seeded for blocks of trials at once. Trials run one at a time
-    in one workspace of per-step arrays, allocated once per run: each trial overwrites the
-    arrays of the one before, so the trial loop allocates nothing large and memory stays at
-    one trial's arrays plus three floats per trial. A run whose arrays cannot be allocated
-    raises a ConfigError before any trial starts.
+    spawned from config.seed, seeded for blocks of 256 trials at once. Inside those, trials
+    run in blocks of about 20,000 steps, one trial per row: each trial draws into its row from
+    its own streams, and every other pass runs once per block. Up to two threads (no more than
+    the usable CPUs or the blocks) take the blocks in trial order, each refilling its own
+    workspace of 45 bytes per step of a block (0.9 MB), allocated before any trial starts
+    with the three floats kept per trial; a ConfigError says when they cannot be. Each trial
+    gives the bytes it gives alone, and a failing run raises its first failing trial's error.
     """
+    if not isinstance(config, SimConfig):
+        raise ConfigError(f"validate_prop1 needs a SimConfig, got {type(config).__name__}")
     from numpy.random.bit_generator import ISeedSequence  # here, so that import tats leaves numpy.random out
     ISeedSequence.register(_StoredSeed)
+    rows = min(max(1, _BLOCK_STEPS // config.n_steps), _SEED_BLOCK, config.n_trials)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    n_threads = min(cpus, -(-config.n_trials // rows), _MAX_THREADS)  # no more than one block needs one
     try:
-        ws = _Workspace(config.n_steps)
+        workspaces = [_Workspace(rows, config.n_steps) for _ in range(n_threads)]
         trials, gap_sums = np.empty((config.n_trials, 2)), np.empty(config.n_trials)
     except (MemoryError, ValueError):  # numpy's ValueError: more bytes than an index can count
         raise ConfigError(f"n_trials={config.n_trials}, n_steps={config.n_steps}: too large to allocate") from None
-    counts = np.zeros(5, dtype=np.int64)
-    clf_hits = fc_hits = total_steps = 0
-    # one error state for every kernel of every trial; each kernel checks its own results
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, config.n_trials, _SEED_BLOCK):
-            block = np.arange(start, min(start + _SEED_BLOCK, config.n_trials), dtype=np.uint32)
-            states = _seed_states(config.seed, block[:, None], _STREAMS)
-            for i, trial_states in zip(block.tolist(), states):
-                trials[i, 0], trials[i, 1], stats, trial_counts = _run_trial(config, i, trial_states, ws)
-                clf, fc, gap_sums[i], steps = stats
-                clf_hits, fc_hits, total_steps = clf_hits + clf, fc_hits + fc, total_steps + steps
-                counts += trial_counts
+    blocks, lock, stop = _blocks(config, rows), threading.Lock(), threading.Event()
+    tallies, failures = np.zeros((n_threads, 7), dtype=np.int64), []  # failures: (first trial of a block, error)
 
+    def take():
+        with lock:
+            return None if stop.is_set() else next(blocks, None)
+
+    def work(ws: _Workspace, tally: np.ndarray) -> None:
+        first = -1
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):  # per thread; each kernel checks its own results
+                for first, states in iter(take, None):
+                    base, adjusted, gaps, block_tally = _run_block(config, first, states, ws.rows(0, len(states)))
+                    trials[first : first + len(states)] = np.stack([base, adjusted], axis=-1) / config.n_steps
+                    gap_sums[first : first + len(states)] = gaps
+                    tally += block_tally
+        except Exception as exc:  # raised in the calling thread once every worker has stopped
+            failures.append((first, exc))
+            stop.set()
+
+    threads = [threading.Thread(target=work, args=pair) for pair in zip(workspaces[1:], tallies[1:])]
+    for thread in threads:
+        thread.start()
+    try:
+        work(workspaces[0], tallies[0])
+    finally:
+        stop.set()
+        for thread in threads:
+            thread.join()
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    *counts, clf_hits, fc_hits = tallies.sum(axis=0).tolist()
+    total_steps = config.n_trials * config.n_steps
     n, reductions = config.n_trials, trials[:, 0] - trials[:, 1]
     try:  # the sums read the arrays one float at a time; a float's ** raises OverflowError
         gap_sum = math.fsum(gap_sums)

@@ -23,14 +23,11 @@ same statistics over its trials and feeds them to the same estimate.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import _real, _require_finite
-
-if TYPE_CHECKING:
-    from .engine import ForecastTrace
+from .engine import ForecastTrace
+from .errors import ConfigError, _real, _require_finite
 
 __all__ = [
     "TheoryEstimate",
@@ -80,15 +77,16 @@ class TheoryEstimate:
         return asdict(self)
 
 
-def _trace_stats(trace: "ForecastTrace", moves, actual, counts) -> tuple[int, int, float, int]:
+def _trace_stats(trace: ForecastTrace, moves, actual, counts):
     """(classifier hits, forecaster hits, summed gap, steps) of a trace's base forecasts.
 
     moves holds y_true - y_prev, which the loss gaps overwrite, actual its signs and counts
     the bincount of the scenarios: the forecaster hits the S1 and S2 steps. Under the caller's
-    errstate, a move that overflows to +-inf keeps its sign; the gap sum is checked.
+    errstate, a move that overflows to +-inf keeps its sign; the gap sum is checked. Arrays
+    with one trace per row give the gap sum per row and the other statistics pooled.
     """
     np.subtract(trace.loss_base, np.square(moves, out=moves), out=moves)
-    gap_sum = float(_require_finite(np.abs(moves, out=moves).sum(), "the summed absolute loss gap"))
+    gap_sum = _require_finite(np.abs(moves, out=moves).sum(axis=-1), "the summed absolute loss gap")
     clf_hits = int(np.count_nonzero(trace.direction == actual))
     return clf_hits, int(counts[1] + counts[2]), gap_sum, int(moves.size)
 
@@ -97,7 +95,7 @@ def _estimate(clf_hits: int, fc_hits: int, gap_sum: float, n_steps: int) -> Theo
     """Plug-in estimate from (possibly pooled) :func:`_trace_stats` statistics."""
     p_db = clf_hits / n_steps
     p_dt = fc_hits / n_steps
-    gap = gap_sum / n_steps
+    gap = float(gap_sum) / n_steps
     bound = lower_bound(gap, p_db, p_dt)
     return TheoryEstimate(
         p_db=p_db,
@@ -110,7 +108,7 @@ def _estimate(clf_hits: int, fc_hits: int, gap_sum: float, n_steps: int) -> Theo
     )
 
 
-def estimate_theory(trace: "ForecastTrace") -> TheoryEstimate:
+def estimate_theory(trace: ForecastTrace) -> TheoryEstimate:
     """Estimate p_db, p_dt, and the expected reduction from a trace's base forecasts.
 
     p_dt is the trend-direction accuracy of the base forecasts y_hat. p_db
@@ -119,6 +117,8 @@ def estimate_theory(trace: "ForecastTrace") -> TheoryEstimate:
     the accuracy definition. abs_gap is the mean |l_t - (y_t - y_{t-1})^2|
     over the base losses.
     """
+    if not isinstance(trace, ForecastTrace):
+        raise ConfigError(f"estimate_theory needs a ForecastTrace, got {type(trace).__name__}")
     with np.errstate(over="ignore", invalid="ignore"):  # as in _trace_stats
         moves = trace.y_true - trace.y_prev
         return _estimate(*_trace_stats(trace, moves, np.sign(moves), np.bincount(trace.scenario, minlength=5)))

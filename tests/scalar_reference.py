@@ -8,8 +8,7 @@ scenario tags, and for the theory statistics hit counts taken from fresh
 signs of the moves with the gap sum beside them. ``synthetic_forecasts``,
 ``oracle_draws`` and ``scenario_from_signs`` are the earlier Monte-Carlo
 trial formulas, which negate or tag through boolean masks. The tests
-check the library against all of them; ``FixedDraws`` feeds a kernel
-chosen uniform draws, so ties can be placed exactly.
+check the library against all of them.
 """
 
 import math
@@ -102,14 +101,3 @@ def scenario_from_signs(implied, direction, actual) -> np.ndarray:
     tags = 1 + 2 * fc_wrong.astype(int) + (fc_wrong ^ (direction != actual))
     return tags * (implied * actual != 0)
 
-
-class FixedDraws(np.random.Generator):
-    """A generator whose ``random(out=...)`` writes the given draws; ``np.random.default_rng`` passes it through."""
-
-    def __init__(self, draws) -> None:
-        super().__init__(np.random.PCG64(0))
-        self.draws = np.asarray(draws, dtype=float)
-
-    def random(self, size=None, dtype=np.float64, out=None):
-        out[...] = self.draws
-        return out

@@ -5,7 +5,9 @@ the groups below, so a new export or parameter fails
 ``test_every_export_parameter_is_sorted`` until it is placed:
 
 * int, real and array parameters, the run path's object parameters
-  (``TatsConfig``'s specs and ``prepare_run``'s arguments) and its flag
+  (``TatsConfig``'s specs and ``prepare_run``'s arguments), the trace of
+  ``estimate_theory`` and ``sweep_alpha``, the series of
+  ``synthetic_forecaster``, the config of ``validate_prop1`` and the flag
   ``refit_each_step`` are probed with values of the wrong type or shape
   (``BAD``), and each probe must raise a TatsError;
 * the other parameters that take one of the package's objects, a path, a
@@ -47,6 +49,7 @@ from tats import (
     ValueForecasterSpec,
     build_feature_table,
     chronological_split,
+    estimate_theory,
     evaluate_forecasts,
     fit_ar,
     gen_random_walk,
@@ -60,6 +63,7 @@ from tats import (
     synthetic_forecaster,
     td_accuracy,
     trend_aware_loss,
+    validate_prop1,
 )
 
 SERIES = TimeSeries(100.0 + np.cumsum(np.random.default_rng(0).standard_normal(60)))
@@ -124,9 +128,13 @@ CALLS = {
     ), dict(config=OBJECT, dataset=OBJECT, eval_splits=OBJECT)),
     "scenario_probabilities": ("scenario_probabilities", scenario_probabilities, dict(p_db=0.6, p_dt=0.5),
                                dict(p_db=REAL, p_dt=REAL)),
-    "sweep_alpha": ("sweep_alpha", partial(sweep_alpha, TRACE), dict(alphas=[1.0, 2.0]), dict(alphas=ARRAY)),
-    "synthetic_forecaster": ("synthetic_forecaster", partial(synthetic_forecaster, SERIES),
-                             dict(p_dt=0.5, error_scale=0.5, seed=0), dict(p_dt=REAL, error_scale=REAL, seed=INT)),
+    "estimate_theory": ("estimate_theory", estimate_theory, dict(trace=TRACE), dict(trace=OBJECT)),
+    "sweep_alpha": ("sweep_alpha", sweep_alpha, dict(trace=TRACE, alphas=[1.0, 2.0]), dict(trace=OBJECT, alphas=ARRAY)),
+    "synthetic_forecaster": ("synthetic_forecaster", synthetic_forecaster, dict(
+        series=SERIES, p_dt=0.5, error_scale=0.5, seed=0,
+    ), dict(series=OBJECT, p_dt=REAL, error_scale=REAL, seed=INT)),
+    "validate_prop1": ("validate_prop1", validate_prop1, dict(config=SimConfig(n_steps=10, n_trials=2)),
+                       dict(config=OBJECT)),
     **{name: (name, fn, dict(y_true=VALUES, y_pred=VALUES + 1.0), dict(y_true=ARRAY, y_pred=ARRAY))
        for name, fn in (("mae", mae), ("mape", mape), ("mse", mse))},
     "td_accuracy": ("td_accuracy", td_accuracy, dict(y_prev=VALUES[:-1], y_true=VALUES[1:], y_pred=VALUES[1:]),
@@ -145,16 +153,12 @@ NOT_PROBED = {
     "build_feature_table": {"dataset"},
     "chronological_split": {"series"},
     "diff_rdiff": {"base", "candidate"},
-    "estimate_theory": {"trace"},
     "fit_ar": {"series"},
     "fit_classifier": {"spec", "features"},
     "fit_forecaster": {"spec", "train"},
     "load_csv": {"path", "target_column", "exogenous_columns", "label_column"},
     "load_external_directions": {"path", "series"},
     "load_external_forecasts": {"path", "series"},
-    "sweep_alpha": {"trace"},
-    "synthetic_forecaster": {"series"},
-    "validate_prop1": {"config"},
 }
 NOT_CALLED = {
     "ARModel", "EvalReport", "FeatureMatrix", "ForecastTrace", "GaussianNBClassifier",
@@ -226,7 +230,7 @@ def _wrong_fields(n: int) -> dict:
 
 
 TRACE_FIELDS = {f.name: getattr(TRACE, f.name) for f in dataclasses.fields(ForecastTrace)}
-MATRIX_FIELDS = dict(rows=np.ones((3, 2)), labels=np.array([1, -1, 1]), row_time_index=np.arange(3), n_flat_dropped=0)
+MATRIX_FIELDS = dict(rows=np.ones((3, 2)), labels=np.array([1, -1, 1]), n_flat_dropped=0)
 MATRIX_ROWS = {"string": "x", "none": None, "list": [[1.0, 2.0]] * 3, "1-d-array": np.ones(3),
                "3-d-array": np.ones((3, 2, 1)), "short": np.ones((2, 2))}
 TABLE_FIELDS = dict(rows=np.ones((3, 2)), first=1, next_delta=np.array([1.0, -1.0, 0.0]))
@@ -234,8 +238,8 @@ TABLE_FIRSTS = {"float": 1.0, "string": "x", "none": None, "bool": True, "0-d-ar
 RECORD_CASES = [
     *[pytest.param(ForecastTrace, TRACE_FIELDS, field, wrong, ConfigError, id=f"ForecastTrace-{field}-{label}")
       for field in TRACE_FIELDS for label, wrong in _wrong_fields(len(TRACE)).items()],
-    *[pytest.param(FeatureMatrix, MATRIX_FIELDS, field, wrong, DataError, id=f"FeatureMatrix-{field}-{label}")
-      for field in ("labels", "row_time_index") for label, wrong in _wrong_fields(3).items()],
+    *[pytest.param(FeatureMatrix, MATRIX_FIELDS, "labels", wrong, DataError, id=f"FeatureMatrix-labels-{label}")
+      for label, wrong in _wrong_fields(3).items()],
     *[pytest.param(FeatureMatrix, MATRIX_FIELDS, "rows", wrong, DataError, id=f"FeatureMatrix-rows-{label}")
       for label, wrong in MATRIX_ROWS.items()],
     *[pytest.param(FeatureTable, TABLE_FIELDS, "rows", wrong, DataError, id=f"FeatureTable-rows-{label}")

@@ -8,10 +8,10 @@ from tats import (
     TrendPredictorSpec,
     fit_classifier,
 )
-from tats.classifiers import LogisticClassifier, OracleTrendPredictor, _fit_logistic
+from tats.classifiers import LogisticClassifier, OracleTrendPredictor, _directions_into, _fit_logistic
 from tats.ingest import FeatureMatrix
 
-from scalar_reference import FixedDraws, oracle_draws
+from scalar_reference import oracle_draws
 
 seed = 606
 
@@ -22,7 +22,6 @@ def _matrix(rows, labels):
     return FeatureMatrix(
         rows=rows,
         labels=labels,
-        row_time_index=np.arange(len(labels)),
         n_flat_dropped=0,
     )
 
@@ -309,15 +308,15 @@ def test_draw_kernel_matches_the_masked_formula_on_ties(dtype):
     # truth's below 0.5 (UP, since a flat truth ignores the accuracy)
     assert truths[7] != 0 and truths[400] == 0 and u[400] < 0.5
     for accuracy in (float(u[7]), float(u[400])):
-        oracle = OracleTrendPredictor(accuracy, seed)
         out = np.empty(600, dtype=dtype)
-        assert oracle._draw_into(truths, out, np.empty(600)) is out
+        assert _directions_into(truths, accuracy, u, out) is out
         assert np.array_equal(out, oracle_draws(truths, u, accuracy))
+        oracle = OracleTrendPredictor(accuracy, seed)
         assert np.array_equal(oracle.draw_many(truths.astype(int)), oracle_draws(truths.astype(int), u, accuracy))
     # no seed draws exactly 0.5, so fixed draws place it on a flat truth, where it means DOWN
     u = np.array([0.5, np.nextafter(0.5, 0.0), 0.7, 0.7, np.nextafter(0.7, 0.0), 0.7, 0.0])
     truths = np.array([0, 0, 0, 1, -1, -1, 1], dtype=dtype)
-    got = OracleTrendPredictor(0.7, FixedDraws(u))._draw_into(truths, np.empty(7, dtype=dtype), np.empty(7))
+    got = _directions_into(truths, 0.7, u, np.empty(7, dtype=dtype))
     assert got.tolist() == [-1, 1, -1, -1, -1, 1, 1]
     assert np.array_equal(got, oracle_draws(truths, u, 0.7))
 

@@ -438,7 +438,7 @@ def test_the_config_alone_sets_the_classifier_features(monkeypatch):
         expected = build_feature_table(Dataset(series, {"x": exog}), n_lags, exog_lag).training_matrix(n_train)
         assert np.array_equal(fitted_on[-1].rows, expected.rows)
         assert fitted_on[-1].rows.shape[1] == n_lags + 1
-        assert fitted_on[-1].row_time_index[0] == max(n_lags - 1, exog_lag)
+        assert fitted_on[-1].rows[0, 0] == series.values[max(n_lags - 1, exog_lag)]  # the newest lag of the first row
     # no argument takes a ready table: a table built with other lags is refused, not fitted
     assert list(inspect.signature(prepare_run).parameters) == ["config", "dataset", "eval_splits"]
     other = build_feature_table(Dataset(series), n_lags=2)

@@ -143,16 +143,20 @@ def test_build_features_worked_example():
     fm = build_feature_table(ds, n_lags=2).training_matrix()
     assert np.array_equal(fm.rows, np.array([[5.0, 7.0], [9.0, 5.0], [7.0, 9.0]]))
     assert np.array_equal(fm.labels, np.array([1, -1, 1]))
-    assert np.array_equal(fm.row_time_index, np.array([1, 2, 3]))
+    # the newest lag of each row is the value at its time s, and its label the sign of y_{s+1} - y_s
+    assert np.array_equal(fm.rows[:, 0], ds.target.values[[1, 2, 3]])
+    assert np.array_equal(fm.labels, np.sign(np.diff(ds.target.values))[[1, 2, 3]])
     assert fm.n_flat_dropped == 0
 
 
 def test_build_features_drops_flat_labels():
-    ds = Dataset(target=TimeSeries(np.array([1.0, 2.0, 2.0, 3.0])), exogenous={})
+    # the exogenous values tell the rows at s = 1 and s = 2 apart, whose targets are both 2
+    x = TimeSeries(np.array([10.0, 20.0, 30.0, 40.0]))
+    ds = Dataset(target=TimeSeries(np.array([1.0, 2.0, 2.0, 3.0])), exogenous={"x": x})
     fm = build_feature_table(ds, n_lags=1).training_matrix()
     assert fm.n_flat_dropped == 1
     assert np.array_equal(fm.labels, np.array([1, 1]))
-    assert np.array_equal(fm.row_time_index, np.array([0, 2]))
+    assert np.array_equal(fm.rows, np.array([[1.0, 10.0], [2.0, 30.0]]))  # the rows at s = 0 and s = 2
 
 
 def test_build_features_row_count_invariant():
@@ -164,13 +168,14 @@ def test_build_features_row_count_invariant():
         ds = Dataset(target=TimeSeries(values), exogenous={})
         fm = build_feature_table(ds, n_lags=k).training_matrix()
         assert len(fm.labels) + fm.n_flat_dropped == n - k
-        # each label is the strict direction of the next move
-        for row_t, label in zip(fm.row_time_index, fm.labels):
-            delta = values[row_t + 1] - values[row_t]
-            assert label == (1 if delta > 0 else -1)
-            # lag block is the reversed window ending at row_t
-            row = fm.rows[list(fm.row_time_index).index(row_t)]
-            assert np.array_equal(row[:k], values[row_t - k + 1 : row_t + 1][::-1])
+        # the rows kept are those at each time s from k - 1 to n - 2 whose next move is strict
+        times = [s for s in range(k - 1, n - 1) if values[s + 1] != values[s]]
+        assert len(fm.labels) == len(times)
+        for s, row, label in zip(times, fm.rows, fm.labels):
+            # each label is the strict direction of the next move
+            assert label == (1 if values[s + 1] - values[s] > 0 else -1)
+            # lag block is the reversed window ending at s
+            assert np.array_equal(row[:k], values[s - k + 1 : s + 1][::-1])
 
 
 def test_build_features_too_few_observations():
@@ -192,9 +197,10 @@ def test_exogenous_lag_shifts_column():
     target = TimeSeries(np.array([1.0, 2.0, 4.0, 8.0]))
     exog = TimeSeries(np.array([10.0, 20.0, 30.0, 40.0]))
     ds = Dataset(target=target, exogenous={"x": exog})
-    fm = build_feature_table(ds, n_lags=1, exog_lag=1).training_matrix()
+    table = build_feature_table(ds, n_lags=1, exog_lag=1)
+    fm = table.training_matrix()
     # rows start at max(n_lags-1, exog_lag) = 1; exogenous taken one step back
-    assert np.array_equal(fm.row_time_index, np.array([1, 2]))
+    assert table.first == 1
     assert np.array_equal(fm.rows, np.array([[2.0, 10.0], [4.0, 20.0]]))
 
 
@@ -203,7 +209,7 @@ def test_include_exogenous_false():
     target = TimeSeries(np.array([1.0, 2.0, 4.0, 8.0]))
     fm = build_feature_table(Dataset(target=target, exogenous={}), n_lags=1, exog_lag=2).training_matrix()
     assert fm.rows.shape[1] == 1
-    assert np.array_equal(fm.row_time_index, np.array([0, 1, 2]))
+    assert np.array_equal(fm.rows[:, 0], target.values[[0, 1, 2]])  # the rows at s = 0, 1, 2
 
 
 def test_feature_table_training_cutoff():
@@ -213,7 +219,7 @@ def test_feature_table_training_cutoff():
     full = table.training_matrix()
     cut = table.training_matrix(n_train=6)
     # the label at s reads y_{s+1}, so a train split of 6 values labels rows up to s = 4
-    assert cut.row_time_index.max() == 4
+    assert np.array_equal(cut.rows[-1], np.array([4.0, 3.0]))
     assert len(cut.labels) < len(full.labels)
 
 
@@ -253,6 +259,24 @@ def test_rows_for_steps_bounds():
         table.rows_for_steps(11, 13)  # one step past the end
 
 
+@pytest.mark.parametrize("value", [5.5, 3.0, True, "x", None, np.float64(4.0)])
+def test_feature_table_steps_and_train_length_must_be_integers(value):
+    # a float or a string used to leak numpy's TypeError, and True was taken as 1
+    table = build_feature_table(Dataset(TimeSeries(np.arange(10.0) ** 2)), n_lags=2)
+    calls = {"n_train": lambda: table.training_matrix(value), "start": lambda: table.rows_for_steps(value, 5),
+             "stop": lambda: table.rows_for_steps(3, value)}
+    for name, call in calls.items():
+        if value is None and name == "n_train":
+            continue  # None means the whole table
+        with pytest.raises(ConfigError, match=f"^{name} must be an integer, got "):
+            call()
+    # numpy integers stay valid, and negative values are refused as values, not types
+    assert np.array_equal(table.rows_for_steps(np.int64(3), np.int32(5)), table.rows_for_steps(3, 5))
+    assert np.array_equal(table.training_matrix(np.uint8(6)).rows, table.training_matrix(6).rows)
+    with pytest.raises(ConfigError, match="^n_train must be non-negative, got -1$"):
+        table.training_matrix(-1)
+
+
 def test_training_matrix_keeps_the_labels_inside_the_train_split():
     rng = np.random.default_rng(seed + 2)
     for _ in range(30):
@@ -260,7 +284,9 @@ def test_training_matrix_keeps_the_labels_inside_the_train_split():
         values = rng.integers(0, 3, size=n).astype(float)  # few levels, so many moves are flat
         dataset = Dataset(TimeSeries(values), {"x": TimeSeries(rng.normal(size=n))})
         table = build_feature_table(dataset, int(rng.integers(1, 3)), int(rng.integers(0, 3)))
-        assert table.training_matrix(None).row_time_index.tolist() == table.training_matrix(n).row_time_index.tolist()
+        everything, whole_series = table.training_matrix(None), table.training_matrix(n)
+        assert np.array_equal(everything.rows, whole_series.rows)
+        assert np.array_equal(everything.labels, whole_series.labels)
         for n_train in range(1, n + 1):
             # brute force: each s with first <= s <= n_train - 2 and a non-zero next move, in order
             steps = range(table.first, n_train - 1)
@@ -270,7 +296,6 @@ def test_training_matrix_keeps_the_labels_inside_the_train_split():
                     table.training_matrix(n_train)
                 continue
             fm = table.training_matrix(n_train)
-            assert fm.row_time_index.tolist() == labeled
             assert fm.labels.tolist() == [1 if values[s + 1] > values[s] else -1 for s in labeled]
             assert np.array_equal(fm.rows, table.rows[[s - table.first for s in labeled]])
             assert fm.n_flat_dropped == len(steps) - len(labeled)

@@ -4,19 +4,22 @@ import math
 import os
 import subprocess
 import sys
+import warnings
+import threading
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tats import ConfigError, NumericError, SimConfig, estimate_theory, lower_bound, validate_prop1
+from tats import ConfigError, NumericError, SimConfig, TatsError, estimate_theory, lower_bound, validate_prop1
+from tats import montecarlo
 from tats.classifiers import OracleTrendPredictor
 from tats.engine import evaluate_forecasts
 from tats.montecarlo import _SEED_BLOCK, _forecast_into, _seed_states, gen_random_walk, synthetic_forecaster
 from tats.theory import _estimate
 
-from scalar_reference import FixedDraws, scenario_tags, synthetic_forecasts, trace_stats
+from scalar_reference import scenario_tags, synthetic_forecasts, trace_stats
 
 seed = 808
 ROOT = Path(__file__).resolve().parents[1]
@@ -76,7 +79,7 @@ def test_forecast_kernel_matches_the_masked_formula_on_ties():
     moves = np.array([1.5, 1.5, -2.25, 0.0, 0.0, -0.0, -0.0, 5e-324, 5e-324, -1e-300, 7.0, -7.0])
     y_prev = np.array([100.0, 100.0, -3.0, -0.0, -0.0, -0.0, 0.0, -0.0, -0.0, 0.0, 1e300, -1.0])
     forecasts = np.empty(u.size)
-    got = _forecast_into(forecasts, y_prev, moves, p_dt, 1.2, FixedDraws(u), np.empty(u.size))
+    got = _forecast_into(forecasts, y_prev, moves, p_dt, 1.2, u.copy())
     assert got is forecasts
     assert got.tobytes() == synthetic_forecasts(moves, y_prev, u, p_dt, 1.2).tobytes()
 
@@ -85,7 +88,7 @@ def test_forecast_kernel_matches_the_masked_formula_on_ties():
 @pytest.mark.parametrize("draw", [0.1, 0.9])
 def test_forecast_kernel_rejects_non_finite_moves(move, draw):
     with pytest.raises(NumericError, match="synthetic forecasts overflowed"):
-        _forecast_into(np.empty(2), np.ones(2), np.array([1.0, move]), 0.6, 1.2, FixedDraws([0.1, draw]), np.empty(2))
+        _forecast_into(np.empty(2), np.ones(2), np.array([1.0, move]), 0.6, 1.2, np.array([0.1, draw]))
 
 
 def test_synthetic_forecaster_rejects_flat_step():
@@ -386,3 +389,148 @@ def test_trials_do_not_fault_pages_back_in():
     per_trial = {int(pad): int(faults) / 200 for pad, faults in map(str.split, done.stdout.splitlines())}
     assert len(per_trial) == 5
     assert max(per_trial.values()) <= 5.0, per_trial
+
+
+def _run_with(monkeypatch, config, threads, rows=None):
+    """validate_prop1(config) on threads threads (as if the process had that many CPUs), with rows
+    trials per block (the default if None)."""
+    monkeypatch.setattr(montecarlo, "_MAX_THREADS", threads)
+    monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: set(range(threads)), raising=False)
+    if rows is not None:
+        monkeypatch.setattr(montecarlo, "_BLOCK_STEPS", rows * config.n_steps)
+    return validate_prop1(config)
+
+
+def _every_thread_runs_a_block(monkeypatch, threads=2):
+    """Make each thread's first block wait until threads threads have one, so a run on fewer fails."""
+    barrier, seen, run_block = threading.Barrier(threads, timeout=30), set(), montecarlo._run_block
+
+    def spy(*args):
+        if threading.get_ident() not in seen:
+            seen.add(threading.get_ident())
+            barrier.wait()
+        return run_block(*args)
+
+    monkeypatch.setattr(montecarlo, "_run_block", spy)
+    return seen
+
+
+BLOCK_CONFIGS = {
+    # 9 trials of 5,000 steps make blocks of 4, 4 and 1 by default
+    "partial-block": SimConfig(n_steps=5000, n_trials=9, seed=12),
+    # flat walks redrawn inside a block of 40 rows by default, or of 3 rows
+    "regenerating": REGENERATING,
+    "regenerating-two-seed-blocks": SimConfig(n_trials=_SEED_BLOCK + 1, n_steps=10, volatility=1e-13, seed=5),
+    "drift": SimConfig(n_steps=200, n_trials=10, p_dt=0.6, p_db=0.55, error_scale=1.2, drift=0.3, seed=8),
+}
+
+
+@pytest.mark.parametrize("name", BLOCK_CONFIGS)
+def test_blocks_and_threads_do_not_show_in_the_report(monkeypatch, name):
+    config = BLOCK_CONFIGS[name]
+    expected = _rebuild(config)
+    default_rows = min(montecarlo._BLOCK_STEPS // config.n_steps, _SEED_BLOCK, config.n_trials)
+    for threads, rows in itertools.product((1, 2), (1, 3, None)):
+        two_threads = threads == 2 and config.n_trials > (rows or default_rows)  # a block for each
+        with monkeypatch.context() as patch:
+            seen = _every_thread_runs_a_block(patch) if two_threads else set()
+            rep = _run_with(patch, config, threads, rows)
+        assert len(seen) == (2 if two_threads else 0)
+        assert rep.trials.tobytes() == expected["trials"].tobytes(), (threads, rows)
+        for field, value in expected.items():
+            if field != "trials":
+                assert getattr(rep, field) == value, (threads, rows, field)
+        assert json.dumps(rep.to_dict()) == json.dumps(validate_prop1(config).to_dict())
+
+
+def test_more_threads_than_cores_lose_no_update(monkeypatch):
+    # four workers on a short switch interval hand the lock and the tallies over often
+    config = SimConfig(n_steps=100, n_trials=600, seed=3)
+    expected = validate_prop1(config)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        seen = _every_thread_runs_a_block(monkeypatch, threads=4)
+        rep = _run_with(monkeypatch, config, threads=4, rows=1)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(seen) == 4
+    assert sum(rep.scenario_counts.values()) == rep.n_steps_total == 60_000
+    assert rep.trials.tobytes() == expected.trials.tobytes()
+    assert json.dumps(rep.to_dict()) == json.dumps(expected.to_dict())
+
+
+def _first_trial_error(config):
+    """(class, message) of the first trial that fails in trial order, rebuilt from the public functions."""
+    try:
+        for trace, _ in _trial_traces(config):
+            trace.adjusted(config.alpha)
+            estimate_theory(trace)
+    except TatsError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def test_a_failing_run_raises_its_first_failing_trials_error(monkeypatch):
+    # trial 0 overflows only in its squared errors, but trial 1 already in its walk, so a
+    # block that checks each pass for all its rows at once meets trial 1's error first
+    config = SimConfig(n_steps=10, n_trials=6, volatility=3e307, seed=24)
+    expected = _first_trial_error(config)
+    assert expected == (NumericError, "the summed squared forecast errors overflowed float64; "
+                                      "the input values are too large")
+    for threads, rows in itertools.product((1, 2), (1, 3, None)):
+        with monkeypatch.context() as patch, pytest.raises(NumericError) as raised:
+            _run_with(patch, config, threads, rows)
+        assert (type(raised.value), str(raised.value)) == expected, (threads, rows)
+
+
+@pytest.mark.parametrize("late", [0, 1])
+def test_the_first_failing_block_wins_whichever_fails_last(monkeypatch, late):
+    # blocks 0 and 1 of one row each run on the two threads; block `late` fails only once the
+    # other's failure has stopped the run, so the failures are recorded in both orders
+    config = SimConfig(n_steps=10, n_trials=6, volatility=3e307, seed=24)
+    barrier, stops, run_block, event = threading.Barrier(2, timeout=30), [], montecarlo._run_block, threading.Event
+
+    def spy(*args):
+        if args[1] in (0, 1):
+            barrier.wait()  # both blocks are taken before either fails
+            if args[1] == late:
+                assert stops[0].wait(30)
+        return run_block(*args)
+
+    monkeypatch.setattr(montecarlo, "_run_block", spy)
+    # the first Event that validate_prop1 makes is its stop signal, made before any thread
+    monkeypatch.setattr(threading, "Event", lambda: stops.append(event()) or stops[-1])
+    with pytest.raises(NumericError) as raised:
+        _run_with(monkeypatch, config, threads=2, rows=1)
+    assert (type(raised.value), str(raised.value)) == _first_trial_error(config)
+
+
+@pytest.mark.parametrize("drift, volatility", [(1e200, 1.0), (0.0, 3e307)])
+def test_worker_threads_keep_numpy_quiet(monkeypatch, drift, volatility):
+    # numpy's error state is per thread; a worker that did not set its own would warn, and
+    # under filterwarnings=error the warning would be raised in place of the NumericError
+    config = SimConfig(n_steps=50, n_trials=8, drift=drift, volatility=volatility, seed=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        seen = _every_thread_runs_a_block(monkeypatch)
+        with pytest.raises(NumericError, match="overflowed float64"):
+            _run_with(monkeypatch, config, threads=2, rows=1)
+        assert len(seen) == 2
+        # a run that does not overflow stays quiet too
+        seen.clear()
+        _run_with(monkeypatch, SimConfig(n_steps=50, n_trials=8, seed=1), threads=2, rows=1)
+        assert len(seen) == 2
+
+
+def test_threads_are_capped_by_the_blocks_and_the_cpus(monkeypatch):
+    started, thread = [], threading.Thread
+    monkeypatch.setattr(threading, "Thread", lambda **kw: started.append(kw) or thread(**kw))
+    _run_with(monkeypatch, SimConfig(n_steps=10, n_trials=5), threads=2)  # one block of 5 rows
+    assert started == []
+    monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    validate_prop1(SimConfig(n_steps=5000, n_trials=9))  # three blocks, one CPU
+    assert started == []
+    monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    validate_prop1(SimConfig(n_steps=5000, n_trials=9))  # three blocks, eight CPUs, two threads at most
+    assert len(started) == 1
