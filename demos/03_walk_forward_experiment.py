@@ -19,9 +19,7 @@ from tats import (
     TimeSeries,
     TrendPredictorSpec,
     ValueForecasterSpec,
-    estimate_theory,
-    prepare_run,
-    sweep_alpha,
+    run_experiment,
 )
 from tats.svgchart import line_chart
 
@@ -35,21 +33,19 @@ config = TatsConfig(
     n_lags=2,
     train_fraction=0.7,
 )
-# one fit gives the trace of both splits; alpha only enters the adjustment
-test_trace, train_trace = prepare_run(config, Dataset(prices), eval_splits=("test", "train"))
-print(f"{n} synthetic prices, {n - len(test_trace)} train / {len(test_trace)} test")
-
+# one fit gives the trace of both splits; alpha only enters the adjustment, and the
+# theory estimate reads the in-sample (train) trace
 alphas = (0.25, 0.5, 1.0, 2.0, 4.0)
-sweep = sweep_alpha(test_trace, alphas)
+run = run_experiment(config, Dataset(prices), alphas, theory_split="train")
+test_trace, base = run.trace, run.base
+print(f"{n} synthetic prices, {run.n_train} train / {len(test_trace)} test")
 
-base = sweep.base_report
 print()
 print(f"base AR(2): MSE={base.mse:.4f} TDA={base.tda:.4f}")
 print()
 print(f"{'alpha':>6} {'MSE':>8} {'TDA':>7} {'Diff':>8} {'R-Diff':>8}")
-for entry in sweep.entries:
-    r = entry.report
-    print(f"{entry.alpha:>6g} {r.mse:>8.4f} {r.tda:>7.4f} {r.diff:>8.4f} {r.r_diff:>8.4f}")
+for alpha, r in zip(run.alphas, run.adjusted):
+    print(f"{alpha:>6g} {r.mse:>8.4f} {r.tda:>7.4f} {r.diff:>8.4f} {r.r_diff:>8.4f}")
 
 print()
 print("Diff > 0 means the adjusted forecasts beat the base model. Small")
@@ -57,7 +53,7 @@ print("alphas track the base closely; large ones overshoot whenever the")
 print("classifier is wrong, so MSE is not monotone in alpha.")
 
 # the plug-in estimate of the expected reduction, from in-sample behavior
-theory = estimate_theory(train_trace)
+theory = run.theory
 print()
 print(
     f"in-sample estimate: p_db={theory.p_db:.4f} (classifier) vs "
@@ -71,11 +67,11 @@ print(
 out_dir = Path(__file__).resolve().parent / "output"
 out_dir.mkdir(exist_ok=True)
 
-best = min(sweep.entries, key=lambda e: e.report.mse)
-y_adj, _ = test_trace.adjusted(best.alpha)
+best = min(zip(run.alphas, run.adjusted), key=lambda pair: pair[1].mse)[0]
+y_adj, _ = test_trace.adjusted(best)
 xs = [float(t) for t in test_trace.t]
 chart = line_chart(
-    f"Test forecasts (alpha={best.alpha:g})",
+    f"Test forecasts (alpha={best:g})",
     [
         ("actual", xs, list(test_trace.y_true)),
         ("base", xs, list(test_trace.y_hat)),
@@ -88,7 +84,7 @@ chart = line_chart(
 sweep_chart = line_chart(
     "MSE vs alpha",
     [
-        ("adjusted", list(alphas), [e.report.mse for e in sweep.entries]),
+        ("adjusted", list(alphas), [r.mse for r in run.adjusted]),
         ("base", [alphas[0], alphas[-1]], [base.mse, base.mse]),
     ],
     x_label="alpha",

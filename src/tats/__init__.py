@@ -23,8 +23,6 @@ from .core import TimeSeries, chronological_split
 from .engine import (
     ForecastTrace,
     Scenario,
-    SweepEntry,
-    SweepResult,
     TatsConfig,
     evaluate_forecasts,
     prepare_run,
@@ -63,9 +61,11 @@ from .montecarlo import (
     validate_prop1,
 )
 from .theory import (
+    RunReport,
     TheoryEstimate,
     estimate_theory,
     lower_bound,
+    run_experiment,
     scenario_probabilities,
 )
 
@@ -86,11 +86,10 @@ __all__ = [
     "MajorityClassifier",
     "NumericError",
     "OracleTrendPredictor",
+    "RunReport",
     "Scenario",
     "SimConfig",
     "SimulationReport",
-    "SweepEntry",
-    "SweepResult",
     "TatsConfig",
     "TatsError",
     "TheoryEstimate",
@@ -114,6 +113,7 @@ __all__ = [
     "mape",
     "mse",
     "prepare_run",
+    "run_experiment",
     "scenario_probabilities",
     "sweep_alpha",
     "synthetic_forecaster",

@@ -19,14 +19,14 @@ import sys
 from pathlib import Path
 
 from .classifiers import CLASSIFIER_KINDS, TrendPredictorSpec
-from .engine import TatsConfig, _SplitDataError, _check_alphas, prepare_run, sweep_alpha
+from .engine import TatsConfig, _check_alphas, prepare_run, sweep_alpha
 from .errors import ConfigError, DataError, NumericError
 from .forecasters import FORECASTER_KINDS, ValueForecasterSpec
 from .ingest import Dataset, _read_text, load_csv, load_external_directions, load_external_forecasts
 from .metrics import mae, mape, mse, td_accuracy
 from .montecarlo import SimConfig, validate_prop1
 from .svgchart import line_chart
-from .theory import estimate_theory
+from .theory import run_experiment
 
 ENV_OUT_DIR = "TATS_OUT_DIR"
 RESULTS_HEADER = ("model", "split", "alpha", "TDA", "MSE", "MAE", "MAPE", "Diff", "R-Diff")
@@ -220,146 +220,86 @@ def _write_outputs(out: Path, texts: dict[str, str]) -> None:
         raise
 
 
-def _results_csv(config: TatsConfig, sweep, split: str) -> str:
+def _results_csv(config: TatsConfig, alphas, base, adjusted) -> str:
     base_model = config.value_forecaster.label
     tats_model = f"tats({base_model}+{config.trend_predictor.label})"
-    base = sweep.base_report
     # one tuple per row, in RESULTS_HEADER order
-    rows = [(base_model, split, None, base.tda, base.mse, base.mae, base.mape, None, None)]
+    rows = [(base_model, "test", None, base.tda, base.mse, base.mae, base.mape, None, None)]
     rows += [
-        (tats_model, split, e.alpha, e.report.tda, e.report.mse, e.report.mae, e.report.mape,
-         e.report.diff, e.report.r_diff)
-        for e in sweep.entries
+        (tats_model, "test", alpha, r.tda, r.mse, r.mae, r.mape, r.diff, r.r_diff)
+        for alpha, r in zip(alphas, adjusted)
     ]
     # no label or number needs CSV quoting
     return "".join(",".join(map(_cell, row)) + "\n" for row in [RESULTS_HEADER, *rows])
 
 
 def _prepare_experiment(args: argparse.Namespace):
-    dataset = load_csv(
-        args.data, args.target_column,
-        args.exogenous_columns, args.label_column,
-    )
+    dataset = load_csv(args.data, args.target_column, args.exogenous_columns, args.label_column)
     forecaster = _forecaster_spec(args, dataset.target)
     classifier = _classifier_spec(args, dataset.target)
     alphas = args.alphas if args.alphas is not None else list(DEFAULT_ALPHAS)
     config = TatsConfig(
-        value_forecaster=forecaster,
-        trend_predictor=classifier,
-        n_lags=args.n_lags,
-        refit_each_step=args.refit_each_step,
-        exog_lag=args.exog_lag,
-        train_fraction=args.train_fraction,
+        value_forecaster=forecaster, trend_predictor=classifier, n_lags=args.n_lags,
+        refit_each_step=args.refit_each_step, exog_lag=args.exog_lag, train_fraction=args.train_fraction,
     )
     return dataset if args.include_exogenous else Dataset(dataset.target), config, alphas
 
 
-def _print_sweep(config: TatsConfig, sweep) -> None:
-    base = sweep.base_report
+def _print_sweep(config: TatsConfig, alphas, base, adjusted) -> None:
     base_mape = "n/a" if base.mape is None else f"{base.mape:.6g}"
     print(
         f"base {config.value_forecaster.label}: "
         f"TDA={base.tda:.6g} MSE={base.mse:.6g} MAE={base.mae:.6g} MAPE={base_mape}"
     )
-    for entry in sweep.entries:
-        r = entry.report
+    for alpha, r in zip(alphas, adjusted):
         r_diff = "n/a" if r.r_diff is None else f"{r.r_diff:.6g}"
         print(
-            f"alpha={entry.alpha:g}: TDA={r.tda:.6g} MSE={r.mse:.6g} "
+            f"alpha={alpha:g}: TDA={r.tda:.6g} MSE={r.mse:.6g} "
             f"Diff={r.diff:.6g} R-Diff={r_diff}"
         )
 
 
-def _sweep_chart(sweep) -> str:
-    xs = [entry.alpha for entry in sweep.entries]
+def _sweep_chart(alphas, base, adjusted) -> str:
     return line_chart(
         "MSE vs alpha",
         [
-            ("adjusted", xs, [entry.report.mse for entry in sweep.entries]),
-            ("base", [xs[0], xs[-1]], [sweep.base_report.mse, sweep.base_report.mse]),
+            ("adjusted", list(alphas), [r.mse for r in adjusted]),
+            ("base", [alphas[0], alphas[-1]], [base.mse, base.mse]),
         ],
-        x_label="alpha",
-        y_label="MSE",
+        x_label="alpha", y_label="MSE",
     )
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     _resolve_settings(args)
     dataset, config, alphas = _prepare_experiment(args)
-    splits = ("test",) if args.theory_split == "test" else ("test", "train")
-    try:
-        prepared = prepare_run(config, dataset, splits)
-    except _SplitDataError as exc:
-        if exc.split != "train":
-            raise
-        # the first split is the test split, so the train one is the theory estimate's
-        raise DataError(
-            f"{exc}; the theory estimate reads the train split, and --theory-split test avoids it"
-        ) from None
-    test_trace = prepared[0]
-    sweep = sweep_alpha(test_trace, alphas)
-    theory = estimate_theory(prepared[-1])
-    scenarios = test_trace.scenario_counts()
-
-    report = {
-        "config": {
-            "data": args.data,
-            "target_column": args.target_column,
-            "exogenous_columns": list(args.exogenous_columns),
-            "label_column": args.label_column,
-            "train_fraction": args.train_fraction,
-            "forecaster": config.value_forecaster.label,
-            "classifier": config.trend_predictor.label,
-            "alphas": list(alphas),
-            "n_lags": args.n_lags,
-            "include_exogenous": args.include_exogenous,
-            "exog_lag": args.exog_lag,
-            "seed": args.seed,
-            "theory_split": args.theory_split,
-            "refit_each_step": args.refit_each_step,
-        },
-        "n_train": len(dataset.target) - len(test_trace),
-        "n_test": len(test_trace),
-        "eval_split": "test",
-        "base": sweep.base_report.to_dict(),
-        "tats": [
-            {
-                "alpha": entry.alpha,
-                "report": entry.report.to_dict(),
-                "scenarios": scenarios,
-            }
-            for entry in sweep.entries
-        ],
-        "theory": theory.to_dict(),
-    }
-
-    best = min(sweep.entries, key=lambda e: e.report.mse)
-    y_adj, _ = test_trace.adjusted(best.alpha)
-    xs = test_trace.t.astype(float).tolist()
+    run = run_experiment(config, dataset, alphas, args.theory_split)
+    report = run.to_dict()
+    report["config"].update(
+        data=args.data, target_column=args.target_column, exogenous_columns=list(args.exogenous_columns),
+        label_column=args.label_column, include_exogenous=args.include_exogenous, seed=args.seed,
+    )
+    # the first alpha of least test MSE
+    best = min(zip(run.alphas, run.adjusted), key=lambda pair: pair[1].mse)[0]
+    trace = run.trace
+    y_adj, _ = trace.adjusted(best)
+    xs = trace.t.astype(float).tolist()
     forecast_svg = line_chart(
-        f"Test forecasts (alpha={best.alpha:g})",
-        [
-            ("actual", xs, test_trace.y_true.tolist()),
-            ("base", xs, test_trace.y_hat.tolist()),
-            ("adjusted", xs, y_adj.tolist()),
-        ],
-        x_label="t",
-        y_label=args.target_column,
+        f"Test forecasts (alpha={best:g})",
+        [("actual", xs, trace.y_true.tolist()), ("base", xs, trace.y_hat.tolist()), ("adjusted", xs, y_adj.tolist())],
+        x_label="t", y_label=args.target_column,
     )
     out = args.out_dir
     _write_outputs(out, {
-        "results.csv": _results_csv(config, sweep, split="test"),
+        "results.csv": _results_csv(config, run.alphas, run.base, run.adjusted),
         "report.json": json.dumps(report, sort_keys=True, indent=2) + "\n",
         "forecasts.svg": forecast_svg,
-        "mse_vs_alpha.svg": _sweep_chart(sweep),
+        "mse_vs_alpha.svg": _sweep_chart(run.alphas, run.base, run.adjusted),
     })
-
-    _print_sweep(config, sweep)
-    print(
-        f"theory[{args.theory_split}]: p_db={theory.p_db:.6g} p_dt={theory.p_dt:.6g} "
-        f"abs_gap={theory.abs_gap:.6g} bound={theory.lower_bound:.6g} "
-        f"prop1_holds={theory.prop1_holds}"
-    )
+    _print_sweep(config, run.alphas, run.base, run.adjusted)
+    t = run.theory
+    print(f"theory[{args.theory_split}]: p_db={t.p_db:.6g} p_dt={t.p_dt:.6g} abs_gap={t.abs_gap:.6g} "
+          f"bound={t.lower_bound:.6g} prop1_holds={t.prop1_holds}")
     print(f"wrote {out / 'report.json'}, {out / 'results.csv'}, and 2 charts")
     return 0
 
@@ -370,13 +310,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigError("sweep needs --alphas (or alphas in the config file)")
     dataset, config, alphas = _prepare_experiment(args)
     [test_trace] = prepare_run(config, dataset)
-    sweep = sweep_alpha(test_trace, alphas)
+    base, adjusted = sweep_alpha(test_trace, alphas)
     out = args.out_dir
     _write_outputs(out, {
-        "results.csv": _results_csv(config, sweep, split="test"),
-        "mse_vs_alpha.svg": _sweep_chart(sweep),
+        "results.csv": _results_csv(config, alphas, base, adjusted),
+        "mse_vs_alpha.svg": _sweep_chart(alphas, base, adjusted),
     })
-    _print_sweep(config, sweep)
+    _print_sweep(config, alphas, base, adjusted)
     print(f"wrote {out / 'results.csv'} and 1 chart")
     return 0
 

@@ -40,8 +40,6 @@ from .metrics import EvalReport, _report, diff_rdiff
 __all__ = [
     "ForecastTrace",
     "Scenario",
-    "SweepEntry",
-    "SweepResult",
     "TatsConfig",
     "evaluate_forecasts",
     "prepare_run",
@@ -247,8 +245,8 @@ def prepare_run(config: TatsConfig, dataset: Dataset, eval_splits: tuple[str, ..
     walks forward over the test split, appending true values to the history
     as they are revealed; "train" walks in-sample over the train split (for
     plug-in theory estimates). The fit and the trace do not depend on alpha,
-    so one trace serves every alpha: pass it to :func:`sweep_alpha`, or call
-    its :meth:`ForecastTrace.adjusted`.
+    so one trace serves every alpha: pass it to :func:`sweep_alpha` for the
+    base and adjusted reports, or call its :meth:`ForecastTrace.adjusted`.
 
     A classifier that reads features is fitted on the rows of
     :func:`build_feature_table` over the whole dataset, with config.n_lags
@@ -301,22 +299,10 @@ def prepare_run(config: TatsConfig, dataset: Dataset, eval_splits: tuple[str, ..
     return prepared
 
 
-@dataclass(frozen=True)
-class SweepEntry:
-    alpha: float
-    report: EvalReport
+def sweep_alpha(trace: ForecastTrace, alphas) -> tuple[EvalReport, tuple[EvalReport, ...]]:
+    """The report of a trace's base forecasts, and one report of its adjusted forecasts per alpha.
 
-
-@dataclass(frozen=True)
-class SweepResult:
-    base_report: EvalReport
-    entries: tuple[SweepEntry, ...]
-
-
-def sweep_alpha(trace: ForecastTrace, alphas) -> SweepResult:
-    """Report a trace's base forecasts once, then its adjusted ones at each alpha.
-
-    Entries follow the order of alphas. Each adjusted report carries
+    The adjusted reports follow the order of alphas. Each carries
     Diff/R-Diff against the base report; R-Diff is None when the base MSE
     is zero, where it is undefined. MAPE is None where :func:`~tats.metrics.mape`
     refuses: on a zero actual, or when the ratios overflow on tiny actuals.
@@ -325,10 +311,10 @@ def sweep_alpha(trace: ForecastTrace, alphas) -> SweepResult:
         raise ConfigError(f"sweep_alpha needs a ForecastTrace, got {type(trace).__name__}")
     alphas = _check_alphas(alphas)
     base = _report(trace, trace.y_hat)
-    entries = []
+    adjusted = []
     for a in alphas:
         report = _report(trace, trace.adjusted(a)[0])
         diff = base.mse - report.mse
         r_diff = None if base.mse == 0.0 else diff_rdiff(base, report)[1]
-        entries.append(SweepEntry(alpha=a, report=replace(report, diff=diff, r_diff=r_diff)))
-    return SweepResult(base_report=base, entries=tuple(entries))
+        adjusted.append(replace(report, diff=diff, r_diff=r_diff))
+    return base, tuple(adjusted)

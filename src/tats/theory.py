@@ -18,6 +18,8 @@ happens exactly when the classifier beats the forecaster directionally.
 :func:`estimate_theory` reduces a trace to hit counts and a summed loss
 gap, then divides by the step count; :mod:`tats.montecarlo` pools the
 same statistics over its trials and feeds them to the same estimate.
+:func:`run_experiment` scores one run on its test split, with the
+estimate taken on the theory split, and returns the :class:`RunReport`.
 """
 
 from __future__ import annotations
@@ -26,13 +28,17 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .engine import ForecastTrace
-from .errors import ConfigError, _real, _require_finite
+from .engine import ForecastTrace, TatsConfig, _SplitDataError, _check_alphas, prepare_run, sweep_alpha
+from .errors import ConfigError, DataError, _real, _require_finite
+from .ingest import Dataset
+from .metrics import EvalReport
 
 __all__ = [
+    "RunReport",
     "TheoryEstimate",
     "estimate_theory",
     "lower_bound",
+    "run_experiment",
     "scenario_probabilities",
 ]
 
@@ -122,3 +128,60 @@ def estimate_theory(trace: ForecastTrace) -> TheoryEstimate:
     with np.errstate(over="ignore", invalid="ignore"):  # as in _trace_stats
         moves = trace.y_true - trace.y_prev
         return _estimate(*_trace_stats(trace, moves, np.sign(moves), np.bincount(trace.scenario, minlength=5)))
+
+
+
+@dataclass(frozen=True, eq=False)
+class RunReport:
+    """One run: the test split's trace, its base report and one adjusted report per alpha, and
+    the estimate on theory_split. to_dict() is report.json less the command line's own settings."""
+
+    config: TatsConfig
+    alphas: tuple[float, ...]
+    theory_split: str
+    n_train: int
+    trace: ForecastTrace
+    base: EvalReport
+    adjusted: tuple[EvalReport, ...]
+    theory: TheoryEstimate
+
+    def to_dict(self) -> dict:
+        config, scenarios = self.config, self.trace.scenario_counts()
+        return {
+            "config": {
+                "train_fraction": config.train_fraction,
+                "forecaster": config.value_forecaster.label,
+                "classifier": config.trend_predictor.label,
+                "alphas": list(self.alphas),
+                "n_lags": config.n_lags,
+                "exog_lag": config.exog_lag,
+                "theory_split": self.theory_split,
+                "refit_each_step": config.refit_each_step,
+            },
+            "n_train": self.n_train,
+            "n_test": len(self.trace),
+            "eval_split": "test",
+            "base": self.base.to_dict(),
+            "tats": [{"alpha": a, "report": r.to_dict(), "scenarios": scenarios} for a, r in zip(self.alphas, self.adjusted)],
+            "theory": self.theory.to_dict(),
+        }
+
+
+def run_experiment(config: TatsConfig, dataset: Dataset, alphas, theory_split: str = "train") -> RunReport:
+    """Fit once, sweep the alphas on the test split, and estimate the theory on theory_split.
+
+    theory_split is "train" or "test". A data error in the train split's walk, which only the
+    estimate reads, says that the test split avoids it.
+    """
+    if not (isinstance(theory_split, str) and theory_split in ("train", "test")):
+        raise ConfigError(f"theory_split must be 'train' or 'test', got {theory_split!r}")
+    alphas = _check_alphas(alphas)
+    try:
+        prepared = prepare_run(config, dataset, ("test",) if theory_split == "test" else ("test", "train"))
+    except _SplitDataError as exc:
+        if exc.split != "train":
+            raise
+        raise DataError(f"{exc}; the theory estimate reads the train split, and --theory-split test avoids it") from None
+    trace = prepared[0]  # the last trace is theory_split's
+    return RunReport(config, tuple(alphas), theory_split, len(dataset.target) - len(trace), trace,
+                     *sweep_alpha(trace, alphas), estimate_theory(prepared[-1]))

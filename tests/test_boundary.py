@@ -58,6 +58,7 @@ from tats import (
     mape,
     mse,
     prepare_run,
+    run_experiment,
     scenario_probabilities,
     sweep_alpha,
     synthetic_forecaster,
@@ -126,6 +127,10 @@ CALLS = {
     "prepare_run": ("prepare_run", prepare_run, dict(
         config=TatsConfig(NAIVE, TrendPredictorSpec.majority()), dataset=Dataset(SERIES), eval_splits=("test",),
     ), dict(config=OBJECT, dataset=OBJECT, eval_splits=OBJECT)),
+    "run_experiment": ("run_experiment", run_experiment, dict(
+        config=TatsConfig(NAIVE, TrendPredictorSpec.majority()), dataset=Dataset(SERIES), alphas=[1.0, 2.0],
+        theory_split="train",
+    ), dict(config=OBJECT, dataset=OBJECT, alphas=ARRAY, theory_split=OBJECT)),
     "scenario_probabilities": ("scenario_probabilities", scenario_probabilities, dict(p_db=0.6, p_dt=0.5),
                                dict(p_db=REAL, p_dt=REAL)),
     "estimate_theory": ("estimate_theory", estimate_theory, dict(trace=TRACE), dict(trace=OBJECT)),
@@ -162,8 +167,8 @@ NOT_PROBED = {
 }
 NOT_CALLED = {
     "ARModel", "EvalReport", "FeatureMatrix", "ForecastTrace", "GaussianNBClassifier",
-    "KNNClassifier", "LogisticClassifier", "MajorityClassifier", "OracleTrendPredictor", "Scenario",
-    "SimulationReport", "SweepEntry", "SweepResult", "TheoryEstimate",
+    "KNNClassifier", "LogisticClassifier", "MajorityClassifier", "OracleTrendPredictor", "RunReport", "Scenario",
+    "SimulationReport", "TheoryEstimate",
 }
 PROBES = [
     pytest.param(label, param, bad, id=f"{label}-{param}-{bad}")

@@ -24,7 +24,7 @@ from tats.core import chronological_split
 from tats.engine import TatsConfig, prepare_run
 from tats.forecasters import ValueForecasterSpec
 from tats.ingest import load_csv, load_external_directions
-from tats.theory import estimate_theory
+from tats.theory import run_experiment
 
 seed = 909
 ROOT = Path(__file__).resolve().parents[1]
@@ -767,8 +767,7 @@ def test_report_theory_matches_a_separate_run(tmp_path, classifier, theory_split
         "external": TrendPredictorSpec.external(load_external_directions(directions, dataset.target)),
     }[classifier]
     config = TatsConfig(value_forecaster=ValueForecasterSpec.ar(2), trend_predictor=spec)
-    [trace] = prepare_run(config, dataset, (theory_split,))
-    expected = estimate_theory(trace)
+    expected = run_experiment(config, dataset, DEFAULT_ALPHAS, theory_split).theory
     report = json.loads((out / "report.json").read_text())
     assert report["theory"] == json.loads(json.dumps(expected.to_dict()))
 

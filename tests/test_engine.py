@@ -479,9 +479,11 @@ def test_sweep_alpha_shares_forecasts_across_alphas():
         trend_predictor=TrendPredictorSpec.oracle(accuracy=0.8, seed=5),
     )
     alphas = (0.5, 1.0, 2.0)
-    sweep = sweep_alpha(_trace(config, series), alphas)
-    assert tuple(e.alpha for e in sweep.entries) == alphas
-    assert sweep.base_report.n_steps == len(chronological_split(series, 0.7)[1])
+    trace = _trace(config, series)
+    base, adjusted = sweep_alpha(trace, alphas)
+    # one report per alpha, in the order of alphas
+    assert [r.mse for r in adjusted] == [mse(trace.y_true, trace.adjusted(a)[0]) for a in alphas]
+    assert base.n_steps == len(chronological_split(series, 0.7)[1])
 
 
 def test_sweep_alpha_single_run_consistency():
@@ -492,9 +494,8 @@ def test_sweep_alpha_single_run_consistency():
         trend_predictor=TrendPredictorSpec.oracle(accuracy=0.9, seed=6),
     )
     trace = _trace(config, series)
-    sweep = sweep_alpha(trace, (2.0,))
+    base, (adjusted,) = sweep_alpha(trace, (2.0,))
     y_adj, _ = trace.adjusted(2.0)
-    base, adjusted = sweep.base_report, sweep.entries[0].report
     for report, forecasts in ((base, trace.y_hat), (adjusted, y_adj)):
         assert report.mse == mse(trace.y_true, forecasts)
         assert report.mae == mae(trace.y_true, forecasts)

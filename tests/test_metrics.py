@@ -82,8 +82,7 @@ def test_mape_rejects_zero_actual():
 def test_sweep_leaves_mape_undefined_on_zero_actual():
     values = np.array([1.0, 2.0, 0.0, 3.0])
     trace = evaluate_forecasts(values, 1, np.array([1.5, 2.5, 1.0]), np.array([1, -1, 1]))
-    sweep = sweep_alpha(trace, (1.0,))
-    base, adjusted = sweep.base_report, sweep.entries[0].report
+    base, (adjusted,) = sweep_alpha(trace, (1.0,))
     assert base.mape is None
     assert base.to_dict()["mape"] is None
     assert base.mse == pytest.approx((0.25 + 6.25 + 4.0) / 3)
@@ -97,10 +96,10 @@ def test_sweep_leaves_mape_undefined_where_it_overflows():
     trace = evaluate_forecasts(values, 1, values[:-1] + 1e-320, np.array([-1, -1, -1]))
     with pytest.raises(NumericError):
         mape(trace.y_true, trace.adjusted(1.0)[0])
-    sweep = sweep_alpha(trace, (1.0,))
-    assert sweep.base_report.mape == mape(trace.y_true, trace.y_hat)
-    assert sweep.entries[0].report.mape is None
-    assert sweep.entries[0].report.mse == pytest.approx(mse(trace.y_true, trace.adjusted(1.0)[0]))
+    base, (adjusted,) = sweep_alpha(trace, (1.0,))
+    assert base.mape == mape(trace.y_true, trace.y_hat)
+    assert adjusted.mape is None
+    assert adjusted.mse == pytest.approx(mse(trace.y_true, trace.adjusted(1.0)[0]))
 
 
 def test_mae_mse_inequality():
