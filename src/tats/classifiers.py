@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NumericError, _int_at_least, _real, _require_finite
+from .errors import ConfigError, DataError, NumericError, _instance, _int_at_least, _real, _require_finite
 from .ingest import FeatureMatrix
 
 __all__ = [
@@ -310,11 +310,12 @@ def fit_classifier(spec: TrendPredictorSpec, features: FeatureMatrix | None = No
     external tables do not. An external table is its own predictor: the
     position-indexed direction array is returned as it is.
     """
+    _instance("spec", spec, TrendPredictorSpec)
     if spec.kind == "oracle":
         return OracleTrendPredictor(accuracy=spec.accuracy, seed=spec.seed)
     if spec.kind == "external":
         return spec.source
-    if features is None:
+    if not isinstance(features, FeatureMatrix):
         raise ConfigError(f"{spec.kind} classifier needs a training feature matrix")
     if len(features) == 0:
         raise DataError("training feature matrix is empty")

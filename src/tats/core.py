@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from .errors import ConfigError, DataError, _real, _vector
+from .errors import ConfigError, DataError, _instance, _real, _vector
 
 __all__ = [
     "TimeSeries",
@@ -50,6 +50,7 @@ def chronological_split(series: TimeSeries, train_fraction: float) -> tuple[Time
     The train part takes floor(train_fraction * n) values; the remainder
     becomes the test part. Both parts must be non-empty.
     """
+    _instance("series", series, TimeSeries)
     train_fraction = _real("train_fraction", train_fraction, 0.0, 1.0, "()")
     n = len(series)
     if n < 2:

@@ -32,7 +32,7 @@ import numpy as np
 
 from .classifiers import OracleTrendPredictor, TrendPredictorSpec, fit_classifier
 from .core import chronological_split
-from .errors import ConfigError, DataError, NumericError, _int_at_least, _real, _require_finite, _vector
+from .errors import ConfigError, DataError, NumericError, _instance, _int_at_least, _real, _require_finite, _vector
 from .forecasters import ValueForecasterSpec, _walk_forward, fit_forecaster
 from .ingest import Dataset, _table_slice, build_feature_table
 from .metrics import EvalReport, _report, diff_rdiff
@@ -154,9 +154,8 @@ class TatsConfig:
     train_fraction: float = 0.7
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.value_forecaster, ValueForecasterSpec)
-                and isinstance(self.trend_predictor, TrendPredictorSpec)):
-            raise ConfigError("a config needs a ValueForecasterSpec and a TrendPredictorSpec")
+        _instance("value_forecaster", self.value_forecaster, ValueForecasterSpec)
+        _instance("trend_predictor", self.trend_predictor, TrendPredictorSpec)
         if not isinstance(self.refit_each_step, (bool, np.bool_)):
             raise ConfigError(f"refit_each_step must be a bool, got {self.refit_each_step!r}")
         object.__setattr__(self, "refit_each_step", bool(self.refit_each_step))
@@ -307,8 +306,7 @@ def sweep_alpha(trace: ForecastTrace, alphas) -> tuple[EvalReport, tuple[EvalRep
     is zero, where it is undefined. MAPE is None where :func:`~tats.metrics.mape`
     refuses: on a zero actual, or when the ratios overflow on tiny actuals.
     """
-    if not isinstance(trace, ForecastTrace):
-        raise ConfigError(f"sweep_alpha needs a ForecastTrace, got {type(trace).__name__}")
+    _instance("trace", trace, ForecastTrace)
     alphas = _check_alphas(alphas)
     base = _report(trace, trace.y_hat)
     adjusted = []

@@ -70,6 +70,13 @@ def _real(name: str, value, low: float = -math.inf, high: float = math.inf, ends
     return x
 
 
+def _instance(name: str, value, *kinds: type) -> None:
+    """Refuse a value that is an instance of none of kinds with a ConfigError; type(None) admits None."""
+    if not isinstance(value, kinds):
+        names = " or ".join("None" if kind is type(None) else kind.__name__ for kind in kinds)
+        raise ConfigError(f"{name} must be of type {names}, got {type(value).__name__}")
+
+
 def _vector(name: str, value, error: type[TatsError] = ConfigError) -> np.ndarray:
     """np.asarray(value, dtype=float), which must convert and be one-dimensional, else error."""
     try:

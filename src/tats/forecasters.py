@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import TimeSeries
-from .errors import ConfigError, DataError, NumericError, _int_at_least, _real, _require_finite
+from .errors import ConfigError, DataError, NumericError, _instance, _int_at_least, _real, _require_finite
 from .ingest import _table_slice
 
 __all__ = [
@@ -280,6 +280,7 @@ def fit_ar(series: TimeSeries, order: int) -> ARModel:
     design (constant series, too few rows) falls back to a ridge solve
     with penalty 1e-8 and is flagged degenerate.
     """
+    _instance("series", series, TimeSeries)
     order = _int_at_least("AR order", order, 1)
     y = series.values
     if y.size < order + 1:
@@ -309,6 +310,8 @@ def fit_ar(series: TimeSeries, order: int) -> ARModel:
 
 def fit_forecaster(spec: ValueForecasterSpec, train: TimeSeries):
     """Fit the forecaster described by ``spec`` on the training split."""
+    _instance("spec", spec, ValueForecasterSpec)
+    _instance("train", train, TimeSeries)
     if spec.kind == "naive":
         return NaiveForecaster()
     if spec.kind == "drift":

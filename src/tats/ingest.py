@@ -27,13 +27,14 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .core import TimeSeries
-from .errors import ConfigError, DataError, _int_at_least
+from .errors import ConfigError, DataError, _instance, _int_at_least
 
 __all__ = [
     "Dataset",
@@ -84,6 +85,7 @@ def _read_rows(path: str | Path, parse):
     blank ones skipped and cells stripped, so its errors name the cell
     and data row as the file shows them; a ragged or empty body raises.
     """
+    _instance("path", path, str, os.PathLike)
     p = Path(path)
     if not p.is_file():
         raise DataError(f"file not found: {p}")
@@ -160,7 +162,11 @@ def load_csv(
     not kept. A column named twice in the header, listed twice in
     exogenous_columns, or listed there as the target, is an error.
     """
+    _instance("target_column", target_column, str)
+    _instance("label_column", label_column, str, type(None))
+    _instance("exogenous_columns", exogenous_columns, list, tuple, type(None))
     for i, name in enumerate(exogenous_columns or []):
+        _instance("an exogenous column", name, str)
         if name in exogenous_columns[:i]:
             raise ConfigError(f"exogenous column '{name}' is listed twice")
         if name == target_column:
@@ -254,6 +260,7 @@ def build_feature_table(dataset: Dataset, n_lags: int, exog_lag: int = 0) -> Fea
     most recent target values (newest first), then the exogenous values
     at s - exog_lag in declared order.
     """
+    _instance("dataset", dataset, Dataset)
     n_lags, exog_lag = _int_at_least("n_lags", n_lags, 1), _int_at_least("exog_lag", exog_lag, 0)
     y = dataset.target.values
     n = y.size
@@ -278,6 +285,7 @@ def _load_table(path: str | Path, series: TimeSeries, column: str, valid, proble
     1..len(series)-1 and appear once, and valid(value) must hold for every
     value; a row that breaks the last rule is reported as ``problem``.
     """
+    _instance("series", series, TimeSeries)
     def parse(header: list[str], rows: list[list[str]]) -> np.ndarray:
         raw_idx = _column(header, rows, "time_index", path)
         raw_val = _column(header, rows, column, path)

@@ -8,7 +8,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NumericError, _int_at_least, _real, _require_finite, _vector
+from .errors import ConfigError, DataError, NumericError, _instance, _int_at_least, _real, _require_finite, _vector
 
 if TYPE_CHECKING:
     from .engine import ForecastTrace
@@ -129,6 +129,8 @@ def diff_rdiff(base: EvalReport, candidate: EvalReport) -> tuple[float, float]:
     Diff = base.mse - candidate.mse; R-Diff = Diff / base.mse.
     Positive values mean the candidate is better.
     """
+    _instance("base", base, EvalReport)
+    _instance("candidate", candidate, EvalReport)
     if base.n_steps != candidate.n_steps:
         raise DataError(
             f"reports cover different step counts: {base.n_steps} vs {candidate.n_steps}"

@@ -40,7 +40,7 @@ import numpy as np
 from .classifiers import _directions_into
 from .core import TimeSeries
 from .engine import _adjust_into, _evaluate_into, _scenario_counts
-from .errors import ConfigError, NumericError, TatsError, _int_at_least, _real, _require_finite
+from .errors import ConfigError, NumericError, TatsError, _instance, _int_at_least, _real, _require_finite
 from .theory import _estimate, _trace_stats
 
 __all__ = [
@@ -129,8 +129,7 @@ def synthetic_forecaster(
     and y_{t-1} - error_scale*delta otherwise (direction wrong). The
     series must have no flat steps; regenerate it if it does.
     """
-    if not isinstance(series, TimeSeries):
-        raise ConfigError(f"synthetic_forecaster needs a TimeSeries, got {type(series).__name__}")
+    _instance("series", series, TimeSeries)
     p_dt, error_scale = _real("p_dt", p_dt, 0.0, 1.0, "()"), _real("error_scale", error_scale, 0.0, ends="()")
     rng = _rng(seed)
     # steps of huge walks can overflow; that shows in the forecasts checked by the kernel
@@ -316,8 +315,7 @@ def validate_prop1(config: SimConfig) -> SimulationReport:
     with the three floats kept per trial; a ConfigError says when they cannot be. Each trial
     gives the bytes it gives alone, and a failing run raises its first failing trial's error.
     """
-    if not isinstance(config, SimConfig):
-        raise ConfigError(f"validate_prop1 needs a SimConfig, got {type(config).__name__}")
+    _instance("config", config, SimConfig)
     from numpy.random.bit_generator import ISeedSequence  # here, so that import tats leaves numpy.random out
     ISeedSequence.register(_StoredSeed)
     rows = min(max(1, _BLOCK_STEPS // config.n_steps), _SEED_BLOCK, config.n_trials)

@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .engine import ForecastTrace, TatsConfig, _SplitDataError, _check_alphas, prepare_run, sweep_alpha
-from .errors import ConfigError, DataError, _real, _require_finite
+from .errors import ConfigError, DataError, _instance, _real, _require_finite
 from .ingest import Dataset
 from .metrics import EvalReport
 
@@ -99,19 +99,10 @@ def _trace_stats(trace: ForecastTrace, moves, actual, counts):
 
 def _estimate(clf_hits: int, fc_hits: int, gap_sum: float, n_steps: int) -> TheoryEstimate:
     """Plug-in estimate from (possibly pooled) :func:`_trace_stats` statistics."""
-    p_db = clf_hits / n_steps
-    p_dt = fc_hits / n_steps
-    gap = float(gap_sum) / n_steps
+    p_db, p_dt, gap = clf_hits / n_steps, fc_hits / n_steps, float(gap_sum) / n_steps
     bound = lower_bound(gap, p_db, p_dt)
-    return TheoryEstimate(
-        p_db=p_db,
-        p_dt=p_dt,
-        abs_gap=gap,
-        expected_loss_change=bound,
-        lower_bound=bound,
-        prop1_holds=p_db > p_dt,
-        n_steps=n_steps,
-    )
+    return TheoryEstimate(p_db=p_db, p_dt=p_dt, abs_gap=gap, expected_loss_change=bound, lower_bound=bound,
+                          prop1_holds=p_db > p_dt, n_steps=n_steps)
 
 
 def estimate_theory(trace: ForecastTrace) -> TheoryEstimate:
@@ -123,8 +114,7 @@ def estimate_theory(trace: ForecastTrace) -> TheoryEstimate:
     the accuracy definition. abs_gap is the mean |l_t - (y_t - y_{t-1})^2|
     over the base losses.
     """
-    if not isinstance(trace, ForecastTrace):
-        raise ConfigError(f"estimate_theory needs a ForecastTrace, got {type(trace).__name__}")
+    _instance("trace", trace, ForecastTrace)
     with np.errstate(over="ignore", invalid="ignore"):  # as in _trace_stats
         moves = trace.y_true - trace.y_prev
         return _estimate(*_trace_stats(trace, moves, np.sign(moves), np.bincount(trace.scenario, minlength=5)))

@@ -4,15 +4,10 @@ Every parameter of every export in ``tats.__all__`` is sorted into one of
 the groups below, so a new export or parameter fails
 ``test_every_export_parameter_is_sorted`` until it is placed:
 
-* int, real and array parameters, the run path's object parameters
-  (``TatsConfig``'s specs and ``prepare_run``'s arguments), the trace of
-  ``estimate_theory`` and ``sweep_alpha``, the series of
-  ``synthetic_forecaster``, the config of ``validate_prop1`` and the flag
-  ``refit_each_step`` are probed with values of the wrong type or shape
+* int, real and array parameters, flags, and the parameters that take
+  one of the package's objects, a path, a column name or a list of them
+  (``CALLS``) are probed with values of the wrong type or shape
   (``BAD``), and each probe must raise a TatsError;
-* the other parameters that take one of the package's objects, a path, a
-  column name or a flag (``NOT_PROBED``) are typed by their annotations
-  and not probed here;
 * a record whose every field is called with wrong values by the tests
   at the end (``RECORD_CASES``) is sorted there;
 * the other records that the library builds and returns, the scenario
@@ -27,7 +22,7 @@ numpy integers, floats and bools stay valid wherever an int, a real or a flag is
 import dataclasses
 import inspect
 import math
-from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,6 +32,7 @@ from tats import (
     ConfigError,
     DataError,
     Dataset,
+    EvalReport,
     FeatureMatrix,
     FeatureTable,
     ForecastTrace,
@@ -49,10 +45,16 @@ from tats import (
     ValueForecasterSpec,
     build_feature_table,
     chronological_split,
+    diff_rdiff,
     estimate_theory,
     evaluate_forecasts,
     fit_ar,
+    fit_classifier,
+    fit_forecaster,
     gen_random_walk,
+    load_csv,
+    load_external_directions,
+    load_external_forecasts,
     lower_bound,
     mae,
     mape,
@@ -70,6 +72,10 @@ from tats import (
 SERIES = TimeSeries(100.0 + np.cumsum(np.random.default_rng(0).standard_normal(60)))
 VALUES = SERIES.values
 TRACE = evaluate_forecasts(VALUES, 1, VALUES[:-1] + 0.5, np.ones(VALUES.size - 1))
+REPORT = EvalReport(tda=0.5, mse=1.0, mae=1.0, mape=None, n_steps=3)
+FEATURES = FeatureMatrix(rows=np.ones((3, 2)), labels=np.array([1, -1, 1]), n_flat_dropped=0)
+# one file serves load_csv and both external-table loaders: time_index,forecast,direction
+TABLE_CSV = Path(__file__).resolve().parent / "data" / "boundary_table.csv"
 
 # the wrong types and shapes; a float is wrong only where an int is due
 BAD = {
@@ -100,6 +106,9 @@ CALLS = {
     ), dict(value_forecaster=OBJECT, trend_predictor=OBJECT, n_lags=INT, refit_each_step=FLAG, exog_lag=INT,
             train_fraction=REAL)),
     "TimeSeries": ("TimeSeries", TimeSeries, dict(values=VALUES), dict(values=ARRAY)),
+    "Dataset": ("Dataset", Dataset, dict(target=SERIES, exogenous={}), dict(target=OBJECT, exogenous=OBJECT)),
+    "TrendPredictorSpec": ("TrendPredictorSpec", TrendPredictorSpec, dict(kind="majority"), dict(kind=OBJECT)),
+    "ValueForecasterSpec": ("ValueForecasterSpec", ValueForecasterSpec, dict(kind="naive"), dict(kind=OBJECT)),
     # each spec classmethod passes its arguments to the spec's fields of the same names
     "TrendPredictorSpec.knn": ("TrendPredictorSpec", TrendPredictorSpec.knn, dict(k=3), dict(k=INT)),
     "TrendPredictorSpec.oracle": ("TrendPredictorSpec", TrendPredictorSpec.oracle, dict(accuracy=0.7, seed=1),
@@ -112,16 +121,26 @@ CALLS = {
     "ValueForecasterSpec.external": ("ValueForecasterSpec", ValueForecasterSpec.external, dict(source=np.ones(60)),
                                      dict(source=ARRAY)),
     "ForecastTrace.adjusted": ("ForecastTrace", TRACE.adjusted, dict(alpha=1.0), dict(alpha=REAL)),
-    "build_feature_table": ("build_feature_table", partial(build_feature_table, Dataset(SERIES, {})),
-                            dict(n_lags=2, exog_lag=0), dict(n_lags=INT, exog_lag=INT)),
-    "chronological_split": ("chronological_split", partial(chronological_split, SERIES), dict(train_fraction=0.7),
-                            dict(train_fraction=REAL)),
+    "build_feature_table": ("build_feature_table", build_feature_table, dict(dataset=Dataset(SERIES, {}), n_lags=2,
+                            exog_lag=0), dict(dataset=OBJECT, n_lags=INT, exog_lag=INT)),
+    "chronological_split": ("chronological_split", chronological_split, dict(series=SERIES, train_fraction=0.7),
+                            dict(series=OBJECT, train_fraction=REAL)),
+    "diff_rdiff": ("diff_rdiff", diff_rdiff, dict(base=REPORT, candidate=REPORT), dict(base=OBJECT, candidate=OBJECT)),
     "evaluate_forecasts": ("evaluate_forecasts", evaluate_forecasts, dict(
         values=VALUES, start=1, forecasts=VALUES[:-1], directions=np.ones(VALUES.size - 1),
     ), dict(values=ARRAY, start=INT, forecasts=ARRAY, directions=ARRAY)),
-    "fit_ar": ("fit_ar", partial(fit_ar, SERIES), dict(order=2), dict(order=INT)),
+    "fit_ar": ("fit_ar", fit_ar, dict(series=SERIES, order=2), dict(series=OBJECT, order=INT)),
+    "fit_classifier": ("fit_classifier", fit_classifier, dict(spec=TrendPredictorSpec.majority(), features=FEATURES),
+                       dict(spec=OBJECT, features=OBJECT)),
+    "fit_forecaster": ("fit_forecaster", fit_forecaster, dict(spec=NAIVE, train=SERIES), dict(spec=OBJECT, train=OBJECT)),
     "gen_random_walk": ("gen_random_walk", gen_random_walk, dict(n=10, drift=0.0, volatility=1.0, seed=0),
                         dict(n=INT, drift=REAL, volatility=REAL, seed=INT)),
+    "load_csv": ("load_csv", load_csv, dict(
+        path=TABLE_CSV, target_column="forecast", exogenous_columns=["direction"], label_column="time_index",
+    ), dict(path=OBJECT, target_column=OBJECT, exogenous_columns=OBJECT, label_column=OBJECT)),
+    **{name: (name, fn, dict(path=TABLE_CSV, series=SERIES), dict(path=OBJECT, series=OBJECT))
+       for name, fn in (("load_external_directions", load_external_directions),
+                        ("load_external_forecasts", load_external_forecasts))},
     "lower_bound": ("lower_bound", lower_bound, dict(abs_gap=1.0, p_db=0.6, p_dt=0.5),
                     dict(abs_gap=REAL, p_db=REAL, p_dt=REAL)),
     "prepare_run": ("prepare_run", prepare_run, dict(
@@ -149,21 +168,10 @@ CALLS = {
                          dict(y_true=ARRAY, y_pred=ARRAY, gamma=REAL, y_prev=ARRAY)),
 }
 # a value that a parameter takes although BAD lists it
-VALID_BAD = {("trend_aware_loss", "y_prev", "none")}
-# export: its parameters that take the package's objects, paths, names or flags
-NOT_PROBED = {
-    "Dataset": {"target", "exogenous"},
-    "TrendPredictorSpec": {"kind"},
-    "ValueForecasterSpec": {"kind"},
-    "build_feature_table": {"dataset"},
-    "chronological_split": {"series"},
-    "diff_rdiff": {"base", "candidate"},
-    "fit_ar": {"series"},
-    "fit_classifier": {"spec", "features"},
-    "fit_forecaster": {"spec", "train"},
-    "load_csv": {"path", "target_column", "exogenous_columns", "label_column"},
-    "load_external_directions": {"path", "series"},
-    "load_external_forecasts": {"path", "series"},
+VALID_BAD = {
+    ("trend_aware_loss", "y_prev", "none"),
+    ("load_csv", "exogenous_columns", "none"),
+    ("load_csv", "label_column", "none"),
 }
 NOT_CALLED = {
     "ARModel", "EvalReport", "FeatureMatrix", "ForecastTrace", "GaussianNBClassifier",
@@ -210,8 +218,7 @@ def test_every_export_parameter_is_sorted():
         obj = getattr(tats, name)
         if name in NOT_CALLED or (isinstance(obj, type) and issubclass(obj, TatsError)):
             continue
-        params = set(inspect.signature(obj).parameters)
-        assert params == probed.get(name, set()) | NOT_PROBED.get(name, set()), name
+        assert set(inspect.signature(obj).parameters) == probed.get(name, set()), name
 
 
 def test_ints_and_reals_are_stored_as_python_numbers():

@@ -17,8 +17,11 @@ import numpy as np
 import pytest
 
 from tats.classifiers import CLASSIFIER_KINDS, TrendPredictorSpec
-from tats.cli import main
+from tats.cli import DEFAULT_ALPHAS, main
+from tats.engine import TatsConfig
 from tats.forecasters import FORECASTER_KINDS, ValueForecasterSpec
+from tats.ingest import load_csv, load_external_directions, load_external_forecasts
+from tats.theory import run_experiment
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 DATA = "series.csv"
@@ -103,6 +106,31 @@ def test_artifacts_match_golden(case, tmp_path, monkeypatch, capsys):
     for name, data in produced.items():
         expected = (GOLDEN / case / name).read_bytes()
         assert data == expected, f"{case}/{name} differs from the recorded artifact"
+
+
+# the specs of each run case but run_external, whose tables are read from its inputs
+RUN_SPECS = {
+    "run_ar_logistic": (ValueForecasterSpec.ar(2), TrendPredictorSpec.logistic()),
+    "run_ar_oracle": (ValueForecasterSpec.ar(2), TrendPredictorSpec.oracle(0.7, seed=3)),
+    "run_drift_nb_refit": (ValueForecasterSpec.drift(), TrendPredictorSpec.gaussian_nb()),
+    "run_ses_knn": (ValueForecasterSpec.ses(0.4), TrendPredictorSpec.knn()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(case for case in CASES if case.startswith("run_")))
+def test_the_library_run_record_is_the_golden_report(case, tmp_path):
+    _write_inputs(tmp_path)
+    dataset = load_csv(tmp_path / DATA, "price", ["signal"])
+    forecaster, classifier = RUN_SPECS.get(case) or (
+        ValueForecasterSpec.external(load_external_forecasts(tmp_path / FORECASTS, dataset.target)),
+        TrendPredictorSpec.external(load_external_directions(tmp_path / DIRECTIONS, dataset.target)),
+    )
+    config = TatsConfig(forecaster, classifier, refit_each_step=case == "run_drift_nb_refit")
+    report = run_experiment(config, dataset, DEFAULT_ALPHAS).to_dict()
+    # the six keys that only the command line knows
+    report["config"].update(data=DATA, target_column="price", exogenous_columns=["signal"], label_column=None,
+                            include_exogenous=True, seed=3 if case == "run_ar_oracle" else 0)
+    assert json.dumps(report, sort_keys=True, indent=2) + "\n" == (GOLDEN / case / "report.json").read_text()
 
 
 TABLE = np.array([np.nan, 1.0])

@@ -3,10 +3,19 @@ import pytest
 
 from tats import (
     ConfigError,
+    DataError,
+    Dataset,
     NumericError,
+    TatsConfig,
+    TimeSeries,
+    TrendPredictorSpec,
+    ValueForecasterSpec,
     estimate_theory,
     lower_bound,
+    prepare_run,
+    run_experiment,
     scenario_probabilities,
+    sweep_alpha,
 )
 from tats.engine import evaluate_forecasts
 
@@ -141,3 +150,54 @@ def test_estimate_theory_on_tiny_moves():
     assert est.p_db == 1.0
     assert est.p_dt == 1.0
     assert not est.prop1_holds
+
+
+def _walk(n: int = 60) -> Dataset:
+    return Dataset(TimeSeries(100.0 + np.cumsum(np.random.default_rng(seed + 4).standard_normal(n))))
+
+
+@pytest.mark.parametrize("classifier", [TrendPredictorSpec.logistic(), TrendPredictorSpec.oracle(0.7, seed=1)])
+def test_run_experiment_is_one_fit_its_sweep_and_its_estimate(classifier):
+    dataset, alphas = _walk(), [0.5, 2.0, 1.0]
+    config = TatsConfig(ValueForecasterSpec.ar(2), classifier)
+    test_trace, train_trace = prepare_run(config, dataset, ("test", "train"))
+    for theory_split, theory_trace in (("train", train_trace), ("test", test_trace)):
+        run = run_experiment(config, dataset, alphas, theory_split)
+        assert run.config is config and run.alphas == (0.5, 2.0, 1.0) and run.theory_split == theory_split
+        assert run.n_train == 42 and np.array_equal(run.trace.t, test_trace.t)
+        assert np.array_equal(run.trace.y_hat, test_trace.y_hat)
+        assert np.array_equal(run.trace.direction, test_trace.direction)
+        assert (run.base, run.adjusted) == sweep_alpha(test_trace, alphas)
+        assert run.theory == estimate_theory(theory_trace)
+        body = run.to_dict()
+        assert body["n_train"] == 42 and body["n_test"] == 18 and body["eval_split"] == "test"
+        assert [entry["alpha"] for entry in body["tats"]] == alphas
+        assert body["config"]["theory_split"] == theory_split
+
+
+def test_run_experiment_refuses_an_unknown_theory_split():
+    config = TatsConfig(ValueForecasterSpec.naive(), TrendPredictorSpec.majority())
+    for split in ("validation", "Train", ""):
+        with pytest.raises(ConfigError, match=f"^theory_split must be 'train' or 'test', got '{split}'$"):
+            run_experiment(config, _walk(), [1.0], split)
+
+
+def test_a_data_error_in_the_train_walk_says_the_test_split_avoids_it():
+    dataset = _walk()
+    table = np.full(60, np.nan)
+    table[42:] = 1.0  # directions for the test steps only
+    config = TatsConfig(ValueForecasterSpec.naive(), TrendPredictorSpec.external(table))
+    with pytest.raises(DataError) as info:
+        run_experiment(config, dataset, [1.0])
+    assert str(info.value) == (
+        "external directions missing time index 1 (in the train split); "
+        "the theory estimate reads the train split, and --theory-split test avoids it"
+    )
+    assert run_experiment(config, dataset, [1.0], "test").theory.n_steps == 18
+    # a gap in the test split is the test split's error under either theory split, with no hint
+    table = np.ones(60)
+    table[50] = np.nan
+    config = TatsConfig(ValueForecasterSpec.naive(), TrendPredictorSpec.external(table))
+    for split in ("train", "test"):
+        with pytest.raises(DataError, match=r"^external directions missing time index 50 \(in the test split\)$"):
+            run_experiment(config, dataset, [1.0], split)
