@@ -311,11 +311,12 @@ def fit_classifier(spec: TrendPredictorSpec, features: FeatureMatrix | None = No
     position-indexed direction array is returned as it is.
     """
     _instance("spec", spec, TrendPredictorSpec)
+    _instance("features", features, FeatureMatrix, type(None))
     if spec.kind == "oracle":
         return OracleTrendPredictor(accuracy=spec.accuracy, seed=spec.seed)
     if spec.kind == "external":
         return spec.source
-    if not isinstance(features, FeatureMatrix):
+    if features is None:
         raise ConfigError(f"{spec.kind} classifier needs a training feature matrix")
     if len(features) == 0:
         raise DataError("training feature matrix is empty")

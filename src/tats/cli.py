@@ -297,9 +297,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         "mse_vs_alpha.svg": _sweep_chart(run.alphas, run.base, run.adjusted),
     })
     _print_sweep(config, run.alphas, run.base, run.adjusted)
-    t = run.theory
-    print(f"theory[{args.theory_split}]: p_db={t.p_db:.6g} p_dt={t.p_dt:.6g} abs_gap={t.abs_gap:.6g} "
-          f"bound={t.lower_bound:.6g} prop1_holds={t.prop1_holds}")
+    theory = run.theory
+    print(f"theory[{args.theory_split}]: p_db={theory.p_db:.6g} p_dt={theory.p_dt:.6g} "
+          f"abs_gap={theory.abs_gap:.6g} bound={theory.lower_bound:.6g} prop1_holds={theory.prop1_holds}")
     print(f"wrote {out / 'report.json'}, {out / 'results.csv'}, and 2 charts")
     return 0
 

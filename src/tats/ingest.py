@@ -285,7 +285,6 @@ def _load_table(path: str | Path, series: TimeSeries, column: str, valid, proble
     1..len(series)-1 and appear once, and valid(value) must hold for every
     value; a row that breaks the last rule is reported as ``problem``.
     """
-    _instance("series", series, TimeSeries)
     def parse(header: list[str], rows: list[list[str]]) -> np.ndarray:
         raw_idx = _column(header, rows, "time_index", path)
         raw_val = _column(header, rows, column, path)
@@ -311,6 +310,7 @@ def _load_table(path: str | Path, series: TimeSeries, column: str, valid, proble
             table[t] = v
         return table
 
+    _instance("series", series, TimeSeries)
     return _read_rows(path, parse)
 
 

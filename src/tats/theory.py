@@ -120,7 +120,6 @@ def estimate_theory(trace: ForecastTrace) -> TheoryEstimate:
         return _estimate(*_trace_stats(trace, moves, np.sign(moves), np.bincount(trace.scenario, minlength=5)))
 
 
-
 @dataclass(frozen=True, eq=False)
 class RunReport:
     """One run: the test split's trace, its base report and one adjusted report per alpha, and
@@ -152,7 +151,8 @@ class RunReport:
             "n_test": len(self.trace),
             "eval_split": "test",
             "base": self.base.to_dict(),
-            "tats": [{"alpha": a, "report": r.to_dict(), "scenarios": scenarios} for a, r in zip(self.alphas, self.adjusted)],
+            "tats": [{"alpha": a, "report": r.to_dict(), "scenarios": scenarios}
+                     for a, r in zip(self.alphas, self.adjusted)],
             "theory": self.theory.to_dict(),
         }
 

@@ -306,3 +306,24 @@ def test_the_run_flag_is_stored_as_a_bool_and_eval_splits_may_be_a_list():
     for splits in (["test", 1], ("test", None), "test", {"test"}):
         with pytest.raises(ConfigError, match="^eval_splits must be a tuple or list of 'train' and 'test'"):
             prepare_run(config, Dataset(SERIES), splits)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: load_csv(None, "y"), "path must be of type str or PathLike, got NoneType"),
+    (lambda: load_external_forecasts(None, SERIES), "path must be of type str or PathLike, got NoneType"),
+    (lambda: load_csv(TABLE_CSV, "forecast", "direction"),
+     "exogenous_columns must be of type list or tuple or None, got str"),
+    (lambda: chronological_split(2.5, 0.7), "series must be of type TimeSeries, got float"),
+    (lambda: fit_ar(np.ones(5), 2), "series must be of type TimeSeries, got ndarray"),
+    (lambda: fit_forecaster(None, SERIES), "spec must be of type ValueForecasterSpec, got NoneType"),
+    (lambda: fit_classifier(None), "spec must be of type TrendPredictorSpec, got NoneType"),
+    # the oracle reads no features, but a wrong object for them is still refused
+    (lambda: fit_classifier(TrendPredictorSpec.oracle(0.7), "x"),
+     "features must be of type FeatureMatrix or None, got str"),
+    (lambda: diff_rdiff(None, None), "base must be of type EvalReport, got NoneType"),
+    (lambda: build_feature_table(2.5, 2, 0), "dataset must be of type Dataset, got float"),
+])
+def test_a_wrong_object_names_the_parameter_and_the_types_it_takes(call, message):
+    with pytest.raises(ConfigError) as info:
+        call()
+    assert str(info.value) == message
