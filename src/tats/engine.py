@@ -106,28 +106,38 @@ class ForecastTrace:
         alpha = _real("alpha", alpha, 0.0, ends="()")
         y_adj, loss_adj = np.empty(len(self)), np.empty(len(self))
         with np.errstate(over="ignore", invalid="ignore"):  # the kernel checks the summed loss
-            _adjust_into(self, alpha, y_adj, loss_adj)
+            _adjust_into(self, alpha, y_adj, loss_adj, np.empty(len(self), dtype=np.int8))
         return y_adj, loss_adj
 
     def scenario_counts(self) -> dict[str, int]:
         """Steps per scenario, keyed S1..S4 then undefined."""
-        return _scenario_counts(np.bincount(self.scenario, minlength=5))
+        return _named_counts(_scenario_counts(self.scenario))
 
 
-def _scenario_counts(counts: np.ndarray) -> dict[str, int]:
-    """Keyed counts from a bincount indexed by Scenario value."""
+def _scenario_counts(scenario: np.ndarray) -> np.ndarray:
+    """np.bincount(scenario.ravel(), minlength=5) of Scenario values of any int dtype and shape, by compares."""
+    return np.array([np.count_nonzero(scenario == value) for value in range(len(Scenario))])
+
+
+def _named_counts(counts: np.ndarray) -> dict[str, int]:
+    """:func:`_scenario_counts`' counts keyed S1..S4 then undefined."""
     named = {s.name: int(counts[s]) for s in (Scenario.S1, Scenario.S2, Scenario.S3, Scenario.S4)}
     return {**named, "undefined": int(counts[Scenario.UNDEFINED])}
 
 
-def _adjust_into(trace: ForecastTrace, alpha: float, y_adj: np.ndarray, loss_adj: np.ndarray):
+def _adjust_into(trace: ForecastTrace, alpha: float, y_adj: np.ndarray, loss_adj: np.ndarray, keep: np.ndarray):
     """:meth:`ForecastTrace.adjusted` at a checked alpha, under the caller's errstate; gives sum(loss_adj).
 
-    Per row, like :func:`_evaluate_into`; y_adj and loss_adj may be one array.
+    Per row, like :func:`_evaluate_into`; y_adj and loss_adj may be one array. keep, an int8
+    array of the indicator's shape, receives indicator - 1: 0 where y_hat is kept, -1 elsewhere.
     """
     np.multiply(trace.direction, alpha, out=y_adj)
     y_adj += trace.y_prev
-    np.putmask(y_adj, trace.indicator == 1, trace.y_hat)
+    # np.putmask(y_adj, keep == 0, y_hat) at under a third of its cost: ((y_adj ^ y_hat) & keep) ^ y_hat
+    bits, hat = y_adj.view(np.int64), trace.y_hat.view(np.int64)
+    bits ^= hat
+    bits &= np.subtract(trace.indicator, 1, out=keep, casting="unsafe")
+    bits ^= hat
     np.square(np.subtract(y_adj, trace.y_true, out=loss_adj), out=loss_adj)
     loss_sum = loss_adj.sum(axis=-1)
     if not np.isfinite(loss_sum).all():

@@ -18,7 +18,9 @@ aggregation uses compensated summation in a fixed trial order. Seed
 states come in blocks of trials, exactly as SeedSequence.spawn gives them.
 Trials run in blocks, one per row, on up to two threads that each refill
 their own arrays (see :func:`validate_prop1`); a trial's bytes do not
-depend on its block or thread.
+depend on its block or thread. np.bincount and a cumsum along the last axis
+of a 2-D array hold the GIL throughout and would serialize the threads, so
+the scenario counts come from compares and the walk sums each row alone.
 
 The realized p_db, p_dt, loss gap and bound pool the statistics that
 :func:`tats.theory.estimate_theory` takes from each trial's trace, so the
@@ -39,7 +41,7 @@ import numpy as np
 
 from .classifiers import _directions_into
 from .core import TimeSeries
-from .engine import _adjust_into, _evaluate_into, _scenario_counts
+from .engine import _adjust_into, _evaluate_into, _named_counts, _scenario_counts
 from .errors import ConfigError, NumericError, TatsError, _instance, _int_at_least, _real, _require_finite
 from .theory import _estimate, _trace_stats
 
@@ -54,7 +56,9 @@ __all__ = [
 WALK_START = 100.0
 _MAX_REGEN_ATTEMPTS = 100
 _SEED_BLOCK = 256  # trials whose seed states are computed together
-_BLOCK_STEPS = 20_000  # steps per block of trials run together; a workspace (0.9 MB) fits a 2 MB L2 cache
+# steps per block: each numpy call hands the GIL over about as often whatever its length, so longer
+# blocks do so less per step, up to what test_trials_do_not_fault_pages_back_in allows two workspaces
+_BLOCK_STEPS = 40_000
 _MAX_THREADS = 2  # threads that run blocks; more were not measured
 _STREAMS = np.arange(3, dtype=np.uint32)  # a trial's walk, forecaster and oracle streams
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED  # numpy's SeedSequence
@@ -111,7 +115,8 @@ def _walk_into(walk: np.ndarray, steps: np.ndarray, drift: float, volatility: fl
     steps *= volatility
     steps += drift
     walk[..., 0] = 0.0
-    np.cumsum(steps, axis=-1, out=walk[..., 1:])
+    for row_walk, row_steps in zip(np.atleast_2d(walk), np.atleast_2d(steps)):
+        np.cumsum(row_steps, out=row_walk[1:])
     walk += WALK_START
     return _require_finite(walk, "the random walk")
 
@@ -137,23 +142,21 @@ def synthetic_forecaster(
         moves = np.diff(series.values)
         flat = np.flatnonzero(moves == 0.0)
         if flat.size:
-            raise NumericError(
-                f"flat step at index {flat[0] + 1}: directional accuracy is undefined there; "
-                "regenerate or perturb the series"
-            )
-        return _forecast_into(np.empty(moves.size), series.values[:-1], moves, p_dt, error_scale,
-                              rng.random(moves.size))
+            raise NumericError(f"flat step at index {flat[0] + 1}: directional accuracy is undefined there; "
+                               "regenerate or perturb the series")
+        u = rng.random(moves.size)  # the forecasts overwrite their draws
+        return _forecast_into(u, series.values[:-1], moves, p_dt, error_scale, u)
 
 
 def _forecast_into(forecasts, y_prev, moves, p_dt: float, error_scale: float, u) -> np.ndarray:
     """:func:`synthetic_forecaster` of the uniform draws in u for moves without flat steps, into forecasts."""
-    # u becomes the factor -1.0 where the direction is wrong (u >= p_dt) and 1.0 elsewhere;
-    # multiplying by -1.0 negates exactly, signed zeros and infinities included
+    # u becomes the factor -1.0 where the direction is wrong (u >= p_dt) and 1.0 elsewhere; multiplying
+    # by -1.0 negates exactly, signed zeros and infinities included, so it may come first and forecasts may be u
     np.greater_equal(u, p_dt, out=u, casting="unsafe")
     u *= -2.0
     u += 1.0
-    np.multiply(moves, error_scale, out=forecasts)
-    forecasts *= u
+    np.multiply(u, moves, out=forecasts)
+    forecasts *= error_scale
     forecasts += y_prev
     return _require_finite(forecasts, "the synthetic forecasts")
 
@@ -193,11 +196,12 @@ class _Workspace:
     """
 
     def __init__(self, rows: int, n_steps: int) -> None:
-        # draws holds one stream's draws at a time, then the adjusted forecasts' losses; moves holds
-        # y_t - y_{t-1} (then the loss gaps), actual their signs, implied those of the implied moves
+        # draws: the walk's draws, the forecaster's, then y_hat; loss_base: the oracle's draws, then itself;
+        # moves: y_t - y_{t-1}, the loss gaps, then the adjusted losses; implied: scratch, then indicator - 1
         self.walk = np.empty((rows, n_steps + 1))
         self.y_prev, self.y_true = self.walk[:, :-1], self.walk[:, 1:]
-        self.draws, self.moves, self.y_hat, self.loss_base = (np.empty((rows, n_steps)) for _ in range(4))
+        self.draws, self.moves, self.loss_base = (np.empty((rows, n_steps)) for _ in range(3))
+        self.y_hat = self.draws
         self.actual, self.implied, self.direction, self.indicator, self.scenario = (
             np.empty((rows, n_steps), dtype=np.int8) for _ in range(5))
 
@@ -254,12 +258,15 @@ def _draw_rows(out: np.ndarray, states: np.ndarray, method: str) -> None:
         getattr(np.random.default_rng(_StoredSeed(state)), method)(out=row)
 
 
-def _walks_into(ws: _Workspace, states: np.ndarray, config: SimConfig) -> np.ndarray:
-    """Draw each row's walk and its moves from its walk stream; give the rows with a flat move."""
+def _walks_into(ws: _Workspace, states: np.ndarray, config: SimConfig) -> list[int]:
+    """Draw each row's walk, its moves and their signs from its walk stream; give the rows with a flat move."""
     _draw_rows(ws.draws, states[:, 0], "standard_normal")
     _walk_into(ws.walk, ws.draws, config.drift, config.volatility)
     np.subtract(ws.y_true, ws.y_prev, out=ws.moves)
-    return np.flatnonzero(np.count_nonzero(ws.moves, axis=-1) < config.n_steps)
+    # np.sign as (moves > 0) - (moves < 0), the same on +-0.0 and +-inf, at a third of its cost into int8
+    np.greater(ws.moves, 0.0, out=ws.actual.view(np.bool_))
+    ws.actual -= np.less(ws.moves, 0.0, out=ws.implied.view(np.bool_)).view(np.int8)
+    return [] if ws.actual.all() else np.flatnonzero(~ws.actual.all(axis=-1)).tolist()
 
 
 def _blocks(config: SimConfig, rows: int):
@@ -278,23 +285,22 @@ def _run_block(config: SimConfig, first: int, states: np.ndarray, ws: _Workspace
     counts, classifier hits and forecaster hits as one tally.
     """
     try:
-        for row in _walks_into(ws, states, config).tolist():  # each row with a flat move
+        for row in _walks_into(ws, states, config):  # each row with a flat move
             for attempt in range(1, _MAX_REGEN_ATTEMPTS + 1):
                 # spawn(3) number k (from 0) of trial i's SeedSequence gives streams 3k, 3k + 1 and 3k + 2
                 states[row] = _seed_states(config.seed, np.array([first + row], np.uint32), _STREAMS + 3 * attempt)
-                if not _walks_into(ws.rows(row, row + 1), states[row : row + 1], config).size:
+                if not _walks_into(ws.rows(row, row + 1), states[row : row + 1], config):
                     break
             else:
                 raise NumericError("could not generate a walk without flat steps")
         _draw_rows(ws.draws, states[:, 1], "random")
         _forecast_into(ws.y_hat, ws.y_prev, ws.moves, config.p_dt, config.error_scale, ws.draws)
-        np.sign(ws.moves, out=ws.actual, casting="unsafe")
-        _draw_rows(ws.draws, states[:, 2], "random")
-        _directions_into(ws.actual, config.p_db, ws.draws, ws.direction)
+        _draw_rows(ws.loss_base, states[:, 2], "random")
+        _directions_into(ws.actual, config.p_db, ws.loss_base, ws.direction)
         base = _evaluate_into(ws, ws.actual, ws.implied)
-        adjusted = _adjust_into(ws, config.alpha, ws.draws, ws.draws)
-        counts = np.bincount(ws.scenario.ravel(), minlength=5)
+        counts = _scenario_counts(ws.scenario)
         clf_hits, fc_hits, gaps, _ = _trace_stats(ws, ws.moves, ws.actual, counts)
+        adjusted = _adjust_into(ws, config.alpha, ws.moves, ws.moves, ws.implied)
         return base, adjusted, gaps, np.append(counts, (clf_hits, fc_hits))
     except TatsError:
         if len(states) > 1:  # the block's first failing trial raises its error, as in a block of one
@@ -308,10 +314,10 @@ def validate_prop1(config: SimConfig) -> SimulationReport:
 
     Each trial's walk, forecaster draws, and classifier draws use independent sub-streams
     spawned from config.seed, seeded for blocks of 256 trials at once. Inside those, trials
-    run in blocks of about 20,000 steps, one trial per row: each trial draws into its row from
+    run in blocks of about 40,000 steps, one trial per row: each trial draws into its row from
     its own streams, and every other pass runs once per block. Up to two threads (no more than
     the usable CPUs or the blocks) take the blocks in trial order, each refilling its own
-    workspace of 45 bytes per step of a block (0.9 MB), allocated before any trial starts
+    workspace of 37 bytes per step of a block (1.5 MB), allocated before any trial starts
     with the three floats kept per trial; a ConfigError says when they cannot be. Each trial
     gives the bytes it gives alone, and a failing run raises its first failing trial's error.
     """
@@ -366,9 +372,7 @@ def validate_prop1(config: SimConfig) -> SimulationReport:
         variance = math.fsum((r - mean_reduction) ** 2 for r in map(float, reductions)) / max(n - 1, 1)
         std_error = math.sqrt(variance / n)
     except OverflowError:
-        raise NumericError(
-            "trial statistics overflowed float64; the drift or volatility is too large"
-        ) from None
+        raise NumericError("trial statistics overflowed float64; the drift or volatility is too large") from None
     estimate = _estimate(clf_hits, fc_hits, gap_sum, total_steps)
     return SimulationReport(
         config=config,
@@ -380,6 +384,6 @@ def validate_prop1(config: SimConfig) -> SimulationReport:
         realized_p_dt=estimate.p_dt,
         mean_abs_gap=estimate.abs_gap,
         theoretical_bound=estimate.lower_bound,
-        scenario_counts=_scenario_counts(counts),
+        scenario_counts=_named_counts(counts),
         n_steps_total=total_steps,
     )

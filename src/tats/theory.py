@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .engine import ForecastTrace, TatsConfig, _SplitDataError, _check_alphas, prepare_run, sweep_alpha
+from .engine import ForecastTrace, TatsConfig, _SplitDataError, _check_alphas, _scenario_counts, prepare_run, sweep_alpha
 from .errors import ConfigError, DataError, _instance, _real, _require_finite
 from .ingest import Dataset
 from .metrics import EvalReport
@@ -86,9 +86,9 @@ class TheoryEstimate:
 def _trace_stats(trace: ForecastTrace, moves, actual, counts):
     """(classifier hits, forecaster hits, summed gap, steps) of a trace's base forecasts.
 
-    moves holds y_true - y_prev, which the loss gaps overwrite, actual its signs and counts
-    the bincount of the scenarios: the forecaster hits the S1 and S2 steps. Under the caller's
-    errstate, a move that overflows to +-inf keeps its sign; the gap sum is checked. Arrays
+    moves holds y_true - y_prev, which the loss gaps overwrite, actual its signs and counts the
+    :func:`_scenario_counts` of the scenarios: the forecaster hits the S1 and S2 steps. Under the
+    caller's errstate, a move that overflows to +-inf keeps its sign; the gap sum is checked. Arrays
     with one trace per row give the gap sum per row and the other statistics pooled.
     """
     np.subtract(trace.loss_base, np.square(moves, out=moves), out=moves)
@@ -117,7 +117,7 @@ def estimate_theory(trace: ForecastTrace) -> TheoryEstimate:
     _instance("trace", trace, ForecastTrace)
     with np.errstate(over="ignore", invalid="ignore"):  # as in _trace_stats
         moves = trace.y_true - trace.y_prev
-        return _estimate(*_trace_stats(trace, moves, np.sign(moves), np.bincount(trace.scenario, minlength=5)))
+        return _estimate(*_trace_stats(trace, moves, np.sign(moves), _scenario_counts(trace.scenario)))
 
 
 @dataclass(frozen=True, eq=False)

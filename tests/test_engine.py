@@ -19,7 +19,7 @@ from tats import (
     sweep_alpha,
 )
 from tats.classifiers import fit_classifier
-from tats.engine import ForecastTrace, _evaluate_into, evaluate_forecasts
+from tats.engine import ForecastTrace, _adjust_into, _evaluate_into, _scenario_counts, evaluate_forecasts
 from tats.ingest import Dataset, build_feature_table
 from tats.metrics import mae, mape, mse, td_accuracy
 from tats.theory import _estimate, estimate_theory
@@ -212,6 +212,46 @@ def test_agreeing_steps_share_losses_bitwise():
         agree = trace.indicator == 1
         assert np.array_equal(y_adj[agree], trace.y_hat[agree])
         assert np.array_equal(loss_adj[agree], trace.loss_base[agree])
+
+
+# float64 bit patterns: signed zeros, infinities, subnormals, quiet and signalling NaNs with
+# payloads of either sign, and ordinary values
+SPECIAL_BITS = [0x0000000000000000, 0x8000000000000000, 0x7FF0000000000000, 0xFFF0000000000000,
+                0x0000000000000001, 0x800FFFFFFFFFFFFF, 0x7FF8000000000000, 0xFFF8000000000123,
+                0x7FF0000000000001, 0xFFF4000000000ABC, 0x3FF0000000000000, 0xC059000000000000]
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int8])
+def test_the_bit_select_is_putmask(dtype):
+    # every special forecast kept and replaced, next to every special y_prev + c * alpha; an int64
+    # indicator as evaluate_forecasts makes it, an int8 one as a Monte-Carlo workspace does
+    specials = np.array(SPECIAL_BITS, dtype=np.uint64).view(np.float64)
+    y_hat, y_prev = (np.array(pair) for pair in zip(*itertools.product(specials, specials)))
+    n = y_hat.size
+    indicator = np.arange(n, dtype=dtype) % 2
+    direction = np.where(np.arange(n) % 3 == 0, UP, DOWN).astype(dtype)
+    trace = ForecastTrace(t=np.arange(1, n + 1), y_prev=y_prev, y_true=np.zeros(n), y_hat=y_hat,
+                          direction=direction, indicator=indicator, loss_base=np.zeros(n),
+                          scenario=np.zeros(n, dtype=dtype))
+    y_adj, keep = np.empty(n), np.empty(n, dtype=np.int8)
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = direction * 0.5
+        expected += y_prev
+        np.putmask(expected, indicator == 1, y_hat)  # the selection the bit select replaced
+        with pytest.raises(NumericError):  # the NaNs fail the loss check, after the selection
+            _adjust_into(trace, 0.5, y_adj, np.empty(n), keep)
+    assert y_adj.tobytes() == expected.tobytes()
+    assert keep.tolist() == (indicator - 1).tolist()
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int64])
+@pytest.mark.parametrize("shape", [(0,), (1,), (37,), (1, 500), (4, 250)])
+def test_scenario_counts_are_the_bincount(dtype, shape):
+    rng = np.random.default_rng(seed + 41)
+    for scenario in (rng.integers(0, 5, size=shape), rng.integers(1, 3, size=shape), np.full(shape, 4)):
+        scenario = scenario.astype(dtype)
+        expected = np.bincount(scenario.ravel(), minlength=5)  # the count _scenario_counts replaced
+        assert _scenario_counts(scenario).tolist() == expected.tolist()
 
 
 def test_base_trace_is_unadjusted():

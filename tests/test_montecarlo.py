@@ -16,7 +16,10 @@ from tats import ConfigError, NumericError, SimConfig, TatsError, estimate_theor
 from tats import montecarlo
 from tats.classifiers import OracleTrendPredictor
 from tats.engine import evaluate_forecasts
-from tats.montecarlo import _SEED_BLOCK, _forecast_into, _seed_states, gen_random_walk, synthetic_forecaster
+from tats.montecarlo import (
+    _SEED_BLOCK, _forecast_into, _seed_states, _walk_into, _walks_into, _Workspace, gen_random_walk,
+    synthetic_forecaster,
+)
 from tats.theory import _estimate
 
 from scalar_reference import scenario_tags, synthetic_forecasts, trace_stats
@@ -78,10 +81,12 @@ def test_forecast_kernel_matches_the_masked_formula_on_ties():
     u = np.array([p_dt, below, above, p_dt, below, p_dt, below, 0.0, p_dt, 0.25, p_dt, 0.999])
     moves = np.array([1.5, 1.5, -2.25, 0.0, 0.0, -0.0, -0.0, 5e-324, 5e-324, -1e-300, 7.0, -7.0])
     y_prev = np.array([100.0, 100.0, -3.0, -0.0, -0.0, -0.0, 0.0, -0.0, -0.0, 0.0, 1e300, -1.0])
-    forecasts = np.empty(u.size)
+    forecasts, expected = np.empty(u.size), synthetic_forecasts(moves, y_prev, u, p_dt, 1.2).tobytes()
     got = _forecast_into(forecasts, y_prev, moves, p_dt, 1.2, u.copy())
     assert got is forecasts
-    assert got.tobytes() == synthetic_forecasts(moves, y_prev, u, p_dt, 1.2).tobytes()
+    assert got.tobytes() == expected
+    draws = u.copy()  # the forecasts may overwrite their draws, as in a Monte-Carlo block
+    assert _forecast_into(draws, y_prev, moves, p_dt, 1.2, draws).tobytes() == expected
 
 
 @pytest.mark.parametrize("move", [np.inf, -np.inf, np.nan])
@@ -89,6 +94,53 @@ def test_forecast_kernel_matches_the_masked_formula_on_ties():
 def test_forecast_kernel_rejects_non_finite_moves(move, draw):
     with pytest.raises(NumericError, match="synthetic forecasts overflowed"):
         _forecast_into(np.empty(2), np.ones(2), np.array([1.0, move]), 0.6, 1.2, np.array([0.1, draw]))
+
+
+def _walk_by_2d_cumsum(steps, drift, volatility):
+    """The walk as _walk_into summed it before, with one cumsum along the last axis."""
+    walk = np.empty((*steps.shape[:-1], steps.shape[-1] + 1))
+    walk[..., 0] = 0.0
+    np.cumsum(steps * volatility + drift, axis=-1, out=walk[..., 1:])
+    return walk + montecarlo.WALK_START
+
+
+@pytest.mark.parametrize("shape", [(1,), (4999,), (1, 5000), (3, 1000), (8, 5000)])
+@pytest.mark.parametrize("drift, volatility", [(0.0, 1.0), (0.3, 2.5), (-1e-3, 1e-13)])
+def test_the_walk_sums_each_row_as_the_2d_cumsum(shape, drift, volatility):
+    steps = np.random.default_rng(seed + 7).standard_normal(shape)
+    walk = np.empty((*shape[:-1], shape[-1] + 1))
+    expected = _walk_by_2d_cumsum(steps, drift, volatility)
+    assert _walk_into(walk, steps.copy(), drift, volatility).tobytes() == expected.tobytes()
+    # gen_random_walk is the 1-D form
+    steps = np.random.default_rng(seed + 8).standard_normal(shape[-1])
+    walk = gen_random_walk(shape[-1] + 1, drift, volatility, seed + 8).values
+    assert walk.tobytes() == _walk_by_2d_cumsum(steps, drift, volatility).tobytes()
+
+
+# walks whose moves are +-0.0, subnormal, +-inf (as overflowing finite values give) or ordinary;
+# rows 0 and 3 have a flat move, and a finite walk has no NaN move
+SIGN_WALKS = np.array([
+    [0.0, -0.0, 0.0, 5e-324, 0.0, -5e-324, 1e308, -1e308, 1e308, 2.0, 2.0, 1.0],
+    [1.0, 2.0, 1.5, 5e-324, -5e-324, 1e308, -1e308, 1e308, -3.0, 3.0, -2.0, 2.0],
+    [100.0, 101.0, 100.5, 99.0, 99.5, 100.0, 101.0, 100.25, 100.75, 100.5, 101.5, 101.0],
+    [-0.0, 0.0, 1.0, 2.0, 3.0, 2.0, 1.0, 0.0, -1.0, -2.0, -1.0, 0.0],
+])
+
+
+@pytest.mark.parametrize("rows", [[0], [1], [2], [0, 1, 2, 3], [1, 2], [2, 3]])
+def test_move_signs_and_flat_rows_are_those_of_np_sign(monkeypatch, rows):
+    walks = SIGN_WALKS[rows]
+    monkeypatch.setattr(montecarlo, "_draw_rows", lambda out, states, method: None)
+    monkeypatch.setattr(montecarlo, "_walk_into", lambda walk, *args: np.copyto(walk, walks))
+    ws = _Workspace(len(rows), walks.shape[1] - 1)
+    config = SimConfig(n_steps=walks.shape[1] - 1)
+    with np.errstate(over="ignore"):
+        flat = _walks_into(ws, np.zeros((len(rows), 3, 4), np.uint64), config)
+        moves = np.diff(walks, axis=-1)
+    assert ws.moves.tobytes() == moves.tobytes()
+    # the signs and the flat rows as _walks_into and _run_block took them before
+    assert ws.actual.tobytes() == np.sign(moves).astype(np.int8).tobytes()
+    assert flat == np.flatnonzero(np.count_nonzero(moves, axis=-1) < config.n_steps).tolist()
 
 
 def test_synthetic_forecaster_rejects_flat_step():
@@ -416,7 +468,7 @@ def _every_thread_runs_a_block(monkeypatch, threads=2):
 
 
 BLOCK_CONFIGS = {
-    # 9 trials of 5,000 steps make blocks of 4, 4 and 1 by default
+    # 9 trials of 5,000 steps make blocks of 8 and 1 by default
     "partial-block": SimConfig(n_steps=5000, n_trials=9, seed=12),
     # flat walks redrawn inside a block of 40 rows by default, or of 3 rows
     "regenerating": REGENERATING,
@@ -442,6 +494,17 @@ def test_blocks_and_threads_do_not_show_in_the_report(monkeypatch, name):
                 assert getattr(rep, field) == value, (threads, rows, field)
         assert json.dumps(rep.to_dict()) == json.dumps(validate_prop1(config).to_dict())
 
+
+def test_the_block_configs_meet_the_default_block_as_their_comments_say():
+    def default_rows(config):
+        return min(montecarlo._BLOCK_STEPS // config.n_steps, _SEED_BLOCK, config.n_trials)
+
+    assert default_rows(BLOCK_CONFIGS["partial-block"]) == 8
+    for name, rows in (("regenerating", 40), ("regenerating-two-seed-blocks", _SEED_BLOCK)):
+        config = BLOCK_CONFIGS[name]
+        redrawn = [trial for trial, (_, count) in enumerate(_trial_traces(config)) if count]
+        assert default_rows(config) == rows
+        assert redrawn and min(redrawn) < rows, name  # a walk redrawn inside the first default block
 
 def test_more_threads_than_cores_lose_no_update(monkeypatch):
     # four workers on a short switch interval hand the lock and the tallies over often
@@ -529,8 +592,8 @@ def test_threads_are_capped_by_the_blocks_and_the_cpus(monkeypatch):
     _run_with(monkeypatch, SimConfig(n_steps=10, n_trials=5), threads=2)  # one block of 5 rows
     assert started == []
     monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    validate_prop1(SimConfig(n_steps=5000, n_trials=9))  # three blocks, one CPU
+    validate_prop1(SimConfig(n_steps=5000, n_trials=9))  # two blocks, one CPU
     assert started == []
     monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
-    validate_prop1(SimConfig(n_steps=5000, n_trials=9))  # three blocks, eight CPUs, two threads at most
+    validate_prop1(SimConfig(n_steps=5000, n_trials=9))  # two blocks, eight CPUs, two threads at most
     assert len(started) == 1
