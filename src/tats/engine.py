@@ -128,15 +128,14 @@ def _named_counts(counts: np.ndarray) -> dict[str, int]:
 def _adjust_into(trace: ForecastTrace, alpha: float, y_adj: np.ndarray, loss_adj: np.ndarray, keep: np.ndarray):
     """:meth:`ForecastTrace.adjusted` at a checked alpha, under the caller's errstate; gives sum(loss_adj).
 
-    Per row, like :func:`_evaluate_into`; y_adj and loss_adj may be one array. keep, an int8
-    array of the indicator's shape, receives indicator - 1: 0 where y_hat is kept, -1 elsewhere.
+    Per row, like :func:`_evaluate_into`; y_adj and loss_adj may be one array; keep is int8 scratch, shaped alike.
     """
     np.multiply(trace.direction, alpha, out=y_adj)
     y_adj += trace.y_prev
-    # np.putmask(y_adj, keep == 0, y_hat) at under a third of its cost: ((y_adj ^ y_hat) & keep) ^ y_hat
+    # np.putmask(y_adj, indicator == 1, y_hat) at a third of its cost: keep is 0 there and all bits set elsewhere
     bits, hat = y_adj.view(np.int64), trace.y_hat.view(np.int64)
     bits ^= hat
-    bits &= np.subtract(trace.indicator, 1, out=keep, casting="unsafe")
+    bits &= np.negative(np.not_equal(trace.indicator, 1, out=keep.view(np.bool_)).view(np.int8), out=keep)
     bits ^= hat
     np.square(np.subtract(y_adj, trace.y_true, out=loss_adj), out=loss_adj)
     loss_sum = loss_adj.sum(axis=-1)

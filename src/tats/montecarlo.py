@@ -18,9 +18,8 @@ aggregation uses compensated summation in a fixed trial order. Seed
 states come in blocks of trials, exactly as SeedSequence.spawn gives them.
 Trials run in blocks, one per row, on up to two threads that each refill
 their own arrays (see :func:`validate_prop1`); a trial's bytes do not
-depend on its block or thread. np.bincount and a cumsum along the last axis
-of a 2-D array hold the GIL throughout and would serialize the threads, so
-the scenario counts come from compares and the walk sums each row alone.
+depend on its block or thread. np.bincount and a 2-D cumsum hold the GIL
+throughout, so the counts come from compares and each row's walk sums alone.
 
 The realized p_db, p_dt, loss gap and bound pool the statistics that
 :func:`tats.theory.estimate_theory` takes from each trial's trace, so the
@@ -142,8 +141,10 @@ def synthetic_forecaster(
         moves = np.diff(series.values)
         flat = np.flatnonzero(moves == 0.0)
         if flat.size:
-            raise NumericError(f"flat step at index {flat[0] + 1}: directional accuracy is undefined there; "
-                               "regenerate or perturb the series")
+            raise NumericError(
+                f"flat step at index {flat[0] + 1}: directional accuracy is undefined there; "
+                "regenerate or perturb the series"
+            )
         u = rng.random(moves.size)  # the forecasts overwrite their draws
         return _forecast_into(u, series.values[:-1], moves, p_dt, error_scale, u)
 
@@ -197,7 +198,7 @@ class _Workspace:
 
     def __init__(self, rows: int, n_steps: int) -> None:
         # draws: the walk's draws, the forecaster's, then y_hat; loss_base: the oracle's draws, then itself;
-        # moves: y_t - y_{t-1}, the loss gaps, then the adjusted losses; implied: scratch, then indicator - 1
+        # moves: y_t - y_{t-1}, the loss gaps, then the adjusted losses; implied: scratch around the implied signs
         self.walk = np.empty((rows, n_steps + 1))
         self.y_prev, self.y_true = self.walk[:, :-1], self.walk[:, 1:]
         self.draws, self.moves, self.loss_base = (np.empty((rows, n_steps)) for _ in range(3))
@@ -263,8 +264,7 @@ def _walks_into(ws: _Workspace, states: np.ndarray, config: SimConfig) -> list[i
     _draw_rows(ws.draws, states[:, 0], "standard_normal")
     _walk_into(ws.walk, ws.draws, config.drift, config.volatility)
     np.subtract(ws.y_true, ws.y_prev, out=ws.moves)
-    # np.sign as (moves > 0) - (moves < 0), the same on +-0.0 and +-inf, at a third of its cost into int8
-    np.greater(ws.moves, 0.0, out=ws.actual.view(np.bool_))
+    np.greater(ws.moves, 0.0, out=ws.actual.view(np.bool_))  # np.sign's values, at a third of its cost
     ws.actual -= np.less(ws.moves, 0.0, out=ws.implied.view(np.bool_)).view(np.int8)
     return [] if ws.actual.all() else np.flatnonzero(~ws.actual.all(axis=-1)).tolist()
 
@@ -372,7 +372,9 @@ def validate_prop1(config: SimConfig) -> SimulationReport:
         variance = math.fsum((r - mean_reduction) ** 2 for r in map(float, reductions)) / max(n - 1, 1)
         std_error = math.sqrt(variance / n)
     except OverflowError:
-        raise NumericError("trial statistics overflowed float64; the drift or volatility is too large") from None
+        raise NumericError(
+            "trial statistics overflowed float64; the drift or volatility is too large"
+        ) from None
     estimate = _estimate(clf_hits, fc_hits, gap_sum, total_steps)
     return SimulationReport(
         config=config,
