@@ -106,7 +106,7 @@ class ForecastTrace:
         alpha = _real("alpha", alpha, 0.0, ends="()")
         y_adj, loss_adj = np.empty(len(self)), np.empty(len(self))
         with np.errstate(over="ignore", invalid="ignore"):  # the kernel checks the summed loss
-            _adjust_into(self, alpha, y_adj, loss_adj, np.empty(len(self), dtype=np.int8))
+            _adjust_into(self, alpha, y_adj, loss_adj)
         return y_adj, loss_adj
 
     def scenario_counts(self) -> dict[str, int]:
@@ -125,17 +125,18 @@ def _named_counts(counts: np.ndarray) -> dict[str, int]:
     return {**named, "undefined": int(counts[Scenario.UNDEFINED])}
 
 
-def _adjust_into(trace: ForecastTrace, alpha: float, y_adj: np.ndarray, loss_adj: np.ndarray, keep: np.ndarray):
+def _adjust_into(trace: ForecastTrace, alpha: float, y_adj: np.ndarray, loss_adj: np.ndarray):
     """:meth:`ForecastTrace.adjusted` at a checked alpha, under the caller's errstate; gives sum(loss_adj).
 
-    Per row, like :func:`_evaluate_into`; y_adj and loss_adj may be one array; keep is int8 scratch, shaped alike.
+    Per row, like :func:`_evaluate_into`; y_adj (float64) and loss_adj may be one array.
     """
     np.multiply(trace.direction, alpha, out=y_adj)
     y_adj += trace.y_prev
-    # np.putmask(y_adj, indicator == 1, y_hat) at a third of its cost: keep is 0 there and all bits set elsewhere
-    bits, hat = y_adj.view(np.int64), trace.y_hat.view(np.int64)
+    # np.putmask(y_adj, indicator == 1, y_hat) at a third of its cost, y_hat cast to float64 as putmask casts
+    # it: keep is 0 there and all bits set elsewhere
+    bits, hat, keep = y_adj.view(np.int64), np.asarray(trace.y_hat, float).view(np.int64), trace.indicator != 1
     bits ^= hat
-    bits &= np.negative(np.not_equal(trace.indicator, 1, out=keep.view(np.bool_)).view(np.int8), out=keep)
+    bits &= np.negative(keep.view(np.int8), out=keep.view(np.int8))
     bits ^= hat
     np.square(np.subtract(y_adj, trace.y_true, out=loss_adj), out=loss_adj)
     loss_sum = loss_adj.sum(axis=-1)

@@ -145,19 +145,19 @@ def synthetic_forecaster(
                 f"flat step at index {flat[0] + 1}: directional accuracy is undefined there; "
                 "regenerate or perturb the series"
             )
-        u = rng.random(moves.size)  # the forecasts overwrite their draws
-        return _forecast_into(u, series.values[:-1], moves, p_dt, error_scale, u)
+        return _forecast_into(np.empty(moves.size), series.values[:-1], moves, p_dt, error_scale,
+                              rng.random(moves.size))
 
 
 def _forecast_into(forecasts, y_prev, moves, p_dt: float, error_scale: float, u) -> np.ndarray:
     """:func:`synthetic_forecaster` of the uniform draws in u for moves without flat steps, into forecasts."""
-    # u becomes the factor -1.0 where the direction is wrong (u >= p_dt) and 1.0 elsewhere; multiplying
-    # by -1.0 negates exactly, signed zeros and infinities included, so it may come first and forecasts may be u
+    # u becomes the factor -1.0 where the direction is wrong (u >= p_dt) and 1.0 elsewhere;
+    # multiplying by -1.0 negates exactly, signed zeros and infinities included
     np.greater_equal(u, p_dt, out=u, casting="unsafe")
     u *= -2.0
     u += 1.0
-    np.multiply(u, moves, out=forecasts)
-    forecasts *= error_scale
+    np.multiply(moves, error_scale, out=forecasts)
+    forecasts *= u
     forecasts += y_prev
     return _require_finite(forecasts, "the synthetic forecasts")
 
@@ -197,12 +197,11 @@ class _Workspace:
     """
 
     def __init__(self, rows: int, n_steps: int) -> None:
-        # draws: the walk's draws, the forecaster's, then y_hat; loss_base: the oracle's draws, then itself;
-        # moves: y_t - y_{t-1}, the loss gaps, then the adjusted losses; implied: scratch around the implied signs
+        # draws holds one stream's draws at a time, then the adjusted forecasts' losses; moves holds
+        # y_t - y_{t-1} (then the loss gaps), actual their signs, implied those of the implied moves
         self.walk = np.empty((rows, n_steps + 1))
         self.y_prev, self.y_true = self.walk[:, :-1], self.walk[:, 1:]
-        self.draws, self.moves, self.loss_base = (np.empty((rows, n_steps)) for _ in range(3))
-        self.y_hat = self.draws
+        self.draws, self.moves, self.y_hat, self.loss_base = (np.empty((rows, n_steps)) for _ in range(4))
         self.actual, self.implied, self.direction, self.indicator, self.scenario = (
             np.empty((rows, n_steps), dtype=np.int8) for _ in range(5))
 
@@ -295,12 +294,12 @@ def _run_block(config: SimConfig, first: int, states: np.ndarray, ws: _Workspace
                 raise NumericError("could not generate a walk without flat steps")
         _draw_rows(ws.draws, states[:, 1], "random")
         _forecast_into(ws.y_hat, ws.y_prev, ws.moves, config.p_dt, config.error_scale, ws.draws)
-        _draw_rows(ws.loss_base, states[:, 2], "random")
-        _directions_into(ws.actual, config.p_db, ws.loss_base, ws.direction)
+        _draw_rows(ws.draws, states[:, 2], "random")
+        _directions_into(ws.actual, config.p_db, ws.draws, ws.direction)
         base = _evaluate_into(ws, ws.actual, ws.implied)
+        adjusted = _adjust_into(ws, config.alpha, ws.draws, ws.draws)
         counts = _scenario_counts(ws.scenario)
         clf_hits, fc_hits, gaps, _ = _trace_stats(ws, ws.moves, ws.actual, counts)
-        adjusted = _adjust_into(ws, config.alpha, ws.moves, ws.moves, ws.implied)
         return base, adjusted, gaps, np.append(counts, (clf_hits, fc_hits))
     except TatsError:
         if len(states) > 1:  # the block's first failing trial raises its error, as in a block of one
@@ -317,7 +316,7 @@ def validate_prop1(config: SimConfig) -> SimulationReport:
     run in blocks of about 40,000 steps, one trial per row: each trial draws into its row from
     its own streams, and every other pass runs once per block. Up to two threads (no more than
     the usable CPUs or the blocks) take the blocks in trial order, each refilling its own
-    workspace of 37 bytes per step of a block (1.5 MB), allocated before any trial starts
+    workspace of 45 bytes per step of a block (1.8 MB), allocated before any trial starts
     with the three floats kept per trial; a ConfigError says when they cannot be. Each trial
     gives the bytes it gives alone, and a failing run raises its first failing trial's error.
     """

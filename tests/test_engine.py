@@ -234,14 +234,32 @@ def test_the_bit_select_is_putmask(dtype):
     trace = ForecastTrace(t=np.arange(1, n + 1), y_prev=y_prev, y_true=np.zeros(n), y_hat=y_hat,
                           direction=direction, indicator=indicator, loss_base=np.zeros(n),
                           scenario=np.zeros(n, dtype=dtype))
-    y_adj, keep = np.empty(n), np.empty(n, dtype=np.int8)
+    y_adj = np.empty(n)
     with np.errstate(over="ignore", invalid="ignore"):
         expected = direction * 0.5
         expected += y_prev
         np.putmask(expected, indicator == 1, y_hat)  # the selection the bit select replaced
         with pytest.raises(NumericError):  # the NaNs fail the loss check, after the selection
-            _adjust_into(trace, 0.5, y_adj, np.empty(n), keep)
+            _adjust_into(trace, 0.5, y_adj, np.empty(n))
     assert y_adj.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int32, np.float32, ">f8", np.float64])
+def test_hand_built_forecasts_of_any_dtype_are_kept_as_putmask_casts_them(dtype):
+    # np.putmask casts the kept forecasts to float64; so does the bit select, whatever y_hat's dtype
+    y_hat = np.array([101, -102, 2**53 + 1, 2**31 - 1, 7, -3, 0, 12345]).astype(dtype)
+    if np.dtype(dtype).kind == "f":
+        y_hat[-1] = 0.1
+    n = y_hat.size
+    indicator, direction = np.array([1, 0, 1, 1, 0, 1, 1, 1]), np.array([UP, DOWN] * 4)
+    trace = ForecastTrace(t=np.arange(1, n + 1), y_prev=np.full(n, 100.0), y_true=np.full(n, 99.0),
+                          y_hat=y_hat, direction=direction, indicator=indicator, loss_base=np.zeros(n),
+                          scenario=np.zeros(n, dtype=np.int64))
+    expected = direction * 0.5 + 100.0
+    np.putmask(expected, indicator == 1, y_hat)
+    y_adj, loss_adj = trace.adjusted(0.5)
+    assert y_adj.tobytes() == expected.tobytes()
+    assert loss_adj.tobytes() == np.square(expected - 99.0).tobytes()
 
 
 @pytest.mark.parametrize("dtype", [np.int8, np.int64])

@@ -81,12 +81,10 @@ def test_forecast_kernel_matches_the_masked_formula_on_ties():
     u = np.array([p_dt, below, above, p_dt, below, p_dt, below, 0.0, p_dt, 0.25, p_dt, 0.999])
     moves = np.array([1.5, 1.5, -2.25, 0.0, 0.0, -0.0, -0.0, 5e-324, 5e-324, -1e-300, 7.0, -7.0])
     y_prev = np.array([100.0, 100.0, -3.0, -0.0, -0.0, -0.0, 0.0, -0.0, -0.0, 0.0, 1e300, -1.0])
-    forecasts, expected = np.empty(u.size), synthetic_forecasts(moves, y_prev, u, p_dt, 1.2).tobytes()
+    forecasts = np.empty(u.size)
     got = _forecast_into(forecasts, y_prev, moves, p_dt, 1.2, u.copy())
     assert got is forecasts
-    assert got.tobytes() == expected
-    draws = u.copy()  # the forecasts may overwrite their draws, as in a Monte-Carlo block
-    assert _forecast_into(draws, y_prev, moves, p_dt, 1.2, draws).tobytes() == expected
+    assert got.tobytes() == synthetic_forecasts(moves, y_prev, u, p_dt, 1.2).tobytes()
 
 
 @pytest.mark.parametrize("move", [np.inf, -np.inf, np.nan])
@@ -545,6 +543,17 @@ def test_a_failing_run_raises_its_first_failing_trials_error(monkeypatch):
         with monkeypatch.context() as patch, pytest.raises(NumericError) as raised:
             _run_with(patch, config, threads, rows)
         assert (type(raised.value), str(raised.value)) == expected, (threads, rows)
+
+
+def test_a_trial_that_overflows_twice_raises_its_adjusted_loss_error():
+    # the base losses stay finite while the adjusted losses and the loss gaps overflow: a block
+    # checks the adjustment before the theory statistics, as trace.adjusted before estimate_theory
+    config = SimConfig(n_steps=10, n_trials=5, drift=1.5e154, p_dt=0.999, error_scale=1.0001, p_db=0.5)
+    expected = _first_trial_error(config)
+    assert expected[1].startswith("the summed squared errors of the adjusted forecasts")
+    with pytest.raises(NumericError) as raised:
+        validate_prop1(config)
+    assert (type(raised.value), str(raised.value)) == expected
 
 
 @pytest.mark.parametrize("late", [0, 1])
