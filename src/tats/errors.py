@@ -13,6 +13,13 @@ import operator
 
 import numpy as np
 
+__all__ = [
+    "ConfigError",
+    "DataError",
+    "NumericError",
+    "TatsError",
+]
+
 
 class TatsError(Exception):
     """Base class for all errors raised by this package."""

@@ -24,10 +24,6 @@ from .ingest import _table_slice
 
 __all__ = [
     "ARModel",
-    "DriftForecaster",
-    "ExternalForecaster",
-    "NaiveForecaster",
-    "SESForecaster",
     "ValueForecasterSpec",
     "fit_ar",
     "fit_forecaster",

@@ -39,22 +39,7 @@ __all__ = [
     "estimate_theory",
     "lower_bound",
     "run_experiment",
-    "scenario_probabilities",
 ]
-
-
-def scenario_probabilities(p_db: float, p_dt: float) -> tuple[float, float, float, float]:
-    """Probabilities of the four direction outcomes (S1, S2, S3, S4).
-
-    S1: forecaster right, classifier right   -> p_db * p_dt
-    S2: forecaster right, classifier wrong   -> (1 - p_db) * p_dt
-    S3: forecaster wrong, classifier wrong   -> (1 - p_db) * (1 - p_dt)
-    S4: forecaster wrong, classifier right   -> p_db * (1 - p_dt)
-
-    Assumes the two error events are independent; the four terms sum to 1.
-    """
-    a, b = _real("p_db", p_db, 0.0, 1.0), _real("p_dt", p_dt, 0.0, 1.0)
-    return (a * b, (1.0 - a) * b, (1.0 - a) * (1.0 - b), a * (1.0 - b))
 
 
 def lower_bound(abs_gap: float, p_db: float, p_dt: float) -> float:

@@ -5,7 +5,9 @@ The library evaluates whole traces at once (``evaluate_forecasts`` and
 for a single step. ``scenario_tags`` and ``trace_stats`` are the earlier
 whole-trace formulas, kept as oracles: a nested selection for the
 scenario tags, and for the theory statistics hit counts taken from fresh
-signs of the moves with the gap sum beside them. ``synthetic_forecasts``,
+signs of the moves with the gap sum beside them. ``scenario_probabilities``
+is the independence model of the four scenario shares, which the
+Monte-Carlo trials must match. ``synthetic_forecasts``,
 ``oracle_draws`` and ``scenario_from_signs`` are the earlier Monte-Carlo
 trial formulas, which negate or tag through boolean masks. The tests
 check the library against all of them.
@@ -79,6 +81,20 @@ def trace_stats(trace) -> tuple[int, int, float, int]:
         fc_hits = int(np.count_nonzero(np.sign(trace.y_hat - trace.y_prev) * np.sign(deltas) > 0))
     clf_hits = int(np.count_nonzero(trace.direction == np.sign(deltas)))
     return clf_hits, fc_hits, gap_sum, int(deltas.size)
+
+
+def scenario_probabilities(p_db: float, p_dt: float) -> tuple[float, float, float, float]:
+    """Probabilities of the four direction outcomes (S1, S2, S3, S4).
+
+    S1: forecaster right, classifier right   -> p_db * p_dt
+    S2: forecaster right, classifier wrong   -> (1 - p_db) * p_dt
+    S3: forecaster wrong, classifier wrong   -> (1 - p_db) * (1 - p_dt)
+    S4: forecaster wrong, classifier right   -> p_db * (1 - p_dt)
+
+    Assumes the two error events are independent; the four terms sum to 1.
+    """
+    a, b = _real("p_db", p_db, 0.0, 1.0), _real("p_dt", p_dt, 0.0, 1.0)
+    return (a * b, (1.0 - a) * b, (1.0 - a) * (1.0 - b), a * (1.0 - b))
 
 
 def synthetic_forecasts(moves, y_prev, u, p_dt: float, error_scale: float) -> np.ndarray:

@@ -25,7 +25,6 @@ from tats import (
     lower_bound,
     mse,
     prepare_run,
-    scenario_probabilities,
     td_accuracy,
     trend_aware_loss,
     validate_prop1,
@@ -33,7 +32,7 @@ from tats import (
 from tats.cli import RESULTS_HEADER, main
 from tats.forecasters import fit_ar
 
-from scalar_reference import adjust, indicator
+from scalar_reference import adjust, indicator, scenario_probabilities
 
 FIXTURE = Path(__file__).resolve().parent.parent / "data" / "sample_forecasts.csv"
 

@@ -17,6 +17,7 @@ the groups below, so a new export or parameter fails
   tests at the end.
 
 numpy integers, floats and bools stay valid wherever an int, a real or a flag is.
+``scenario_probabilities`` of ``scalar_reference`` is probed like an export.
 """
 
 import dataclasses
@@ -61,13 +62,14 @@ from tats import (
     mse,
     prepare_run,
     run_experiment,
-    scenario_probabilities,
     sweep_alpha,
     synthetic_forecaster,
     td_accuracy,
     trend_aware_loss,
     validate_prop1,
 )
+
+from scalar_reference import scenario_probabilities
 
 SERIES = TimeSeries(100.0 + np.cumsum(np.random.default_rng(0).standard_normal(60)))
 VALUES = SERIES.values
@@ -150,6 +152,7 @@ CALLS = {
         config=TatsConfig(NAIVE, TrendPredictorSpec.majority()), dataset=Dataset(SERIES), alphas=[1.0, 2.0],
         theory_split="train",
     ), dict(config=OBJECT, dataset=OBJECT, alphas=ARRAY, theory_split=OBJECT)),
+    # not an export: the independence reference, which the acceptance tests feed realized rates
     "scenario_probabilities": ("scenario_probabilities", scenario_probabilities, dict(p_db=0.6, p_dt=0.5),
                                dict(p_db=REAL, p_dt=REAL)),
     "estimate_theory": ("estimate_theory", estimate_theory, dict(trace=TRACE), dict(trace=OBJECT)),

@@ -14,10 +14,11 @@ from tats import (
     lower_bound,
     prepare_run,
     run_experiment,
-    scenario_probabilities,
     sweep_alpha,
 )
 from tats.engine import evaluate_forecasts
+
+from scalar_reference import scenario_probabilities
 
 seed = 303
 npairs = 1000
