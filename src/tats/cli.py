@@ -22,7 +22,7 @@ from .classifiers import CLASSIFIER_KINDS, TrendPredictorSpec
 from .engine import TatsConfig, _check_alphas, prepare_run, sweep_alpha
 from .errors import ConfigError, DataError, NumericError
 from .forecasters import FORECASTER_KINDS, ValueForecasterSpec
-from .ingest import Dataset, _read_text, load_csv, load_external_directions, load_external_forecasts
+from .ingest import _read_text, load_csv, load_external_directions, load_external_forecasts
 from .metrics import mae, mape, mse, td_accuracy
 from .montecarlo import SimConfig, validate_prop1
 from .svgchart import line_chart
@@ -102,29 +102,29 @@ def _as_str_list(value: str, key: str) -> list[str]:
 
 
 # The run/sweep settings, one row each: (config key, converter, default,
-# allowed values or None, flag help). Config keys, flags and resolution all
-# come from this table; the order is the order of the flags in --help.
+# allowed values or None, flag help). Config keys, flags, their help's
+# defaults and resolution all come from this table; the order is the order
+# of the flags in --help. The fit's defaults are TatsConfig's own.
 _SETTINGS = (
     ("data", _as_str, None, None, "input CSV with one row per period"),
     ("target_column", _as_str, None, None, "name of the forecast target column"),
     ("exogenous_columns", _as_str_list, (), None, "comma-separated exogenous column names"),
     ("label_column", _as_str, None, None, "strictly increasing label column (dates, ids)"),
-    ("train_fraction", _as_float, 0.7, None, "chronological train share (default 0.7)"),
-    ("forecaster", _as_str, "ar", FORECASTER_KINDS, "value forecaster (default ar)"),
-    ("ar_order", _as_int, 2, None, "AR lag count (default 2)"),
+    ("train_fraction", _as_float, TatsConfig.train_fraction, None, "chronological train share"),
+    ("forecaster", _as_str, "ar", FORECASTER_KINDS, "value forecaster"),
+    ("ar_order", _as_int, 2, None, "AR lag count"),
     ("ses_smoothing", _as_float, None, None, "SES smoothing weight in (0, 1]"),
     ("external_forecasts", _as_str, None, None, "time_index,forecast CSV for the external forecaster"),
-    ("classifier", _as_str, "logistic", CLASSIFIER_KINDS, "trend classifier (default logistic)"),
-    ("knn_k", _as_int, 5, None, "KNN neighbor count (default 5)"),
+    ("classifier", _as_str, "logistic", CLASSIFIER_KINDS, "trend classifier"),
+    ("knn_k", _as_int, 5, None, "KNN neighbor count"),
     ("oracle_accuracy", _as_float, None, None, "oracle hit probability"),
     ("external_directions", _as_str, None, None, "time_index,direction CSV for the external classifier"),
     ("alphas", _as_float_list, None, None, "comma-separated adjustment step sizes"),
-    ("n_lags", _as_int, 2, None, "classifier feature lag count (default 2)"),
-    ("include_exogenous", _as_bool, True, None, "use exogenous columns as classifier features (default on)"),
-    ("exog_lag", _as_int, 0, None, "uniform lag applied to exogenous features (default 0)"),
-    ("seed", _as_int, 0, None, "seed for stochastic components (default 0)"),
-    ("refit_each_step", _as_bool, False, None, "refit the forecaster at every walk-forward step (default off)"),
-    ("theory_split", _as_str, "train", ("train", "test"), "split used for plug-in theory estimates (default train)"),
+    ("n_lags", _as_int, TatsConfig.n_lags, None, "classifier feature lag count"),
+    ("exog_lag", _as_int, TatsConfig.exog_lag, None, "uniform lag applied to exogenous features"),
+    ("seed", _as_int, 0, None, "seed for stochastic components"),
+    ("refit_each_step", _as_bool, TatsConfig.refit_each_step, None, "refit the forecaster at every walk-forward step"),
+    ("theory_split", _as_str, "train", ("train", "test"), "split used for plug-in theory estimates"),
     ("out_dir", _as_str, None, None, f"output directory (default ${ENV_OUT_DIR} or .)"),
 )
 _CONFIG_KEYS = tuple(row[0] for row in _SETTINGS)
@@ -242,7 +242,7 @@ def _prepare_experiment(args: argparse.Namespace):
         value_forecaster=forecaster, trend_predictor=classifier, n_lags=args.n_lags,
         refit_each_step=args.refit_each_step, exog_lag=args.exog_lag, train_fraction=args.train_fraction,
     )
-    return dataset if args.include_exogenous else Dataset(dataset.target), config, alphas
+    return dataset, config, alphas
 
 
 def _print_sweep(config: TatsConfig, alphas, base, adjusted) -> None:
@@ -277,7 +277,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     report = run.to_dict()
     report["config"].update(
         data=args.data, target_column=args.target_column, exogenous_columns=list(args.exogenous_columns),
-        label_column=args.label_column, include_exogenous=args.include_exogenous, seed=args.seed,
+        label_column=args.label_column, seed=args.seed,
     )
     # the first alpha of least test MSE
     best = min(zip(run.alphas, run.adjusted), key=lambda pair: pair[1].mse)[0]
@@ -363,9 +363,11 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 
 def _add_run_flags(parser: argparse.ArgumentParser, with_theory: bool) -> None:
     parser.add_argument("--config", help="flat key = value settings file")
-    for key, convert, _, choices, help_text in _SETTINGS:
+    for key, convert, default, choices, help_text in _SETTINGS:
         if key == "theory_split" and not with_theory:
             continue
+        if default not in (None, ()):
+            help_text += f" (default {('on' if default else 'off') if convert is _as_bool else default})"
         if convert is _as_bool:
             parser.add_argument(_flag(key), action=argparse.BooleanOptionalAction, help=help_text)
         else:

@@ -1,4 +1,5 @@
 import csv
+import inspect
 import json
 import os
 import re
@@ -554,6 +555,50 @@ def test_unknown_config_key_maps_to_exit_one(tmp_path):
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
 
 
+@pytest.mark.parametrize("flag, config_line", [
+    pytest.param(["--no-include-exogenous"], "", id="flag"),
+    pytest.param([], "include_exogenous = false", id="config-key"),
+])
+def test_the_removed_exogenous_switch_exits_one_with_one_line(tmp_path, capsys, flag, config_line):
+    # listing the exogenous columns is the one switch for the classifier's exogenous features
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config_line + "\n")
+    out = tmp_path / "out"
+    argv = _run_args(_write_prices(tmp_path / "prices.csv"), out, extra=("--config", str(cfg), *flag))
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_an_empty_exogenous_flag_overrides_the_config_files_columns(tmp_path):
+    data = _write_prices(tmp_path / "prices.csv")
+    listed, unlisted = tmp_path / "listed.cfg", tmp_path / "unlisted.cfg"
+    unlisted.write_text(f"data = {data}\ntarget_column = gold\n")
+    listed.write_text(unlisted.read_text() + "exogenous_columns = ftse\n")
+    assert main(["run", "--config", str(listed), "--exogenous-columns", "", "--out", str(tmp_path / "dropped")]) == 0
+    assert main(["run", "--config", str(unlisted), "--out", str(tmp_path / "none")]) == 0
+    assert main(["run", "--config", str(listed), "--out", str(tmp_path / "used")]) == 0
+    for name in ("report.json", "results.csv", "forecasts.svg", "mse_vs_alpha.svg"):
+        dropped = (tmp_path / "dropped" / name).read_bytes()
+        assert dropped == (tmp_path / "none" / name).read_bytes(), name
+    # the column changes the classifier's features, so the comparison is not vacuous
+    assert dropped != (tmp_path / "used" / "mse_vs_alpha.svg").read_bytes()
+
+
+@pytest.mark.parametrize("key, owner, param", [
+    ("ar_order", ValueForecasterSpec.ar, "order"),
+    ("knn_k", TrendPredictorSpec.knn, "k"),
+    ("seed", TrendPredictorSpec.oracle, "seed"),
+    ("theory_split", run_experiment, "theory_split"),
+    *[(key, TatsConfig, key) for key in ("train_fraction", "n_lags", "exog_lag", "refit_each_step")],
+])
+def test_the_cli_states_the_library_defaults(key, owner, param):
+    # a default changed on one side fails here instead of drifting silently
+    default = next(row[2] for row in _SETTINGS if row[0] == key)
+    assert default == inspect.signature(owner).parameters[param].default
+
+
 def test_config_file_and_flags_write_identical_artifacts(tmp_path):
     data = _write_prices(tmp_path / "prices.csv")
     (tmp_path / "fc.csv").write_text("time_index,forecast\n1,100.0\n")
@@ -565,7 +610,7 @@ def test_config_file_and_flags_write_identical_artifacts(tmp_path):
         "ar_order": "3", "ses_smoothing": "0.4", "external_forecasts": str(tmp_path / "fc.csv"),
         "classifier": "knn", "knn_k": "3", "oracle_accuracy": "0.6",
         "external_directions": str(tmp_path / "dirs.csv"), "alphas": "0.5,3", "n_lags": "3",
-        "include_exogenous": "false", "exog_lag": "1", "seed": "7",
+        "exog_lag": "1", "seed": "7",
         "refit_each_step": "true", "theory_split": "test",
     }
     cfg_out, flag_out = tmp_path / "cfg", tmp_path / "flags"
@@ -592,7 +637,7 @@ def test_config_file_and_flags_write_identical_artifacts(tmp_path):
         "data": str(data), "target_column": "gold", "exogenous_columns": ["ftse"],
         "label_column": "day", "train_fraction": 0.6, "forecaster": "ses(0.4)",
         "classifier": "knn(k=3)", "alphas": [0.5, 3.0], "n_lags": 3,
-        "include_exogenous": False, "exog_lag": 1, "seed": 7, "theory_split": "test",
+        "exog_lag": 1, "seed": 7, "theory_split": "test",
         "refit_each_step": True,
     }
 
@@ -602,7 +647,7 @@ def test_config_file_and_flags_write_identical_artifacts(tmp_path):
     [
         pytest.param(["run", "--train-fraction", "abc"], "", id="flag-float"),
         pytest.param(["run", "--knn-k", "x"], "", id="flag-int"),
-        pytest.param(["run"], "include_exogenous = maybe", id="config-bool"),
+        pytest.param(["run"], "refit_each_step = maybe", id="config-bool"),
         pytest.param(["run", "--forecaster", "bogus"], "", id="flag-choice"),
         pytest.param(["run"], "forecaster = bogus", id="config-choice"),
         pytest.param(["run", "--seed", "-1"], "", id="run-negative-seed"),

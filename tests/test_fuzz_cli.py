@@ -59,7 +59,7 @@ PAIRS = {
     "ses-knn": ["--forecaster", "ses", "--ses-smoothing", "0.5", "--classifier", "knn", "--knn-k", "3"],
     "ar3-refit-oracle": ["--ar-order", "3", "--refit-each-step", "--classifier", "oracle",
                          "--oracle-accuracy", "0.7"],
-    "ar1-logistic-test-split": ["--ar-order", "1", "--no-include-exogenous", "--theory-split", "test"],
+    "ar1-logistic-test-split": ["--ar-order", "1", "--exogenous-columns", "", "--theory-split", "test"],
     "naive-knn-exog-lag": ["--forecaster", "naive", "--classifier", "knn", "--exog-lag", "2"],
 }
 
@@ -68,7 +68,7 @@ CONFIG_CASES = {
     "removed-learning-rate": b"logistic_learning_rate = 0.1\n",
     "no-equals": b"ar_order 2\n",
     "duplicate-key": b"ar_order = 2\nar_order = 3\n",
-    "bad-bool": b"include_exogenous = maybe\n",
+    "bad-bool": b"refit_each_step = maybe\n",
     "bad-int": b"ar_order = two\n",
     "float-int": b"knn_k = 2.5\nclassifier = knn\n",
     "bad-float": b"train_fraction = abc\n",

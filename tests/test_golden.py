@@ -127,9 +127,9 @@ def test_the_library_run_record_is_the_golden_report(case, tmp_path):
     )
     config = TatsConfig(forecaster, classifier, refit_each_step=case == "run_drift_nb_refit")
     report = run_experiment(config, dataset, DEFAULT_ALPHAS).to_dict()
-    # the six keys that only the command line knows
+    # the five keys that only the command line knows
     report["config"].update(data=DATA, target_column="price", exogenous_columns=["signal"], label_column=None,
-                            include_exogenous=True, seed=3 if case == "run_ar_oracle" else 0)
+                            seed=3 if case == "run_ar_oracle" else 0)
     assert json.dumps(report, sort_keys=True, indent=2) + "\n" == (GOLDEN / case / "report.json").read_text()
 
 
