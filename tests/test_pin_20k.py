@@ -25,7 +25,7 @@ ARGS = [
     "--classifier", "logistic", "--theory-split", "train", "--seed", "0",
 ]
 DIGESTS = {
-    "report.json": "d3fc683e6556a5b6f99cdee475379a551878aeb828cd4d4dfc1c9397583ddf68",
+    "report.json": "4b450f9f9b92fa0528ded7b50f7101e15e892a326aaeb58445346631f70e848f",
     "results.csv": "c961c95bbec0baba13598da3c5fa07a5cafe25a80a1c3de32ffcd890ea9f9a41",
     "forecasts.svg": "8a4e7992a3e70a1d29f740c659efe6d10fb7a5160dc98b9b604d90eb0aaf0c69",
 }
