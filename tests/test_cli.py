@@ -457,6 +457,20 @@ def test_help_exits_zero(capsys):
     assert "run" in capsys.readouterr().out
 
 
+def test_run_help_states_each_default(capsys):
+    assert main(["run", "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for phrase in (
+        "chronological train share (default 0.7)", "value forecaster (default ar)", "AR lag count (default 2)",
+        "trend classifier (default logistic)", "KNN neighbor count (default 5)",
+        "classifier feature lag count (default 2)", "uniform lag applied to exogenous features (default 0)",
+        "seed for stochastic components (default 0)", "refit the forecaster at every walk-forward step (default off)",
+        "split used for plug-in theory estimates (default train)", "output directory (default $TATS_OUT_DIR or .)",
+        "comma-separated exogenous column names --label-column",
+    ):
+        assert phrase in text, phrase
+
+
 def test_parse_config_file(tmp_path):
     cfg = tmp_path / "a.cfg"
     cfg.write_text("# comment\n\ndata = x.csv\nseed = 4\n")
