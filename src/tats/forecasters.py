@@ -6,15 +6,16 @@ conditions on. Every fitted model has one hook, forecast_path(values,
 start), which forecasts values[t] from values[:t] for each t from start
 to the end in one call; a start below its required_history or past the
 end raises a ConfigError. It is a pure function of (model, values), so
-traces are reproducible and models can be shared across runs. A config
-flag allows refitting at every step for callers who want it; only AR and
-drift read the history when fit, so only they are refit.
+traces are reproducible and models can be shared across runs. Naive and
+drift are AR(1) models of coefficient 1. A config flag refits AR and
+drift, the only fits that read the history, at every step.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -31,6 +32,8 @@ __all__ = [
 
 AR_RIDGE_PENALTY = 1e-8
 FORECASTER_KINDS = ("naive", "drift", "ar", "ses", "external")
+_UNIT = np.ones(1)  # the one coefficient of naive and drift, shared by every such model
+_UNIT.flags.writeable = False
 # Veltkamp's splitter for 53-bit significands, and the bounds of the range where _fma is exact
 _SPLITTER = 2.0**27 + 1.0
 _SPLIT_MAX, _PRODUCT_MIN, _TERM_MAX = 2.0**995, 2.0**-968, 2.0**1021
@@ -169,36 +172,12 @@ def _check_start(label: str, required: int, values: np.ndarray, start: int) -> N
 
 
 @dataclass(frozen=True)
-class NaiveForecaster:
-    """Forecasts the last observed value."""
-
-    required_history: int = 1
-
-    def forecast_path(self, values: np.ndarray, start: int) -> np.ndarray:
-        _check_start("naive", self.required_history, values, start)
-        return values[start - 1 : -1]
-
-
-@dataclass(frozen=True)
-class DriftForecaster:
-    """Forecasts the last value plus the mean training step."""
-
-    mean_step: float
-    required_history: int = 1
-
-    def forecast_path(self, values: np.ndarray, start: int) -> np.ndarray:
-        _check_start("drift", self.required_history, values, start)
-        # an overflow gives inf, which the loss check reports
-        with np.errstate(over="ignore"):
-            return values[start - 1 : -1] + self.mean_step
-
-
-@dataclass(frozen=True)
 class ARModel:
     """Autoregression y_t = intercept + sum_i coefficients[i-1] * y_{t-i}.
 
-    degenerate is True when the least-squares system was rank deficient
-    and a small ridge penalty was used instead.
+    Naive and drift fit to coefficients [1] and intercept 0 or the mean
+    training step. degenerate is True when the least-squares system was
+    rank deficient and a small ridge penalty was used instead.
     """
 
     intercept: float
@@ -240,7 +219,7 @@ class SESForecaster:
     """
 
     smoothing: float
-    required_history: int = 1
+    required_history: ClassVar[int] = 1
 
     def forecast_path(self, values: np.ndarray, start: int) -> np.ndarray:
         _check_start("SES", self.required_history, values, start)
@@ -262,7 +241,7 @@ class ExternalForecaster:
     """
 
     forecasts: np.ndarray
-    required_history: int = 1
+    required_history: ClassVar[int] = 1
 
     def forecast_path(self, values: np.ndarray, start: int) -> np.ndarray:
         _check_start("external", self.required_history, values, start)
@@ -309,13 +288,13 @@ def fit_forecaster(spec: ValueForecasterSpec, train: TimeSeries):
     _instance("spec", spec, ValueForecasterSpec)
     _instance("train", train, TimeSeries)
     if spec.kind == "naive":
-        return NaiveForecaster()
+        return ARModel(intercept=0.0, coefficients=_UNIT)
     if spec.kind == "drift":
         if len(train) < 2:
             raise DataError("drift forecaster needs at least 2 training values")
         with np.errstate(over="ignore", invalid="ignore"):
             mean_step = _require_finite(np.mean(np.diff(train.values)), "the mean training step")
-        return DriftForecaster(mean_step=float(mean_step))
+        return ARModel(intercept=float(mean_step), coefficients=_UNIT)
     if spec.kind == "ar":
         return fit_ar(train, spec.order)
     if spec.kind == "ses":
@@ -328,14 +307,11 @@ def _walk_forward(spec, fitted, values: np.ndarray, start: int, refit_each_step:
 
     ``fitted`` serves every step unless refit_each_step is set and ``spec``
     is AR or drift, in which case each step after the first refits
-    ``spec`` on its history. Naive, SES and external fits build the same
-    model from any history.
+    ``spec`` on its history and the walk runs one AR model per step.
+    Naive, SES and external fits build the same model from any history.
     """
     path = fitted.forecast_path(values, start)  # a refit walk starts with this model's first step too
     if not refit_each_step or spec.kind not in ("ar", "drift"):
         return path
     models = [fitted] + [fit_forecaster(spec, TimeSeries(values[:t])) for t in range(start + 1, values.size)]
-    if spec.kind == "ar":
-        return _ar_path(np.array([m.intercept for m in models]), np.stack([m.coefficients for m in models]), values, start)
-    with np.errstate(over="ignore"):
-        return values[start - 1 : -1] + np.array([m.mean_step for m in models])
+    return _ar_path(np.array([m.intercept for m in models]), np.stack([m.coefficients for m in models]), values, start)

@@ -18,9 +18,7 @@ from tats import (
 )
 from tats.forecasters import (
     ARModel,
-    DriftForecaster,
     ExternalForecaster,
-    NaiveForecaster,
     SESForecaster,
     _fma,
     _walk_forward,
@@ -74,28 +72,29 @@ def _same_doubles(x, y):
     return bool(np.all((x.view(np.int64) == y.view(np.int64)) | (np.isnan(x) & np.isnan(y))))
 
 
-def _reference_forecast_one(model, history, external=None):
-    """The per-step forecast of each model before forecast_path, kept as the oracle.
+def _reference_forecast_one(kind, model, history, external=None):
+    """The per-step forecast of each kind of model before forecast_path, kept as the oracle.
 
-    ``external`` maps series positions to forecasts for an ExternalForecaster.
+    Naive and drift fit to AR(1) models of coefficient 1, so the kind, not the class, picks
+    their own formulas. ``external`` maps series positions to forecasts for an ExternalForecaster.
     """
-    if isinstance(model, NaiveForecaster):
+    if kind == "naive":
         return float(history[-1])
-    if isinstance(model, DriftForecaster):
-        return float(history[-1]) + model.mean_step
-    if isinstance(model, ARModel):
+    if kind == "drift":
+        return float(history[-1]) + model.intercept  # the mean training step
+    if kind == "ar":
         # the fused chain from +0.0, newest lag first, each step rounded once
         acc = 0.0
         for coefficient, lag in zip(model.coefficients, history[::-1]):
             acc = _fraction_fma(coefficient, lag, acc)
         return model.intercept + acc
-    if isinstance(model, SESForecaster):
+    if kind == "ses":
         level = float(history[0])
         lam = model.smoothing
         for value in history[1:]:
             level = lam * float(value) + (1.0 - lam) * level
         return level
-    assert isinstance(model, ExternalForecaster)
+    assert kind == "external"
     return external[int(len(history))]
 
 
@@ -104,7 +103,7 @@ def _reference_walk(spec, fitted, values, start, refit_each_step=False, external
     for i, t in enumerate(range(start, values.size)):
         if refit_each_step and t > start:
             fitted = fit_forecaster(spec, TimeSeries(values[:t]))
-        out[i] = _reference_forecast_one(fitted, values[:t], external)
+        out[i] = _reference_forecast_one(spec.kind, fitted, values[:t], external)
     return out
 
 
@@ -252,8 +251,8 @@ def test_ar_too_short():
 
 
 FORECASTERS = {
-    "naive": NaiveForecaster(),
-    "drift": DriftForecaster(mean_step=0.5),
+    "naive": fit_forecaster(ValueForecasterSpec.naive(), _series([0.0, 1.0])),
+    "drift": fit_forecaster(ValueForecasterSpec.drift(), _series([0.0, 0.5])),
     "ses": SESForecaster(smoothing=0.4),
     "ar2": ARModel(intercept=0.0, coefficients=np.array([0.5, 0.5])),
     "external": ExternalForecaster(forecasts=np.concatenate([[np.nan], np.arange(1.0, 10.0)])),
@@ -421,14 +420,15 @@ def test_ar_path_is_exact_outside_the_array_range():
         model = ARModel(intercept=intercept, coefficients=np.array(coefficients))
         start = model.order
         path = model.forecast_path(values, start)
-        reference = [_reference_forecast_one(model, values[:t]) for t in range(start, values.size)]
+        reference = [_reference_forecast_one("ar", model, values[:t]) for t in range(start, values.size)]
         assert _same_doubles(path, reference)
     # a model with no lags forecasts its intercept, as its empty dot did
     assert _same_doubles(ARModel(intercept=0.5, coefficients=np.array([])).forecast_path(values, 0), [0.5] * 20)
     # tiny values with no zero among them: every product's error term underflows
     tiny = 1e-160 * (1.0 + np.sin(np.arange(30.0)) / 4.0)
     model = ARModel(intercept=0.0, coefficients=np.array([1e-150, -3e-151]))
-    assert _same_doubles(model.forecast_path(tiny, 2), [_reference_forecast_one(model, tiny[:t]) for t in range(2, 30)])
+    reference = [_reference_forecast_one("ar", model, tiny[:t]) for t in range(2, 30)]
+    assert _same_doubles(model.forecast_path(tiny, 2), reference)
     # a walk of huge values stays finite; past the float64 range it is inf, with no warning
     huge = 1e301 * (1.0 + np.sin(np.arange(50.0)) / 4.0)
     path = ARModel(intercept=1.0, coefficients=np.array([0.6, 0.3])).forecast_path(huge, 2)
@@ -584,6 +584,63 @@ def test_naive_and_drift_paths_match_per_step_forecasts(spec):
     for start in (1, 1000):
         path = _walk_forward(spec, fitted, values, start, False)
         assert np.array_equal(path, _reference_walk(spec, fitted, values, start))
+
+
+def test_naive_and_drift_fit_to_unit_coefficient_ar_models():
+    train = _series([7.0, 7.25, 7.5, 7.75, 8.0])
+    naive = fit_forecaster(ValueForecasterSpec.naive(), train)
+    drift = fit_forecaster(ValueForecasterSpec.drift(), train)
+    for model, intercept in ((naive, 0.0), (drift, 0.25)):
+        assert type(model) is ARModel and model.intercept == intercept and not model.degenerate
+        assert np.array_equal(model.coefficients, [1.0]) and model.order == model.required_history == 1
+    # every such model shares one read-only unit array
+    assert naive.coefficients is drift.coefficients and not naive.coefficients.flags.writeable
+
+
+def _edge_series(n=200):
+    """Series on which the unit AR path meets signed zeros or leaves _fma's range, by name."""
+    rng = np.random.default_rng(seed + 18)
+    zeros = rng.choice([0.0, -0.0], n)
+    ints = np.cumsum(rng.integers(-2, 3, n)).astype(float)
+    ints -= ints[n // 2]
+    top = np.finfo(float).max
+    return {
+        # a walk that sits at zero, many of its zero cells -0.0
+        "signed-zeros": np.where(ints == 0.0, zeros, ints),
+        # signed zeros alone, where drift's mean step is +0.0 (numpy sums from +0.0, so it is never -0.0)
+        "zeros-only": zeros,
+        # steps of a few times the smallest subnormal: no product is large enough for _fma's range
+        "subnormal-steps": np.where(ints == 0.0, zeros, ints * 5e-324),
+        # values beyond 2**995 are too large to split
+        "beyond-2**995": 2.0**1000 + ints * 2.0**990,
+        # a ramp to the largest double, where drift's forecast overflows to inf
+        "overflow": top - 2.0**975 * np.maximum(np.arange(n)[::-1] - 1.0, 0.0),
+    }
+
+
+@pytest.mark.parametrize("refit_each_step", [False, True], ids=["frozen", "refit"])
+@pytest.mark.parametrize("kind", ["naive", "drift"])
+@pytest.mark.parametrize("case", list(_edge_series()))
+def test_naive_and_drift_keep_their_formulas_on_edge_values(case, kind, refit_each_step, monkeypatch):
+    import tats.forecasters as forecasters
+
+    exact_calls = []
+    scalar = forecasters._fma_exact
+    monkeypatch.setattr(forecasters, "_fma_exact", lambda *abc: exact_calls.append(abc) or scalar(*abc))
+    values, spec, flips = _edge_series()[case], ValueForecasterSpec(kind), 0
+    for start in (2, values.size // 2):
+        fitted = fit_forecaster(spec, TimeSeries(values[:start]))
+        path = _walk_forward(spec, fitted, values, start, refit_each_step)
+        old = _reference_walk(spec, fitted, values, start, refit_each_step)
+        assert np.array_equal(path, old)
+        # the AR path adds each lag to +0.0, so a -0.0 forecast comes out +0.0; no other sign changes
+        flipped = np.signbit(path) != np.signbit(old)
+        assert np.array_equal(flipped, (old == 0.0) & np.signbit(old))
+        flips += np.count_nonzero(flipped)
+    assert (flips > 0) == (kind == "naive" and case in ("signed-zeros", "zeros-only", "subnormal-steps"))
+    assert bool(exact_calls) == (case in ("subnormal-steps", "beyond-2**995", "overflow"))
+    if case == "overflow" and kind == "drift":
+        assert np.isinf(path[-1])
 
 
 def test_external_path_matches_per_step_forecasts():
