@@ -39,7 +39,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .classifiers import _directions_into
-from .core import TimeSeries
 from .engine import _adjust_into, _evaluate_into, _named_counts, _scenario_counts
 from .errors import ConfigError, NumericError, TatsError, _instance, _int_at_least, _real, _require_finite
 from .theory import _estimate, _trace_stats
@@ -47,8 +46,6 @@ from .theory import _estimate, _trace_stats
 __all__ = [
     "SimConfig",
     "SimulationReport",
-    "gen_random_walk",
-    "synthetic_forecaster",
     "validate_prop1",
 ]
 
@@ -89,28 +86,8 @@ class SimConfig:
             object.__setattr__(self, name, _real(name, getattr(self, name), low, high, "()"))
 
 
-def gen_random_walk(
-    n: int,
-    drift: float,
-    volatility: float,
-    seed: int | np.random.SeedSequence | np.random.Generator,
-) -> TimeSeries:
-    """Gaussian random walk of length n starting at 100."""
-    n, drift = _int_at_least("walk length", n, 2), _real("drift", drift)
-    volatility, rng = _real("volatility", volatility, 0.0, ends="()"), _rng(seed)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return TimeSeries(_walk_into(np.empty(n), rng.standard_normal(n - 1), drift, volatility))
-
-
-def _rng(seed) -> np.random.Generator:
-    """np.random.default_rng of a Generator, a SeedSequence, or an int seed checked here."""
-    if not isinstance(seed, (np.random.Generator, np.random.SeedSequence)):
-        seed = _int_at_least("seed", seed, 0)
-    return np.random.default_rng(seed)
-
-
 def _walk_into(walk: np.ndarray, steps: np.ndarray, drift: float, volatility: float) -> np.ndarray:
-    """:func:`gen_random_walk` of the standard normal draws in steps (made the steps), into walk; one walk per row."""
+    """Walks from 100 by steps drift + volatility*z, z the standard normal draws in steps (made the steps); one per row."""
     steps *= volatility
     steps += drift
     walk[..., 0] = 0.0
@@ -120,37 +97,8 @@ def _walk_into(walk: np.ndarray, steps: np.ndarray, drift: float, volatility: fl
     return _require_finite(walk, "the random walk")
 
 
-def synthetic_forecaster(
-    series: TimeSeries,
-    p_dt: float,
-    error_scale: float,
-    seed: int | np.random.SeedSequence | np.random.Generator,
-) -> np.ndarray:
-    """Forecasts with dialed-in directional accuracy and proportional error.
-
-    For each step t >= 1 with delta = y_t - y_{t-1}, the forecast is
-    y_{t-1} + error_scale*delta with probability p_dt (direction right)
-    and y_{t-1} - error_scale*delta otherwise (direction wrong). The
-    series must have no flat steps; regenerate it if it does.
-    """
-    _instance("series", series, TimeSeries)
-    p_dt, error_scale = _real("p_dt", p_dt, 0.0, 1.0, "()"), _real("error_scale", error_scale, 0.0, ends="()")
-    rng = _rng(seed)
-    # steps of huge walks can overflow; that shows in the forecasts checked by the kernel
-    with np.errstate(over="ignore", invalid="ignore"):
-        moves = np.diff(series.values)
-        flat = np.flatnonzero(moves == 0.0)
-        if flat.size:
-            raise NumericError(
-                f"flat step at index {flat[0] + 1}: directional accuracy is undefined there; "
-                "regenerate or perturb the series"
-            )
-        return _forecast_into(np.empty(moves.size), series.values[:-1], moves, p_dt, error_scale,
-                              rng.random(moves.size))
-
-
 def _forecast_into(forecasts, y_prev, moves, p_dt: float, error_scale: float, u) -> np.ndarray:
-    """:func:`synthetic_forecaster` of the uniform draws in u for moves without flat steps, into forecasts."""
+    """y_prev + error_scale*moves where the uniform draw in u is below p_dt, else y_prev - error_scale*moves."""
     # u becomes the factor -1.0 where the direction is wrong (u >= p_dt) and 1.0 elsewhere;
     # multiplying by -1.0 negates exactly, signed zeros and infinities included
     np.greater_equal(u, p_dt, out=u, casting="unsafe")

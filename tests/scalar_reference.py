@@ -9,16 +9,20 @@ signs of the moves with the gap sum beside them. ``scenario_probabilities``
 is the independence model of the four scenario shares, which the
 Monte-Carlo trials must match. ``synthetic_forecasts``,
 ``oracle_draws`` and ``scenario_from_signs`` are the earlier Monte-Carlo
-trial formulas, which negate or tag through boolean masks. The tests
-check the library against all of them.
+trial formulas, which negate or tag through boolean masks.
+``gen_random_walk`` and ``synthetic_forecaster`` are the 1-D, seeded
+forms of the trial kernels, with their range checks. The tests check the
+library against all of them.
 """
 
 import math
 
 import numpy as np
 
+from tats.core import TimeSeries
 from tats.engine import Scenario
-from tats.errors import DataError, _real
+from tats.errors import DataError, NumericError, _instance, _int_at_least, _real
+from tats.montecarlo import _forecast_into, _walk_into
 
 
 def indicator(y_hat: float, y_prev: float, direction: int) -> int:
@@ -117,3 +121,51 @@ def scenario_from_signs(implied, direction, actual) -> np.ndarray:
     tags = 1 + 2 * fc_wrong.astype(int) + (fc_wrong ^ (direction != actual))
     return tags * (implied * actual != 0)
 
+
+def gen_random_walk(
+    n: int,
+    drift: float,
+    volatility: float,
+    seed: int | np.random.SeedSequence | np.random.Generator,
+) -> TimeSeries:
+    """Gaussian random walk of length n starting at 100."""
+    n, drift = _int_at_least("walk length", n, 2), _real("drift", drift)
+    volatility, rng = _real("volatility", volatility, 0.0, ends="()"), _rng(seed)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return TimeSeries(_walk_into(np.empty(n), rng.standard_normal(n - 1), drift, volatility))
+
+
+def _rng(seed) -> np.random.Generator:
+    """np.random.default_rng of a Generator, a SeedSequence, or an int seed checked here."""
+    if not isinstance(seed, (np.random.Generator, np.random.SeedSequence)):
+        seed = _int_at_least("seed", seed, 0)
+    return np.random.default_rng(seed)
+
+
+def synthetic_forecaster(
+    series: TimeSeries,
+    p_dt: float,
+    error_scale: float,
+    seed: int | np.random.SeedSequence | np.random.Generator,
+) -> np.ndarray:
+    """Forecasts with dialed-in directional accuracy and proportional error.
+
+    For each step t >= 1 with delta = y_t - y_{t-1}, the forecast is
+    y_{t-1} + error_scale*delta with probability p_dt (direction right)
+    and y_{t-1} - error_scale*delta otherwise (direction wrong). The
+    series must have no flat steps; regenerate it if it does.
+    """
+    _instance("series", series, TimeSeries)
+    p_dt, error_scale = _real("p_dt", p_dt, 0.0, 1.0, "()"), _real("error_scale", error_scale, 0.0, ends="()")
+    rng = _rng(seed)
+    # steps of huge walks can overflow; that shows in the forecasts checked by the kernel
+    with np.errstate(over="ignore", invalid="ignore"):
+        moves = np.diff(series.values)
+        flat = np.flatnonzero(moves == 0.0)
+        if flat.size:
+            raise NumericError(
+                f"flat step at index {flat[0] + 1}: directional accuracy is undefined there; "
+                "regenerate or perturb the series"
+            )
+        return _forecast_into(np.empty(moves.size), series.values[:-1], moves, p_dt, error_scale,
+                              rng.random(moves.size))

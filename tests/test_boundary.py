@@ -17,7 +17,8 @@ the groups below, so a new export or parameter fails
   tests at the end.
 
 numpy integers, floats and bools stay valid wherever an int, a real or a flag is.
-``scenario_probabilities`` of ``scalar_reference`` is probed like an export.
+``scenario_probabilities``, ``gen_random_walk`` and ``synthetic_forecaster``
+of ``scalar_reference`` are probed like exports.
 """
 
 import dataclasses
@@ -52,7 +53,6 @@ from tats import (
     fit_ar,
     fit_classifier,
     fit_forecaster,
-    gen_random_walk,
     load_csv,
     load_external_directions,
     load_external_forecasts,
@@ -63,13 +63,12 @@ from tats import (
     prepare_run,
     run_experiment,
     sweep_alpha,
-    synthetic_forecaster,
     td_accuracy,
     trend_aware_loss,
     validate_prop1,
 )
 
-from scalar_reference import scenario_probabilities
+from scalar_reference import gen_random_walk, scenario_probabilities, synthetic_forecaster
 
 SERIES = TimeSeries(100.0 + np.cumsum(np.random.default_rng(0).standard_normal(60)))
 VALUES = SERIES.values
@@ -135,6 +134,7 @@ CALLS = {
     "fit_classifier": ("fit_classifier", fit_classifier, dict(spec=TrendPredictorSpec.majority(), features=FEATURES),
                        dict(spec=OBJECT, features=OBJECT)),
     "fit_forecaster": ("fit_forecaster", fit_forecaster, dict(spec=NAIVE, train=SERIES), dict(spec=OBJECT, train=OBJECT)),
+    # not an export: the 1-D form of the trial walk
     "gen_random_walk": ("gen_random_walk", gen_random_walk, dict(n=10, drift=0.0, volatility=1.0, seed=0),
                         dict(n=INT, drift=REAL, volatility=REAL, seed=INT)),
     "load_csv": ("load_csv", load_csv, dict(
@@ -157,6 +157,7 @@ CALLS = {
                                dict(p_db=REAL, p_dt=REAL)),
     "estimate_theory": ("estimate_theory", estimate_theory, dict(trace=TRACE), dict(trace=OBJECT)),
     "sweep_alpha": ("sweep_alpha", sweep_alpha, dict(trace=TRACE, alphas=[1.0, 2.0]), dict(trace=OBJECT, alphas=ARRAY)),
+    # not an export: the 1-D form of the trial forecasts
     "synthetic_forecaster": ("synthetic_forecaster", synthetic_forecaster, dict(
         series=SERIES, p_dt=0.5, error_scale=0.5, seed=0,
     ), dict(series=OBJECT, p_dt=REAL, error_scale=REAL, seed=INT)),

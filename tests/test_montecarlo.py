@@ -16,13 +16,10 @@ from tats import ConfigError, NumericError, SimConfig, TatsError, estimate_theor
 from tats import montecarlo
 from tats.classifiers import OracleTrendPredictor
 from tats.engine import evaluate_forecasts
-from tats.montecarlo import (
-    _SEED_BLOCK, _forecast_into, _seed_states, _walk_into, _walks_into, _Workspace, gen_random_walk,
-    synthetic_forecaster,
-)
+from tats.montecarlo import _SEED_BLOCK, _forecast_into, _seed_states, _walk_into, _walks_into, _Workspace
 from tats.theory import _estimate
 
-from scalar_reference import scenario_tags, synthetic_forecasts, trace_stats
+from scalar_reference import gen_random_walk, scenario_tags, synthetic_forecaster, synthetic_forecasts, trace_stats
 
 seed = 808
 ROOT = Path(__file__).resolve().parents[1]
