@@ -345,6 +345,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_metrics(args: argparse.Namespace) -> int:
+    if args.forecast_column == args.actual_column:
+        raise ConfigError(f"--actual-column and --forecast-column both name '{args.actual_column}'")
     dataset = load_csv(args.data, args.actual_column, [args.forecast_column])
     actual = dataset.target.values
     forecast = dataset.exogenous[args.forecast_column].values

@@ -250,6 +250,20 @@ def test_metrics_custom_columns(tmp_path, capsys):
     assert "MSE 8.0" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("flags, column", [
+    (["--actual-column", "actual", "--forecast-column", "actual"], "actual"),
+    (["--forecast-column", "actual"], "actual"),
+    (["--actual-column", "forecast"], "forecast"),
+], ids=["both", "forecast-only", "actual-only"])
+def test_metrics_refuses_one_column_for_both_sides(tmp_path, capsys, flags, column):
+    # the message names the two flags, not the exogenous columns that load_csv would name
+    data = _write_fixture(tmp_path / "fc.csv")
+    assert main(["metrics", "--data", str(data), *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --actual-column and --forecast-column both name '{column}'\n"
+
+
 def test_metrics_one_row_prints_nothing(tmp_path, capsys):
     path = tmp_path / "fc.csv"
     path.write_text("actual,forecast\n7,8\n")
