@@ -87,7 +87,7 @@ class SimConfig:
 
 
 def _walk_into(walk: np.ndarray, steps: np.ndarray, drift: float, volatility: float) -> np.ndarray:
-    """Walks from 100 by steps drift + volatility*z, z the standard normal draws in steps (made the steps); one per row."""
+    """Walks from 100 into walk, one per row, by drift + volatility * the normal draws in steps (made the steps)."""
     steps *= volatility
     steps += drift
     walk[..., 0] = 0.0
@@ -98,7 +98,7 @@ def _walk_into(walk: np.ndarray, steps: np.ndarray, drift: float, volatility: fl
 
 
 def _forecast_into(forecasts, y_prev, moves, p_dt: float, error_scale: float, u) -> np.ndarray:
-    """y_prev + error_scale*moves where the uniform draw in u is below p_dt, else y_prev - error_scale*moves."""
+    """y_prev +- error_scale*moves into forecasts, + where the draw in u is below p_dt; moves must not be flat."""
     # u becomes the factor -1.0 where the direction is wrong (u >= p_dt) and 1.0 elsewhere;
     # multiplying by -1.0 negates exactly, signed zeros and infinities included
     np.greater_equal(u, p_dt, out=u, casting="unsafe")
