@@ -115,6 +115,14 @@ class TrendPredictorSpec:
         return cls("external", source=source)
 
 
+def _check_rows(rows, width: int | None) -> None:
+    """Refuse rows that are not a 2-D array of numbers of width columns (any width if None)."""
+    _instance("rows", rows, np.ndarray)
+    if not (rows.ndim == 2 and rows.dtype.kind in "iuf" and width in (None, rows.shape[1])):
+        raise ConfigError(f"rows must be a 2-D array of numbers with {'any' if width is None else width} "
+                          f"columns, got {rows.dtype} of shape {rows.shape}")
+
+
 @dataclass(frozen=True)
 class MajorityClassifier:
     """Always predicts the most frequent training direction (tie: UP)."""
@@ -122,10 +130,11 @@ class MajorityClassifier:
     direction: int
 
     def predict_matrix(self, rows: np.ndarray) -> np.ndarray:
+        _check_rows(rows, None)
         return np.full(rows.shape[0], self.direction, dtype=int)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LogisticClassifier:
     """Logistic regression trained by 1,000 full-batch gradient steps of 0.1.
 
@@ -151,10 +160,11 @@ class LogisticClassifier:
         return _require_finite(scores, "the logistic scores")
 
     def predict_matrix(self, rows: np.ndarray) -> np.ndarray:
+        _check_rows(rows, self.weights.size)
         return np.where(self._scores(rows) >= 0.0, 1, -1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussianNBClassifier:
     """Gaussian naive Bayes over feature columns (variance floor 1e-9).
 
@@ -166,6 +176,7 @@ class GaussianNBClassifier:
     variances: np.ndarray
 
     def predict_matrix(self, rows: np.ndarray) -> np.ndarray:
+        _check_rows(rows, self.means.shape[1])
         # log N(x; mu, var) summed over features, one column per class
         scores = np.empty((rows.shape[0], 2))
         with np.errstate(over="ignore", invalid="ignore"):
@@ -178,7 +189,7 @@ class GaussianNBClassifier:
         return np.where(scores[:, 0] >= scores[:, 1], 1, -1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KNNClassifier:
     """k-nearest-neighbor direction vote (Euclidean distance, tie: UP)."""
 
@@ -187,6 +198,7 @@ class KNNClassifier:
     k: int
 
     def predict_matrix(self, rows: np.ndarray) -> np.ndarray:
+        _check_rows(rows, self.rows.shape[1])
         out = np.empty(rows.shape[0], dtype=int)
         for i in range(rows.shape[0]):
             with np.errstate(over="ignore", invalid="ignore"):
@@ -213,7 +225,10 @@ class OracleTrendPredictor:
     seed: int | np.random.bit_generator.ISeedSequence
 
     def draw_many(self, truths: np.ndarray) -> np.ndarray:
-        """Draws for +1/-1/0 truth signs (0 meaning flat)."""
+        """Draws for a 1-D array of +1/-1/0 truth signs (0 meaning flat)."""
+        _instance("truths", truths, np.ndarray)
+        if not (truths.ndim == 1 and truths.dtype.kind in "iuf" and np.isin(truths, (-1, 0, 1)).all()):
+            raise ConfigError(f"truths must be a 1-D array of -1, 0 and +1, got {truths.dtype} of shape {truths.shape}")
         u = np.random.default_rng(self.seed).random(truths.size)
         return _directions_into(truths, self.accuracy, u, np.empty(truths.size, dtype=np.result_type(truths, bool)))
 

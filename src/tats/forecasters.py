@@ -4,11 +4,12 @@ Parameters are fit once on the training split and never touched again;
 walking forward only appends realized values to the history each model
 conditions on. Every fitted model has one hook, forecast_path(values,
 start), which forecasts values[t] from values[:t] for each t from start
-to the end in one call; a start below its required_history or past the
-end raises a ConfigError. It is a pure function of (model, values), so
-traces are reproducible and models can be shared across runs. Naive and
-drift are AR(1) models of coefficient 1. A config flag refits AR and
-drift, the only fits that read the history, at every step.
+to the end in one call; values that are not 1-D numbers, or a start that
+is not an int from its required_history to the end, raise a ConfigError.
+It is a pure function of (model, values), so traces are reproducible and
+models can be shared across runs. Naive and drift are AR(1) models of
+coefficient 1. A config flag refits AR and drift, the only fits that
+read the history, at every step.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import ClassVar
 import numpy as np
 
 from .core import TimeSeries
-from .errors import ConfigError, DataError, NumericError, _instance, _int_at_least, _real, _require_finite
+from .errors import ConfigError, DataError, NumericError, _instance, _int_at_least, _real, _require_finite, _vector
 from .ingest import _table_slice
 
 __all__ = [
@@ -164,14 +165,16 @@ class ValueForecasterSpec:
         return cls("external", source=source)
 
 
-def _check_start(label: str, required: int, values: np.ndarray, start: int) -> None:
-    """The start of every forecast_path: at least required, at most values.size."""
+def _check_start(label: str, required: int, values, start) -> tuple[np.ndarray, int]:
+    """The arguments of forecast_path: values as a 1-D float array, and start as an int from required to its size."""
+    values, start = _vector("values", values), _int_at_least("start", start, 0)
     if not required <= start <= values.size:
         raise ConfigError(f"{label} forecasts need {required} values of history, got start {start} "
                           f"for a series of {values.size} values")
+    return values, start
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ARModel:
     """Autoregression y_t = intercept + sum_i coefficients[i-1] * y_{t-i}.
 
@@ -193,7 +196,7 @@ class ARModel:
         return self.order
 
     def forecast_path(self, values: np.ndarray, start: int) -> np.ndarray:
-        _check_start(f"AR({self.order})", self.order, values, start)
+        values, start = _check_start(f"AR({self.order})", self.order, values, start)
         return _ar_path(self.intercept, self.coefficients, values, start)
 
 
@@ -222,7 +225,7 @@ class SESForecaster:
     required_history: ClassVar[int] = 1
 
     def forecast_path(self, values: np.ndarray, start: int) -> np.ndarray:
-        _check_start("SES", self.required_history, values, start)
+        values, start = _check_start("SES", self.required_history, values, start)
         lam = self.smoothing
         level = float(values[0])
         path = []
@@ -233,7 +236,7 @@ class SESForecaster:
         return np.array(path, dtype=float)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExternalForecaster:
     """Replays forecasts from an array indexed by series position.
 
@@ -244,7 +247,7 @@ class ExternalForecaster:
     required_history: ClassVar[int] = 1
 
     def forecast_path(self, values: np.ndarray, start: int) -> np.ndarray:
-        _check_start("external", self.required_history, values, start)
+        values, start = _check_start("external", self.required_history, values, start)
         return _table_slice(self.forecasts, start, values.size, "forecasts")
 
 

@@ -1,6 +1,7 @@
 """CSV loading and feature construction for the direction classifier.
 
-File conventions (all CSVs carry a header row):
+File conventions (all CSVs carry a header row; one pass reads a file,
+skips its rows of blank cells, and strips each cell as it parses it):
 
 * data files: one row per period, numeric cells; a target column and
   optional exogenous columns, plus an optional strictly increasing
@@ -47,7 +48,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """A target series plus index-aligned exogenous series."""
 
@@ -76,14 +77,11 @@ def _read_text(path: Path) -> str:
         raise DataError(f"{path}: cannot read: {exc.strerror}") from None
 
 
-def _read_rows(path: str | Path, parse):
-    """parse(header, rows) over the body rows of a headered CSV file.
+def _read_rows(path: str | Path) -> tuple[list[str], list[list[str]]]:
+    """The stripped header and the non-blank body rows, cells as read, of a headered CSV file.
 
-    When every row has the header's width, parse first gets the rows as
-    read, padding and blank rows included (float() and int() ignore the
-    one and fail on the other). If that raises, parse gets the rows with
-    blank ones skipped and cells stripped, so its errors name the cell
-    and data row as the file shows them; a ragged or empty body raises.
+    A body with no non-blank row raises, as does the first non-blank row
+    of another width, named by its row of the file (the header is row 1).
     """
     _instance("path", path, str, os.PathLike)
     p = Path(path)
@@ -91,49 +89,40 @@ def _read_rows(path: str | Path, parse):
         raise DataError(f"file not found: {p}")
     reader = csv.reader(io.StringIO(_read_text(p), newline=""))
     try:
-        header = next(reader)
+        header = [h.strip() for h in next(reader)]
     except StopIteration:
         raise DataError(f"{p}: file is empty") from None
-    header = [h.strip() for h in header]
     body = list(reader)
-    if body and set(map(len, body)) == {len(header)}:
-        try:
-            return parse(header, body)
-        except (ValueError, DataError):
-            pass
-    rows = []
-    for lineno, row in enumerate(body, start=2):
-        if not row or all(not c.strip() for c in row):
-            continue
-        if len(row) != len(header):
-            raise DataError(
-                f"{p}: row {lineno} has {len(row)} cells, header has {len(header)}"
-            )
-        rows.append([c.strip() for c in row])
+    rows = [row for row in body if "".join(row).strip()]
     if not rows:
         raise DataError(f"{p}: no data rows")
-    return parse(header, rows)
+    if set(map(len, rows)) != {len(header)}:
+        ragged = next(row for row in rows if len(row) != len(header))
+        # an equal row before it would be ragged too and found first, so index() finds this one
+        raise DataError(f"{p}: row {body.index(ragged) + 2} has {len(ragged)} cells, header has {len(header)}")
+    return header, rows
 
 
 def _column(header: list[str], rows: list[list[str]], name: str, path) -> list[str]:
-    try:
-        idx = header.index(name)
-    except ValueError:
-        raise DataError(f"{path}: column '{name}' not found; available: {', '.join(header)}") from None
+    if name not in header:
+        raise DataError(f"{path}: column '{name}' not found; available: {', '.join(header)}")
     if header.count(name) > 1:
         raise DataError(f"{path}: column '{name}' appears {header.count(name)} times in the header")
+    idx = header.index(name)
     return [row[idx] for row in rows]
 
 
-def _floats(cells: list[str], name: str, path) -> np.ndarray:
+def _floats(header: list[str], rows: list[list[str]], name: str, path) -> np.ndarray:
+    """The stripped cells of the named column as floats; the first that does not parse raises."""
+    cells = _column(header, rows, name, path)
     values: list[float] = []
     try:
-        values.extend(map(float, cells))
+        values.extend(map(float, map(str.strip, cells)))
     except ValueError:
         # extend keeps the values parsed before the first bad cell
         i = len(values)
         raise DataError(
-            f"{path}: non-numeric value {cells[i]!r} in column '{name}', data row {i + 1}"
+            f"{path}: non-numeric value {cells[i].strip()!r} in column '{name}', data row {i + 1}"
         ) from None
     return np.array(values, dtype=float)
 
@@ -171,21 +160,16 @@ def load_csv(
             raise ConfigError(f"exogenous column '{name}' is listed twice")
         if name == target_column:
             raise ConfigError(f"exogenous column '{name}' is the target column")
-
-    def parse(header: list[str], rows: list[list[str]]) -> Dataset:
-        labels = None if label_column is None else _column(header, rows, label_column, path)
-        target = TimeSeries(_floats(_column(header, rows, target_column, path), target_column, path))
-        if labels is not None:
-            _check_increasing(labels)
-        exogenous = {}
-        for name in exogenous_columns or []:
-            exogenous[name] = TimeSeries(_floats(_column(header, rows, name, path), name, path))
-        return Dataset(target=target, exogenous=exogenous)
-
-    return _read_rows(path, parse)
+    header, rows = _read_rows(path)
+    labels = None if label_column is None else _column(header, rows, label_column, path)
+    target = TimeSeries(_floats(header, rows, target_column, path))
+    if labels is not None:
+        _check_increasing(labels)
+    exogenous = {name: TimeSeries(_floats(header, rows, name, path)) for name in exogenous_columns or []}
+    return Dataset(target=target, exogenous=exogenous)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeatureMatrix:
     """Labeled classifier rows (training view).
 
@@ -207,7 +191,7 @@ class FeatureMatrix:
         return int(self.rows.shape[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeatureTable:
     """All constructible rows, labeled where the next move is strict.
 
@@ -279,39 +263,36 @@ def build_feature_table(dataset: Dataset, n_lags: int, exog_lag: int = 0) -> Fea
 
 
 def _load_table(path: str | Path, series: TimeSeries, column: str, valid, problem: str) -> np.ndarray:
-    """Read a time_index,<column> CSV into a float array over series positions.
+    """Read a time_index,<column> CSV into a float array over series positions, NaN where unlisted.
 
-    Positions the file does not list hold NaN. Every index must fall in
+    Each row's two stripped cells are parsed and checked in file order, so
+    the first faulty row is the one reported. Every index must fall in
     1..len(series)-1 and appear once, and valid(value) must hold for every
     value; a row that breaks the last rule is reported as ``problem``.
     """
-    def parse(header: list[str], rows: list[list[str]]) -> np.ndarray:
-        raw_idx = _column(header, rows, "time_index", path)
-        raw_val = _column(header, rows, column, path)
-        n = len(series)
-        table = np.full(n, np.nan)
-        for i, (cell_t, cell_v) in enumerate(zip(raw_idx, raw_val), start=1):
-            try:
-                t = int(cell_t)
-            except ValueError:
-                raise DataError(f"{path}: non-integer time_index {cell_t!r} at data row {i}") from None
-            if not 1 <= t <= n - 1:
-                raise DataError(f"{path}: time_index {t} outside the forecastable range 1..{n - 1}")
-            if not math.isnan(table[t]):
-                raise DataError(f"{path}: duplicate time_index {t}")
-            try:
-                v = float(cell_v)
-            except ValueError:
-                raise DataError(
-                    f"{path}: non-numeric value {cell_v!r} in column '{column}', data row {i}"
-                ) from None
-            if not valid(v):
-                raise DataError(f"{path}: {column} at time_index {t} {problem}, got {v}")
-            table[t] = v
-        return table
-
     _instance("series", series, TimeSeries)
-    return _read_rows(path, parse)
+    header, rows = _read_rows(path)
+    raw_idx = _column(header, rows, "time_index", path)
+    raw_val = _column(header, rows, column, path)
+    n = len(series)
+    table = np.full(n, np.nan)
+    for i, (cell_t, cell_v) in enumerate(zip(map(str.strip, raw_idx), map(str.strip, raw_val)), start=1):
+        try:
+            t = int(cell_t)
+        except ValueError:
+            raise DataError(f"{path}: non-integer time_index {cell_t!r} at data row {i}") from None
+        if not 1 <= t <= n - 1:
+            raise DataError(f"{path}: time_index {t} outside the forecastable range 1..{n - 1}")
+        if not math.isnan(table[t]):
+            raise DataError(f"{path}: duplicate time_index {t}")
+        try:
+            v = float(cell_v)
+        except ValueError:
+            raise DataError(f"{path}: non-numeric value {cell_v!r} in column '{column}', data row {i}") from None
+        if not valid(v):
+            raise DataError(f"{path}: {column} at time_index {t} {problem}, got {v}")
+        table[t] = v
+    return table
 
 
 def _table_slice(table: np.ndarray, start: int, stop: int, what: str) -> np.ndarray:

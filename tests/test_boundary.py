@@ -94,6 +94,21 @@ INT, REAL, ARRAY, OBJECT, FLAG = "int", "real", "array", "object", "flag"
 # the BAD values that a kind of parameter takes; an object parameter takes none of them
 VALID_BY_KIND = {REAL: {"float"}, FLAG: {"bool"}}
 NAIVE = ValueForecasterSpec.naive()
+# three feature columns, so that BAD's 2-by-2 array is of the wrong width for the classifiers fit on them
+FEATURES_3 = build_feature_table(Dataset(SERIES), 3).training_matrix()
+FORECAST_MODELS = {
+    "ARModel": (fit_forecaster(ValueForecasterSpec.ar(2), SERIES), 2),
+    "SESForecaster": (fit_forecaster(ValueForecasterSpec.ses(0.5), SERIES), 1),
+    "ExternalForecaster": (fit_forecaster(ValueForecasterSpec.external(VALUES), SERIES), 1),
+}
+CLASSIFIER_MODELS = {
+    type(model).__name__: model
+    for model in (fit_classifier(spec, FEATURES_3) for spec in (
+        TrendPredictorSpec.majority(), TrendPredictorSpec.logistic(), TrendPredictorSpec.gaussian_nb(),
+        TrendPredictorSpec.knn(3),
+    ))
+}
+ORACLE = fit_classifier(TrendPredictorSpec.oracle(0.7, seed=1))
 
 # label: (export, callable with its object arguments bound, valid probed arguments, their kinds)
 CALLS = {
@@ -161,6 +176,14 @@ CALLS = {
     "synthetic_forecaster": ("synthetic_forecaster", synthetic_forecaster, dict(
         series=SERIES, p_dt=0.5, error_scale=0.5, seed=0,
     ), dict(series=OBJECT, p_dt=REAL, error_scale=REAL, seed=INT)),
+    # the methods of the fitted models, under the name of the model's class
+    **{f"{name}.forecast_path": (name, model.forecast_path, dict(values=VALUES, start=start),
+                                 dict(values=ARRAY, start=INT))
+       for name, (model, start) in FORECAST_MODELS.items()},
+    **{f"{name}.predict_matrix": (name, model.predict_matrix, dict(rows=FEATURES_3.rows),
+                                  dict(rows=ARRAY)) for name, model in CLASSIFIER_MODELS.items()},
+    "OracleTrendPredictor.draw_many": ("OracleTrendPredictor", ORACLE.draw_many,
+                                       dict(truths=np.array([1, -1, 0, 1])), dict(truths=ARRAY)),
     "validate_prop1": ("validate_prop1", validate_prop1, dict(config=SimConfig(n_steps=10, n_trials=2)),
                        dict(config=OBJECT)),
     **{name: (name, fn, dict(y_true=VALUES, y_pred=VALUES + 1.0), dict(y_true=ARRAY, y_pred=ARRAY))
@@ -176,6 +199,7 @@ VALID_BAD = {
     ("trend_aware_loss", "y_prev", "none"),
     ("load_csv", "exogenous_columns", "none"),
     ("load_csv", "label_column", "none"),
+    ("MajorityClassifier.predict_matrix", "rows", "2-d-array"),  # majority reads no feature
 }
 NOT_CALLED = {
     "ARModel", "EvalReport", "FeatureMatrix", "ForecastTrace", "GaussianNBClassifier",
@@ -331,3 +355,62 @@ def test_a_wrong_object_names_the_parameter_and_the_types_it_takes(call, message
     with pytest.raises(ConfigError) as info:
         call()
     assert str(info.value) == message
+
+
+# what BAD does not hold: lists, text and other shapes of rows, and truths outside -1, 0 and +1
+METHOD_CASES = [
+    *[pytest.param(model.predict_matrix, wrong, id=f"{name}-rows-{label}")
+      for name, model in CLASSIFIER_MODELS.items()
+      for label, wrong in {"list": FEATURES_3.rows.tolist(), "1-d-array": np.ones(3), "3-d-array": np.ones((2, 3, 1)),
+                           "text": np.full((2, 3), "1"), "objects": FEATURES_3.rows.astype(object)}.items()],
+    *[pytest.param(ORACLE.draw_many, wrong, id=f"OracleTrendPredictor-truths-{label}")
+      for label, wrong in {"list": [1, -1], "two": np.array([1, 2]), "half": np.array([0.5, 1.0]),
+                           "nan": np.array([1.0, np.nan]), "bools": np.array([True, False]),
+                           "text": np.array(["1"])}.items()],
+]
+
+
+@pytest.mark.parametrize("method, wrong", METHOD_CASES)
+def test_fitted_model_methods_fail_closed(method, wrong):
+    with pytest.raises(ConfigError):
+        method(wrong)
+
+
+def test_fitted_model_methods_check_the_width_and_take_lists_of_values():
+    for name, model in CLASSIFIER_MODELS.items():
+        wide = np.ones((2, 4))
+        if name == "MajorityClassifier":
+            assert model.predict_matrix(wide).tolist() == [model.direction] * 2
+            continue
+        message = r"^rows must be a 2-D array of numbers with 3 columns, got float64 of shape \(2, 4\)$"
+        with pytest.raises(ConfigError, match=message):
+            model.predict_matrix(wide)
+    for model, start in FORECAST_MODELS.values():
+        assert np.array_equal(model.forecast_path(list(VALUES), start), model.forecast_path(VALUES, start))
+    message = r"^truths must be a 1-D array of -1, 0 and \+1, got int64 of shape \(1, 1\)$"
+    with pytest.raises(ConfigError, match=message):
+        ORACLE.draw_many(np.array([[1]]))
+
+
+# two fits of one input, each as it is built from scratch
+FITS = {
+    "ARModel": lambda: fit_ar(SERIES, 2),
+    "ARModel-naive": lambda: fit_forecaster(NAIVE, SERIES),
+    "ExternalForecaster": lambda: fit_forecaster(ValueForecasterSpec.external(VALUES.copy()), SERIES),
+    **{name: (lambda spec: lambda: fit_classifier(spec, FEATURES_3))(spec)
+       for name, spec in (("LogisticClassifier", TrendPredictorSpec.logistic()),
+                          ("GaussianNBClassifier", TrendPredictorSpec.gaussian_nb()),
+                          ("KNNClassifier", TrendPredictorSpec.knn(3)))},
+    "FeatureMatrix": lambda: build_feature_table(Dataset(SERIES), 3).training_matrix(),
+    "FeatureTable": lambda: build_feature_table(Dataset(SERIES), 3),
+    "Dataset": lambda: Dataset(SERIES, {"x": SERIES}),
+}
+
+
+@pytest.mark.parametrize("name", FITS)
+def test_fitted_records_compare_and_hash_by_identity(name):
+    # comparing their arrays field by field raised, as an array has no single truth value
+    first, second = FITS[name](), FITS[name]()
+    assert type(first).__name__ == name.split("-")[0]
+    assert first == first and first != second and not first == second
+    assert len({first, second, first}) == 2 and hash(first) == hash(first)

@@ -394,6 +394,20 @@ def test_load_csv_strips_separator_characters_that_float_rejects(tmp_path):
     assert np.array_equal(load_csv(cells, target_column="p").target.values, np.array([1.5, 2.0]))
 
 
+def test_external_tables_strip_separator_characters_that_int_and_float_reject(tmp_path):
+    # int() and float() refuse \x1c-\x1f around a number; the table loaders strip them as str.strip() does
+    series = TimeSeries(np.arange(5, dtype=float))
+    forecasts = _write(tmp_path, "f.csv", "time_index,forecast\n\x1c1\x1d,\x1e10.5\x1f\n2\x1f,\x1c11\n")
+    ext = load_external_forecasts(forecasts, series)
+    assert np.array_equal(ext, [np.nan, 10.5, 11.0, np.nan, np.nan], equal_nan=True)
+    directions = _write(tmp_path, "d.csv", "time_index,direction\n\x1e3,\x1d-1\x1c\n\x1f1\x1c,1\x1e\n")
+    table = load_external_directions(directions, series)
+    assert np.array_equal(table, [np.nan, 1.0, np.nan, -1.0, np.nan], equal_nan=True)
+    bad = _write(tmp_path, "b.csv", "time_index,direction\n\x1c1,\x1dup\x1e\n")
+    with pytest.raises(DataError, match=r"b\.csv: non-numeric value 'up' in column 'direction', data row 1$"):
+        load_external_directions(bad, series)
+
+
 @pytest.mark.parametrize("blank", ["\n", ",\n", "  , \n"], ids=["empty-line", "commas", "spaces"])
 def test_load_csv_bad_cell_after_blank_row_counts_data_rows(tmp_path, blank):
     path = _write(tmp_path, "a.csv", f"p,q\n1,2\n{blank}  xyz ,3\n")
