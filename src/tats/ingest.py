@@ -89,10 +89,11 @@ def _read_rows(path: str | Path) -> tuple[list[str], list[list[str]]]:
         raise DataError(f"file not found: {p}")
     reader = csv.reader(io.StringIO(_read_text(p), newline=""))
     try:
-        header = [h.strip() for h in next(reader)]
+        header, body = [h.strip() for h in next(reader)], list(reader)
     except StopIteration:
         raise DataError(f"{p}: file is empty") from None
-    body = list(reader)
+    except csv.Error as exc:  # a cell longer than the csv module's field size limit
+        raise DataError(f"{p}: {exc}") from None
     rows = [row for row in body if "".join(row).strip()]
     if not rows:
         raise DataError(f"{p}: no data rows")
@@ -121,9 +122,7 @@ def _floats(header: list[str], rows: list[list[str]], name: str, path) -> np.nda
     except ValueError:
         # extend keeps the values parsed before the first bad cell
         i = len(values)
-        raise DataError(
-            f"{path}: non-numeric value {cells[i].strip()!r} in column '{name}', data row {i + 1}"
-        ) from None
+        raise DataError(f"{path}: non-numeric value {cells[i].strip()!r} in column '{name}', data row {i + 1}") from None
     return np.array(values, dtype=float)
 
 

@@ -427,6 +427,16 @@ def test_load_csv_only_blank_rows_has_no_data_rows(tmp_path):
         load_csv(path, target_column="missing")
 
 
+def test_a_cell_beyond_the_csv_field_limit_is_a_data_error(tmp_path):
+    # the csv module refuses a cell of more than 131,072 characters; that used to leak as _csv.Error
+    for text in ("p,q\n1,2\n" + "3" * 140_000 + ",4\n", "p" * 140_000 + "\n1\n"):
+        path = _write(tmp_path, "a.csv", text)
+        with pytest.raises(DataError, match=r"a\.csv: field larger than field limit \(131072\)$"):
+            load_csv(path, target_column="p")
+        with pytest.raises(DataError, match=r"a\.csv: field larger than field limit \(131072\)$"):
+            load_external_forecasts(path, TimeSeries(np.arange(5.0)))
+
+
 def test_external_table_reads_padded_cells(tmp_path):
     series = TimeSeries(np.arange(5, dtype=float))
     path = _write(tmp_path, "f.csv", " time_index , forecast \n 1 , 10.5 \n\n,\n2\t,11\n")
