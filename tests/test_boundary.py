@@ -397,10 +397,9 @@ FITS = {
     "ARModel": lambda: fit_ar(SERIES, 2),
     "ARModel-naive": lambda: fit_forecaster(NAIVE, SERIES),
     "ExternalForecaster": lambda: fit_forecaster(ValueForecasterSpec.external(VALUES.copy()), SERIES),
-    **{name: (lambda spec: lambda: fit_classifier(spec, FEATURES_3))(spec)
-       for name, spec in (("LogisticClassifier", TrendPredictorSpec.logistic()),
-                          ("GaussianNBClassifier", TrendPredictorSpec.gaussian_nb()),
-                          ("KNNClassifier", TrendPredictorSpec.knn(3)))},
+    "LogisticClassifier": lambda: fit_classifier(TrendPredictorSpec.logistic(), FEATURES_3),
+    "GaussianNBClassifier": lambda: fit_classifier(TrendPredictorSpec.gaussian_nb(), FEATURES_3),
+    "KNNClassifier": lambda: fit_classifier(TrendPredictorSpec.knn(3), FEATURES_3),
     "FeatureMatrix": lambda: build_feature_table(Dataset(SERIES), 3).training_matrix(),
     "FeatureTable": lambda: build_feature_table(Dataset(SERIES), 3),
     "Dataset": lambda: Dataset(SERIES, {"x": SERIES}),
@@ -409,7 +408,7 @@ FITS = {
 
 @pytest.mark.parametrize("name", FITS)
 def test_fitted_records_compare_and_hash_by_identity(name):
-    # comparing their arrays field by field raised, as an array has no single truth value
+    # an array field has no single truth value, so these records compare and hash by identity
     first, second = FITS[name](), FITS[name]()
     assert type(first).__name__ == name.split("-")[0]
     assert first == first and first != second and not first == second

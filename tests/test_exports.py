@@ -54,5 +54,5 @@ def test_package_exports_stay_within_their_cap():
 def test_package_source_stays_within_its_line_cap():
     # the lines of `cat src/tats/*.py | wc -l`, which ROADMAP tracks; a change that raises
     # the cap says why in CHANGES.md, so the package cannot grow silently
-    lines, cap = sum(path.read_bytes().count(b"\n") for path in Path(tats.__file__).parent.glob("*.py")), 2703
+    lines, cap = sum(path.read_bytes().count(b"\n") for path in Path(tats.__file__).parent.glob("*.py")), 2702
     assert lines <= cap, f"src/tats has {lines} lines, over its cap of {cap}"

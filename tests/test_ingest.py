@@ -428,7 +428,7 @@ def test_load_csv_only_blank_rows_has_no_data_rows(tmp_path):
 
 
 def test_a_cell_beyond_the_csv_field_limit_is_a_data_error(tmp_path):
-    # the csv module refuses a cell of more than 131,072 characters; that used to leak as _csv.Error
+    # the csv module refuses a cell of more than 131,072 characters, in the header or the body
     for text in ("p,q\n1,2\n" + "3" * 140_000 + ",4\n", "p" * 140_000 + "\n1\n"):
         path = _write(tmp_path, "a.csv", text)
         with pytest.raises(DataError, match=r"a\.csv: field larger than field limit \(131072\)$"):
