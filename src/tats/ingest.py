@@ -114,7 +114,7 @@ def _column(header: list[str], rows: list[list[str]], name: str, path) -> list[s
 
 
 def _floats(header: list[str], rows: list[list[str]], name: str, path) -> np.ndarray:
-    """The stripped cells of the named column as floats; the first that does not parse raises."""
+    """The stripped cells of the named column as floats; the first that does not parse or is not finite raises."""
     cells = _column(header, rows, name, path)
     values: list[float] = []
     try:
@@ -123,7 +123,11 @@ def _floats(header: list[str], rows: list[list[str]], name: str, path) -> np.nda
         # extend keeps the values parsed before the first bad cell
         i = len(values)
         raise DataError(f"{path}: non-numeric value {cells[i].strip()!r} in column '{name}', data row {i + 1}") from None
-    return np.array(values, dtype=float)
+    array = np.array(values, dtype=float)
+    if not np.isfinite(array).all():
+        i = int(np.flatnonzero(~np.isfinite(array))[0])
+        raise DataError(f"{path}: non-finite value {cells[i].strip()!r} in column '{name}', data row {i + 1}")
+    return array
 
 
 def _check_increasing(labels: list[str]) -> None:

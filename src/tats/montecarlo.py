@@ -16,10 +16,11 @@ sub-streams spawned per trial from one root seed, so results are
 reproducible and one trial's outcome does not depend on the others;
 aggregation uses compensated summation in a fixed trial order. Seed
 states come in blocks of trials, exactly as SeedSequence.spawn gives them.
-Trials run in blocks, one per row, on up to two threads that each refill
-their own arrays (see :func:`validate_prop1`); a trial's bytes do not
-depend on its block or thread. np.bincount and a 2-D cumsum hold the GIL
-throughout, so the counts come from compares and each row's walk sums alone.
+Trials run in blocks, one per row, in the calling process and in one forked
+worker, each refilling its own arrays (see :func:`validate_prop1`); a trial's
+bytes do not depend on its block or its process. Each numpy call of a block
+costs a few microseconds whatever its length, so blocks are long, and the
+scenario counts come from compares, which cost less than np.bincount.
 
 The realized p_db, p_dt, loss gap and bound pool the statistics that
 :func:`tats.theory.estimate_theory` takes from each trial's trace, so the
@@ -32,7 +33,7 @@ import itertools
 import math
 import operator
 import os
-import threading
+import warnings
 from dataclasses import asdict, dataclass, fields
 from typing import NamedTuple
 
@@ -52,10 +53,9 @@ __all__ = [
 WALK_START = 100.0
 _MAX_REGEN_ATTEMPTS = 100
 _SEED_BLOCK = 256  # trials whose seed states are computed together
-# steps per block: each numpy call hands the GIL over about as often whatever its length, so longer
-# blocks do so less per step, up to what test_trials_do_not_fault_pages_back_in allows two workspaces
+# steps per block: each numpy call has a fixed cost whatever its length, so longer blocks pay it
+# less per step, up to what test_trials_do_not_fault_pages_back_in allows two workspaces
 _BLOCK_STEPS = 40_000
-_MAX_THREADS = 2  # threads that run blocks; more were not measured
 _STREAMS = np.arange(3, dtype=np.uint32)  # a trial's walk, forecaster and oracle streams
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED  # numpy's SeedSequence
 _MIX_MULT_L, _MIX_MULT_R, _MASK32 = 0xCA01F9DD, 0x4973F715, 0xFFFFFFFF  # hash constants
@@ -91,8 +91,7 @@ def _walk_into(walk: np.ndarray, steps: np.ndarray, drift: float, volatility: fl
     steps *= volatility
     steps += drift
     walk[..., 0] = 0.0
-    for row_walk, row_steps in zip(np.atleast_2d(walk), np.atleast_2d(steps)):
-        np.cumsum(row_steps, out=row_walk[1:])
+    np.cumsum(steps, axis=-1, out=walk[..., 1:])
     walk += WALK_START
     return _require_finite(walk, "the random walk")
 
@@ -216,13 +215,21 @@ def _walks_into(ws: _Workspace, states: np.ndarray, config: SimConfig) -> list[i
     return [] if ws.actual.all() else np.flatnonzero(~ws.actual.all(axis=-1)).tolist()
 
 
-def _blocks(config: SimConfig, rows: int):
-    """(first trial, seed states) of each block of at most rows trials, in order and inside the seed blocks."""
+def _blocks(config: SimConfig, rows: int, take):
+    """(index, first trial, seed states) of each block of at most rows trials whose index take accepts.
+
+    The blocks are numbered in trial order and cut inside the seed blocks. Each take(index) is asked
+    just before its block would run, and a seed block's states are computed for its first block taken.
+    """
+    index = 0
     for start in range(0, config.n_trials, _SEED_BLOCK):
-        block = np.arange(start, min(start + _SEED_BLOCK, config.n_trials), dtype=np.uint32)
-        states = _seed_states(config.seed, block[:, None], _STREAMS)
-        for lo in range(0, block.size, rows):
-            yield start + lo, states[lo : lo + rows]
+        stop, states = min(start + _SEED_BLOCK, config.n_trials), None
+        for first in range(start, stop, rows):
+            if take(index):
+                if states is None:
+                    states = _seed_states(config.seed, np.arange(start, stop, dtype=np.uint32)[:, None], _STREAMS)
+                yield index, first, states[first - start : first - start + rows]
+            index += 1
 
 
 def _run_block(config: SimConfig, first: int, states: np.ndarray, ws: _Workspace):
@@ -256,62 +263,97 @@ def _run_block(config: SimConfig, first: int, states: np.ndarray, ws: _Workspace
         raise
 
 
+def _shared(n_trials: int, n_blocks: int) -> tuple[np.ndarray, np.ndarray]:
+    """Zeroed (n_trials, 3) floats and (n_blocks, 8) ints, views of one anonymous shared map.
+
+    What a forked child writes into them its parent reads: each trial's (mse_base, mse_tats, gap
+    sum), and each block's tally and, last, a 1 that says the block is done.
+    """
+    import mmap  # here, as validate_prop1's imports, so that import tats loads no more modules
+
+    buffer = mmap.mmap(-1, 8 * (3 * n_trials + 8 * n_blocks))
+    return np.ndarray((n_trials, 3), np.float64, buffer), np.ndarray((n_blocks, 8), np.int64, buffer, 24 * n_trials)
+
+
+def _run_blocks(config: SimConfig, rows: int, ws: _Workspace, shared: tuple[np.ndarray, np.ndarray], take) -> None:
+    """Run the blocks whose index take accepts, in trial order, and record each in shared; the first error raises."""
+    results, tallies = shared
+    with np.errstate(over="ignore", invalid="ignore"):  # each kernel checks its own results
+        for k, first, states in _blocks(config, rows, take):
+            base, adjusted, gaps, tallies[k, :7] = _run_block(config, first, states, ws.rows(0, len(states)))
+            results[first : first + len(states)] = np.stack([base / config.n_steps, adjusted / config.n_steps, gaps], 1)
+            tallies[k, 7] = 1  # last, so a child killed inside a block leaves it undone
+
+
 def validate_prop1(config: SimConfig) -> SimulationReport:
     """Run the trials and compare realized reduction to the plug-in bound.
 
     Each trial's walk, forecaster draws, and classifier draws use independent sub-streams
     spawned from config.seed, seeded for blocks of 256 trials at once. Inside those, trials
     run in blocks of about 40,000 steps, one trial per row: each trial draws into its row from
-    its own streams, and every other pass runs once per block. Up to two threads (no more than
-    the usable CPUs or the blocks) take the blocks in trial order, each refilling its own
-    workspace of 45 bytes per step of a block (1.8 MB), allocated before any trial starts
-    with the three floats kept per trial; a ConfigError says when they cannot be. Each trial
-    gives the bytes it gives alone, and a failing run raises its first failing trial's error.
+    its own streams, and every other pass runs once per block. Where os.fork exists, SIGCHLD
+    is not ignored and two CPUs and two blocks are available, a forked child runs the odd blocks
+    and the calling process the even ones; otherwise the calling process runs them all. Each process refills
+    its own workspace of 45 bytes per step of a block (1.8 MB), and the results take a shared
+    map of 24 bytes per trial. Both are allocated before any trial starts, and a ConfigError
+    says when they cannot be. The child leaves by os._exit and is killed and reaped before this
+    returns or raises; then the calling process runs every block that the child did not record
+    as done. So each trial gives the bytes it gives alone, a failing run raises its first
+    failing trial's error, and a child that died costs time, not the answer.
     """
     _instance("config", config, SimConfig)
-    from numpy.random.bit_generator import ISeedSequence  # here, so that import tats leaves numpy.random out
+    import gc  # these three here, so that import tats loads no more modules
+    import signal
+    from numpy.random.bit_generator import ISeedSequence
     ISeedSequence.register(_StoredSeed)
     rows = min(max(1, _BLOCK_STEPS // config.n_steps), _SEED_BLOCK, config.n_trials)
+    full, rest = divmod(config.n_trials, _SEED_BLOCK)
+    n_blocks = full * -(-_SEED_BLOCK // rows) + -(-rest // rows)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    n_threads = min(cpus, -(-config.n_trials // rows), _MAX_THREADS)  # no more than one block needs one
+    # no fork where SIGCHLD is ignored: the system would reap the child, whose pid could then name another process
+    forks = hasattr(os, "fork") and signal.getsignal(signal.SIGCHLD) != signal.SIG_IGN
+    workers = 2 if forks and min(cpus, n_blocks) > 1 else 1
     try:
-        workspaces = [_Workspace(rows, config.n_steps) for _ in range(n_threads)]
-        trials, gap_sums = np.empty((config.n_trials, 2)), np.empty(config.n_trials)
-    except (MemoryError, ValueError):  # numpy's ValueError: more bytes than an index can count
+        workspaces = [_Workspace(rows, config.n_steps) for _ in range(workers)]
+        shared = _shared(config.n_trials, n_blocks)
+    except (MemoryError, ValueError, OverflowError, OSError):  # ValueError and OverflowError: more bytes than
+        # numpy's or mmap's index can count; OSError: more than the system lets mmap map
         raise ConfigError(f"n_trials={config.n_trials}, n_steps={config.n_steps}: too large to allocate") from None
-    blocks, lock, stop = _blocks(config, rows), threading.Lock(), threading.Event()
-    tallies, failures = np.zeros((n_threads, 7), dtype=np.int64), []  # failures: (first trial of a block, error)
-
-    def take():
-        with lock:
-            return None if stop.is_set() else next(blocks, None)
-
-    def work(ws: _Workspace, tally: np.ndarray) -> None:
-        first = -1
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):  # per thread; each kernel checks its own results
-                for first, states in iter(take, None):
-                    base, adjusted, gaps, block_tally = _run_block(config, first, states, ws.rows(0, len(states)))
-                    trials[first : first + len(states)] = np.stack([base, adjusted], axis=-1) / config.n_steps
-                    gap_sums[first : first + len(states)] = gaps
-                    tally += block_tally
-        except Exception as exc:  # raised in the calling thread once every worker has stopped
-            failures.append((first, exc))
-            stop.set()
-
-    threads = [threading.Thread(target=work, args=pair) for pair in zip(workspaces[1:], tallies[1:])]
-    for thread in threads:
-        thread.start()
+    results, tallies = shared
+    pid = None
     try:
-        work(workspaces[0], tallies[0])
+        if workers > 1:
+            parent = os.getpid()
+            with warnings.catch_warnings():
+                # Python 3.12+ warns of a fork in a process with other threads, such as OpenBLAS's pool. The
+                # child takes no lock that one of them may hold: it calls no BLAS routine, imports nothing and
+                # does no I/O, only numpy's ufuncs, reductions and generators on its own workspace
+                warnings.filterwarnings("ignore", r"This process .* is multi-threaded", DeprecationWarning)
+                pid = os.fork()
+                if pid == 0:  # the child enters its try at once, so that even an interrupt ends in os._exit
+                    try:
+                        gc.disable()  # no collection, so no finalizer of the parent's objects runs here
+                        warnings.simplefilter("error")  # a warning stops the child; the parent meets it again below
+                        # the odd blocks, but none once the calling process has died, even by SIGKILL
+                        _run_blocks(config, rows, workspaces[1], shared, lambda k: k % 2 and os.getppid() == parent)
+                    finally:  # whatever happened: no exception, atexit handler or flush of the parent's buffers
+                        os._exit(0)
+        try:
+            _run_blocks(config, rows, workspaces[0], shared, lambda k: k % workers == 0)
+        except TatsError:
+            pass  # the failing block runs again below, after every earlier block that the child left undone
+        else:
+            if pid:
+                os.waitpid(pid, 0)
+                pid = None
     finally:
-        stop.set()
-        for thread in threads:
-            thread.join()
-    if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
-    *counts, clf_hits, fc_hits = tallies.sum(axis=0).tolist()
+        if pid:  # a failure or an interrupt: the child's blocks are not needed
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    _run_blocks(config, rows, workspaces[0], shared, lambda k: not tallies[k, 7])
+    *counts, clf_hits, fc_hits, _ = tallies.sum(axis=0).tolist()
     total_steps = config.n_trials * config.n_steps
+    trials, gap_sums = results[:, :2].copy(), results[:, 2]  # the trials out of the map, which goes when this returns
     n, reductions = config.n_trials, trials[:, 0] - trials[:, 1]
     try:  # the sums read the arrays one float at a time; a float's ** raises OverflowError
         gap_sum = math.fsum(gap_sums)

@@ -208,6 +208,48 @@ def test_simulate_writes_report(tmp_path, capsys):
     assert "mean_reduction" in capsys.readouterr().out
 
 
+# Runs tats simulate and then checks, in the same process, that it forked once where it may
+# use two CPUs, that no child is left, and that the child imported nothing; each failure
+# writes to stderr.
+FORKING_SIMULATE = """
+import os, sys
+parent, forks = os.getpid(), []
+
+def audit(event, args):
+    if event == "os.fork":
+        forks.append(event)
+    elif event == "import" and os.getpid() != parent:
+        os.write(2, f"the child imported {args[0]}\\n".encode())
+
+sys.addaudithook(audit)
+from tats.cli import main
+code = main(sys.argv[1:])
+try:
+    sys.exit(f"a child outlived the command: {os.waitpid(-1, os.WNOHANG)}")
+except ChildProcessError:
+    pass
+if len(forks) != (len(os.sched_getaffinity(0)) > 1):
+    sys.exit(f"{len(forks)} forks")
+sys.exit(code)
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"), reason="forks on Linux")
+def test_simulate_forks_quietly_under_dev_mode_and_warnings_as_errors(tmp_path):
+    # -X dev shows ResourceWarnings and -W error makes every warning, numpy's and a fork's
+    # DeprecationWarning included, an error, so none can reach a user's terminal unseen
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error", "-c", FORKING_SIMULATE, "simulate",
+         "--n-trials", "40", "--n-steps", "5000", "--out", str(tmp_path / "sim")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert "mean_reduction" in done.stdout
+    assert sorted(p.name for p in (tmp_path / "sim").iterdir()) == ["simulation.json", "trials.csv"]
+
+
 @pytest.mark.parametrize("size", [
     ["--n-steps", "1000000000000000", "--n-trials", "1"],
     ["--n-trials", "1000000000000000"],
@@ -262,6 +304,21 @@ def test_metrics_refuses_one_column_for_both_sides(tmp_path, capsys, flags, colu
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: --actual-column and --forecast-column both name '{column}'\n"
+
+
+@pytest.mark.parametrize("text, cell, column, row", [
+    ("actual,forecast\n7,8\n5,2\n9,inf\n7,6\n", "inf", "forecast", 3),
+    ("actual,forecast\n7,8\n5,2\n9,14\n-Infinity,6\n", "-Infinity", "actual", 4),
+    ("actual,forecast\n7,8\n5, nan \n9,14\n7,6\n", "nan", "forecast", 2),
+    ("actual,forecast\n7,8\n5,1e400\n9,14\n7,6\n", "1e400", "forecast", 2),
+], ids=["forecast-inf", "actual-inf", "forecast-nan", "forecast-overflow"])
+def test_metrics_names_the_column_and_row_of_a_non_finite_cell(tmp_path, capsys, text, cell, column, row):
+    path = tmp_path / "fc.csv"
+    path.write_text(text)
+    assert main(["metrics", "--data", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"data error: {path}: non-finite value '{cell}' in column '{column}', data row {row}\n"
 
 
 def test_metrics_one_row_prints_nothing(tmp_path, capsys):
@@ -418,7 +475,7 @@ def _label_cells(kind, n):
         ("duplicate", "labels must be strictly increasing, violated at position 30"),
         ("nan", "labels must be strictly increasing, violated at position 30"),
         ("mixed-types", "labels must be strictly increasing, violated at position 10"),
-        ("nan-target", "series value at position 3 is not finite"),
+        ("nan-target", "{data}: non-finite value 'nan' in column 'gold', data row 4"),
     ],
 )
 def test_bad_label_column_exits_two_with_one_line(tmp_path, capsys, kind, message):
@@ -433,7 +490,7 @@ def test_bad_label_column_exits_two_with_one_line(tmp_path, capsys, kind, messag
     data.write_text("day,gold\n" + "".join(f"{d},{g}\n" for d, g in zip(labels, gold)))
     argv = _run_args(data, tmp_path / "o", extra=("--label-column", "day"))
     assert main(argv) == 2
-    assert capsys.readouterr().err.splitlines() == [f"data error: {message}"]
+    assert capsys.readouterr().err.splitlines() == [f"data error: {message.format(data=data)}"]
     assert not (tmp_path / "o").exists()
 
 

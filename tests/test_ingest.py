@@ -70,7 +70,7 @@ def test_load_csv_labels_compare_as_numbers_when_all_parse(tmp_path):
 @pytest.mark.parametrize(
     "cell, message",
     [
-        ("nan", "series value at position 3 is not finite"),
+        ("nan", "non-finite value 'nan' in column 'price', data row 4"),
         ("abc", "non-numeric value 'abc' in column 'price', data row 4"),
     ],
 )

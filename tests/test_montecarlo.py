@@ -2,11 +2,12 @@ import itertools
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
-import warnings
-import threading
+import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -410,56 +411,93 @@ def test_walks_that_stay_flat_are_a_numeric_error():
 # Runs in a fresh interpreter: whether freed trial arrays go back to the
 # system, to fault in again in the next trial, depends on the heap layout,
 # and the history of the test process decides that layout. A block of pad
-# bytes shifts it; each line printed is the faults of 200 trials at one pad.
+# bytes shifts it. Each line printed is, at one pad, the faults of a run of
+# 200 trials and of one of 400, counted in this process and in its reaped
+# children, so that the forked worker's trials count too.
 FAULT_SCRIPT = """
 import resource
 from tats import SimConfig, validate_prop1
 
+def faults():
+    return sum(resource.getrusage(who).ru_minflt for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
+
 validate_prop1(SimConfig(n_trials=2, n_steps=5000))
 for pad in (0, 25_000, 50_000, 75_000, 100_000):
     block = bytearray(pad)
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    validate_prop1(SimConfig(n_trials=200, n_steps=5000))
-    print(pad, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    counts = []
+    for n_trials in (200, 400):
+        before = faults()
+        validate_prop1(SimConfig(n_trials=n_trials, n_steps=5000))
+        counts.append(faults() - before)
+    print(pad, *counts)
     del block
 """
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="counts minor page faults with getrusage")
 def test_trials_do_not_fault_pages_back_in():
+    # a run pays a fixed count (the fork, the copy-on-write pages of both processes and two fresh
+    # workspaces: 2,030 to 2,075 on a 2-core host) and then each trial its own (0 to 0.1); the
+    # difference of the two run lengths separates them
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, "-c", FAULT_SCRIPT], env=env, capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
-    per_trial = {int(pad): int(faults) / 200 for pad, faults in map(str.split, done.stdout.splitlines())}
-    assert len(per_trial) == 5
+    counts = {int(pad): (int(short), int(long)) for pad, short, long in map(str.split, done.stdout.splitlines())}
+    assert len(counts) == 5
+    per_trial = {pad: (long - short) / 200 for pad, (short, long) in counts.items()}
+    per_call = {pad: short - 200 * per_trial[pad] for pad, (short, _) in counts.items()}
     assert max(per_trial.values()) <= 5.0, per_trial
+    assert max(per_call.values()) <= 2_500, per_call
 
 
-def _run_with(monkeypatch, config, threads, rows=None):
-    """validate_prop1(config) on threads threads (as if the process had that many CPUs), with rows
-    trials per block (the default if None)."""
-    monkeypatch.setattr(montecarlo, "_MAX_THREADS", threads)
-    monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: set(range(threads)), raising=False)
+def _run_with(monkeypatch, config, cpus, rows=None):
+    """validate_prop1(config) as if the process had cpus CPUs, with rows trials per block (the default if None)."""
+    monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     if rows is not None:
         monkeypatch.setattr(montecarlo, "_BLOCK_STEPS", rows * config.n_steps)
     return validate_prop1(config)
 
 
-def _every_thread_runs_a_block(monkeypatch, threads=2):
-    """Make each thread's first block wait until threads threads have one, so a run on fewer fails."""
-    barrier, seen, run_block = threading.Barrier(threads, timeout=30), set(), montecarlo._run_block
+def _record_runners(monkeypatch, log, wait=False):
+    """Make each process that runs a block append "pid first-trial" to the file log; gives the reader.
+
+    If wait, this process starts its blocks only once another process has started one.
+    """
+    run_block, parent, log = montecarlo._run_block, os.getpid(), Path(log)
+
+    def runs():
+        return [tuple(map(int, line.split())) for line in log.read_text().splitlines()] if log.exists() else []
 
     def spy(*args):
-        if threading.get_ident() not in seen:
-            seen.add(threading.get_ident())
-            barrier.wait()
+        fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)  # one write per line: lines never interleave
+        try:
+            os.write(fd, f"{os.getpid()} {args[1]}\n".encode())
+        finally:
+            os.close(fd)
+        deadline = time.monotonic() + 30
+        while wait and os.getpid() == parent and {pid for pid, _ in runs()} == {parent}:
+            assert time.monotonic() < deadline
+            time.sleep(0.001)
         return run_block(*args)
 
     monkeypatch.setattr(montecarlo, "_run_block", spy)
-    return seen
+    return runs
+
+
+def _assert_split(runs, forked=True):
+    """Each block ran once: in this process if it is even in trial order or nothing forked, else in one child."""
+    firsts = [first for _, first in runs]
+    assert len(firsts) == len(set(firsts))
+    pids = [pid for pid, _ in sorted(runs, key=lambda run: run[1])]
+    assert set(pids[::2]) == {os.getpid()}
+    odd = set(pids[1::2])
+    if forked and len(pids) > 1:
+        assert len(odd) == 1 and os.getpid() not in odd
+    else:
+        assert odd <= {os.getpid()}
 
 
 BLOCK_CONFIGS = {
@@ -473,20 +511,18 @@ BLOCK_CONFIGS = {
 
 
 @pytest.mark.parametrize("name", BLOCK_CONFIGS)
-def test_blocks_and_threads_do_not_show_in_the_report(monkeypatch, name):
+def test_blocks_and_processes_do_not_show_in_the_report(monkeypatch, tmp_path, name):
     config = BLOCK_CONFIGS[name]
     expected = _rebuild(config)
-    default_rows = min(montecarlo._BLOCK_STEPS // config.n_steps, _SEED_BLOCK, config.n_trials)
-    for threads, rows in itertools.product((1, 2), (1, 3, None)):
-        two_threads = threads == 2 and config.n_trials > (rows or default_rows)  # a block for each
+    for cpus, rows in itertools.product((1, 2), (1, 3, None)):
         with monkeypatch.context() as patch:
-            seen = _every_thread_runs_a_block(patch) if two_threads else set()
-            rep = _run_with(patch, config, threads, rows)
-        assert len(seen) == (2 if two_threads else 0)
-        assert rep.trials.tobytes() == expected["trials"].tobytes(), (threads, rows)
+            runs = _record_runners(patch, tmp_path / f"runs-{cpus}-{rows}")
+            rep = _run_with(patch, config, cpus, rows)
+        _assert_split(runs(), forked=cpus == 2)
+        assert rep.trials.tobytes() == expected["trials"].tobytes(), (cpus, rows)
         for field, value in expected.items():
             if field != "trials":
-                assert getattr(rep, field) == value, (threads, rows, field)
+                assert getattr(rep, field) == value, (cpus, rows, field)
         assert json.dumps(rep.to_dict()) == json.dumps(validate_prop1(config).to_dict())
 
 
@@ -501,18 +537,21 @@ def test_the_block_configs_meet_the_default_block_as_their_comments_say():
         assert default_rows(config) == rows
         assert redrawn and min(redrawn) < rows, name  # a walk redrawn inside the first default block
 
-def test_more_threads_than_cores_lose_no_update(monkeypatch):
-    # four workers on a short switch interval hand the lock and the tallies over often
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="pins the process to one CPU")
+def test_two_processes_on_one_core_lose_no_update(monkeypatch, tmp_path):
+    # both processes take turns on one core, so their writes to the shared record interleave
     config = SimConfig(n_steps=100, n_trials=600, seed=3)
     expected = validate_prop1(config)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
+    runs = _record_runners(monkeypatch, tmp_path / "runs")
+    allowed = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(allowed)})
     try:
-        seen = _every_thread_runs_a_block(monkeypatch, threads=4)
-        rep = _run_with(monkeypatch, config, threads=4, rows=1)
+        rep = _run_with(monkeypatch, config, cpus=2, rows=1)
     finally:
-        sys.setswitchinterval(interval)
-    assert len(seen) == 4
+        os.sched_setaffinity(0, allowed)
+    _assert_split(runs())
+    assert len(runs()) == 600
     assert sum(rep.scenario_counts.values()) == rep.n_steps_total == 60_000
     assert rep.trials.tobytes() == expected.trials.tobytes()
     assert json.dumps(rep.to_dict()) == json.dumps(expected.to_dict())
@@ -553,53 +592,202 @@ def test_a_trial_that_overflows_twice_raises_its_adjusted_loss_error():
     assert (type(raised.value), str(raised.value)) == expected
 
 
-@pytest.mark.parametrize("late", [0, 1])
-def test_the_first_failing_block_wins_whichever_fails_last(monkeypatch, late):
-    # blocks 0 and 1 of one row each run on the two threads; block `late` fails only once the
-    # other's failure has stopped the run, so the failures are recorded in both orders
+def test_a_failing_run_raises_its_first_failing_trials_error(monkeypatch):
+    # trial 0 overflows only in its squared errors, but trial 1 already in its walk, so a
+    # block that checks each pass for all its rows at once meets trial 1's error first
     config = SimConfig(n_steps=10, n_trials=6, volatility=3e307, seed=24)
-    barrier, stops, run_block, event = threading.Barrier(2, timeout=30), [], montecarlo._run_block, threading.Event
+    expected = _first_trial_error(config)
+    assert expected == (NumericError, "the summed squared forecast errors overflowed float64; "
+                                      "the input values are too large")
+    for cpus, rows in itertools.product((1, 2), (1, 3, None)):
+        with monkeypatch.context() as patch, pytest.raises(NumericError) as raised:
+            _run_with(patch, config, cpus, rows)
+        assert (type(raised.value), str(raised.value)) == expected, (cpus, rows)
 
-    def spy(*args):
-        if args[1] in (0, 1):
-            barrier.wait()  # both blocks are taken before either fails
-            if args[1] == late:
-                assert stops[0].wait(30)
-        return run_block(*args)
+
+def test_a_trial_that_overflows_twice_raises_its_adjusted_loss_error():
+    # the base losses stay finite while the adjusted losses and the loss gaps overflow: a block
+    # checks the adjustment before the theory statistics, as trace.adjusted before estimate_theory
+    config = SimConfig(n_steps=10, n_trials=5, drift=1.5e154, p_dt=0.999, error_scale=1.0001, p_db=0.5)
+    expected = _first_trial_error(config)
+    assert expected[1].startswith("the summed squared errors of the adjusted forecasts")
+    with pytest.raises(NumericError) as raised:
+        validate_prop1(config)
+    assert (type(raised.value), str(raised.value)) == expected
+
+
+FAILING_PAIRS = {
+    # blocks of one trial: trials 0 and 1 both fail, and the parent's block 0 wins
+    "parent-wins": (SimConfig(n_steps=10, n_trials=6, volatility=3e307, seed=24), (0, 1)),
+    # trial 0 passes, trial 1 fails in its adjusted losses and trial 2 in its forecast errors,
+    # so the child's block 1 wins over the parent's block 2
+    "child-wins": (SimConfig(n_steps=10, n_trials=4, volatility=3e153, seed=25), (1, 2)),
+}
+
+
+@pytest.mark.parametrize("late", ["child", "parent"])
+@pytest.mark.parametrize("name", FAILING_PAIRS)
+def test_the_first_failing_block_wins_whichever_fails_last(monkeypatch, tmp_path, name, late):
+    # of the two failing blocks, the one run by `late` starts only once the other has failed
+    config, pair = FAILING_PAIRS[name]
+    expected = _first_trial_error(config)
+    assert expected[1].startswith("the summed squared forecast errors" if name == "parent-wins"
+                                  else "the summed squared errors of the adjusted forecasts")
+    failed, run_block, parent = tmp_path / "failed", montecarlo._run_block, os.getpid()
+    late_block = next(first for first in pair if (first % 2 == 1) == (late == "child"))
+
+    def spy(config, first, states, ws):
+        if first == late_block:
+            deadline = time.monotonic() + 30
+            while not failed.exists():
+                assert time.monotonic() < deadline
+                time.sleep(0.001)
+        try:
+            return run_block(config, first, states, ws)
+        except TatsError:
+            if first != late_block and not failed.exists():
+                failed.write_text("child" if os.getpid() != parent else "parent")
+            raise
 
     monkeypatch.setattr(montecarlo, "_run_block", spy)
-    # the first Event that validate_prop1 makes is its stop signal, made before any thread
-    monkeypatch.setattr(threading, "Event", lambda: stops.append(event()) or stops[-1])
     with pytest.raises(NumericError) as raised:
-        _run_with(monkeypatch, config, threads=2, rows=1)
-    assert (type(raised.value), str(raised.value)) == _first_trial_error(config)
+        _run_with(monkeypatch, config, cpus=2, rows=1)
+    assert (type(raised.value), str(raised.value)) == expected
+    assert failed.read_text() == ("parent" if late == "child" else "child")  # the early block failed first
 
 
 @pytest.mark.parametrize("drift, volatility", [(1e200, 1.0), (0.0, 3e307)])
-def test_worker_threads_keep_numpy_quiet(monkeypatch, drift, volatility):
-    # numpy's error state is per thread; a worker that did not set its own would warn, and
-    # under filterwarnings=error the warning would be raised in place of the NumericError
+def test_the_child_keeps_numpy_quiet(monkeypatch, tmp_path, capfd, drift, volatility):
+    # the child writes nothing to the stderr it shares with its parent, under an error filter or
+    # not: numpy's errors are ignored in each process, and each kernel checks its own results
     config = SimConfig(n_steps=50, n_trials=8, drift=drift, volatility=volatility, seed=1)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        seen = _every_thread_runs_a_block(monkeypatch)
-        with pytest.raises(NumericError, match="overflowed float64"):
-            _run_with(monkeypatch, config, threads=2, rows=1)
-        assert len(seen) == 2
-        # a run that does not overflow stays quiet too
-        seen.clear()
-        _run_with(monkeypatch, SimConfig(n_steps=50, n_trials=8, seed=1), threads=2, rows=1)
-        assert len(seen) == 2
+    for action in ("error", "default"):
+        with warnings.catch_warnings():
+            warnings.simplefilter(action)
+            with monkeypatch.context() as patch:
+                runs = _record_runners(patch, tmp_path / f"runs-{action}", wait=True)
+                with pytest.raises(NumericError, match="overflowed float64"):
+                    _run_with(patch, config, cpus=2, rows=1)
+            assert len({pid for pid, _ in runs()}) == 2  # the child ran a block
+            # a run that does not overflow stays quiet too
+            with monkeypatch.context() as patch:
+                runs = _record_runners(patch, tmp_path / f"quiet-{action}")
+                _run_with(patch, SimConfig(n_steps=50, n_trials=8, seed=1), cpus=2, rows=1)
+            _assert_split(runs())
+    assert capfd.readouterr() == ("", "")
 
 
-def test_threads_are_capped_by_the_blocks_and_the_cpus(monkeypatch):
-    started, thread = [], threading.Thread
-    monkeypatch.setattr(threading, "Thread", lambda **kw: started.append(kw) or thread(**kw))
-    _run_with(monkeypatch, SimConfig(n_steps=10, n_trials=5), threads=2)  # one block of 5 rows
-    assert started == []
+def test_the_fork_needs_os_fork_sigchld_two_blocks_and_two_cpus(monkeypatch):
+    forks, fork = [], os.fork
+    monkeypatch.setattr(montecarlo.os, "fork", lambda: forks.append(1) or fork())
+    _run_with(monkeypatch, SimConfig(n_steps=10, n_trials=5), cpus=2)  # one block of 5 rows
+    assert forks == []
     monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0}, raising=False)
     validate_prop1(SimConfig(n_steps=5000, n_trials=9))  # two blocks, one CPU
-    assert started == []
+    assert forks == []
     monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
-    validate_prop1(SimConfig(n_steps=5000, n_trials=9))  # two blocks, eight CPUs, two threads at most
-    assert len(started) == 1
+    expected = validate_prop1(SimConfig(n_steps=5000, n_trials=9))  # two blocks, eight CPUs, one child at most
+    assert forks == [1]
+    previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)  # the system would reap a child itself
+    try:
+        ignored = validate_prop1(SimConfig(n_steps=5000, n_trials=9))
+    finally:
+        signal.signal(signal.SIGCHLD, previous)
+    monkeypatch.delattr(montecarlo.os, "fork")  # as on Windows
+    rep = validate_prop1(SimConfig(n_steps=5000, n_trials=9))
+    assert forks == [1]
+    for run in (ignored, rep):
+        assert run.trials.tobytes() == expected.trials.tobytes()
+        assert json.dumps(run.to_dict()) == json.dumps(expected.to_dict())
+
+
+@pytest.mark.parametrize("block", [1, 3])
+def test_a_killed_child_costs_time_not_the_answer(monkeypatch, block):
+    # the child kills itself as it starts its first block, or its second; the calling process
+    # runs every block it did not record as done
+    config = SimConfig(n_steps=200, n_trials=12, seed=17)
+    expected = validate_prop1(config)
+    run_block, parent = montecarlo._run_block, os.getpid()
+
+    def spy(config, first, states, ws):
+        if os.getpid() != parent and first == block:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return run_block(config, first, states, ws)
+
+    monkeypatch.setattr(montecarlo, "_run_block", spy)
+    rep = _run_with(monkeypatch, config, cpus=2, rows=1)
+    assert rep.trials.tobytes() == expected.trials.tobytes()
+    assert json.dumps(rep.to_dict()) == json.dumps(expected.to_dict())
+
+
+def test_the_child_runs_no_block_once_the_calling_process_has_died(monkeypatch, tmp_path):
+    # as if the calling process were killed as the child starts: the child's parent is then another process
+    config = SimConfig(n_steps=200, n_trials=12, seed=17)
+    expected = validate_prop1(config)
+    runs, forks, fork = _record_runners(monkeypatch, tmp_path / "runs"), [], os.fork
+    monkeypatch.setattr(montecarlo.os, "fork", lambda: forks.append(1) or fork())
+    monkeypatch.setattr(montecarlo.os, "getppid", lambda: -1)
+    rep = _run_with(monkeypatch, config, cpus=2, rows=1)
+    assert forks == [1]
+    assert sorted(runs()) == [(os.getpid(), first) for first in range(12)]
+    assert rep.trials.tobytes() == expected.trials.tobytes()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="checks for forked children")
+@pytest.mark.parametrize("ending", ["returns", "raises", "interrupted"])
+def test_no_child_outlives_the_run(monkeypatch, ending):
+    # where the run fails or is interrupted, the child's blocks hang, so only a kill ends it in time
+    config = SimConfig(n_steps=200, n_trials=12, seed=17, **({"volatility": 3e307} if ending == "raises" else {}))
+    run_block, parent = montecarlo._run_block, os.getpid()
+
+    def spy(config, first, states, ws):
+        if ending == "interrupted" and os.getpid() == parent and first == 2:
+            raise KeyboardInterrupt  # as a Ctrl-C while the child runs its blocks
+        if ending != "returns" and os.getpid() != parent:
+            time.sleep(60)
+        return run_block(config, first, states, ws)
+
+    monkeypatch.setattr(montecarlo, "_run_block", spy)
+    raised = {"returns": None, "raises": NumericError, "interrupted": KeyboardInterrupt}[ending]
+    started = time.monotonic()
+    if raised is None:
+        _run_with(monkeypatch, config, cpus=2, rows=1)
+    else:
+        with pytest.raises(raised):
+            _run_with(monkeypatch, config, cpus=2, rows=1)
+    assert time.monotonic() - started < 30
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("error", [OSError(12, "Cannot allocate memory"), OverflowError("too large"), MemoryError()],
+                         ids=["os-error", "overflow", "memory-error"])
+def test_a_shared_map_that_cannot_be_allocated_is_a_config_error(monkeypatch, error):
+    import mmap
+
+    def refuse(*args):
+        raise error
+
+    monkeypatch.setattr(mmap, "mmap", refuse)
+    with pytest.raises(ConfigError, match="^n_trials=9, n_steps=5000: too large to allocate$"):
+        validate_prop1(SimConfig(n_steps=5000, n_trials=9))
+
+
+def test_a_warning_in_the_child_hands_its_blocks_to_the_calling_process(monkeypatch, capfd):
+    # the child's warnings are errors, so it stops without writing, and the calling process
+    # runs the blocks it left under the caller's own filters
+    config = SimConfig(n_steps=200, n_trials=12, seed=17)
+    expected, run_block, parent = validate_prop1(config), montecarlo._run_block, os.getpid()
+
+    def spy(*args):
+        if os.getpid() != parent:
+            warnings.warn("a warning in the child", RuntimeWarning)
+        return run_block(*args)
+
+    monkeypatch.setattr(montecarlo, "_run_block", spy)
+    with warnings.catch_warnings():  # restores showwarning, which pytest's own capture would not call
+        warnings.simplefilter("default")
+        warnings.showwarning = lambda *args, **kwargs: os.write(2, b"a warning was shown\n")
+        rep = _run_with(monkeypatch, config, cpus=2, rows=1)
+    assert rep.trials.tobytes() == expected.trials.tobytes()
+    assert capfd.readouterr() == ("", "")
