@@ -28,8 +28,8 @@ n = 250
 prices = TimeSeries(np.cumsum(rng.normal(0.15, 1.2, size=n)) + 100.0)
 
 config = TatsConfig(
-    value_forecaster=ValueForecasterSpec.ar(order=2),
-    trend_predictor=TrendPredictorSpec.logistic(),
+    value_forecaster=ValueForecasterSpec("ar", order=2),
+    trend_predictor=TrendPredictorSpec("logistic"),
     n_lags=2,
     train_fraction=0.7,
 )

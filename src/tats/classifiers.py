@@ -90,30 +90,6 @@ class TrendPredictorSpec:
             return f"oracle(p={self.accuracy:g})"
         return self.kind
 
-    @classmethod
-    def majority(cls) -> "TrendPredictorSpec":
-        return cls("majority")
-
-    @classmethod
-    def logistic(cls) -> "TrendPredictorSpec":
-        return cls("logistic")
-
-    @classmethod
-    def gaussian_nb(cls) -> "TrendPredictorSpec":
-        return cls("gaussian_nb")
-
-    @classmethod
-    def knn(cls, k: int = 5) -> "TrendPredictorSpec":
-        return cls("knn", k=k)
-
-    @classmethod
-    def oracle(cls, accuracy: float, seed: int = 0) -> "TrendPredictorSpec":
-        return cls("oracle", accuracy=accuracy, seed=seed)
-
-    @classmethod
-    def external(cls, source: np.ndarray) -> "TrendPredictorSpec":
-        return cls("external", source=source)
-
 
 def _check_rows(rows, width: int | None) -> None:
     """Refuse rows that are not a 2-D array of numbers of width columns (any width if None)."""

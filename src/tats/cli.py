@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .classifiers import CLASSIFIER_KINDS, TrendPredictorSpec
@@ -162,16 +163,16 @@ def _resolve_settings(args: argparse.Namespace) -> None:
 def _forecaster_spec(args: argparse.Namespace, full_series) -> ValueForecasterSpec:
     name = args.forecaster
     if name == "ar":
-        return ValueForecasterSpec.ar(order=args.ar_order)
+        return ValueForecasterSpec("ar", order=args.ar_order)
     if name == "ses":
         if args.ses_smoothing is None:
             raise ConfigError("SES forecaster needs ses_smoothing")
-        return ValueForecasterSpec.ses(args.ses_smoothing)
+        return ValueForecasterSpec("ses", smoothing=args.ses_smoothing)
     if name == "external":
         if args.external_forecasts is None:
             raise ConfigError("external forecaster needs external_forecasts")
-        return ValueForecasterSpec.external(
-            load_external_forecasts(args.external_forecasts, full_series)
+        return ValueForecasterSpec(
+            "external", source=load_external_forecasts(args.external_forecasts, full_series)
         )
     return ValueForecasterSpec(name)
 
@@ -179,16 +180,16 @@ def _forecaster_spec(args: argparse.Namespace, full_series) -> ValueForecasterSp
 def _classifier_spec(args: argparse.Namespace, full_series) -> TrendPredictorSpec:
     name = args.classifier
     if name == "knn":
-        return TrendPredictorSpec.knn(k=args.knn_k)
+        return TrendPredictorSpec("knn", k=args.knn_k)
     if name == "oracle":
         if args.oracle_accuracy is None:
             raise ConfigError("oracle classifier needs oracle_accuracy")
-        return TrendPredictorSpec.oracle(accuracy=args.oracle_accuracy, seed=args.seed)
+        return TrendPredictorSpec("oracle", accuracy=args.oracle_accuracy, seed=args.seed)
     if name == "external":
         if args.external_directions is None:
             raise ConfigError("external classifier needs external_directions")
-        return TrendPredictorSpec.external(
-            load_external_directions(args.external_directions, full_series)
+        return TrendPredictorSpec(
+            "external", source=load_external_directions(args.external_directions, full_series)
         )
     return TrendPredictorSpec(name)
 
@@ -322,12 +323,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    config = SimConfig(
-        n_steps=args.n_steps, n_trials=args.n_trials, drift=args.drift,
-        volatility=args.volatility, p_dt=args.p_dt, p_db=args.p_db,
-        error_scale=args.error_scale, alpha=args.alpha, seed=args.seed,
-    )
-    report = validate_prop1(config)
+    report = validate_prop1(SimConfig(**{field.name: getattr(args, field.name) for field in fields(SimConfig)}))
     # repr of a float never needs CSV quoting; each row is formatted from one trial's floats
     rows = (f"{i},{b!r},{t!r},{(b - t)!r}\n" for i, (b, t) in enumerate(row.tolist() for row in report.trials))
     out = _out_dir(args.out)
@@ -389,15 +385,15 @@ def _build_parser() -> _Parser:
     sweep.set_defaults(func=cmd_sweep)
 
     simulate = sub.add_parser("simulate", help="Monte-Carlo check of the reduction guarantee")
-    simulate.add_argument("--n-steps", type=int, default=SimConfig.n_steps, help="steps per trial")
-    simulate.add_argument("--n-trials", type=int, default=SimConfig.n_trials, help="number of trials")
-    simulate.add_argument("--drift", type=float, default=SimConfig.drift, help="walk drift per step")
-    simulate.add_argument("--volatility", type=float, default=SimConfig.volatility, help="walk step stddev")
-    simulate.add_argument("--p-dt", type=float, default=SimConfig.p_dt, help="forecaster direction accuracy")
-    simulate.add_argument("--p-db", type=float, default=SimConfig.p_db, help="classifier direction accuracy")
-    simulate.add_argument("--error-scale", type=float, default=SimConfig.error_scale, help="forecast error scale u in (0, 2)")
-    simulate.add_argument("--alpha", type=float, default=SimConfig.alpha, help="adjustment step size")
-    simulate.add_argument("--seed", type=int, default=SimConfig.seed, help="root seed")
+    # one flag per SimConfig field, of the field's type and default
+    sim_help = dict(
+        n_steps="steps per trial", n_trials="number of trials", drift="walk drift per step",
+        volatility="walk step stddev", p_dt="forecaster direction accuracy", p_db="classifier direction accuracy",
+        error_scale="forecast error scale u in (0, 2)", alpha="adjustment step size", seed="root seed",
+    )
+    for field in fields(SimConfig):
+        simulate.add_argument(_flag(field.name), type=type(field.default), default=field.default,
+                              help=sim_help[field.name])
     simulate.add_argument("--out", help=f"output directory (default ${ENV_OUT_DIR} or .)")
     simulate.set_defaults(func=cmd_simulate)
 

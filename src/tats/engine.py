@@ -314,8 +314,9 @@ def sweep_alpha(trace: ForecastTrace, alphas) -> tuple[EvalReport, tuple[EvalRep
     """The report of a trace's base forecasts, and one report of its adjusted forecasts per alpha.
 
     The adjusted reports follow the order of alphas. Each carries
-    Diff/R-Diff against the base report; R-Diff is None when the base MSE
-    is zero, where it is undefined. MAPE is None where :func:`~tats.metrics.mape`
+    Diff/R-Diff against the base report; R-Diff is None where
+    :func:`~tats.metrics.diff_rdiff` refuses: on a zero base MSE, or when the
+    ratio overflows on a tiny one. MAPE is None where :func:`~tats.metrics.mape`
     refuses: on a zero actual, or when the ratios overflow on tiny actuals.
     """
     _instance("trace", trace, ForecastTrace)
@@ -324,7 +325,9 @@ def sweep_alpha(trace: ForecastTrace, alphas) -> tuple[EvalReport, tuple[EvalRep
     adjusted = []
     for a in alphas:
         report = _report(trace, trace.adjusted(a)[0])
-        diff = base.mse - report.mse
-        r_diff = None if base.mse == 0.0 else diff_rdiff(base, report)[1]
-        adjusted.append(replace(report, diff=diff, r_diff=r_diff))
+        try:
+            r_diff = diff_rdiff(base, report)[1]
+        except NumericError:  # a zero base MSE, or a ratio past float64 on a tiny one
+            r_diff = None
+        adjusted.append(replace(report, diff=base.mse - report.mse, r_diff=r_diff))
     return base, tuple(adjusted)

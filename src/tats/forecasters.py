@@ -144,26 +144,6 @@ class ValueForecasterSpec:
             return f"ses({self.smoothing:g})"
         return self.kind
 
-    @classmethod
-    def naive(cls) -> "ValueForecasterSpec":
-        return cls("naive")
-
-    @classmethod
-    def drift(cls) -> "ValueForecasterSpec":
-        return cls("drift")
-
-    @classmethod
-    def ar(cls, order: int = 2) -> "ValueForecasterSpec":
-        return cls("ar", order=order)
-
-    @classmethod
-    def ses(cls, smoothing: float) -> "ValueForecasterSpec":
-        return cls("ses", smoothing=smoothing)
-
-    @classmethod
-    def external(cls, source: np.ndarray) -> "ValueForecasterSpec":
-        return cls("external", source=source)
-
 
 def _check_start(label: str, required: int, values, start) -> tuple[np.ndarray, int]:
     """The arguments of forecast_path: values as a 1-D float array, and start as an int from required to its size."""

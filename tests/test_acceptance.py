@@ -112,8 +112,8 @@ def test_c04_identity_configurations():
         dataset = Dataset(TimeSeries(values))
 
         naive_cfg = TatsConfig(
-            value_forecaster=ValueForecasterSpec.naive(),
-            trend_predictor=TrendPredictorSpec.oracle(accuracy=0.3, seed=9),
+            value_forecaster=ValueForecasterSpec("naive"),
+            trend_predictor=TrendPredictorSpec("oracle", accuracy=0.3, seed=9),
         )
         [run] = prepare_run(naive_cfg, dataset)
         y_adj, loss_adj = run.adjusted(2.0)
@@ -123,8 +123,8 @@ def test_c04_identity_configurations():
         ):
             mismatches_naive += 1
 
-        fc_spec = ValueForecasterSpec.ar(order=2)
-        ar_cfg = TatsConfig(value_forecaster=fc_spec, trend_predictor=TrendPredictorSpec.majority())
+        fc_spec = ValueForecasterSpec("ar", order=2)
+        ar_cfg = TatsConfig(value_forecaster=fc_spec, trend_predictor=TrendPredictorSpec("majority"))
         forecasts = prepare_run(ar_cfg, dataset)[0].y_hat
         table = np.full(values.size, np.nan)
         for i, f in enumerate(forecasts):
@@ -133,7 +133,7 @@ def test_c04_identity_configurations():
             table[t] = 1 if implied >= 0 else -1
         echo_cfg = TatsConfig(
             value_forecaster=fc_spec,
-            trend_predictor=TrendPredictorSpec.external(source=table),
+            trend_predictor=TrendPredictorSpec("external", source=table),
         )
         [run] = prepare_run(echo_cfg, dataset)
         if not np.array_equal(run.adjusted(5.0)[0], run.y_hat):

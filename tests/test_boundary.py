@@ -24,6 +24,7 @@ of ``scalar_reference`` are probed like exports.
 import dataclasses
 import inspect
 import math
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -93,22 +94,22 @@ BAD = {
 INT, REAL, ARRAY, OBJECT, FLAG = "int", "real", "array", "object", "flag"
 # the BAD values that a kind of parameter takes; an object parameter takes none of them
 VALID_BY_KIND = {REAL: {"float"}, FLAG: {"bool"}}
-NAIVE = ValueForecasterSpec.naive()
+NAIVE = ValueForecasterSpec("naive")
 # three feature columns, so that BAD's 2-by-2 array is of the wrong width for the classifiers fit on them
 FEATURES_3 = build_feature_table(Dataset(SERIES), 3).training_matrix()
 FORECAST_MODELS = {
-    "ARModel": (fit_forecaster(ValueForecasterSpec.ar(2), SERIES), 2),
-    "SESForecaster": (fit_forecaster(ValueForecasterSpec.ses(0.5), SERIES), 1),
-    "ExternalForecaster": (fit_forecaster(ValueForecasterSpec.external(VALUES), SERIES), 1),
+    "ARModel": (fit_forecaster(ValueForecasterSpec("ar", order=2), SERIES), 2),
+    "SESForecaster": (fit_forecaster(ValueForecasterSpec("ses", smoothing=0.5), SERIES), 1),
+    "ExternalForecaster": (fit_forecaster(ValueForecasterSpec("external", source=VALUES), SERIES), 1),
 }
 CLASSIFIER_MODELS = {
     type(model).__name__: model
     for model in (fit_classifier(spec, FEATURES_3) for spec in (
-        TrendPredictorSpec.majority(), TrendPredictorSpec.logistic(), TrendPredictorSpec.gaussian_nb(),
-        TrendPredictorSpec.knn(3),
+        TrendPredictorSpec("majority"), TrendPredictorSpec("logistic"), TrendPredictorSpec("gaussian_nb"),
+        TrendPredictorSpec("knn", k=3),
     ))
 }
-ORACLE = fit_classifier(TrendPredictorSpec.oracle(0.7, seed=1))
+ORACLE = fit_classifier(TrendPredictorSpec("oracle", accuracy=0.7, seed=1))
 
 # label: (export, callable with its object arguments bound, valid probed arguments, their kinds)
 CALLS = {
@@ -117,7 +118,7 @@ CALLS = {
     ), dict(n_steps=INT, n_trials=INT, seed=INT, drift=REAL, volatility=REAL, p_dt=REAL, p_db=REAL,
             error_scale=REAL, alpha=REAL)),
     "TatsConfig": ("TatsConfig", TatsConfig, dict(
-        value_forecaster=NAIVE, trend_predictor=TrendPredictorSpec.logistic(), n_lags=2, refit_each_step=False,
+        value_forecaster=NAIVE, trend_predictor=TrendPredictorSpec("logistic"), n_lags=2, refit_each_step=False,
         exog_lag=0, train_fraction=0.7,
     ), dict(value_forecaster=OBJECT, trend_predictor=OBJECT, n_lags=INT, refit_each_step=FLAG, exog_lag=INT,
             train_fraction=REAL)),
@@ -125,17 +126,18 @@ CALLS = {
     "Dataset": ("Dataset", Dataset, dict(target=SERIES, exogenous={}), dict(target=OBJECT, exogenous=OBJECT)),
     "TrendPredictorSpec": ("TrendPredictorSpec", TrendPredictorSpec, dict(kind="majority"), dict(kind=OBJECT)),
     "ValueForecasterSpec": ("ValueForecasterSpec", ValueForecasterSpec, dict(kind="naive"), dict(kind=OBJECT)),
-    # each spec classmethod passes its arguments to the spec's fields of the same names
-    "TrendPredictorSpec.knn": ("TrendPredictorSpec", TrendPredictorSpec.knn, dict(k=3), dict(k=INT)),
-    "TrendPredictorSpec.oracle": ("TrendPredictorSpec", TrendPredictorSpec.oracle, dict(accuracy=0.7, seed=1),
-                                  dict(accuracy=REAL, seed=INT)),
-    "TrendPredictorSpec.external": ("TrendPredictorSpec", TrendPredictorSpec.external, dict(source=np.ones(60)),
-                                    dict(source=ARRAY)),
-    "ValueForecasterSpec.ar": ("ValueForecasterSpec", ValueForecasterSpec.ar, dict(order=2), dict(order=INT)),
-    "ValueForecasterSpec.ses": ("ValueForecasterSpec", ValueForecasterSpec.ses, dict(smoothing=0.5),
+    # each spec's own parameters, under the kind that takes them
+    "TrendPredictorSpec.knn": ("TrendPredictorSpec", partial(TrendPredictorSpec, "knn"), dict(k=3), dict(k=INT)),
+    "TrendPredictorSpec.oracle": ("TrendPredictorSpec", partial(TrendPredictorSpec, "oracle"),
+                                  dict(accuracy=0.7, seed=1), dict(accuracy=REAL, seed=INT)),
+    "TrendPredictorSpec.external": ("TrendPredictorSpec", partial(TrendPredictorSpec, "external"),
+                                    dict(source=np.ones(60)), dict(source=ARRAY)),
+    "ValueForecasterSpec.ar": ("ValueForecasterSpec", partial(ValueForecasterSpec, "ar"), dict(order=2),
+                               dict(order=INT)),
+    "ValueForecasterSpec.ses": ("ValueForecasterSpec", partial(ValueForecasterSpec, "ses"), dict(smoothing=0.5),
                                 dict(smoothing=REAL)),
-    "ValueForecasterSpec.external": ("ValueForecasterSpec", ValueForecasterSpec.external, dict(source=np.ones(60)),
-                                     dict(source=ARRAY)),
+    "ValueForecasterSpec.external": ("ValueForecasterSpec", partial(ValueForecasterSpec, "external"),
+                                     dict(source=np.ones(60)), dict(source=ARRAY)),
     "ForecastTrace.adjusted": ("ForecastTrace", TRACE.adjusted, dict(alpha=1.0), dict(alpha=REAL)),
     "build_feature_table": ("build_feature_table", build_feature_table, dict(dataset=Dataset(SERIES, {}), n_lags=2,
                             exog_lag=0), dict(dataset=OBJECT, n_lags=INT, exog_lag=INT)),
@@ -146,7 +148,7 @@ CALLS = {
         values=VALUES, start=1, forecasts=VALUES[:-1], directions=np.ones(VALUES.size - 1),
     ), dict(values=ARRAY, start=INT, forecasts=ARRAY, directions=ARRAY)),
     "fit_ar": ("fit_ar", fit_ar, dict(series=SERIES, order=2), dict(series=OBJECT, order=INT)),
-    "fit_classifier": ("fit_classifier", fit_classifier, dict(spec=TrendPredictorSpec.majority(), features=FEATURES),
+    "fit_classifier": ("fit_classifier", fit_classifier, dict(spec=TrendPredictorSpec("majority"), features=FEATURES),
                        dict(spec=OBJECT, features=OBJECT)),
     "fit_forecaster": ("fit_forecaster", fit_forecaster, dict(spec=NAIVE, train=SERIES), dict(spec=OBJECT, train=OBJECT)),
     # not an export: the 1-D form of the trial walk
@@ -161,10 +163,10 @@ CALLS = {
     "lower_bound": ("lower_bound", lower_bound, dict(abs_gap=1.0, p_db=0.6, p_dt=0.5),
                     dict(abs_gap=REAL, p_db=REAL, p_dt=REAL)),
     "prepare_run": ("prepare_run", prepare_run, dict(
-        config=TatsConfig(NAIVE, TrendPredictorSpec.majority()), dataset=Dataset(SERIES), eval_splits=("test",),
+        config=TatsConfig(NAIVE, TrendPredictorSpec("majority")), dataset=Dataset(SERIES), eval_splits=("test",),
     ), dict(config=OBJECT, dataset=OBJECT, eval_splits=OBJECT)),
     "run_experiment": ("run_experiment", run_experiment, dict(
-        config=TatsConfig(NAIVE, TrendPredictorSpec.majority()), dataset=Dataset(SERIES), alphas=[1.0, 2.0],
+        config=TatsConfig(NAIVE, TrendPredictorSpec("majority")), dataset=Dataset(SERIES), alphas=[1.0, 2.0],
         theory_split="train",
     ), dict(config=OBJECT, dataset=OBJECT, alphas=ARRAY, theory_split=OBJECT)),
     # not an export: the independence reference, which the acceptance tests feed realized rates
@@ -250,11 +252,11 @@ def test_every_export_parameter_is_sorted():
 
 
 def test_ints_and_reals_are_stored_as_python_numbers():
-    spec = ValueForecasterSpec.ar(np.int32(3))
+    spec = ValueForecasterSpec("ar", order=np.int32(3))
     assert type(spec.order) is int and spec.label == "ar(3)"
     config = SimConfig(p_dt=np.float32(0.5), drift=1)
     assert type(config.p_dt) is float and type(config.drift) is float
-    assert type(TrendPredictorSpec.knn(np.uint8(4)).k) is int
+    assert type(TrendPredictorSpec("knn", k=np.uint8(4)).k) is int
 
 
 def test_seeds_may_be_numpy_seed_objects():
@@ -325,9 +327,9 @@ def test_datasets_of_wrong_types_raise_a_config_error(case):
 
 def test_the_run_flag_is_stored_as_a_bool_and_eval_splits_may_be_a_list():
     for flag in (True, False, np.bool_(True), np.bool_(False)):
-        config = TatsConfig(NAIVE, TrendPredictorSpec.majority(), refit_each_step=flag)
+        config = TatsConfig(NAIVE, TrendPredictorSpec("majority"), refit_each_step=flag)
         assert type(config.refit_each_step) is bool and config.refit_each_step == flag
-    config = TatsConfig(NAIVE, TrendPredictorSpec.majority())
+    config = TatsConfig(NAIVE, TrendPredictorSpec("majority"))
     as_list = prepare_run(config, Dataset(SERIES), ["test", "train"])
     as_tuple = prepare_run(config, Dataset(SERIES), ("test", "train"))
     assert [trace.t.tolist() for trace in as_list] == [trace.t.tolist() for trace in as_tuple]
@@ -346,7 +348,7 @@ def test_the_run_flag_is_stored_as_a_bool_and_eval_splits_may_be_a_list():
     (lambda: fit_forecaster(None, SERIES), "spec must be of type ValueForecasterSpec, got NoneType"),
     (lambda: fit_classifier(None), "spec must be of type TrendPredictorSpec, got NoneType"),
     # the oracle reads no features, but a wrong object for them is still refused
-    (lambda: fit_classifier(TrendPredictorSpec.oracle(0.7), "x"),
+    (lambda: fit_classifier(TrendPredictorSpec("oracle", accuracy=0.7, seed=0), "x"),
      "features must be of type FeatureMatrix or None, got str"),
     (lambda: diff_rdiff(None, None), "base must be of type EvalReport, got NoneType"),
     (lambda: build_feature_table(2.5, 2, 0), "dataset must be of type Dataset, got float"),
@@ -396,10 +398,10 @@ def test_fitted_model_methods_check_the_width_and_take_lists_of_values():
 FITS = {
     "ARModel": lambda: fit_ar(SERIES, 2),
     "ARModel-naive": lambda: fit_forecaster(NAIVE, SERIES),
-    "ExternalForecaster": lambda: fit_forecaster(ValueForecasterSpec.external(VALUES.copy()), SERIES),
-    "LogisticClassifier": lambda: fit_classifier(TrendPredictorSpec.logistic(), FEATURES_3),
-    "GaussianNBClassifier": lambda: fit_classifier(TrendPredictorSpec.gaussian_nb(), FEATURES_3),
-    "KNNClassifier": lambda: fit_classifier(TrendPredictorSpec.knn(3), FEATURES_3),
+    "ExternalForecaster": lambda: fit_forecaster(ValueForecasterSpec("external", source=VALUES.copy()), SERIES),
+    "LogisticClassifier": lambda: fit_classifier(TrendPredictorSpec("logistic"), FEATURES_3),
+    "GaussianNBClassifier": lambda: fit_classifier(TrendPredictorSpec("gaussian_nb"), FEATURES_3),
+    "KNNClassifier": lambda: fit_classifier(TrendPredictorSpec("knn", k=3), FEATURES_3),
     "FeatureMatrix": lambda: build_feature_table(Dataset(SERIES), 3).training_matrix(),
     "FeatureTable": lambda: build_feature_table(Dataset(SERIES), 3),
     "Dataset": lambda: Dataset(SERIES, {"x": SERIES}),

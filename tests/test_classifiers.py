@@ -38,17 +38,17 @@ def _blobs(n=200, rng_seed=7):
 
 def test_spec_validation():
     with pytest.raises(ConfigError):
-        TrendPredictorSpec.knn(k=0)
+        TrendPredictorSpec("knn", k=0)
     with pytest.raises(ConfigError, match="k is not a parameter of the logistic classifier"):
         TrendPredictorSpec("logistic", k=3)
     with pytest.raises(ConfigError):
-        TrendPredictorSpec.oracle(accuracy=1.5)
+        TrendPredictorSpec("oracle", accuracy=1.5, seed=0)
     with pytest.raises(ConfigError):
         TrendPredictorSpec(kind="majority", k=3)  # majority takes no params
     with pytest.raises(ConfigError):
         TrendPredictorSpec(kind="nonsense")
     with pytest.raises(ConfigError):
-        TrendPredictorSpec.oracle(accuracy=0.7, seed=-1)
+        TrendPredictorSpec("oracle", accuracy=0.7, seed=-1)
 
 
 @pytest.mark.parametrize("kind", ["majority", "logistic", "gaussian_nb", "knn"])
@@ -72,27 +72,27 @@ def test_external_spec_takes_only_a_loaded_table(tmp_path):
     path.write_text("time_index,direction\n1,1\n")
     for source in (str(path), path, None):
         with pytest.raises(ConfigError, match=r"load_external_directions\(path, series\)"):
-            TrendPredictorSpec.external(source)
-    spec = TrendPredictorSpec.external(np.array([np.nan, 1.0]))
+            TrendPredictorSpec("external", source=source)
+    spec = TrendPredictorSpec("external", source=np.array([np.nan, 1.0]))
     assert fit_classifier(spec)[1] == 1
 
 
 def test_majority_tie_goes_up():
     fm = _matrix([[0.0], [1.0], [2.0], [3.0]], [1, 1, -1, -1])
-    clf = fit_classifier(TrendPredictorSpec.majority(), fm)
+    clf = fit_classifier(TrendPredictorSpec("majority"), fm)
     assert clf.predict_matrix(np.array([[9.9]]))[0] == 1
 
 
 def test_majority_follows_count():
     fm = _matrix([[0.0], [1.0], [2.0]], [-1, -1, 1])
-    clf = fit_classifier(TrendPredictorSpec.majority(), fm)
+    clf = fit_classifier(TrendPredictorSpec("majority"), fm)
     assert clf.direction == -1 and type(clf.direction) is int
     assert clf.predict_matrix(np.array([[0.0]]))[0] == -1
 
 
 def test_logistic_separable_blobs():
     fm = _blobs()
-    clf = fit_classifier(TrendPredictorSpec.logistic(), fm)
+    clf = fit_classifier(TrendPredictorSpec("logistic"), fm)
     acc = np.mean(clf.predict_matrix(fm.rows) == fm.labels)
     assert acc >= 0.95
 
@@ -178,7 +178,7 @@ def test_logistic_fit_matches_reference_loop(fm, learning_rate, iterations):
 def test_logistic_spec_fits_1000_steps_of_a_tenth():
     fm = _blobs(n=300, rng_seed=9)
     w, b, _ = _reference_logistic_fit(fm, 0.1, 1000)
-    clf = fit_classifier(TrendPredictorSpec.logistic(), fm)
+    clf = fit_classifier(TrendPredictorSpec("logistic"), fm)
     assert np.array_equal(clf.weights, w)
     assert clf.bias == b
 
@@ -199,7 +199,7 @@ def test_logistic_fit_diverges_like_reference_loop():
 
 
 @pytest.mark.parametrize("spec", [
-    TrendPredictorSpec.logistic(), TrendPredictorSpec.gaussian_nb(), TrendPredictorSpec.knn(3),
+    TrendPredictorSpec("logistic"), TrendPredictorSpec("gaussian_nb"), TrendPredictorSpec("knn", k=3),
 ], ids=["logistic", "gaussian_nb", "knn"])
 def test_overflowing_features_are_numeric_errors(spec):
     rng = np.random.default_rng(12)
@@ -210,7 +210,7 @@ def test_overflowing_features_are_numeric_errors(spec):
 
 def test_overflowing_prediction_rows_are_numeric_errors():
     huge = np.full((1, 2), 1e200)
-    for spec in (TrendPredictorSpec.gaussian_nb(), TrendPredictorSpec.knn(3)):
+    for spec in (TrendPredictorSpec("gaussian_nb"), TrendPredictorSpec("knn", k=3)):
         with pytest.raises(NumericError, match="overflowed float64"):
             fit_classifier(spec, _blobs()).predict_matrix(huge)
     clf = LogisticClassifier(
@@ -235,7 +235,7 @@ def test_logistic_zero_score_predicts_up():
 
 def test_gaussian_nb_separable():
     fm = _blobs(rng_seed=9)
-    clf = fit_classifier(TrendPredictorSpec.gaussian_nb(), fm)
+    clf = fit_classifier(TrendPredictorSpec("gaussian_nb"), fm)
     acc = np.mean(clf.predict_matrix(fm.rows) == fm.labels)
     assert acc >= 0.95
 
@@ -243,35 +243,35 @@ def test_gaussian_nb_separable():
 def test_gaussian_nb_constant_feature_column():
     # zero variance hits the variance floor instead of dividing by zero
     fm = _matrix([[1.0, 5.0], [2.0, 5.0], [3.0, 5.0], [4.0, 5.0]], [1, 1, -1, -1])
-    clf = fit_classifier(TrendPredictorSpec.gaussian_nb(), fm)
+    clf = fit_classifier(TrendPredictorSpec("gaussian_nb"), fm)
     assert clf.predict_matrix(np.array([[1.5, 5.0]]))[0] == 1
 
 
 def test_single_class_training_rejected():
     fm = _matrix([[0.0], [1.0]], [1, 1])
     with pytest.raises(DataError):
-        fit_classifier(TrendPredictorSpec.logistic(), fm)
+        fit_classifier(TrendPredictorSpec("logistic"), fm)
     with pytest.raises(DataError):
-        fit_classifier(TrendPredictorSpec.gaussian_nb(), fm)
+        fit_classifier(TrendPredictorSpec("gaussian_nb"), fm)
 
 
 def test_knn_nearest_neighbour():
     fm = _matrix([[0.0], [1.0], [10.0]], [1, -1, 1])
-    clf = fit_classifier(TrendPredictorSpec.knn(k=1), fm)
+    clf = fit_classifier(TrendPredictorSpec("knn", k=1), fm)
     assert clf.predict_matrix(np.array([[0.4]]))[0] == 1
     assert clf.predict_matrix(np.array([[0.6]]))[0] == -1
 
 
 def test_knn_tie_goes_up():
     fm = _matrix([[0.0], [1.0]], [1, -1])
-    clf = fit_classifier(TrendPredictorSpec.knn(k=2), fm)
+    clf = fit_classifier(TrendPredictorSpec("knn", k=2), fm)
     assert clf.predict_matrix(np.array([[0.5]]))[0] == 1
 
 
 def test_knn_k_exceeds_rows():
     fm = _matrix([[0.0], [1.0]], [1, -1])
     with pytest.raises(ConfigError):
-        fit_classifier(TrendPredictorSpec.knn(k=3), fm)
+        fit_classifier(TrendPredictorSpec("knn", k=3), fm)
 
 
 def test_oracle_endpoints():
@@ -324,7 +324,7 @@ def test_draw_kernel_matches_the_masked_formula_on_ties(dtype):
 def test_oracle_is_a_pure_function_of_its_seed():
     truths = np.where(np.random.default_rng(34).random(500) < 0.5, 1, -1)
     truths[::7] = 0
-    fitted = fit_classifier(TrendPredictorSpec.oracle(0.7, seed=1))
+    fitted = fit_classifier(TrendPredictorSpec("oracle", accuracy=0.7, seed=1))
     first = fitted.draw_many(truths)
     assert np.array_equal(fitted.draw_many(truths), first)
     # each call draws from the start of the seed's stream, as a fresh generator would

@@ -1,4 +1,6 @@
+import argparse
 import csv
+import dataclasses
 import inspect
 import json
 import os
@@ -18,6 +20,11 @@ from tats.cli import (
     _SETTINGS,
     DEFAULT_ALPHAS,
     RESULTS_HEADER,
+    _build_parser,
+    _classifier_spec,
+    _flag,
+    _forecaster_spec,
+    _resolve_settings,
     main,
     parse_config_file,
 )
@@ -25,6 +32,7 @@ from tats.core import chronological_split
 from tats.engine import TatsConfig, prepare_run
 from tats.forecasters import ValueForecasterSpec
 from tats.ingest import load_csv, load_external_directions
+from tats.montecarlo import SimConfig
 from tats.theory import run_experiment
 
 seed = 909
@@ -672,9 +680,6 @@ def test_an_empty_exogenous_flag_overrides_the_config_files_columns(tmp_path):
 
 
 @pytest.mark.parametrize("key, owner, param", [
-    ("ar_order", ValueForecasterSpec.ar, "order"),
-    ("knn_k", TrendPredictorSpec.knn, "k"),
-    ("seed", TrendPredictorSpec.oracle, "seed"),
     ("theory_split", run_experiment, "theory_split"),
     *[(key, TatsConfig, key) for key in ("train_fraction", "n_lags", "exog_lag", "refit_each_step")],
 ])
@@ -682,6 +687,30 @@ def test_the_cli_states_the_library_defaults(key, owner, param):
     # a default changed on one side fails here instead of drifting silently
     default = next(row[2] for row in _SETTINGS if row[0] == key)
     assert default == inspect.signature(owner).parameters[param].default
+
+
+def test_the_cli_owns_the_defaults_of_the_ar_order_the_knn_k_and_the_oracle_seed():
+    # the specs take no default for these, so the command line is their one owner
+    def specs(*flags):
+        args = _build_parser().parse_args(["run", "--data", "d.csv", "--target-column", "y", *flags])
+        _resolve_settings(args)
+        return _forecaster_spec(args, None), _classifier_spec(args, None)
+
+    ar, knn = specs("--classifier", "knn")
+    _, oracle = specs("--classifier", "oracle", "--oracle-accuracy", "0.7")
+    assert vars(ar) == vars(ValueForecasterSpec("ar", order=2))
+    assert vars(knn) == vars(TrendPredictorSpec("knn", k=5))
+    assert vars(oracle) == vars(TrendPredictorSpec("oracle", accuracy=0.7, seed=0))
+
+
+def test_simulate_has_one_flag_per_sim_config_field():
+    [subparsers] = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    actions = subparsers.choices["simulate"]._actions
+    for field in dataclasses.fields(SimConfig):
+        [action] = [a for a in actions if a.dest == field.name]
+        assert action.option_strings == [_flag(field.name)]
+        assert action.type is type(field.default) and action.default == field.default
+    assert {a.dest for a in actions} == {f.name for f in dataclasses.fields(SimConfig)} | {"help", "out"}
 
 
 def test_config_file_and_flags_write_identical_artifacts(tmp_path):
@@ -892,11 +921,11 @@ def test_report_theory_matches_a_separate_run(tmp_path, classifier, theory_split
 
     dataset = load_csv(data, "gold", ["ftse"])
     spec = {
-        "logistic": TrendPredictorSpec.logistic(),
-        "oracle": TrendPredictorSpec.oracle(accuracy=0.8, seed=3),
-        "external": TrendPredictorSpec.external(load_external_directions(directions, dataset.target)),
+        "logistic": TrendPredictorSpec("logistic"),
+        "oracle": TrendPredictorSpec("oracle", accuracy=0.8, seed=3),
+        "external": TrendPredictorSpec("external", source=load_external_directions(directions, dataset.target)),
     }[classifier]
-    config = TatsConfig(value_forecaster=ValueForecasterSpec.ar(2), trend_predictor=spec)
+    config = TatsConfig(value_forecaster=ValueForecasterSpec("ar", order=2), trend_predictor=spec)
     expected = run_experiment(config, dataset, DEFAULT_ALPHAS, theory_split).theory
     report = json.loads((out / "report.json").read_text())
     assert report["theory"] == json.loads(json.dumps(expected.to_dict()))
@@ -916,9 +945,9 @@ def test_an_exog_lag_beyond_the_series_names_the_setting(tmp_path, capsys):
 @pytest.mark.parametrize(
     "forecaster, spec",
     [
-        (["ar", "--ar-order", "2"], ValueForecasterSpec.ar(2)),
-        (["ses", "--ses-smoothing", "0.3"], ValueForecasterSpec.ses(0.3)),
-        (["drift"], ValueForecasterSpec.drift()),
+        (["ar", "--ar-order", "2"], ValueForecasterSpec("ar", order=2)),
+        (["ses", "--ses-smoothing", "0.3"], ValueForecasterSpec("ses", smoothing=0.3)),
+        (["drift"], ValueForecasterSpec("drift")),
     ],
     ids=["ar", "ses", "drift"],
 )
@@ -930,7 +959,7 @@ def test_external_replay_of_refit_forecasts_matches_the_model(tmp_path, forecast
               "--refit-each-step", "--theory-split", "test"]
     assert main([*common, "--forecaster", *forecaster, "--out", str(tmp_path / "model")]) == 0
 
-    config = TatsConfig(value_forecaster=spec, trend_predictor=TrendPredictorSpec.logistic(),
+    config = TatsConfig(value_forecaster=spec, trend_predictor=TrendPredictorSpec("logistic"),
                         refit_each_step=True)
     [trace] = prepare_run(config, load_csv(data, "y"))
     table = tmp_path / "forecasts.csv"
@@ -1020,6 +1049,25 @@ def test_zero_base_mse_leaves_r_diff_null(tmp_path, capsys):
         rows = list(csv.DictReader(fh))
     assert [row["R-Diff"] for row in rows] == ["", "", ""]
     assert [row["Diff"] for row in rows] == ["", "0.0", "0.0"]
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_a_base_mse_too_small_to_divide_by_leaves_r_diff_null(tmp_path, capsys, command):
+    # a walk of tiny steps: the base MSE is 8.8e-321, and Diff / base MSE overflows float64
+    values = 1e-150 + 1e-160 * np.cumsum(np.random.default_rng(0).standard_normal(400))
+    data = tmp_path / "tiny.csv"
+    data.write_text("y\n" + "".join(f"{float(v)!r}\n" for v in values))
+    out = tmp_path / "out"
+    code = main(
+        [command, "--data", str(data), "--target-column", "y", "--forecaster", "drift",
+         "--classifier", "oracle", "--oracle-accuracy", "0.7", "--alphas", "0.5", "--out", str(out)]
+    )
+    assert code == 0
+    assert "R-Diff=n/a" in capsys.readouterr().out
+    with open(out / "results.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["R-Diff"] for row in rows] == ["", ""]
+    assert 0.0 < float(rows[0]["MSE"]) < 1e-300 and np.isfinite(float(rows[1]["Diff"]))
 
 
 def test_readme_lists_every_config_key_in_table_order():

@@ -15,6 +15,7 @@ from tats import (
     TrendPredictorSpec,
     ValueForecasterSpec,
     chronological_split,
+    diff_rdiff,
     prepare_run,
     sweep_alpha,
 )
@@ -154,8 +155,8 @@ def test_spec_equality_and_hash_never_raise():
     table = np.array([np.nan, 101.0, 102.0])
     directions = np.array([np.nan, 1.0, -1.0])
     specs = [
-        (ValueForecasterSpec.external(table), ValueForecasterSpec.external(table.copy())),
-        (TrendPredictorSpec.external(directions), TrendPredictorSpec.external(directions.copy())),
+        (ValueForecasterSpec("external", source=table), ValueForecasterSpec("external", source=table.copy())),
+        (TrendPredictorSpec("external", source=directions), TrendPredictorSpec("external", source=directions.copy())),
     ]
     for spec, twin in specs:
         assert spec == spec
@@ -359,8 +360,8 @@ def test_run_tats_naive_forecaster_is_identity():
     for _ in range(10):
         series = _weather_series(rng)
         config = TatsConfig(
-            value_forecaster=ValueForecasterSpec.naive(),
-            trend_predictor=TrendPredictorSpec.oracle(accuracy=0.3, seed=1),
+            value_forecaster=ValueForecasterSpec("naive"),
+            trend_predictor=TrendPredictorSpec("oracle", accuracy=0.3, seed=1),
         )
         trace = _trace(config, series)
         assert np.array_equal(trace.adjusted(2.0)[0], trace.y_hat)
@@ -371,9 +372,9 @@ def test_run_tats_echo_classifier_is_identity():
     # table feeding back the forecaster's own implied direction
     rng = np.random.default_rng(seed + 9)
     series = _weather_series(rng)
-    spec = ValueForecasterSpec.ar(order=2)
+    spec = ValueForecasterSpec("ar", order=2)
     forecasts = _trace(
-        TatsConfig(value_forecaster=spec, trend_predictor=TrendPredictorSpec.majority()), series
+        TatsConfig(value_forecaster=spec, trend_predictor=TrendPredictorSpec("majority")), series
     ).y_hat
     n_train = len(series) - forecasts.size
     table = np.full(len(series), np.nan)
@@ -383,7 +384,7 @@ def test_run_tats_echo_classifier_is_identity():
         table[t] = UP if implied >= 0 else DOWN
     config = TatsConfig(
         value_forecaster=spec,
-        trend_predictor=TrendPredictorSpec.external(source=table),
+        trend_predictor=TrendPredictorSpec("external", source=table),
     )
     trace = _trace(config, series)
     y_adj, loss_adj = trace.adjusted(5.0)
@@ -394,12 +395,12 @@ def test_run_tats_echo_classifier_is_identity():
 # (forecaster, classifier, refit_each_step, losses scale exactly): scaling by a power
 # of two is exact for every model but AR, whose least-squares solve rounds differently
 SCALED_PAIRS = [
-    (ValueForecasterSpec.naive(), TrendPredictorSpec.oracle(accuracy=0.7, seed=2), False, True),
-    (ValueForecasterSpec.drift(), TrendPredictorSpec.logistic(), False, True),
-    (ValueForecasterSpec.drift(), TrendPredictorSpec.logistic(), True, True),
-    (ValueForecasterSpec.ses(0.4), TrendPredictorSpec.knn(5), False, True),
-    (ValueForecasterSpec.ar(2), TrendPredictorSpec.gaussian_nb(), False, False),
-    (ValueForecasterSpec.ar(2), TrendPredictorSpec.logistic(), False, False),
+    (ValueForecasterSpec("naive"), TrendPredictorSpec("oracle", accuracy=0.7, seed=2), False, True),
+    (ValueForecasterSpec("drift"), TrendPredictorSpec("logistic"), False, True),
+    (ValueForecasterSpec("drift"), TrendPredictorSpec("logistic"), True, True),
+    (ValueForecasterSpec("ses", smoothing=0.4), TrendPredictorSpec("knn", k=5), False, True),
+    (ValueForecasterSpec("ar", order=2), TrendPredictorSpec("gaussian_nb"), False, False),
+    (ValueForecasterSpec("ar", order=2), TrendPredictorSpec("logistic"), False, False),
 ]
 
 
@@ -434,8 +435,8 @@ def test_run_tats_deterministic():
     rng = np.random.default_rng(seed + 10)
     series = _weather_series(rng)
     config = TatsConfig(
-        value_forecaster=ValueForecasterSpec.ar(order=2),
-        trend_predictor=TrendPredictorSpec.oracle(accuracy=0.8, seed=4),
+        value_forecaster=ValueForecasterSpec("ar", order=2),
+        trend_predictor=TrendPredictorSpec("oracle", accuracy=0.8, seed=4),
     )
     a = _trace(config, series)
     b = _trace(config, series)
@@ -447,8 +448,8 @@ def test_run_tats_perfect_oracle_never_hits_s2_s3():
     rng = np.random.default_rng(seed + 11)
     series = _weather_series(rng)
     config = TatsConfig(
-        value_forecaster=ValueForecasterSpec.drift(),
-        trend_predictor=TrendPredictorSpec.oracle(accuracy=1.0, seed=2),
+        value_forecaster=ValueForecasterSpec("drift"),
+        trend_predictor=TrendPredictorSpec("oracle", accuracy=1.0, seed=2),
     )
     counts = _trace(config, series).scenario_counts()
     assert counts["S2"] == 0
@@ -459,8 +460,8 @@ def test_run_tats_train_split_is_in_sample():
     rng = np.random.default_rng(seed + 12)
     series = _weather_series(rng)
     config = TatsConfig(
-        value_forecaster=ValueForecasterSpec.ar(order=2),
-        trend_predictor=TrendPredictorSpec.logistic(),
+        value_forecaster=ValueForecasterSpec("ar", order=2),
+        trend_predictor=TrendPredictorSpec("logistic"),
     )
     trace = _trace(config, series, eval_split="train")
     assert trace.t[-1] == len(chronological_split(series, 0.7)[0]) - 1
@@ -471,8 +472,8 @@ def test_run_tats_rejects_unknown_split():
     rng = np.random.default_rng(seed + 13)
     series = _weather_series(rng)
     config = TatsConfig(
-        value_forecaster=ValueForecasterSpec.naive(),
-        trend_predictor=TrendPredictorSpec.majority(),
+        value_forecaster=ValueForecasterSpec("naive"),
+        trend_predictor=TrendPredictorSpec("majority"),
     )
     with pytest.raises(ConfigError):
         prepare_run(config, Dataset(series), eval_splits=("validation",))
@@ -489,9 +490,9 @@ def test_the_config_alone_sets_the_classifier_features(monkeypatch):
         return fit_classifier(spec, features)
 
     monkeypatch.setattr("tats.engine.fit_classifier", spy)
-    logistic = TrendPredictorSpec.logistic()
+    logistic = TrendPredictorSpec("logistic")
     for n_lags, exog_lag in ((2, 0), (3, 0), (3, 4)):
-        config = TatsConfig(ValueForecasterSpec.naive(), logistic, n_lags=n_lags, exog_lag=exog_lag)
+        config = TatsConfig(ValueForecasterSpec("naive"), logistic, n_lags=n_lags, exog_lag=exog_lag)
         prepare_run(config, Dataset(series, {"x": exog}))
         expected = build_feature_table(Dataset(series, {"x": exog}), n_lags, exog_lag).training_matrix(n_train)
         assert np.array_equal(fitted_on[-1].rows, expected.rows)
@@ -500,8 +501,8 @@ def test_the_config_alone_sets_the_classifier_features(monkeypatch):
     # no argument takes a ready table: a table built with other lags is refused, not fitted
     assert list(inspect.signature(prepare_run).parameters) == ["config", "dataset", "eval_splits"]
     other = build_feature_table(Dataset(series), n_lags=2)
-    for spec in (logistic, TrendPredictorSpec.oracle(0.7)):
-        config = TatsConfig(ValueForecasterSpec.naive(), spec, n_lags=3)
+    for spec in (logistic, TrendPredictorSpec("oracle", accuracy=0.7, seed=0)):
+        config = TatsConfig(ValueForecasterSpec("naive"), spec, n_lags=3)
         with pytest.raises(ConfigError, match="^prepare_run needs a .*got .*FeatureTable$"):
             prepare_run(config, other)
         with pytest.raises(ConfigError, match="a dataset needs a TimeSeries target"):
@@ -520,10 +521,10 @@ def test_trace_time_indices_must_increase():
 def test_a_one_value_train_split_is_refused():
     # a train_fraction of (k + 0.5) / n cuts exactly k values; k / n can floor to k - 1
     dataset = Dataset(TimeSeries(np.array([5.0, 6.0, 4.0, 7.0, 3.0, 8.0])))
-    naive = ValueForecasterSpec.naive()
+    naive = ValueForecasterSpec("naive")
     with pytest.raises(DataError, match="^no labeled feature rows available for training$"):
-        prepare_run(TatsConfig(naive, TrendPredictorSpec.majority(), n_lags=1, train_fraction=1.5 / 6), dataset)
-    oracle = TatsConfig(naive, TrendPredictorSpec.oracle(accuracy=0.7), train_fraction=1.5 / 6)
+        prepare_run(TatsConfig(naive, TrendPredictorSpec("majority"), n_lags=1, train_fraction=1.5 / 6), dataset)
+    oracle = TatsConfig(naive, TrendPredictorSpec("oracle", accuracy=0.7, seed=0), train_fraction=1.5 / 6)
     assert len(prepare_run(oracle, dataset)[0]) == 5
     with pytest.raises(DataError, match=r"^train split of length 1 leaves no in-sample steps \(first evaluable index 1\)$"):
         prepare_run(oracle, dataset, eval_splits=("train",))
@@ -533,8 +534,8 @@ def test_sweep_alpha_shares_forecasts_across_alphas():
     rng = np.random.default_rng(seed + 14)
     series = _weather_series(rng)
     config = TatsConfig(
-        value_forecaster=ValueForecasterSpec.ar(order=2),
-        trend_predictor=TrendPredictorSpec.oracle(accuracy=0.8, seed=5),
+        value_forecaster=ValueForecasterSpec("ar", order=2),
+        trend_predictor=TrendPredictorSpec("oracle", accuracy=0.8, seed=5),
     )
     alphas = (0.5, 1.0, 2.0)
     trace = _trace(config, series)
@@ -548,8 +549,8 @@ def test_sweep_alpha_single_run_consistency():
     rng = np.random.default_rng(seed + 15)
     series = _weather_series(rng)
     config = TatsConfig(
-        value_forecaster=ValueForecasterSpec.drift(),
-        trend_predictor=TrendPredictorSpec.oracle(accuracy=0.9, seed=6),
+        value_forecaster=ValueForecasterSpec("drift"),
+        trend_predictor=TrendPredictorSpec("oracle", accuracy=0.9, seed=6),
     )
     trace = _trace(config, series)
     base, (adjusted,) = sweep_alpha(trace, (2.0,))
@@ -564,12 +565,24 @@ def test_sweep_alpha_single_run_consistency():
     assert adjusted.r_diff == adjusted.diff / base.mse
 
 
+def test_sweep_alpha_leaves_r_diff_null_where_the_ratio_overflows():
+    # on a walk of tiny steps the base MSE is subnormal, so Diff / base MSE passes float64
+    values = 1e-150 + 1e-160 * np.cumsum(np.random.default_rng(0).standard_normal(400))
+    config = TatsConfig(ValueForecasterSpec("drift"), TrendPredictorSpec("oracle", accuracy=0.7, seed=0))
+    base, (adjusted,) = sweep_alpha(_trace(config, TimeSeries(values)), (0.5,))
+    assert 0.0 < base.mse < 1e-300
+    with pytest.raises(NumericError, match="overflowed float64"):
+        diff_rdiff(base, adjusted)  # which stays strict
+    assert adjusted.r_diff is None
+    assert np.isfinite(adjusted.diff) and adjusted.diff == base.mse - adjusted.mse
+
+
 def test_sweep_alpha_rejects_bad_grids():
     rng = np.random.default_rng(seed + 16)
     series = _weather_series(rng)
     config = TatsConfig(
-        value_forecaster=ValueForecasterSpec.naive(),
-        trend_predictor=TrendPredictorSpec.majority(),
+        value_forecaster=ValueForecasterSpec("naive"),
+        trend_predictor=TrendPredictorSpec("majority"),
     )
     trace = _trace(config, series)
     with pytest.raises(ConfigError):
@@ -583,8 +596,8 @@ def test_non_finite_alpha_rejected(alpha):
     rng = np.random.default_rng(seed + 17)
     series = _weather_series(rng)
     config = TatsConfig(
-        value_forecaster=ValueForecasterSpec.naive(),
-        trend_predictor=TrendPredictorSpec.oracle(accuracy=0.7, seed=1),
+        value_forecaster=ValueForecasterSpec("naive"),
+        trend_predictor=TrendPredictorSpec("oracle", accuracy=0.7, seed=1),
     )
     with pytest.raises(ConfigError, match="finite"):
         adjust(y_hat=8.0, direction=UP, y_prev=7.0, alpha=alpha)

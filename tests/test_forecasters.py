@@ -118,11 +118,11 @@ def test_spec_validation():
     with pytest.raises(ConfigError):
         ValueForecasterSpec(kind="naive", order=2)  # naive takes no params
     with pytest.raises(ConfigError):
-        ValueForecasterSpec.ar(order=0)
+        ValueForecasterSpec("ar", order=0)
     with pytest.raises(ConfigError):
-        ValueForecasterSpec.ses(smoothing=0.0)
+        ValueForecasterSpec("ses", smoothing=0.0)
     with pytest.raises(ConfigError):
-        ValueForecasterSpec.ses(smoothing=1.5)
+        ValueForecasterSpec("ses", smoothing=1.5)
     with pytest.raises(ConfigError):
         ValueForecasterSpec(kind="nonsense")
 
@@ -135,14 +135,14 @@ def test_kind_that_is_not_a_string_is_unknown(kind):
 
 
 def test_naive():
-    model = fit_forecaster(ValueForecasterSpec.naive(), _series([1.0, 2.0, 7.0]))
+    model = fit_forecaster(ValueForecasterSpec("naive"), _series([1.0, 2.0, 7.0]))
     assert _next(model, [3.0, 4.0]) == 4.0
 
 
 def test_drift_freezes_training_mean_step():
     # mean training step 0.25, last observed value 8 -> 8.25
     train = _series([7.0, 7.25, 7.5, 7.75, 8.0])
-    model = fit_forecaster(ValueForecasterSpec.drift(), train)
+    model = fit_forecaster(ValueForecasterSpec("drift"), train)
     assert _next(model, train.values) == 8.25
     # same frozen step applied to an unrelated history
     assert _next(model, [100.0]) == 100.25
@@ -150,14 +150,14 @@ def test_drift_freezes_training_mean_step():
 
 def test_drift_needs_two_training_values():
     with pytest.raises(DataError, match="drift forecaster needs at least 2 training values"):
-        fit_forecaster(ValueForecasterSpec.drift(), _series([7.0]))
+        fit_forecaster(ValueForecasterSpec("drift"), _series([7.0]))
 
 
 def test_ses_limits_and_recursion():
     train = _series([2.0, 4.0, 4.0])
-    one = fit_forecaster(ValueForecasterSpec.ses(smoothing=1.0), train)
+    one = fit_forecaster(ValueForecasterSpec("ses", smoothing=1.0), train)
     assert _next(one, [5.0, 9.0]) == 9.0  # lambda=1 is naive
-    half = fit_forecaster(ValueForecasterSpec.ses(smoothing=0.5), train)
+    half = fit_forecaster(ValueForecasterSpec("ses", smoothing=0.5), train)
     assert _next(half, [2.0, 4.0]) == 3.0
     # independent recursion check
     rng = np.random.default_rng(seed)
@@ -166,12 +166,12 @@ def test_ses_limits_and_recursion():
     level = history[0]
     for x in history[1:]:
         level = lam * x + (1 - lam) * level
-    model = fit_forecaster(ValueForecasterSpec.ses(smoothing=lam), train)
+    model = fit_forecaster(ValueForecasterSpec("ses", smoothing=lam), train)
     assert _next(model, history) == pytest.approx(level, rel=1e-12)
 
 
 def test_ses_forecast_is_pure():
-    model = fit_forecaster(ValueForecasterSpec.ses(smoothing=0.4), _series([1.0, 2.0]))
+    model = fit_forecaster(ValueForecasterSpec("ses", smoothing=0.4), _series([1.0, 2.0]))
     h = np.array([1.0, 3.0, 2.0])
     assert np.array_equal(model.forecast_path(h, 1), model.forecast_path(h, 1))
     assert np.array_equal(h, [1.0, 3.0, 2.0])
@@ -251,8 +251,8 @@ def test_ar_too_short():
 
 
 FORECASTERS = {
-    "naive": fit_forecaster(ValueForecasterSpec.naive(), _series([0.0, 1.0])),
-    "drift": fit_forecaster(ValueForecasterSpec.drift(), _series([0.0, 0.5])),
+    "naive": fit_forecaster(ValueForecasterSpec("naive"), _series([0.0, 1.0])),
+    "drift": fit_forecaster(ValueForecasterSpec("drift"), _series([0.0, 0.5])),
     "ses": SESForecaster(smoothing=0.4),
     "ar2": ARModel(intercept=0.0, coefficients=np.array([0.5, 0.5])),
     "external": ExternalForecaster(forecasts=np.concatenate([[np.nan], np.arange(1.0, 10.0)])),
@@ -281,7 +281,7 @@ def test_walk_forward_naive_is_shifted_actuals():
     values = np.cumsum(rng.normal(size=30)) + 10.0
     train = _series(values[:20])
     test = _series(values[20:])
-    out = _walk(ValueForecasterSpec.naive(), train, test)
+    out = _walk(ValueForecasterSpec("naive"), train, test)
     assert np.array_equal(out, values[19:29])
 
 
@@ -289,7 +289,7 @@ def test_walk_forward_deterministic():
     rng = np.random.default_rng(seed + 4)
     values = np.cumsum(rng.normal(size=40)) + 10.0
     train, test = _series(values[:30]), _series(values[30:])
-    spec = ValueForecasterSpec.ar(order=2)
+    spec = ValueForecasterSpec("ar", order=2)
     a = _walk(spec, train, test)
     b = _walk(spec, train, test)
     assert np.array_equal(a, b)
@@ -299,7 +299,7 @@ def test_walk_forward_params_frozen_by_default():
     # drift step comes from the training split only
     train = _series([0.0, 1.0, 2.0, 3.0])  # mean step 1
     test = _series([103.0, 203.0, 303.0])  # wildly different steps
-    out = _walk(ValueForecasterSpec.drift(), train, test)
+    out = _walk(ValueForecasterSpec("drift"), train, test)
     assert np.array_equal(out, np.array([4.0, 104.0, 204.0]))
 
 
@@ -307,7 +307,7 @@ def test_walk_forward_refit_each_step_differs():
     rng = np.random.default_rng(seed + 5)
     values = np.cumsum(rng.normal(size=60)) + 100.0
     train, test = _series(values[:40]), _series(values[40:])
-    spec = ValueForecasterSpec.ar(order=1)
+    spec = ValueForecasterSpec("ar", order=1)
     frozen = _walk(spec, train, test)
     refit = _walk(spec, train, test, refit_each_step=True)
     assert frozen.shape == refit.shape
@@ -320,7 +320,7 @@ def test_walk_forward_external_replays_file_values():
     train, test = _series(values[:7]), _series(values[7:])
     table = np.full(10, np.nan)
     table[7:] = [1.5, 2.5, 3.5]
-    out = _walk(ValueForecasterSpec.external(source=table), train, test)
+    out = _walk(ValueForecasterSpec("external", source=table), train, test)
     assert np.array_equal(out, np.array([1.5, 2.5, 3.5]))
 
 
@@ -329,11 +329,11 @@ def test_walk_forward_external_missing_index():
     train, test = _series(values[:7]), _series(values[7:])
     table = np.full(10, np.nan)
     table[7] = 1.0
-    spec = ValueForecasterSpec.external(source=table)
+    spec = ValueForecasterSpec("external", source=table)
     with pytest.raises(DataError, match="external forecasts missing time index 8"):
         _walk(spec, train, test)
     # positions past the end of the table are missing too
-    short = ValueForecasterSpec.external(source=np.array([np.nan, 1.0]))
+    short = ValueForecasterSpec("external", source=np.array([np.nan, 1.0]))
     with pytest.raises(DataError, match="external forecasts missing time index 7"):
         _walk(short, train, test)
 
@@ -345,7 +345,7 @@ def test_external_spec_rejects_a_path(tmp_path):
     values = np.arange(10.0)
     train, test = _series(values[:7]), _series(values[7:])
     with pytest.raises(ConfigError, match="load_external_forecasts"):
-        _walk(ValueForecasterSpec.external(str(path)), train, test)
+        _walk(ValueForecasterSpec("external", source=str(path)), train, test)
 
 
 def test_fits_on_huge_values_are_numeric_errors():
@@ -353,9 +353,9 @@ def test_fits_on_huge_values_are_numeric_errors():
     with pytest.raises(NumericError, match="AR\\(2\\) fit"):
         fit_ar(huge, 2)
     with pytest.raises(NumericError, match="mean training step"):
-        fit_forecaster(ValueForecasterSpec.drift(), _series([1.5e308, -1.5e308, 1.5e308]))
+        fit_forecaster(ValueForecasterSpec("drift"), _series([1.5e308, -1.5e308, 1.5e308]))
     # a drift step past the float64 range is inf, left to the loss check, with no warning
-    drift = fit_forecaster(ValueForecasterSpec.drift(), _series([0.0, 1e308]))
+    drift = fit_forecaster(ValueForecasterSpec("drift"), _series([0.0, 1e308]))
     assert _next(drift, [0.0, 1e308]) == float("inf")
 
 
@@ -366,7 +366,7 @@ def test_fits_on_huge_values_are_numeric_errors():
 def test_ses_path_matches_per_step_forecasts(smoothing):
     # a 3,000-step walk after 1,000 training values
     values = _walk_values(4000, seed + 6)
-    spec = ValueForecasterSpec.ses(smoothing)
+    spec = ValueForecasterSpec("ses", smoothing=smoothing)
     fitted = fit_forecaster(spec, TimeSeries(values[:1000]))
     path = _walk_forward(spec, fitted, values, 1000, False)
     assert np.array_equal(path, _reference_walk(spec, fitted, values, 1000))
@@ -377,7 +377,7 @@ def test_ar_path_matches_per_step_forecasts(order):
     # steps from about 1e-7 to 1e8 in size make every dot product mix magnitudes
     rng = np.random.default_rng(seed + 12)
     decades = np.cumsum(rng.standard_normal(3000) * 10.0 ** rng.uniform(-7.0, 8.0, 3000))
-    spec = ValueForecasterSpec.ar(order)
+    spec = ValueForecasterSpec("ar", order=order)
     for values in (_walk_values(3000, seed + 7), decades):
         fitted = fit_forecaster(spec, TimeSeries(values[:1000]))
         # in-sample walks start right after the lags the model needs; a step's forecast does not
@@ -519,7 +519,7 @@ def test_ordinary_walks_never_reach_the_exact_scalar_route(monkeypatch):
         model = fit_ar(TimeSeries(values[:14_000]), order)
         for start in (order, 14_000):  # the train walk and the test walk
             assert np.all(np.isfinite(model.forecast_path(values, start)))
-    spec, short = ValueForecasterSpec.ar(2), values[:400]
+    spec, short = ValueForecasterSpec("ar", order=2), values[:400]
     refit = _walk_forward(spec, fit_forecaster(spec, TimeSeries(short[:200])), short, 200, True)
     assert np.all(np.isfinite(refit))
     ints = np.cumsum(np.random.default_rng(seed + 17).integers(-2, 3, 3000)).astype(float)
@@ -576,7 +576,7 @@ def test_ar_walk_bytes_hold_under_other_openblas_kernels(coretype):
     assert result.returncode == 0, result.stdout[-3000:] + result.stderr[-3000:]
 
 
-@pytest.mark.parametrize("spec", [ValueForecasterSpec.naive(), ValueForecasterSpec.drift()],
+@pytest.mark.parametrize("spec", [ValueForecasterSpec("naive"), ValueForecasterSpec("drift")],
                          ids=["naive", "drift"])
 def test_naive_and_drift_paths_match_per_step_forecasts(spec):
     values = _walk_values(3000, seed + 8)
@@ -588,8 +588,8 @@ def test_naive_and_drift_paths_match_per_step_forecasts(spec):
 
 def test_naive_and_drift_fit_to_unit_coefficient_ar_models():
     train = _series([7.0, 7.25, 7.5, 7.75, 8.0])
-    naive = fit_forecaster(ValueForecasterSpec.naive(), train)
-    drift = fit_forecaster(ValueForecasterSpec.drift(), train)
+    naive = fit_forecaster(ValueForecasterSpec("naive"), train)
+    drift = fit_forecaster(ValueForecasterSpec("drift"), train)
     for model, intercept in ((naive, 0.0), (drift, 0.25)):
         assert type(model) is ARModel and model.intercept == intercept and not model.degenerate
         assert np.array_equal(model.coefficients, [1.0]) and model.order == model.required_history == 1
@@ -649,7 +649,7 @@ def test_external_path_matches_per_step_forecasts():
     table = np.full(300, np.nan)
     table[1:] = forecasts[1:]
     by_index = {t: float(forecasts[t]) for t in range(1, 300)}
-    spec = ValueForecasterSpec.external(table)
+    spec = ValueForecasterSpec("external", source=table)
     fitted = fit_forecaster(spec, TimeSeries(values[:100]))
     for start in (1, 100):
         path = _walk_forward(spec, fitted, values, start, False)
@@ -661,11 +661,11 @@ def test_refit_path_matches_per_step_forecasts(kind):
     values = _walk_values(400, seed + 11)
     table = np.append(np.nan, values[:-1] + 0.5)
     spec = {
-        "ses": ValueForecasterSpec.ses(0.4),
-        "ar": ValueForecasterSpec.ar(2),
-        "drift": ValueForecasterSpec.drift(),
-        "naive": ValueForecasterSpec.naive(),
-        "external": ValueForecasterSpec.external(table),
+        "ses": ValueForecasterSpec("ses", smoothing=0.4),
+        "ar": ValueForecasterSpec("ar", order=2),
+        "drift": ValueForecasterSpec("drift"),
+        "naive": ValueForecasterSpec("naive"),
+        "external": ValueForecasterSpec("external", source=table),
     }[kind]
     by_index = {t: float(table[t]) for t in range(1, 400)}
     fitted = fit_forecaster(spec, TimeSeries(values[:200]))

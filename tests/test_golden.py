@@ -110,10 +110,10 @@ def test_artifacts_match_golden(case, tmp_path, monkeypatch, capsys):
 
 # the specs of each run case but run_external, whose tables are read from its inputs
 RUN_SPECS = {
-    "run_ar_logistic": (ValueForecasterSpec.ar(2), TrendPredictorSpec.logistic()),
-    "run_ar_oracle": (ValueForecasterSpec.ar(2), TrendPredictorSpec.oracle(0.7, seed=3)),
-    "run_drift_nb_refit": (ValueForecasterSpec.drift(), TrendPredictorSpec.gaussian_nb()),
-    "run_ses_knn": (ValueForecasterSpec.ses(0.4), TrendPredictorSpec.knn()),
+    "run_ar_logistic": (ValueForecasterSpec("ar", order=2), TrendPredictorSpec("logistic")),
+    "run_ar_oracle": (ValueForecasterSpec("ar", order=2), TrendPredictorSpec("oracle", accuracy=0.7, seed=3)),
+    "run_drift_nb_refit": (ValueForecasterSpec("drift"), TrendPredictorSpec("gaussian_nb")),
+    "run_ses_knn": (ValueForecasterSpec("ses", smoothing=0.4), TrendPredictorSpec("knn", k=5)),
 }
 
 
@@ -122,8 +122,8 @@ def test_the_library_run_record_is_the_golden_report(case, tmp_path):
     _write_inputs(tmp_path)
     dataset = load_csv(tmp_path / DATA, "price", ["signal"])
     forecaster, classifier = RUN_SPECS.get(case) or (
-        ValueForecasterSpec.external(load_external_forecasts(tmp_path / FORECASTS, dataset.target)),
-        TrendPredictorSpec.external(load_external_directions(tmp_path / DIRECTIONS, dataset.target)),
+        ValueForecasterSpec("external", source=load_external_forecasts(tmp_path / FORECASTS, dataset.target)),
+        TrendPredictorSpec("external", source=load_external_directions(tmp_path / DIRECTIONS, dataset.target)),
     )
     config = TatsConfig(forecaster, classifier, refit_each_step=case == "run_drift_nb_refit")
     report = run_experiment(config, dataset, DEFAULT_ALPHAS).to_dict()
@@ -136,17 +136,17 @@ def test_the_library_run_record_is_the_golden_report(case, tmp_path):
 TABLE = np.array([np.nan, 1.0])
 # each model kind as a golden case's arguments build it, and that case (None: no case runs it)
 KIND_SPECS = {
-    ("forecaster", "naive"): (ValueForecasterSpec.naive(), None),
-    ("forecaster", "drift"): (ValueForecasterSpec.drift(), "run_drift_nb_refit"),
-    ("forecaster", "ar"): (ValueForecasterSpec.ar(2), "run_ar_logistic"),
-    ("forecaster", "ses"): (ValueForecasterSpec.ses(0.4), "run_ses_knn"),
-    ("forecaster", "external"): (ValueForecasterSpec.external(TABLE), "run_external"),
-    ("classifier", "majority"): (TrendPredictorSpec.majority(), None),
-    ("classifier", "logistic"): (TrendPredictorSpec.logistic(), "run_ar_logistic"),
-    ("classifier", "gaussian_nb"): (TrendPredictorSpec.gaussian_nb(), "run_drift_nb_refit"),
-    ("classifier", "knn"): (TrendPredictorSpec.knn(), "run_ses_knn"),
-    ("classifier", "oracle"): (TrendPredictorSpec.oracle(0.7, seed=3), "run_ar_oracle"),
-    ("classifier", "external"): (TrendPredictorSpec.external(TABLE), "run_external"),
+    ("forecaster", "naive"): (ValueForecasterSpec("naive"), None),
+    ("forecaster", "drift"): (ValueForecasterSpec("drift"), "run_drift_nb_refit"),
+    ("forecaster", "ar"): (ValueForecasterSpec("ar", order=2), "run_ar_logistic"),
+    ("forecaster", "ses"): (ValueForecasterSpec("ses", smoothing=0.4), "run_ses_knn"),
+    ("forecaster", "external"): (ValueForecasterSpec("external", source=TABLE), "run_external"),
+    ("classifier", "majority"): (TrendPredictorSpec("majority"), None),
+    ("classifier", "logistic"): (TrendPredictorSpec("logistic"), "run_ar_logistic"),
+    ("classifier", "gaussian_nb"): (TrendPredictorSpec("gaussian_nb"), "run_drift_nb_refit"),
+    ("classifier", "knn"): (TrendPredictorSpec("knn", k=5), "run_ses_knn"),
+    ("classifier", "oracle"): (TrendPredictorSpec("oracle", accuracy=0.7, seed=3), "run_ar_oracle"),
+    ("classifier", "external"): (TrendPredictorSpec("external", source=TABLE), "run_external"),
 }
 
 

@@ -157,10 +157,12 @@ def _walk(n: int = 60) -> Dataset:
     return Dataset(TimeSeries(100.0 + np.cumsum(np.random.default_rng(seed + 4).standard_normal(n))))
 
 
-@pytest.mark.parametrize("classifier", [TrendPredictorSpec.logistic(), TrendPredictorSpec.oracle(0.7, seed=1)])
+@pytest.mark.parametrize(
+    "classifier", [TrendPredictorSpec("logistic"), TrendPredictorSpec("oracle", accuracy=0.7, seed=1)]
+)
 def test_run_experiment_is_one_fit_its_sweep_and_its_estimate(classifier):
     dataset, alphas = _walk(), [0.5, 2.0, 1.0]
-    config = TatsConfig(ValueForecasterSpec.ar(2), classifier)
+    config = TatsConfig(ValueForecasterSpec("ar", order=2), classifier)
     test_trace, train_trace = prepare_run(config, dataset, ("test", "train"))
     for theory_split, theory_trace in (("train", train_trace), ("test", test_trace)):
         run = run_experiment(config, dataset, alphas, theory_split)
@@ -177,7 +179,7 @@ def test_run_experiment_is_one_fit_its_sweep_and_its_estimate(classifier):
 
 
 def test_run_experiment_refuses_an_unknown_theory_split():
-    config = TatsConfig(ValueForecasterSpec.naive(), TrendPredictorSpec.majority())
+    config = TatsConfig(ValueForecasterSpec("naive"), TrendPredictorSpec("majority"))
     for split in ("validation", "Train", ""):
         with pytest.raises(ConfigError, match=f"^theory_split must be 'train' or 'test', got '{split}'$"):
             run_experiment(config, _walk(), [1.0], split)
@@ -187,7 +189,7 @@ def test_a_data_error_in_the_train_walk_says_the_test_split_avoids_it():
     dataset = _walk()
     table = np.full(60, np.nan)
     table[42:] = 1.0  # directions for the test steps only
-    config = TatsConfig(ValueForecasterSpec.naive(), TrendPredictorSpec.external(table))
+    config = TatsConfig(ValueForecasterSpec("naive"), TrendPredictorSpec("external", source=table))
     with pytest.raises(DataError) as info:
         run_experiment(config, dataset, [1.0])
     assert str(info.value) == (
@@ -198,7 +200,7 @@ def test_a_data_error_in_the_train_walk_says_the_test_split_avoids_it():
     # a gap in the test split is the test split's error under either theory split, with no hint
     table = np.ones(60)
     table[50] = np.nan
-    config = TatsConfig(ValueForecasterSpec.naive(), TrendPredictorSpec.external(table))
+    config = TatsConfig(ValueForecasterSpec("naive"), TrendPredictorSpec("external", source=table))
     for split in ("train", "test"):
         with pytest.raises(DataError, match=r"^external directions missing time index 50 \(in the test split\)$"):
             run_experiment(config, dataset, [1.0], split)
