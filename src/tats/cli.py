@@ -13,11 +13,13 @@ Exit codes: 0 success, 1 usage or configuration error, 2 data error,
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
 from dataclasses import fields
 from pathlib import Path
+from typing import NoReturn
 
 from .classifiers import CLASSIFIER_KINDS, TrendPredictorSpec
 from .engine import TatsConfig, _check_alphas, prepare_run, sweep_alpha
@@ -47,7 +49,7 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
     """Read a flat key = value config file (# starts a comment line)."""
     p = Path(path)
     if not p.is_file():
-        raise DataError(f"config file not found: {p}")
+        raise DataError(f"config {'path is not a file' if p.exists() else 'file not found'}: {p}")
     out: dict[str, str] = {}
     for lineno, line in enumerate(_read_text(p).splitlines(), start=1):
         stripped = line.strip()
@@ -428,5 +430,17 @@ def main(argv: list[str] | None = None) -> int:
         return 3
 
 
+def entry() -> NoReturn:
+    """The process entry of ``tats`` and ``python -m tats``: main() on sys.argv, then exit with its status.
+
+    gc.freeze() moves every object to the permanent generation, which no collection scans, so the
+    collections that the interpreter runs as it exits find nothing to do. main() leaves the collector
+    as it is, for the callers that go on after it.
+    """
+    status = main()
+    gc.freeze()
+    sys.exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -86,7 +86,7 @@ def _read_rows(path: str | Path) -> tuple[list[str], list[list[str]]]:
     _instance("path", path, str, os.PathLike)
     p = Path(path)
     if not p.is_file():
-        raise DataError(f"file not found: {p}")
+        raise DataError(f"{'not a file' if p.exists() else 'file not found'}: {p}")
     reader = csv.reader(io.StringIO(_read_text(p), newline=""))
     try:
         header, body = [h.strip() for h in next(reader)], list(reader)

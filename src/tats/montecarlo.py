@@ -17,10 +17,11 @@ reproducible and one trial's outcome does not depend on the others;
 aggregation uses compensated summation in a fixed trial order. Seed
 states come in blocks of trials, exactly as SeedSequence.spawn gives them.
 Trials run in blocks, one per row, in the calling process and in one forked
-worker, each refilling its own arrays (see :func:`validate_prop1`); a trial's
-bytes do not depend on its block or its process. Each numpy call of a block
-costs a few microseconds whatever its length, so blocks are long, and the
-scenario counts come from compares, which cost less than np.bincount.
+worker, which take the blocks from opposite ends and each refill their own
+arrays (see :func:`validate_prop1`); a trial's bytes do not depend on its block
+or its process. Each numpy call of a block costs a few microseconds whatever
+its length, so blocks are long, and the scenario counts come from compares,
+which cost less than np.bincount.
 
 The realized p_db, p_dt, loss gap and bound pool the statistics that
 :func:`tats.theory.estimate_theory` takes from each trial's trace, so the
@@ -215,21 +216,21 @@ def _walks_into(ws: _Workspace, states: np.ndarray, config: SimConfig) -> list[i
     return [] if ws.actual.all() else np.flatnonzero(~ws.actual.all(axis=-1)).tolist()
 
 
-def _blocks(config: SimConfig, rows: int, take):
-    """(index, first trial, seed states) of each block of at most rows trials whose index take accepts.
+def _blocks(config: SimConfig, rows: int, indices):
+    """(index, first trial, seed states) of each block of at most rows trials, in the order of indices.
 
-    The blocks are numbered in trial order and cut inside the seed blocks. Each take(index) is asked
-    just before its block would run, and a seed block's states are computed for its first block taken.
+    The blocks are numbered in trial order and cut inside the seed blocks. Each index is drawn just
+    before its block would run, and a seed block's states are computed as the first of its blocks is reached.
     """
-    index = 0
-    for start in range(0, config.n_trials, _SEED_BLOCK):
-        stop, states = min(start + _SEED_BLOCK, config.n_trials), None
-        for first in range(start, stop, rows):
-            if take(index):
-                if states is None:
-                    states = _seed_states(config.seed, np.arange(start, stop, dtype=np.uint32)[:, None], _STREAMS)
-                yield index, first, states[first - start : first - start + rows]
-            index += 1
+    per_seed_block, start = -(-_SEED_BLOCK // rows), None
+    for index in indices:
+        seed_block, offset = divmod(index, per_seed_block)
+        if seed_block * _SEED_BLOCK != start:
+            start = seed_block * _SEED_BLOCK
+            trials = np.arange(start, min(start + _SEED_BLOCK, config.n_trials), dtype=np.uint32)
+            states = _seed_states(config.seed, trials[:, None], _STREAMS)
+        first = start + offset * rows
+        yield index, first, states[first - start : first - start + rows]
 
 
 def _run_block(config: SimConfig, first: int, states: np.ndarray, ws: _Workspace):
@@ -263,23 +264,36 @@ def _run_block(config: SimConfig, first: int, states: np.ndarray, ws: _Workspace
         raise
 
 
-def _shared(n_trials: int, n_blocks: int) -> tuple[np.ndarray, np.ndarray]:
-    """Zeroed (n_trials, 3) floats and (n_blocks, 8) ints, views of one anonymous shared map.
+def _shared(n_trials: int, n_blocks: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Zeroed (n_trials, 3) floats, (n_blocks, 8) ints and n_blocks bytes, views of one anonymous shared map.
 
     What a forked child writes into them its parent reads: each trial's (mse_base, mse_tats, gap
-    sum), and each block's tally and, last, a 1 that says the block is done.
+    sum), each block's tally and, last, a 1 that says the block is done, and each block's claim.
     """
     import mmap  # here, as validate_prop1's imports, so that import tats loads no more modules
 
-    buffer = mmap.mmap(-1, 8 * (3 * n_trials + 8 * n_blocks))
-    return np.ndarray((n_trials, 3), np.float64, buffer), np.ndarray((n_blocks, 8), np.int64, buffer, 24 * n_trials)
+    buffer = mmap.mmap(-1, 8 * (3 * n_trials + 8 * n_blocks) + n_blocks)
+    return (np.ndarray((n_trials, 3), np.float64, buffer), np.ndarray((n_blocks, 8), np.int64, buffer, 24 * n_trials),
+            np.ndarray(n_blocks, np.uint8, buffer, 8 * (3 * n_trials + 8 * n_blocks)))
 
 
-def _run_blocks(config: SimConfig, rows: int, ws: _Workspace, shared: tuple[np.ndarray, np.ndarray], take) -> None:
-    """Run the blocks whose index take accepts, in trial order, and record each in shared; the first error raises."""
-    results, tallies = shared
+def _claim(claims: np.ndarray, indices):
+    """The indices up to the first whose claim is set, each claimed as it is drawn.
+
+    The claim is no atomic operation: two processes that draw one index at once both take it.
+    """
+    for index in indices:
+        if claims[index]:
+            return
+        claims[index] = 1
+        yield index
+
+
+def _run_blocks(config: SimConfig, rows: int, ws: _Workspace, shared, indices) -> None:
+    """Run the blocks of indices in their order and record each in shared; the first error raises."""
+    results, tallies, _ = shared
     with np.errstate(over="ignore", invalid="ignore"):  # each kernel checks its own results
-        for k, first, states in _blocks(config, rows, take):
+        for k, first, states in _blocks(config, rows, indices):
             base, adjusted, gaps, tallies[k, :7] = _run_block(config, first, states, ws.rows(0, len(states)))
             results[first : first + len(states)] = np.stack([base / config.n_steps, adjusted / config.n_steps, gaps], 1)
             tallies[k, 7] = 1  # last, so a child killed inside a block leaves it undone
@@ -292,10 +306,12 @@ def validate_prop1(config: SimConfig) -> SimulationReport:
     spawned from config.seed, seeded for blocks of 256 trials at once. Inside those, trials
     run in blocks of about 40,000 steps, one trial per row: each trial draws into its row from
     its own streams, and every other pass runs once per block. Where os.fork exists, SIGCHLD
-    is not ignored and two CPUs and two blocks are available, a forked child runs the odd blocks
-    and the calling process the even ones; otherwise the calling process runs them all. Each process refills
-    its own workspace of 45 bytes per step of a block (1.8 MB), and the results take a shared
-    map of 24 bytes per trial. Both are allocated before any trial starts, and a ConfigError
+    is not ignored and two CPUs and two blocks are available, the calling process claims blocks in
+    trial order from the first and a forked child in reverse from the last, each up to the first
+    block claimed by the other, so that neither idles while the other is slow; the block where they
+    meet may run in both, to the same bytes. Otherwise the calling process runs them all. Each process refills
+    its own workspace of 45 bytes per step of a block (1.8 MB), and the results take a shared map
+    of 24 bytes per trial and 65 per block. Both are allocated before any trial starts, and a ConfigError
     says when they cannot be. The child leaves by os._exit and is killed and reaped before this
     returns or raises; then the calling process runs every block that the child did not record
     as done. So each trial gives the bytes it gives alone, a failing run raises its first
@@ -319,7 +335,7 @@ def validate_prop1(config: SimConfig) -> SimulationReport:
     except (MemoryError, ValueError, OverflowError, OSError):  # ValueError and OverflowError: more bytes than
         # numpy's or mmap's index can count; OSError: more than the system lets mmap map
         raise ConfigError(f"n_trials={config.n_trials}, n_steps={config.n_steps}: too large to allocate") from None
-    results, tallies = shared
+    results, tallies, claims = shared
     pid = None
     try:
         if workers > 1:
@@ -334,12 +350,13 @@ def validate_prop1(config: SimConfig) -> SimulationReport:
                     try:
                         gc.disable()  # no collection, so no finalizer of the parent's objects runs here
                         warnings.simplefilter("error")  # a warning stops the child; the parent meets it again below
-                        # the odd blocks, but none once the calling process has died, even by SIGKILL
-                        _run_blocks(config, rows, workspaces[1], shared, lambda k: k % 2 and os.getppid() == parent)
+                        # from the last block down, but none once the calling process has died, even by SIGKILL
+                        alive = itertools.takewhile(lambda k: os.getppid() == parent, reversed(range(n_blocks)))
+                        _run_blocks(config, rows, workspaces[1], shared, _claim(claims, alive))
                     finally:  # whatever happened: no exception, atexit handler or flush of the parent's buffers
                         os._exit(0)
         try:
-            _run_blocks(config, rows, workspaces[0], shared, lambda k: k % workers == 0)
+            _run_blocks(config, rows, workspaces[0], shared, _claim(claims, range(n_blocks)))
         except TatsError:
             pass  # the failing block runs again below, after every earlier block that the child left undone
         else:
@@ -350,7 +367,7 @@ def validate_prop1(config: SimConfig) -> SimulationReport:
         if pid:  # a failure or an interrupt: the child's blocks are not needed
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    _run_blocks(config, rows, workspaces[0], shared, lambda k: not tallies[k, 7])
+    _run_blocks(config, rows, workspaces[0], shared, (k for k in range(n_blocks) if not tallies[k, 7]))
     *counts, clf_hits, fc_hits, _ = tallies.sum(axis=0).tolist()
     total_steps = config.n_trials * config.n_steps
     trials, gap_sums = results[:, :2].copy(), results[:, 2]  # the trials out of the map, which goes when this returns

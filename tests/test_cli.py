@@ -1,10 +1,14 @@
 import argparse
 import csv
 import dataclasses
+import gc
+import importlib
 import inspect
 import json
 import os
 import re
+import runpy
+import shutil
 import subprocess
 import sys
 import warnings
@@ -278,6 +282,65 @@ def test_simulate_sizes_that_cannot_be_allocated_exit_1(size, tmp_path):
     assert done.returncode == 1
     assert re.fullmatch(r"error: n_trials=\d+, n_steps=\d+: too large to allocate\n", done.stderr)
     assert not (tmp_path / "sim").exists()
+
+
+@pytest.mark.parametrize("flag, message", [("--data", "not a file"), ("--config", "config path is not a file")])
+def test_a_directory_is_reported_as_not_a_file(tmp_path, capsys, flag, message):
+    # the directory exists, so "not found" would mislead; the exit code stays that of a data error
+    data = _write_prices(tmp_path / "prices.csv")
+    argv = _run_args(tmp_path if flag == "--data" else data, tmp_path / "o")
+    if flag == "--config":
+        argv += ["--config", str(tmp_path)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"data error: {message}: {tmp_path}\n"
+    assert not (tmp_path / "o").exists()
+
+
+ENTRY_CASES = {  # commands that exit 0, 1, 2 and 3
+    0: ["simulate", "--n-steps", "50", "--n-trials", "4"],
+    1: ["simulate", "--n-trials", "0"],
+    2: ["run", "--data", "missing.csv", "--target-column", "gold"],
+    3: ["simulate", "--n-steps", "50", "--n-trials", "2", "--drift", "1e308"],
+}
+
+
+def _files(out):
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())} if out.exists() else None
+
+
+@pytest.mark.parametrize("code", sorted(ENTRY_CASES))
+def test_python_m_tats_prints_writes_and_exits_as_main_does(tmp_path, capsys, monkeypatch, code):
+    # main() in process leaves the collector as it was; the process entry only freezes the heap as it exits
+    monkeypatch.chdir(tmp_path)
+    argv = [*ENTRY_CASES[code], "--out", "out"]
+    frozen = gc.get_freeze_count()
+    assert main(argv) == code
+    assert gc.get_freeze_count() == frozen
+    expected = (code, *capsys.readouterr(), _files(tmp_path / "out"))
+    assert (code == 0) == (expected[-1] is not None)
+    shutil.rmtree(tmp_path / "out", ignore_errors=True)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "tats", *argv], env=env, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr, _files(tmp_path / "out")) == expected
+
+
+@pytest.mark.parametrize("via", ["console-script", "python-m"])
+@pytest.mark.parametrize("code", sorted(ENTRY_CASES))
+def test_the_process_entry_freezes_the_heap_once_after_main_returns(monkeypatch, via, code):
+    import tats.cli
+
+    events = []
+    monkeypatch.setattr(tats.cli, "main", lambda argv=None: events.append(("main", argv)) or code)
+    monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
+    module, name = re.search(r'^tats = "([\w.]+):(\w+)"$', (ROOT / "pyproject.toml").read_text(), re.M).groups()
+    with pytest.raises(SystemExit) as exited:
+        if via == "console-script":
+            getattr(importlib.import_module(module), name)()
+        else:
+            runpy.run_module("tats", run_name="__main__")
+    assert exited.value.code == code
+    assert events == [("main", None), "freeze"]  # main() reads sys.argv itself
 
 
 def test_metrics_output(tmp_path, capsys):
